@@ -3,18 +3,13 @@
 The two endpoints are closed-form: leakage-free MRT maximizes the receive
 SNR with zero sensing guarantee, and the leakage-free sensing design yields
 the highest floor gamma_zf that remains feasible. Sweeping the floor between
-them with the successive-convex solver traces the Pareto front; each solution
-is audited from first principles before printing.
+them with the exact trade-off solver traces the Pareto front; each solution
+is audited from first principles and printed with its gap to the dual bound.
 """
 
 import numpy as np
 
-from damisac.beamforming import (
-    isi_zf_mrt_beamformer,
-    sca_optimize,
-    sensing_only_zf_beamformer,
-    verify_solution,
-)
+from damisac.beamforming import IsacProblem, verify_solution
 from damisac.channel import (
     ChannelGenConfig,
     RadarTarget,
@@ -41,11 +36,10 @@ def main() -> None:
                                        radial_velocity_m_s=15.0)
     n = sc.data_length
 
-    bf_comm = isi_zf_mrt_beamformer(channel, sc.transmit_power_w)
-    gamma_c_best = comm_snr(bf_comm, channel, sc.noise_power_w)
-    bf_sens, gamma_zf = sensing_only_zf_beamformer(
-        channel, target.direction, sc.transmit_power_w, target.gain, n,
-        sc.noise_power_w)
+    problem = IsacProblem(channel, target.direction, target.gain, n,
+                          sc.transmit_power_w, sc.noise_power_w)
+    gamma_c_best = comm_snr(problem.mrt, channel, sc.noise_power_w)
+    gamma_zf = problem.gamma_zf_max
     ceiling = max_sensing_snr(sc.num_antennas, n, sc.transmit_power_w,
                               target.gain, sc.noise_power_w)
     print(f"{sc.num_antennas} antennas, {NUM_PATHS} paths, N = {n}")
@@ -53,12 +47,11 @@ def main() -> None:
     print(f"sensing ceiling:  gamma_p = {db(ceiling):6.2f} dB unconstrained, "
           f"{db(gamma_zf):6.2f} dB leakage-free")
 
-    print("\n floor gamma_th |  gamma_c  |  gamma_p  | SE bps/Hz | iters")
-    print(" " + "-" * 58)
+    print("\n floor gamma_th |  gamma_c  |  gamma_p  | SE bps/Hz | dual gap")
+    print(" " + "-" * 61)
     for frac in (0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 0.99, 1.0):
         gamma_th = frac * gamma_zf
-        sol = sca_optimize(channel, target.direction, target.gain, n,
-                           gamma_th, sc.transmit_power_w, sc.noise_power_w)
+        sol = problem.solve(gamma_th)
         report = verify_solution(sol.beamformer, channel, target.direction,
                                  target.gain, n, gamma_th,
                                  sc.transmit_power_w, sc.noise_power_w)
@@ -67,11 +60,11 @@ def main() -> None:
         se = np.log2(1.0 + sol.gamma_c)
         floor = f"{db(gamma_th):8.2f} dB" if gamma_th > 0 else "    (none) "
         print(f"   {floor} | {db(sol.gamma_c):6.2f} dB "
-              f"| {db(sol.gamma_p):6.2f} dB | {se:9.3f} | {sol.iterations:5d}")
+              f"| {db(sol.gamma_p):6.2f} dB | {se:9.3f} | "
+              f"{(sol.dual_bound - sol.gamma_c) / sol.dual_bound:8.1e}")
 
     # pushing past the leakage-free ceiling is declared infeasible
-    sol = sca_optimize(channel, target.direction, target.gain, n,
-                       1.05 * gamma_zf, sc.transmit_power_w, sc.noise_power_w)
+    sol = problem.solve(1.05 * gamma_zf)
     print(f"\nfloor at 1.05 x gamma_zf: status = {sol.status}")
 
 

@@ -4,20 +4,18 @@ Per-path transmit beams are delayed so that all multipath arrivals stack on a
 single lag, which removes inter-symbol interference without an OFDM-style
 cyclic prefix and leaves the whole block usable for radar matched filtering.
 The package covers channel and echo models, waveform construction, the
-matched-filter delay-Doppler receiver, zero-forcing and successive-convex
-beamformer designs, an OFDM radar baseline, and a batch experiment CLI.
+matched-filter delay-Doppler receiver, zero-forcing beamformer designs with
+an exact communication-sensing trade-off solver, an OFDM radar baseline, and
+a batch experiment CLI.
 """
 
-from .beamforming import (IsacSolution, ProjectorSet, ScaOptions, ScaProblem,
-                          SolutionReport, isi_zf_mrt_beamformer,
-                          nullspace_projector, sca_optimize,
-                          sensing_only_zf_beamformer, solve_subproblem,
-                          verify_solution)
+from .beamforming import (IsacProblem, IsacSolution, SolutionReport,
+                          isi_zf_mrt_beamformer, nullspace_projector,
+                          sensing_only_zf_beamformer, verify_solution)
 from .channel import (ChannelGenConfig, MultipathChannel, RadarTarget,
                       ScenarioConfig, apply_comm_channel, apply_radar_channel,
                       complex_normal, generate_multipath_channel, load_channel,
-                      merge_binned_paths, radar_round_trip_gain, save_channel,
-                      steering_vector)
+                      radar_round_trip_gain, save_channel, steering_vector)
 from .errors import ConfigError, DamIsacError, InfeasibleError
 from .experiments import (ExperimentConfig, TargetConfig, find_beam_peaks,
                           load_config, parse_gamma_grid, run_beampattern,
@@ -44,24 +42,22 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguityLimits", "C_LIGHT", "ChannelGenConfig", "ConfigError",
     "DamBeamformer", "DamIsacError", "DelayDopplerMap", "ExperimentConfig",
-    "InfeasibleError", "IsacSolution", "MultipathChannel", "OfdmConfig",
-    "OfdmEcho", "PeakPowerComparison", "ProjectorSet", "RadarTarget",
-    "ScaOptions", "ScaProblem", "ScenarioConfig", "SensingGrid",
-    "SolutionReport", "SymbolBlock", "TargetConfig", "apply_comm_channel",
-    "apply_radar_channel", "assign_delays", "build_dam_block", "comm_snr",
-    "complex_normal", "correlation_matrix", "dam_ambiguity_limits",
-    "db_to_linear", "dbm_to_watt", "decompose_received", "delay_doppler_map",
+    "InfeasibleError", "IsacProblem", "IsacSolution", "MultipathChannel",
+    "OfdmConfig", "OfdmEcho", "PeakPowerComparison", "RadarTarget",
+    "ScenarioConfig", "SensingGrid", "SolutionReport", "SymbolBlock",
+    "TargetConfig", "apply_comm_channel", "apply_radar_channel",
+    "assign_delays", "build_dam_block", "comm_snr", "complex_normal",
+    "correlation_matrix", "dam_ambiguity_limits", "db_to_linear",
+    "dbm_to_watt", "decompose_received", "delay_doppler_map",
     "delayed_symbol_matrix", "estimate_delay_doppler", "export_map_csv",
     "find_beam_peaks", "generate_multipath_channel", "generate_symbols",
     "isi_zf_mrt_beamformer", "linear_to_db", "load_block", "load_channel",
     "load_config", "matched_filter_template", "max_ofdm_output_snr",
-    "max_sensing_snr", "merge_binned_paths", "nullspace_projector",
-    "ofdm_ambiguity_limits", "ofdm_delay_doppler_estimate", "ofdm_output_snr",
-    "ofdm_papr_empirical", "ofdm_radar_rx", "ofdm_time_domain",
-    "papr_empirical", "parse_gamma_grid", "peak_power_constrained_snr_comparison",
-    "radar_round_trip_gain", "run_beampattern", "run_dd_map",
-    "run_ofdm_compare", "run_se_sweep", "save_block", "save_channel",
-    "sca_optimize", "sensing_only_zf_beamformer", "sensing_snr",
-    "solve_subproblem", "steering_vector", "transmit_power", "verify_solution",
-    "watt_to_dbm",
+    "max_sensing_snr", "nullspace_projector", "ofdm_ambiguity_limits",
+    "ofdm_delay_doppler_estimate", "ofdm_output_snr", "ofdm_papr_empirical",
+    "ofdm_radar_rx", "ofdm_time_domain", "papr_empirical", "parse_gamma_grid",
+    "peak_power_constrained_snr_comparison", "radar_round_trip_gain",
+    "run_beampattern", "run_dd_map", "run_ofdm_compare", "run_se_sweep",
+    "save_block", "save_channel", "sensing_only_zf_beamformer", "sensing_snr",
+    "steering_vector", "transmit_power", "verify_solution", "watt_to_dbm",
 ]

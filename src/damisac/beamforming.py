@@ -4,18 +4,23 @@ All designs share the same structure: f_l = Q_l b_l, where Q_l projects onto
 the orthogonal complement of the other paths' spatial responses, so residual
 inter-stream interference is zero by construction. On top of that the
 communication-optimal, sensing-optimal, and constrained trade-off solutions
-differ only in how b_l is chosen. The trade-off problem (maximize the
-aligned-channel gain subject to a sensing-SNR floor and a sum-power budget)
-is non-convex; it is solved by successive convex approximation where each
-step replaces both quadratics with their linear minorants at the current
-iterate and the resulting subproblem (linear objective over the intersection
-of a ball and a halfspace) is solved in closed form.
+differ only in how b_l is chosen.
+
+The trade-off problem maximizes the aligned-channel gain |h^H b|^2 subject to
+a sensing floor b^H A b >= gamma~ and the power budget ||b||^2 <= P, where h
+stacks the projected path responses Q_l h_l and A = blkdiag(g_l g_l^H) with
+g_l = Q_l a. It is a complex QCQP with two constraints, so strong duality
+holds and its semidefinite relaxation has a rank-one optimum (Beck & Eldar,
+SIAM J. Optim. 2006; Huang & Palomar, IEEE TSP 2010): the optimum is sqrt(P)
+times the principal eigenvector of h h^H + lambda A, with the dual variable
+lambda found by a 1-D search, and the dual value
+P lambda_max(h h^H + lambda A) - lambda gamma~ certifies it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -23,6 +28,12 @@ from .channel import MultipathChannel, steering_vector
 from .errors import InfeasibleError
 from .waveform import DamBeamformer
 from . import sensing as _sensing
+
+# Bisection steps on t = lambda / (1 + lambda) in [0, 1]; 60 halvings reach
+# the spacing of doubles near 1.
+_BISECTION_STEPS = 60
+# Relative duality gap at which the search on lambda stops early.
+_GAP_TOLERANCE = 1e-12
 
 
 def nullspace_projector(channel: MultipathChannel, path_index: int) -> np.ndarray:
@@ -50,21 +61,17 @@ def nullspace_projector(channel: MultipathChannel, path_index: int) -> np.ndarra
     return (q + np.conj(q.T)) / 2.0
 
 
-@dataclass
-class ProjectorSet:
-    """All L zero-forcing projectors for one channel realization."""
+def _zf_project(channel: MultipathChannel, *vector_sets: np.ndarray) -> list:
+    """Q_l v_l for every path l, for each (L, M) array of rows v_l given."""
+    qs = [nullspace_projector(channel, l) for l in range(channel.num_paths)]
+    return [np.stack([q @ v for q, v in zip(qs, vs)]) for vs in vector_sets]
 
-    projectors: List[np.ndarray]
 
-    @classmethod
-    def build(cls, channel: MultipathChannel) -> "ProjectorSet":
-        return cls([nullspace_projector(channel, l) for l in range(channel.num_paths)])
-
-    def __getitem__(self, l: int) -> np.ndarray:
-        return self.projectors[l]
-
-    def __len__(self) -> int:
-        return len(self.projectors)
+def _mrt(channel: MultipathChannel, projected: np.ndarray, power: float) -> DamBeamformer:
+    total = np.sum(np.abs(projected) ** 2)
+    if total <= 0:
+        raise InfeasibleError("all projected path responses vanish")
+    return DamBeamformer.aligned(np.sqrt(power / total) * projected.T, channel.path_delays)
 
 
 def isi_zf_mrt_beamformer(channel: MultipathChannel, power: float) -> DamBeamformer:
@@ -77,182 +84,25 @@ def isi_zf_mrt_beamformer(channel: MultipathChannel, power: float) -> DamBeamfor
     """
     if power <= 0:
         raise ValueError("power must be positive")
-    qs = ProjectorSet.build(channel)
-    g = np.stack([qs[l] @ channel.path_vectors[l] for l in range(channel.num_paths)])
-    total = np.sum(np.abs(g) ** 2)
-    if total <= 0:
-        raise InfeasibleError("all projected path responses vanish")
-    f = np.sqrt(power / total) * g.T
-    return DamBeamformer.aligned(f, channel.path_delays)
+    return _mrt(channel, _zf_project(channel, channel.path_vectors)[0], power)
 
 
 def sensing_only_zf_beamformer(channel: MultipathChannel, theta: float, power: float,
                                gain: complex, block_length: int, noise_power: float,
                                spacing_ratio: float = 0.5):
-    """Sensing-oriented design that keeps the zero-forcing structure.
+    """Sensing-optimal design that keeps the zero-forcing structure.
 
-    Every per-path beam is steered at the projected target direction,
-    f_l = sqrt(P) Q_l a / sqrt(sum ||Q_l' a||^2); returns the beamformer and
-    the sensing SNR it achieves,
-    gamma_zf = |alpha|^2 N P sum_l (a^H Q_l a)^2 / (sigma^2 sum_l ||Q_l a||^2),
-    which acts as the feasibility ceiling for the trade-off threshold. It is
-    bounded by the unconstrained ceiling |alpha|^2 N M P / sigma^2, with
-    equality only when L = 1.
+    The sensing metric sum_l |a^H Q_l b_l|^2 under ||b||^2 <= P is largest
+    with all power on the path whose projected target response g_l = Q_l a
+    is strongest: f_l* = sqrt(P) g_l* / ||g_l*||, every other beam zero.
+    Returns the beamformer and the sensing SNR it achieves,
+    gamma_zf = |alpha|^2 N P max_l ||Q_l a||^2 / sigma^2, the feasibility
+    ceiling of the trade-off threshold. It is bounded by the unconstrained
+    ceiling |alpha|^2 N M P / sigma^2, with equality when L = 1.
     """
-    if power <= 0:
-        raise ValueError("power must be positive")
-    qs = ProjectorSet.build(channel)
-    a = steering_vector(theta, channel.num_antennas, spacing_ratio)
-    g = np.stack([qs[l] @ a for l in range(channel.num_paths)])
-    norms2 = np.sum(np.abs(g) ** 2, axis=1)
-    total = norms2.sum()
-    if total <= 0:
-        raise InfeasibleError(
-            "target direction lies in the span of every interfering path set")
-    f = np.sqrt(power / total) * g.T
-    gamma_zf = (np.abs(gain) ** 2 * block_length * power *
-                np.sum(norms2 ** 2) / (noise_power * total))
-    return DamBeamformer.aligned(f, channel.path_delays), float(gamma_zf)
-
-
-@dataclass
-class ScaProblem:
-    """Stacked data for the trade-off problem in the b-domain.
-
-    h_stack is the concatenation of Q_l h_l; steer_stack the per-path blocks
-    Q_l a (the sensing quadratic is sum_l |(Q_l a)^H b_l|^2, i.e. a block
-    rank-one quadratic); projectors the block-diagonal of Q_l, kept as a
-    list; gamma_tilde = gamma_th * sigma^2 / (|alpha|^2 N) the sensing floor
-    mapped into the b-domain; power the transmit budget.
-    """
-
-    projectors: ProjectorSet
-    h_stack: np.ndarray
-    steer_stack: np.ndarray
-    gamma_tilde: float
-    power: float
-    num_antennas: int
-    num_paths: int
-
-    @classmethod
-    def build(cls, channel: MultipathChannel, theta: float, gain: complex,
-              block_length: int, gamma_th: float, power: float,
-              noise_power: float, spacing_ratio: float = 0.5) -> "ScaProblem":
-        qs = ProjectorSet.build(channel)
-        m, num_paths = channel.num_antennas, channel.num_paths
-        a = steering_vector(theta, m, spacing_ratio)
-        h_stack = np.concatenate([qs[l] @ channel.path_vectors[l] for l in range(num_paths)])
-        steer_stack = np.stack([qs[l] @ a for l in range(num_paths)])
-        gamma_tilde = gamma_th * noise_power / (np.abs(gain) ** 2 * block_length)
-        return cls(qs, h_stack, steer_stack, float(gamma_tilde), float(power),
-                   m, num_paths)
-
-    def blocks(self, b: np.ndarray) -> np.ndarray:
-        return b.reshape(self.num_paths, self.num_antennas)
-
-    def objective(self, b: np.ndarray) -> float:
-        """|h_stack^H b|^2, the numerator of the communication SNR."""
-        return float(np.abs(np.vdot(self.h_stack, b)) ** 2)
-
-    def sensing_quadratic(self, b: np.ndarray) -> float:
-        """sum_l |(Q_l a)^H b_l|^2, the b-domain sensing metric."""
-        inner = np.sum(np.conj(self.steer_stack) * self.blocks(b), axis=1)
-        return float(np.sum(np.abs(inner) ** 2))
-
-    def linearize(self, b: np.ndarray):
-        """Gradients of both quadratics at b: c = 2 (h h^H) b, d = 2 A b."""
-        c = 2.0 * np.vdot(self.h_stack, b) * self.h_stack
-        inner = np.sum(np.conj(self.steer_stack) * self.blocks(b), axis=1)
-        d = (2.0 * inner[:, None] * self.steer_stack).ravel()
-        return c, d
-
-    def objective_lower_bound(self, b: np.ndarray, at: np.ndarray) -> float:
-        """Linear minorant of the objective quadratic, tangent at `at`."""
-        c, _ = self.linearize(at)
-        return float(np.real(np.vdot(c, b))) - self.objective(at)
-
-    def sensing_lower_bound(self, b: np.ndarray, at: np.ndarray) -> float:
-        """Linear minorant of the sensing quadratic, tangent at `at`."""
-        _, d = self.linearize(at)
-        return float(np.real(np.vdot(d, b))) - self.sensing_quadratic(at)
-
-    def project(self, b: np.ndarray) -> np.ndarray:
-        blocks = self.blocks(b)
-        return np.concatenate([self.projectors[l] @ blocks[l]
-                               for l in range(self.num_paths)])
-
-    def rescale(self, b: np.ndarray) -> np.ndarray:
-        """Scale to the full power budget (projected components only)."""
-        norm = np.linalg.norm(b)
-        if norm == 0:
-            raise ValueError("cannot rescale a zero vector")
-        return b * (np.sqrt(self.power) / norm)
-
-
-def solve_subproblem(c: np.ndarray, d: np.ndarray, threshold: float, power: float,
-                     projectors: Optional[ProjectorSet] = None) -> np.ndarray:
-    """Maximize Re{c^H b} subject to Re{d^H b} >= threshold, ||b||^2 <= power.
-
-    This is the convex step of the trade-off iteration: `threshold` is the
-    linearized sensing floor with the tangent-point constants already folded
-    in by the caller. The maximizer is closed-form: the power-sphere point
-    along c when it already satisfies the halfspace, otherwise the point on
-    the sphere-halfspace boundary built from the components of c along and
-    orthogonal to d (real inner products, treating C^n as R^{2n}).
-
-    Raises InfeasibleError when even the best-aligned point sqrt(P) d/||d||
-    violates the halfspace.
-    """
-    c = np.asarray(c, dtype=complex)
-    d = np.asarray(d, dtype=complex)
-    if projectors is not None:
-        def proj(v):
-            blocks = v.reshape(len(projectors), -1)
-            return np.concatenate([projectors[l] @ blocks[l]
-                                   for l in range(len(projectors))])
-        c, d = proj(c), proj(d)
-    if power <= 0:
-        raise ValueError("power must be positive")
-    radius = np.sqrt(power)
-    d_norm = np.linalg.norm(d)
-    c_norm = np.linalg.norm(c)
-    tol = 1e-12 * (1.0 + abs(threshold))
-
-    if d_norm * radius < threshold - tol:
-        raise InfeasibleError(
-            "linearized sensing floor exceeds the reachable ball: "
-            f"threshold {threshold:.6g} > {d_norm * radius:.6g}")
-    if c_norm == 0:
-        # Degenerate objective; return the max-margin feasible point.
-        return radius * d / d_norm if d_norm > 0 else np.zeros_like(c)
-    unconstrained = radius * c / c_norm
-    if d_norm == 0 or np.real(np.vdot(d, unconstrained)) >= threshold - tol:
-        return unconstrained
-    # Halfspace active: split c along d under the real inner product.
-    along = np.real(np.vdot(d, c)) / d_norm ** 2
-    c_perp = c - along * d
-    # Re-orthogonalize: when c is nearly (anti-)parallel to d the residual is
-    # cancellation noise and must not leak a d-component into the solution.
-    c_perp = c_perp - (np.real(np.vdot(d, c_perp)) / d_norm ** 2) * d
-    t = min(threshold, d_norm * radius)
-    base = (t / d_norm ** 2) * d
-    residual = max(power - t ** 2 / d_norm ** 2, 0.0)
-    perp_norm = np.linalg.norm(c_perp)
-    if perp_norm <= 1e-12 * c_norm:
-        return base
-    return base + np.sqrt(residual) * c_perp / perp_norm
-
-
-@dataclass
-class ScaOptions:
-    """Knobs for the trade-off solver."""
-
-    tolerance: float = 1e-4          # relative objective increase to stop
-    max_iterations: int = 100
-    bisection_steps: int = 40        # feasible-start blend search
-    feasibility_margin: float = 1e-9
-    initial_point: Optional[np.ndarray] = None
-    record_iterates: bool = False
+    problem = IsacProblem(channel, theta, gain, block_length, power, noise_power,
+                          spacing_ratio)
+    return problem.sensing, problem.gamma_zf_max
 
 
 @dataclass
@@ -266,144 +116,158 @@ class SolutionReport:
     gamma_p: float
     sensing_slack: float
 
-    def to_dict(self) -> dict:
-        return {"zf_residual": self.zf_residual, "power_used": self.power_used,
-                "power_slack": self.power_slack, "gamma_c": self.gamma_c,
-                "gamma_p": self.gamma_p, "sensing_slack": self.sensing_slack}
-
 
 @dataclass
 class IsacSolution:
-    """Result of the trade-off solve."""
+    """Result of the trade-off solve.
+
+    dual_bound is the dual value P lambda_max(h h^H + lambda A) - lambda gamma~
+    at the final lambda, in communication-SNR units: an upper bound on every
+    feasible gamma_c, so dual_bound - gamma_c bounds the optimality gap.
+    iterations counts the eigenvalue problems solved.
+    """
 
     beamformer: Optional[DamBeamformer]
     gamma_c: float
     gamma_p: float
+    dual_bound: float
     iterations: int
-    status: str                      # "converged" | "max-iters" | "infeasible"
-    objective_trajectory: List[float] = field(default_factory=list)
+    status: str                      # "optimal" | "infeasible"
     report: Optional[SolutionReport] = None
-    iterates: Optional[List[np.ndarray]] = None
-
-    def to_dict(self) -> dict:
-        return {"status": self.status, "iterations": self.iterations,
-                "gamma_c": self.gamma_c, "gamma_p": self.gamma_p,
-                "objective_trajectory": list(self.objective_trajectory),
-                "report": self.report.to_dict() if self.report else None}
 
 
-def _feasible_start(problem: ScaProblem, b_comm: np.ndarray, b_sens: np.ndarray,
-                    options: ScaOptions) -> np.ndarray:
-    """Blend (1-rho) b_comm + rho b_sens, bisecting for the smallest rho whose
-    power-rescaled blend meets the true sensing floor."""
-    floor = problem.gamma_tilde * (1.0 - 1e-10)
+class IsacProblem:
+    """The trade-off problem on one channel, prepared once for any sensing floor.
 
-    def candidate(rho: float) -> np.ndarray:
-        v = (1.0 - rho) * b_comm + rho * b_sens
-        if np.linalg.norm(v) == 0:
-            v = b_sens
-        return problem.rescale(v)
-
-    if problem.sensing_quadratic(candidate(0.0)) >= floor:
-        return candidate(0.0)
-    lo, hi = 0.0, 1.0
-    if problem.sensing_quadratic(candidate(1.0)) < floor:
-        # Boundary threshold with rounding: the pure sensing design is the
-        # feasible point by construction.
-        return b_sens.copy()
-    for _ in range(options.bisection_steps):
-        mid = 0.5 * (lo + hi)
-        if problem.sensing_quadratic(candidate(mid)) >= floor:
-            hi = mid
-        else:
-            lo = mid
-    return candidate(hi)
-
-
-def sca_optimize(channel: MultipathChannel, theta: float, gain: complex,
-                 block_length: int, gamma_th: float, power: float,
-                 noise_power: float, options: Optional[ScaOptions] = None,
-                 spacing_ratio: float = 0.5) -> IsacSolution:
-    """Maximize communication SNR under a sensing-SNR floor and power budget.
-
-    Successive convex approximation: starting from a feasible blend of the
-    communication-optimal and sensing-only designs, each iteration linearizes
-    both quadratics at the current point and solves the ball-halfspace
-    subproblem exactly. Every accepted iterate is feasible for the original
-    problem (the linear minorant under-estimates the true sensing metric) and
-    the objective sequence is non-decreasing; iteration stops when the
-    relative objective increase drops below options.tolerance.
-
-    Returns an IsacSolution; status "infeasible" (with no beamformer) when
-    gamma_th exceeds the zero-forcing sensing ceiling.
+    Construction does the channel-only work: the projected responses
+    c_l = Q_l h_l and g_l = Q_l a, the MRT design (`mrt`), the sensing-optimal
+    design (`sensing`) and its SNR, the ceiling `gamma_zf_max`. The optimum
+    lies in the span of h and the blocks e_l (x) g_l. In the orthonormal basis
+    made of the unit blocks e_l (x) g_l / ||g_l|| and the part of h orthogonal
+    to them, A is diag(0, ||g_1||^2, ..., ||g_L||^2) and h has coordinates eta,
+    so every eigenvalue problem of `solve` is (L+1) x (L+1).
     """
-    options = options or ScaOptions()
-    if gamma_th < 0:
-        raise ValueError("gamma_th must be >= 0")
-    problem = ScaProblem.build(channel, theta, gain, block_length, gamma_th,
-                               power, noise_power, spacing_ratio)
 
-    bf_comm = isi_zf_mrt_beamformer(channel, power)
-    b_comm = bf_comm.beam_matrix.T.ravel()
-    bf_sens, gamma_zf_max = sensing_only_zf_beamformer(
-        channel, theta, power, gain, block_length, noise_power, spacing_ratio)
-    b_sens = bf_sens.beam_matrix.T.ravel()
+    def __init__(self, channel: MultipathChannel, theta: float, gain: complex,
+                 block_length: int, power: float, noise_power: float,
+                 spacing_ratio: float = 0.5):
+        if power <= 0:
+            raise ValueError("power must be positive")
+        self.channel, self.theta, self.gain = channel, theta, gain
+        self.block_length, self.power, self.noise_power = block_length, power, noise_power
+        self.spacing_ratio = spacing_ratio
+        a = steering_vector(theta, channel.num_antennas, spacing_ratio)
+        c, g = _zf_project(channel, channel.path_vectors,
+                           np.broadcast_to(a, channel.path_vectors.shape))
+        self.mrt = _mrt(channel, c, power)
 
-    if gamma_th > gamma_zf_max * (1.0 + options.feasibility_margin):
-        return IsacSolution(beamformer=None, gamma_c=float("nan"),
-                            gamma_p=float("nan"), iterations=0,
-                            status="infeasible")
+        norms2 = np.sum(np.abs(g) ** 2, axis=1)
+        if norms2.max() <= 0:
+            raise InfeasibleError(
+                "target direction lies in the span of every interfering path set")
+        lengths = np.sqrt(norms2)
+        g_unit = np.divide(g, lengths[:, None], out=np.zeros_like(g),
+                           where=lengths[:, None] > 0)
+        beta = np.sum(np.conj(g_unit) * c, axis=1)
+        rest = c - beta[:, None] * g_unit
+        rest_norm = np.linalg.norm(rest)
+        self._basis = np.zeros((channel.num_paths + 1,) + g.shape, dtype=complex)
+        if rest_norm > 0:
+            self._basis[0] = rest / rest_norm
+        for l in range(channel.num_paths):
+            self._basis[l + 1, l] = g_unit[l]
+        self._eta = np.concatenate([[rest_norm], beta])
+        self._a = np.concatenate([[0.0], norms2])
+        self._comm_matrix = np.outer(self._eta, np.conj(self._eta))
+        self._sens_matrix = np.diag(self._a)
+        # all power on the strongest projected target response
+        self._sensing_coords = np.eye(self._a.size)[np.argmax(self._a)]
+        self.sensing = self._beam(self._sensing_coords)
+        # sensing SNR of a full-power design per unit of b^H A b / ||b||^2
+        self._snr_per_sensing = float(np.abs(gain) ** 2 * block_length * power / noise_power)
+        self.gamma_zf_max = self._snr_per_sensing * float(self._a.max())
 
-    if options.initial_point is not None:
-        b0 = problem.rescale(problem.project(np.asarray(options.initial_point,
-                                                        dtype=complex)))
-        if problem.sensing_quadratic(b0) < problem.gamma_tilde * (1.0 - 1e-10):
-            b0 = _feasible_start(problem, b0, b_sens, options)
-    else:
-        b0 = _feasible_start(problem, b_comm, b_sens, options)
+    def _beam(self, y: np.ndarray) -> DamBeamformer:
+        """The design sqrt(P) b / ||b|| for the b with basis coordinates y."""
+        f = np.sqrt(self.power / np.vdot(y, y).real) * np.tensordot(y, self._basis, axes=1)
+        return DamBeamformer.aligned(f.T, self.channel.path_delays)
 
-    b = b0
-    trajectory = [problem.objective(b)]
-    iterates = [b.copy()] if options.record_iterates else None
-    status = "max-iters"
-    iterations = 0
-    for iterations in range(1, options.max_iterations + 1):
-        c, d = problem.linearize(b)
-        if np.linalg.norm(c) <= 1e-14 * np.linalg.norm(problem.h_stack) * np.sqrt(power):
-            # Iterate orthogonal to the stacked channel; nudge toward the
-            # communication design and relinearize.
-            b = problem.rescale(0.9 * b + 0.1 * b_comm)
-            c, d = problem.linearize(b)
-        t = problem.gamma_tilde + problem.sensing_quadratic(b)
-        try:
-            b_new = solve_subproblem(c, d, t, power)
-        except InfeasibleError:
-            status = "infeasible"
-            break
-        obj_new = problem.objective(b_new)
-        trajectory.append(obj_new)
-        if iterates is not None:
-            iterates.append(b_new.copy())
-        previous = trajectory[-2]
-        b = b_new
-        if obj_new - previous <= options.tolerance * max(previous, 1e-300):
-            status = "converged"
-            break
+    def _sensing_value(self, y: np.ndarray) -> float:
+        """b^H A b / ||b||^2 for the b with basis coordinates y."""
+        return float(np.dot(self._a, np.abs(y) ** 2) / np.vdot(y, y).real)
 
-    if status == "infeasible":
-        return IsacSolution(beamformer=None, gamma_c=float("nan"),
-                            gamma_p=float("nan"), iterations=iterations,
-                            status=status, objective_trajectory=trajectory,
-                            iterates=iterates)
+    def _eigvec(self, t: float) -> np.ndarray:
+        """Principal eigenvector of (1 - t) eta eta^H + t diag(a), i.e. of
+        h h^H + lambda A with lambda = t / (1 - t)."""
+        m = (1.0 - t) * self._comm_matrix + t * self._sens_matrix
+        return np.linalg.eigh(m)[1][:, -1]
 
-    f = problem.project(b).reshape(problem.num_paths, problem.num_antennas).T
-    bf = DamBeamformer.aligned(f, channel.path_delays)
-    report = verify_solution(bf, channel, theta, gain, block_length, gamma_th,
-                             power, noise_power, spacing_ratio)
-    return IsacSolution(beamformer=bf, gamma_c=report.gamma_c,
-                        gamma_p=report.gamma_p, iterations=iterations,
-                        status=status, objective_trajectory=trajectory,
-                        report=report, iterates=iterates)
+    def solve(self, gamma_th: float) -> IsacSolution:
+        """Maximize communication SNR under the floor gamma_sensing >= gamma_th.
+
+        Infeasible exactly when gamma_th > gamma_zf_max, and at equality only
+        the sensing-optimal beam is feasible. When MRT meets the floor it is
+        optimal (lambda = 0). Otherwise the sensing value of the principal
+        eigenvector rises monotonically with lambda, from MRT at lambda = 0 to
+        the sensing-optimal beam as lambda -> inf; bisection on lambda
+        brackets the floor, and a point between the two bracketing
+        eigenvectors meets it exactly (that also covers a jump of the
+        eigenvector where the top eigenvalue is repeated).
+        """
+        if gamma_th < 0:
+            raise ValueError("gamma_th must be >= 0")
+        if gamma_th > self.gamma_zf_max:
+            nan = float("nan")
+            return IsacSolution(beamformer=None, gamma_c=nan, gamma_p=nan,
+                                dual_bound=nan, iterations=0, status="infeasible")
+        floor = min(gamma_th / self._snr_per_sensing, self._a.max())
+        scale = self.power / self.noise_power
+        if floor == self._a.max():
+            # the dual value as lambda -> inf
+            bound = scale * abs(np.vdot(self._eta, self._sensing_coords)) ** 2
+            return self._solution(self.sensing, gamma_th, bound, 0)
+        y_lo = self._eta / np.linalg.norm(self._eta)
+        if self._sensing_value(y_lo) >= floor:
+            return self._solution(self.mrt, gamma_th,
+                                  scale * np.vdot(self._eta, self._eta).real, 0)
+
+        lo, hi = 0.0, 1.0
+        y_hi = self._sensing_coords
+        objective, gap = 0.0, np.inf              # no finite dual value at hi = 1
+        steps = 0
+        while steps < _BISECTION_STEPS and gap > _GAP_TOLERANCE * objective:
+            steps += 1
+            t = 0.5 * (lo + hi)
+            y = self._eigvec(t)
+            sensing = self._sensing_value(y)
+            if sensing >= floor:
+                hi, y_hi = t, y
+                # P (objective + gap) = P lambda_max - lambda gamma~ is the
+                # dual value at lambda = t / (1 - t); gap bounds y's shortfall
+                objective = abs(np.vdot(self._eta, y)) ** 2
+                gap = t / (1.0 - t) * (sensing - floor)
+            else:
+                lo, y_lo = t, y
+
+        y_hi = y_hi * np.exp(-1j * np.angle(np.vdot(y_lo, y_hi)))
+        u_lo, u_hi = 0.0, 1.0
+        for _ in range(_BISECTION_STEPS):
+            u = 0.5 * (u_lo + u_hi)
+            if self._sensing_value((1.0 - u) * y_lo + u * y_hi) >= floor:
+                u_hi = u
+            else:
+                u_lo = u
+        bf = self._beam((1.0 - u_hi) * y_lo + u_hi * y_hi)
+        return self._solution(bf, gamma_th, scale * (objective + gap), steps)
+
+    def _solution(self, bf: DamBeamformer, gamma_th: float, bound: float,
+                  iterations: int) -> IsacSolution:
+        report = verify_solution(bf, self.channel, self.theta, self.gain,
+                                 self.block_length, gamma_th, self.power,
+                                 self.noise_power, self.spacing_ratio)
+        return IsacSolution(beamformer=bf, gamma_c=report.gamma_c,
+                            gamma_p=report.gamma_p, dual_bound=float(bound),
+                            iterations=iterations, status="optimal", report=report)
 
 
 def verify_solution(bf: DamBeamformer, channel: MultipathChannel, theta: float,

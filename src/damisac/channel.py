@@ -219,15 +219,6 @@ class MultipathChannel:
                    metadata={"directions_rad": directions.tolist()})
 
 
-def merge_binned_paths(path_vectors, path_delays):
-    """Sum path vectors that share a delay bin; returns (vectors, delays)."""
-    path_vectors = np.asarray(path_vectors, dtype=complex)
-    path_delays = np.asarray(path_delays, dtype=int)
-    uniq = np.unique(path_delays)
-    merged = np.stack([path_vectors[path_delays == d].sum(axis=0) for d in uniq])
-    return merged, uniq
-
-
 def generate_multipath_channel(scenario: ScenarioConfig, gen: ChannelGenConfig,
                                rng: np.random.Generator) -> MultipathChannel:
     """Draw a random clustered multipath channel.

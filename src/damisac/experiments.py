@@ -290,7 +290,7 @@ class BeampatternResult:
 def _pattern_db(beam_matrix: np.ndarray, angles_rad: np.ndarray,
                 columns=None) -> np.ndarray:
     m = beam_matrix.shape[0]
-    steering = np.exp(2j * np.pi * 0.5 * np.outer(np.sin(angles_rad), np.arange(m)))
+    steering = np.stack([steering_vector(theta, m) for theta in angles_rad])
     resp = np.conj(steering) @ beam_matrix            # (n_angles, L): a^H f_l
     if columns is not None:
         resp = resp[:, columns]
@@ -312,20 +312,18 @@ def run_beampattern(cfg: ExperimentConfig) -> BeampatternResult:
     target = RadarTarget.from_geometry(
         s, cfg.target.range_m, cfg.target.rcs_m2, cfg.target.direction_rad,
         cfg.target.radial_velocity_m_s)
-    n = s.data_length
-    bf_comm = beamforming.isi_zf_mrt_beamformer(channel, s.transmit_power_w)
-    bf_sens, gamma_zf = beamforming.sensing_only_zf_beamformer(
-        channel, target.direction, s.transmit_power_w, target.gain, n,
-        s.noise_power_w)
+    problem = beamforming.IsacProblem(channel, target.direction, target.gain,
+                                      s.data_length, s.transmit_power_w,
+                                      s.noise_power_w)
+    gamma_zf = problem.gamma_zf_max
     gamma_th = cfg.isac_gamma_fraction * gamma_zf
-    sol = beamforming.sca_optimize(channel, target.direction, target.gain, n,
-                                   gamma_th, s.transmit_power_w, s.noise_power_w)
+    sol = problem.solve(gamma_th)
     angles_deg = np.arange(-90.0, 90.0 + 0.25, 0.5)
     angles_rad = np.deg2rad(angles_deg)
     result = BeampatternResult(
         angles_deg=angles_deg,
-        comm_db=_pattern_db(bf_comm.beam_matrix, angles_rad),
-        sensing_db=_pattern_db(bf_sens.beam_matrix, angles_rad),
+        comm_db=_pattern_db(problem.mrt.beam_matrix, angles_rad),
+        sensing_db=_pattern_db(problem.sensing.beam_matrix, angles_rad),
         isac_db=_pattern_db(sol.beamformer.beam_matrix, angles_rad),
         isac_first_path_db=_pattern_db(sol.beamformer.beam_matrix, angles_rad,
                                        columns=[0]),
@@ -369,10 +367,11 @@ def run_se_sweep(cfg: ExperimentConfig) -> List[dict]:
                 s, cfg.target.range_m, cfg.target.rcs_m2,
                 cfg.target.direction_rad, cfg.target.radial_velocity_m_s,
                 rng=rng)
+            problem = beamforming.IsacProblem(
+                channel, target.direction, target.gain, n, s.transmit_power_w,
+                s.noise_power_w)
             for gi, gamma_th in enumerate(grid_lin):
-                sol = beamforming.sca_optimize(
-                    channel, target.direction, target.gain, n, float(gamma_th),
-                    s.transmit_power_w, s.noise_power_w)
+                sol = problem.solve(float(gamma_th))
                 if sol.status == "infeasible":
                     infeasible[gi] += 1
                     continue
@@ -420,17 +419,14 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
     target = RadarTarget.from_geometry(
         s, cfg.target.range_m, cfg.target.rcs_m2, cfg.target.direction_rad,
         cfg.target.radial_velocity_m_s, rng=cfg.rng(1, 1))
-    n_full = s.data_length
-    _, gamma_zf = beamforming.sensing_only_zf_beamformer(
-        channel, target.direction, s.transmit_power_w, target.gain, n_full,
-        s.noise_power_w)
-    gamma_th = cfg.isac_gamma_fraction * gamma_zf
-    sol = beamforming.sca_optimize(channel, target.direction, target.gain,
-                                   n_full, gamma_th, s.transmit_power_w,
-                                   s.noise_power_w)
+    problem = beamforming.IsacProblem(channel, target.direction, target.gain,
+                                      s.data_length, s.transmit_power_w,
+                                      s.noise_power_w)
+    gamma_th = cfg.isac_gamma_fraction * problem.gamma_zf_max
+    sol = problem.solve(gamma_th)
     bf = sol.beamformer
 
-    n_mc = min(n_full, cfg.mc_block_length)
+    n_mc = min(s.data_length, cfg.mc_block_length)
     block = waveform.generate_symbols(cfg.rng(1, 2), n_mc, cfg.modulation)
     tx = waveform.build_dam_block(block, bf)
     t_s = s.symbol_duration_s

@@ -1,26 +1,21 @@
 """Beamformer design tests: projector algebra, closed-form designs, the
-ball-halfspace subproblem against a numerical oracle, minorant properties,
-and the trade-off solver against random search."""
+zero-forcing sensing ceiling, and the trade-off solver against random search
+and its own dual bound."""
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from damisac import (
     InfeasibleError,
+    IsacProblem,
     MultipathChannel,
-    ProjectorSet,
-    ScaOptions,
-    ScaProblem,
     comm_snr,
     complex_normal,
     isi_zf_mrt_beamformer,
     nullspace_projector,
-    sca_optimize,
     sensing_only_zf_beamformer,
     sensing_snr,
     max_sensing_snr,
-    solve_subproblem,
     steering_vector,
     verify_solution,
 )
@@ -85,14 +80,6 @@ def test_projector_needs_enough_antennas():
         nullspace_projector(ch2, 5)
 
 
-def test_projector_set_container():
-    rng = np.random.default_rng(4)
-    ch = random_channel(rng, 5, 3)
-    qs = ProjectorSet.build(ch)
-    assert len(qs) == 3
-    assert np.allclose(qs[1], nullspace_projector(ch, 1))
-
-
 # -------------------------------------------------------------- closed designs
 
 def test_mrt_single_path_closed_form():
@@ -121,9 +108,9 @@ def test_mrt_snr_formula():
     rng = np.random.default_rng(7)
     ch = random_channel(rng, 8, 3)
     p = 1.5
-    qs = ProjectorSet.build(ch)
-    expected = p * sum(np.linalg.norm(qs[l] @ ch.path_vectors[l]) ** 2
-                       for l in range(3)) / SIGMA2
+    expected = p * sum(
+        np.linalg.norm(nullspace_projector(ch, l) @ ch.path_vectors[l]) ** 2
+        for l in range(3)) / SIGMA2
     bf = isi_zf_mrt_beamformer(ch, p)
     assert comm_snr(bf, ch, SIGMA2) == pytest.approx(expected, rel=1e-10)
 
@@ -135,10 +122,9 @@ def test_mrt_dominates_random_zero_forcing_designs():
     for seed in range(50):
         rng = np.random.default_rng(seed)
         ch = random_channel(rng, m, l)
-        qs = ProjectorSet.build(ch)
         best = comm_snr(isi_zf_mrt_beamformer(ch, p), ch, SIGMA2)
         g = complex_normal(rng, (draws, l, m))
-        q_stack = np.stack([qs[i] for i in range(l)])
+        q_stack = np.stack([nullspace_projector(ch, i) for i in range(l)])
         f = np.einsum("lmn,sln->slm", q_stack, g)
         norms = np.sqrt(np.sum(np.abs(f) ** 2, axis=(1, 2), keepdims=True))
         f = f * (np.sqrt(p) / norms)
@@ -188,151 +174,34 @@ def test_sensing_zf_structure_and_consistency():
         sensing_snr(bf.beam_matrix, THETA, GAIN, N_BLOCK, SIGMA2), rel=1e-9)
 
 
-# ------------------------------------------------------------------ subproblem
-
-def oracle_subproblem_value(c, d, threshold, power):
-    """Numerical maximum of Re{c^H b} on the ball-halfspace set, exploiting
-    that the optimum lies in the real span of {c, d}."""
-    u1 = c / np.linalg.norm(c)
-    w = d - np.real(np.vdot(u1, d)) * u1
-    wn = np.linalg.norm(w)
-    basis = [u1] if wn < 1e-14 else [u1, w / wn]
-
-    def reduced(xy):
-        b = sum(t * u for t, u in zip(xy, basis))
-        return b
-
-    def neg_obj(xy):
-        return -np.real(np.vdot(c, reduced(xy)))
-
-    cons = [{"type": "ineq", "fun": lambda xy: power - np.sum(np.asarray(xy) ** 2)},
-            {"type": "ineq",
-             "fun": lambda xy: np.real(np.vdot(d, reduced(xy))) - threshold}]
-    best = -np.inf
-    rng = np.random.default_rng(123)
-    starts = [np.zeros(len(basis)), np.sqrt(power) * np.ones(len(basis)) / 2]
-    starts += [rng.normal(size=len(basis)) * np.sqrt(power) / 2 for _ in range(4)]
-    for x0 in starts:
-        res = minimize(neg_obj, x0, method="SLSQP", constraints=cons,
-                       options={"ftol": 1e-14, "maxiter": 500})
-        if res.success and -res.fun > best:
-            best = -res.fun
-    return best
-
-
-def test_subproblem_slack_constraint_returns_matched_direction():
-    rng = np.random.default_rng(11)
-    c = complex_normal(rng, (8,))
-    p = 2.0
-    b = solve_subproblem(c, 10.0 * c, threshold=0.0, power=p)
-    assert np.allclose(b, np.sqrt(p) * c / np.linalg.norm(c), atol=1e-12)
-
-
-def test_subproblem_opposed_gradients_sit_on_boundary():
-    rng = np.random.default_rng(12)
-    d = complex_normal(rng, (8,))
-    c = -d
-    p, thr = 1.0, 0.3 * np.linalg.norm(d)
-    b = solve_subproblem(c, d, thr, p)
-    assert np.real(np.vdot(d, b)) == pytest.approx(thr, rel=1e-9)
-    assert np.linalg.norm(b) <= np.sqrt(p) * (1 + 1e-12)
-
-
-def test_subproblem_zero_objective_gives_max_margin():
-    rng = np.random.default_rng(13)
-    d = complex_normal(rng, (6,))
-    p = 4.0
-    b = solve_subproblem(np.zeros(6, dtype=complex), d, 0.1, p)
-    assert np.allclose(b, np.sqrt(p) * d / np.linalg.norm(d), atol=1e-12)
-
-
-def test_subproblem_infeasible_raises():
-    rng = np.random.default_rng(14)
-    d = complex_normal(rng, (6,))
-    thr = 2.0 * np.linalg.norm(d)     # needs power 4, budget is 1
-    with pytest.raises(InfeasibleError):
-        solve_subproblem(complex_normal(rng, (6,)), d, thr, 1.0)
-
-
-def test_subproblem_rejects_bad_power():
-    with pytest.raises(ValueError):
-        solve_subproblem(np.ones(4, dtype=complex), np.ones(4, dtype=complex),
-                         0.0, 0.0)
-
-
-def test_subproblem_matches_numerical_oracle():
-    p = 1.3
+def test_sensing_zf_ceiling_is_exact():
+    # the ceiling is all power on the strongest projected target response:
+    # P max_l ||Q_l a||^2 in the b-domain. A solve at it is feasible, just
+    # above it infeasible, and no random zero-forcing design exceeds it.
+    p, m, l, draws = 1.0, 6, 3, 5000
+    a = steering_vector(THETA, m)
+    scale = np.abs(GAIN) ** 2 * N_BLOCK / SIGMA2
     for seed in range(20):
-        rng = np.random.default_rng(seed)
-        c = complex_normal(rng, (8,))
-        d = complex_normal(rng, (8,))
-        # threshold inside the reachable range so both branches get exercised
-        thr = rng.uniform(-0.5, 0.95) * np.linalg.norm(d) * np.sqrt(p)
-        b = solve_subproblem(c, d, thr, p)
-        assert np.linalg.norm(b) <= np.sqrt(p) * (1 + 1e-12)
-        assert np.real(np.vdot(d, b)) >= thr - 1e-9 * (1 + abs(thr))
-        got = np.real(np.vdot(c, b))
-        want = oracle_subproblem_value(c, d, thr, p)
-        assert got == pytest.approx(want, rel=1e-6)
+        rng = np.random.default_rng(100 + seed)
+        ch = random_channel(rng, m, l)
+        qs = np.stack([nullspace_projector(ch, i) for i in range(l)])
+        expected = scale * p * max(np.linalg.norm(q @ a) ** 2 for q in qs)
+        bf, gamma_zf = sensing_only_zf_beamformer(ch, THETA, p, GAIN, N_BLOCK,
+                                                  SIGMA2)
+        assert gamma_zf == pytest.approx(expected, rel=1e-12)
+        assert sensing_snr(bf.beam_matrix, THETA, GAIN, N_BLOCK,
+                           SIGMA2) == pytest.approx(gamma_zf, rel=1e-12)
 
+        f = np.einsum("lmn,sln->slm", qs, complex_normal(rng, (draws, l, m)))
+        f *= np.sqrt(p) / np.linalg.norm(f, axis=(1, 2), keepdims=True)
+        competitors = scale * np.sum(np.abs(f @ np.conj(a)) ** 2, axis=1)
+        assert competitors.max() <= gamma_zf * (1 + 1e-12)
 
-def test_subproblem_applies_projectors():
-    rng = np.random.default_rng(15)
-    ch = random_channel(rng, 4, 2)
-    qs = ProjectorSet.build(ch)
-    c = complex_normal(rng, (8,))
-    b = solve_subproblem(c, np.zeros(8, dtype=complex), -1.0, 1.0,
-                         projectors=qs)
-    blocks = b.reshape(2, 4)
-    for l in range(2):
-        assert np.allclose(qs[l] @ blocks[l], blocks[l], atol=1e-12)
-
-
-# -------------------------------------------------------------------- minorants
-
-def build_problem(seed=16, m=6, l=3, gamma_th=50.0):
-    ch = random_channel(np.random.default_rng(seed), m, l)
-    prob = ScaProblem.build(ch, THETA, GAIN, N_BLOCK, gamma_th, 1.0, SIGMA2)
-    return ch, prob
-
-
-def test_minorants_tangent_at_expansion_point():
-    _, prob = build_problem()
-    rng = np.random.default_rng(17)
-    at = complex_normal(rng, (prob.num_paths * prob.num_antennas,))
-    assert prob.objective_lower_bound(at, at) == pytest.approx(
-        prob.objective(at), rel=1e-12)
-    assert prob.sensing_lower_bound(at, at) == pytest.approx(
-        prob.sensing_quadratic(at), rel=1e-12)
-
-
-def test_minorants_underestimate_everywhere():
-    _, prob = build_problem()
-    rng = np.random.default_rng(18)
-    n = prob.num_paths * prob.num_antennas
-    at = complex_normal(rng, (n,))
-    scale = prob.objective(at) + prob.sensing_quadratic(at)
-    for _ in range(1000):
-        b = complex_normal(rng, (n,)) * rng.uniform(0.1, 3.0)
-        assert prob.objective_lower_bound(b, at) <= prob.objective(b) + 1e-9 * scale
-        assert prob.sensing_lower_bound(b, at) <= prob.sensing_quadratic(b) + 1e-9 * scale
-
-
-def test_linearize_matches_finite_differences():
-    # both quadratics are exactly captured by central differences
-    _, prob = build_problem()
-    rng = np.random.default_rng(19)
-    n = prob.num_paths * prob.num_antennas
-    b = complex_normal(rng, (n,))
-    c, d = prob.linearize(b)
-    eps = 1e-5
-    for _ in range(6):
-        v = complex_normal(rng, (n,))
-        fd_obj = (prob.objective(b + eps * v) - prob.objective(b - eps * v)) / (2 * eps)
-        fd_sen = (prob.sensing_quadratic(b + eps * v)
-                  - prob.sensing_quadratic(b - eps * v)) / (2 * eps)
-        assert fd_obj == pytest.approx(np.real(np.vdot(c, v)), rel=1e-5)
-        assert fd_sen == pytest.approx(np.real(np.vdot(d, v)), rel=1e-5)
+        problem = IsacProblem(ch, THETA, GAIN, N_BLOCK, p, SIGMA2)
+        at = problem.solve(gamma_zf)
+        assert at.status == "optimal"
+        assert at.gamma_p >= gamma_zf * (1 - 1e-12)
+        assert problem.solve(gamma_zf * (1 + 1e-6)).status == "infeasible"
 
 
 # ------------------------------------------------------------------- trade-off
@@ -343,40 +212,54 @@ def zf_ceiling(ch):
     return gamma_zf
 
 
+def solve(ch, gamma_th, p=1.0):
+    return IsacProblem(ch, THETA, GAIN, N_BLOCK, p, SIGMA2).solve(gamma_th)
+
+
 def test_sca_zero_threshold_recovers_mrt():
     rng = np.random.default_rng(20)
     ch = random_channel(rng, 6, 3)
-    sol = sca_optimize(ch, THETA, GAIN, N_BLOCK, 0.0, 1.0, SIGMA2)
+    sol = solve(ch, 0.0)
     mrt = comm_snr(isi_zf_mrt_beamformer(ch, 1.0), ch, SIGMA2)
-    assert sol.status == "converged"
-    assert sol.iterations == 1        # the start is already stationary
-    assert sol.gamma_c == pytest.approx(mrt, rel=1e-6)
+    assert sol.status == "optimal"
+    assert sol.iterations == 0        # MRT meets the floor: lambda = 0
+    assert sol.gamma_c == pytest.approx(mrt, rel=1e-12)
+    assert sol.dual_bound == pytest.approx(mrt, rel=1e-12)
 
 
 def test_sca_boundary_threshold_is_sensing_limited():
     rng = np.random.default_rng(21)
     ch = random_channel(rng, 6, 3)
     gamma_zf = zf_ceiling(ch)
-    sol = sca_optimize(ch, THETA, GAIN, N_BLOCK, gamma_zf, 1.0, SIGMA2,
-                       ScaOptions(max_iterations=500))
+    sol = solve(ch, gamma_zf)
     mrt = comm_snr(isi_zf_mrt_beamformer(ch, 1.0), ch, SIGMA2)
-    assert sol.status in ("converged", "max-iters")
+    bf_sens, _ = sensing_only_zf_beamformer(ch, THETA, 1.0, GAIN, N_BLOCK,
+                                            SIGMA2)
+    assert sol.status == "optimal"
     assert sol.gamma_c <= mrt * (1 + 1e-9)
-    assert sol.gamma_p == pytest.approx(gamma_zf, rel=0.01)
+    assert sol.gamma_p == pytest.approx(gamma_zf, rel=1e-12)
+    assert sol.gamma_c == pytest.approx(comm_snr(bf_sens, ch, SIGMA2), rel=1e-12)
 
 
-def test_sca_trajectory_monotone_and_iterates_feasible():
-    rng = np.random.default_rng(22)
-    ch = random_channel(rng, 6, 3)
-    gamma_th = 0.5 * zf_ceiling(ch)
-    opts = ScaOptions(max_iterations=300, record_iterates=True)
-    sol = sca_optimize(ch, THETA, GAIN, N_BLOCK, gamma_th, 1.0, SIGMA2, opts)
-    traj = np.asarray(sol.objective_trajectory)
-    assert np.all(np.diff(traj) >= -1e-9 * traj.max())
-    prob = ScaProblem.build(ch, THETA, GAIN, N_BLOCK, gamma_th, 1.0, SIGMA2)
-    for b in sol.iterates:
-        assert np.linalg.norm(b) ** 2 <= 1.0 * (1 + 1e-9)
-        assert prob.sensing_quadratic(b) >= prob.gamma_tilde * (1 - 1e-6) - 1e-15
+def test_solution_gap_to_dual_bound():
+    # every solution is feasible and within 1e-8 of its own dual bound, also
+    # with repeated interferers (two paths project to nothing)
+    for seed in range(10):
+        rng = np.random.default_rng(22 + seed)
+        h = complex_normal(rng, (3, 6))
+        if seed % 2:
+            h[2] = h[1]
+        ch = MultipathChannel(h, np.arange(3))
+        problem = IsacProblem(ch, THETA, GAIN, N_BLOCK, 1.0, SIGMA2)
+        for frac in (0.1, 0.5, 0.9, 0.99, 1.0):
+            gamma_th = frac * problem.gamma_zf_max
+            sol = problem.solve(gamma_th)
+            assert sol.status == "optimal"
+            assert sol.dual_bound - sol.gamma_c <= 1e-8 * sol.dual_bound
+            rep = sol.report
+            assert rep.power_used <= 1.0 * (1 + 1e-12)
+            assert rep.gamma_p >= gamma_th * (1 - 1e-12)
+            assert rep.zf_residual < 1e-10 * np.max(np.abs(h))
 
 
 def test_sca_matches_random_search():
@@ -385,52 +268,47 @@ def test_sca_matches_random_search():
         rng = np.random.default_rng(seed)
         ch = random_channel(rng, 4, 2)
         gamma_th = 0.6 * zf_ceiling(ch)
-        prob = ScaProblem.build(ch, THETA, GAIN, N_BLOCK, gamma_th, p, SIGMA2)
-        best_sca = sca_optimize(ch, THETA, GAIN, N_BLOCK, gamma_th, p, SIGMA2,
-                                ScaOptions(max_iterations=500)).gamma_c
-        for _ in range(10):
-            b0 = complex_normal(rng, (8,))
-            sol = sca_optimize(ch, THETA, GAIN, N_BLOCK, gamma_th, p, SIGMA2,
-                               ScaOptions(max_iterations=500, initial_point=b0))
-            best_sca = max(best_sca, sol.gamma_c)
-        best_random = 0.0
-        for _ in range(5000):
-            b = prob.rescale(prob.project(complex_normal(rng, (8,))))
-            if prob.sensing_quadratic(b) >= prob.gamma_tilde:
-                best_random = max(best_random, prob.objective(b) / SIGMA2)
-        assert best_sca >= best_random * (1 - 0.02)
+        sol = solve(ch, gamma_th, p)
+        qs = np.stack([nullspace_projector(ch, l) for l in range(2)])
+        f = np.einsum("lmn,sln->slm", qs, complex_normal(rng, (5000, 2, 4)))
+        f *= np.sqrt(p) / np.linalg.norm(f, axis=(1, 2), keepdims=True)
+        gamma_p = np.array([sensing_snr(fs.T, THETA, GAIN, N_BLOCK, SIGMA2)
+                            for fs in f])
+        gamma_c = np.abs(np.einsum("lm,slm->s", np.conj(ch.path_vectors),
+                                   f)) ** 2 / SIGMA2
+        best_random = gamma_c[gamma_p >= gamma_th].max()
+        assert best_random <= sol.gamma_c * (1 + 1e-9)
+        assert sol.gamma_c <= sol.dual_bound * (1 + 1e-12)
 
 
 def test_sca_rejects_negative_threshold():
     rng = np.random.default_rng(23)
     ch = random_channel(rng, 4, 2)
     with pytest.raises(ValueError):
-        sca_optimize(ch, THETA, GAIN, N_BLOCK, -1.0, 1.0, SIGMA2)
+        solve(ch, -1.0)
 
 
 def test_sca_above_ceiling_is_infeasible():
     rng = np.random.default_rng(24)
     ch = random_channel(rng, 4, 2)
-    sol = sca_optimize(ch, THETA, GAIN, N_BLOCK, 1.5 * zf_ceiling(ch), 1.0,
-                       SIGMA2)
+    sol = solve(ch, zf_ceiling(ch) * (1 + 1e-9))
     assert sol.status == "infeasible"
     assert sol.beamformer is None
     assert np.isnan(sol.gamma_c) and np.isnan(sol.gamma_p)
+    assert np.isnan(sol.dual_bound)
 
 
 def test_sca_tradeoff_monotone_in_threshold():
     rng = np.random.default_rng(25)
     ch = random_channel(rng, 6, 3)
-    gamma_zf = zf_ceiling(ch)
-    opts = ScaOptions(max_iterations=500)
+    problem = IsacProblem(ch, THETA, GAIN, N_BLOCK, 1.0, SIGMA2)
     gammas = []
     for frac in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
-        sol = sca_optimize(ch, THETA, GAIN, N_BLOCK, frac * gamma_zf, 1.0,
-                           SIGMA2, opts)
-        assert sol.status in ("converged", "max-iters")
+        sol = problem.solve(frac * problem.gamma_zf_max)
+        assert sol.status == "optimal"
         gammas.append(sol.gamma_c)
     gammas = np.asarray(gammas)
-    assert np.all(gammas[1:] <= gammas[:-1] * (1 + 1e-3))
+    assert np.all(gammas[1:] <= gammas[:-1] * (1 + 1e-9))
 
 
 # ----------------------------------------------------------------------- audit
@@ -454,10 +332,9 @@ def test_verify_solution_audits_sca_result():
     rng = np.random.default_rng(27)
     ch = random_channel(rng, 6, 3)
     gamma_th = 0.7 * zf_ceiling(ch)
-    sol = sca_optimize(ch, THETA, GAIN, N_BLOCK, gamma_th, 1.0, SIGMA2,
-                       ScaOptions(max_iterations=500))
+    sol = solve(ch, gamma_th)
     rep = sol.report
-    assert rep.zf_residual < 1e-6 * np.max(np.abs(ch.path_vectors))
-    assert rep.power_used <= 1.0 * (1 + 1e-6)
-    assert rep.gamma_p >= gamma_th * (1 - 1e-6)
+    assert rep.zf_residual < 1e-10 * np.max(np.abs(ch.path_vectors))
+    assert rep.power_used <= 1.0 * (1 + 1e-12)
+    assert rep.gamma_p >= gamma_th * (1 - 1e-12)
     assert sol.gamma_c == rep.gamma_c and sol.gamma_p == rep.gamma_p

@@ -20,7 +20,6 @@ from damisac import (
     complex_normal,
     generate_multipath_channel,
     load_channel,
-    merge_binned_paths,
     radar_round_trip_gain,
     save_channel,
     steering_vector,
@@ -128,14 +127,6 @@ def test_single_boresight_path_is_all_ones():
 def test_duplicate_delays_rejected():
     with pytest.raises(ValueError):
         MultipathChannel.from_directions([0.0, 0.1], [3, 3], num_antennas=4)
-
-
-def test_merge_binned_paths_sums_vectors():
-    v = np.array([[1.0 + 0j, 2.0], [3.0, 4.0], [10.0, 20.0]])
-    merged, delays = merge_binned_paths(v, [5, 5, 2])
-    assert np.array_equal(delays, [2, 5])
-    assert np.allclose(merged[0], [10.0, 20.0])
-    assert np.allclose(merged[1], [4.0, 6.0])
 
 
 def test_generator_contract_fixed_seed():
