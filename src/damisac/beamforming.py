@@ -88,8 +88,7 @@ def isi_zf_mrt_beamformer(channel: MultipathChannel, power: float) -> DamBeamfor
 
 
 def sensing_only_zf_beamformer(channel: MultipathChannel, theta: float, power: float,
-                               gain: complex, block_length: int, noise_power: float,
-                               spacing_ratio: float = 0.5):
+                               gain: complex, block_length: int, noise_power: float):
     """Sensing-optimal design that keeps the zero-forcing structure.
 
     The sensing metric sum_l |a^H Q_l b_l|^2 under ||b||^2 <= P is largest
@@ -100,8 +99,7 @@ def sensing_only_zf_beamformer(channel: MultipathChannel, theta: float, power: f
     ceiling of the trade-off threshold. It is bounded by the unconstrained
     ceiling |alpha|^2 N M P / sigma^2, with equality when L = 1.
     """
-    problem = IsacProblem(channel, theta, gain, block_length, power, noise_power,
-                          spacing_ratio)
+    problem = IsacProblem(channel, theta, gain, block_length, power, noise_power)
     return problem.sensing, problem.gamma_zf_max
 
 
@@ -149,14 +147,12 @@ class IsacProblem:
     """
 
     def __init__(self, channel: MultipathChannel, theta: float, gain: complex,
-                 block_length: int, power: float, noise_power: float,
-                 spacing_ratio: float = 0.5):
+                 block_length: int, power: float, noise_power: float):
         if power <= 0:
             raise ValueError("power must be positive")
         self.channel, self.theta, self.gain = channel, theta, gain
         self.block_length, self.power, self.noise_power = block_length, power, noise_power
-        self.spacing_ratio = spacing_ratio
-        a = steering_vector(theta, channel.num_antennas, spacing_ratio)
+        a = steering_vector(theta, channel.num_antennas)
         c, g = _zf_project(channel, channel.path_vectors,
                            np.broadcast_to(a, channel.path_vectors.shape))
         self.mrt = _mrt(channel, c, power)
@@ -262,9 +258,8 @@ class IsacProblem:
 
     def _solution(self, bf: DamBeamformer, gamma_th: float, bound: float,
                   iterations: int) -> IsacSolution:
-        report = verify_solution(bf, self.channel, self.theta, self.gain,
-                                 self.block_length, gamma_th, self.power,
-                                 self.noise_power, self.spacing_ratio)
+        report = verify_solution(bf, self.channel, self.theta, self.gain, self.block_length,
+                                 gamma_th, self.power, self.noise_power)
         return IsacSolution(beamformer=bf, gamma_c=report.gamma_c,
                             gamma_p=report.gamma_p, dual_bound=float(bound),
                             iterations=iterations, status="optimal", report=report)
@@ -272,8 +267,7 @@ class IsacProblem:
 
 def verify_solution(bf: DamBeamformer, channel: MultipathChannel, theta: float,
                     gain: complex, block_length: int, gamma_th: float,
-                    power: float, noise_power: float,
-                    spacing_ratio: float = 0.5) -> SolutionReport:
+                    power: float, noise_power: float) -> SolutionReport:
     """Recompute every constraint of the trade-off problem from the beamformer."""
     f = bf.beam_matrix
     cross = np.abs(np.conj(channel.path_vectors) @ f)  # (L, L), |h_l^H f_l'|
@@ -282,8 +276,7 @@ def verify_solution(bf: DamBeamformer, channel: MultipathChannel, theta: float,
     power_used = float(np.sum(np.abs(f) ** 2))
     gamma_c = float(np.abs(np.sum(np.conj(channel.path_vectors) * f.T)) ** 2
                     / noise_power)
-    gamma_p = _sensing.sensing_snr(f, theta, gain, block_length, noise_power,
-                                   spacing_ratio)
+    gamma_p = _sensing.sensing_snr(f, theta, gain, block_length, noise_power)
     return SolutionReport(zf_residual=zf_residual, power_used=power_used,
                           power_slack=float(power - power_used),
                           gamma_c=gamma_c, gamma_p=gamma_p,

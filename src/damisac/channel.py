@@ -28,16 +28,15 @@ def complex_normal(rng: np.random.Generator, shape=(), variance: float = 1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def steering_vector(theta: float, num_antennas: int, spacing_ratio: float = 0.5) -> np.ndarray:
-    """Transmit steering vector of a uniform linear array.
+def steering_vector(theta: float, num_antennas: int) -> np.ndarray:
+    """Transmit steering vector of a half-wavelength uniform linear array.
 
-    Element m carries phase exp(j*2*pi*(d/lambda)*m*sin(theta)), m = 0..M-1,
-    so the squared norm is exactly M.
+    Element m carries phase exp(j*2*pi*(d/lambda)*m*sin(theta)) with
+    d/lambda = 0.5, m = 0..M-1, so the squared norm is exactly M.
 
     Args:
         theta: Angle of departure in radians, measured from broadside.
         num_antennas: Number of array elements M.
-        spacing_ratio: Element spacing over wavelength (default half-wavelength).
 
     Returns:
         Complex array of shape (M,).
@@ -47,7 +46,16 @@ def steering_vector(theta: float, num_antennas: int, spacing_ratio: float = 0.5)
     if num_antennas < 1:
         raise ValueError("num_antennas must be >= 1")
     m = np.arange(num_antennas)
-    return np.exp(2j * np.pi * spacing_ratio * m * np.sin(theta))
+    return np.exp(2j * np.pi * 0.5 * m * np.sin(theta))
+
+
+def _whole_symbols(name: str, duration_s: float, bandwidth_hz: float) -> int:
+    """A duration as a count of symbol periods; anything but a whole number of
+    them (to 1e-6 relative) is rejected rather than silently rounded."""
+    n = duration_s * bandwidth_hz
+    if not np.isfinite(n) or abs(n - round(n)) > 1e-6 * max(1.0, n):
+        raise ConfigError(f"{name} is not an integer number of symbol periods")
+    return int(round(n))
 
 
 @dataclass(frozen=True)
@@ -70,18 +78,17 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.num_antennas < 1:
-            raise ConfigError("num_antennas must be >= 1")
+            raise ConfigError("scenario.num_antennas must be >= 1")
         for name in ("bandwidth_hz", "carrier_frequency_hz", "coherence_time_s",
                      "transmit_power_w", "noise_power_w"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"scenario.{name} must be positive and finite")
         if self.guard_length < 0:
-            raise ConfigError("guard_length must be >= 0")
-        n_c = self.coherence_time_s * self.bandwidth_hz
-        if abs(n_c - round(n_c)) > 1e-6 * max(1.0, n_c):
-            raise ConfigError("coherence_time_s must be an integer number of symbol periods")
-        if round(n_c) - self.guard_length < 1:
-            raise ConfigError("guard_length leaves no data symbols in the block")
+            raise ConfigError("scenario.guard_length must be >= 0")
+        n_c = _whole_symbols("scenario.coherence_time_s", self.coherence_time_s,
+                             self.bandwidth_hz)
+        if n_c - self.guard_length < 1:
+            raise ConfigError("scenario.guard_length leaves no data symbols in the block")
 
     @property
     def symbol_duration_s(self) -> float:
@@ -110,20 +117,11 @@ class ScenarioConfig:
                     coherence_time_s: float, guard_time_s: float,
                     num_antennas: int, transmit_power_w: float,
                     noise_power_w: float) -> "ScenarioConfig":
-        """Build a scenario with the guard given as a duration.
-
-        The guard must be an integer number of symbol periods; anything else
-        is rejected rather than silently rounded.
-        """
-        n_p = guard_time_s * bandwidth_hz
-        if abs(n_p - round(n_p)) > 1e-6 * max(1.0, n_p):
-            raise ConfigError("guard_time_s is not an integer number of symbol periods")
-        return cls(num_antennas=num_antennas, bandwidth_hz=bandwidth_hz,
-                   carrier_frequency_hz=carrier_frequency_hz,
-                   coherence_time_s=coherence_time_s,
-                   guard_length=int(round(n_p)),
-                   transmit_power_w=transmit_power_w,
-                   noise_power_w=noise_power_w)
+        """Build a scenario with the guard given as a whole number of symbol
+        periods' duration."""
+        guard_length = _whole_symbols("scenario.guard_time_s", guard_time_s, bandwidth_hz)
+        return cls(num_antennas, bandwidth_hz, carrier_frequency_hz, coherence_time_s,
+                   guard_length, transmit_power_w, noise_power_w)
 
     @classmethod
     def mmwave_default(cls, **overrides) -> "ScenarioConfig":
@@ -149,18 +147,19 @@ class ChannelGenConfig:
     departure drawn uniformly from aod_sector (radians).
     """
 
-    num_paths: int
+    num_paths: int = 5
     max_subpaths: int = 3
     aod_sector: tuple = (-np.pi / 3.0, np.pi / 3.0)
 
     def __post_init__(self):
         if self.num_paths < 1:
-            raise ConfigError("num_paths must be >= 1")
+            raise ConfigError("channel.num_paths must be >= 1")
         if self.max_subpaths < 1:
-            raise ConfigError("max_subpaths must be >= 1")
+            raise ConfigError("channel.max_subpaths must be >= 1")
         lo, hi = self.aod_sector
         if not (-np.pi / 2 <= lo < hi <= np.pi / 2):
-            raise ConfigError("aod_sector must be an increasing pair within [-pi/2, pi/2]")
+            raise ConfigError(
+                "channel.aod_sector must be an increasing pair within [-pi/2, pi/2]")
 
 
 @dataclass
@@ -205,7 +204,7 @@ class MultipathChannel:
 
     @classmethod
     def from_directions(cls, directions, delays, num_antennas: int,
-                        coefficients=None, spacing_ratio: float = 0.5) -> "MultipathChannel":
+                        coefficients=None) -> "MultipathChannel":
         """Deterministic channel with one plane wave per path.
 
         Used for fixed-geometry studies; coefficients default to 1.
@@ -213,7 +212,7 @@ class MultipathChannel:
         directions = np.atleast_1d(np.asarray(directions, dtype=float))
         if coefficients is None:
             coefficients = np.ones(directions.shape[0], dtype=complex)
-        vecs = np.stack([c * steering_vector(th, num_antennas, spacing_ratio)
+        vecs = np.stack([c * steering_vector(th, num_antennas)
                          for c, th in zip(coefficients, directions)])
         return cls(vecs, np.asarray(delays, dtype=int),
                    metadata={"directions_rad": directions.tolist()})
@@ -240,8 +239,8 @@ def generate_multipath_channel(scenario: ScenarioConfig, gen: ChannelGenConfig,
     """
     num_paths = gen.num_paths
     if num_paths > scenario.guard_length + 1:
-        raise ValueError(
-            f"cannot draw {num_paths} distinct delays in [0, {scenario.guard_length}]")
+        raise ConfigError(f"num_paths={num_paths} distinct delays do not fit in "
+                          f"[0, guard_length={scenario.guard_length}]")
     if num_paths == 1:
         delays = np.array([0])
     else:

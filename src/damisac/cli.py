@@ -1,7 +1,8 @@
 """Command line front end for the batch experiments.
 
 Exit codes: 0 on success, 2 for configuration or feasibility errors, 1 for
-anything else.
+internal errors only. --seed, --trials and --gamma-th-grid override the
+experiment fields of the same names and pass the same checks.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, InfeasibleError
-from .experiments import (load_config, parse_gamma_grid, run_beampattern,
-                          run_dd_map, run_ofdm_compare, run_se_sweep)
+from .experiments import (load_config, run_beampattern, run_dd_map,
+                          run_ofdm_compare, run_se_sweep)
 
 _RUNNERS = {
     "beampattern": run_beampattern,
@@ -47,20 +48,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    flags = {"seed": args.seed, "trials": args.trials, "gamma_th_grid_db": args.gamma_th_grid}
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            if args.seed < 0 or args.seed > 2 ** 64 - 1:
-                raise ConfigError("--seed must fit in an unsigned 64-bit integer")
-            cfg.seed = args.seed
-        if args.trials is not None:
-            if args.trials < 1:
-                raise ConfigError("--trials must be >= 1")
-            cfg.trials = args.trials
-        if args.gamma_th_grid is not None:
-            cfg.gamma_th_grid_db = parse_gamma_grid(args.gamma_th_grid)
-        if args.out is not None:
-            cfg.output_dir = args.out
+        cfg = load_config(args.config, {k: v for k, v in flags.items() if v is not None})
+        cfg.output_dir = args.out
         result = _RUNNERS[args.experiment](cfg)
     except (ConfigError, InfeasibleError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -23,7 +24,7 @@ from scipy.signal import find_peaks
 
 from . import beamforming, ofdm, sensing, waveform
 from .channel import (ChannelGenConfig, MultipathChannel, RadarTarget,
-                      ScenarioConfig, apply_radar_channel,
+                      ScenarioConfig, apply_radar_channel, complex_normal,
                       generate_multipath_channel, steering_vector)
 from .errors import ConfigError
 from .units import dbm_to_watt, linear_to_db
@@ -41,10 +42,14 @@ class TargetConfig:
 
 @dataclass
 class ExperimentConfig:
-    """Resolved parameters for one batch run (defaults: the 28 GHz scenario)."""
+    """Resolved parameters for one batch run (defaults: the 28 GHz scenario).
+
+    Its defaults and those of the nested configs are the only ones; load_config
+    keeps them for every field a file leaves out.
+    """
 
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig.mmwave_default)
-    channel_gen: ChannelGenConfig = field(default_factory=lambda: ChannelGenConfig(5))
+    channel_gen: ChannelGenConfig = field(default_factory=ChannelGenConfig)
     target: TargetConfig = field(default_factory=TargetConfig)
     trials: int = 100
     seed: int = 0
@@ -61,28 +66,14 @@ class ExperimentConfig:
 
     def describe(self) -> dict:
         """Canonical dict of every effective parameter (for hashing/headers)."""
-        s = self.scenario
-        return {
-            "scenario": {"num_antennas": s.num_antennas,
-                         "bandwidth_hz": s.bandwidth_hz,
-                         "carrier_frequency_hz": s.carrier_frequency_hz,
-                         "coherence_time_s": s.coherence_time_s,
-                         "guard_length": s.guard_length,
-                         "transmit_power_w": s.transmit_power_w,
-                         "noise_power_w": s.noise_power_w},
-            "channel": {"num_paths": self.channel_gen.num_paths,
-                        "max_subpaths": self.channel_gen.max_subpaths,
-                        "aod_sector_rad": list(self.channel_gen.aod_sector)},
-            "target": dataclasses.asdict(self.target),
-            "experiment": {"trials": self.trials, "seed": self.seed,
-                           "gamma_th_grid_db": [float(g) for g in self.gamma_th_grid_db],
-                           "mc_block_length": self.mc_block_length,
-                           "isac_gamma_fraction": self.isac_gamma_fraction,
-                           "sweep_num_paths": list(self.sweep_num_paths),
-                           "ofdm_subcarriers": self.ofdm_subcarriers,
-                           "beampattern_aods_deg": list(self.beampattern_aods_deg),
-                           "modulation": self.modulation,
-                           "strict_ambiguity": self.strict_ambiguity}}
+        channel = _plain(dataclasses.asdict(self.channel_gen))
+        channel["aod_sector_rad"] = channel.pop("aod_sector")
+        nested = ("scenario", "channel_gen", "target", "output_dir")
+        return {"scenario": dataclasses.asdict(self.scenario),
+                "channel": channel,
+                "target": dataclasses.asdict(self.target),
+                "experiment": {f.name: _plain(getattr(self, f.name))
+                               for f in dataclasses.fields(self) if f.name not in nested}}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.describe(), sort_keys=True).encode()
@@ -93,138 +84,165 @@ class ExperimentConfig:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
 
 
+def _plain(value):
+    """value with arrays and tuples as lists and numpy scalars as Python numbers."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
 def parse_gamma_grid(text: str) -> np.ndarray:
     """Parse "a:b:step" (dB, inclusive endpoints) into a grid."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError("gamma_th_grid_db must look like start:stop:step (dB)")
     try:
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (float(p) for p in text.split(":"))
     except ValueError:
-        raise ConfigError(f"gamma_th_grid_db has non-numeric parts: {text!r}") from None
-    if step <= 0 or stop < start:
-        raise ConfigError("gamma_th_grid_db needs stop >= start and step > 0")
+        start = stop = step = math.nan
+    # the step count bounds the memory a short string can ask for
+    if not (np.isfinite([start, stop, step]).all() and step > 0 and stop >= start
+            and (stop - start) / step < 1e4):
+        raise ConfigError("experiment.gamma_th_grid_db must be start:stop:step (dB), finite, "
+                          f"with step > 0 and 0 <= stop - start < 1e4 steps, got {text!r}")
     return np.arange(start, stop + step / 2.0, step)
 
 
-_SCENARIO_KEYS = {"bandwidth_hz", "carrier_frequency_hz", "coherence_time_s",
-                  "guard_time_s", "guard_length", "num_antennas",
-                  "transmit_power_dbm", "noise_psd_dbm_hz"}
-_CHANNEL_KEYS = {"num_paths", "max_subpaths", "aod_sector_deg"}
-_TARGET_KEYS = {"range_m", "rcs_m2", "direction_deg", "radial_velocity_m_s"}
-_EXPERIMENT_KEYS = {"trials", "seed", "gamma_th_grid_db", "mc_block_length",
-                    "isac_gamma_fraction", "sweep_num_paths", "ofdm_subcarriers",
-                    "beampattern_aods_deg", "modulation", "strict_ambiguity"}
+@dataclass(frozen=True)
+class _Rule:
+    """What one JSON field accepts: a JSON type and a range, or a list of them."""
+
+    kind: type                       # int, float, bool or str
+    lo: float = -math.inf
+    hi: float = math.inf
+    lo_open: bool = False            # lo itself is out of range
+    items: Optional[int] = None      # a list of this many values; 0: any non-empty list
 
 
-def _check_keys(section: str, given: dict, allowed: set) -> None:
-    unknown = set(given) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {section} field(s): {', '.join(sorted(unknown))}")
+_POSITIVE = _Rule(float, 0, lo_open=True)
+# Every JSON field by section. The defaults are the dataclasses'; the checks
+# that span fields are the dataclasses' and load_config's.
+_SCHEMA = {
+    "scenario": {"num_antennas": _Rule(int, 1), "bandwidth_hz": _POSITIVE,
+                 "carrier_frequency_hz": _POSITIVE, "coherence_time_s": _POSITIVE,
+                 "guard_time_s": _Rule(float, 0), "guard_length": _Rule(int, 0),
+                 "transmit_power_dbm": _Rule(float), "noise_psd_dbm_hz": _Rule(float)},
+    "channel": {"num_paths": _Rule(int, 1), "max_subpaths": _Rule(int, 1),
+                "aod_sector_deg": _Rule(float, items=2)},
+    "target": {"range_m": _POSITIVE, "rcs_m2": _POSITIVE, "direction_deg": _Rule(float),
+               "radial_velocity_m_s": _Rule(float)},
+    "experiment": {"trials": _Rule(int, 1), "seed": _Rule(int, 0, 2 ** 64 - 1),
+                   "gamma_th_grid_db": _Rule(float, items=0),  # or "a:b:step"
+                   "mc_block_length": _Rule(int, 1),
+                   "isac_gamma_fraction": _Rule(float, 0, 1),
+                   "sweep_num_paths": _Rule(int, 1, items=0),
+                   "ofdm_subcarriers": _Rule(int, 1),
+                   "beampattern_aods_deg": _Rule(float, items=0),
+                   "modulation": _Rule(str), "strict_ambiguity": _Rule(bool)},
+}
+_TYPE_NAMES = {int: "an integer", float: "a finite number", bool: "true or false",
+               str: "a string"}
 
 
-def load_config(path=None) -> ExperimentConfig:
-    """Read a JSON experiment config; omitted fields fall back to defaults.
+def _read(key: str, value, rule: Optional[_Rule]):
+    """One JSON value checked against its rule (None: no such field); key
+    ("section.field") starts every error message. Integer fields take 64.0
+    but not 2.7; no field takes a string for a number or a boolean for
+    anything but a boolean."""
+    if rule is None:
+        raise ConfigError(f"{key}: unknown field")
+    if rule.items is not None:
+        if not isinstance(value, list) or not value or rule.items not in (0, len(value)):
+            raise ConfigError(f"{key} must be a list of {rule.items or 'one or more'} "
+                              f"values, got {json.dumps(value)}")
+        item = dataclasses.replace(rule, items=None)
+        return tuple(_read(f"{key}[{i}]", v, item) for i, v in enumerate(value))
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if rule.kind in (bool, str):
+        ok = isinstance(value, rule.kind)
+    else:
+        ok = number and (isinstance(value, int) or (
+            value.is_integer() if rule.kind is int else math.isfinite(value)))
+    if not ok:
+        raise ConfigError(f"{key} must be {_TYPE_NAMES[rule.kind]}, got {json.dumps(value)}")
+    if not number:
+        return value
+    if not (rule.lo < value if rule.lo_open else rule.lo <= value) or value > rule.hi:
+        bounds = (f"{'>' if rule.lo_open else '>='} {rule.lo}" if rule.hi == math.inf
+                  else f"in {'(' if rule.lo_open else '['}{rule.lo}, {rule.hi}]")
+        raise ConfigError(f"{key} must be {bounds}, got {json.dumps(value)}")
+    try:
+        return rule.kind(value)
+    except OverflowError:            # an integer beyond the range of a float
+        raise ConfigError(f"{key} must be {_TYPE_NAMES[float]}, got {value}") from None
 
-    dBm and degree fields are converted to watts and radians here, at the
-    boundary. An empty file ({}) reproduces the default scenario exactly.
+
+def load_config(path=None, overrides: Optional[dict] = None) -> ExperimentConfig:
+    """Read a JSON experiment config; omitted fields keep the dataclass defaults.
+
+    overrides maps experiment fields to values that replace the file's (the
+    CLI flags) and pass the same checks. dBm and degree fields are converted
+    to watts and radians here, at the boundary. Every ConfigError message
+    starts with the section.field it is about.
     """
     doc = {}
     if path is not None:
-        text = Path(path).read_text()
         try:
-            doc = json.loads(text)
+            doc = json.loads(Path(path).read_text())
         except json.JSONDecodeError as e:
             raise ConfigError(
                 f"config parse error at line {e.lineno}, column {e.colno}: {e.msg}") from None
-        if not isinstance(doc, dict):
-            raise ConfigError("config root must be a JSON object")
-    _check_keys("config", doc, {"scenario", "channel", "target", "experiment"})
+        except (OSError, ValueError) as e:   # unreadable, not UTF-8, or a huge integer
+            raise ConfigError(f"config file cannot be read: {e}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError("config root must be a JSON object")
+    for section in sorted(set(doc) - set(_SCHEMA)):
+        raise ConfigError(f"{section}: unknown config section")
+    given = []
+    for section, rules in _SCHEMA.items():
+        raw = doc.get(section, {})
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{section} must be a JSON object, got {json.dumps(raw)}")
+        if section == "experiment":
+            raw = {**raw, **(overrides or {})}
+        given.append({name: parse_gamma_grid(value) if isinstance(value, str)
+                      and name == "gamma_th_grid_db"
+                      else _read(f"{section}.{name}", value, rules.get(name))
+                      for name, value in raw.items()})
+    sc, ch, tg, ex = given
 
-    sc = dict(doc.get("scenario", {}))
-    _check_keys("scenario", sc, _SCENARIO_KEYS)
-    bandwidth = float(sc.get("bandwidth_hz", 100e6))
-    if bandwidth <= 0:
-        raise ConfigError("scenario.bandwidth_hz must be positive")
-    guard_time = sc.get("guard_time_s")
-    guard_length = sc.get("guard_length")
-    if guard_time is None and guard_length is None:
-        guard_time = 2e-6
-    if guard_time is not None:
-        n_p = guard_time * bandwidth
-        if abs(n_p - round(n_p)) > 1e-6 * max(1.0, n_p):
-            raise ConfigError(
-                "scenario.guard_time_s is not an integer number of symbol periods")
-        derived = int(round(n_p))
-        if guard_length is not None and int(guard_length) != derived:
-            raise ConfigError(
-                f"scenario.guard_length={guard_length} inconsistent with "
-                f"guard_time_s*bandwidth_hz={derived}")
-        guard_length = derived
-    try:
-        scenario = ScenarioConfig(
-            num_antennas=int(sc.get("num_antennas", 64)),
-            bandwidth_hz=bandwidth,
-            carrier_frequency_hz=float(sc.get("carrier_frequency_hz", 28e9)),
-            coherence_time_s=float(sc.get("coherence_time_s", 1e-3)),
-            guard_length=int(guard_length),
-            transmit_power_w=float(dbm_to_watt(sc.get("transmit_power_dbm", 30.0))),
-            noise_power_w=float(dbm_to_watt(sc.get("noise_psd_dbm_hz", -169.0))
-                                * bandwidth))
-    except ConfigError as e:
-        raise ConfigError(f"scenario: {e}") from None
-
-    ch = dict(doc.get("channel", {}))
-    _check_keys("channel", ch, _CHANNEL_KEYS)
-    sector_deg = ch.get("aod_sector_deg", (-60.0, 60.0))
-    try:
-        channel_gen = ChannelGenConfig(
-            num_paths=int(ch.get("num_paths", 5)),
-            max_subpaths=int(ch.get("max_subpaths", 3)),
-            aod_sector=tuple(np.deg2rad(np.asarray(sector_deg, dtype=float))))
-    except ConfigError as e:
-        raise ConfigError(f"channel: {e}") from None
-
-    tg = dict(doc.get("target", {}))
-    _check_keys("target", tg, _TARGET_KEYS)
-    target = TargetConfig(
-        range_m=float(tg.get("range_m", 200.0)),
-        rcs_m2=float(tg.get("rcs_m2", 1.0)),
-        direction_rad=float(np.deg2rad(tg.get("direction_deg", 30.0))),
-        radial_velocity_m_s=float(tg.get("radial_velocity_m_s", 15.0)))
-    if target.range_m <= 0:
-        raise ConfigError("target.range_m must be positive")
-    if target.rcs_m2 <= 0:
-        raise ConfigError("target.rcs_m2 must be positive")
-
-    ex = dict(doc.get("experiment", {}))
-    _check_keys("experiment", ex, _EXPERIMENT_KEYS)
-    grid = ex.get("gamma_th_grid_db", "0:20:2")
-    if isinstance(grid, str):
-        grid = parse_gamma_grid(grid)
+    default = ScenarioConfig.mmwave_default()
+    psd = (float(dbm_to_watt(sc.pop("noise_psd_dbm_hz"))) if "noise_psd_dbm_hz" in sc
+           else default.noise_power_w / default.bandwidth_hz)
+    if "transmit_power_dbm" in sc:
+        sc["transmit_power_w"] = float(dbm_to_watt(sc.pop("transmit_power_dbm")))
+    guard_time = sc.pop("guard_time_s", None if "guard_length" in sc else default.guard_time_s)
+    fields = {**dataclasses.asdict(default), **sc}
+    fields["noise_power_w"] = psd * fields["bandwidth_hz"]
+    if guard_time is None:
+        scenario = ScenarioConfig(**fields)
     else:
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 1:
-            raise ConfigError("experiment.gamma_th_grid_db must be a 1-D list or a:b:step")
-    cfg = ExperimentConfig(
-        scenario=scenario, channel_gen=channel_gen, target=target,
-        trials=int(ex.get("trials", 100)), seed=int(ex.get("seed", 0)),
-        gamma_th_grid_db=grid,
-        mc_block_length=int(ex.get("mc_block_length", 16384)),
-        isac_gamma_fraction=float(ex.get("isac_gamma_fraction", 0.8)),
-        sweep_num_paths=tuple(int(v) for v in ex.get("sweep_num_paths", (5, 10))),
-        ofdm_subcarriers=int(ex.get("ofdm_subcarriers", 1024)),
-        beampattern_aods_deg=tuple(float(v) for v in
-                                   ex.get("beampattern_aods_deg",
-                                          (-60.0, -31.0, -24.0, 18.0, 54.0))),
-        modulation=str(ex.get("modulation", "qpsk")),
-        strict_ambiguity=bool(ex.get("strict_ambiguity", True)))
-    if cfg.trials < 1:
-        raise ConfigError("experiment.trials must be >= 1")
-    if not 0.0 <= cfg.isac_gamma_fraction <= 1.0:
-        raise ConfigError("experiment.isac_gamma_fraction must be in [0, 1]")
-    if cfg.mc_block_length < 1:
-        raise ConfigError("experiment.mc_block_length must be >= 1")
+        del fields["guard_length"]
+        scenario = ScenarioConfig.from_timing(guard_time_s=guard_time, **fields)
+        if sc.get("guard_length", scenario.guard_length) != scenario.guard_length:
+            raise ConfigError(f"scenario.guard_length={sc['guard_length']} inconsistent "
+                              f"with guard_time_s*bandwidth_hz={scenario.guard_length}")
+    if "aod_sector_deg" in ch:
+        ch["aod_sector"] = tuple(np.deg2rad(ch.pop("aod_sector_deg")).tolist())
+    if "direction_deg" in tg:
+        tg["direction_rad"] = float(np.deg2rad(tg.pop("direction_deg")))
+    if "gamma_th_grid_db" in ex:
+        ex["gamma_th_grid_db"] = np.asarray(ex["gamma_th_grid_db"], dtype=float)
+    cfg = ExperimentConfig(scenario=scenario, channel_gen=ChannelGenConfig(**ch),
+                           target=TargetConfig(**tg), **ex)
+    try:
+        waveform._psk_order(cfg.modulation)
+    except ValueError as e:
+        raise ConfigError(f"experiment.modulation: {e}") from None
+    half = 0.5 * scenario.bandwidth_hz
+    doppler = 2.0 * cfg.target.radial_velocity_m_s / scenario.wavelength_m
+    if not -half < doppler <= half:
+        raise ConfigError(f"target.radial_velocity_m_s gives a Doppler shift of {doppler:.6g}"
+                          f" Hz, outside the unambiguous interval (-{half:.6g}, {half:.6g}]")
     return cfg
 
 
@@ -391,6 +409,17 @@ def run_se_sweep(cfg: ExperimentConfig) -> List[dict]:
     return rows
 
 
+def _empirical_snr(template: np.ndarray, clean: np.ndarray, noise_power: float,
+                   rngs) -> float:
+    """Monte-Carlo peak-cell SNR |<u, clean>|^2 / mean |<u, z>|^2 of the unit
+    template u, with one CN(0, noise_power) draw z shaped like clean per
+    generator: the matched filter is linear, so no trial rebuilds its echo."""
+    signal = np.vdot(template, clean)
+    noise = [np.vdot(template, complex_normal(rng, clean.shape, noise_power))
+             for rng in rngs]
+    return float(np.abs(signal) ** 2 / np.mean(np.abs(noise) ** 2))
+
+
 @dataclass
 class DdMapReport:
     true_delay_bin: int
@@ -444,17 +473,9 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
 
     template = sensing.matched_filter_template(
         bf, block, target.direction, target.delay_symbols, target.doppler_hz, t_s)
-    clean = apply_radar_channel(target, tx, t_s, 0.0)
-    signal = np.vdot(template, clean)
-    draws = np.empty(cfg.trials, dtype=complex)
-    for t in range(cfg.trials):
-        noisy = apply_radar_channel(target, tx, t_s, s.noise_power_w,
-                                    cfg.rng(1, 4 + t),
-                                    guard_length=s.guard_length,
-                                    strict=cfg.strict_ambiguity)
-        draws[t] = np.vdot(template, noisy)
-    noise_var = np.mean(np.abs(draws - signal) ** 2)
-    gamma_emp = float(np.abs(signal) ** 2 / noise_var)
+    gamma_emp = _empirical_snr(template, apply_radar_channel(target, tx, t_s, 0.0),
+                               s.noise_power_w,
+                               (cfg.rng(1, 4 + t) for t in range(cfg.trials)))
 
     report = DdMapReport(
         true_delay_bin=target.delay_symbols, est_delay_bin=est_delay,
@@ -507,9 +528,10 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
     power = s.transmit_power_w
     sigma2 = s.noise_power_w
 
+    if k > n_mc:
+        raise ConfigError(f"experiment.ofdm_subcarriers must be <= {n_mc}, the Monte-Carlo "
+                          f"block length min(N, mc_block_length), got {k}")
     ocfg = ofdm.OfdmConfig.steered(scen_mc, k, theta)
-    if ocfg.symbols_per_block < 1:
-        raise ConfigError("ofdm_subcarriers too large for the coherence block")
     i_sym = ocfg.symbols_per_block
 
     # Sensing-oriented aligned-waveform design: every stream at the target.
@@ -522,28 +544,18 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
         tx = waveform.build_dam_block(block, bf)
         template = sensing.matched_filter_template(
             bf, block, theta, target.delay_symbols, target.doppler_hz, t_s)
-        clean = apply_radar_channel(target, tx, t_s, 0.0)
-        signal = np.vdot(template, clean)
-        draws = np.empty(cfg.trials, dtype=complex)
-        for t in range(cfg.trials):
-            noisy = apply_radar_channel(target, tx, t_s, sigma2,
-                                        cfg.rng(2, trials_key, t))
-            draws[t] = np.vdot(template, noisy)
-        return float(np.abs(signal) ** 2 / np.mean(np.abs(draws - signal) ** 2)), tx
+        return _empirical_snr(template, apply_radar_channel(target, tx, t_s, 0.0), sigma2,
+                              (cfg.rng(2, trials_key, t) for t in range(cfg.trials))), tx
 
     def ofdm_empirical(config, trials_key):
         sym = waveform.generate_symbols(cfg.rng(2, 2), k * i_sym, cfg.modulation)
         tx_freq = sym.symbols.reshape(k, i_sym, order="F")
+        clean = ofdm.ofdm_radar_rx(config, target, tx_freq).symbols_rx
+        # the unit-gain echo, normalized, is the matched filter
         template = ofdm.ofdm_radar_rx(config, dataclasses.replace(target, gain=1.0 + 0j),
-                                      tx_freq, 0.0).symbols_rx
-        tnorm = np.linalg.norm(template)
-        signal = target.gain * tnorm
-        draws = np.empty(cfg.trials, dtype=complex)
-        for t in range(cfg.trials):
-            echo = ofdm.ofdm_radar_rx(config, target, tx_freq, sigma2,
-                                      cfg.rng(2, trials_key, t))
-            draws[t] = np.vdot(template, echo.symbols_rx) / tnorm
-        return float(np.abs(signal) ** 2 / np.mean(np.abs(draws - signal) ** 2)), tx_freq
+                                      tx_freq).symbols_rx
+        return _empirical_snr(template / np.linalg.norm(template), clean, sigma2 / k,
+                              (cfg.rng(2, trials_key, t) for t in range(cfg.trials))), tx_freq
 
     gamma_dam_avg = sensing.max_sensing_snr(m, n_mc, power, target.gain, sigma2)
     gamma_ofdm_avg = ofdm.ofdm_output_snr(ocfg, theta, target.gain, sigma2)
@@ -572,16 +584,19 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
     grid = sensing.SensingGrid(np.arange(lo, target.delay_symbols + 4), dop_bins,
                                t_s, n_mc)
     block = waveform.generate_symbols(cfg.rng(2, 8), n_mc, cfg.modulation)
-    tx_fast = waveform.build_dam_block(block, bf_full)
+    # noise-free echoes, built once; each trial adds its own keyed noise draw
+    clean = apply_radar_channel(fast, waveform.build_dam_block(block, bf_full), t_s)
+    oclean = ofdm.ofdm_radar_rx(ocfg, fast, tx_freq)
     dam_hits = 0
     ofdm_hits = 0
     for t in range(cfg.trials):
-        echo = apply_radar_channel(fast, tx_fast, t_s, sigma2, cfg.rng(2, 9, t))
+        echo = clean + complex_normal(cfg.rng(2, 9, t), clean.shape, sigma2)
         ddmap = sensing.delay_doppler_map(echo, bf_full, block, theta, grid)
         _, f_hat, _ = sensing.estimate_delay_doppler(ddmap)
         if abs(f_hat - f_fast) <= res:
             dam_hits += 1
-        oecho = ofdm.ofdm_radar_rx(ocfg, fast, tx_freq, sigma2, cfg.rng(2, 10, t))
+        oecho = dataclasses.replace(oclean, symbols_rx=oclean.symbols_rx + complex_normal(
+            cfg.rng(2, 10, t), oclean.symbols_rx.shape, sigma2 / k))
         _, f_hat_o, _ = ofdm.ofdm_delay_doppler_estimate(oecho, ocfg, tx_freq)
         if abs(f_hat_o - f_fast) <= ocfg.subcarrier_spacing_hz:
             ofdm_hits += 1

@@ -84,13 +84,12 @@ class OfdmConfig:
 
     @classmethod
     def steered(cls, scenario: ScenarioConfig, num_subcarriers: int, theta: float,
-                total_power: Optional[float] = None,
-                spacing_ratio: float = 0.5) -> "OfdmConfig":
+                total_power: Optional[float] = None) -> "OfdmConfig":
         """Equal power split with every subcarrier beamformed at theta,
         w_k = sqrt(P_k / M) a(theta) — the sensing-optimal configuration."""
         p = scenario.transmit_power_w if total_power is None else total_power
         k = num_subcarriers
-        a = steering_vector(theta, scenario.num_antennas, spacing_ratio)
+        a = steering_vector(theta, scenario.num_antennas)
         per = np.full(k, p / k)
         w = np.sqrt(per / scenario.num_antennas)[None, :] * a[:, None]
         return cls(num_subcarriers=k, num_antennas=scenario.num_antennas,

@@ -102,22 +102,19 @@ class DelayDopplerMap:
         return np.abs(self.values) ** 2
 
 
-def _projected_waveform(bf: DamBeamformer, block: SymbolBlock, theta: float,
-                        spacing_ratio: float = 0.5) -> np.ndarray:
+def _projected_waveform(bf: DamBeamformer, block: SymbolBlock, theta: float) -> np.ndarray:
     """a^H(theta) x[n]: the transmit block seen from direction theta."""
-    a = steering_vector(theta, bf.num_antennas, spacing_ratio)
+    a = steering_vector(theta, bf.num_antennas)
     return np.conj(a) @ build_dam_block(block, bf)
 
 
 def matched_filter_template(bf: DamBeamformer, block: SymbolBlock, theta: float,
                             delay_bin: int, doppler_hz: float,
-                            symbol_duration_s: float,
-                            spacing_ratio: float = 0.5) -> np.ndarray:
+                            symbol_duration_s: float) -> np.ndarray:
     """Unit-norm template for one (direction, delay, Doppler) probe cell."""
     if delay_bin < 0:
         raise ValueError("delay_bin must be >= 0")
-    base = _shift_zero_prefix(_projected_waveform(bf, block, theta, spacing_ratio),
-                              int(delay_bin))
+    base = _shift_zero_prefix(_projected_waveform(bf, block, theta), int(delay_bin))
     n = base.size
     ramp = np.exp(2j * np.pi * doppler_hz * symbol_duration_s * np.arange(n))
     t = base * ramp
@@ -128,8 +125,7 @@ def matched_filter_template(bf: DamBeamformer, block: SymbolBlock, theta: float,
 
 
 def delay_doppler_map(echo: np.ndarray, bf: DamBeamformer, block: SymbolBlock,
-                      theta: float, grid: SensingGrid,
-                      spacing_ratio: float = 0.5) -> DelayDopplerMap:
+                      theta: float, grid: SensingGrid) -> DelayDopplerMap:
     """Correlate an echo against templates over the whole grid.
 
     Cell (p, q) holds r = <template(p, q), echo>; with the template unit-norm
@@ -139,7 +135,7 @@ def delay_doppler_map(echo: np.ndarray, bf: DamBeamformer, block: SymbolBlock,
     n = grid.block_length
     if echo.shape != (n,):
         raise ValueError(f"echo must be 1-D of length {n}, got {echo.shape}")
-    base = _projected_waveform(bf, block, theta, spacing_ratio)
+    base = _projected_waveform(bf, block, theta)
     if base.size != n:
         raise ValueError("grid block_length does not match the symbol block")
     # r(p, q) = sum_n conj(base[n-p]) e^{-j2 pi f_q n Ts} echo[n]; one delay
@@ -170,11 +166,10 @@ def correlation_matrix(block: SymbolBlock, kappa, probe_delay: int,
 
 
 def sensing_snr(beam_matrix: np.ndarray, theta: float, gain: complex,
-                block_length: int, noise_power: float,
-                spacing_ratio: float = 0.5) -> float:
+                block_length: int, noise_power: float) -> float:
     """Matched-filter output SNR |alpha|^2 N a^H F F^H a / sigma^2."""
     beam_matrix = np.asarray(beam_matrix, dtype=complex)
-    a = steering_vector(theta, beam_matrix.shape[0], spacing_ratio)
+    a = steering_vector(theta, beam_matrix.shape[0])
     agg = np.sum(np.abs(np.conj(a) @ beam_matrix) ** 2)
     return float(np.abs(gain) ** 2 * block_length * agg / noise_power)
 

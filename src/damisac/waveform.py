@@ -35,30 +35,34 @@ class SymbolBlock:
         return self.symbols.size
 
 
+def _psk_order(modulation: str) -> int:
+    """PSK order of a modulation name (see generate_symbols), 0 for "gaussian"."""
+    mod = modulation.lower()
+    if mod == "gaussian":
+        return 0
+    order = {"bpsk": 2, "qpsk": 4}.get(mod)
+    if order is None and mod.startswith("psk") and mod[3:].isdecimal():
+        order = int(mod[3:])
+    if order is None:
+        raise ValueError(f"unknown modulation {modulation!r}")
+    if order < 2 or order > 2 ** 63 or order & (order - 1):
+        raise ValueError("PSK order must be a power of two in [2, 2^63]")
+    return order
+
+
 def generate_symbols(rng: np.random.Generator, length: int,
                      modulation: str = "qpsk") -> SymbolBlock:
     """Draw i.i.d. unit-power symbols.
 
-    modulation: "bpsk", "qpsk", "psk<order>" (order a power of two >= 2),
-    or "gaussian" for CN(0, 1).
+    modulation: "bpsk", "qpsk", "psk<order>" (order a power of two in
+    [2, 2^63]), or "gaussian" for CN(0, 1).
     """
     if length < 1:
         raise ValueError("length must be >= 1")
+    order = _psk_order(modulation)
     mod = modulation.lower()
-    if mod == "gaussian":
+    if order == 0:
         return SymbolBlock(complex_normal(rng, (length,), 1.0), mod)
-    alias = {"bpsk": 2, "qpsk": 4}
-    if mod in alias:
-        order = alias[mod]
-    elif mod.startswith("psk"):
-        try:
-            order = int(mod[3:])
-        except ValueError:
-            raise ValueError(f"unknown modulation {modulation!r}") from None
-    else:
-        raise ValueError(f"unknown modulation {modulation!r}")
-    if order < 2 or (order & (order - 1)) != 0:
-        raise ValueError("PSK order must be a power of two >= 2")
     phases = rng.integers(0, order, size=length)
     return SymbolBlock(np.exp(2j * np.pi * phases / order), mod)
 

@@ -5,20 +5,30 @@ and exit codes."""
 import dataclasses
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from damisac import (
     ChannelGenConfig,
     ConfigError,
     ExperimentConfig,
     InfeasibleError,
+    IsacProblem,
+    RadarTarget,
+    apply_radar_channel,
+    build_dam_block,
     comm_snr,
     find_beam_peaks,
     generate_multipath_channel,
+    generate_symbols,
     isi_zf_mrt_beamformer,
     load_config,
+    matched_filter_template,
     parse_gamma_grid,
     run_beampattern,
     run_dd_map,
@@ -26,7 +36,11 @@ from damisac import (
     run_se_sweep,
 )
 from damisac.cli import main
+from damisac.experiments import _SCHEMA
 from scipy.signal import find_peaks
+
+EXPERIMENTS = ("beampattern", "se-sweep", "dd-map", "ofdm-compare")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -123,6 +137,125 @@ def test_config_hash_tracks_content(tmp_path):
     assert a.config_hash() == b.config_hash()
     c = load_config(write_config(tmp_path, {"experiment": {"seed": 1}}, "c.json"))
     assert c.config_hash() != a.config_hash()
+
+
+DEFAULT_HASH = "9292ee34f8139a07"
+# every JSON field set away from its default
+ALL_FIELDS = {
+    "scenario": {"num_antennas": 32, "bandwidth_hz": 2e8, "carrier_frequency_hz": 6e10,
+                 "coherence_time_s": 5e-4, "guard_length": 100,
+                 "transmit_power_dbm": 20.0, "noise_psd_dbm_hz": -170.0},
+    "channel": {"num_paths": 3, "max_subpaths": 2, "aod_sector_deg": [-45, 45]},
+    "target": {"range_m": 100.0, "rcs_m2": 2.0, "direction_deg": -10.0,
+               "radial_velocity_m_s": -5.0},
+    "experiment": {"trials": 7, "seed": 3, "gamma_th_grid_db": [1.0, 2.5],
+                   "mc_block_length": 4096, "isac_gamma_fraction": 0.5,
+                   "sweep_num_paths": [2, 4], "ofdm_subcarriers": 256,
+                   "beampattern_aods_deg": [-10, 20], "modulation": "psk8",
+                   "strict_ambiguity": False}}
+
+
+def readme_config_example():
+    section = README.read_text().split("### Config file", 1)[1]
+    return json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+
+
+def test_config_hashes_are_pinned(tmp_path):
+    """The hash input is derived from the dataclasses; it must not move."""
+    assert load_config(None).config_hash() == DEFAULT_HASH
+    assert ExperimentConfig().config_hash() == DEFAULT_HASH
+    readme = load_config(write_config(tmp_path, readme_config_example(), "readme.json"))
+    assert readme.config_hash() == DEFAULT_HASH
+    full = load_config(write_config(tmp_path, ALL_FIELDS, "all.json"))
+    assert full.config_hash() == "da8d33c5d36443bb"
+    assert full.scenario.guard_length == 100 and full.channel_gen.max_subpaths == 2
+    assert full.sweep_num_paths == (2, 4) and full.strict_ambiguity is False
+
+
+def test_readme_field_table_matches_the_reader(tmp_path):
+    """One README row per JSON field, with the reader's JSON type, and a
+    default that leaves the config hash where the dataclass defaults put it."""
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \| ([^|]+) \|[^|]*\|[^|]*\| `(.+)` \|$",
+                      README.read_text(), re.M)
+    assert sorted(row[:2] for row in rows) == sorted(
+        (section, name) for section, rules in _SCHEMA.items() for name in rules)
+    type_names = {int: "integer", float: "number", bool: "boolean", str: "string"}
+    for section, name, json_type, default in rows:
+        rule = _SCHEMA[section][name]
+        if rule.items is None:
+            assert json_type.strip() == type_names[rule.kind], name
+        else:
+            assert "list" in json_type and type_names[rule.kind] in json_type, name
+        doc = {section: {name: json.loads(default)}}
+        assert load_config(write_config(tmp_path, doc)).config_hash() == DEFAULT_HASH, name
+
+
+def test_integral_numbers_only(tmp_path):
+    cfg = load_config(write_config(tmp_path, {"scenario": {"num_antennas": 64.0},
+                                              "experiment": {"trials": 1e2}}))
+    assert cfg.scenario.num_antennas == 64 and type(cfg.scenario.num_antennas) is int
+    assert cfg.config_hash() == DEFAULT_HASH
+    for bad in ("64", 64.5, True, None, [64]):
+        with pytest.raises(ConfigError, match=r"^scenario\.num_antennas must be an integer"):
+            load_config(write_config(tmp_path, {"scenario": {"num_antennas": bad}}))
+
+
+# Invalid configs, each with the field its error must name. Small trial and block
+# counts keep a run short should a probe ever be accepted.
+SMALL = {"trials": 2, "mc_block_length": 1024, "gamma_th_grid_db": [0.0],
+         "sweep_num_paths": [3], "ofdm_subcarriers": 256}
+PROBES = [
+    ("target.range_m", float("nan")), ("scenario.bandwidth_hz", float("nan")),
+    ("scenario", None), ("experiment.trials", "abc"),
+    ("channel.aod_sector_deg", [1]), ("channel.aod_sector_deg", "x"),
+    ("experiment.beampattern_aods_deg", []), ("experiment.ofdm_subcarriers", 0),
+    ("experiment.modulation", "qam16"), ("target.radial_velocity_m_s", 1e9),
+    ("experiment.sweep_num_paths", []), ("experiment.strict_ambiguity", "false"),
+    ("experiment.seed", 1.5), ("experiment.seed", -1), ("scenario.num_antennas", 2.7),
+    ("experiment.mc_block_length", True), ("experiment.trials", "64"),
+]
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+@pytest.mark.parametrize("key,value", PROBES)
+def test_invalid_config_exits_2_naming_the_field(tmp_path, capsys, experiment, key, value):
+    section, _, name = key.partition(".")
+    doc = {"experiment": {k: v for k, v in SMALL.items() if k != name}}
+    if name:
+        doc.setdefault(section, {})[name] = value
+    else:
+        doc[section] = value
+    assert main([experiment, "--config", str(write_config(tmp_path, doc))]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}")
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.sampled_from([0, 1, -1, 0.5, 1e9, 2 ** 64, "0:20:2", "qpsk", "psk8"])
+                | st.text(max_size=8))
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                           | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                           max_leaves=8)
+FIELD_NAMES = st.sampled_from(sorted({name for sec in ALL_FIELDS.values() for name in sec}
+                                     | {"guard_time_s"})) | st.text(max_size=6)
+SECTIONS = st.dictionaries(FIELD_NAMES, JSON_VALUES, max_size=6) | JSON_VALUES
+CONFIGS = st.dictionaries(st.sampled_from(sorted(ALL_FIELDS)) | st.text(max_size=6),
+                          SECTIONS, max_size=4)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=CONFIGS, overrides=st.dictionaries(FIELD_NAMES, JSON_VALUES, max_size=2))
+def test_any_json_object_loads_or_raises_config_error(tmp_path_factory, doc, overrides):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    try:
+        cfg = load_config(path, overrides)
+    except ConfigError as e:
+        message = str(e)
+        assert (message.startswith(tuple(ALL_FIELDS) + ("config",))
+                or message.endswith(": unknown config section")), message
+    else:
+        assert len(cfg.config_hash()) == 16
 
 
 def test_rng_streams_keyed_and_reproducible():
@@ -249,6 +382,35 @@ def test_dd_map_report(tmp_path):
     assert report_lines[1] == "# n_c=100000 n_p=200 n=99800"
 
 
+def test_dd_map_empirical_snr_matches_full_echo_oracle():
+    """The linear shortcut (one noise draw per trial through the template)
+    against rebuilding every noisy echo from the same keyed streams."""
+    cfg = load_config(None)
+    cfg.trials = 12
+    cfg.mc_block_length = 2048
+    rep = run_dd_map(cfg)
+
+    s = cfg.scenario
+    channel = generate_multipath_channel(s, cfg.channel_gen, cfg.rng(1, 0))
+    tg = cfg.target
+    target = RadarTarget.from_geometry(s, tg.range_m, tg.rcs_m2, tg.direction_rad,
+                                       tg.radial_velocity_m_s, rng=cfg.rng(1, 1))
+    problem = IsacProblem(channel, target.direction, target.gain, s.data_length,
+                          s.transmit_power_w, s.noise_power_w)
+    bf = problem.solve(cfg.isac_gamma_fraction * problem.gamma_zf_max).beamformer
+    block = generate_symbols(cfg.rng(1, 2), rep.mc_block_length, cfg.modulation)
+    tx = build_dam_block(block, bf)
+    t_s = s.symbol_duration_s
+    template = matched_filter_template(bf, block, target.direction,
+                                       target.delay_symbols, target.doppler_hz, t_s)
+    signal = np.vdot(template, apply_radar_channel(target, tx, t_s, 0.0))
+    draws = [np.vdot(template, apply_radar_channel(target, tx, t_s, s.noise_power_w,
+                                                   cfg.rng(1, 4 + t), s.guard_length))
+             for t in range(cfg.trials)]
+    oracle = abs(signal) ** 2 / np.mean(np.abs(np.array(draws) - signal) ** 2)
+    assert rep.gamma_p_empirical == pytest.approx(oracle, rel=1e-12)
+
+
 def test_dd_map_rejects_target_beyond_guard():
     cfg = load_config(None)
     cfg.trials = 2
@@ -339,9 +501,24 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     malformed.write_text("{bad json}")
     assert main(["beampattern", "--config", str(malformed)]) == 2
     assert "line 1" in capsys.readouterr().err
-    assert main(["se-sweep", "--gamma-th-grid", "oops"]) == 2
-    assert main(["se-sweep", "--trials", "0"]) == 2
-    assert main(["se-sweep", "--seed", "-1"]) == 2
+    assert main(["beampattern", "--config", str(tmp_path / "missing.json")]) == 2
+    assert "cannot be read" in capsys.readouterr().err
+    # the flags pass the same checks as the experiment fields they override
+    for flag, value in (("--gamma-th-grid", "oops"), ("--gamma-th-grid", "0:1e9:1e-9"),
+                        ("--trials", "0"), ("--seed", "-1"), ("--seed", str(2 ** 64))):
+        assert main(["se-sweep", flag, value]) == 2
+        key = flag[2:].replace("-", "_").replace("gamma_th_grid", "gamma_th_grid_db")
+        assert capsys.readouterr().err.startswith(f"error: experiment.{key}")
+
+
+def test_counts_beyond_the_block_exit_2(tmp_path, capsys):
+    too_many_paths = write_config(tmp_path, {"channel": {"num_paths": 202}}, "paths.json")
+    assert main(["dd-map", "--config", str(too_many_paths)]) == 2
+    assert "num_paths=202" in capsys.readouterr().err
+    subcarriers = write_config(tmp_path, {"experiment": {
+        "mc_block_length": 512, "ofdm_subcarriers": 1024}}, "k.json")
+    assert main(["ofdm-compare", "--config", str(subcarriers)]) == 2
+    assert capsys.readouterr().err.startswith("error: experiment.ofdm_subcarriers")
 
 
 def test_cli_infeasible_target_exits_2(tmp_path, capsys):
