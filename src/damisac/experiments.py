@@ -440,8 +440,9 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
     A trade-off beamformer is designed at isac_gamma_fraction of the ZF
     ceiling, a block of mc_block_length symbols is transmitted, the target
     echo is matched-filtered over all guard delays and a Doppler window of
-    +-8 resolution bins around the true shift, and the peak-cell SNR is
-    measured over `trials` fresh noise draws against the closed-form value.
+    +-8 resolution bins around the true shift (clipped to (-B/2, B/2]), and
+    the peak-cell SNR is measured over `trials` fresh noise draws against
+    the closed-form value.
     """
     s = cfg.scenario
     channel = generate_multipath_channel(s, cfg.channel_gen, cfg.rng(1, 0))
@@ -464,10 +465,9 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
                                strict=cfg.strict_ambiguity)
 
     res = 1.0 / (n_mc * t_s)
-    center = res * round(target.doppler_hz / res)
-    doppler_bins = center + res * np.arange(-8, 9)
-    grid = sensing.SensingGrid(np.arange(s.guard_length + 1), doppler_bins,
-                               t_s, n_mc)
+    # every delay in [0, guard]
+    grid = sensing.SensingGrid.refine(0, res * round(target.doppler_hz / res), n_mc, t_s,
+                                      delay_half_width=s.guard_length)
     ddmap = sensing.delay_doppler_map(echo, bf, block, target.direction, grid)
     est_delay, est_doppler, _ = sensing.estimate_delay_doppler(ddmap)
 
@@ -531,6 +531,9 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
     if k > n_mc:
         raise ConfigError(f"experiment.ofdm_subcarriers must be <= {n_mc}, the Monte-Carlo "
                           f"block length min(N, mc_block_length), got {k}")
+    if k < 4:
+        raise ConfigError(f"experiment.ofdm_subcarriers must be >= 4, so that the fast "
+                          f"target's Doppler 2B/K lies within (-B/2, B/2], got {k}")
     ocfg = ofdm.OfdmConfig.steered(scen_mc, k, theta)
     i_sym = ocfg.symbols_per_block
 
@@ -579,10 +582,8 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
     f_fast = 2.0 * ocfg.subcarrier_spacing_hz
     fast = dataclasses.replace(target, doppler_hz=f_fast)
     res = 1.0 / (n_mc * t_s)
-    dop_bins = res * (round(f_fast / res) + np.arange(-8, 9))
-    lo = max(0, target.delay_symbols - 3)
-    grid = sensing.SensingGrid(np.arange(lo, target.delay_symbols + 4), dop_bins,
-                               t_s, n_mc)
+    grid = sensing.SensingGrid.refine(target.delay_symbols, res * round(f_fast / res),
+                                      n_mc, t_s, delay_half_width=3)
     block = waveform.generate_symbols(cfg.rng(2, 8), n_mc, cfg.modulation)
     # noise-free echoes, built once; each trial adds its own keyed noise draw
     clean = apply_radar_channel(fast, waveform.build_dam_block(block, bf_full), t_s)

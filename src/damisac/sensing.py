@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import ScenarioConfig, _shift_zero_prefix, steering_vector
 from .units import C_LIGHT
-from .waveform import DamBeamformer, SymbolBlock, build_dam_block, delayed_symbol_matrix
+from .waveform import DamBeamformer, SymbolBlock, delayed_symbol_matrix
 
 
 @dataclass
@@ -103,9 +103,13 @@ class DelayDopplerMap:
 
 
 def _projected_waveform(bf: DamBeamformer, block: SymbolBlock, theta: float) -> np.ndarray:
-    """a^H(theta) x[n]: the transmit block seen from direction theta."""
+    """a^H(theta) x[n]: the transmit block seen from direction theta.
+
+    Projects the L per-path beams first, (a^H F) S, so no M x N block is built.
+    """
     a = steering_vector(theta, bf.num_antennas)
-    return np.conj(a) @ build_dam_block(block, bf)
+    return (np.conj(a) @ bf.beam_matrix) @ delayed_symbol_matrix(block.symbols,
+                                                                 bf.delay_schedule)
 
 
 def matched_filter_template(bf: DamBeamformer, block: SymbolBlock, theta: float,
@@ -124,12 +128,18 @@ def matched_filter_template(bf: DamBeamformer, block: SymbolBlock, theta: float,
     return t / norm
 
 
+_MAP_BLOCK = 4096   # samples n per matrix product in delay_doppler_map
+
+
 def delay_doppler_map(echo: np.ndarray, bf: DamBeamformer, block: SymbolBlock,
                       theta: float, grid: SensingGrid) -> DelayDopplerMap:
     """Correlate an echo against templates over the whole grid.
 
     Cell (p, q) holds r = <template(p, q), echo>; with the template unit-norm
     the noise in every cell keeps the per-sample variance sigma^2.
+
+    The sum over n runs in blocks of B = _MAP_BLOCK samples, one P x B by
+    B x Q matrix product each, for O(P Q N) work in O((P + Q) B) memory.
     """
     echo = np.asarray(echo, dtype=complex)
     n = grid.block_length
@@ -138,17 +148,35 @@ def delay_doppler_map(echo: np.ndarray, bf: DamBeamformer, block: SymbolBlock,
     base = _projected_waveform(bf, block, theta)
     if base.size != n:
         raise ValueError("grid block_length does not match the symbol block")
-    # r(p, q) = sum_n conj(base[n-p]) e^{-j2 pi f_q n Ts} echo[n]; one delay
-    # shift per row, then all Doppler bins at once as a DFT-like matmul.
-    phases = np.exp(-2j * np.pi * np.outer(grid.doppler_bins_hz,
-                                           grid.symbol_duration_s * np.arange(n)))
+    delays = grid.delay_bins
+    norms = np.array([np.linalg.norm(base[:max(n - p, 0)]) for p in delays])
+    if np.any(norms == 0):
+        raise ValueError("zero template: probe delay pushes the waveform out of the block")
+    # r(p, q) = sum_n conj(base[n-p]) e^{-j2 pi f_q Ts n} echo[n]. With n = s + k
+    # the phase splits into e^{-j2 pi f_q Ts s} per block start s and a B x Q
+    # kernel over k < B shared by every block.
+    b = min(_MAP_BLOCK, n)
+    padded_len = -(-n // b) * b
+    lead = delays.max(initial=0)
+    cycles = grid.doppler_bins_hz * grid.symbol_duration_s
+    # kernel[k, q] = e^{-j2 pi f_q Ts k} as the product of its factors at
+    # 64 (k // 64) and k % 64: 2 b/64 rows of exponentials instead of b
+    fine = np.exp(-2j * np.pi * np.outer(np.arange(64), cycles))
+    coarse = np.exp(-2j * np.pi * np.outer(np.arange(0, b, 64), cycles))
+    kernel = (coarse[:, None, :] * fine).reshape(coarse.shape[0] * 64, cycles.size)[:b]
+    # conj(base[m]) sits at m + lead, zeros elsewhere; every delay row of a
+    # block is one window of it
+    conj_base = np.zeros(lead + padded_len, dtype=complex)
+    conj_base[lead:lead + n] = np.conj(base)
+    windows = np.lib.stride_tricks.sliding_window_view(conj_base, b)
+    echo_pad = np.zeros(padded_len, dtype=complex)
+    echo_pad[:n] = echo
     values = np.zeros(grid.shape, dtype=complex)
-    for i, p in enumerate(grid.delay_bins):
-        shifted = _shift_zero_prefix(base, int(p))
-        norm = np.linalg.norm(shifted)
-        if norm == 0:
-            raise ValueError("zero template: probe delay pushes the waveform out of the block")
-        values[i] = phases @ (np.conj(shifted) * echo) / norm
+    for s in range(0, n, b):
+        rows = windows[s + lead - delays]
+        rows *= echo_pad[s:s + b]
+        values += (rows @ kernel) * np.exp(-2j * np.pi * cycles * s)
+    values /= norms[:, None]
     return DelayDopplerMap(values, grid)
 
 

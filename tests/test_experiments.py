@@ -521,6 +521,23 @@ def test_counts_beyond_the_block_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: experiment.ofdm_subcarriers")
 
 
+def test_doppler_windows_near_the_interval_edge(tmp_path, capsys):
+    # the +-8-bin windows are clipped to (-B/2, B/2], so these run
+    fast = write_config(tmp_path, {"target": {"radial_velocity_m_s": 267000},
+                                   "experiment": {"trials": 2, "mc_block_length": 1024}},
+                        "fast.json")
+    assert main(["dd-map", "--config", str(fast)]) == 0
+    four = write_config(tmp_path, {"experiment": {
+        "trials": 2, "mc_block_length": 1024, "ofdm_subcarriers": 4}}, "k4.json")
+    assert main(["ofdm-compare", "--config", str(four)]) == 0
+    capsys.readouterr()
+    # K = 3 puts the fast target's Doppler 2B/K beyond B/2
+    three = write_config(tmp_path, {"experiment": {
+        "trials": 2, "mc_block_length": 1024, "ofdm_subcarriers": 3}}, "k3.json")
+    assert main(["ofdm-compare", "--config", str(three)]) == 2
+    assert capsys.readouterr().err.startswith("error: experiment.ofdm_subcarriers")
+
+
 def test_cli_infeasible_target_exits_2(tmp_path, capsys):
     cfgfile = write_config(tmp_path, {
         "target": {"range_m": 500.0},

@@ -2,6 +2,7 @@
 decorrelation, output-SNR formulas, peak estimation, ambiguity limits."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from damisac import (
     steering_vector,
 )
 from damisac.channel import _shift_zero_prefix
+from damisac.sensing import _MAP_BLOCK, _projected_waveform
 from damisac.units import C_LIGHT
 
 TS = 1e-8
@@ -114,6 +116,67 @@ def test_map_matches_per_cell_templates():
             assert abs(ddmap.values[i, j] - np.vdot(t, echo)) < 1e-10
 
 
+def dense_map(echo, bf, block, theta, grid):
+    """The map as one Q x N phase matrix times each shifted, conjugated row."""
+    n = grid.block_length
+    base = np.conj(steering_vector(theta, bf.num_antennas)) @ build_dam_block(block, bf)
+    phases = np.exp(-2j * np.pi * np.outer(grid.doppler_bins_hz,
+                                           grid.symbol_duration_s * np.arange(n)))
+    values = np.zeros(grid.shape, dtype=complex)
+    for i, p in enumerate(grid.delay_bins):
+        shifted = _shift_zero_prefix(base, int(p))
+        values[i] = phases @ (np.conj(shifted) * echo) / np.linalg.norm(shifted)
+    return values
+
+
+# below one block, an exact multiple of it, and a partial last block
+@pytest.mark.parametrize("n", [_MAP_BLOCK // 2 - 3, 2 * _MAP_BLOCK, 2 * _MAP_BLOCK + 777])
+@pytest.mark.parametrize("dopplers", ["non-uniform", "single"])
+def test_blocked_map_matches_dense_oracle(n, dopplers):
+    rng = np.random.default_rng(n)
+    block = generate_symbols(rng, n, "qpsk")
+    bf = DamBeamformer.aligned(complex_normal(rng, (4, 3)), [0, 2, 7])
+    echo = complex_normal(rng, (n,))
+    half = 0.5 / TS
+    if dopplers == "single":
+        dops = np.array([0.37 * half])
+    else:
+        dops = np.concatenate([np.sort(rng.uniform(-half, half, 6)), [half]])
+    # unsorted, repeated and up to the last sample
+    delays = np.array([n - 1, 0, 5, n // 2, 1, 5, n - 2])
+    grid = SensingGrid(delays, dops, TS, n)
+    got = delay_doppler_map(echo, bf, block, 0.3, grid).values
+    assert np.max(np.abs(got - dense_map(echo, bf, block, 0.3, grid))) \
+        <= 1e-12 * np.linalg.norm(echo)
+
+
+def test_projected_waveform_matches_full_block():
+    rng = np.random.default_rng(16)
+    block = generate_symbols(rng, 3000, "qpsk")
+    bf = DamBeamformer.aligned(complex_normal(rng, (16, 4)), [0, 3, 5, 11])
+    want = np.conj(steering_vector(-0.6, 16)) @ build_dam_block(block, bf)
+    got = _projected_waveform(bf, block, -0.6)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_map_memory_stays_below_the_phase_matrix():
+    # the dense form held a Q x N phase matrix of 16 Q N bytes
+    n, q = 65_536, 129
+    rng = np.random.default_rng(17)
+    block = generate_symbols(rng, n, "qpsk")
+    bf = steered_beamformer(4, 3)
+    echo = complex_normal(rng, (n,))
+    grid = SensingGrid.survey(200, n, TS, q)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        delay_doppler_map(echo, bf, block, 0.3, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 16 * q * n
+
+
 def test_map_shape_and_validation():
     rng = np.random.default_rng(5)
     block = generate_symbols(rng, 64, "qpsk")
@@ -123,6 +186,10 @@ def test_map_shape_and_validation():
     assert ddmap.values.shape == (4, 1)
     with pytest.raises(ValueError):
         delay_doppler_map(complex_normal(rng, (32,)), bf, block, 0.0, grid)
+    for delay in (64, 65, 1000):   # the template leaves the block
+        beyond = SensingGrid(np.array([0, delay]), np.array([0.0]), TS, 64)
+        with pytest.raises(ValueError, match="zero template"):
+            delay_doppler_map(complex_normal(rng, (64,)), bf, block, 0.0, beyond)
 
 
 def test_noise_only_cells_average_noise_power():
