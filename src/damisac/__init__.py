@@ -30,8 +30,7 @@ from .sensing import (AmbiguityLimits, DelayDopplerMap, SensingGrid,
                       delay_doppler_map, estimate_delay_doppler,
                       export_map_csv, matched_filter_template, max_sensing_snr,
                       sensing_snr)
-from .units import (C_LIGHT, db_to_linear, dbm_to_watt, linear_to_db,
-                    watt_to_dbm)
+from .units import C_LIGHT, dbm_to_watt, linear_to_db
 from .waveform import (DamBeamformer, SymbolBlock, assign_delays,
                        build_dam_block, comm_snr, decompose_received,
                        delayed_symbol_matrix, generate_symbols, load_block,
@@ -39,25 +38,3 @@ from .waveform import (DamBeamformer, SymbolBlock, assign_delays,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbiguityLimits", "C_LIGHT", "ChannelGenConfig", "ConfigError",
-    "DamBeamformer", "DamIsacError", "DelayDopplerMap", "ExperimentConfig",
-    "InfeasibleError", "IsacProblem", "IsacSolution", "MultipathChannel",
-    "OfdmConfig", "OfdmEcho", "PeakPowerComparison", "RadarTarget",
-    "ScenarioConfig", "SensingGrid", "SolutionReport", "SymbolBlock",
-    "TargetConfig", "apply_comm_channel", "apply_radar_channel",
-    "assign_delays", "build_dam_block", "comm_snr", "complex_normal",
-    "correlation_matrix", "dam_ambiguity_limits", "db_to_linear",
-    "dbm_to_watt", "decompose_received", "delay_doppler_map",
-    "delayed_symbol_matrix", "estimate_delay_doppler", "export_map_csv",
-    "find_beam_peaks", "generate_multipath_channel", "generate_symbols",
-    "isi_zf_mrt_beamformer", "linear_to_db", "load_block", "load_channel",
-    "load_config", "matched_filter_template", "max_ofdm_output_snr",
-    "max_sensing_snr", "nullspace_projector", "ofdm_ambiguity_limits",
-    "ofdm_delay_doppler_estimate", "ofdm_output_snr", "ofdm_papr_empirical",
-    "ofdm_radar_rx", "ofdm_time_domain", "papr_empirical", "parse_gamma_grid",
-    "peak_power_constrained_snr_comparison", "radar_round_trip_gain",
-    "run_beampattern", "run_dd_map", "run_ofdm_compare", "run_se_sweep",
-    "save_block", "save_channel", "sensing_only_zf_beamformer", "sensing_snr",
-    "steering_vector", "transmit_power", "verify_solution", "watt_to_dbm",
-]

@@ -12,9 +12,12 @@ stacks the projected path responses Q_l h_l and A = blkdiag(g_l g_l^H) with
 g_l = Q_l a. It is a complex QCQP with two constraints, so strong duality
 holds and its semidefinite relaxation has a rank-one optimum (Beck & Eldar,
 SIAM J. Optim. 2006; Huang & Palomar, IEEE TSP 2010): the optimum is sqrt(P)
-times the principal eigenvector of h h^H + lambda A, with the dual variable
-lambda found by a 1-D search, and the dual value
-P lambda_max(h h^H + lambda A) - lambda gamma~ certifies it.
+times the principal eigenvector of h h^H + lambda A for the right dual
+variable lambda, and the dual value P lambda_max(h h^H + lambda A) - lambda
+gamma~ certifies it. In the basis of `IsacProblem` that matrix is rank-one
+plus diagonal, so its principal eigenvector has a closed form given by the
+secular equation (Golub, "Some modified matrix eigenvalue problems", SIAM
+Review 1973), and the search for lambda is a bisection on one scalar.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ from .errors import InfeasibleError
 from .waveform import DamBeamformer
 from . import sensing as _sensing
 
-# Bisection steps on t = lambda / (1 + lambda) in [0, 1]; 60 halvings reach
-# the spacing of doubles near 1.
+# Bisection steps on delta (see IsacProblem.solve); 60 halvings of the 2^62
+# doubles in [0, 1] leave a bracket 4 doubles wide.
 _BISECTION_STEPS = 60
-# Relative duality gap at which the search on lambda stops early.
+# Relative duality gap at which the search on delta stops early.
 _GAP_TOLERANCE = 1e-12
 
 
@@ -122,7 +125,8 @@ class IsacSolution:
     dual_bound is the dual value P lambda_max(h h^H + lambda A) - lambda gamma~
     at the final lambda, in communication-SNR units: an upper bound on every
     feasible gamma_c, so dual_bound - gamma_c bounds the optimality gap.
-    iterations counts the eigenvalue problems solved.
+    iterations counts the bisection steps on delta (see IsacProblem.solve);
+    it is 0 when a closed form gives the design.
     """
 
     beamformer: Optional[DamBeamformer]
@@ -142,8 +146,8 @@ class IsacProblem:
     design (`sensing`) and its SNR, the ceiling `gamma_zf_max`. The optimum
     lies in the span of h and the blocks e_l (x) g_l. In the orthonormal basis
     made of the unit blocks e_l (x) g_l / ||g_l|| and the part of h orthogonal
-    to them, A is diag(0, ||g_1||^2, ..., ||g_L||^2) and h has coordinates eta,
-    so every eigenvalue problem of `solve` is (L+1) x (L+1).
+    to them, A is diag(0, ||g_1||^2, ..., ||g_L||^2) =: diag(a) and h has
+    coordinates eta, so `solve` works with (L+1)-vectors only.
     """
 
     def __init__(self, channel: MultipathChannel, theta: float, gain: complex,
@@ -173,42 +177,36 @@ class IsacProblem:
         for l in range(channel.num_paths):
             self._basis[l + 1, l] = g_unit[l]
         self._eta = np.concatenate([[rest_norm], beta])
-        self._a = np.concatenate([[0.0], norms2])
-        self._comm_matrix = np.outer(self._eta, np.conj(self._eta))
-        self._sens_matrix = np.diag(self._a)
+        a_diag = np.concatenate([[0.0], norms2])
+        # r_i = 1 - a_i / max(a): exactly 0 on the strongest target responses
+        self._r = 1.0 - a_diag / a_diag.max()
         # all power on the strongest projected target response
-        self._sensing_coords = np.eye(self._a.size)[np.argmax(self._a)]
+        self._sensing_coords = np.eye(a_diag.size)[np.argmax(a_diag)]
         self.sensing = self._beam(self._sensing_coords)
-        # sensing SNR of a full-power design per unit of b^H A b / ||b||^2
-        self._snr_per_sensing = float(np.abs(gain) ** 2 * block_length * power / noise_power)
-        self.gamma_zf_max = self._snr_per_sensing * float(self._a.max())
+        self.gamma_zf_max = float(np.abs(gain) ** 2 * block_length * power / noise_power
+                                  * a_diag.max())
 
     def _beam(self, y: np.ndarray) -> DamBeamformer:
         """The design sqrt(P) b / ||b|| for the b with basis coordinates y."""
         f = np.sqrt(self.power / np.vdot(y, y).real) * np.tensordot(y, self._basis, axes=1)
         return DamBeamformer.aligned(f.T, self.channel.path_delays)
 
-    def _sensing_value(self, y: np.ndarray) -> float:
-        """b^H A b / ||b||^2 for the b with basis coordinates y."""
-        return float(np.dot(self._a, np.abs(y) ** 2) / np.vdot(y, y).real)
-
-    def _eigvec(self, t: float) -> np.ndarray:
-        """Principal eigenvector of (1 - t) eta eta^H + t diag(a), i.e. of
-        h h^H + lambda A with lambda = t / (1 - t)."""
-        m = (1.0 - t) * self._comm_matrix + t * self._sens_matrix
-        return np.linalg.eigh(m)[1][:, -1]
-
     def solve(self, gamma_th: float) -> IsacSolution:
         """Maximize communication SNR under the floor gamma_sensing >= gamma_th.
 
         Infeasible exactly when gamma_th > gamma_zf_max, and at equality only
-        the sensing-optimal beam is feasible. When MRT meets the floor it is
-        optimal (lambda = 0). Otherwise the sensing value of the principal
-        eigenvector rises monotonically with lambda, from MRT at lambda = 0 to
-        the sensing-optimal beam as lambda -> inf; bisection on lambda
-        brackets the floor, and a point between the two bracketing
-        eigenvectors meets it exactly (that also covers a jump of the
-        eigenvector where the top eigenvalue is repeated).
+        the sensing-optimal beam is feasible. Below it the floor reads
+        sum_i (r_i - rho) |y_i|^2 <= 0, rho = 1 - gamma_th / gamma_zf_max.
+        By the secular equation (Golub, SIAM Review 1973) the principal
+        eigenvector of the rank-one plus diagonal eta eta^H + lambda diag(a)
+        is y_i = eta_i / d_i, d_i = delta + (1 - delta) r_i, for one delta in
+        (0, 1] per lambda, at the dual value (eta^H y) (delta + (1 - delta) rho);
+        neither cancels as rho -> 0. delta = 1 is MRT, optimal when it meets
+        the floor. Otherwise the floor's left side falls with delta, and
+        bisection on delta lands on the floor from the feasible side, where
+        the dual value is never below the objective. When eta is 0 on every
+        strongest response (r_i = 0) and y(0) still misses the floor, y(0)
+        topped up along the strongest response is optimal without a search.
         """
         if gamma_th < 0:
             raise ValueError("gamma_th must be >= 0")
@@ -216,45 +214,54 @@ class IsacProblem:
             nan = float("nan")
             return IsacSolution(beamformer=None, gamma_c=nan, gamma_p=nan,
                                 dual_bound=nan, iterations=0, status="infeasible")
-        floor = min(gamma_th / self._snr_per_sensing, self._a.max())
-        scale = self.power / self.noise_power
-        if floor == self._a.max():
-            # the dual value as lambda -> inf
-            bound = scale * abs(np.vdot(self._eta, self._sensing_coords)) ** 2
+        # eta to unit norm: no |y_i|^2 <= 1/delta^2 overflows, for any delta
+        scale = self.power / self.noise_power * np.vdot(self._eta, self._eta).real
+        eta, r = self._eta / np.linalg.norm(self._eta), self._r
+        rho = 1.0 - gamma_th / self.gamma_zf_max
+        if rho == 0.0:
+            # the dual value as delta -> 0
+            bound = scale * abs(np.vdot(eta, self._sensing_coords)) ** 2
             return self._solution(self.sensing, gamma_th, bound, 0)
-        y_lo = self._eta / np.linalg.norm(self._eta)
-        if self._sensing_value(y_lo) >= floor:
-            return self._solution(self.mrt, gamma_th,
-                                  scale * np.vdot(self._eta, self._eta).real, 0)
+        mag, slope = np.abs(eta), r - rho           # the floor: slope . |y|^2 <= 0
+        if np.dot(slope, mag ** 2) <= 0:            # y(1) = eta meets the floor
+            return self._solution(self.mrt, gamma_th, scale, 0)
 
-        lo, hi = 0.0, 1.0
-        y_hi = self._sensing_coords
-        objective, gap = 0.0, np.inf              # no finite dual value at hi = 1
+        # delta = 0: y(0) off the strongest responses, topped up by c e_k,
+        # which lowers the floor's left side by rho c^2. Where eta is 0 on all
+        # of them its dual value rho eta^H y(0) is finite (and exact if c > 0).
+        strongest = r == 0.0
+        y_lo = np.divide(eta, r, out=np.zeros_like(eta), where=~strongest)
+        excess = np.dot(slope, np.abs(y_lo) ** 2)
+        y_lo += np.sqrt(max(excess, 0.0) / rho) * self._sensing_coords
+        objective, bound, gap = 0.0, np.inf, np.inf
+        if not eta[strongest].any():
+            eta_y, norm2 = np.vdot(eta, y_lo).real, np.vdot(y_lo, y_lo).real
+            objective, bound = eta_y ** 2 / norm2, rho * eta_y
+            gap = -eta_y * min(excess, 0.0) / norm2
+
+        # bisection over the doubles in [0, 1] ordered as their bit patterns:
+        # the first steps halve the exponent range, so a delta of any scale
+        # (1e-16 where eta is 0 on the strongest responses but for rounding)
+        # ends in a bracket a few doubles wide
+        lo, hi = 0, int(np.float64(1.0).view(np.int64))
         steps = 0
         while steps < _BISECTION_STEPS and gap > _GAP_TOLERANCE * objective:
             steps += 1
-            t = 0.5 * (lo + hi)
-            y = self._eigvec(t)
-            sensing = self._sensing_value(y)
-            if sensing >= floor:
-                hi, y_hi = t, y
-                # P (objective + gap) = P lambda_max - lambda gamma~ is the
-                # dual value at lambda = t / (1 - t); gap bounds y's shortfall
-                objective = abs(np.vdot(self._eta, y)) ** 2
-                gap = t / (1.0 - t) * (sensing - floor)
+            mid = (lo + hi) // 2
+            delta = float(np.int64(mid).view(np.float64))
+            d = delta + (1.0 - delta) * r
+            y_mag = mag / d
+            norm2 = np.dot(y_mag, y_mag)
+            excess = np.dot(slope, y_mag ** 2)
+            if excess <= 0:
+                lo, y_lo = mid, eta / d
+                eta_y = np.dot(mag, y_mag)
+                objective = eta_y ** 2 / norm2
+                bound = eta_y * (delta + (1.0 - delta) * rho)
+                gap = -eta_y * (1.0 - delta) * (excess / norm2)
             else:
-                lo, y_lo = t, y
-
-        y_hi = y_hi * np.exp(-1j * np.angle(np.vdot(y_lo, y_hi)))
-        u_lo, u_hi = 0.0, 1.0
-        for _ in range(_BISECTION_STEPS):
-            u = 0.5 * (u_lo + u_hi)
-            if self._sensing_value((1.0 - u) * y_lo + u * y_hi) >= floor:
-                u_hi = u
-            else:
-                u_lo = u
-        bf = self._beam((1.0 - u_hi) * y_lo + u_hi * y_hi)
-        return self._solution(bf, gamma_th, scale * (objective + gap), steps)
+                hi = mid
+        return self._solution(self._beam(y_lo), gamma_th, scale * bound, steps)
 
     def _solution(self, bf: DamBeamformer, gamma_th: float, bound: float,
                   iterations: int) -> IsacSolution:

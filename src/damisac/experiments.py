@@ -25,7 +25,8 @@ from scipy.signal import find_peaks
 from . import beamforming, ofdm, sensing, waveform
 from .channel import (ChannelGenConfig, MultipathChannel, RadarTarget,
                       ScenarioConfig, apply_radar_channel, complex_normal,
-                      generate_multipath_channel, steering_vector)
+                      generate_multipath_channel, radar_round_trip_gain,
+                      steering_vector)
 from .errors import ConfigError
 from .units import dbm_to_watt, linear_to_db
 
@@ -126,7 +127,9 @@ _SCHEMA = {
                  "carrier_frequency_hz": _POSITIVE, "coherence_time_s": _POSITIVE,
                  "guard_time_s": _Rule(float, 0), "guard_length": _Rule(int, 0),
                  "transmit_power_dbm": _Rule(float), "noise_psd_dbm_hz": _Rule(float)},
-    "channel": {"num_paths": _Rule(int, 1), "max_subpaths": _Rule(int, 1),
+    # max_subpaths sizes per-path draws: the cap bounds the memory, as the
+    # gamma grid's step count is bounded
+    "channel": {"num_paths": _Rule(int, 1), "max_subpaths": _Rule(int, 1, 10_000),
                 "aod_sector_deg": _Rule(float, items=2)},
     "target": {"range_m": _POSITIVE, "rcs_m2": _POSITIVE, "direction_deg": _Rule(float),
                "radial_velocity_m_s": _Rule(float)},
@@ -234,6 +237,17 @@ def load_config(path=None, overrides: Optional[dict] = None) -> ExperimentConfig
         ex["gamma_th_grid_db"] = np.asarray(ex["gamma_th_grid_db"], dtype=float)
     cfg = ExperimentConfig(scenario=scenario, channel_gen=ChannelGenConfig(**ch),
                            target=TargetConfig(**tg), **ex)
+    try:
+        gain = radar_round_trip_gain(cfg.target.range_m, scenario.wavelength_m,
+                                     cfg.target.rcs_m2)
+    except OverflowError:            # R^4 above the range of a float
+        gain = 0.0
+    except ZeroDivisionError:        # R^4 below it
+        gain = math.inf
+    if not 0 < gain < math.inf:
+        raise ConfigError(f"target.range_m={cfg.target.range_m!r} with rcs_m2="
+                          f"{cfg.target.rcs_m2!r} gives a round-trip gain of {gain!r}, "
+                          "not a positive finite number")
     try:
         waveform._psk_order(cfg.modulation)
     except ValueError as e:

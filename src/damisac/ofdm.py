@@ -188,8 +188,9 @@ def max_ofdm_output_snr(num_antennas: int, symbols_per_block: int,
 
 
 def ofdm_ambiguity_limits(cfg: OfdmConfig, wavelength_m: float) -> AmbiguityLimits:
-    """OFDM limits: range capped by the cyclic prefix, velocity by a tenth of
-    the subcarrier spacing; resolutions c/2B and (lambda/2)/(N_c T_s)."""
+    """OFDM limits: range capped by the cyclic prefix, Doppler (and so
+    velocity) by doppler_tolerance_fraction of the subcarrier spacing;
+    resolutions c/2B and (lambda/2)/(N_c T_s)."""
     t_s = cfg.sample_duration_s
     max_doppler = cfg.doppler_tolerance_fraction * cfg.subcarrier_spacing_hz
     doppler_res = 1.0 / (cfg.block_length * t_s)
@@ -197,7 +198,7 @@ def ofdm_ambiguity_limits(cfg: OfdmConfig, wavelength_m: float) -> AmbiguityLimi
         max_delay_symbols=cfg.guard_length,
         max_doppler_hz=max_doppler,
         max_range_m=C_LIGHT * cfg.guard_length * t_s / 2.0,
-        max_velocity_m_s=wavelength_m / (20.0 * cfg.num_subcarriers * t_s),
+        max_velocity_m_s=max_doppler * wavelength_m / 2.0,
         range_resolution_m=C_LIGHT / (2.0 * cfg.bandwidth_hz),
         velocity_resolution_m_s=wavelength_m / (2.0 * cfg.block_length * t_s),
         doppler_resolution_hz=doppler_res)

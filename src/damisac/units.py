@@ -13,11 +13,6 @@ import numpy as np
 C_LIGHT = 3.0e8
 
 
-def db_to_linear(x_db):
-    """dB -> linear power ratio."""
-    return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
-
-
 def linear_to_db(x):
     """Linear power ratio -> dB."""
     return 10.0 * np.log10(x)
@@ -26,8 +21,3 @@ def linear_to_db(x):
 def dbm_to_watt(x_dbm):
     """dBm -> watt."""
     return 10.0 ** ((np.asarray(x_dbm, dtype=float) - 30.0) / 10.0)
-
-
-def watt_to_dbm(x_w):
-    """Watt -> dBm."""
-    return 10.0 * np.log10(x_w) + 30.0

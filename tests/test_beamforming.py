@@ -242,8 +242,9 @@ def test_sca_boundary_threshold_is_sensing_limited():
 
 
 def test_solution_gap_to_dual_bound():
-    # every solution is feasible and within 1e-8 of its own dual bound, also
-    # with repeated interferers (two paths project to nothing)
+    # every solution is feasible and within 1e-8 of its own dual bound, which
+    # is never below it, also just under the ceiling and with repeated
+    # interferers (two paths project to nothing)
     for seed in range(10):
         rng = np.random.default_rng(22 + seed)
         h = complex_normal(rng, (3, 6))
@@ -251,15 +252,53 @@ def test_solution_gap_to_dual_bound():
             h[2] = h[1]
         ch = MultipathChannel(h, np.arange(3))
         problem = IsacProblem(ch, THETA, GAIN, N_BLOCK, 1.0, SIGMA2)
-        for frac in (0.1, 0.5, 0.9, 0.99, 1.0):
+        for frac in (0.1, 0.5, 0.9, 0.99, 0.999999, 1 - 1e-9, 1.0):
             gamma_th = frac * problem.gamma_zf_max
             sol = problem.solve(gamma_th)
             assert sol.status == "optimal"
             assert sol.dual_bound - sol.gamma_c <= 1e-8 * sol.dual_bound
+            assert sol.gamma_c <= sol.dual_bound * (1 + 1e-14)
             rep = sol.report
             assert rep.power_used <= 1.0 * (1 + 1e-12)
             assert rep.gamma_p >= gamma_th * (1 - 1e-12)
             assert rep.zf_residual < 1e-10 * np.max(np.abs(h))
+
+
+def test_solution_when_the_channel_misses_the_target():
+    # h = [1, -1] is orthogonal to a(0) = [1, 1]: eta is 0 on the strongest
+    # target response, so sensing SNR costs communication SNR in proportion
+    # and the optimum is gamma_c = rho gamma_mrt, rho = 1 - gamma_th / gamma_zf.
+    # The design is sqrt((1 - rho) / rho) parts sensing beam to one part
+    # communication beam, so rounding its antenna weights moves the
+    # recomputed gamma_c by about 1e-16 / sqrt(rho) relative.
+    ch = MultipathChannel(np.array([[1.0, -1.0]]), np.arange(1))
+    problem = IsacProblem(ch, 0.0, GAIN, N_BLOCK, 1.0, SIGMA2)
+    mrt = comm_snr(isi_zf_mrt_beamformer(ch, 1.0), ch, SIGMA2)
+    for frac in (0.25, 0.5, 0.9, 0.999999):
+        gamma_th = frac * problem.gamma_zf_max
+        sol = problem.solve(gamma_th)
+        assert sol.status == "optimal"
+        assert sol.iterations == 0
+        rho = 1 - gamma_th / problem.gamma_zf_max
+        assert sol.gamma_c == pytest.approx(rho * mrt, rel=1e-12)
+        assert sol.gamma_p >= gamma_th * (1 - 1e-12)
+        assert sol.gamma_c <= sol.dual_bound * (1 + 1e-14 / np.sqrt(rho))
+
+    # paths orthogonal to a(theta) only up to rounding: eta is ~1e-16 on the
+    # strongest responses, and so is the optimal delta, yet the search on
+    # delta still closes the gap
+    rng = np.random.default_rng(5)
+    a = steering_vector(THETA, 4)
+    h = complex_normal(rng, (2, 4))
+    h -= np.outer(h @ np.conj(a), a) / 4
+    problem = IsacProblem(MultipathChannel(h, np.arange(2)), THETA, GAIN, N_BLOCK,
+                          1.0, SIGMA2)
+    for frac in (0.1, 0.5, 0.9):
+        gamma_th = frac * problem.gamma_zf_max
+        sol = problem.solve(gamma_th)
+        assert sol.gamma_p >= gamma_th * (1 - 1e-12)
+        assert sol.dual_bound - sol.gamma_c <= 1e-8 * sol.dual_bound
+        assert sol.gamma_c <= sol.dual_bound * (1 + 1e-14)
 
 
 def test_sca_matches_random_search():

@@ -213,6 +213,9 @@ PROBES = [
     ("experiment.sweep_num_paths", []), ("experiment.strict_ambiguity", "false"),
     ("experiment.seed", 1.5), ("experiment.seed", -1), ("scenario.num_antennas", 2.7),
     ("experiment.mc_block_length", True), ("experiment.trials", "64"),
+    ("target.range_m", 1e80), ("target.range_m", 1e-300),
+    ("channel.max_subpaths", 2 ** 70), ("channel.max_subpaths", 1e11),
+    ("channel.max_subpaths", 10_001),
 ]
 
 

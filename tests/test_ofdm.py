@@ -1,6 +1,8 @@
 """Multicarrier radar baseline tests: echo model oracle, FFT estimator,
 output-SNR accounting, ambiguity limits, and the peak-power comparison."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,11 @@ def test_ambiguity_limits_values():
         scen.wavelength_m / (20 * 1024 * cfg.sample_duration_s))
     assert lim.velocity_resolution_m_s == pytest.approx(
         scen.wavelength_m / (2 * scen.block_length * cfg.sample_duration_s))
+    # the velocity limit follows the Doppler tolerance, not a fixed tenth
+    wide = ofdm_ambiguity_limits(dataclasses.replace(cfg, doppler_tolerance_fraction=0.2),
+                                 scen.wavelength_m)
+    assert wide.max_doppler_hz == pytest.approx(19_531.25)
+    assert wide.max_velocity_m_s == pytest.approx(104.63169642857143)
 
 
 def test_aligned_waveform_keeps_more_samples():
