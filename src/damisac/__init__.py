@@ -14,12 +14,12 @@ from .beamforming import (IsacProblem, IsacSolution, SolutionReport,
                           sensing_only_zf_beamformer, verify_solution)
 from .channel import (ChannelGenConfig, MultipathChannel, RadarTarget,
                       ScenarioConfig, apply_comm_channel, apply_radar_channel,
-                      complex_normal, generate_multipath_channel, load_channel,
-                      radar_round_trip_gain, save_channel, steering_vector)
+                      complex_normal, generate_multipath_channel,
+                      radar_round_trip_gain, steering_vector)
 from .errors import ConfigError, DamIsacError, InfeasibleError
-from .experiments import (ExperimentConfig, TargetConfig, find_beam_peaks,
-                          load_config, parse_gamma_grid, run_beampattern,
-                          run_dd_map, run_ofdm_compare, run_se_sweep)
+from .experiments import (ExperimentConfig, TargetConfig, load_config,
+                          parse_gamma_grid, run_beampattern, run_dd_map,
+                          run_ofdm_compare, run_se_sweep)
 from .ofdm import (OfdmConfig, OfdmEcho, PeakPowerComparison,
                    max_ofdm_output_snr, ofdm_ambiguity_limits,
                    ofdm_delay_doppler_estimate, ofdm_output_snr,
@@ -33,8 +33,8 @@ from .sensing import (AmbiguityLimits, DelayDopplerMap, SensingGrid,
 from .units import C_LIGHT, dbm_to_watt, linear_to_db
 from .waveform import (DamBeamformer, SymbolBlock, assign_delays,
                        build_dam_block, comm_snr, decompose_received,
-                       delayed_symbol_matrix, generate_symbols, load_block,
-                       papr_empirical, save_block, transmit_power)
+                       delayed_symbol_matrix, generate_symbols, papr_empirical,
+                       transmit_power)
 
 __version__ = "0.1.0"
 

@@ -10,10 +10,8 @@ Doppler and a radar-equation gain. Delays are kept on the symbol-rate grid
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -403,32 +401,3 @@ def apply_radar_channel(target: RadarTarget, tx_block: np.ndarray,
             raise ValueError("rng is required when noise_power > 0")
         y += complex_normal(rng, (n,), variance=noise_power)
     return y
-
-
-def _complex_to_pairs(arr: np.ndarray):
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
-
-
-def _pairs_to_complex(pairs) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def save_channel(path, channel: MultipathChannel) -> None:
-    """Write a channel realization as JSON ([re, im] pairs, integer delays)."""
-    doc = {"num_antennas": channel.num_antennas,
-           "path_delays": channel.path_delays.tolist(),
-           "path_vectors": _complex_to_pairs(channel.path_vectors)}
-    if channel.metadata is not None:
-        doc["metadata"] = channel.metadata
-    Path(path).write_text(json.dumps(doc, indent=1))
-
-
-def load_channel(path) -> MultipathChannel:
-    """Read a channel realization written by save_channel."""
-    doc = json.loads(Path(path).read_text())
-    vectors = _pairs_to_complex(doc["path_vectors"])
-    if vectors.shape[1] != doc["num_antennas"]:
-        raise ValueError("channel file is inconsistent: num_antennas mismatch")
-    return MultipathChannel(vectors, np.asarray(doc["path_delays"], dtype=int),
-                            metadata=doc.get("metadata"))

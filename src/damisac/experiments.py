@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from . import beamforming, ofdm, sensing, waveform
 from .channel import (ChannelGenConfig, MultipathChannel, RadarTarget,
@@ -249,6 +248,17 @@ def load_config(path=None, overrides: Optional[dict] = None) -> ExperimentConfig
                           f"{cfg.target.rcs_m2!r} gives a round-trip gain of {gain!r}, "
                           "not a positive finite number")
     try:
+        delay = RadarTarget.from_geometry(scenario, cfg.target.range_m, cfg.target.rcs_m2,
+                                          cfg.target.direction_rad,
+                                          cfg.target.radial_velocity_m_s).delay_symbols
+    except OverflowError:            # 2R/c * B above the range of a float
+        delay = math.inf
+    n_mc = min(scenario.data_length, cfg.mc_block_length)
+    if delay >= n_mc:
+        raise ConfigError(f"target.range_m={cfg.target.range_m!r} gives a round-trip delay of "
+                          f"{delay} symbols, not inside the Monte-Carlo block of "
+                          f"min(N, experiment.mc_block_length) = {n_mc} symbols")
+    try:
         waveform._psk_order(cfg.modulation)
     except ValueError as e:
         raise ConfigError(f"experiment.modulation: {e}") from None
@@ -285,26 +295,6 @@ def _fmt(v):
     if isinstance(v, (int, np.integer)):
         return int(v)
     return v
-
-
-def find_beam_peaks(angles_deg: np.ndarray, pattern_db: np.ndarray,
-                    rel_threshold_db: float = 16.0,
-                    min_separation_deg: float = 6.0) -> np.ndarray:
-    """Mainlobe directions of a pattern in dB.
-
-    Local maxima above (global max - rel_threshold_db), strongest first, with
-    weaker peaks suppressed inside min_separation_deg of a kept one. The
-    defaults keep beams over a 13 dB dynamic range while rejecting first
-    sidelobes (-13.3 dB, within ~5.5 deg of an oblique mainlobe for a 64
-    element half-wavelength array) of a dominant lobe.
-    """
-    idx, _ = find_peaks(pattern_db)
-    idx = idx[pattern_db[idx] >= pattern_db.max() - rel_threshold_db]
-    kept = []
-    for i in idx[np.argsort(pattern_db[idx])[::-1]]:
-        if all(abs(angles_deg[i] - angles_deg[j]) >= min_separation_deg for j in kept):
-            kept.append(i)
-    return np.sort(angles_deg[np.asarray(kept, dtype=int)]) if kept else np.array([])
 
 
 @dataclass
@@ -453,8 +443,9 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
 
     A trade-off beamformer is designed at isac_gamma_fraction of the ZF
     ceiling, a block of mc_block_length symbols is transmitted, the target
-    echo is matched-filtered over all guard delays and a Doppler window of
-    +-8 resolution bins around the true shift (clipped to (-B/2, B/2]), and
+    echo is matched-filtered over the guard delays inside the block and a
+    Doppler window of +-8 resolution bins around the true shift (clipped to
+    (-B/2, B/2]), and
     the peak-cell SNR is measured over `trials` fresh noise draws against
     the closed-form value.
     """
@@ -479,7 +470,7 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
                                strict=cfg.strict_ambiguity)
 
     res = 1.0 / (n_mc * t_s)
-    # every delay in [0, guard]
+    # every delay in [0, guard] inside the block
     grid = sensing.SensingGrid.refine(0, res * round(target.doppler_hz / res), n_mc, t_s,
                                       delay_half_width=s.guard_length)
     ddmap = sensing.delay_doppler_map(echo, bf, block, target.direction, grid)

@@ -75,9 +75,10 @@ class SensingGrid:
     def refine(cls, delay_center: int, doppler_center_hz: float, block_length: int,
                symbol_duration_s: float, delay_half_width: int = 8,
                doppler_half_width_bins: int = 8) -> "SensingGrid":
-        """Resolution-spaced window around a coarse (delay, Doppler) estimate."""
+        """Resolution-spaced window around a coarse (delay, Doppler) estimate,
+        clipped to the delays inside the block and to (-1/(2 T_s), 1/(2 T_s)]."""
         lo = max(0, delay_center - delay_half_width)
-        delays = np.arange(lo, delay_center + delay_half_width + 1)
+        delays = np.arange(lo, min(delay_center + delay_half_width + 1, block_length))
         step = 1.0 / (block_length * symbol_duration_s)
         dops = doppler_center_hz + step * np.arange(-doppler_half_width_bins,
                                                     doppler_half_width_bins + 1)

@@ -8,10 +8,7 @@ per-path zero-forcing the channel collapses to a single-tap link.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -192,30 +189,3 @@ def _check_bound(bf: DamBeamformer, channel: MultipathChannel) -> None:
     expected = assign_delays(channel.path_delays)
     if not np.array_equal(expected, bf.delay_schedule):
         raise ValueError("beamformer delay schedule is not aligned to this channel")
-
-
-def save_block(path, tx_block: np.ndarray, symbol_duration_s: float,
-               seed: Optional[int] = None) -> None:
-    """Export a transmit block for cross-tool inspection.
-
-    The block goes to `path` as little-endian float64 interleaved [re, im]
-    pairs in row-major (antenna-major) order; a sidecar `path + ".json"`
-    header records shape, sample period and seed.
-    """
-    tx_block = np.ascontiguousarray(np.asarray(tx_block, dtype=complex))
-    if tx_block.ndim != 2:
-        raise ValueError("tx_block must be 2-D (M, N)")
-    Path(path).write_bytes(tx_block.astype("<c16").tobytes())
-    header = {"num_antennas": int(tx_block.shape[0]),
-              "block_length": int(tx_block.shape[1]),
-              "symbol_duration_s": float(symbol_duration_s),
-              "seed": seed}
-    Path(str(path) + ".json").write_text(json.dumps(header, indent=1))
-
-
-def load_block(path):
-    """Read a block written by save_block; returns (block, header dict)."""
-    header = json.loads(Path(str(path) + ".json").read_text())
-    raw = np.frombuffer(Path(path).read_bytes(), dtype="<c16")
-    block = raw.reshape(header["num_antennas"], header["block_length"]).copy()
-    return block, header

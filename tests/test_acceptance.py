@@ -33,7 +33,7 @@ from damisac.channel import (
     radar_round_trip_gain,
     steering_vector,
 )
-from damisac.experiments import find_beam_peaks, load_config, run_beampattern
+from damisac.experiments import load_config, run_beampattern
 from damisac.ofdm import (
     OfdmConfig,
     ofdm_delay_doppler_estimate,
@@ -60,6 +60,8 @@ from damisac.waveform import (
     papr_empirical,
     transmit_power,
 )
+
+from beam_peaks import find_beam_peaks
 
 
 class _gate:

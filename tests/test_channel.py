@@ -1,8 +1,6 @@
 """Channel model tests: steering geometry, generator statistics, propagation
 oracles, and the round-trip radar gain."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,9 +17,7 @@ from damisac import (
     apply_radar_channel,
     complex_normal,
     generate_multipath_channel,
-    load_channel,
     radar_round_trip_gain,
-    save_channel,
     steering_vector,
 )
 from damisac.units import C_LIGHT
@@ -305,19 +301,3 @@ def test_complex_normal_moments():
     assert np.mean(np.abs(z) ** 2) == pytest.approx(3.0, rel=0.03)
     # circular symmetry: pseudo-variance E[z^2] vanishes
     assert abs(np.mean(z ** 2)) < 0.05
-
-
-# ------------------------------------------------------------- serialization
-
-def test_channel_round_trip(tmp_path):
-    rng = np.random.default_rng(4)
-    ch = generate_multipath_channel(ScenarioConfig.mmwave_default(),
-                                    ChannelGenConfig(num_paths=3), rng)
-    path = tmp_path / "channel.json"
-    save_channel(path, ch)
-    loaded = load_channel(path)
-    assert np.allclose(loaded.path_vectors, ch.path_vectors)
-    assert np.array_equal(loaded.path_delays, ch.path_delays)
-    # the file is plain JSON with [re, im] pairs
-    doc = json.loads(path.read_text())
-    assert isinstance(doc["path_vectors"][0][0], list)

@@ -1,11 +1,14 @@
 """Batch-runner and CLI tests: config loading and validation, unit
 conversions, RNG keying, peak finding, runner outputs, CSV determinism,
-and exit codes."""
+exit codes, and runs without scipy."""
 
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,6 @@ from damisac import (
     apply_radar_channel,
     build_dam_block,
     comm_snr,
-    find_beam_peaks,
     generate_multipath_channel,
     generate_symbols,
     isi_zf_mrt_beamformer,
@@ -38,6 +40,8 @@ from damisac import (
 from damisac.cli import main
 from damisac.experiments import _SCHEMA
 from scipy.signal import find_peaks
+
+from beam_peaks import find_beam_peaks
 
 EXPERIMENTS = ("beampattern", "se-sweep", "dd-map", "ofdm-compare")
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -201,9 +205,10 @@ def test_integral_numbers_only(tmp_path):
 
 
 # Invalid configs, each with the field its error must name. Small trial and block
-# counts keep a run short should a probe ever be accepted.
+# counts keep a run short should a probe ever be accepted; with strict_ambiguity
+# off, the runners' guard check cannot stand in for the loader's own.
 SMALL = {"trials": 2, "mc_block_length": 1024, "gamma_th_grid_db": [0.0],
-         "sweep_num_paths": [3], "ofdm_subcarriers": 256}
+         "sweep_num_paths": [3], "ofdm_subcarriers": 256, "strict_ambiguity": False}
 PROBES = [
     ("target.range_m", float("nan")), ("scenario.bandwidth_hz", float("nan")),
     ("scenario", None), ("experiment.trials", "abc"),
@@ -216,6 +221,7 @@ PROBES = [
     ("target.range_m", 1e80), ("target.range_m", 1e-300),
     ("channel.max_subpaths", 2 ** 70), ("channel.max_subpaths", 1e11),
     ("channel.max_subpaths", 10_001),
+    ("target.range_m", 1e6),         # a round-trip delay beyond the 1024-symbol block
 ]
 
 
@@ -522,6 +528,11 @@ def test_counts_beyond_the_block_exit_2(tmp_path, capsys):
         "mc_block_length": 512, "ofdm_subcarriers": 1024}}, "k.json")
     assert main(["ofdm-compare", "--config", str(subcarriers)]) == 2
     assert capsys.readouterr().err.startswith("error: experiment.ofdm_subcarriers")
+    # a round-trip delay 2R/c * B beyond the range of a float
+    far = write_config(tmp_path, {"scenario": {"bandwidth_hz": 1e300},
+                                  "target": {"range_m": 1e70}}, "far.json")
+    assert main(["beampattern", "--config", str(far)]) == 2
+    assert capsys.readouterr().err.startswith("error: target.range_m")
 
 
 def test_doppler_windows_near_the_interval_edge(tmp_path, capsys):
@@ -539,6 +550,50 @@ def test_doppler_windows_near_the_interval_edge(tmp_path, capsys):
         "trials": 2, "mc_block_length": 1024, "ofdm_subcarriers": 3}}, "k3.json")
     assert main(["ofdm-compare", "--config", str(three)]) == 2
     assert capsys.readouterr().err.startswith("error: experiment.ofdm_subcarriers")
+
+
+def test_delay_windows_near_the_block_end(tmp_path):
+    # the delay windows stop at the last delay inside the Monte-Carlo block:
+    # dd-map's [0, guard = 200] at a 100-symbol block, and ofdm-compare's
+    # +-3 around a target at delay 1000 of a 1001-symbol block
+    short = write_config(tmp_path, {"target": {"range_m": 10.0}, "experiment": {
+        "trials": 2, "mc_block_length": 100}}, "short.json")
+    assert main(["dd-map", "--config", str(short)]) == 0
+    edge = write_config(tmp_path, {"target": {"range_m": 1500.0}, "experiment": {
+        "trials": 2, "mc_block_length": 1001, "ofdm_subcarriers": 256,
+        "strict_ambiguity": False}}, "edge.json")
+    assert main(["ofdm-compare", "--config", str(edge)]) == 0
+
+
+# Runs the four experiments in a fresh interpreter in which any scipy import
+# raises, then reports the exit codes and every scipy module that got loaded.
+WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+import damisac
+from damisac import cli
+config, out, *experiments = sys.argv[1:]
+codes = {e: cli.main([e, "--config", config, "--out", out, "--trials", "2",
+                      "--gamma-th-grid", "0:4:2"]) for e in experiments}
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m] is not None]
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_experiments_run_without_scipy(tmp_path):
+    config = write_config(tmp_path, {"experiment": {"mc_block_length": 1024}})
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(README.parent / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, str(config),
+                           str(tmp_path / "out"), *EXPERIMENTS],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "codes": dict.fromkeys(EXPERIMENTS, 0), "scipy": []}
+    assert sorted(os.listdir(tmp_path / "out")) == [
+        "beampattern.csv", "dd_map.csv", "dd_report.csv", "ofdm_compare.csv",
+        "se_sweep.csv"]
 
 
 def test_cli_infeasible_target_exits_2(tmp_path, capsys):

@@ -410,6 +410,10 @@ def test_grid_refine_clamps_and_filters():
     assert grid.delay_bins[-1] == 7
     assert np.all(grid.doppler_bins_hz <= 0.5 / TS)
     assert np.all(grid.doppler_bins_hz > -0.5 / TS)
+    # a window past the end of the block stops at its last delay
+    edge = SensingGrid.refine(delay_center=14, doppler_center_hz=0.0,
+                              block_length=16, symbol_duration_s=TS, delay_half_width=5)
+    assert np.array_equal(edge.delay_bins, np.arange(9, 16))
 
 
 def test_ambiguity_limits_defaults():

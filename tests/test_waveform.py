@@ -1,5 +1,5 @@
 """Transmit block construction tests: delay schedules, block assembly oracle,
-power/SNR bookkeeping, ISI decomposition, PAPR, and serialization."""
+power/SNR bookkeeping, ISI decomposition, and PAPR."""
 
 import numpy as np
 import pytest
@@ -18,9 +18,7 @@ from damisac import (
     delayed_symbol_matrix,
     generate_symbols,
     isi_zf_mrt_beamformer,
-    load_block,
     papr_empirical,
-    save_block,
     transmit_power,
 )
 
@@ -316,18 +314,3 @@ def test_papr_peak_power_exact_bound():
 def test_papr_rejects_zero_block():
     with pytest.raises(ValueError):
         papr_empirical(np.zeros((2, 8)))
-
-
-# -------------------------------------------------------------- serialization
-
-def test_block_round_trip(tmp_path):
-    rng = np.random.default_rng(21)
-    tx = complex_normal(rng, (3, 40))
-    path = tmp_path / "block.bin"
-    save_block(path, tx, symbol_duration_s=1e-8, seed=99)
-    loaded, header = load_block(path)
-    assert np.array_equal(loaded, tx)
-    assert header["num_antennas"] == 3
-    assert header["block_length"] == 40
-    assert header["symbol_duration_s"] == 1e-8
-    assert header["seed"] == 99
