@@ -10,8 +10,7 @@ a batch experiment CLI.
 """
 
 from .beamforming import (IsacProblem, IsacSolution, SolutionReport,
-                          isi_zf_mrt_beamformer, nullspace_projector,
-                          sensing_only_zf_beamformer, verify_solution)
+                          isi_zf_mrt_beamformer, verify_solution)
 from .channel import (ChannelGenConfig, MultipathChannel, RadarTarget,
                       ScenarioConfig, apply_comm_channel, apply_radar_channel,
                       complex_normal, generate_multipath_channel,

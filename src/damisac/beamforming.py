@@ -39,35 +39,36 @@ _BISECTION_STEPS = 60
 _GAP_TOLERANCE = 1e-12
 
 
-def nullspace_projector(channel: MultipathChannel, path_index: int) -> np.ndarray:
-    """Orthogonal projector onto the complement of the other paths' vectors.
+def _zf_project(channel: MultipathChannel, *vector_sets: np.ndarray) -> list:
+    """Q_l v_l for every path l, for each (L, M) array of rows v_l given.
 
-    Q_l = I - H_l (H_l^H H_l)^{-1} H_l^H with H_l the matrix of h_{l'}, l' != l;
-    computed from an SVD basis so rank-deficient H_l (the pseudo-inverse case)
-    is handled without special-casing. Hermitian and idempotent by
-    construction.
+    Q_l projects onto the complement of the other paths' vectors. One thin
+    SVD of H = [h_1 ... h_L] gives every Q_l: with P the projector onto the
+    complement of span(H) and c_l = (H^+)^H e_l, the part of h_l that no other
+    path spans, Q_l = P + c_l c_l^H / ||c_l||^2. When h_l lies in the span of
+    the others, column l of H's null vectors is nonzero and Q_l = P.
     """
     m, num_paths = channel.num_antennas, channel.num_paths
     if m < num_paths:
         raise InfeasibleError(
             f"per-path zero-forcing needs num_antennas >= num_paths "
             f"({m} < {num_paths})")
-    if not 0 <= path_index < num_paths:
-        raise ValueError("path_index out of range")
-    if num_paths == 1:
-        return np.eye(m, dtype=complex)
-    others = np.delete(channel.path_vectors, path_index, axis=0).T  # (M, L-1)
-    u, s, _ = np.linalg.svd(others, full_matrices=False)
-    rank = int(np.sum(s > s[0] * max(others.shape) * np.finfo(float).eps)) if s.size else 0
-    basis = u[:, :rank]
-    q = np.eye(m, dtype=complex) - basis @ np.conj(basis.T)
-    return (q + np.conj(q.T)) / 2.0
-
-
-def _zf_project(channel: MultipathChannel, *vector_sets: np.ndarray) -> list:
-    """Q_l v_l for every path l, for each (L, M) array of rows v_l given."""
-    qs = [nullspace_projector(channel, l) for l in range(channel.num_paths)]
-    return [np.stack([q @ v for q, v in zip(qs, vs)]) for vs in vector_sets]
+    h = channel.path_vectors.T                                   # (M, L)
+    u, s, vh = np.linalg.svd(h, full_matrices=False)
+    tol = s[0] * max(h.shape) * np.finfo(float).eps
+    rank = int(np.sum(s > tol))
+    u = u[:, :rank]
+    # a perturbation within tol moves the null vectors by at most
+    # tol / s[rank - 1] (Wedin's theorem); a column below that is zero
+    own = (rank > 0) & (np.linalg.norm(vh[rank:], axis=0) * s[rank - 1] <= tol)
+    c = u @ (vh[:rank] / s[:rank, None])                         # (M, L), columns c_l
+    weight = np.divide(own, np.sum(np.abs(c) ** 2, axis=0), out=np.zeros(num_paths),
+                       where=own)
+    out = []
+    for vs in vector_sets:
+        coef = weight * np.sum(np.conj(c.T) * vs, axis=1)       # c_l^H v_l / ||c_l||^2
+        out.append(vs - (vs @ np.conj(u)) @ u.T + coef[:, None] * c.T)
+    return out
 
 
 def _mrt(channel: MultipathChannel, projected: np.ndarray, power: float) -> DamBeamformer:
@@ -88,22 +89,6 @@ def isi_zf_mrt_beamformer(channel: MultipathChannel, power: float) -> DamBeamfor
     if power <= 0:
         raise ValueError("power must be positive")
     return _mrt(channel, _zf_project(channel, channel.path_vectors)[0], power)
-
-
-def sensing_only_zf_beamformer(channel: MultipathChannel, theta: float, power: float,
-                               gain: complex, block_length: int, noise_power: float):
-    """Sensing-optimal design that keeps the zero-forcing structure.
-
-    The sensing metric sum_l |a^H Q_l b_l|^2 under ||b||^2 <= P is largest
-    with all power on the path whose projected target response g_l = Q_l a
-    is strongest: f_l* = sqrt(P) g_l* / ||g_l*||, every other beam zero.
-    Returns the beamformer and the sensing SNR it achieves,
-    gamma_zf = |alpha|^2 N P max_l ||Q_l a||^2 / sigma^2, the feasibility
-    ceiling of the trade-off threshold. It is bounded by the unconstrained
-    ceiling |alpha|^2 N M P / sigma^2, with equality when L = 1.
-    """
-    problem = IsacProblem(channel, theta, gain, block_length, power, noise_power)
-    return problem.sensing, problem.gamma_zf_max
 
 
 @dataclass
@@ -143,11 +128,14 @@ class IsacProblem:
 
     Construction does the channel-only work: the projected responses
     c_l = Q_l h_l and g_l = Q_l a, the MRT design (`mrt`), the sensing-optimal
-    design (`sensing`) and its SNR, the ceiling `gamma_zf_max`. The optimum
-    lies in the span of h and the blocks e_l (x) g_l. In the orthonormal basis
-    made of the unit blocks e_l (x) g_l / ||g_l|| and the part of h orthogonal
-    to them, A is diag(0, ||g_1||^2, ..., ||g_L||^2) =: diag(a) and h has
-    coordinates eta, so `solve` works with (L+1)-vectors only.
+    design (`sensing`, all power on the strongest g_l) and its SNR, the
+    ceiling `gamma_zf_max` = |alpha|^2 N P max_l ||g_l||^2 / sigma^2. That is
+    at most the unconstrained |alpha|^2 N M P / sigma^2, with equality when
+    L = 1. The optimum lies in the span of h and the blocks e_l (x) g_l. In the
+    orthonormal basis made of the unit blocks e_l (x) g_l / ||g_l|| and the
+    part of h orthogonal to them, A is diag(0, ||g_1||^2, ..., ||g_L||^2) =:
+    diag(a) and h has coordinates eta, so `solve` works with (L+1)-vectors
+    only.
     """
 
     def __init__(self, channel: MultipathChannel, theta: float, gain: complex,

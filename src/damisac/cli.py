@@ -68,7 +68,7 @@ def _summarize(name: str, result, cfg) -> None:
         print(f"wrote CSV output to {cfg.output_dir} (config {cfg.config_hash()})")
     if name == "beampattern":
         print(f"sensing ZF ceiling: {10 * math.log10(result.gamma_zf_max):.2f} dB, "
-              f"solver status: {result.sca_status}")
+              f"solver status: {result.solver_status}")
     elif name == "se-sweep":
         for row in result:
             print(f"gamma_th={row['gamma_th_db']:g} dB L={row['num_paths']}: "

@@ -306,7 +306,7 @@ class BeampatternResult:
     isac_first_path_db: np.ndarray
     gamma_zf_max: float
     gamma_th: float
-    sca_status: str
+    solver_status: str
 
 
 def _pattern_db(beam_matrix: np.ndarray, angles_rad: np.ndarray,
@@ -349,7 +349,7 @@ def run_beampattern(cfg: ExperimentConfig) -> BeampatternResult:
         isac_db=_pattern_db(sol.beamformer.beam_matrix, angles_rad),
         isac_first_path_db=_pattern_db(sol.beamformer.beam_matrix, angles_rad,
                                        columns=[0]),
-        gamma_zf_max=gamma_zf, gamma_th=gamma_th, sca_status=sol.status)
+        gamma_zf_max=gamma_zf, gamma_th=gamma_th, solver_status=sol.status)
     if cfg.output_dir is not None:
         rows = [{"angle_deg": a, "comm_db": c, "sensing_db": v, "isac_db": i,
                  "isac_first_path_db": f}
@@ -361,7 +361,7 @@ def run_beampattern(cfg: ExperimentConfig) -> BeampatternResult:
                     "isac_first_path_db"], rows,
                    extra=[f"gamma_zf_max_db={linear_to_db(gamma_zf):.6f} "
                           f"gamma_th_db={linear_to_db(max(gamma_th, 1e-300)):.6f} "
-                          f"sca_status={sol.status}"])
+                          f"solver_status={sol.status}"])
     return result
 
 
@@ -434,7 +434,7 @@ class DdMapReport:
     gamma_p_empirical: float
     gamma_p_analytic_full: float
     gamma_th: float
-    sca_status: str
+    solver_status: str
     mc_block_length: int
 
 
@@ -443,10 +443,10 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
 
     A trade-off beamformer is designed at isac_gamma_fraction of the ZF
     ceiling, a block of mc_block_length symbols is transmitted, the target
-    echo is matched-filtered over the guard delays inside the block and a
-    Doppler window of +-8 resolution bins around the true shift (clipped to
-    (-B/2, B/2]), and
-    the peak-cell SNR is measured over `trials` fresh noise draws against
+    echo is matched-filtered over the delays up to the guard (or up to the
+    target, when it lies beyond the guard) inside the block and a Doppler
+    window of +-8 resolution bins around the true shift (clipped to
+    (-B/2, B/2]), and the peak-cell SNR is measured over `trials` fresh noise draws against
     the closed-form value.
     """
     s = cfg.scenario
@@ -470,9 +470,10 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
                                strict=cfg.strict_ambiguity)
 
     res = 1.0 / (n_mc * t_s)
-    # every delay in [0, guard] inside the block
+    # every delay in [0, max(guard, true delay)] inside the block
     grid = sensing.SensingGrid.refine(0, res * round(target.doppler_hz / res), n_mc, t_s,
-                                      delay_half_width=s.guard_length)
+                                      delay_half_width=max(s.guard_length,
+                                                           target.delay_symbols))
     ddmap = sensing.delay_doppler_map(echo, bf, block, target.direction, grid)
     est_delay, est_doppler, _ = sensing.estimate_delay_doppler(ddmap)
 
@@ -489,7 +490,7 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
                                                 target.gain, n_mc, s.noise_power_w),
         gamma_p_empirical=gamma_emp,
         gamma_p_analytic_full=sol.gamma_p,
-        gamma_th=gamma_th, sca_status=sol.status, mc_block_length=n_mc)
+        gamma_th=gamma_th, solver_status=sol.status, mc_block_length=n_mc)
     if cfg.output_dir is not None:
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)

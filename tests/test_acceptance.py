@@ -16,12 +16,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 from scipy.signal import find_peaks
 
-from damisac.beamforming import (
-    IsacProblem,
-    isi_zf_mrt_beamformer,
-    nullspace_projector,
-    sensing_only_zf_beamformer,
-)
+from damisac.beamforming import IsacProblem, isi_zf_mrt_beamformer
 from damisac.channel import (
     ChannelGenConfig,
     MultipathChannel,
@@ -62,6 +57,7 @@ from damisac.waveform import (
 )
 
 from beam_peaks import find_beam_peaks
+from zf_oracle import nullspace_projector
 
 
 class _gate:
@@ -187,13 +183,11 @@ def test_04_zero_forcing_residuals():
             for seed in range(100):
                 rng = np.random.default_rng(seed)
                 channel = generate_multipath_channel(sc, gen, rng)
-                bf_sens, gamma_zf = sensing_only_zf_beamformer(
-                    channel, theta, sc.transmit_power_w, 1.0,
-                    sc.data_length, 1.0)
-                sol = IsacProblem(channel, theta, 1.0, sc.data_length,
-                                  sc.transmit_power_w, 1.0).solve(0.5 * gamma_zf)
+                problem = IsacProblem(channel, theta, 1.0, sc.data_length,
+                                      sc.transmit_power_w, 1.0)
+                sol = problem.solve(0.5 * problem.gamma_zf_max)
                 designs = [isi_zf_mrt_beamformer(channel, sc.transmit_power_w),
-                           bf_sens, sol.beamformer]
+                           problem.sensing, sol.beamformer]
                 h = channel.path_vectors
                 h_norms = np.linalg.norm(h, axis=1)
                 for bf in designs:
@@ -251,8 +245,7 @@ def _random_search_gamma_c(channel, theta, gain, n_block, gamma_th, power,
     h, big_a, qs = _problem_matrices(channel, theta)
     num_paths, m = channel.num_paths, channel.num_antennas
     dim = num_paths * m
-    bf_sens, _ = sensing_only_zf_beamformer(channel, theta, power, gain,
-                                            n_block, noise)
+    bf_sens = IsacProblem(channel, theta, gain, n_block, power, noise).sensing
     u_sens = bf_sens.beam_matrix.T.ravel() / np.sqrt(power)
 
     draws = complex_normal(rng, (20_000, dim), 1.0).reshape(-1, num_paths, m)
@@ -293,9 +286,7 @@ def test_05_trade_off_solver_quality():
 
             # mid floor: within 1e-8 of an independently computed dual
             # bound, and no random feasible design does better
-            _, gamma_zf = sensing_only_zf_beamformer(channel, theta, power,
-                                                     gain, n_block, noise)
-            gamma_th = 0.5 * gamma_zf
+            gamma_th = 0.5 * problem.gamma_zf_max
             sol = problem.solve(gamma_th)
             assert sol.gamma_p >= gamma_th * (1 - 1e-12)
             bound = _dual_bound(channel, theta, gain, n_block, gamma_th,
@@ -543,12 +534,12 @@ def test_09_projector_and_bound_suite():
             ch = MultipathChannel(complex_normal(rng, (4, 16), 0.25),
                                   np.array([0, 2, 5, 9]))
             theta = rng.uniform(-1.0, 1.0)
-            _, gamma_zf = sensing_only_zf_beamformer(ch, theta, power, gain,
-                                                     n_block, noise)
+            gamma_zf = IsacProblem(ch, theta, gain, n_block, power,
+                                   noise).gamma_zf_max
             assert gamma_zf <= ceiling * (1 + 1e-9)
         rng = np.random.default_rng(123)
         ch1 = MultipathChannel(complex_normal(rng, (1, 16), 1.0),
                                np.array([0]))
-        _, gamma_zf1 = sensing_only_zf_beamformer(ch1, 0.3, power, gain,
-                                                  n_block, noise)
+        gamma_zf1 = IsacProblem(ch1, 0.3, gain, n_block, power,
+                                noise).gamma_zf_max
         assert gamma_zf1 == pytest.approx(ceiling, rel=1e-9)

@@ -6,19 +6,22 @@ import numpy as np
 import pytest
 
 from damisac import (
+    ChannelGenConfig,
     InfeasibleError,
     IsacProblem,
     MultipathChannel,
+    ScenarioConfig,
     comm_snr,
     complex_normal,
+    generate_multipath_channel,
     isi_zf_mrt_beamformer,
-    nullspace_projector,
-    sensing_only_zf_beamformer,
     sensing_snr,
     max_sensing_snr,
     steering_vector,
     verify_solution,
 )
+from damisac.beamforming import _zf_project
+from zf_oracle import nullspace_projector
 
 N_BLOCK = 1024
 SIGMA2 = 0.5
@@ -78,6 +81,50 @@ def test_projector_needs_enough_antennas():
     ch2 = random_channel(rng, 4, 2)
     with pytest.raises(ValueError):
         nullspace_projector(ch2, 5)
+
+
+def test_designs_need_enough_antennas():
+    ch = random_channel(np.random.default_rng(3), 2, 3)
+    message = r"needs num_antennas >= num_paths \(2 < 3\)"
+    with pytest.raises(InfeasibleError, match=message):
+        isi_zf_mrt_beamformer(ch, 1.0)
+    with pytest.raises(InfeasibleError, match=message):
+        IsacProblem(ch, THETA, GAIN, N_BLOCK, 1.0, SIGMA2)
+
+
+def oracle_channels():
+    """The default channels at L = 5 and 10, then three edge channels."""
+    sc = ScenarioConfig.mmwave_default()
+    for num_paths in (5, 10):
+        gen = ChannelGenConfig(num_paths=num_paths)
+        for seed in range(100):
+            yield generate_multipath_channel(sc, gen, np.random.default_rng(seed))
+    rng = np.random.default_rng(2)
+    h = complex_normal(rng, (3, 6))
+    h[2] = h[1]                       # a repeated interferer
+    yield MultipathChannel(h, np.arange(3))
+    h = complex_normal(rng, (4, 8))
+    h[3] = h[1] + 2 * h[2]            # h_4 = h_2 + 2 h_3
+    yield MultipathChannel(h, np.arange(4))
+    yield random_channel(rng, 8, 1)
+
+
+def test_zf_project_matches_the_oracle():
+    # every Q_l v from one SVD of the channel against one projector per path;
+    # each result still nulls the other paths
+    rng = np.random.default_rng(4)
+    for ch in oracle_channels():
+        h, m = ch.path_vectors, ch.num_antennas
+        vector_sets = [h, np.broadcast_to(steering_vector(THETA, m), h.shape),
+                       complex_normal(rng, h.shape)]
+        qs = [nullspace_projector(ch, l) for l in range(ch.num_paths)]
+        for vs, projected in zip(vector_sets, _zf_project(ch, *vector_sets)):
+            for l, (q, v, qv) in enumerate(zip(qs, vs, projected)):
+                norm = np.linalg.norm(v)
+                assert np.linalg.norm(qv - q @ v) <= 1e-12 * norm
+                others = np.delete(h, l, axis=0)
+                scale = np.max(np.abs(h)) * norm
+                assert np.all(np.abs(np.conj(others) @ qv) <= 1e-10 * scale)
 
 
 # -------------------------------------------------------------- closed designs
@@ -144,16 +191,15 @@ def test_sensing_zf_below_ceiling_many_seeds():
     ceiling = max_sensing_snr(m, N_BLOCK, p, GAIN, SIGMA2)
     for seed in range(100):
         ch = random_channel(np.random.default_rng(seed), m, l)
-        _, gamma_zf = sensing_only_zf_beamformer(ch, THETA, p, GAIN, N_BLOCK,
-                                                 SIGMA2)
+        gamma_zf = IsacProblem(ch, THETA, GAIN, N_BLOCK, p, SIGMA2).gamma_zf_max
         assert gamma_zf <= ceiling * (1 + 1e-9)
 
 
 def test_sensing_zf_single_path_reaches_ceiling():
     rng = np.random.default_rng(9)
     ch = random_channel(rng, 8, 1)
-    bf, gamma_zf = sensing_only_zf_beamformer(ch, THETA, 2.0, GAIN, N_BLOCK,
-                                              SIGMA2)
+    problem = IsacProblem(ch, THETA, GAIN, N_BLOCK, 2.0, SIGMA2)
+    bf, gamma_zf = problem.sensing, problem.gamma_zf_max
     assert gamma_zf == pytest.approx(
         max_sensing_snr(8, N_BLOCK, 2.0, GAIN, SIGMA2), rel=1e-9)
     a = steering_vector(THETA, 8)
@@ -164,8 +210,8 @@ def test_sensing_zf_structure_and_consistency():
     rng = np.random.default_rng(10)
     ch = random_channel(rng, 8, 3)
     p = 1.7
-    bf, gamma_zf = sensing_only_zf_beamformer(ch, THETA, p, GAIN, N_BLOCK,
-                                              SIGMA2)
+    problem = IsacProblem(ch, THETA, GAIN, N_BLOCK, p, SIGMA2)
+    bf, gamma_zf = problem.sensing, problem.gamma_zf_max
     cross = np.conj(ch.path_vectors) @ bf.beam_matrix
     off = cross - np.diag(np.diag(cross))
     assert np.max(np.abs(off)) < 1e-10 * np.max(np.abs(ch.path_vectors))
@@ -186,8 +232,8 @@ def test_sensing_zf_ceiling_is_exact():
         ch = random_channel(rng, m, l)
         qs = np.stack([nullspace_projector(ch, i) for i in range(l)])
         expected = scale * p * max(np.linalg.norm(q @ a) ** 2 for q in qs)
-        bf, gamma_zf = sensing_only_zf_beamformer(ch, THETA, p, GAIN, N_BLOCK,
-                                                  SIGMA2)
+        problem = IsacProblem(ch, THETA, GAIN, N_BLOCK, p, SIGMA2)
+        bf, gamma_zf = problem.sensing, problem.gamma_zf_max
         assert gamma_zf == pytest.approx(expected, rel=1e-12)
         assert sensing_snr(bf.beam_matrix, THETA, GAIN, N_BLOCK,
                            SIGMA2) == pytest.approx(gamma_zf, rel=1e-12)
@@ -197,7 +243,6 @@ def test_sensing_zf_ceiling_is_exact():
         competitors = scale * np.sum(np.abs(f @ np.conj(a)) ** 2, axis=1)
         assert competitors.max() <= gamma_zf * (1 + 1e-12)
 
-        problem = IsacProblem(ch, THETA, GAIN, N_BLOCK, p, SIGMA2)
         at = problem.solve(gamma_zf)
         assert at.status == "optimal"
         assert at.gamma_p >= gamma_zf * (1 - 1e-12)
@@ -207,9 +252,7 @@ def test_sensing_zf_ceiling_is_exact():
 # ------------------------------------------------------------------- trade-off
 
 def zf_ceiling(ch):
-    _, gamma_zf = sensing_only_zf_beamformer(ch, THETA, 1.0, GAIN, N_BLOCK,
-                                             SIGMA2)
-    return gamma_zf
+    return IsacProblem(ch, THETA, GAIN, N_BLOCK, 1.0, SIGMA2).gamma_zf_max
 
 
 def solve(ch, gamma_th, p=1.0):
@@ -233,8 +276,7 @@ def test_sca_boundary_threshold_is_sensing_limited():
     gamma_zf = zf_ceiling(ch)
     sol = solve(ch, gamma_zf)
     mrt = comm_snr(isi_zf_mrt_beamformer(ch, 1.0), ch, SIGMA2)
-    bf_sens, _ = sensing_only_zf_beamformer(ch, THETA, 1.0, GAIN, N_BLOCK,
-                                            SIGMA2)
+    bf_sens = IsacProblem(ch, THETA, GAIN, N_BLOCK, 1.0, SIGMA2).sensing
     assert sol.status == "optimal"
     assert sol.gamma_c <= mrt * (1 + 1e-9)
     assert sol.gamma_p == pytest.approx(gamma_zf, rel=1e-12)

@@ -332,11 +332,11 @@ def test_beampattern_threshold_and_csv(beampattern_result):
     cfg, res = beampattern_result
     assert res.gamma_zf_max > 0
     assert res.gamma_th == pytest.approx(0.8 * res.gamma_zf_max)
-    assert res.sca_status == "optimal"
+    assert res.solver_status == "optimal"
     lines = (cfg.output_dir / "beampattern.csv").read_text().splitlines()
     assert lines[0].startswith(f"# config_hash={cfg.config_hash()} seed=0")
     assert lines[1] == "# n_c=100000 n_p=200 n=99800"
-    assert "gamma_zf_max_db=" in lines[2] and "sca_status=" in lines[2]
+    assert "gamma_zf_max_db=" in lines[2] and "solver_status=" in lines[2]
     assert lines[3].split(",")[0] == "angle_deg"
     assert len(lines) == 4 + res.angles_deg.size
 
@@ -427,6 +427,18 @@ def test_dd_map_rejects_target_beyond_guard():
     cfg.target = dataclasses.replace(cfg.target, range_m=500.0)
     with pytest.raises(InfeasibleError):
         run_dd_map(cfg)
+
+
+def test_dd_map_searches_up_to_a_target_beyond_the_guard(tmp_path):
+    # with strict_ambiguity off, the delay window reaches the target at
+    # delay 300, past the guard at 200
+    cfg = load_config(write_config(tmp_path, {
+        "target": {"range_m": 450, "rcs_m2": 1000},
+        "experiment": {"strict_ambiguity": False}}))
+    with pytest.warns(UserWarning, match="target delay 300 exceeds guard length 200"):
+        rep = run_dd_map(cfg)
+    assert rep.true_delay_bin == 300
+    assert rep.est_delay_bin == rep.true_delay_bin
 
 
 def test_ofdm_compare_result(tmp_path):
@@ -602,6 +614,10 @@ def test_cli_infeasible_target_exits_2(tmp_path, capsys):
         "experiment": {"trials": 2, "mc_block_length": 1024}})
     assert main(["dd-map", "--config", str(cfgfile)]) == 2
     assert "error:" in capsys.readouterr().err
+    # too few antennas to null the other paths
+    antennas = write_config(tmp_path, {"scenario": {"num_antennas": 4}}, "m4.json")
+    assert main(["se-sweep", "--config", str(antennas)]) == 2
+    assert "num_antennas >= num_paths (4 < 5)" in capsys.readouterr().err
 
 
 def test_cli_unknown_experiment_rejected():
