@@ -24,17 +24,19 @@ from damisac.waveform import DamBeamformer, build_dam_block, generate_symbols
 SEED = 7
 BLOCK_LEN = 32768   # reduced N for the demo
 NUM_PATHS = 3
+RANGE_M = 200.0
+VELOCITY_M_S = 30.0
 
 
 def main() -> None:
     sc = ScenarioConfig.mmwave_default(coherence_time_s=BLOCK_LEN * 1e-8,
                                        guard_length=200)
     rng = np.random.default_rng(SEED)
-    target = RadarTarget.from_geometry(sc, range_m=200.0, rcs_m2=10.0,
+    target = RadarTarget.from_geometry(sc, range_m=RANGE_M, rcs_m2=10.0,
                                        direction=np.pi / 6,
-                                       radial_velocity_m_s=30.0)
-    print(f"target: {target.range_m:.0f} m -> delay bin {target.delay_symbols}, "
-          f"{target.radial_velocity_m_s:.0f} m/s -> {target.doppler_hz:.1f} Hz, "
+                                       radial_velocity_m_s=VELOCITY_M_S)
+    print(f"target: {RANGE_M:.0f} m -> delay bin {target.delay_symbols}, "
+          f"{VELOCITY_M_S:.0f} m/s -> {target.doppler_hz:.1f} Hz, "
           f"|alpha|^2 = {np.abs(target.gain) ** 2:.3e}")
 
     lim = dam_ambiguity_limits(sc)

@@ -159,11 +159,8 @@ class IsacProblem:
         beta = np.sum(np.conj(g_unit) * c, axis=1)
         rest = c - beta[:, None] * g_unit
         rest_norm = np.linalg.norm(rest)
-        self._basis = np.zeros((channel.num_paths + 1,) + g.shape, dtype=complex)
-        if rest_norm > 0:
-            self._basis[0] = rest / rest_norm
-        for l in range(channel.num_paths):
-            self._basis[l + 1, l] = g_unit[l]
+        self._rest_unit = rest / rest_norm if rest_norm > 0 else rest
+        self._g_unit = g_unit
         self._eta = np.concatenate([[rest_norm], beta])
         a_diag = np.concatenate([[0.0], norms2])
         # r_i = 1 - a_i / max(a): exactly 0 on the strongest target responses
@@ -176,7 +173,8 @@ class IsacProblem:
 
     def _beam(self, y: np.ndarray) -> DamBeamformer:
         """The design sqrt(P) b / ||b|| for the b with basis coordinates y."""
-        f = np.sqrt(self.power / np.vdot(y, y).real) * np.tensordot(y, self._basis, axes=1)
+        b = y[0] * self._rest_unit + y[1:, None] * self._g_unit
+        f = np.sqrt(self.power / np.vdot(y, y).real) * b
         return DamBeamformer.aligned(f.T, self.channel.path_delays)
 
     def solve(self, gamma_th: float) -> IsacSolution:

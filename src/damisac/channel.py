@@ -280,9 +280,6 @@ class RadarTarget:
     delay_symbols: int
     doppler_hz: float
     delay_s: Optional[float] = None
-    radial_velocity_m_s: Optional[float] = None
-    range_m: Optional[float] = None
-    rcs_m2: Optional[float] = None
 
     def __post_init__(self):
         if self.delay_symbols < 0:
@@ -303,9 +300,18 @@ class RadarTarget:
                    direction=direction,
                    delay_symbols=int(round(tau * scenario.bandwidth_hz)),
                    doppler_hz=2.0 * radial_velocity_m_s / lam,
-                   delay_s=tau,
-                   radial_velocity_m_s=radial_velocity_m_s,
-                   range_m=range_m, rcs_m2=rcs_m2)
+                   delay_s=tau)
+
+
+def _check_guard(delay_symbols: int, guard_length: int, strict: bool,
+                 prefix: str = "") -> None:
+    """The guard rule: a target delay beyond the guard raises (strict) or warns."""
+    if delay_symbols > guard_length:
+        msg = (f"{prefix}target delay {delay_symbols} exceeds guard length "
+               f"{guard_length}: echo spills into the next block")
+        if strict:
+            raise InfeasibleError(msg)
+        warnings.warn(msg, stacklevel=3)
 
 
 def radar_round_trip_gain(range_m: float, wavelength_m: float, rcs_m2: float) -> float:
@@ -384,12 +390,8 @@ def apply_radar_channel(target: RadarTarget, tx_block: np.ndarray,
     tx_block = np.asarray(tx_block)
     if tx_block.ndim != 2:
         raise ValueError("tx_block must be 2-D (M, N)")
-    if guard_length is not None and target.delay_symbols > guard_length:
-        msg = (f"target delay {target.delay_symbols} exceeds guard length "
-               f"{guard_length}: echo spills into the next block")
-        if strict:
-            raise InfeasibleError(msg)
-        warnings.warn(msg)
+    if guard_length is not None:
+        _check_guard(target.delay_symbols, guard_length, strict)
     n = tx_block.shape[1]
     a = steering_vector(target.direction, tx_block.shape[0])
     projected = np.conj(a) @ tx_block

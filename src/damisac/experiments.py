@@ -23,7 +23,7 @@ import numpy as np
 
 from . import beamforming, ofdm, sensing, waveform
 from .channel import (ChannelGenConfig, MultipathChannel, RadarTarget,
-                      ScenarioConfig, apply_radar_channel, complex_normal,
+                      ScenarioConfig, _check_guard, apply_radar_channel, complex_normal,
                       generate_multipath_channel, radar_round_trip_gain,
                       steering_vector)
 from .errors import ConfigError
@@ -82,6 +82,32 @@ class ExperimentConfig:
     def rng(self, *key: int) -> np.random.Generator:
         """Stream keyed by (seed, *key); stable under reordering of trials."""
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
+
+    def radar_target(self, rng: Optional[np.random.Generator] = None) -> RadarTarget:
+        """The target on the symbol grid, its gain's phase drawn from rng (0
+        without one). ConfigError for a delay outside the Monte-Carlo block or a
+        Doppler shift outside (-B/2, B/2]; a delay beyond the guard raises
+        InfeasibleError under strict_ambiguity and warns otherwise."""
+        tg, s = self.target, self.scenario
+        try:
+            target = RadarTarget.from_geometry(s, tg.range_m, tg.rcs_m2, tg.direction_rad,
+                                               tg.radial_velocity_m_s, rng)
+            delay = target.delay_symbols
+        except OverflowError:            # 2R/c * B above the range of a float
+            delay = math.inf
+        n_mc = min(s.data_length, self.mc_block_length)
+        if delay >= n_mc:
+            raise ConfigError(f"target.range_m={tg.range_m!r} gives a round-trip delay of "
+                              f"{delay} symbols, not inside the Monte-Carlo block of "
+                              f"min(N, experiment.mc_block_length) = {n_mc} symbols")
+        half = 0.5 * s.bandwidth_hz
+        if not -half < target.doppler_hz <= half:
+            raise ConfigError(f"target.radial_velocity_m_s gives a Doppler shift of "
+                              f"{target.doppler_hz:.6g} Hz, outside the unambiguous interval "
+                              f"(-{half:.6g}, {half:.6g}]")
+        _check_guard(delay, s.guard_length, self.strict_ambiguity,
+                     prefix=f"target.range_m={tg.range_m!r}: ")
+        return target
 
 
 def _plain(value):
@@ -233,7 +259,12 @@ def load_config(path=None, overrides: Optional[dict] = None) -> ExperimentConfig
     if "direction_deg" in tg:
         tg["direction_rad"] = float(np.deg2rad(tg.pop("direction_deg")))
     if "gamma_th_grid_db" in ex:
-        ex["gamma_th_grid_db"] = np.asarray(ex["gamma_th_grid_db"], dtype=float)
+        grid = ex["gamma_th_grid_db"] = np.asarray(ex["gamma_th_grid_db"], dtype=float)
+        with np.errstate(over="ignore"):
+            big = grid[~np.isfinite(10.0 ** (grid / 10.0))]
+        if big.size:
+            raise ConfigError(f"experiment.gamma_th_grid_db: {float(big[0])!r} dB has a linear "
+                              "floor 10^(g/10) beyond the range of a float")
     cfg = ExperimentConfig(scenario=scenario, channel_gen=ChannelGenConfig(**ch),
                            target=TargetConfig(**tg), **ex)
     try:
@@ -248,25 +279,9 @@ def load_config(path=None, overrides: Optional[dict] = None) -> ExperimentConfig
                           f"{cfg.target.rcs_m2!r} gives a round-trip gain of {gain!r}, "
                           "not a positive finite number")
     try:
-        delay = RadarTarget.from_geometry(scenario, cfg.target.range_m, cfg.target.rcs_m2,
-                                          cfg.target.direction_rad,
-                                          cfg.target.radial_velocity_m_s).delay_symbols
-    except OverflowError:            # 2R/c * B above the range of a float
-        delay = math.inf
-    n_mc = min(scenario.data_length, cfg.mc_block_length)
-    if delay >= n_mc:
-        raise ConfigError(f"target.range_m={cfg.target.range_m!r} gives a round-trip delay of "
-                          f"{delay} symbols, not inside the Monte-Carlo block of "
-                          f"min(N, experiment.mc_block_length) = {n_mc} symbols")
-    try:
         waveform._psk_order(cfg.modulation)
     except ValueError as e:
         raise ConfigError(f"experiment.modulation: {e}") from None
-    half = 0.5 * scenario.bandwidth_hz
-    doppler = 2.0 * cfg.target.radial_velocity_m_s / scenario.wavelength_m
-    if not -half < doppler <= half:
-        raise ConfigError(f"target.radial_velocity_m_s gives a Doppler shift of {doppler:.6g}"
-                          f" Hz, outside the unambiguous interval (-{half:.6g}, {half:.6g}]")
     return cfg
 
 
@@ -311,13 +326,17 @@ class BeampatternResult:
 
 def _pattern_db(beam_matrix: np.ndarray, angles_rad: np.ndarray,
                 columns=None) -> np.ndarray:
+    """sum_l |a^H f_l|^2 in dB over the chosen columns, floored at the rounding
+    bound of a^H f, (M eps)^2 M sum_l ||f_l||^2: below it a value is rounding,
+    not pattern (zero-forcing nulls), and would move between equal designs."""
     m = beam_matrix.shape[0]
     steering = np.stack([steering_vector(theta, m) for theta in angles_rad])
     resp = np.conj(steering) @ beam_matrix            # (n_angles, L): a^H f_l
     if columns is not None:
-        resp = resp[:, columns]
+        resp, beam_matrix = resp[:, columns], beam_matrix[:, columns]
     power = np.sum(np.abs(resp) ** 2, axis=1)
-    return 10.0 * np.log10(np.maximum(power, 1e-300))
+    floor = (m * np.finfo(float).eps) ** 2 * m * np.sum(np.abs(beam_matrix) ** 2)
+    return 10.0 * np.log10(np.maximum(power, max(floor, 1e-300)))
 
 
 def run_beampattern(cfg: ExperimentConfig) -> BeampatternResult:
@@ -328,12 +347,10 @@ def run_beampattern(cfg: ExperimentConfig) -> BeampatternResult:
     zero-forcing ceiling.
     """
     s = cfg.scenario
+    target = cfg.radar_target()
     directions = np.deg2rad(np.asarray(cfg.beampattern_aods_deg, dtype=float))
     channel = MultipathChannel.from_directions(
         directions, np.arange(directions.size), s.num_antennas)
-    target = RadarTarget.from_geometry(
-        s, cfg.target.range_m, cfg.target.rcs_m2, cfg.target.direction_rad,
-        cfg.target.radial_velocity_m_s)
     problem = beamforming.IsacProblem(channel, target.direction, target.gain,
                                       s.data_length, s.transmit_power_w,
                                       s.noise_power_w)
@@ -376,6 +393,7 @@ def run_se_sweep(cfg: ExperimentConfig) -> List[dict]:
     s = cfg.scenario
     n = s.data_length
     grid_lin = 10.0 ** (np.asarray(cfg.gamma_th_grid_db, dtype=float) / 10.0)
+    target = cfg.radar_target()
     rows = []
     for li, num_paths in enumerate(cfg.sweep_num_paths):
         gen = dataclasses.replace(cfg.channel_gen, num_paths=num_paths)
@@ -383,12 +401,7 @@ def run_se_sweep(cfg: ExperimentConfig) -> List[dict]:
         feasible = np.zeros(grid_lin.size, dtype=int)
         infeasible = np.zeros(grid_lin.size, dtype=int)
         for trial in range(cfg.trials):
-            rng = cfg.rng(0, li, trial)
-            channel = generate_multipath_channel(s, gen, rng)
-            target = RadarTarget.from_geometry(
-                s, cfg.target.range_m, cfg.target.rcs_m2,
-                cfg.target.direction_rad, cfg.target.radial_velocity_m_s,
-                rng=rng)
+            channel = generate_multipath_channel(s, gen, cfg.rng(0, li, trial))
             problem = beamforming.IsacProblem(
                 channel, target.direction, target.gain, n, s.transmit_power_w,
                 s.noise_power_w)
@@ -450,10 +463,8 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
     the closed-form value.
     """
     s = cfg.scenario
+    target = cfg.radar_target(cfg.rng(1, 1))
     channel = generate_multipath_channel(s, cfg.channel_gen, cfg.rng(1, 0))
-    target = RadarTarget.from_geometry(
-        s, cfg.target.range_m, cfg.target.rcs_m2, cfg.target.direction_rad,
-        cfg.target.radial_velocity_m_s, rng=cfg.rng(1, 1))
     problem = beamforming.IsacProblem(channel, target.direction, target.gain,
                                       s.data_length, s.transmit_power_w,
                                       s.noise_power_w)
@@ -465,9 +476,9 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
     block = waveform.generate_symbols(cfg.rng(1, 2), n_mc, cfg.modulation)
     tx = waveform.build_dam_block(block, bf)
     t_s = s.symbol_duration_s
-    echo = apply_radar_channel(target, tx, t_s, s.noise_power_w, cfg.rng(1, 3),
-                               guard_length=s.guard_length,
-                               strict=cfg.strict_ambiguity)
+    # the noise-free echo, built once: the map's and each trial's noise add to it
+    clean = apply_radar_channel(target, tx, t_s)
+    echo = clean + complex_normal(cfg.rng(1, 3), clean.shape, s.noise_power_w)
 
     res = 1.0 / (n_mc * t_s)
     # every delay in [0, max(guard, true delay)] inside the block
@@ -479,8 +490,7 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
 
     template = sensing.matched_filter_template(
         bf, block, target.direction, target.delay_symbols, target.doppler_hz, t_s)
-    gamma_emp = _empirical_snr(template, apply_radar_channel(target, tx, t_s, 0.0),
-                               s.noise_power_w,
+    gamma_emp = _empirical_snr(template, clean, s.noise_power_w,
                                (cfg.rng(1, 4 + t) for t in range(cfg.trials)))
 
     report = DdMapReport(
@@ -525,10 +535,8 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
         s, coherence_time_s=(n_mc + s.guard_length) * s.symbol_duration_s)
     t_s = s.symbol_duration_s
     k = cfg.ofdm_subcarriers
-    theta = cfg.target.direction_rad
-    target = RadarTarget.from_geometry(
-        s, cfg.target.range_m, cfg.target.rcs_m2, theta,
-        cfg.target.radial_velocity_m_s, rng=cfg.rng(2, 0))
+    target = cfg.radar_target(cfg.rng(2, 0))
+    theta = target.direction
     num_paths = cfg.channel_gen.num_paths
     m = s.num_antennas
     power = s.transmit_power_w
@@ -548,28 +556,30 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
     f_full = np.sqrt(power / (m * num_paths)) * np.tile(a[:, None], (1, num_paths))
     bf_full = waveform.DamBeamformer.aligned(f_full, np.arange(num_paths))
 
-    def dam_empirical(bf, trials_key):
-        block = waveform.generate_symbols(cfg.rng(2, 1), n_mc, cfg.modulation)
-        tx = waveform.build_dam_block(block, bf)
+    # one DAM symbol block and one OFDM grid serve every regime and the fast target
+    block = waveform.generate_symbols(cfg.rng(2, 1), n_mc, cfg.modulation)
+    tx_dam = waveform.build_dam_block(block, bf_full)
+    tx_freq = waveform.generate_symbols(cfg.rng(2, 2), k * i_sym,
+                                        cfg.modulation).symbols.reshape(k, i_sym, order="F")
+
+    def dam_empirical(bf, tx, trials_key):
         template = sensing.matched_filter_template(
             bf, block, theta, target.delay_symbols, target.doppler_hz, t_s)
-        return _empirical_snr(template, apply_radar_channel(target, tx, t_s, 0.0), sigma2,
-                              (cfg.rng(2, trials_key, t) for t in range(cfg.trials))), tx
+        return _empirical_snr(template, apply_radar_channel(target, tx, t_s), sigma2,
+                              (cfg.rng(2, trials_key, t) for t in range(cfg.trials)))
 
     def ofdm_empirical(config, trials_key):
-        sym = waveform.generate_symbols(cfg.rng(2, 2), k * i_sym, cfg.modulation)
-        tx_freq = sym.symbols.reshape(k, i_sym, order="F")
         clean = ofdm.ofdm_radar_rx(config, target, tx_freq).symbols_rx
         # the unit-gain echo, normalized, is the matched filter
         template = ofdm.ofdm_radar_rx(config, dataclasses.replace(target, gain=1.0 + 0j),
                                       tx_freq).symbols_rx
         return _empirical_snr(template / np.linalg.norm(template), clean, sigma2 / k,
-                              (cfg.rng(2, trials_key, t) for t in range(cfg.trials))), tx_freq
+                              (cfg.rng(2, trials_key, t) for t in range(cfg.trials)))
 
     gamma_dam_avg = sensing.max_sensing_snr(m, n_mc, power, target.gain, sigma2)
     gamma_ofdm_avg = ofdm.ofdm_output_snr(ocfg, theta, target.gain, sigma2)
-    emp_dam_avg, tx_dam = dam_empirical(bf_full, 3)
-    emp_ofdm_avg, tx_freq = ofdm_empirical(ocfg, 4)
+    emp_dam_avg = dam_empirical(bf_full, tx_dam, 3)
+    emp_ofdm_avg = ofdm_empirical(ocfg, 4)
 
     peak = ofdm.peak_power_constrained_snr_comparison(
         ocfg, n_mc, num_paths, target.gain, sigma2, power)
@@ -577,8 +587,8 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
         f_full / np.sqrt(num_paths), np.arange(num_paths))
     ocfg_derated = ofdm.OfdmConfig.steered(scen_mc, k, theta,
                                            total_power=power / k)
-    emp_dam_peak, _ = dam_empirical(bf_derated, 5)
-    emp_ofdm_peak, _ = ofdm_empirical(ocfg_derated, 6)
+    emp_dam_peak = dam_empirical(bf_derated, waveform.build_dam_block(block, bf_derated), 5)
+    emp_ofdm_peak = ofdm_empirical(ocfg_derated, 6)
 
     papr_dam = waveform.papr_empirical(tx_dam)
     papr_ofdm = ofdm.ofdm_papr_empirical(cfg.rng(2, 7), k, i_sym,
@@ -590,9 +600,8 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
     res = 1.0 / (n_mc * t_s)
     grid = sensing.SensingGrid.refine(target.delay_symbols, res * round(f_fast / res),
                                       n_mc, t_s, delay_half_width=3)
-    block = waveform.generate_symbols(cfg.rng(2, 8), n_mc, cfg.modulation)
     # noise-free echoes, built once; each trial adds its own keyed noise draw
-    clean = apply_radar_channel(fast, waveform.build_dam_block(block, bf_full), t_s)
+    clean = apply_radar_channel(fast, tx_dam, t_s)
     oclean = ofdm.ofdm_radar_rx(ocfg, fast, tx_freq)
     dam_hits = 0
     ofdm_hits = 0

@@ -16,7 +16,12 @@ import numpy as np
 from .channel import RadarTarget, ScenarioConfig, complex_normal, steering_vector
 from .sensing import AmbiguityLimits
 from .units import C_LIGHT
-from .waveform import generate_symbols
+from .waveform import generate_symbols, papr_empirical
+
+
+# Doppler shift, as a fraction of the subcarrier spacing, up to which the
+# per-subcarrier echo model holds (no inter-carrier interference)
+_DOPPLER_TOLERANCE_FRACTION = 0.1
 
 
 @dataclass
@@ -25,36 +30,28 @@ class OfdmConfig:
 
     K subcarriers spaced bandwidth/K apart, cyclic prefix of guard_length
     samples, I = floor(N_c / (K + N_p)) whole symbols per coherence block.
-    beamformers holds w_k as column k (M, K); subcarrier powers must cover
-    ||w_k||^2 and sum to the transmit budget in the full-power configuration.
+    beamformers holds w_k as column k (M, K); subcarrier k's power is ||w_k||^2.
     """
 
-    num_subcarriers: int
-    num_antennas: int
     bandwidth_hz: float
     guard_length: int
     block_length: int                 # N_c, coherence block in samples
     beamformers: np.ndarray
-    subcarrier_powers: np.ndarray
-    doppler_tolerance_fraction: float = 0.1
 
     def __post_init__(self):
         self.beamformers = np.asarray(self.beamformers, dtype=complex)
-        self.subcarrier_powers = np.asarray(self.subcarrier_powers, dtype=float)
-        k = self.num_subcarriers
-        if k < 1 or self.guard_length < 0:
-            raise ValueError("need num_subcarriers >= 1 and guard_length >= 0")
-        if self.beamformers.shape != (self.num_antennas, k):
-            raise ValueError("beamformers must have shape (M, K)")
-        if self.subcarrier_powers.shape != (k,):
-            raise ValueError("subcarrier_powers must have shape (K,)")
-        if np.any(self.subcarrier_powers < 0):
-            raise ValueError("subcarrier powers must be non-negative")
-        norms = np.sum(np.abs(self.beamformers) ** 2, axis=0)
-        if np.any(norms > self.subcarrier_powers * (1 + 1e-9) + 1e-15):
-            raise ValueError("||w_k||^2 exceeds the per-subcarrier power budget")
+        if self.beamformers.ndim != 2 or self.num_subcarriers < 1 or self.guard_length < 0:
+            raise ValueError("need (M, K) beamformers, K >= 1 and guard_length >= 0")
         if self.symbols_per_block < 1:
             raise ValueError("coherence block too short for a single OFDM symbol")
+
+    @property
+    def num_antennas(self) -> int:
+        return self.beamformers.shape[0]
+
+    @property
+    def num_subcarriers(self) -> int:
+        return self.beamformers.shape[1]
 
     @property
     def subcarrier_spacing_hz(self) -> float:
@@ -78,25 +75,17 @@ class OfdmConfig:
     def symbols_per_block(self) -> int:
         return self.block_length // (self.num_subcarriers + self.guard_length)
 
-    @property
-    def total_power(self) -> float:
-        return float(self.subcarrier_powers.sum())
-
     @classmethod
     def steered(cls, scenario: ScenarioConfig, num_subcarriers: int, theta: float,
                 total_power: Optional[float] = None) -> "OfdmConfig":
         """Equal power split with every subcarrier beamformed at theta,
         w_k = sqrt(P_k / M) a(theta) — the sensing-optimal configuration."""
         p = scenario.transmit_power_w if total_power is None else total_power
-        k = num_subcarriers
-        a = steering_vector(theta, scenario.num_antennas)
-        per = np.full(k, p / k)
-        w = np.sqrt(per / scenario.num_antennas)[None, :] * a[:, None]
-        return cls(num_subcarriers=k, num_antennas=scenario.num_antennas,
-                   bandwidth_hz=scenario.bandwidth_hz,
-                   guard_length=scenario.guard_length,
+        k, m = num_subcarriers, scenario.num_antennas
+        w = np.sqrt(p / k / m) * steering_vector(theta, m)
+        return cls(bandwidth_hz=scenario.bandwidth_hz, guard_length=scenario.guard_length,
                    block_length=scenario.block_length,
-                   beamformers=w, subcarrier_powers=per)
+                   beamformers=np.tile(w[:, None], (1, k)))
 
 
 @dataclass
@@ -140,7 +129,7 @@ def ofdm_radar_rx(cfg: OfdmConfig, target: RadarTarget, tx_symbols: np.ndarray,
         rx = rx + complex_normal(rng, (k, i), variance=noise_power / k)
     return OfdmEcho(symbols_rx=rx,
                     doppler_valid=bool(abs(target.doppler_hz) <=
-                                       cfg.doppler_tolerance_fraction *
+                                       _DOPPLER_TOLERANCE_FRACTION *
                                        cfg.subcarrier_spacing_hz),
                     delay_valid=bool(0 <= tau <= cfg.guard_length *
                                      cfg.sample_duration_s))
@@ -189,10 +178,10 @@ def max_ofdm_output_snr(num_antennas: int, symbols_per_block: int,
 
 def ofdm_ambiguity_limits(cfg: OfdmConfig, wavelength_m: float) -> AmbiguityLimits:
     """OFDM limits: range capped by the cyclic prefix, Doppler (and so
-    velocity) by doppler_tolerance_fraction of the subcarrier spacing;
+    velocity) by _DOPPLER_TOLERANCE_FRACTION of the subcarrier spacing;
     resolutions c/2B and (lambda/2)/(N_c T_s)."""
     t_s = cfg.sample_duration_s
-    max_doppler = cfg.doppler_tolerance_fraction * cfg.subcarrier_spacing_hz
+    max_doppler = _DOPPLER_TOLERANCE_FRACTION * cfg.subcarrier_spacing_hz
     doppler_res = 1.0 / (cfg.block_length * t_s)
     return AmbiguityLimits(
         max_delay_symbols=cfg.guard_length,
@@ -262,6 +251,4 @@ def ofdm_papr_empirical(rng: np.random.Generator, num_subcarriers: int,
     """Measured PAPR of a random PSK OFDM stream (bounded by K)."""
     sym = generate_symbols(rng, num_subcarriers * num_symbols, modulation)
     freq = sym.symbols.reshape(num_subcarriers, num_symbols, order="F")
-    stream = ofdm_time_domain(freq, cp_length)
-    inst = np.abs(stream) ** 2
-    return float(inst.max() / inst.mean())
+    return papr_empirical(ofdm_time_domain(freq, cp_length))

@@ -3,12 +3,12 @@ conversions, RNG keying, peak finding, runner outputs, CSV determinism,
 exit codes, and runs without scipy."""
 
 import dataclasses
-import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from damisac import (
     ExperimentConfig,
     InfeasibleError,
     IsacProblem,
+    MultipathChannel,
     RadarTarget,
     apply_radar_channel,
     build_dam_block,
@@ -38,7 +39,7 @@ from damisac import (
     run_se_sweep,
 )
 from damisac.cli import main
-from damisac.experiments import _SCHEMA
+from damisac.experiments import _SCHEMA, _pattern_db
 from scipy.signal import find_peaks
 
 from beam_peaks import find_beam_peaks
@@ -206,7 +207,7 @@ def test_integral_numbers_only(tmp_path):
 
 # Invalid configs, each with the field its error must name. Small trial and block
 # counts keep a run short should a probe ever be accepted; with strict_ambiguity
-# off, the runners' guard check cannot stand in for the loader's own.
+# off, the guard rule cannot stand in for the block and Doppler checks.
 SMALL = {"trials": 2, "mc_block_length": 1024, "gamma_th_grid_db": [0.0],
          "sweep_num_paths": [3], "ofdm_subcarriers": 256, "strict_ambiguity": False}
 PROBES = [
@@ -222,6 +223,7 @@ PROBES = [
     ("channel.max_subpaths", 2 ** 70), ("channel.max_subpaths", 1e11),
     ("channel.max_subpaths", 10_001),
     ("target.range_m", 1e6),         # a round-trip delay beyond the 1024-symbol block
+    ("experiment.gamma_th_grid_db", [1e308]),   # a linear floor beyond the range of a float
 ]
 
 
@@ -339,6 +341,28 @@ def test_beampattern_threshold_and_csv(beampattern_result):
     assert "gamma_zf_max_db=" in lines[2] and "solver_status=" in lines[2]
     assert lines[3].split(",")[0] == "angle_deg"
     assert len(lines) == 4 + res.angles_deg.size
+
+
+def test_pattern_ignores_per_path_phases():
+    # F and F diag(e^{j phi_l}) radiate the same pattern. In the zero-forcing
+    # nulls a^H f_l is rounding, which the phases move by dB; the floor at the
+    # rounding bound prints those cells alike.
+    cfg = load_config(None)
+    s = cfg.scenario
+    directions = np.deg2rad(np.asarray(cfg.beampattern_aods_deg))
+    channel = MultipathChannel.from_directions(directions, np.arange(directions.size),
+                                               s.num_antennas)
+    problem = IsacProblem(channel, cfg.target.direction_rad, 1.0, s.data_length,
+                          s.transmit_power_w, s.noise_power_w)
+    isac = problem.solve(cfg.isac_gamma_fraction * problem.gamma_zf_max).beamformer
+    angles = np.deg2rad(np.arange(-90.0, 90.0 + 0.25, 0.5))
+    rng = np.random.default_rng(0)
+    for f in (problem.mrt.beam_matrix, problem.sensing.beam_matrix, isac.beam_matrix):
+        for _ in range(5):
+            turned = f * np.exp(2j * np.pi * rng.uniform(size=f.shape[1]))
+            for columns in (None, [0]):
+                assert np.max(np.abs(_pattern_db(f, angles, columns)
+                                     - _pattern_db(turned, angles, columns))) <= 1e-9
 
 
 def test_se_sweep_zero_threshold_equals_mrt(tmp_path):
@@ -496,22 +520,47 @@ def test_cli_se_sweep_with_overrides(tmp_path, capsys):
     assert "mean SE" in stdout and "wrote CSV output" in stdout
 
 
+CSVS = ["beampattern.csv", "dd_map.csv", "dd_report.csv", "ofdm_compare.csv", "se_sweep.csv"]
+
+
 def test_cli_deterministic_output(tmp_path):
-    cfgfile = small_sweep_config(tmp_path)
-    digests = []
-    for name in ("a", "b"):
+    cfgfile = write_config(tmp_path, {"experiment": SMALL})
+
+    def run(name, seed):
         out = tmp_path / name
-        assert main(["se-sweep", "--config", str(cfgfile), "--trials", "2",
-                     "--gamma-th-grid", "0:6:6", "--out", str(out)]) == 0
-        digests.append(hashlib.sha256(
-            (out / "se_sweep.csv").read_bytes()).hexdigest())
-    assert digests[0] == digests[1]
-    out = tmp_path / "c"
-    assert main(["se-sweep", "--config", str(cfgfile), "--trials", "2",
-                 "--gamma-th-grid", "0:6:6", "--seed", "8",
-                 "--out", str(out)]) == 0
-    assert hashlib.sha256(
-        (out / "se_sweep.csv").read_bytes()).hexdigest() != digests[0]
+        for experiment in EXPERIMENTS:
+            assert main([experiment, "--config", str(cfgfile), "--seed", str(seed),
+                         "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def body(data):
+        return [line for line in data.splitlines() if not line.startswith(b"#")]
+
+    first, again, other = run("a", 7), run("b", 7), run("c", 8)
+    assert sorted(first) == CSVS
+    assert first == again
+    for name in CSVS:
+        # the beampattern geometry is fixed: no draw, so the seed changes only its header
+        assert (body(other[name]) == body(first[name])) == (name == "beampattern.csv"), name
+
+
+# a round-trip delay of 300 symbols against the default guard of 200
+FAR_TARGET = {"target": {"range_m": 450, "rcs_m2": 1000}}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_target_beyond_the_guard_follows_strict_ambiguity(tmp_path, capsys, experiment):
+    strict = write_config(tmp_path, FAR_TARGET, "strict.json")
+    assert main([experiment, "--config", str(strict)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: target.range_m=450.0: target delay 300 exceeds guard length 200")
+    lenient = write_config(tmp_path, {**FAR_TARGET, "experiment": SMALL}, "lenient.json")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([experiment, "--config", str(lenient)]) == 0
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (UserWarning, "target.range_m=450.0: target delay 300 exceeds guard length 200: "
+                      "echo spills into the next block")]
 
 
 def test_cli_config_errors_exit_2(tmp_path, capsys):
@@ -526,6 +575,7 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert "cannot be read" in capsys.readouterr().err
     # the flags pass the same checks as the experiment fields they override
     for flag, value in (("--gamma-th-grid", "oops"), ("--gamma-th-grid", "0:1e9:1e-9"),
+                        ("--gamma-th-grid", "3000:3100:100"),
                         ("--trials", "0"), ("--seed", "-1"), ("--seed", str(2 ** 64))):
         assert main(["se-sweep", flag, value]) == 2
         key = flag[2:].replace("-", "_").replace("gamma_th_grid", "gamma_th_grid_db")
@@ -574,7 +624,8 @@ def test_delay_windows_near_the_block_end(tmp_path):
     edge = write_config(tmp_path, {"target": {"range_m": 1500.0}, "experiment": {
         "trials": 2, "mc_block_length": 1001, "ofdm_subcarriers": 256,
         "strict_ambiguity": False}}, "edge.json")
-    assert main(["ofdm-compare", "--config", str(edge)]) == 0
+    with pytest.warns(UserWarning, match="target delay 1000 exceeds guard length 200"):
+        assert main(["ofdm-compare", "--config", str(edge)]) == 0
 
 
 # Runs the four experiments in a fresh interpreter in which any scipy import

@@ -1,8 +1,6 @@
 """Multicarrier radar baseline tests: echo model oracle, FFT estimator,
 output-SNR accounting, ambiguity limits, and the peak-power comparison."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -23,6 +21,7 @@ from damisac import (
     peak_power_constrained_snr_comparison,
     steering_vector,
 )
+from damisac import ofdm
 from damisac.units import C_LIGHT
 
 
@@ -61,9 +60,7 @@ def test_rx_matches_loop_oracle():
     rng = np.random.default_rng(0)
     scen = small_scenario()
     w = complex_normal(rng, (4, 16)) * 0.05
-    cfg = OfdmConfig(num_subcarriers=16, num_antennas=4, bandwidth_hz=1e8,
-                     guard_length=8, block_length=1280, beamformers=w,
-                     subcarrier_powers=np.sum(np.abs(w) ** 2, axis=0))
+    cfg = OfdmConfig(bandwidth_hz=1e8, guard_length=8, block_length=1280, beamformers=w)
     assert scen.guard_length == 8
     target = RadarTarget(gain=0.3 - 0.7j, direction=0.5, delay_symbols=5,
                          doppler_hz=7e3)
@@ -126,20 +123,18 @@ def test_rx_shape_validation():
 
 def test_config_accounting():
     cfg = OfdmConfig.steered(small_scenario(), 32, theta=0.1)
+    assert (cfg.num_antennas, cfg.num_subcarriers) == (4, 32)
     assert cfg.subcarrier_spacing_hz * cfg.symbol_duration_s == pytest.approx(1.0)
     assert cfg.symbols_per_block == 1280 // (32 + 8)
-    assert cfg.total_power == pytest.approx(1.0)
+    # the budget splits equally: subcarrier k carries ||w_k||^2 = P / K
     norms = np.sum(np.abs(cfg.beamformers) ** 2, axis=0)
-    assert np.allclose(norms, cfg.subcarrier_powers, rtol=1e-12)
+    assert np.allclose(norms, 1.0 / 32, rtol=1e-12, atol=0)
 
 
-def test_config_rejects_overdriven_beams():
-    rng = np.random.default_rng(5)
-    w = complex_normal(rng, (4, 8))
-    with pytest.raises(ValueError):
-        OfdmConfig(num_subcarriers=8, num_antennas=4, bandwidth_hz=1e8,
-                   guard_length=4, block_length=512, beamformers=w,
-                   subcarrier_powers=np.sum(np.abs(w) ** 2, axis=0) / 2)
+def test_config_rejects_beams_without_subcarriers():
+    for beams in (np.ones(4), np.ones((4, 0))):
+        with pytest.raises(ValueError):
+            OfdmConfig(bandwidth_hz=1e8, guard_length=4, block_length=512, beamformers=beams)
 
 
 def test_config_rejects_short_block():
@@ -221,10 +216,8 @@ def test_output_snr_steered_hits_ceiling():
 
 
 def test_output_snr_zero_beams():
-    cfg = OfdmConfig(num_subcarriers=8, num_antennas=4, bandwidth_hz=1e8,
-                     guard_length=4, block_length=512,
-                     beamformers=np.zeros((4, 8)),
-                     subcarrier_powers=np.full(8, 0.125))
+    cfg = OfdmConfig(bandwidth_hz=1e8, guard_length=4, block_length=512,
+                     beamformers=np.zeros((4, 8)))
     assert ofdm_output_snr(cfg, 0.0, 1.0, 1.0) == 0.0
 
 
@@ -253,7 +246,7 @@ def test_output_snr_matches_monte_carlo():
 
 # ------------------------------------------------------------------ limits
 
-def test_ambiguity_limits_values():
+def test_ambiguity_limits_values(monkeypatch):
     scen = ScenarioConfig.mmwave_default()
     cfg = OfdmConfig.steered(scen, 1024, theta=0.0)
     lim = ofdm_ambiguity_limits(cfg, scen.wavelength_m)
@@ -266,8 +259,8 @@ def test_ambiguity_limits_values():
     assert lim.velocity_resolution_m_s == pytest.approx(
         scen.wavelength_m / (2 * scen.block_length * cfg.sample_duration_s))
     # the velocity limit follows the Doppler tolerance, not a fixed tenth
-    wide = ofdm_ambiguity_limits(dataclasses.replace(cfg, doppler_tolerance_fraction=0.2),
-                                 scen.wavelength_m)
+    monkeypatch.setattr(ofdm, "_DOPPLER_TOLERANCE_FRACTION", 0.2)
+    wide = ofdm_ambiguity_limits(cfg, scen.wavelength_m)
     assert wide.max_doppler_hz == pytest.approx(19_531.25)
     assert wide.max_velocity_m_s == pytest.approx(104.63169642857143)
 
@@ -306,10 +299,8 @@ def test_peak_comparison_ratio():
 
 def test_peak_comparison_break_even():
     # L = K with the block exactly filled makes both schemes equal
-    cfg = OfdmConfig(num_subcarriers=8, num_antennas=2, bandwidth_hz=1e6,
-                     guard_length=0, block_length=64,
-                     beamformers=np.zeros((2, 8)),
-                     subcarrier_powers=np.full(8, 0.125))
+    cfg = OfdmConfig(bandwidth_hz=1e6, guard_length=0, block_length=64,
+                     beamformers=np.zeros((2, 8)))
     comp = peak_power_constrained_snr_comparison(cfg, 64, 8, 1.0, 1.0, 1.0)
     assert comp.ratio == pytest.approx(1.0)
     with pytest.raises(ValueError):
