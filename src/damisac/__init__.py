@@ -19,11 +19,9 @@ from .errors import ConfigError, DamIsacError, InfeasibleError
 from .experiments import (ExperimentConfig, TargetConfig, load_config,
                           parse_gamma_grid, run_beampattern, run_dd_map,
                           run_ofdm_compare, run_se_sweep)
-from .ofdm import (OfdmConfig, OfdmEcho, PeakPowerComparison,
-                   max_ofdm_output_snr, ofdm_ambiguity_limits,
-                   ofdm_delay_doppler_estimate, ofdm_output_snr,
-                   ofdm_papr_empirical, ofdm_radar_rx, ofdm_time_domain,
-                   peak_power_constrained_snr_comparison)
+from .ofdm import (OfdmConfig, max_ofdm_output_snr, ofdm_ambiguity_limits,
+                   ofdm_delay_doppler_estimate, ofdm_output_snr, ofdm_radar_rx,
+                   ofdm_time_domain)
 from .sensing import (AmbiguityLimits, DelayDopplerMap, SensingGrid,
                       correlation_matrix, dam_ambiguity_limits,
                       delay_doppler_map, estimate_delay_doppler,

@@ -279,7 +279,6 @@ class RadarTarget:
     direction: float
     delay_symbols: int
     doppler_hz: float
-    delay_s: Optional[float] = None
 
     def __post_init__(self):
         if self.delay_symbols < 0:
@@ -299,8 +298,7 @@ class RadarTarget:
         return cls(gain=magnitude * np.exp(1j * phase),
                    direction=direction,
                    delay_symbols=int(round(tau * scenario.bandwidth_hz)),
-                   doppler_hz=2.0 * radial_velocity_m_s / lam,
-                   delay_s=tau)
+                   doppler_hz=2.0 * radial_velocity_m_s / lam)
 
 
 def _check_guard(delay_symbols: int, guard_length: int, strict: bool,

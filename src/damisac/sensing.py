@@ -241,21 +241,29 @@ class AmbiguityLimits:
     doppler_resolution_hz: float
 
 
+def _ambiguity_limits(guard_length: int, bandwidth_hz: float, wavelength_m: float,
+                      max_doppler_hz: float, integration_length: int) -> AmbiguityLimits:
+    """Limits of a scheme whose delays reach the guard and whose Doppler span
+    and integration length (samples) are its own: range c tau/2 and c/2B,
+    velocity lambda f/2, Doppler resolution 1/(n T_s)."""
+    t_s = 1.0 / bandwidth_hz
+    doppler_res = 1.0 / (integration_length * t_s)
+    return AmbiguityLimits(
+        max_delay_symbols=guard_length,
+        max_doppler_hz=max_doppler_hz,
+        max_range_m=C_LIGHT * guard_length * t_s / 2.0,
+        max_velocity_m_s=max_doppler_hz * wavelength_m / 2.0,
+        range_resolution_m=C_LIGHT / (2.0 * bandwidth_hz),
+        velocity_resolution_m_s=doppler_res * wavelength_m / 2.0,
+        doppler_resolution_hz=doppler_res)
+
+
 def dam_ambiguity_limits(scenario: ScenarioConfig) -> AmbiguityLimits:
     """Aligned-waveform limits: delays up to the guard, Doppler up to half the
-    symbol rate, range resolution c/2B, Doppler resolution 1/(N T_s)."""
-    t_s = scenario.symbol_duration_s
-    lam = scenario.wavelength_m
-    max_doppler = 0.5 / t_s
-    doppler_res = 1.0 / (scenario.data_length * t_s)
-    return AmbiguityLimits(
-        max_delay_symbols=scenario.guard_length,
-        max_doppler_hz=max_doppler,
-        max_range_m=C_LIGHT * scenario.guard_length * t_s / 2.0,
-        max_velocity_m_s=max_doppler * lam / 2.0,
-        range_resolution_m=C_LIGHT / (2.0 * scenario.bandwidth_hz),
-        velocity_resolution_m_s=doppler_res * lam / 2.0,
-        doppler_resolution_hz=doppler_res)
+    symbol rate, Doppler resolution 1/(N T_s)."""
+    return _ambiguity_limits(scenario.guard_length, scenario.bandwidth_hz,
+                             scenario.wavelength_m, 0.5 / scenario.symbol_duration_s,
+                             scenario.data_length)
 
 
 def export_map_csv(path, ddmap: DelayDopplerMap, comments=()) -> None:

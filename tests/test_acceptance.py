@@ -31,10 +31,11 @@ from damisac.channel import (
 from damisac.experiments import load_config, run_beampattern
 from damisac.ofdm import (
     OfdmConfig,
+    ofdm_ambiguity_limits,
     ofdm_delay_doppler_estimate,
-    ofdm_papr_empirical,
+    ofdm_output_snr,
     ofdm_radar_rx,
-    peak_power_constrained_snr_comparison,
+    ofdm_time_domain,
 )
 from damisac.sensing import (
     SensingGrid,
@@ -404,20 +405,18 @@ def test_08_aligned_vs_ofdm():
                                                  num_antennas=16)
         n, num_paths, k, theta = 2048, 5, 256, 0.5
         peak_power, sigma2, alpha = 1.0, 1.0, 1.0 + 0.0j
+        # each scheme's average power derated by its PAPR bound, L or K
         cfg = OfdmConfig.steered(sc_small, k, theta,
                                  total_power=peak_power / k)
-        comp = peak_power_constrained_snr_comparison(
-            cfg, n, num_paths, alpha, sigma2, peak_power)
         i = cfg.symbols_per_block
         assert i == 2048 // (256 + 200)
-        assert comp.ratio == n / (num_paths * i)
-        assert comp.gamma_dam / comp.gamma_ofdm == pytest.approx(comp.ratio,
-                                                                 rel=1e-12)
-        assert comp.papr_dam == num_paths
-        assert comp.papr_ofdm == k
+        ratio = n / (num_paths * i)
+        m = sc_small.num_antennas
+        gamma_dam = max_sensing_snr(m, n, peak_power / num_paths, alpha, sigma2)
+        assert gamma_dam / ofdm_output_snr(cfg, theta, alpha, sigma2) == \
+            pytest.approx(ratio, rel=1e-12)
 
         rng = np.random.default_rng(880)
-        m = sc_small.num_antennas
         a = steering_vector(theta, m)
         delays = np.array([0, 3, 7, 12, 20])
         f = np.sqrt(peak_power / num_paths / (m * num_paths)) \
@@ -437,7 +436,7 @@ def test_08_aligned_vs_ofdm():
         gamma_ofdm_hat = _measured_ofdm_output_snr(
             cfg, target, tx_ofdm, sigma2, rng, num_draws=40)
         gap_db = 10.0 * np.log10(gamma_dam_hat / gamma_ofdm_hat)
-        expected_db = 10.0 * np.log10(comp.ratio)
+        expected_db = 10.0 * np.log10(ratio)
         assert abs(gap_db - expected_db) < 1.0
 
         # (b) paired trials at twice the subcarrier spacing: the aligned
@@ -461,6 +460,7 @@ def test_08_aligned_vs_ofdm():
         grid8 = SensingGrid(np.arange(127, 140),
                             (center + np.arange(-8, 9)) * res_hz, 1e-8, n8)
         i8 = cfg8.symbols_per_block
+        assert f_fast > ofdm_ambiguity_limits(cfg8, sc8.wavelength_m).max_doppler_hz
         joint_hits = 0
         for trial in range(100):
             rng_t = np.random.default_rng(42_000 + trial)
@@ -475,7 +475,6 @@ def test_08_aligned_vs_ofdm():
             tx_sym = generate_symbols(rng_t, k * i8, "qpsk").symbols.reshape(k, i8)
             echo_o = ofdm_radar_rx(cfg8, target8, tx_sym, sc8.noise_power_w,
                                    rng_t)
-            assert not echo_o.doppler_valid
             _, f_hat_o, _ = ofdm_delay_doppler_estimate(echo_o, cfg8, tx_sym)
             ofdm_missed = abs(f_hat_o - f_fast) > cfg8.subcarrier_spacing_hz
             joint_hits += int(dam_hit and ofdm_missed)
@@ -493,8 +492,10 @@ def test_08_aligned_vs_ofdm():
             peak_inst = np.max(np.sum(np.abs(tx_c) ** 2, axis=0))
             assert peak_inst <= num_paths_c * transmit_power(bf_c) * (1 + 1e-12)
             for k_c in (64, 256, 1024):
-                papr_ofdm = ofdm_papr_empirical(rng_c, k_c,
-                                                max(8, 8192 // k_c), "qpsk")
+                i_c = max(8, 8192 // k_c)
+                grid_c = generate_symbols(rng_c, k_c * i_c, "qpsk").symbols.reshape(
+                    k_c, i_c, order="F")
+                papr_ofdm = papr_empirical(ofdm_time_domain(grid_c, 0))
                 assert papr_ofdm > papr_dam
         # adversarial identical-beam design still respects the peak bound
         a_c = steering_vector(0.3, 16)

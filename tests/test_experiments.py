@@ -32,6 +32,8 @@ from damisac import (
     isi_zf_mrt_beamformer,
     load_config,
     matched_filter_template,
+    ofdm_time_domain,
+    papr_empirical,
     parse_gamma_grid,
     run_beampattern,
     run_dd_map,
@@ -492,6 +494,11 @@ def test_ofdm_compare_result(tmp_path):
     assert res.papr_ofdm > res.papr_dam
     assert res.dam_doppler_hit_rate >= 0.9
     assert res.ofdm_doppler_hit_rate < 0.5
+    # the OFDM PAPR is measured on the stream the run sends: the grid drawn
+    # from rng(2, 2), with its cyclic prefix
+    grid = generate_symbols(cfg.rng(2, 2), 256 * i_sym, cfg.modulation).symbols
+    stream = ofdm_time_domain(grid.reshape(256, i_sym, order="F"), 200)
+    assert res.papr_ofdm == papr_empirical(stream)
     lines = (tmp_path / "ofdm_compare.csv").read_text().splitlines()
     assert lines[2].startswith("# n_mc=2048 peak_snr_ratio=")
     assert len(lines) == 4 + 4

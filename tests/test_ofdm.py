@@ -1,5 +1,6 @@
 """Multicarrier radar baseline tests: echo model oracle, FFT estimator,
-output-SNR accounting, ambiguity limits, and the peak-power comparison."""
+output-SNR accounting, ambiguity limits, the peak-power comparison and the
+time-domain stream."""
 
 import numpy as np
 import pytest
@@ -12,13 +13,13 @@ from damisac import (
     dam_ambiguity_limits,
     generate_symbols,
     max_ofdm_output_snr,
+    max_sensing_snr,
     ofdm_ambiguity_limits,
     ofdm_delay_doppler_estimate,
     ofdm_output_snr,
-    ofdm_papr_empirical,
     ofdm_radar_rx,
     ofdm_time_domain,
-    peak_power_constrained_snr_comparison,
+    papr_empirical,
     steering_vector,
 )
 from damisac import ofdm
@@ -66,8 +67,22 @@ def test_rx_matches_loop_oracle():
                          doppler_hz=7e3)
     tx = qpsk_grid(rng, cfg)
     echo = ofdm_radar_rx(cfg, target, tx)
-    assert np.allclose(echo.symbols_rx, ofdm_rx_loop_oracle(cfg, target, tx),
-                       atol=1e-12)
+    assert np.allclose(echo, ofdm_rx_loop_oracle(cfg, target, tx), atol=1e-12)
+
+
+def test_rx_delay_phase_on_the_symbol_grid():
+    # 200 m is a round trip of 133.33 samples: the echo is phased for the
+    # rounded delay d that the aligned-waveform echo uses, e^{-j2 pi k d / K}
+    scen = ScenarioConfig.mmwave_default()
+    target = RadarTarget.from_geometry(scen, 200.0, 1.0, 0.3, 15.0)
+    d = target.delay_symbols
+    assert d == 133 and 2 * 200.0 / C_LIGHT * scen.bandwidth_hz != d
+    cfg = OfdmConfig.steered(scen, 256, theta=0.2)
+    tx = qpsk_grid(np.random.default_rng(13), cfg)
+    gains = np.conj(steering_vector(0.3, scen.num_antennas)) @ cfg.beamformers
+    ratio = ofdm_radar_rx(cfg, target, tx)[:, 0] / (target.gain * gains * tx[:, 0])
+    assert np.allclose(ratio, np.exp(-2j * np.pi * np.arange(256) * d / 256),
+                       rtol=0, atol=1e-12)
 
 
 def test_rx_static_target_has_no_ramps():
@@ -79,19 +94,22 @@ def test_rx_static_target_has_no_ramps():
     echo = ofdm_radar_rx(cfg, target, tx)
     a = steering_vector(0.2, 4)
     gains = np.conj(a) @ cfg.beamformers
-    assert np.allclose(echo.symbols_rx, 1.2 * gains[:, None] * tx, atol=1e-12)
-    assert echo.doppler_valid and echo.delay_valid
+    assert np.allclose(echo, 1.2 * gains[:, None] * tx, atol=1e-12)
+    lim = ofdm_ambiguity_limits(cfg, small_scenario().wavelength_m)
+    assert target.doppler_hz <= lim.max_doppler_hz
+    assert target.delay_symbols <= lim.max_delay_symbols
 
 
 def test_rx_validity_flags():
-    rng = np.random.default_rng(2)
+    # the echo model holds only inside the limits: Doppler within a tenth of
+    # the subcarrier spacing, delay within the cyclic prefix
     cfg = OfdmConfig.steered(small_scenario(), 16, theta=0.0)
-    tx = qpsk_grid(rng, cfg)
+    lim = ofdm_ambiguity_limits(cfg, small_scenario().wavelength_m)
     fast = RadarTarget(gain=1.0, direction=0.0, delay_symbols=2,
                        doppler_hz=2 * cfg.subcarrier_spacing_hz)
-    assert not ofdm_radar_rx(cfg, fast, tx).doppler_valid
+    assert abs(fast.doppler_hz) > lim.max_doppler_hz
     far = RadarTarget(gain=1.0, direction=0.0, delay_symbols=30, doppler_hz=0.0)
-    assert not ofdm_radar_rx(cfg, far, tx).delay_valid
+    assert far.delay_symbols > lim.max_delay_symbols
 
 
 def test_rx_noise_variance():
@@ -103,7 +121,7 @@ def test_rx_noise_variance():
     cells = []
     for _ in range(40):
         echo = ofdm_radar_rx(cfg, target, tx, noise_power=sigma2, rng=rng)
-        cells.append(np.abs(echo.symbols_rx) ** 2)
+        cells.append(np.abs(echo) ** 2)
     mean = np.mean(cells)
     count = 40 * tx.size
     assert mean == pytest.approx(sigma2 / 32, rel=4.0 / np.sqrt(count))
@@ -186,7 +204,7 @@ def test_estimate_fast_target_aliases():
                          doppler_hz=doppler)
     tx = qpsk_grid(rng, cfg)
     echo = ofdm_radar_rx(cfg, target, tx)
-    assert not echo.doppler_valid
+    assert doppler > ofdm_ambiguity_limits(cfg, small_scenario().wavelength_m).max_doppler_hz
     _, f_hat, _ = ofdm_delay_doppler_estimate(echo, cfg, tx)
     assert abs(f_hat - doppler) > cfg.subcarrier_spacing_hz
 
@@ -231,13 +249,13 @@ def test_output_snr_matches_monte_carlo():
     target = RadarTarget(gain=gain, direction=0.3, delay_symbols=4,
                          doppler_hz=doppler)
     tx = qpsk_grid(rng, cfg)
-    clean = ofdm_radar_rx(cfg, target, tx).symbols_rx / tx
+    clean = ofdm_radar_rx(cfg, target, tx) / tx
     clean_profile = np.fft.fft(np.fft.ifft(clean, axis=0), axis=1)
     peak = np.max(np.abs(clean_profile) ** 2)
     noise_cells = []
     for _ in range(20):
         echo = ofdm_radar_rx(cfg, target, tx, noise_power=sigma2, rng=rng)
-        profile = np.fft.fft(np.fft.ifft(echo.symbols_rx / tx, axis=0), axis=1)
+        profile = np.fft.fft(np.fft.ifft(echo / tx, axis=0), axis=1)
         noise_cells.append(np.abs(profile - clean_profile) ** 2)
     measured = peak / np.mean(noise_cells)
     analytic = ofdm_output_snr(cfg, 0.3, gain, sigma2)
@@ -285,26 +303,31 @@ def test_doppler_coverage_ordering():
 
 # ------------------------------------------------------------ peak comparison
 
+def peak_snr_ratio(cfg, block_length, num_paths, peak_power, gain, noise_power):
+    """DAM over OFDM output SNR with each scheme steered at the target and its
+    average power derated by its PAPR bound: P/L for L streams, P/K for K
+    subcarriers (cfg already carries P/K)."""
+    gamma_dam = max_sensing_snr(cfg.num_antennas, block_length, peak_power / num_paths,
+                                gain, noise_power)
+    return gamma_dam / ofdm_output_snr(cfg, 0.0, gain, noise_power)
+
+
 def test_peak_comparison_ratio():
     scen = ScenarioConfig.mmwave_default()
-    cfg = OfdmConfig.steered(scen, 1024, theta=0.0)
-    l = 5
-    comp = peak_power_constrained_snr_comparison(
-        cfg, scen.data_length, l, gain=0.3, noise_power=1e-9, peak_power=1.0)
-    i = cfg.symbols_per_block
-    assert comp.ratio == scen.data_length / (l * i)
-    assert comp.gamma_dam / comp.gamma_ofdm == pytest.approx(comp.ratio, rel=1e-12)
-    assert comp.papr_dam == l and comp.papr_ofdm == 1024
+    cfg = OfdmConfig.steered(scen, 1024, theta=0.0, total_power=1.0 / 1024)
+    l, i = 5, cfg.symbols_per_block
+    assert peak_snr_ratio(cfg, scen.data_length, l, 1.0, 0.3, 1e-9) == \
+        pytest.approx(scen.data_length / (l * i), rel=1e-12)
 
 
 def test_peak_comparison_break_even():
     # L = K with the block exactly filled makes both schemes equal
-    cfg = OfdmConfig(bandwidth_hz=1e6, guard_length=0, block_length=64,
-                     beamformers=np.zeros((2, 8)))
-    comp = peak_power_constrained_snr_comparison(cfg, 64, 8, 1.0, 1.0, 1.0)
-    assert comp.ratio == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        peak_power_constrained_snr_comparison(cfg, 0, 8, 1.0, 1.0, 1.0)
+    scen = ScenarioConfig(num_antennas=2, bandwidth_hz=1e6, carrier_frequency_hz=28e9,
+                          coherence_time_s=64e-6, guard_length=0, transmit_power_w=1.0,
+                          noise_power_w=1.0)
+    cfg = OfdmConfig.steered(scen, 8, theta=0.0, total_power=1.0 / 8)
+    assert cfg.symbols_per_block == 8
+    assert peak_snr_ratio(cfg, 64, 8, 1.0, 1.0, 1.0) == pytest.approx(1.0)
 
 
 # ----------------------------------------------------------------- time domain
@@ -317,18 +340,19 @@ def test_time_domain_power_and_prefix():
     assert stream.size == i * (k + cp)
     per = stream.reshape(i, k + cp)
     assert np.allclose(per[:, :cp], per[:, -cp:], atol=1e-12)
-    core = ofdm_time_domain(freq, 0, include_cp=False)
+    core = ofdm_time_domain(freq, 0)
     assert np.mean(np.abs(core) ** 2) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_papr_bounded_by_subcarriers():
     rng = np.random.default_rng(12)
-    papr = ofdm_papr_empirical(rng, 64, 200)
+    freq = generate_symbols(rng, 64 * 200, "qpsk").symbols.reshape(64, 200, order="F")
+    papr = papr_empirical(ofdm_time_domain(freq, 0))
     assert 4.0 < papr <= 64.0
 
 
 def test_papr_adversarial_hits_bound():
     freq = np.ones((32, 4), dtype=complex)
-    stream = ofdm_time_domain(freq, 0, include_cp=False)
+    stream = ofdm_time_domain(freq, 0)
     inst = np.abs(stream) ** 2
     assert inst.max() / inst.mean() == pytest.approx(32.0, rel=1e-9)
