@@ -9,8 +9,8 @@ an exact communication-sensing trade-off solver, an OFDM radar baseline, and
 a batch experiment CLI.
 """
 
-from .beamforming import (IsacProblem, IsacSolution, SolutionReport,
-                          isi_zf_mrt_beamformer, verify_solution)
+from .beamforming import (BatchSolution, IsacProblem, IsacSolution, SolutionReport,
+                          isi_zf_mrt_beamformer, solve_batch, verify_solution)
 from .channel import (ChannelGenConfig, MultipathChannel, RadarTarget,
                       ScenarioConfig, apply_comm_channel, apply_radar_channel,
                       complex_normal, generate_multipath_channel,

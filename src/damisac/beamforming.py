@@ -23,7 +23,8 @@ Review 1973), and the search for lambda is a bisection on one scalar.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -123,19 +124,139 @@ class IsacSolution:
     report: Optional[SolutionReport] = None
 
 
+@dataclass
+class BatchSolution:
+    """The trade-off solve of every (problem, floor) row of `solve_batch`.
+
+    Each field is a (problems, floors) array. A feasible row holds what
+    `IsacProblem.solve` gives for it, and its audit, without a beamformer; an
+    infeasible row (a floor above the problem's ceiling) holds nan and 0
+    iterations.
+    """
+
+    gamma_c: np.ndarray
+    gamma_p: np.ndarray
+    dual_bound: np.ndarray
+    iterations: np.ndarray
+    zf_residual: np.ndarray
+    power_used: np.ndarray
+    feasible: np.ndarray
+
+
+def _bisect(eta: np.ndarray, r: np.ndarray, rho: np.ndarray):
+    """The optimum's basis coordinates y for each row (eta, r, rho) at once.
+
+    eta (unit-norm rows) and r are (R, L+1) arrays and rho has R entries; see
+    IsacProblem.solve for the exits and the search on delta. Each row is
+    independent of the others and keeps its own early stop. Returns y, the
+    dual value in units of P ||eta||^2 / sigma^2 and the delta steps, per row;
+    y and the dual value are nan where rho < 0 (the floor is infeasible).
+    """
+    y = np.full(eta.shape, np.nan, dtype=complex)
+    bound = np.full(rho.size, np.nan)
+    steps = np.zeros(rho.size, dtype=int)
+    strongest = r == 0.0
+    top = np.argmax(strongest, axis=1)           # the sensing beam's response
+    mag = np.abs(eta)
+
+    # rho = 0: the sensing beam, at the dual value as delta -> 0
+    at = np.flatnonzero(rho == 0.0)
+    y[at] = 0.0
+    y[at, top[at]] = 1.0
+    bound[at] = mag[at, top[at]] ** 2
+    # rho > 0: the floor reads slope . |y|^2 <= 0; MRT, y(1) = eta, if it meets it
+    rows = np.flatnonzero(rho > 0.0)
+    eta, r, rho, mag, strongest, top = (v[rows] for v in (eta, r, rho, mag, strongest, top))
+    slope = r - rho[:, None]
+    mrt = np.sum(slope * mag ** 2, axis=1) <= 0
+    y[rows[mrt]], bound[rows[mrt]] = eta[mrt], 1.0
+    rows, eta, r, rho, mag, slope, strongest, top = (
+        v[~mrt] for v in (rows, eta, r, rho, mag, slope, strongest, top))
+    # delta = 0: y(0) off the strongest responses, topped up by c e_k, which
+    # lowers the floor's left side by rho c^2. Where eta is 0 on all of them
+    # its dual value rho eta^H y(0) is finite (and exact if c > 0).
+    y_lo = np.divide(eta, r, out=np.zeros_like(eta), where=~strongest)
+    excess = np.sum(slope * np.abs(y_lo) ** 2, axis=1)
+    y_lo[np.arange(rows.size), top] += np.sqrt(np.maximum(excess, 0.0) / rho)
+    objective = np.zeros(rows.size)
+    row_bound = np.full(rows.size, np.inf)
+    gap = np.full(rows.size, np.inf)
+    at = np.flatnonzero(~np.any(strongest & (eta != 0), axis=1))
+    eta_y = (np.conj(eta[at]) * y_lo[at]).real.sum(axis=1)
+    norm2 = (np.abs(y_lo[at]) ** 2).sum(axis=1)
+    objective[at], row_bound[at] = eta_y ** 2 / norm2, rho[at] * eta_y
+    gap[at] = -eta_y * np.minimum(excess[at], 0.0) / norm2
+
+    # bisection over the doubles in [0, 1] ordered as their bit patterns:
+    # the first steps halve the exponent range, so a delta of any scale
+    # (1e-16 where eta is 0 on the strongest responses but for rounding)
+    # ends in a bracket a few doubles wide. A row leaves the search when its
+    # gap closes or its steps run out; the rows still in it step together.
+    lo = np.zeros(rows.size, dtype=np.int64)
+    row_steps = np.zeros(rows.size, dtype=int)
+    # the rows still in the search (at) and their state (a_*)
+    at, a_lo = np.arange(rows.size), lo.copy()
+    a_hi = np.full(rows.size, np.float64(1.0).view(np.int64))
+    a_r, a_mag, a_slope, a_objective, a_gap = r, mag, slope, objective, gap
+    step = 0
+    while at.size:
+        done = ~(a_gap > _GAP_TOLERANCE * a_objective) | (step == _BISECTION_STEPS)
+        if done.any():
+            lo[at[done]], row_steps[at[done]] = a_lo[done], step
+            at, a_r, a_mag, a_slope, a_lo, a_hi, a_objective, a_gap = (
+                v[~done] for v in (at, a_r, a_mag, a_slope, a_lo, a_hi, a_objective, a_gap))
+            continue
+        step += 1
+        mid = (a_lo + a_hi) // 2
+        delta = mid.view(np.float64)
+        y_mag = a_mag / (delta[:, None] + (1.0 - delta[:, None]) * a_r)
+        y2 = y_mag * y_mag
+        norm2, excess = y2.sum(axis=1), (a_slope * y2).sum(axis=1)
+        eta_y = (a_mag * y_mag).sum(axis=1)
+        met = excess <= 0
+        a_lo, a_hi = np.where(met, mid, a_lo), np.where(met, a_hi, mid)
+        a_objective = np.where(met, eta_y ** 2 / norm2, a_objective)
+        a_gap = np.where(met, -eta_y * (1.0 - delta) * (excess / norm2), a_gap)
+
+    # each row's design and dual value at the feasible end lo of its bracket
+    at = np.flatnonzero(lo)
+    delta = lo[at].view(np.float64)
+    d = delta[:, None] + (1.0 - delta[:, None]) * r[at]
+    y_lo[at] = eta[at] / d
+    eta_y = (mag[at] * (mag[at] / d)).sum(axis=1)
+    row_bound[at] = eta_y * (delta + (1.0 - delta) * rho[at])
+    y[rows], bound[rows], steps[rows] = y_lo, row_bound, row_steps
+    return y, bound, steps
+
+
+def _audit(beams: np.ndarray, channel: MultipathChannel, theta: float, gain: complex,
+           block_length: int, noise_power: float):
+    """Every constraint of the trade-off problem, recomputed from a stack of
+    beam matrices (B, M, L) on one channel: the zero-forcing residual
+    max_{l != l'} |h_l^H f_l'|, the power, gamma_c and gamma_p, each (B,)."""
+    cross = np.conj(channel.path_vectors) @ beams        # (B, L, L), h_l^H f_l'
+    gamma_c = np.abs(np.trace(cross, axis1=1, axis2=2)) ** 2 / noise_power
+    diagonal = np.arange(channel.num_paths)
+    cross[:, diagonal, diagonal] = 0.0
+    zf_residual = np.abs(cross).max(axis=(1, 2))
+    power_used = np.sum(np.abs(beams) ** 2, axis=(1, 2))
+    gamma_p = _sensing.sensing_snr(beams, theta, gain, block_length, noise_power)
+    return zf_residual, power_used, gamma_c, gamma_p
+
+
 class IsacProblem:
     """The trade-off problem on one channel, prepared once for any sensing floor.
 
     Construction does the channel-only work: the projected responses
-    c_l = Q_l h_l and g_l = Q_l a, the MRT design (`mrt`), the sensing-optimal
-    design (`sensing`, all power on the strongest g_l) and its SNR, the
-    ceiling `gamma_zf_max` = |alpha|^2 N P max_l ||g_l||^2 / sigma^2. That is
-    at most the unconstrained |alpha|^2 N M P / sigma^2, with equality when
-    L = 1. The optimum lies in the span of h and the blocks e_l (x) g_l. In the
-    orthonormal basis made of the unit blocks e_l (x) g_l / ||g_l|| and the
-    part of h orthogonal to them, A is diag(0, ||g_1||^2, ..., ||g_L||^2) =:
-    diag(a) and h has coordinates eta, so `solve` works with (L+1)-vectors
-    only.
+    c_l = Q_l h_l and g_l = Q_l a and the ceiling `gamma_zf_max` =
+    |alpha|^2 N P max_l ||g_l||^2 / sigma^2. That is at most the unconstrained
+    |alpha|^2 N M P / sigma^2, with equality when L = 1. The MRT design
+    (`mrt`) and the sensing-optimal design (`sensing`, all power on the
+    strongest g_l) are built on first use. The optimum lies in the span of h
+    and the blocks e_l (x) g_l. In the orthonormal basis made of the unit
+    blocks e_l (x) g_l / ||g_l|| and the part of h orthogonal to them, A is
+    diag(0, ||g_1||^2, ..., ||g_L||^2) =: diag(a) and h has coordinates eta,
+    so `solve` works with (L+1)-vectors only.
     """
 
     def __init__(self, channel: MultipathChannel, theta: float, gain: complex,
@@ -147,7 +268,6 @@ class IsacProblem:
         a = steering_vector(theta, channel.num_antennas)
         c, g = _zf_project(channel, channel.path_vectors,
                            np.broadcast_to(a, channel.path_vectors.shape))
-        self.mrt = _mrt(channel, c, power)
 
         norms2 = np.sum(np.abs(g) ** 2, axis=1)
         if norms2.max() <= 0:
@@ -161,21 +281,38 @@ class IsacProblem:
         rest_norm = np.linalg.norm(rest)
         self._rest_unit = rest / rest_norm if rest_norm > 0 else rest
         self._g_unit = g_unit
-        self._eta = np.concatenate([[rest_norm], beta])
+        eta = np.concatenate([[rest_norm], beta])
+        norm2 = np.vdot(eta, eta).real                  # ||c||^2
+        if not norm2 > 0:
+            raise InfeasibleError("all projected path responses vanish")
+        # eta to unit norm: no |y_i|^2 <= 1/delta^2 overflows, for any delta
+        self._scale = power / noise_power * norm2
+        self._eta = eta / np.linalg.norm(eta)
         a_diag = np.concatenate([[0.0], norms2])
         # r_i = 1 - a_i / max(a): exactly 0 on the strongest target responses
         self._r = 1.0 - a_diag / a_diag.max()
-        # all power on the strongest projected target response
-        self._sensing_coords = np.eye(a_diag.size)[np.argmax(a_diag)]
-        self.sensing = self._beam(self._sensing_coords)
         self.gamma_zf_max = float(np.abs(gain) ** 2 * block_length * power / noise_power
                                   * a_diag.max())
 
-    def _beam(self, y: np.ndarray) -> DamBeamformer:
-        """The design sqrt(P) b / ||b|| for the b with basis coordinates y."""
-        b = y[0] * self._rest_unit + y[1:, None] * self._g_unit
-        f = np.sqrt(self.power / np.vdot(y, y).real) * b
-        return DamBeamformer.aligned(f.T, self.channel.path_delays)
+    @cached_property
+    def mrt(self) -> DamBeamformer:
+        """The communication-optimal design, `isi_zf_mrt_beamformer`."""
+        return isi_zf_mrt_beamformer(self.channel, self.power)
+
+    @cached_property
+    def sensing(self) -> DamBeamformer:
+        """All power on the strongest projected target response: the design at
+        the ceiling (rho = 0)."""
+        y, _, _ = _bisect(self._eta[None], self._r[None], np.zeros(1))
+        return DamBeamformer.aligned(self._beams(y)[0], self.channel.path_delays)
+
+    def _beams(self, y: np.ndarray) -> np.ndarray:
+        """The beam matrices sqrt(P) b / ||b|| (B, M, L) of the b with basis
+        coordinates y (B, L+1)."""
+        f = y[:, None, 1:] * self._g_unit.T
+        f += y[:, None, :1] * self._rest_unit.T
+        f *= np.sqrt(self.power / np.sum(y.real ** 2 + y.imag ** 2, axis=1))[:, None, None]
+        return f
 
     def solve(self, gamma_th: float) -> IsacSolution:
         """Maximize communication SNR under the floor gamma_sensing >= gamma_th.
@@ -193,84 +330,66 @@ class IsacProblem:
         the dual value is never below the objective. When eta is 0 on every
         strongest response (r_i = 0) and y(0) still misses the floor, y(0)
         topped up along the strongest response is optimal without a search.
+        This is the one-row case of `solve_batch`, with the beamformer built.
         """
-        if gamma_th < 0:
+        if not gamma_th >= 0:
             raise ValueError("gamma_th must be >= 0")
-        if gamma_th > self.gamma_zf_max:
+        rho = np.array([1.0 - gamma_th / self.gamma_zf_max])
+        y, bound, steps = _bisect(self._eta[None], self._r[None], rho)
+        if rho[0] < 0:
             nan = float("nan")
             return IsacSolution(beamformer=None, gamma_c=nan, gamma_p=nan,
                                 dual_bound=nan, iterations=0, status="infeasible")
-        # eta to unit norm: no |y_i|^2 <= 1/delta^2 overflows, for any delta
-        scale = self.power / self.noise_power * np.vdot(self._eta, self._eta).real
-        eta, r = self._eta / np.linalg.norm(self._eta), self._r
-        rho = 1.0 - gamma_th / self.gamma_zf_max
-        if rho == 0.0:
-            # the dual value as delta -> 0
-            bound = scale * abs(np.vdot(eta, self._sensing_coords)) ** 2
-            return self._solution(self.sensing, gamma_th, bound, 0)
-        mag, slope = np.abs(eta), r - rho           # the floor: slope . |y|^2 <= 0
-        if np.dot(slope, mag ** 2) <= 0:            # y(1) = eta meets the floor
-            return self._solution(self.mrt, gamma_th, scale, 0)
-
-        # delta = 0: y(0) off the strongest responses, topped up by c e_k,
-        # which lowers the floor's left side by rho c^2. Where eta is 0 on all
-        # of them its dual value rho eta^H y(0) is finite (and exact if c > 0).
-        strongest = r == 0.0
-        y_lo = np.divide(eta, r, out=np.zeros_like(eta), where=~strongest)
-        excess = np.dot(slope, np.abs(y_lo) ** 2)
-        y_lo += np.sqrt(max(excess, 0.0) / rho) * self._sensing_coords
-        objective, bound, gap = 0.0, np.inf, np.inf
-        if not eta[strongest].any():
-            eta_y, norm2 = np.vdot(eta, y_lo).real, np.vdot(y_lo, y_lo).real
-            objective, bound = eta_y ** 2 / norm2, rho * eta_y
-            gap = -eta_y * min(excess, 0.0) / norm2
-
-        # bisection over the doubles in [0, 1] ordered as their bit patterns:
-        # the first steps halve the exponent range, so a delta of any scale
-        # (1e-16 where eta is 0 on the strongest responses but for rounding)
-        # ends in a bracket a few doubles wide
-        lo, hi = 0, int(np.float64(1.0).view(np.int64))
-        steps = 0
-        while steps < _BISECTION_STEPS and gap > _GAP_TOLERANCE * objective:
-            steps += 1
-            mid = (lo + hi) // 2
-            delta = float(np.int64(mid).view(np.float64))
-            d = delta + (1.0 - delta) * r
-            y_mag = mag / d
-            norm2 = np.dot(y_mag, y_mag)
-            excess = np.dot(slope, y_mag ** 2)
-            if excess <= 0:
-                lo, y_lo = mid, eta / d
-                eta_y = np.dot(mag, y_mag)
-                objective = eta_y ** 2 / norm2
-                bound = eta_y * (delta + (1.0 - delta) * rho)
-                gap = -eta_y * (1.0 - delta) * (excess / norm2)
-            else:
-                hi = mid
-        return self._solution(self._beam(y_lo), gamma_th, scale * bound, steps)
-
-    def _solution(self, bf: DamBeamformer, gamma_th: float, bound: float,
-                  iterations: int) -> IsacSolution:
+        bf = DamBeamformer.aligned(self._beams(y)[0], self.channel.path_delays)
         report = verify_solution(bf, self.channel, self.theta, self.gain, self.block_length,
                                  gamma_th, self.power, self.noise_power)
         return IsacSolution(beamformer=bf, gamma_c=report.gamma_c,
-                            gamma_p=report.gamma_p, dual_bound=float(bound),
-                            iterations=iterations, status="optimal", report=report)
+                            gamma_p=report.gamma_p, dual_bound=float(self._scale * bound[0]),
+                            iterations=int(steps[0]), status="optimal", report=report)
+
+
+def solve_batch(problems: Sequence[IsacProblem], gamma_th) -> BatchSolution:
+    """`IsacProblem.solve` for every problem and floor, as (problems, floors) arrays.
+
+    gamma_th is one grid of floors (G,) for all problems, or one grid per
+    problem (P, G). The problems must have the same number of paths: all
+    P G rows go through one bisection on delta, then each problem's beams
+    through one audit. No beamformer is built.
+    """
+    gamma_th = np.asarray(gamma_th, dtype=float)
+    if not np.all(gamma_th >= 0):
+        raise ValueError("gamma_th must be >= 0")
+    if len({p.channel.num_paths for p in problems}) != 1:
+        raise ValueError("solve_batch needs one or more problems with one path count")
+    shape = (len(problems), gamma_th.shape[-1])
+    ceiling = np.array([p.gamma_zf_max for p in problems])
+    rho = 1.0 - np.broadcast_to(gamma_th, shape) / ceiling[:, None]
+    y, bound, steps = _bisect(np.repeat(np.stack([p._eta for p in problems]), shape[1], axis=0),
+                              np.repeat(np.stack([p._r for p in problems]), shape[1], axis=0),
+                              rho.ravel())
+    y, feasible = y.reshape(*shape, -1), rho >= 0
+    audit = np.full((4, *shape), np.nan)
+    for i, p in enumerate(problems):
+        ok = feasible[i]
+        if ok.any():
+            audit[:, i, ok] = _audit(p._beams(y[i, ok]), p.channel, p.theta, p.gain,
+                                     p.block_length, p.noise_power)
+    scale = np.array([p._scale for p in problems])
+    zf_residual, power_used, gamma_c, gamma_p = audit
+    return BatchSolution(gamma_c=gamma_c, gamma_p=gamma_p,
+                         dual_bound=scale[:, None] * bound.reshape(shape),
+                         iterations=steps.reshape(shape), zf_residual=zf_residual,
+                         power_used=power_used, feasible=feasible)
 
 
 def verify_solution(bf: DamBeamformer, channel: MultipathChannel, theta: float,
                     gain: complex, block_length: int, gamma_th: float,
                     power: float, noise_power: float) -> SolutionReport:
     """Recompute every constraint of the trade-off problem from the beamformer."""
-    f = bf.beam_matrix
-    cross = np.abs(np.conj(channel.path_vectors) @ f)  # (L, L), |h_l^H f_l'|
-    np.fill_diagonal(cross, 0.0)
-    zf_residual = float(cross.max()) if channel.num_paths > 1 else 0.0
-    power_used = float(np.sum(np.abs(f) ** 2))
-    gamma_c = float(np.abs(np.sum(np.conj(channel.path_vectors) * f.T)) ** 2
-                    / noise_power)
-    gamma_p = _sensing.sensing_snr(f, theta, gain, block_length, noise_power)
+    zf_residual, power_used, gamma_c, gamma_p = (
+        float(v[0]) for v in _audit(bf.beam_matrix[None], channel, theta, gain,
+                                    block_length, noise_power))
     return SolutionReport(zf_residual=zf_residual, power_used=power_used,
-                          power_slack=float(power - power_used),
+                          power_slack=power - power_used,
                           gamma_c=gamma_c, gamma_p=gamma_p,
-                          sensing_slack=float(gamma_p - gamma_th))
+                          sensing_slack=gamma_p - gamma_th)

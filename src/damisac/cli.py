@@ -71,8 +71,9 @@ def _summarize(name: str, result, cfg) -> None:
               f"solver status: {result.solver_status}")
     elif name == "se-sweep":
         for row in result:
+            se = row["mean_se_bps_hz"]
             print(f"gamma_th={row['gamma_th_db']:g} dB L={row['num_paths']}: "
-                  f"mean SE {row['mean_se_bps_hz']:.3f} bps/Hz "
+                  f"mean SE {'n/a' if math.isnan(se) else f'{se:.3f} bps/Hz'} "
                   f"({row['feasible']} feasible, {row['infeasible']} infeasible)")
     elif name == "dd-map":
         r = dataclasses.asdict(result)

@@ -382,42 +382,46 @@ def run_beampattern(cfg: ExperimentConfig) -> BeampatternResult:
     return result
 
 
+# (channel, floor) rows per solve_batch call in run_se_sweep: a call takes
+# max(1, _SWEEP_ROWS // G) channels, so its memory does not grow with trials
+_SWEEP_ROWS = 256
+
+
 def run_se_sweep(cfg: ExperimentConfig) -> List[dict]:
     """Mean spectral efficiency of the trade-off design over random channels,
     per sensing threshold and per path count.
 
     SE per realization is (N / N_c) log2(1 + gamma_c) with gamma_c recomputed
     by the constraint audit; realizations whose zero-forcing ceiling falls
-    below the threshold are counted as infeasible and excluded from the mean.
+    below the threshold are counted as infeasible and excluded from the mean,
+    which is nan where no realization is feasible.
     """
     s = cfg.scenario
     n = s.data_length
     grid_lin = 10.0 ** (np.asarray(cfg.gamma_th_grid_db, dtype=float) / 10.0)
     target = cfg.radar_target()
+    chunk = max(1, _SWEEP_ROWS // grid_lin.size)
     rows = []
     for li, num_paths in enumerate(cfg.sweep_num_paths):
         gen = dataclasses.replace(cfg.channel_gen, num_paths=num_paths)
         se_sum = np.zeros(grid_lin.size)
         feasible = np.zeros(grid_lin.size, dtype=int)
-        infeasible = np.zeros(grid_lin.size, dtype=int)
-        for trial in range(cfg.trials):
-            channel = generate_multipath_channel(s, gen, cfg.rng(0, li, trial))
-            problem = beamforming.IsacProblem(
-                channel, target.direction, target.gain, n, s.transmit_power_w,
-                s.noise_power_w)
-            for gi, gamma_th in enumerate(grid_lin):
-                sol = problem.solve(float(gamma_th))
-                if sol.status == "infeasible":
-                    infeasible[gi] += 1
-                    continue
-                se = (n / s.block_length) * np.log2(1.0 + sol.gamma_c)
-                se_sum[gi] += se
-                feasible[gi] += 1
+        for start in range(0, cfg.trials, chunk):
+            problems = [beamforming.IsacProblem(
+                generate_multipath_channel(s, gen, cfg.rng(0, li, trial)), target.direction,
+                target.gain, n, s.transmit_power_w, s.noise_power_w)
+                for trial in range(start, min(start + chunk, cfg.trials))]
+            sol = beamforming.solve_batch(problems, grid_lin)
+            se = (n / s.block_length) * np.log2(1.0 + sol.gamma_c)
+            se_sum += np.where(sol.feasible, se, 0.0).sum(axis=0)
+            feasible += sol.feasible.sum(axis=0)
+        mean_se = np.divide(se_sum, feasible, out=np.full(grid_lin.size, np.nan),
+                            where=feasible > 0)
         for gi, g_db in enumerate(cfg.gamma_th_grid_db):
             rows.append({"gamma_th_db": float(g_db), "num_paths": num_paths,
-                         "mean_se_bps_hz": se_sum[gi] / max(feasible[gi], 1),
+                         "mean_se_bps_hz": float(mean_se[gi]),
                          "feasible": int(feasible[gi]),
-                         "infeasible": int(infeasible[gi])})
+                         "infeasible": int(cfg.trials - feasible[gi])})
     if cfg.output_dir is not None:
         _write_csv(Path(cfg.output_dir) / "se_sweep.csv", cfg,
                    ["gamma_th_db", "num_paths", "mean_se_bps_hz", "feasible",

@@ -195,12 +195,16 @@ def correlation_matrix(block: SymbolBlock, kappa, probe_delay: int,
 
 
 def sensing_snr(beam_matrix: np.ndarray, theta: float, gain: complex,
-                block_length: int, noise_power: float) -> float:
-    """Matched-filter output SNR |alpha|^2 N a^H F F^H a / sigma^2."""
+                block_length: int, noise_power: float):
+    """Matched-filter output SNR |alpha|^2 N a^H F F^H a / sigma^2.
+
+    A float for one beam matrix F (M, L); an array (B,) for a stack (B, M, L).
+    """
     beam_matrix = np.asarray(beam_matrix, dtype=complex)
-    a = steering_vector(theta, beam_matrix.shape[0])
-    agg = np.sum(np.abs(np.conj(a) @ beam_matrix) ** 2)
-    return float(np.abs(gain) ** 2 * block_length * agg / noise_power)
+    a = steering_vector(theta, beam_matrix.shape[-2])
+    agg = np.sum(np.abs(np.conj(a) @ beam_matrix) ** 2, axis=-1)
+    snr = np.abs(gain) ** 2 * block_length * agg / noise_power
+    return float(snr) if snr.ndim == 0 else snr
 
 
 def max_sensing_snr(num_antennas: int, block_length: int, power: float,

@@ -16,7 +16,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 from scipy.signal import find_peaks
 
-from damisac.beamforming import IsacProblem, isi_zf_mrt_beamformer
+from damisac.beamforming import IsacProblem, isi_zf_mrt_beamformer, solve_batch
 from damisac.channel import (
     ChannelGenConfig,
     MultipathChannel,
@@ -340,10 +340,7 @@ def test_07_spectral_efficiency_trend():
         grid = 10.0 ** (np.arange(0.0, 20.0 + 1e-9, 2.0) / 10.0)
         trials = 100
 
-        se = {5: np.zeros((trials, grid.size)),
-              10: np.zeros((trials, grid.size))}
-        feasible = {5: np.ones((trials, grid.size), dtype=bool),
-                    10: np.ones((trials, grid.size), dtype=bool)}
+        problems = {5: [], 10: []}
         gen10 = ChannelGenConfig(num_paths=10)
         for trial in range(trials):
             rng = np.random.default_rng(31_000 + trial)
@@ -353,16 +350,18 @@ def test_07_spectral_efficiency_trend():
             ch5 = MultipathChannel(ch10.path_vectors[:5] * np.sqrt(2.0),
                                    ch10.path_delays[:5])
             for num_paths, ch in ((5, ch5), (10, ch10)):
-                problem = IsacProblem(ch, theta, target.gain, sc.data_length,
-                                      sc.transmit_power_w, sc.noise_power_w)
-                for gi, gamma_th in enumerate(grid):
-                    sol = problem.solve(gamma_th)
-                    if sol.beamformer is None:
-                        feasible[num_paths][trial, gi] = False
-                    else:
-                        gap = sol.dual_bound - sol.gamma_c
-                        assert gap <= 1e-8 * sol.dual_bound
-                        se[num_paths][trial, gi] = np.log2(1.0 + sol.gamma_c)
+                problems[num_paths].append(
+                    IsacProblem(ch, theta, target.gain, sc.data_length,
+                                sc.transmit_power_w, sc.noise_power_w))
+
+        se, feasible = {}, {}
+        for num_paths in (5, 10):
+            # every (trial, floor) row of a path count in one stacked solve
+            sol = solve_batch(problems[num_paths], grid)
+            feasible[num_paths] = sol.feasible
+            gap = sol.dual_bound - sol.gamma_c
+            assert np.all(gap[sol.feasible] <= 1e-8 * sol.dual_bound[sol.feasible])
+            se[num_paths] = np.where(sol.feasible, np.log2(1.0 + sol.gamma_c), 0.0)
 
         means = {}
         for num_paths in (5, 10):

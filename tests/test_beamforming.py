@@ -17,6 +17,7 @@ from damisac import (
     isi_zf_mrt_beamformer,
     sensing_snr,
     max_sensing_snr,
+    solve_batch,
     steering_vector,
     verify_solution,
 )
@@ -259,7 +260,7 @@ def solve(ch, gamma_th, p=1.0):
     return IsacProblem(ch, THETA, GAIN, N_BLOCK, p, SIGMA2).solve(gamma_th)
 
 
-def test_sca_zero_threshold_recovers_mrt():
+def test_solve_zero_threshold_recovers_mrt():
     rng = np.random.default_rng(20)
     ch = random_channel(rng, 6, 3)
     sol = solve(ch, 0.0)
@@ -270,7 +271,7 @@ def test_sca_zero_threshold_recovers_mrt():
     assert sol.dual_bound == pytest.approx(mrt, rel=1e-12)
 
 
-def test_sca_boundary_threshold_is_sensing_limited():
+def test_solve_boundary_threshold_is_sensing_limited():
     rng = np.random.default_rng(21)
     ch = random_channel(rng, 6, 3)
     gamma_zf = zf_ceiling(ch)
@@ -343,7 +344,7 @@ def test_solution_when_the_channel_misses_the_target():
         assert sol.gamma_c <= sol.dual_bound * (1 + 1e-14)
 
 
-def test_sca_matches_random_search():
+def test_solve_matches_random_search():
     p = 1.0
     for seed in range(5):
         rng = np.random.default_rng(seed)
@@ -362,14 +363,14 @@ def test_sca_matches_random_search():
         assert sol.gamma_c <= sol.dual_bound * (1 + 1e-12)
 
 
-def test_sca_rejects_negative_threshold():
+def test_solve_rejects_negative_threshold():
     rng = np.random.default_rng(23)
     ch = random_channel(rng, 4, 2)
     with pytest.raises(ValueError):
         solve(ch, -1.0)
 
 
-def test_sca_above_ceiling_is_infeasible():
+def test_solve_above_ceiling_is_infeasible():
     rng = np.random.default_rng(24)
     ch = random_channel(rng, 4, 2)
     sol = solve(ch, zf_ceiling(ch) * (1 + 1e-9))
@@ -379,7 +380,7 @@ def test_sca_above_ceiling_is_infeasible():
     assert np.isnan(sol.dual_bound)
 
 
-def test_sca_tradeoff_monotone_in_threshold():
+def test_solve_tradeoff_monotone_in_threshold():
     rng = np.random.default_rng(25)
     ch = random_channel(rng, 6, 3)
     problem = IsacProblem(ch, THETA, GAIN, N_BLOCK, 1.0, SIGMA2)
@@ -390,6 +391,47 @@ def test_sca_tradeoff_monotone_in_threshold():
         gammas.append(sol.gamma_c)
     gammas = np.asarray(gammas)
     assert np.all(gammas[1:] <= gammas[:-1] * (1 + 1e-9))
+
+
+def test_solve_batch_rows_match_one_row_solves():
+    # one stacked call over one-path channels whose rows reach every exit:
+    # floor 0 (MRT), the ceiling itself (rho = 0, the sensing beam), above it
+    # (infeasible), a channel that misses the target (eta 0 on the strongest
+    # response: the top-up, no search) and mid floors (the search on delta).
+    # Each row gives exactly what a one-row call gives, and closes its gap.
+    rng = np.random.default_rng(40)
+    miss = MultipathChannel(np.array([[1.0, -1.0]]), np.arange(1))
+    problems = [IsacProblem(miss, 0.0, GAIN, N_BLOCK, 1.0, SIGMA2)]
+    problems += [IsacProblem(random_channel(rng, m, 1), THETA, GAIN, N_BLOCK, 1.0, SIGMA2)
+                 for m in (2, 4, 6)]
+    fracs = np.array([0.0, 0.1, 0.5, 0.9, 0.999999, 1.0, 1.0 + 1e-9, np.inf])
+    floors = np.array([fracs * p.gamma_zf_max for p in problems])
+    batch = solve_batch(problems, floors)
+    assert np.all(batch.feasible == (fracs <= 1.0))
+    assert np.all(batch.iterations[:, [0, 5, 6, 7]] == 0)     # MRT, sensing, infeasible
+    assert np.all(batch.iterations[0] == 0)                   # the top-up
+    assert np.all(batch.iterations[1:, 3:5] > 0)              # the search
+    for i, problem in enumerate(problems):
+        for j, gamma_th in enumerate(floors[i]):
+            one = problem.solve(gamma_th)
+            assert batch.feasible[i, j] == (one.status == "optimal")
+            assert batch.iterations[i, j] == one.iterations
+            for name in ("gamma_c", "gamma_p", "dual_bound"):
+                np.testing.assert_array_equal(getattr(batch, name)[i, j], getattr(one, name))
+            if one.status == "optimal":
+                assert one.dual_bound - one.gamma_c <= 1e-8 * one.dual_bound
+                assert batch.zf_residual[i, j] == one.report.zf_residual
+                assert batch.power_used[i, j] == one.report.power_used
+
+
+def test_solve_batch_rejects_mixed_path_counts_and_negative_floors():
+    rng = np.random.default_rng(41)
+    problems = [IsacProblem(random_channel(rng, 4, l), THETA, GAIN, N_BLOCK, 1.0, SIGMA2)
+                for l in (1, 2)]
+    with pytest.raises(ValueError, match="one path count"):
+        solve_batch(problems, [0.0])
+    with pytest.raises(ValueError, match=">= 0"):
+        solve_batch(problems[:1], [1.0, -1.0])
 
 
 # ----------------------------------------------------------------------- audit

@@ -40,11 +40,13 @@ from damisac import (
     run_ofdm_compare,
     run_se_sweep,
 )
+from damisac import experiments
 from damisac.cli import main
 from damisac.experiments import _SCHEMA, _pattern_db
 from scipy.signal import find_peaks
 
 from beam_peaks import find_beam_peaks
+from se_sweep_oracle import se_sweep_rows
 
 EXPERIMENTS = ("beampattern", "se-sweep", "dd-map", "ofdm-compare")
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -394,7 +396,29 @@ def test_se_sweep_counts_infeasible(tmp_path):
     cfg.gamma_th_grid_db = np.array([80.0])      # far above any ZF ceiling
     row = run_se_sweep(cfg)[0]
     assert row["infeasible"] == 2 and row["feasible"] == 0
-    assert row["mean_se_bps_hz"] == 0.0
+    assert np.isnan(row["mean_se_bps_hz"])       # no feasible trial: no mean
+
+
+def test_se_sweep_matches_the_one_solve_oracle(monkeypatch):
+    # a grid across some trials' ZF ceilings (22.3-22.6 dB here), so feasible
+    # and infeasible rows share a stacked call, and one above all of them;
+    # with 7 * 3 rows per call the eight trials also split over three calls
+    cfg = load_config(None)
+    cfg.trials = 8
+    cfg.sweep_num_paths = (5, 10)
+    cfg.gamma_th_grid_db = np.array([0.0, 10.0, 22.4, 22.55, 22.6, 22.62, 30.0])
+    oracle = se_sweep_rows(cfg)
+    assert any(r["feasible"] and r["infeasible"] for r in oracle)
+    assert any(r["feasible"] == 0 for r in oracle)
+    for chunk_rows in (experiments._SWEEP_ROWS, 7 * 3):
+        monkeypatch.setattr(experiments, "_SWEEP_ROWS", chunk_rows)
+        rows = run_se_sweep(cfg)
+        assert len(rows) == len(oracle) == 14
+        for row, want in zip(rows, oracle):
+            for key in ("gamma_th_db", "num_paths", "feasible", "infeasible"):
+                assert row[key] == want[key]
+            assert row["mean_se_bps_hz"] == pytest.approx(want["mean_se_bps_hz"], rel=1e-12,
+                                                          nan_ok=True)
 
 
 def test_dd_map_report(tmp_path):
@@ -525,6 +549,18 @@ def test_cli_se_sweep_with_overrides(tmp_path, capsys):
     assert len(lines) == 4 + 2          # two grid points, one path count
     stdout = capsys.readouterr().out
     assert "mean SE" in stdout and "wrote CSV output" in stdout
+
+
+def test_cli_se_sweep_above_every_ceiling(tmp_path, capsys):
+    # no trial can meet a 60 or 80 dB floor: the run succeeds and says so
+    out = tmp_path / "out"
+    code = main(["se-sweep", "--config", str(small_sweep_config(tmp_path)), "--trials", "3",
+                 "--gamma-th-grid", "60:80:20", "--out", str(out)])
+    assert code == 0
+    lines = (out / "se_sweep.csv").read_text().splitlines()
+    assert lines[4:] == ["60.0,3,nan,0,3", "80.0,3,nan,0,3"]
+    stdout = capsys.readouterr().out
+    assert stdout.count("mean SE n/a (0 feasible, 3 infeasible)") == 2
 
 
 CSVS = ["beampattern.csv", "dd_map.csv", "dd_report.csv", "ofdm_compare.csv", "se_sweep.csv"]
