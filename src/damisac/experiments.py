@@ -430,15 +430,12 @@ def run_se_sweep(cfg: ExperimentConfig) -> List[dict]:
     return rows
 
 
-def _empirical_snr(template: np.ndarray, clean: np.ndarray, noise_power: float,
-                   rngs) -> float:
-    """Monte-Carlo peak-cell SNR |<u, clean>|^2 / mean |<u, z>|^2 of the unit
-    template u, with one CN(0, noise_power) draw z shaped like clean per
-    generator: the matched filter is linear, so no trial rebuilds its echo."""
-    signal = np.vdot(template, clean)
-    noise = [np.vdot(template, complex_normal(rng, clean.shape, noise_power))
-             for rng in rngs]
-    return float(np.abs(signal) ** 2 / np.mean(np.abs(noise) ** 2))
+def _empirical_snr(template: np.ndarray, clean: np.ndarray, noise_power: float) -> float:
+    """Matched-filter output SNR |<u, clean>|^2 / (noise_power ||u||^2) of the
+    template u on the simulated noise-free echo: exact for white noise of
+    variance noise_power per sample, whose output variance is noise_power ||u||^2."""
+    return float(np.abs(np.vdot(template, clean)) ** 2
+                 / (noise_power * np.vdot(template, template).real))
 
 
 @dataclass
@@ -463,8 +460,9 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
     echo is matched-filtered over the delays up to the guard (or up to the
     target, when it lies beyond the guard) inside the block and a Doppler
     window of +-8 resolution bins around the true shift (clipped to
-    (-B/2, B/2]), and the peak-cell SNR is measured over `trials` fresh noise draws against
-    the closed-form value.
+    (-B/2, B/2]). The peak-cell SNR of the simulated echo through the true
+    cell's template is reported beside the closed-form value; `trials` is not
+    read.
     """
     s = cfg.scenario
     target = cfg.radar_target(cfg.rng(1, 1))
@@ -480,7 +478,7 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
     block = waveform.generate_symbols(cfg.rng(1, 2), n_mc, cfg.modulation)
     tx = waveform.build_dam_block(block, bf)
     t_s = s.symbol_duration_s
-    # the noise-free echo, built once: the map's and each trial's noise add to it
+    # the noise-free echo: the map adds one noise draw to it, the SNR needs none
     clean = apply_radar_channel(target, tx, t_s)
     echo = clean + complex_normal(cfg.rng(1, 3), clean.shape, s.noise_power_w)
 
@@ -494,8 +492,7 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
 
     template = sensing.matched_filter_template(
         bf, block, target.direction, target.delay_symbols, target.doppler_hz, t_s)
-    gamma_emp = _empirical_snr(template, clean, s.noise_power_w,
-                               (cfg.rng(1, 4 + t) for t in range(cfg.trials)))
+    gamma_emp = _empirical_snr(template, clean, s.noise_power_w)
 
     report = DdMapReport(
         true_delay_bin=target.delay_symbols, est_delay_bin=est_delay,
@@ -530,10 +527,11 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
     One target, one DAM symbol block and one OFDM grid. Each scheme steers all
     its power at the target, in full (average-power regime) or derated by its
     PAPR bound, L streams or K subcarriers (peak-power regime); every design
-    gets its analytic and Monte-Carlo output SNR. Per scheme: the PAPR of the
-    transmitted signal, the ambiguity limits, and a paired fast-target demo at
-    twice the subcarrier spacing, inside the aligned waveform's unambiguous
-    Doppler span but far beyond OFDM's.
+    gets its analytic output SNR and that of its simulated echo through its
+    matched filter. Per scheme: the PAPR of the transmitted signal, the
+    ambiguity limits, and a paired fast-target demo at twice the subcarrier
+    spacing, inside the aligned waveform's unambiguous Doppler span but far
+    beyond OFDM's.
     """
     s = cfg.scenario
     n_mc = min(s.data_length, cfg.mc_block_length)
@@ -569,30 +567,29 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
     tx_freq = waveform.generate_symbols(cfg.rng(2, 2), k * i_sym,
                                         cfg.modulation).symbols.reshape(k, i_sym, order="F")
 
-    # (analytic, Monte-Carlo) output SNR of one design, one noise draw per generator
-    def dam_snr(bf, rngs):
+    # (analytic, simulated-echo) output SNR of one design
+    def dam_snr(bf):
         tx = tx_dam if bf is bf_full else waveform.build_dam_block(block, bf)
         template = sensing.matched_filter_template(
             bf, block, theta, target.delay_symbols, target.doppler_hz, t_s)
         return (sensing.sensing_snr(bf.beam_matrix, theta, target.gain, n_mc, sigma2),
-                _empirical_snr(template, apply_radar_channel(target, tx, t_s), sigma2, rngs))
+                _empirical_snr(template, apply_radar_channel(target, tx, t_s), sigma2))
 
-    def ofdm_snr(config, rngs):
-        # the unit-gain echo, normalized, is the matched filter
+    def ofdm_snr(config):
+        # the unit-gain echo is the matched filter; noise is sigma^2 / K per cell
         template = ofdm.ofdm_radar_rx(config, dataclasses.replace(target, gain=1.0 + 0j),
                                       tx_freq)
         return (ofdm.ofdm_output_snr(config, theta, target.gain, sigma2),
-                _empirical_snr(template / np.linalg.norm(template),
-                               ofdm.ofdm_radar_rx(config, target, tx_freq), sigma2 / k, rngs))
+                _empirical_snr(template, ofdm.ofdm_radar_rx(config, target, tx_freq),
+                               sigma2 / k))
 
-    # Before the fast-target trials: in the reverse order the default run was
-    # measured about 25 % slower. Monte-Carlo streams rng(2, 3..6, t): average
-    # DAM, OFDM, then peak.
+    # Before the fast-target trials: the reverse order made the default run
+    # about 24 % slower. It is glibc's malloc: the large arrays freed here raise
+    # its mmap threshold, so the trials' buffers reuse heap pages.
     designs = {"dam": (dam_snr, bf_full, bf_derated), "ofdm": (ofdm_snr, ocfg, ocfg_derated)}
-    snrs = {(scheme, regime): snr(design, (cfg.rng(2, 3 + si + 2 * ri, t)
-                                           for t in range(cfg.trials)))
-            for si, (scheme, (snr, *pair)) in enumerate(designs.items())
-            for ri, (regime, design) in enumerate(zip(("average_power", "peak_power"), pair))}
+    snrs = {(scheme, regime): snr(design)
+            for scheme, (snr, *pair) in designs.items()
+            for regime, design in zip(("average_power", "peak_power"), pair)}
 
     # Fast-target demo: Doppler at twice the subcarrier spacing.
     f_fast = 2.0 * ocfg.subcarrier_spacing_hz

@@ -4,6 +4,7 @@ exit codes, and runs without scipy."""
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -19,19 +20,23 @@ from hypothesis import strategies as st
 from damisac import (
     ChannelGenConfig,
     ConfigError,
+    DamBeamformer,
     ExperimentConfig,
     InfeasibleError,
     IsacProblem,
     MultipathChannel,
-    RadarTarget,
+    OfdmConfig,
     apply_radar_channel,
     build_dam_block,
     comm_snr,
+    correlation_matrix,
     generate_multipath_channel,
     generate_symbols,
     isi_zf_mrt_beamformer,
     load_config,
     matched_filter_template,
+    ofdm_output_snr,
+    ofdm_radar_rx,
     ofdm_time_domain,
     papr_empirical,
     parse_gamma_grid,
@@ -39,6 +44,7 @@ from damisac import (
     run_dd_map,
     run_ofdm_compare,
     run_se_sweep,
+    steering_vector,
 )
 from damisac import experiments
 from damisac.cli import main
@@ -421,9 +427,31 @@ def test_se_sweep_matches_the_one_solve_oracle(monkeypatch):
                                                           nan_ok=True)
 
 
+def dd_map_scene(cfg):
+    """The dd-map design, symbol block and target, rebuilt from its keyed streams."""
+    s = cfg.scenario
+    channel = generate_multipath_channel(s, cfg.channel_gen, cfg.rng(1, 0))
+    target = cfg.radar_target(cfg.rng(1, 1))
+    problem = IsacProblem(channel, target.direction, target.gain, s.data_length,
+                          s.transmit_power_w, s.noise_power_w)
+    bf = problem.solve(cfg.isac_gamma_fraction * problem.gamma_zf_max).beamformer
+    block = generate_symbols(cfg.rng(1, 2), min(s.data_length, cfg.mc_block_length),
+                             cfg.modulation)
+    return bf, block, target
+
+
+def finite_block_snr(bf, block, target, noise_power):
+    """|alpha|^2 c^H R_p c / sigma^2 with c^H = a^H F and R_p the stream
+    correlation over the N - p samples a delay p keeps: the matched-filter SNR
+    of one block's noise-free echo, whose expectation is |alpha|^2 N ||c||^2 / sigma^2."""
+    c = np.conj(bf.beam_matrix.T) @ steering_vector(target.direction, bf.num_antennas)
+    p = target.delay_symbols
+    r_p = correlation_matrix(block, bf.delay_schedule, p, p)
+    return abs(target.gain) ** 2 * np.vdot(c, r_p @ c).real / noise_power
+
+
 def test_dd_map_report(tmp_path):
     cfg = load_config(None)
-    cfg.trials = 600
     cfg.mc_block_length = 8192
     cfg.output_dir = tmp_path
     rep = run_dd_map(cfg)
@@ -432,8 +460,8 @@ def test_dd_map_report(tmp_path):
     assert rep.true_doppler_hz == pytest.approx(2 * 15.0 / cfg.scenario.wavelength_m)
     res = 1.0 / (rep.mc_block_length * cfg.scenario.symbol_duration_s)
     assert abs(rep.est_doppler_hz - rep.true_doppler_hz) <= res
-    diff_db = 10 * np.log10(rep.gamma_p_empirical / rep.gamma_p_analytic_mc)
-    assert abs(diff_db) < 0.5
+    assert rep.gamma_p_empirical == pytest.approx(
+        finite_block_snr(*dd_map_scene(cfg), cfg.scenario.noise_power_w), rel=1e-12)
     assert rep.gamma_p_analytic_full >= rep.gamma_th * (1 - 1e-6)
     assert (tmp_path / "dd_map.csv").exists()
     report_lines = (tmp_path / "dd_report.csv").read_text().splitlines()
@@ -441,33 +469,80 @@ def test_dd_map_report(tmp_path):
     assert report_lines[1] == "# n_c=100000 n_p=200 n=99800"
 
 
-def test_dd_map_empirical_snr_matches_full_echo_oracle():
-    """The linear shortcut (one noise draw per trial through the template)
-    against rebuilding every noisy echo from the same keyed streams."""
+@pytest.mark.parametrize("modulation", ["qpsk", "gaussian"])
+def test_dd_map_empirical_snr_is_the_finite_block_form(modulation):
+    """gamma_p_empirical is the exact SNR of the simulated block, not its
+    expectation: it pins to the c^H R_p c form and sits off the analytic
+    N ||c||^2 value by the block's own stream correlation."""
     cfg = load_config(None)
-    cfg.trials = 12
     cfg.mc_block_length = 2048
+    cfg.modulation = modulation
     rep = run_dd_map(cfg)
+    exact = finite_block_snr(*dd_map_scene(cfg), cfg.scenario.noise_power_w)
+    assert rep.gamma_p_empirical == pytest.approx(exact, rel=1e-12)
+    assert abs(exact / rep.gamma_p_analytic_mc - 1) > 1e-4
 
+
+def test_dd_map_does_not_read_trials(tmp_path):
+    # the map and the report below the header are the same for any trial count
+    cfgfile = write_config(tmp_path, {"experiment": {"mc_block_length": 1024}})
+
+    def body(trials):
+        out = tmp_path / f"trials{trials}"
+        assert main(["dd-map", "--config", str(cfgfile), "--trials", str(trials),
+                     "--out", str(out)]) == 0
+        return {name: [line for line in (out / name).read_bytes().splitlines()
+                       if not line.startswith(b"#")]
+                for name in ("dd_map.csv", "dd_report.csv")}
+
+    assert body(1) == body(7)
+
+
+def test_unit_template_noise_variance():
+    """The exact SNRs divide by sigma^2 ||u||^2; this checks that noise drawn
+    the way the runs draw it has that variance through a unit template:
+    sigma^2 for DAM (apply_radar_channel, per sample) and sigma^2 / K for OFDM
+    (ofdm_radar_rx, per frequency-domain cell).
+
+    Over T draws, sum_t |r_t|^2 / v ~ Gamma(T, 1). By the Chernoff bound its
+    mean m leaves [1 - e, 1 + e] with probability at most
+    exp(-T (e - ln(1 + e))) + exp(-T (-e - ln(1 - e))); T = 1000, e = 0.2 give
+    2.1e-8 per scheme, the false-fail probability over noise seeds. A factor 2
+    (real against complex noise) or K (the per-cell scale) fails it."""
+    trials, eps = 1000, 0.2
+    false_fail = (math.exp(-trials * (eps - math.log1p(eps)))
+                  + math.exp(-trials * (-eps - math.log1p(-eps))))
+    assert false_fail < 3e-8
+    cfg = load_config(None)
     s = cfg.scenario
-    channel = generate_multipath_channel(s, cfg.channel_gen, cfg.rng(1, 0))
-    tg = cfg.target
-    target = RadarTarget.from_geometry(s, tg.range_m, tg.rcs_m2, tg.direction_rad,
-                                       tg.radial_velocity_m_s, rng=cfg.rng(1, 1))
-    problem = IsacProblem(channel, target.direction, target.gain, s.data_length,
-                          s.transmit_power_w, s.noise_power_w)
-    bf = problem.solve(cfg.isac_gamma_fraction * problem.gamma_zf_max).beamformer
-    block = generate_symbols(cfg.rng(1, 2), rep.mc_block_length, cfg.modulation)
-    tx = build_dam_block(block, bf)
+    n_mc, k, num_paths, sigma2 = 1024, 64, cfg.channel_gen.num_paths, s.noise_power_w
     t_s = s.symbol_duration_s
-    template = matched_filter_template(bf, block, target.direction,
-                                       target.delay_symbols, target.doppler_hz, t_s)
-    signal = np.vdot(template, apply_radar_channel(target, tx, t_s, 0.0))
-    draws = [np.vdot(template, apply_radar_channel(target, tx, t_s, s.noise_power_w,
-                                                   cfg.rng(1, 4 + t), s.guard_length))
-             for t in range(cfg.trials)]
-    oracle = abs(signal) ** 2 / np.mean(np.abs(np.array(draws) - signal) ** 2)
-    assert rep.gamma_p_empirical == pytest.approx(oracle, rel=1e-12)
+    target = cfg.radar_target(cfg.rng(2, 0))
+    theta = target.direction
+    rng = np.random.default_rng(11)
+
+    a = steering_vector(theta, s.num_antennas)
+    bf = DamBeamformer.aligned(np.tile(a[:, None], (1, num_paths)), np.arange(num_paths))
+    block = generate_symbols(rng, n_mc, "qpsk")
+    tx = build_dam_block(block, bf)
+    u = matched_filter_template(bf, block, theta, target.delay_symbols, target.doppler_hz,
+                                t_s)
+    clean = np.vdot(u, apply_radar_channel(target, tx, t_s))
+    r = [np.vdot(u, apply_radar_channel(target, tx, t_s, sigma2, rng)) - clean
+         for _ in range(trials)]
+    assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-12)
+    assert abs(np.mean(np.abs(r) ** 2) / sigma2 - 1) < eps
+
+    scen_mc = dataclasses.replace(s, coherence_time_s=(n_mc + s.guard_length) * t_s)
+    ocfg = OfdmConfig.steered(scen_mc, k, theta)
+    grid = generate_symbols(rng, k * ocfg.symbols_per_block, "qpsk").symbols.reshape(
+        k, ocfg.symbols_per_block, order="F")
+    u = ofdm_radar_rx(ocfg, dataclasses.replace(target, gain=1.0 + 0j), grid)
+    u /= np.linalg.norm(u)
+    clean = np.vdot(u, ofdm_radar_rx(ocfg, target, grid))
+    r = [np.vdot(u, ofdm_radar_rx(ocfg, target, grid, sigma2, rng)) - clean
+         for _ in range(trials)]
+    assert abs(np.mean(np.abs(r) ** 2) / (sigma2 / k) - 1) < eps
 
 
 def test_dd_map_rejects_target_beyond_guard():
@@ -512,9 +587,23 @@ def test_ofdm_compare_result(tmp_path):
     gap_db = (by[("dam", "peak_power")]["analytic_snr_db"]
               - by[("ofdm", "peak_power")]["analytic_snr_db"])
     assert gap_db == pytest.approx(10 * np.log10(n_mc / (l * i_sym)), abs=1e-9)
-    # analytic and empirical agree in every regime
-    for r in res.rows:
-        assert abs(r["analytic_snr_db"] - r["empirical_snr_db"]) < 1.5
+    # the empirical SNRs are exact: OFDM's equals ofdm_output_snr, and each
+    # DAM row is the finite-block form of the run's symbol block
+    s, sigma2 = cfg.scenario, cfg.scenario.noise_power_w
+    target = cfg.radar_target(cfg.rng(2, 0))
+    block = generate_symbols(cfg.rng(2, 1), n_mc, cfg.modulation)
+    a = steering_vector(target.direction, s.num_antennas)
+    f_full = np.sqrt(s.transmit_power_w / (s.num_antennas * l)) * np.tile(a[:, None], (1, l))
+    scen_mc = dataclasses.replace(s, coherence_time_s=(n_mc + 200) * s.symbol_duration_s)
+    for regime, dam_scale, ofdm_power in (("average_power", 1.0, s.transmit_power_w),
+                                          ("peak_power", l ** -0.5, s.transmit_power_w / 256)):
+        bf = DamBeamformer.aligned(dam_scale * f_full, np.arange(l))
+        ocfg = OfdmConfig.steered(scen_mc, 256, target.direction, total_power=ofdm_power)
+        for scheme, want in (("dam", finite_block_snr(bf, block, target, sigma2)),
+                             ("ofdm", ofdm_output_snr(ocfg, target.direction, target.gain,
+                                                      sigma2))):
+            got = 10 ** (by[(scheme, regime)]["empirical_snr_db"] / 10)
+            assert got == pytest.approx(want, rel=1e-12), (scheme, regime)
     assert res.papr_ofdm > res.papr_dam
     assert res.dam_doppler_hit_rate >= 0.9
     assert res.ofdm_doppler_hit_rate < 0.5
