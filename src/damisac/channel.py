@@ -11,7 +11,7 @@ Doppler and a radar-equation gain. Delays are kept on the symbol-rate grid
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,25 +26,27 @@ def complex_normal(rng: np.random.Generator, shape=(), variance: float = 1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def steering_vector(theta: float, num_antennas: int) -> np.ndarray:
+def steering_vector(theta, num_antennas: int) -> np.ndarray:
     """Transmit steering vector of a half-wavelength uniform linear array.
 
     Element m carries phase exp(j*2*pi*(d/lambda)*m*sin(theta)) with
     d/lambda = 0.5, m = 0..M-1, so the squared norm is exactly M.
 
     Args:
-        theta: Angle of departure in radians, measured from broadside.
+        theta: Angle of departure in radians, measured from broadside, or
+            an array of them.
         num_antennas: Number of array elements M.
 
     Returns:
-        Complex array of shape (M,).
+        Complex array of shape (M,), with one row per angle, theta.shape + (M,),
+        for an array of angles.
     """
-    if not np.isfinite(theta):
+    if not np.isfinite(theta).all():
         raise ValueError("steering angle must be finite")
     if num_antennas < 1:
         raise ValueError("num_antennas must be >= 1")
     m = np.arange(num_antennas)
-    return np.exp(2j * np.pi * 0.5 * m * np.sin(theta))
+    return np.exp(2j * np.pi * 0.5 * m * np.sin(theta)[..., None])
 
 
 def _whole_symbols(name: str, duration_s: float, bandwidth_hz: float) -> int:
@@ -172,7 +174,6 @@ class MultipathChannel:
 
     path_vectors: np.ndarray
     path_delays: np.ndarray
-    metadata: Optional[dict] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.path_vectors = np.asarray(self.path_vectors, dtype=complex)
@@ -210,10 +211,8 @@ class MultipathChannel:
         directions = np.atleast_1d(np.asarray(directions, dtype=float))
         if coefficients is None:
             coefficients = np.ones(directions.shape[0], dtype=complex)
-        vecs = np.stack([c * steering_vector(th, num_antennas)
-                         for c, th in zip(coefficients, directions)])
-        return cls(vecs, np.asarray(delays, dtype=int),
-                   metadata={"directions_rad": directions.tolist()})
+        vecs = np.asarray(coefficients)[:, None] * steering_vector(directions, num_antennas)
+        return cls(vecs, np.asarray(delays, dtype=int))
 
 
 def generate_multipath_channel(scenario: ScenarioConfig, gen: ChannelGenConfig,
@@ -233,7 +232,7 @@ def generate_multipath_channel(scenario: ScenarioConfig, gen: ChannelGenConfig,
         rng: Random generator; the draw is fully determined by its state.
 
     Returns:
-        MultipathChannel with generation metadata attached.
+        MultipathChannel.
     """
     num_paths = gen.num_paths
     if num_paths > scenario.guard_length + 1:
@@ -249,20 +248,15 @@ def generate_multipath_channel(scenario: ScenarioConfig, gen: ChannelGenConfig,
     m = scenario.num_antennas
     lo, hi = gen.aod_sector
     vectors = np.zeros((num_paths, m), dtype=complex)
-    meta_paths = []
     for l in range(num_paths):
+        # the seeded draw order, path by path: mu_l, its angles, nu_l, beta_l
         mu = int(rng.integers(1, gen.max_subpaths + 1))
         angles = rng.uniform(lo, hi, size=mu)
         nu = complex_normal(rng, (mu,), variance=1.0 / mu)
         beta = complex_normal(rng, (), variance=1.0 / num_paths)
-        cluster = np.zeros(m, dtype=complex)
-        for i in range(mu):
-            cluster += nu[i] * steering_vector(angles[i], m)
-        vectors[l] = beta * cluster
-        meta_paths.append({"num_subpaths": mu,
-                           "aod_rad": angles.tolist(),
-                           "gain": [float(beta.real), float(beta.imag)]})
-    return MultipathChannel(vectors, delays, metadata={"paths": meta_paths})
+        # summed in sub-path order, as a loop would round it, not by a BLAS product
+        vectors[l] = beta * (nu[:, None] * steering_vector(angles, m)).sum(axis=0)
+    return MultipathChannel(vectors, delays)
 
 
 @dataclass

@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None,
                        help="output directory for CSV files")
         p.add_argument("--trials", type=int, default=None,
-                       help="override the number of Monte Carlo trials")
+                       help="override the number of Monte Carlo trials; only se-sweep "
+                            "and ofdm-compare read it")
         p.add_argument("--gamma-th-grid", type=str, default=None, metavar="A:B:STEP",
                        help="sensing threshold grid in dB, inclusive")
     return parser

@@ -330,8 +330,7 @@ def _pattern_db(beam_matrix: np.ndarray, angles_rad: np.ndarray,
     bound of a^H f, (M eps)^2 M sum_l ||f_l||^2: below it a value is rounding,
     not pattern (zero-forcing nulls), and would move between equal designs."""
     m = beam_matrix.shape[0]
-    steering = np.stack([steering_vector(theta, m) for theta in angles_rad])
-    resp = np.conj(steering) @ beam_matrix            # (n_angles, L): a^H f_l
+    resp = np.conj(steering_vector(angles_rad, m)) @ beam_matrix   # (n_angles, L): a^H f_l
     if columns is not None:
         resp, beam_matrix = resp[:, columns], beam_matrix[:, columns]
     power = np.sum(np.abs(resp) ** 2, axis=1)
@@ -433,9 +432,12 @@ def run_se_sweep(cfg: ExperimentConfig) -> List[dict]:
 def _empirical_snr(template: np.ndarray, clean: np.ndarray, noise_power: float) -> float:
     """Matched-filter output SNR |<u, clean>|^2 / (noise_power ||u||^2) of the
     template u on the simulated noise-free echo: exact for white noise of
-    variance noise_power per sample, whose output variance is noise_power ||u||^2."""
-    return float(np.abs(np.vdot(template, clean)) ** 2
-                 / (noise_power * np.vdot(template, template).real))
+    variance noise_power per sample, whose output variance is noise_power ||u||^2.
+    A template with no energy, an echo that missed the stream, has SNR 0."""
+    energy = np.vdot(template, template).real
+    if energy == 0:
+        return 0.0
+    return float(np.abs(np.vdot(template, clean)) ** 2 / (noise_power * energy))
 
 
 @dataclass
@@ -524,7 +526,9 @@ class OfdmCompareResult:
 def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
     """Aligned waveform vs. OFDM radar at matched scenario parameters.
 
-    One target, one DAM symbol block and one OFDM grid. Each scheme steers all
+    One target, one DAM symbol block and one OFDM grid, whose transmits go
+    through the same target channel (apply_radar_channel); the OFDM receiver
+    drops each cyclic prefix and takes a K-point DFT. Each scheme steers all
     its power at the target, in full (average-power regime) or derated by its
     PAPR bound, L streams or K subcarriers (peak-power regime); every design
     gets its analytic output SNR and that of its simulated echo through its
@@ -561,45 +565,54 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
     ocfg_derated = ofdm.OfdmConfig.steered(scen_mc, k, theta, total_power=power / k)
     i_sym = ocfg.symbols_per_block
 
-    # one DAM symbol block and one OFDM grid serve every design and the fast target
-    block = waveform.generate_symbols(cfg.rng(2, 1), n_mc, cfg.modulation)
-    tx_dam = waveform.build_dam_block(block, bf_full)
-    tx_freq = waveform.generate_symbols(cfg.rng(2, 2), k * i_sym,
-                                        cfg.modulation).symbols.reshape(k, i_sym, order="F")
-
-    # (analytic, simulated-echo) output SNR of one design
-    def dam_snr(bf):
-        tx = tx_dam if bf is bf_full else waveform.build_dam_block(block, bf)
-        template = sensing.matched_filter_template(
-            bf, block, theta, target.delay_symbols, target.doppler_hz, t_s)
-        return (sensing.sensing_snr(bf.beam_matrix, theta, target.gain, n_mc, sigma2),
-                _empirical_snr(template, apply_radar_channel(target, tx, t_s), sigma2))
-
-    def ofdm_snr(config):
-        # the unit-gain echo is the matched filter; noise is sigma^2 / K per cell
-        template = ofdm.ofdm_radar_rx(config, dataclasses.replace(target, gain=1.0 + 0j),
-                                      tx_freq)
-        return (ofdm.ofdm_output_snr(config, theta, target.gain, sigma2),
-                _empirical_snr(template, ofdm.ofdm_radar_rx(config, target, tx_freq),
-                               sigma2 / k))
-
-    # Before the fast-target trials: the reverse order made the default run
-    # about 24 % slower. It is glibc's malloc: the large arrays freed here raise
-    # its mmap threshold, so the trials' buffers reuse heap pages.
-    designs = {"dam": (dam_snr, bf_full, bf_derated), "ofdm": (ofdm_snr, ocfg, ocfg_derated)}
-    snrs = {(scheme, regime): snr(design)
-            for scheme, (snr, *pair) in designs.items()
-            for regime, design in zip(("average_power", "peak_power"), pair)}
-
     # Fast-target demo: Doppler at twice the subcarrier spacing.
     f_fast = 2.0 * ocfg.subcarrier_spacing_hz
     fast = dataclasses.replace(target, doppler_hz=f_fast)
+    unit = dataclasses.replace(target, gain=1.0 + 0j)
+
+    # One DAM symbol block and one OFDM grid serve every design and the fast
+    # target. Each scheme's full-power transmit is built once, for its PAPR and
+    # its noise-free echoes, and freed before the next is built and before the
+    # fast-target trials. When no large array had been freed before them, those
+    # trials ran about 24 % slower: freeing one raises glibc malloc's mmap
+    # threshold, so the trials' buffers reuse heap pages.
+    def papr_and_echoes(tx, *targets):
+        return waveform.papr_empirical(tx), *(apply_radar_channel(tgt, tx, t_s)
+                                               for tgt in targets)
+
+    block = waveform.generate_symbols(cfg.rng(2, 1), n_mc, cfg.modulation)
+    papr_dam, dam_clean, clean = papr_and_echoes(waveform.build_dam_block(block, bf_full),
+                                                 target, fast)
+    tx_freq = waveform.generate_symbols(cfg.rng(2, 2), k * i_sym,
+                                        cfg.modulation).symbols.reshape(k, i_sym, order="F")
+    papr_ofdm, *echoes = papr_and_echoes(ofdm.ofdm_time_domain(ocfg, tx_freq),
+                                         target, unit, fast)
+    ofdm_clean, ofdm_template, oclean = (ofdm.ofdm_demodulate(ocfg, y) for y in echoes)
+
+    # (analytic, simulated-echo) output SNR of one design. A derated design
+    # sends the full-power beams scaled by 1/sqrt(L) or 1/sqrt(K), and so its echo.
+    def dam_snr(bf, scale):
+        template = sensing.matched_filter_template(
+            bf, block, theta, target.delay_symbols, target.doppler_hz, t_s)
+        return (sensing.sensing_snr(bf.beam_matrix, theta, target.gain, n_mc, sigma2),
+                _empirical_snr(template, scale * dam_clean, sigma2))
+
+    def ofdm_snr(config, scale):
+        # the unit-gain echo is the matched filter; noise is sigma^2 / K per cell
+        return (ofdm.ofdm_output_snr(config, theta, target.gain, sigma2),
+                _empirical_snr(ofdm_template, scale * ofdm_clean, sigma2 / k))
+
+    designs = {"dam": (dam_snr, bf_full, bf_derated, num_paths),
+               "ofdm": (ofdm_snr, ocfg, ocfg_derated, k)}
+    snrs = {(scheme, regime): snr(design, scale)
+            for scheme, (snr, full, derated, bound) in designs.items()
+            for regime, design, scale in (("average_power", full, 1.0),
+                                          ("peak_power", derated, bound ** -0.5))}
+
     res = 1.0 / (n_mc * t_s)
     grid = sensing.SensingGrid.refine(target.delay_symbols, res * round(f_fast / res),
                                       n_mc, t_s, delay_half_width=3)
-    # noise-free echoes, built once; each trial adds its own keyed noise draw
-    clean = apply_radar_channel(fast, tx_dam, t_s)
-    oclean = ofdm.ofdm_radar_rx(ocfg, fast, tx_freq)
+    # each trial adds its own keyed noise draw to the noise-free echoes
     dam_hits = 0
     ofdm_hits = 0
     for t in range(cfg.trials):
@@ -614,8 +627,6 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
             ofdm_hits += 1
 
     dam_rate, ofdm_rate = dam_hits / cfg.trials, ofdm_hits / cfg.trials
-    papr_dam = waveform.papr_empirical(tx_dam)
-    papr_ofdm = waveform.papr_empirical(ofdm.ofdm_time_domain(tx_freq, ocfg.guard_length))
     schemes = {
         "dam": (num_paths, n_mc, sensing.dam_ambiguity_limits(scen_mc), papr_dam, dam_rate),
         "ofdm": (k, i_sym, ofdm.ofdm_ambiguity_limits(ocfg, s.wavelength_m), papr_ofdm,

@@ -1,7 +1,9 @@
 """OFDM radar baseline for head-to-head comparison with the aligned waveform.
 
-Per-subcarrier/per-symbol echo model, FFT-based delay-Doppler estimation,
-output-SNR accounting, ambiguity limits, and the time-domain stream whose
+The beamformed transmit with its cyclic prefixes, which goes through the
+aligned waveform's target channel (channel.apply_radar_channel), and its
+receiver: drop each prefix, then a K-point DFT. FFT delay-Doppler
+estimation, output-SNR accounting and ambiguity limits. The transmit's
 peak-to-average ratio (up to K subcarriers, against L delayed streams) sets
 the power amplifier backoff under a peak-power limit.
 """
@@ -13,12 +15,12 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import RadarTarget, ScenarioConfig, complex_normal, steering_vector
+from .channel import ScenarioConfig, steering_vector
 from .sensing import AmbiguityLimits, _ambiguity_limits
 
 
-# Doppler shift, as a fraction of the subcarrier spacing, up to which the
-# per-subcarrier echo model holds (no inter-carrier interference)
+# Doppler shift, as a fraction of the subcarrier spacing, up to which the FFT
+# estimator's assumption of no inter-carrier interference holds
 _DOPPLER_TOLERANCE_FRACTION = 0.1
 
 
@@ -86,39 +88,6 @@ class OfdmConfig:
                    beamformers=np.tile(w[:, None], (1, k)))
 
 
-def ofdm_radar_rx(cfg: OfdmConfig, target: RadarTarget, tx_symbols: np.ndarray,
-                  noise_power: float = 0.0,
-                  rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Echo symbols (K, I), entry (k, i) being
-    alpha a^H w_k x_{k,i} e^{j2 pi i T_o f_d} e^{-j2 pi k d / K}: the delay is
-    the target's symbol-grid delay d, the one the aligned-waveform echo sees
-    (df tau = d / K).
-
-    Subcarrier and symbol indices are zero-based; the corresponding absolute
-    phase offsets are absorbed into the target gain. The additive noise has
-    variance sigma^2 / K per demodulated symbol — the per-sample noise power
-    sigma^2 after the averaging DFT across the K-sample symbol. The model
-    holds only within ofdm_ambiguity_limits, which is not enforced, so
-    degradation outside them can be demonstrated.
-    """
-    tx_symbols = np.asarray(tx_symbols, dtype=complex)
-    k, i = cfg.num_subcarriers, cfg.symbols_per_block
-    if tx_symbols.shape != (k, i):
-        raise ValueError(f"tx_symbols must be ({k}, {i}), got {tx_symbols.shape}")
-    a = steering_vector(target.direction, cfg.num_antennas)
-    gains = np.conj(a) @ cfg.beamformers                       # a^H w_k, (K,)
-    delay_phase = np.exp(-2j * np.pi * target.delay_symbols * np.arange(k) / k)
-    doppler_phase = np.exp(2j * np.pi * cfg.total_symbol_duration_s *
-                           target.doppler_hz * np.arange(i))
-    rx = target.gain * gains[:, None] * tx_symbols * \
-        delay_phase[:, None] * doppler_phase[None, :]
-    if noise_power > 0:
-        if rng is None:
-            raise ValueError("rng is required when noise_power > 0")
-        rx = rx + complex_normal(rng, (k, i), variance=noise_power / k)
-    return rx
-
-
 def ofdm_delay_doppler_estimate(symbols_rx: np.ndarray, cfg: OfdmConfig,
                                 tx_symbols: np.ndarray):
     """Classic FFT processing of the (K, I) echo symbols: divide out the known
@@ -162,26 +131,43 @@ def max_ofdm_output_snr(num_antennas: int, symbols_per_block: int,
 
 
 def ofdm_ambiguity_limits(cfg: OfdmConfig, wavelength_m: float) -> AmbiguityLimits:
-    """OFDM limits, the validity region of ofdm_radar_rx: delays up to the
-    cyclic prefix, Doppler up to _DOPPLER_TOLERANCE_FRACTION of the subcarrier
-    spacing (no inter-carrier interference), Doppler resolution 1/(N_c T_s)."""
+    """OFDM limits, where the FFT estimator's assumptions hold: delays up to
+    the cyclic prefix (no inter-symbol interference), Doppler up to
+    _DOPPLER_TOLERANCE_FRACTION of the subcarrier spacing (no inter-carrier
+    interference), Doppler resolution 1/(N_c T_s). The echo itself is exact
+    everywhere; past these limits it carries the interference."""
     return _ambiguity_limits(cfg.guard_length, cfg.bandwidth_hz, wavelength_m,
                              _DOPPLER_TOLERANCE_FRACTION * cfg.subcarrier_spacing_hz,
                              cfg.block_length)
 
 
-def ofdm_time_domain(freq_symbols: np.ndarray, cp_length: int) -> np.ndarray:
-    """Unit-average-power baseband stream from (K, I) frequency symbols.
+def ofdm_time_domain(cfg: OfdmConfig, freq_symbols: np.ndarray) -> np.ndarray:
+    """Beamformed transmit (M, I (K + N_p)) of the (K, I) frequency symbols.
 
-    Unitary scaling (per-symbol mean power equals the mean frequency-domain
-    symbol power exactly); a cyclic prefix of cp_length samples (none for 0)
-    repeats each symbol's tail.
+    Symbol i is x[n] = sum_k w_k X_{k,i} e^{j2 pi k n / K}, K times the inverse
+    DFT, so a sample carries sum_k ||w_k||^2 = P on average for unit-power
+    symbols. Each symbol is sent from n = -N_p, so its cyclic prefix repeats
+    the body's last N_p samples, cyclically when N_p > K.
     """
     freq_symbols = np.asarray(freq_symbols, dtype=complex)
-    if freq_symbols.ndim != 2:
-        raise ValueError("freq_symbols must be (K, I)")
-    k = freq_symbols.shape[0]
-    time = np.fft.ifft(freq_symbols, axis=0) * np.sqrt(k)
-    if cp_length > 0:
-        time = np.vstack([time[-cp_length:, :], time])
-    return time.T.ravel()
+    k, i = cfg.num_subcarriers, cfg.symbols_per_block
+    if freq_symbols.shape != (k, i):
+        raise ValueError(f"freq_symbols must be ({k}, {i}), got {freq_symbols.shape}")
+    # symbol by symbol: an (M, I, K) product and its transform would each be
+    # as large as the stream
+    stream = np.empty((cfg.num_antennas, i, k + cfg.guard_length), dtype=complex)
+    order = np.arange(-cfg.guard_length, k) % k
+    for s in range(i):
+        body = np.fft.ifft(cfg.beamformers * freq_symbols[:, s], axis=1, norm="forward")
+        stream[:, s] = body[:, order]
+    return stream.reshape(cfg.num_antennas, -1)
+
+
+def ofdm_demodulate(cfg: OfdmConfig, echo: np.ndarray) -> np.ndarray:
+    """(K, I) cells of a received stream of I (K + N_p) samples: each symbol's
+    cyclic prefix dropped, then the DFT / K of the K samples after it."""
+    echo = np.asarray(echo, dtype=complex)
+    k, n_p, i = cfg.num_subcarriers, cfg.guard_length, cfg.symbols_per_block
+    if echo.shape != (i * (k + n_p),):
+        raise ValueError(f"echo must have {i * (k + n_p)} samples, got shape {echo.shape}")
+    return np.fft.fft(echo.reshape(i, k + n_p)[:, n_p:], axis=1, norm="forward").T

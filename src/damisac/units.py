@@ -14,8 +14,9 @@ C_LIGHT = 3.0e8
 
 
 def linear_to_db(x):
-    """Linear power ratio -> dB."""
-    return 10.0 * np.log10(x)
+    """Linear power ratio -> dB; 0 gives -inf, with no warning."""
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(x)
 
 
 def dbm_to_watt(x_dbm):

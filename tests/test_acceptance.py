@@ -33,8 +33,8 @@ from damisac.ofdm import (
     OfdmConfig,
     ofdm_ambiguity_limits,
     ofdm_delay_doppler_estimate,
+    ofdm_demodulate,
     ofdm_output_snr,
-    ofdm_radar_rx,
     ofdm_time_domain,
 )
 from damisac.sensing import (
@@ -385,12 +385,13 @@ def _measured_ofdm_output_snr(cfg: OfdmConfig, target: RadarTarget,
                               tx_symbols: np.ndarray, noise_power: float,
                               rng: np.random.Generator,
                               num_draws: int) -> float:
-    clean = ofdm_radar_rx(cfg, target, tx_symbols)
+    # the echo and the noise both go through the prefix-dropping DFT receiver
+    tx = ofdm_time_domain(cfg, tx_symbols)
+    clean = ofdm_demodulate(cfg, apply_radar_channel(target, tx, cfg.sample_duration_s))
     _, _, peak = ofdm_delay_doppler_estimate(clean, cfg, tx_symbols)
-    k, i = tx_symbols.shape
     acc = 0.0
     for _ in range(num_draws):
-        z = complex_normal(rng, (k, i), noise_power / k) / tx_symbols
+        z = ofdm_demodulate(cfg, complex_normal(rng, (tx.shape[1],), noise_power)) / tx_symbols
         profile = np.fft.fft(np.fft.ifft(z, axis=0), axis=1)
         acc += float(np.mean(np.abs(profile) ** 2))
     return peak / (acc / num_draws)
@@ -472,8 +473,8 @@ def test_08_aligned_vs_ofdm():
             dam_hit = abs(f_hat - f_fast) <= res_hz * (1.0 + 1e-9)
 
             tx_sym = generate_symbols(rng_t, k * i8, "qpsk").symbols.reshape(k, i8)
-            echo_o = ofdm_radar_rx(cfg8, target8, tx_sym, sc8.noise_power_w,
-                                   rng_t)
+            echo_o = ofdm_demodulate(cfg8, apply_radar_channel(
+                target8, ofdm_time_domain(cfg8, tx_sym), 1e-8, sc8.noise_power_w, rng_t))
             _, f_hat_o, _ = ofdm_delay_doppler_estimate(echo_o, cfg8, tx_sym)
             ofdm_missed = abs(f_hat_o - f_fast) > cfg8.subcarrier_spacing_hz
             joint_hits += int(dam_hit and ofdm_missed)
@@ -494,7 +495,10 @@ def test_08_aligned_vs_ofdm():
                 i_c = max(8, 8192 // k_c)
                 grid_c = generate_symbols(rng_c, k_c * i_c, "qpsk").symbols.reshape(
                     k_c, i_c, order="F")
-                papr_ofdm = papr_empirical(ofdm_time_domain(grid_c, 0))
+                sc_c = ScenarioConfig.mmwave_default(coherence_time_s=k_c * i_c * 1e-8,
+                                                     guard_length=0)
+                cfg_c = OfdmConfig.steered(sc_c, k_c, 0.3)
+                papr_ofdm = papr_empirical(ofdm_time_domain(cfg_c, grid_c))
                 assert papr_ofdm > papr_dam
         # adversarial identical-beam design still respects the peak bound
         a_c = steering_vector(0.3, 16)

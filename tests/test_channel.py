@@ -87,6 +87,17 @@ def test_steering_rejects_non_finite_angle():
         steering_vector(np.nan, 4)
     with pytest.raises(ValueError):
         steering_vector(np.inf, 4)
+    with pytest.raises(ValueError):
+        steering_vector([0.1, np.nan], 4)
+
+
+def test_steering_rows_for_an_array_of_angles():
+    # one row per angle, each bit for bit the single-angle vector
+    angles = np.array([[-1.2, 0.0, 0.4], [0.7, np.pi / 2, -0.3]])
+    rows = steering_vector(angles, 8)
+    assert rows.shape == (2, 3, 8)
+    for idx in np.ndindex(angles.shape):
+        assert np.array_equal(rows[idx], steering_vector(angles[idx], 8))
 
 
 # ------------------------------------------------------------ scenario config
@@ -126,18 +137,30 @@ def test_duplicate_delays_rejected():
 
 
 def test_generator_contract_fixed_seed():
+    # replays the generator's draws: the delays, then path by path mu_l, its
+    # angles, nu_l and beta_l, and sums each cluster sub-path by sub-path
     s = ScenarioConfig.mmwave_default()
     gen = ChannelGenConfig(num_paths=5, max_subpaths=3)
-    rng = np.random.default_rng(123)
+    rng, replay = np.random.default_rng(123), np.random.default_rng(123)
     for _ in range(20):
         ch = generate_multipath_channel(s, gen, rng)
         assert ch.num_paths == 5
         assert ch.path_delays[0] == 0
         assert ch.max_delay <= s.guard_length
         assert len(np.unique(ch.path_delays)) == 5
-        for info in ch.metadata["paths"]:
-            assert 1 <= info["num_subpaths"] <= 3
-            assert all(abs(a) <= np.pi / 3 + 1e-12 for a in info["aod_rad"])
+        rest = replay.choice(np.arange(1, s.guard_length + 1), size=4, replace=False)
+        assert np.array_equal(ch.path_delays, np.concatenate([[0], np.sort(rest)]))
+        for h in ch.path_vectors:
+            mu = int(replay.integers(1, 4))
+            angles = replay.uniform(-np.pi / 3, np.pi / 3, size=mu)
+            nu = complex_normal(replay, (mu,), variance=1.0 / mu)
+            beta = complex_normal(replay, (), variance=1.0 / 5)
+            assert 1 <= mu <= gen.max_subpaths
+            assert np.all(np.abs(angles) <= np.pi / 3)
+            want = beta * sum(n * steering_vector(th, s.num_antennas)
+                              for n, th in zip(nu, angles))
+            assert np.allclose(h, want, rtol=0, atol=1e-12)
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_generator_rejects_too_many_paths():

@@ -2,6 +2,7 @@
 conversions, RNG keying, peak finding, runner outputs, CSV determinism,
 exit codes, and runs without scipy."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -35,8 +36,8 @@ from damisac import (
     isi_zf_mrt_beamformer,
     load_config,
     matched_filter_template,
+    ofdm_demodulate,
     ofdm_output_snr,
-    ofdm_radar_rx,
     ofdm_time_domain,
     papr_empirical,
     parse_gamma_grid,
@@ -502,7 +503,8 @@ def test_unit_template_noise_variance():
     """The exact SNRs divide by sigma^2 ||u||^2; this checks that noise drawn
     the way the runs draw it has that variance through a unit template:
     sigma^2 for DAM (apply_radar_channel, per sample) and sigma^2 / K for OFDM
-    (ofdm_radar_rx, per frequency-domain cell).
+    per frequency-domain cell, which the runs draw directly: here the same
+    time-domain noise goes through ofdm_demodulate, whose DFT / K leaves it.
 
     Over T draws, sum_t |r_t|^2 / v ~ Gamma(T, 1). By the Chernoff bound its
     mean m leaves [1 - e, 1 + e] with probability at most
@@ -537,11 +539,13 @@ def test_unit_template_noise_variance():
     ocfg = OfdmConfig.steered(scen_mc, k, theta)
     grid = generate_symbols(rng, k * ocfg.symbols_per_block, "qpsk").symbols.reshape(
         k, ocfg.symbols_per_block, order="F")
-    u = ofdm_radar_rx(ocfg, dataclasses.replace(target, gain=1.0 + 0j), grid)
+    tx = ofdm_time_domain(ocfg, grid)
+    u = ofdm_demodulate(ocfg, apply_radar_channel(dataclasses.replace(target, gain=1.0 + 0j),
+                                                  tx, t_s))
     u /= np.linalg.norm(u)
-    clean = np.vdot(u, ofdm_radar_rx(ocfg, target, grid))
-    r = [np.vdot(u, ofdm_radar_rx(ocfg, target, grid, sigma2, rng)) - clean
-         for _ in range(trials)]
+    clean = np.vdot(u, ofdm_demodulate(ocfg, apply_radar_channel(target, tx, t_s)))
+    r = [np.vdot(u, ofdm_demodulate(ocfg, apply_radar_channel(target, tx, t_s, sigma2, rng)))
+         - clean for _ in range(trials)]
     assert abs(np.mean(np.abs(r) ** 2) / (sigma2 / k) - 1) < eps
 
 
@@ -607,10 +611,12 @@ def test_ofdm_compare_result(tmp_path):
     assert res.papr_ofdm > res.papr_dam
     assert res.dam_doppler_hit_rate >= 0.9
     assert res.ofdm_doppler_hit_rate < 0.5
-    # the OFDM PAPR is measured on the stream the run sends: the grid drawn
-    # from rng(2, 2), with its cyclic prefix
+    # the OFDM PAPR is measured on the transmit the run sends: the grid drawn
+    # from rng(2, 2), beamformed, with its cyclic prefixes
     grid = generate_symbols(cfg.rng(2, 2), 256 * i_sym, cfg.modulation).symbols
-    stream = ofdm_time_domain(grid.reshape(256, i_sym, order="F"), 200)
+    ocfg = OfdmConfig.steered(scen_mc, 256, target.direction)
+    stream = ofdm_time_domain(ocfg, grid.reshape(256, i_sym, order="F"))
+    assert stream.shape == (s.num_antennas, i_sym * (256 + 200))
     assert res.papr_ofdm == papr_empirical(stream)
     lines = (tmp_path / "ofdm_compare.csv").read_text().splitlines()
     assert lines[2].startswith("# n_mc=2048 peak_snr_ratio=")
@@ -757,7 +763,25 @@ def test_delay_windows_near_the_block_end(tmp_path):
         "trials": 2, "mc_block_length": 1001, "ofdm_subcarriers": 256,
         "strict_ambiguity": False}}, "edge.json")
     with pytest.warns(UserWarning, match="target delay 1000 exceeds guard length 200"):
-        assert main(["ofdm-compare", "--config", str(edge)]) == 0
+        assert main(["ofdm-compare", "--config", str(edge), "--out", str(tmp_path)]) == 0
+    # the OFDM stream is 2 (256 + 200) = 912 samples: its echo misses it, and
+    # an echo with no energy has SNR 0, written as -inf dB
+    lines = (tmp_path / "ofdm_compare.csv").read_text().splitlines()
+    rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
+    assert [r["empirical_snr_db"] for r in rows if r["scheme"] == "ofdm"] == ["-inf"] * 2
+    assert all(math.isfinite(float(r["empirical_snr_db"])) for r in rows
+               if r["scheme"] == "dam")
+
+
+def test_ofdm_echo_past_the_prefix_loses_snr(tmp_path):
+    # at delay 300, past the 200-sample cyclic prefix, each OFDM window takes
+    # the previous symbol's tail and the first starts on 100 samples of
+    # silence: the echo through the radar channel reads below the analytic SNR
+    cfg = load_config(write_config(tmp_path, {**FAR_TARGET, "experiment": SMALL}))
+    with pytest.warns(UserWarning, match="target delay 300 exceeds guard length 200"):
+        res = run_ofdm_compare(cfg)
+    for r in res.rows:
+        assert r["empirical_snr_db"] < r["analytic_snr_db"] - 1.0, r
 
 
 # Runs the four experiments in a fresh interpreter in which any scipy import

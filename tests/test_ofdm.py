@@ -1,6 +1,6 @@
-"""Multicarrier radar baseline tests: echo model oracle, FFT estimator,
-output-SNR accounting, ambiguity limits, the peak-power comparison and the
-time-domain stream."""
+"""Multicarrier radar baseline tests: the echo through the radar channel
+against exact loop oracles, FFT estimator, output-SNR accounting, ambiguity
+limits, the peak-power comparison and the time-domain transmit."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from damisac import (
     OfdmConfig,
     RadarTarget,
     ScenarioConfig,
+    apply_radar_channel,
     complex_normal,
     dam_ambiguity_limits,
     generate_symbols,
@@ -16,8 +17,8 @@ from damisac import (
     max_sensing_snr,
     ofdm_ambiguity_limits,
     ofdm_delay_doppler_estimate,
+    ofdm_demodulate,
     ofdm_output_snr,
-    ofdm_radar_rx,
     ofdm_time_domain,
     papr_empirical,
     steering_vector,
@@ -40,7 +41,16 @@ def qpsk_grid(rng, cfg):
     return sym.symbols.reshape(cfg.num_subcarriers, cfg.symbols_per_block)
 
 
+def ofdm_echo(cfg, target, tx_symbols, noise_power=0.0, rng=None):
+    """(K, I) cells of the target's echo of the transmit, noise per sample."""
+    tx = ofdm_time_domain(cfg, tx_symbols)
+    return ofdm_demodulate(cfg, apply_radar_channel(target, tx, cfg.sample_duration_s,
+                                                    noise_power, rng))
+
+
 def ofdm_rx_loop_oracle(cfg, target, tx_symbols):
+    """Cells of an echo without inter-carrier interference: exact for a static
+    target within the cyclic prefix."""
     k, i = cfg.num_subcarriers, cfg.symbols_per_block
     a = steering_vector(target.direction, cfg.num_antennas)
     tau = target.delay_symbols * cfg.sample_duration_s
@@ -55,33 +65,65 @@ def ofdm_rx_loop_oracle(cfg, target, tx_symbols):
     return out
 
 
+def ofdm_ici_loop_oracle(cfg, target, tx_symbols):
+    """Cells of the echo of a target within the cyclic prefix, d <= N_p:
+    Y_{m,i} = alpha e^{j2 pi f_D T_s (i (K + N_p) + N_p)}
+              sum_k (a^H w_k) X_{k,i} e^{-j2 pi k d / K} D(k - m + f_D / df),
+    D(u) = (1/K) sum_j e^{j2 pi u j / K}, the Doppler's inter-carrier leakage."""
+    k, i, n_p = cfg.num_subcarriers, cfg.symbols_per_block, cfg.guard_length
+    d, f_d, t_s = target.delay_symbols, target.doppler_hz, cfg.sample_duration_s
+    assert d <= n_p
+    a = steering_vector(target.direction, cfg.num_antennas)
+    j = np.arange(k)
+
+    def leak(u):
+        return np.mean(np.exp(2j * np.pi * u * j / k))
+
+    out = np.zeros((k, i), dtype=complex)
+    for mm in range(k):
+        for ii in range(i):
+            acc = 0j
+            for kk in range(k):
+                acc += (np.vdot(a, cfg.beamformers[:, kk]) * tx_symbols[kk, ii]
+                        * np.exp(-2j * np.pi * kk * d / k)
+                        * leak(kk - mm + f_d / cfg.subcarrier_spacing_hz))
+            out[mm, ii] = (target.gain * acc
+                           * np.exp(2j * np.pi * f_d * t_s * (ii * (k + n_p) + n_p)))
+    return out
+
+
 # ----------------------------------------------------------------- echo model
 
-def test_rx_matches_loop_oracle():
+@pytest.mark.parametrize("delay, doppler", [(0, 7e3), (5, 7e3), (8, 0.0), (5, 1.37e6),
+                                            (3, 2 * 6.25e6)])
+def test_rx_matches_loop_oracle(delay, doppler):
+    # the prefix-dropping DFT receiver on the time-domain channel, up to and at
+    # the prefix length, from a slow target to one at twice the spacing
     rng = np.random.default_rng(0)
-    scen = small_scenario()
     w = complex_normal(rng, (4, 16)) * 0.05
     cfg = OfdmConfig(bandwidth_hz=1e8, guard_length=8, block_length=1280, beamformers=w)
-    assert scen.guard_length == 8
-    target = RadarTarget(gain=0.3 - 0.7j, direction=0.5, delay_symbols=5,
-                         doppler_hz=7e3)
+    assert cfg.subcarrier_spacing_hz == 6.25e6
+    target = RadarTarget(gain=0.3 - 0.7j, direction=0.5, delay_symbols=delay,
+                         doppler_hz=doppler)
     tx = qpsk_grid(rng, cfg)
-    echo = ofdm_radar_rx(cfg, target, tx)
-    assert np.allclose(echo, ofdm_rx_loop_oracle(cfg, target, tx), atol=1e-12)
+    echo = ofdm_echo(cfg, target, tx)
+    assert np.allclose(echo, ofdm_ici_loop_oracle(cfg, target, tx), rtol=0, atol=1e-12)
+    if doppler == 0:
+        assert np.allclose(echo, ofdm_rx_loop_oracle(cfg, target, tx), rtol=0, atol=1e-12)
 
 
 def test_rx_delay_phase_on_the_symbol_grid():
     # 200 m is a round trip of 133.33 samples: the echo is phased for the
     # rounded delay d that the aligned-waveform echo uses, e^{-j2 pi k d / K}
-    scen = ScenarioConfig.mmwave_default()
-    target = RadarTarget.from_geometry(scen, 200.0, 1.0, 0.3, 15.0)
+    scen = ScenarioConfig.mmwave_default(coherence_time_s=2 * 456e-8)
+    target = RadarTarget.from_geometry(scen, 200.0, 1.0, 0.3, 0.0)
     d = target.delay_symbols
     assert d == 133 and 2 * 200.0 / C_LIGHT * scen.bandwidth_hz != d
     cfg = OfdmConfig.steered(scen, 256, theta=0.2)
     tx = qpsk_grid(np.random.default_rng(13), cfg)
     gains = np.conj(steering_vector(0.3, scen.num_antennas)) @ cfg.beamformers
-    ratio = ofdm_radar_rx(cfg, target, tx)[:, 0] / (target.gain * gains * tx[:, 0])
-    assert np.allclose(ratio, np.exp(-2j * np.pi * np.arange(256) * d / 256),
+    ratio = ofdm_echo(cfg, target, tx) / (target.gain * gains[:, None] * tx)
+    assert np.allclose(ratio, np.exp(-2j * np.pi * np.arange(256) * d / 256)[:, None],
                        rtol=0, atol=1e-12)
 
 
@@ -91,7 +133,7 @@ def test_rx_static_target_has_no_ramps():
     target = RadarTarget(gain=1.2, direction=0.2, delay_symbols=0,
                          doppler_hz=0.0)
     tx = qpsk_grid(rng, cfg)
-    echo = ofdm_radar_rx(cfg, target, tx)
+    echo = ofdm_echo(cfg, target, tx)
     a = steering_vector(0.2, 4)
     gains = np.conj(a) @ cfg.beamformers
     assert np.allclose(echo, 1.2 * gains[:, None] * tx, atol=1e-12)
@@ -100,9 +142,26 @@ def test_rx_static_target_has_no_ramps():
     assert target.delay_symbols <= lim.max_delay_symbols
 
 
+def test_rx_energy_within_and_past_the_prefix():
+    # within the prefix every DFT window is a whole cyclic symbol, so the cells
+    # keep the transmitted energy I sum_k |a^H w_k|^2 at any Doppler: the
+    # leakage between subcarriers moves energy, it loses none. Past the prefix
+    # a window takes the previous symbol's tail, which no per-cell model holds.
+    rng = np.random.default_rng(2)
+    cfg = OfdmConfig.steered(small_scenario(), 16, theta=0.0)
+    tx = qpsk_grid(rng, cfg)
+    for doppler in (0.0, 1.37e6, 2 * cfg.subcarrier_spacing_hz):
+        target = RadarTarget(gain=1.0, direction=0.0, delay_symbols=8, doppler_hz=doppler)
+        energy = np.sum(np.abs(ofdm_echo(cfg, target, tx)) ** 2)
+        assert energy == pytest.approx(cfg.symbols_per_block * 4.0, rel=1e-12)
+    far = RadarTarget(gain=1.0, direction=0.0, delay_symbols=12, doppler_hz=0.0)
+    no_isi = ofdm_rx_loop_oracle(cfg, far, tx)
+    assert np.linalg.norm(ofdm_echo(cfg, far, tx) - no_isi) > 0.1 * np.linalg.norm(no_isi)
+
+
 def test_rx_validity_flags():
-    # the echo model holds only inside the limits: Doppler within a tenth of
-    # the subcarrier spacing, delay within the cyclic prefix
+    # the FFT estimator's assumptions hold only inside the limits: Doppler
+    # within a tenth of the subcarrier spacing, delay within the cyclic prefix
     cfg = OfdmConfig.steered(small_scenario(), 16, theta=0.0)
     lim = ofdm_ambiguity_limits(cfg, small_scenario().wavelength_m)
     fast = RadarTarget(gain=1.0, direction=0.0, delay_symbols=2,
@@ -113,6 +172,8 @@ def test_rx_validity_flags():
 
 
 def test_rx_noise_variance():
+    # white time-domain noise of variance sigma^2 per sample leaves the DFT / K
+    # with sigma^2 / K per cell
     rng = np.random.default_rng(3)
     cfg = OfdmConfig.steered(small_scenario(), 32, theta=0.0)
     tx = qpsk_grid(rng, cfg)
@@ -120,21 +181,22 @@ def test_rx_noise_variance():
     sigma2 = 2.0
     cells = []
     for _ in range(40):
-        echo = ofdm_radar_rx(cfg, target, tx, noise_power=sigma2, rng=rng)
+        echo = ofdm_echo(cfg, target, tx, noise_power=sigma2, rng=rng)
         cells.append(np.abs(echo) ** 2)
     mean = np.mean(cells)
     count = 40 * tx.size
     assert mean == pytest.approx(sigma2 / 32, rel=4.0 / np.sqrt(count))
     with pytest.raises(ValueError):
-        ofdm_radar_rx(cfg, target, tx, noise_power=1.0)
+        ofdm_echo(cfg, target, tx, noise_power=1.0)
 
 
 def test_rx_shape_validation():
     rng = np.random.default_rng(4)
     cfg = OfdmConfig.steered(small_scenario(), 16, theta=0.0)
-    target = RadarTarget(gain=1.0, direction=0.0, delay_symbols=0, doppler_hz=0.0)
     with pytest.raises(ValueError):
-        ofdm_radar_rx(cfg, target, complex_normal(rng, (16, 3)))
+        ofdm_time_domain(cfg, complex_normal(rng, (16, 3)))
+    with pytest.raises(ValueError):
+        ofdm_demodulate(cfg, complex_normal(rng, (16 * 3,)))
 
 
 # --------------------------------------------------------------------- config
@@ -171,7 +233,7 @@ def test_estimate_on_grid_noiseless_exact():
     target = RadarTarget(gain=0.9, direction=0.3, delay_symbols=5,
                          doppler_hz=doppler)
     tx = qpsk_grid(rng, cfg)
-    echo = ofdm_radar_rx(cfg, target, tx)
+    echo = ofdm_echo(cfg, target, tx)
     tau_hat, f_hat, peak = ofdm_delay_doppler_estimate(echo, cfg, tx)
     assert tau_hat == pytest.approx(5 * cfg.sample_duration_s, rel=1e-12)
     assert f_hat == pytest.approx(doppler, rel=1e-9)
@@ -189,7 +251,7 @@ def test_estimate_slow_target_within_one_bin():
     hits = 0
     for _ in range(100):
         tx = qpsk_grid(rng, cfg)
-        echo = ofdm_radar_rx(cfg, target, tx, noise_power=sigma2, rng=rng)
+        echo = ofdm_echo(cfg, target, tx, noise_power=sigma2, rng=rng)
         tau_hat, f_hat, _ = ofdm_delay_doppler_estimate(echo, cfg, tx)
         ok = tau_hat == pytest.approx(3 * cfg.sample_duration_s, rel=1e-9)
         hits += ok and abs(f_hat - doppler) <= bin_hz * (1 + 1e-9)
@@ -203,7 +265,7 @@ def test_estimate_fast_target_aliases():
     target = RadarTarget(gain=1.0, direction=0.0, delay_symbols=3,
                          doppler_hz=doppler)
     tx = qpsk_grid(rng, cfg)
-    echo = ofdm_radar_rx(cfg, target, tx)
+    echo = ofdm_echo(cfg, target, tx)
     assert doppler > ofdm_ambiguity_limits(cfg, small_scenario().wavelength_m).max_doppler_hz
     _, f_hat, _ = ofdm_delay_doppler_estimate(echo, cfg, tx)
     assert abs(f_hat - doppler) > cfg.subcarrier_spacing_hz
@@ -214,7 +276,7 @@ def test_estimate_rejects_zero_symbols():
     cfg = OfdmConfig.steered(small_scenario(), 16, theta=0.0)
     tx = qpsk_grid(rng, cfg)
     target = RadarTarget(gain=1.0, direction=0.0, delay_symbols=0, doppler_hz=0.0)
-    echo = ofdm_radar_rx(cfg, target, tx)
+    echo = ofdm_echo(cfg, target, tx)
     bad = tx.copy()
     bad[0, 0] = 0.0
     with pytest.raises(ValueError):
@@ -249,12 +311,12 @@ def test_output_snr_matches_monte_carlo():
     target = RadarTarget(gain=gain, direction=0.3, delay_symbols=4,
                          doppler_hz=doppler)
     tx = qpsk_grid(rng, cfg)
-    clean = ofdm_radar_rx(cfg, target, tx) / tx
+    clean = ofdm_echo(cfg, target, tx) / tx
     clean_profile = np.fft.fft(np.fft.ifft(clean, axis=0), axis=1)
     peak = np.max(np.abs(clean_profile) ** 2)
     noise_cells = []
     for _ in range(20):
-        echo = ofdm_radar_rx(cfg, target, tx, noise_power=sigma2, rng=rng)
+        echo = ofdm_echo(cfg, target, tx, noise_power=sigma2, rng=rng)
         profile = np.fft.fft(np.fft.ifft(echo / tx, axis=0), axis=1)
         noise_cells.append(np.abs(profile - clean_profile) ** 2)
     measured = peak / np.mean(noise_cells)
@@ -334,25 +396,57 @@ def test_peak_comparison_break_even():
 
 def test_time_domain_power_and_prefix():
     rng = np.random.default_rng(11)
-    k, i, cp = 16, 10, 4
+    m, k, i, cp = 3, 16, 10, 4
+    w = complex_normal(rng, (m, k)) * 0.2
+    cfg = OfdmConfig(bandwidth_hz=1e8, guard_length=cp, block_length=i * (k + cp) + 3,
+                     beamformers=w)
     freq = generate_symbols(rng, k * i, "qpsk").symbols.reshape(k, i, order="F")
-    stream = ofdm_time_domain(freq, cp)
-    assert stream.size == i * (k + cp)
-    per = stream.reshape(i, k + cp)
-    assert np.allclose(per[:, :cp], per[:, -cp:], atol=1e-12)
-    core = ofdm_time_domain(freq, 0)
-    assert np.mean(np.abs(core) ** 2) == pytest.approx(1.0, rel=1e-9)
+    stream = ofdm_time_domain(cfg, freq)
+    assert stream.shape == (m, i * (k + cp))
+    per = stream.reshape(m, i, k + cp)
+    assert np.allclose(per[..., :cp], per[..., -cp:], rtol=0, atol=1e-12)
+    # x[n] = sum_k w_k X_{k,i} e^{j2 pi k n / K} on the body
+    n = np.arange(k)
+    body = np.einsum("mk,ki,kn->min", w, freq, np.exp(2j * np.pi * np.outer(n, n) / k))
+    assert np.allclose(per[..., cp:], body, rtol=0, atol=1e-12)
+    # unit-power symbols: each body carries sum_k ||w_k||^2 per sample
+    power = np.sum(np.abs(w) ** 2)
+    assert np.allclose(np.mean(np.sum(np.abs(per[..., cp:]) ** 2, axis=0), axis=1),
+                       power, rtol=1e-12, atol=0)
+
+
+def test_time_domain_prefix_longer_than_the_symbol():
+    # N_p = 200 > K = 4: the prefix wraps the body fifty times over
+    rng = np.random.default_rng(14)
+    k, n_p, i = 4, 200, 3
+    cfg = OfdmConfig(bandwidth_hz=1e8, guard_length=n_p, block_length=i * (k + n_p),
+                     beamformers=complex_normal(rng, (2, k)))
+    freq = generate_symbols(rng, k * i, "qpsk").symbols.reshape(k, i, order="F")
+    stream = ofdm_time_domain(cfg, freq)
+    assert stream.shape == (2, 612)
+    per = stream.reshape(2, i, k + n_p)
+    assert np.array_equal(per, np.tile(per[..., n_p:], (1, 1, (k + n_p) // k)))
+    # and the receiver takes it apart again
+    echo = ofdm_demodulate(cfg, np.ones(2) @ stream)
+    assert np.allclose(echo, np.sum(cfg.beamformers, axis=0)[:, None] * freq,
+                       rtol=0, atol=1e-12)
+
+
+def steered_stream_config(k, i, cp=0):
+    scen = ScenarioConfig.mmwave_default(coherence_time_s=i * (k + cp) * 1e-8,
+                                         guard_length=cp, num_antennas=4)
+    return OfdmConfig.steered(scen, k, theta=0.3)
 
 
 def test_papr_bounded_by_subcarriers():
     rng = np.random.default_rng(12)
     freq = generate_symbols(rng, 64 * 200, "qpsk").symbols.reshape(64, 200, order="F")
-    papr = papr_empirical(ofdm_time_domain(freq, 0))
+    papr = papr_empirical(ofdm_time_domain(steered_stream_config(64, 200), freq))
     assert 4.0 < papr <= 64.0
 
 
 def test_papr_adversarial_hits_bound():
     freq = np.ones((32, 4), dtype=complex)
-    stream = ofdm_time_domain(freq, 0)
-    inst = np.abs(stream) ** 2
+    stream = ofdm_time_domain(steered_stream_config(32, 4), freq)
+    inst = np.sum(np.abs(stream) ** 2, axis=0)
     assert inst.max() / inst.mean() == pytest.approx(32.0, rel=1e-9)
