@@ -89,14 +89,18 @@ class SensingGrid:
 
 @dataclass
 class DelayDopplerMap:
-    """Matched-filter outputs r over a SensingGrid (complex, delay-major)."""
+    """Matched-filter outputs r over a SensingGrid (complex, delay-major).
+
+    values is (P, Q) for one echo, or (..., P, Q) for a stack of echoes: one
+    P x Q map per echo, 16 P Q bytes each.
+    """
 
     values: np.ndarray
     grid: SensingGrid
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != self.grid.shape:
+        if self.values.shape[-2:] != self.grid.shape:
             raise ValueError("map values do not match grid shape")
 
     def power(self) -> np.ndarray:
@@ -134,18 +138,23 @@ _MAP_BLOCK = 4096   # samples n per matrix product in delay_doppler_map
 
 def delay_doppler_map(echo: np.ndarray, bf: DamBeamformer, block: SymbolBlock,
                       theta: float, grid: SensingGrid) -> DelayDopplerMap:
-    """Correlate an echo against templates over the whole grid.
+    """Correlate an echo, or a stack of echoes, against templates over the grid.
 
     Cell (p, q) holds r = <template(p, q), echo>; with the template unit-norm
-    the noise in every cell keeps the per-sample variance sigma^2.
+    the noise in every cell keeps the per-sample variance sigma^2. An echo of
+    shape (..., N) gives values of shape (..., P, Q), each map the one its
+    echo gives alone; a 1-D echo is a stack of one.
 
-    The sum over n runs in blocks of B = _MAP_BLOCK samples, one P x B by
-    B x Q matrix product each, for O(P Q N) work in O((P + Q) B) memory.
+    The sum over n runs in blocks of B = _MAP_BLOCK samples, one (T P) x B by
+    B x Q matrix product each for the T echoes, for O(T P Q N) work. The
+    waveform, the norms and the B x Q kernel are built once per call, and one
+    (T, P, B) work buffer serves every block, so the memory is O((T P + Q) B)
+    beside O(N) for the waveform and O(T P Q) for the values.
     """
     echo = np.asarray(echo, dtype=complex)
     n = grid.block_length
-    if echo.shape != (n,):
-        raise ValueError(f"echo must be 1-D of length {n}, got {echo.shape}")
+    if echo.ndim == 0 or echo.shape[-1] != n:
+        raise ValueError(f"echo must have shape (..., {n}), got {echo.shape}")
     base = _projected_waveform(bf, block, theta)
     if base.size != n:
         raise ValueError("grid block_length does not match the symbol block")
@@ -157,7 +166,6 @@ def delay_doppler_map(echo: np.ndarray, bf: DamBeamformer, block: SymbolBlock,
     # the phase splits into e^{-j2 pi f_q Ts s} per block start s and a B x Q
     # kernel over k < B shared by every block.
     b = min(_MAP_BLOCK, n)
-    padded_len = -(-n // b) * b
     lead = delays.max(initial=0)
     cycles = grid.doppler_bins_hz * grid.symbol_duration_s
     # kernel[k, q] = e^{-j2 pi f_q Ts k} as the product of its factors at
@@ -165,20 +173,25 @@ def delay_doppler_map(echo: np.ndarray, bf: DamBeamformer, block: SymbolBlock,
     fine = np.exp(-2j * np.pi * np.outer(np.arange(64), cycles))
     coarse = np.exp(-2j * np.pi * np.outer(np.arange(0, b, 64), cycles))
     kernel = (coarse[:, None, :] * fine).reshape(coarse.shape[0] * 64, cycles.size)[:b]
-    # conj(base[m]) sits at m + lead, zeros elsewhere; every delay row of a
-    # block is one window of it
-    conj_base = np.zeros(lead + padded_len, dtype=complex)
-    conj_base[lead:lead + n] = np.conj(base)
-    windows = np.lib.stride_tricks.sliding_window_view(conj_base, b)
-    echo_pad = np.zeros(padded_len, dtype=complex)
-    echo_pad[:n] = echo
-    values = np.zeros(grid.shape, dtype=complex)
+    # conj(base[m]) sits at m + lead, zeros before it: the row of delay p in
+    # the block at s starts at s + lead - p
+    conj_base = np.zeros(lead + n, dtype=complex)
+    conj_base[lead:] = np.conj(base)
+    echoes = echo.reshape(-1, n)
+    work = np.empty((echoes.shape[0], delays.size, b), dtype=complex)
+    values = np.zeros(work.shape[:2] + cycles.shape, dtype=complex)
     for s in range(0, n, b):
-        rows = windows[s + lead - delays]
-        rows *= echo_pad[s:s + b]
-        values += (rows @ kernel) * np.exp(-2j * np.pi * cycles * s)
+        w = min(b, n - s)
+        if w < b:                       # the last block, zero-padded to B
+            work[..., w:] = 0
+        # one product per delay into its rows of the buffer: indexing or
+        # broadcasting the windows would build a second (T, P, B) array
+        for i, start in enumerate(s + lead - delays):
+            np.multiply(conj_base[start:start + w], echoes[:, s:s + w], out=work[:, i, :w])
+        values += ((work.reshape(-1, b) @ kernel).reshape(values.shape)
+                   * np.exp(-2j * np.pi * cycles * s))
     values /= norms[:, None]
-    return DelayDopplerMap(values, grid)
+    return DelayDopplerMap(values.reshape(echo.shape[:-1] + grid.shape), grid)
 
 
 def correlation_matrix(block: SymbolBlock, kappa, probe_delay: int,
@@ -217,19 +230,31 @@ def max_sensing_snr(num_antennas: int, block_length: int, power: float,
 def estimate_delay_doppler(ddmap: DelayDopplerMap):
     """Peak pick: returns (delay_bin, doppler_hz, peak_power).
 
-    Ties resolve to the smallest delay, then the smallest |Doppler|.
+    Ties, cells within 1e-12 relative of the peak, resolve to the smallest
+    delay, then the smallest |Doppler|, then the first cell in delay-major
+    order. An int and two floats for one map; for a stack of maps, three
+    arrays of the stack's shape, each map picked alone by the same rule, in
+    O(P Q) memory per map.
     """
+    grid = ddmap.grid
     p = ddmap.power()
-    best = p.max()
-    cand = np.argwhere(p >= best * (1.0 - 1e-12))
-    delays = ddmap.grid.delay_bins[cand[:, 0]]
-    dmin = delays.min()
-    cand = cand[delays == dmin]
-    dops = np.abs(ddmap.grid.doppler_bins_hz[cand[:, 1]])
-    row, col = cand[np.argmin(dops)]
-    return (int(ddmap.grid.delay_bins[row]),
-            float(ddmap.grid.doppler_bins_hz[col]),
-            float(p[row, col]))
+    cells = p.reshape(-1, p.shape[-2] * p.shape[-1])
+    # every cell's place in the tie order; lexsort is stable, so equal keys
+    # keep their delay-major order
+    delay_of_cell = np.repeat(grid.delay_bins, grid.shape[1])
+    abs_doppler_of_cell = np.tile(np.abs(grid.doppler_bins_hz), grid.shape[0])
+    rank = np.empty(cells.shape[1], dtype=int)
+    rank[np.lexsort((abs_doppler_of_cell, delay_of_cell))] = np.arange(cells.shape[1])
+    best = cells.max(axis=1, keepdims=True)
+    cell = np.argmin(np.where(cells >= best * (1.0 - 1e-12), rank, cells.shape[1]), axis=1)
+    row, col = np.divmod(cell, grid.shape[1])
+    stack = p.shape[:-2]
+    delay = grid.delay_bins[row].reshape(stack)
+    doppler = grid.doppler_bins_hz[col].reshape(stack)
+    peak = cells[np.arange(cells.shape[0]), cell].reshape(stack)
+    if not stack:
+        return int(delay), float(doppler), float(peak)
+    return delay, doppler, peak
 
 
 @dataclass(frozen=True)

@@ -174,9 +174,15 @@ def decompose_received(bf: DamBeamformer, channel: MultipathChannel,
 
 
 def papr_empirical(tx_block: np.ndarray) -> float:
-    """Peak-to-average ratio of instantaneous array-aggregate power ||x[n]||^2."""
+    """Peak-to-average ratio of instantaneous array-aggregate power ||x[n]||^2.
+
+    The power is summed one antenna row at a time, row 0 first as numpy sums
+    axis 0, so no M x N temporary is built.
+    """
     tx_block = np.atleast_2d(np.asarray(tx_block))
-    inst = np.sum(np.abs(tx_block) ** 2, axis=0)
+    inst = np.abs(tx_block[0]) ** 2
+    for row in tx_block[1:]:
+        inst += np.abs(row) ** 2
     mean = inst.mean()
     if mean == 0:
         raise ValueError("all-zero block has no defined peak-to-average ratio")

@@ -27,15 +27,20 @@ from damisac import (
     IsacProblem,
     MultipathChannel,
     OfdmConfig,
+    SensingGrid,
     apply_radar_channel,
     build_dam_block,
     comm_snr,
+    complex_normal,
     correlation_matrix,
+    delay_doppler_map,
+    estimate_delay_doppler,
     generate_multipath_channel,
     generate_symbols,
     isi_zf_mrt_beamformer,
     load_config,
     matched_filter_template,
+    ofdm_delay_doppler_estimate,
     ofdm_demodulate,
     ofdm_output_snr,
     ofdm_time_domain,
@@ -621,6 +626,66 @@ def test_ofdm_compare_result(tmp_path):
     lines = (tmp_path / "ofdm_compare.csv").read_text().splitlines()
     assert lines[2].startswith("# n_mc=2048 peak_snr_ratio=")
     assert len(lines) == 4 + 4
+
+
+def fast_target_hit_rates_oracle(cfg):
+    """The ofdm-compare fast-target trials one at a time: each trial draws its
+    keyed noise for each scheme, then makes one map and one OFDM estimate."""
+    s = cfg.scenario
+    n_mc = min(s.data_length, cfg.mc_block_length)
+    t_s, sigma2 = s.symbol_duration_s, s.noise_power_w
+    k, l, m = cfg.ofdm_subcarriers, cfg.channel_gen.num_paths, s.num_antennas
+    scen_mc = dataclasses.replace(s, coherence_time_s=(n_mc + s.guard_length) * t_s)
+    target = cfg.radar_target(cfg.rng(2, 0))
+    a = steering_vector(target.direction, m)
+    bf = DamBeamformer.aligned(np.sqrt(s.transmit_power_w / (m * l)) * np.tile(a[:, None], (1, l)),
+                               np.arange(l))
+    ocfg = OfdmConfig.steered(scen_mc, k, target.direction)
+    i_sym = ocfg.symbols_per_block
+    f_fast = 2.0 * ocfg.subcarrier_spacing_hz
+    fast = dataclasses.replace(target, doppler_hz=f_fast)
+    block = generate_symbols(cfg.rng(2, 1), n_mc, cfg.modulation)
+    clean = apply_radar_channel(fast, build_dam_block(block, bf), t_s)
+    tx_freq = generate_symbols(cfg.rng(2, 2), k * i_sym,
+                               cfg.modulation).symbols.reshape(k, i_sym, order="F")
+    oclean = ofdm_demodulate(ocfg, apply_radar_channel(fast, ofdm_time_domain(ocfg, tx_freq),
+                                                       t_s))
+    res = 1.0 / (n_mc * t_s)
+    grid = SensingGrid.refine(target.delay_symbols, res * round(f_fast / res), n_mc, t_s,
+                              delay_half_width=3)
+    dam_hits = ofdm_hits = 0
+    for t in range(cfg.trials):
+        echo = clean + complex_normal(cfg.rng(2, 9, t), clean.shape, sigma2)
+        _, f_hat, _ = estimate_delay_doppler(
+            delay_doppler_map(echo, bf, block, target.direction, grid))
+        dam_hits += abs(f_hat - f_fast) <= res
+        oecho = oclean + complex_normal(cfg.rng(2, 10, t), oclean.shape, sigma2 / k)
+        _, f_hat_o, _ = ofdm_delay_doppler_estimate(oecho, ocfg, tx_freq)
+        ofdm_hits += abs(f_hat_o - f_fast) <= ocfg.subcarrier_spacing_hz
+    return dam_hits / cfg.trials, ofdm_hits / cfg.trials
+
+
+def test_ofdm_compare_chunked_trials_match_the_per_trial_oracle(monkeypatch):
+    # 13 trials, not a multiple of the chunk, and a reflector weak enough that
+    # the DAM rate is neither 0 nor 1
+    cfg = load_config(None)
+    cfg.trials = 13
+    cfg.target = dataclasses.replace(cfg.target, rcs_m2=0.2)
+    stacks = []
+    real_map = experiments.sensing.delay_doppler_map
+
+    def counted_map(echo, *args):
+        stacks.append(np.shape(echo))
+        return real_map(echo, *args)
+
+    monkeypatch.setattr(experiments.sensing, "delay_doppler_map", counted_map)
+    res = run_ofdm_compare(cfg)
+    dam_rate, ofdm_rate = fast_target_hit_rates_oracle(cfg)
+    assert 0 < dam_rate < 1
+    assert (res.dam_doppler_hit_rate, res.ofdm_doppler_hit_rate) == (dam_rate, ofdm_rate)
+    chunk = experiments._TRIAL_CHUNK
+    n_mc = min(cfg.scenario.data_length, cfg.mc_block_length)
+    assert 13 % chunk and stacks == [(chunk, n_mc)] * (13 // chunk) + [(13 % chunk, n_mc)]
 
 
 # ------------------------------------------------------------------------ CLI

@@ -13,7 +13,6 @@ from damisac import (
     complex_normal,
     dam_ambiguity_limits,
     generate_symbols,
-    max_ofdm_output_snr,
     max_sensing_snr,
     ofdm_ambiguity_limits,
     ofdm_delay_doppler_estimate,
@@ -271,6 +270,31 @@ def test_estimate_fast_target_aliases():
     assert abs(f_hat - doppler) > cfg.subcarrier_spacing_hz
 
 
+def test_stacked_estimate_equals_each_echo_alone():
+    # a (2, 3) stack of echoes of one grid: slow and fast targets, with and
+    # without noise, including an all-zero echo whose every cell ties
+    rng = np.random.default_rng(10)
+    cfg = OfdmConfig.steered(small_scenario(), 32, theta=0.2)
+    tx = qpsk_grid(rng, cfg)
+    sigma2 = ofdm_output_snr(cfg, 0.2, 1.0, 1.0) / 100.0
+    echoes = [np.zeros((32, cfg.symbols_per_block), dtype=complex)]
+    for delay, doppler, noise in ((0, 0.0, 0.0), (3, 0.05, sigma2), (7, 2.0, 0.0),
+                                  (5, -0.3, sigma2), (2, 1.5, 10 * sigma2)):
+        target = RadarTarget(gain=1.0, direction=0.2, delay_symbols=delay,
+                             doppler_hz=doppler * cfg.subcarrier_spacing_hz)
+        echoes.append(ofdm_echo(cfg, target, tx, noise_power=noise, rng=rng))
+    stack = np.array(echoes).reshape(2, 3, 32, cfg.symbols_per_block)
+    tau, f, peak = ofdm_delay_doppler_estimate(stack, cfg, tx)
+    assert tau.shape == f.shape == peak.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        alone = ofdm_delay_doppler_estimate(stack[idx], cfg, tx)
+        assert all(isinstance(v, float) for v in alone)
+        assert (tau[idx], f[idx], peak[idx]) == alone
+    assert (tau[0, 0], f[0, 0], peak[0, 0]) == (0.0, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        ofdm_delay_doppler_estimate(stack, cfg, tx[:, :-1])
+
+
 def test_estimate_rejects_zero_symbols():
     rng = np.random.default_rng(9)
     cfg = OfdmConfig.steered(small_scenario(), 16, theta=0.0)
@@ -286,6 +310,14 @@ def test_estimate_rejects_zero_symbols():
 
 
 # ----------------------------------------------------------------- output SNR
+
+def max_ofdm_output_snr(num_antennas, symbols_per_block, num_subcarriers, total_power,
+                        gain, noise_power):
+    """The SNR ceiling |alpha|^2 M I K P / sigma^2, met by steering every
+    subcarrier at the target: the oracle for ofdm_output_snr."""
+    return float(np.abs(gain) ** 2 * num_antennas * symbols_per_block *
+                 num_subcarriers * total_power / noise_power)
+
 
 def test_output_snr_steered_hits_ceiling():
     cfg = OfdmConfig.steered(small_scenario(), 64, theta=0.4, total_power=2.0)

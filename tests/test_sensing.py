@@ -159,13 +159,41 @@ def test_projected_waveform_matches_full_block():
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_map_memory_stays_below_the_phase_matrix():
-    # the dense form held a Q x N phase matrix of 16 Q N bytes
+# below one block, an exact multiple of it, and a partial last block
+@pytest.mark.parametrize("n", [_MAP_BLOCK // 2 - 3, 2 * _MAP_BLOCK + 777])
+@pytest.mark.parametrize("stack", [1, 3])
+def test_stacked_map_matches_each_echo_and_the_dense_oracle(n, stack):
+    rng = np.random.default_rng(n + stack)
+    block = generate_symbols(rng, n, "qpsk")
+    bf = DamBeamformer.aligned(complex_normal(rng, (4, 3)), [0, 2, 7])
+    echoes = complex_normal(rng, (stack, n))
+    half = 0.5 / TS
+    dops = np.concatenate([np.sort(rng.uniform(-half, half, 5)), [half]])
+    delays = np.array([n - 1, 0, 5, n // 2, 1, 5, n - 2])   # with a repeat
+    grid = SensingGrid(delays, dops, TS, n)
+    got = delay_doppler_map(echoes, bf, block, 0.3, grid)
+    assert got.values.shape == (stack,) + grid.shape
+    for t, echo in enumerate(echoes):
+        bound = 1e-12 * np.linalg.norm(echo)
+        alone = delay_doppler_map(echo, bf, block, 0.3, grid).values
+        assert np.max(np.abs(got.values[t] - alone)) <= bound
+        assert np.max(np.abs(got.values[t] - dense_map(echo, bf, block, 0.3, grid))) <= bound
+    # any stack shape: (1, stack) echoes give (1, stack, P, Q) maps
+    assert np.array_equal(delay_doppler_map(echoes[None], bf, block, 0.3, grid).values,
+                          got.values[None])
+
+
+def traced_map_peak_and_bound(stack):
+    """Traced peak of a survey map at N = 65 536, Q = 129, P = 201, and its
+    bound: one (T, P, B) work buffer and the B x Q kernel, plus a stated
+    slack of 4 N complex samples (the projected waveform, its conjugated
+    copy, and 2 N for the kernel's factor tables and small arrays) and three
+    T x P x Q maps (the values, one block's product and its phased copy)."""
     n, q = 65_536, 129
     rng = np.random.default_rng(17)
     block = generate_symbols(rng, n, "qpsk")
     bf = steered_beamformer(4, 3)
-    echo = complex_normal(rng, (n,))
+    echo = complex_normal(rng, (n,) if stack is None else (stack, n))
     grid = SensingGrid.survey(200, n, TS, q)
     tracemalloc.start()
     try:
@@ -174,7 +202,21 @@ def test_map_memory_stays_below_the_phase_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.5 * 16 * q * n
+    t, p = stack or 1, grid.shape[0]
+    bound = 16 * (t * p * _MAP_BLOCK + _MAP_BLOCK * q) + 16 * (4 * n + 3 * t * p * q)
+    return peak, bound, 16 * q * n
+
+
+def test_map_memory_stays_below_the_phase_matrix():
+    # indexing or broadcasting the windows would add a second work buffer;
+    # the dense form held a Q x N phase matrix
+    peak, bound, phase_matrix = traced_map_peak_and_bound(None)
+    assert peak <= bound < 0.5 * phase_matrix
+
+
+def test_stacked_map_memory_is_o_of_tp_plus_q_times_b():
+    peak, bound, _ = traced_map_peak_and_bound(3)
+    assert peak <= bound
 
 
 def test_map_shape_and_validation():
@@ -378,6 +420,44 @@ def test_estimate_tie_breaking():
     d_hat, f_hat, peak = estimate_delay_doppler(DelayDopplerMap(values, grid))
     assert (d_hat, peak) == (2, 1.0)
     assert abs(f_hat) == 100.0
+
+
+def peak_pick_oracle(power, grid):
+    """The tie rule one map at a time: every cell within 1e-12 of the peak, the
+    smallest delay among them, then the smallest |Doppler|, then the first."""
+    cand = np.argwhere(power >= power.max() * (1.0 - 1e-12))
+    delays = grid.delay_bins[cand[:, 0]]
+    cand = cand[delays == delays.min()]
+    row, col = cand[np.argmin(np.abs(grid.doppler_bins_hz[cand[:, 1]]))]
+    return int(grid.delay_bins[row]), float(grid.doppler_bins_hz[col]), float(power[row, col])
+
+
+def test_stacked_estimate_matches_each_map():
+    # unsorted and repeated delays, and a Doppler axis with +-f pairs
+    grid = SensingGrid(np.array([5, 2, 9, 2]), np.array([100.0, -100.0, 0.0, 50.0, -50.0]),
+                       1e-3, 16)
+    rng = np.random.default_rng(15)
+    values = complex_normal(rng, (2, 3) + grid.shape)
+    values[0, 0] = 0.0                      # every cell ties
+    values[0, 1] = 0.0
+    values[0, 1, [0, 1, 2], [0, 1, 2]] = 1.0  # delays 5, 2, 9: delay 2 wins
+    values[0, 1, 3, 4] = 1.0                # delay 2 again at -50 Hz: |f| wins
+    values[0, 2] = 0.0
+    values[0, 2, [1, 1], [3, 4]] = -1.0j     # delay 2, +-50 Hz: the first wins
+    values[1, 0, 2, 2] = 1e3                # one clear peak
+    values[1, 1] *= 1e-300                  # tiny but not zero
+    stacked = DelayDopplerMap(values, grid)
+    d_hat, f_hat, peak = estimate_delay_doppler(stacked)
+    assert d_hat.shape == f_hat.shape == peak.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        alone = estimate_delay_doppler(DelayDopplerMap(values[idx], grid))
+        assert isinstance(alone[0], int) and isinstance(alone[1], float)
+        assert alone == peak_pick_oracle(np.abs(values[idx]) ** 2, grid)
+        assert (d_hat[idx], f_hat[idx], peak[idx]) == alone
+    assert (d_hat[0, 0], f_hat[0, 0]) == (2, 0.0)
+    assert (d_hat[0, 1], f_hat[0, 1], peak[0, 1]) == (2, -50.0, 1.0)
+    assert (d_hat[0, 2], f_hat[0, 2]) == (2, 50.0)
+    assert (d_hat[1, 0], f_hat[1, 0]) == (9, 0.0)
 
 
 # ------------------------------------------------------------- grids / limits

@@ -311,6 +311,27 @@ def test_papr_peak_power_exact_bound():
     assert cap == pytest.approx(l * transmit_power(bf))
 
 
+def test_papr_row_sum_is_the_axis_0_sum_bit_for_bit():
+    # the power summed row by row equals numpy's axis-0 sum exactly, on a DAM
+    # transmit and on a beamformed OFDM transmit with its cyclic prefixes
+    from damisac import OfdmConfig, ScenarioConfig, ofdm_time_domain
+    rng = np.random.default_rng(21)
+    ch = random_channel(rng, 16, 5, [0, 3, 4, 9, 11])
+    dam = build_dam_block(generate_symbols(rng, 4096, "gaussian"),
+                          isi_zf_mrt_beamformer(ch, power=1.0))
+    scen = ScenarioConfig.from_timing(bandwidth_hz=1e8, carrier_frequency_hz=28e9,
+                                      coherence_time_s=2560e-8, guard_time_s=16e-8,
+                                      num_antennas=16, transmit_power_w=1.0,
+                                      noise_power_w=1.0)
+    cfg = OfdmConfig(scen.bandwidth_hz, scen.guard_length, scen.block_length,
+                     complex_normal(rng, (16, 64)))
+    grid = generate_symbols(rng, 64 * cfg.symbols_per_block, "qpsk").symbols
+    ofdm_tx = ofdm_time_domain(cfg, grid.reshape(64, -1))
+    for tx in (dam, ofdm_tx):
+        inst = np.sum(np.abs(tx) ** 2, axis=0)
+        assert papr_empirical(tx) == float(inst.max() / inst.mean())
+
+
 def test_papr_rejects_zero_block():
     with pytest.raises(ValueError):
         papr_empirical(np.zeros((2, 8)))
