@@ -239,14 +239,12 @@ def estimate_delay_doppler(ddmap: DelayDopplerMap):
     grid = ddmap.grid
     p = ddmap.power()
     cells = p.reshape(-1, p.shape[-2] * p.shape[-1])
-    # every cell's place in the tie order; lexsort is stable, so equal keys
-    # keep their delay-major order
-    delay_of_cell = np.repeat(grid.delay_bins, grid.shape[1])
-    abs_doppler_of_cell = np.tile(np.abs(grid.doppler_bins_hz), grid.shape[0])
-    rank = np.empty(cells.shape[1], dtype=int)
-    rank[np.lexsort((abs_doppler_of_cell, delay_of_cell))] = np.arange(cells.shape[1])
-    best = cells.max(axis=1, keepdims=True)
-    cell = np.argmin(np.where(cells >= best * (1.0 - 1e-12), rank, cells.shape[1]), axis=1)
+    # the cells in tie order; lexsort is stable, so equal keys keep their
+    # delay-major order
+    order = np.lexsort((np.tile(np.abs(grid.doppler_bins_hz), grid.shape[0]),
+                        np.repeat(grid.delay_bins, grid.shape[1])))
+    ties = cells >= cells.max(axis=1, keepdims=True) * (1.0 - 1e-12)
+    cell = order[np.argmax(ties[:, order], axis=1)]
     row, col = np.divmod(cell, grid.shape[1])
     stack = p.shape[:-2]
     delay = grid.delay_bins[row].reshape(stack)
