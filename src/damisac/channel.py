@@ -21,9 +21,16 @@ from .units import C_LIGHT
 
 
 def complex_normal(rng: np.random.Generator, shape=(), variance: float = 1.0):
-    """Circularly symmetric complex Gaussian samples CN(0, variance)."""
-    scale = np.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    """Circularly symmetric complex Gaussian samples CN(0, variance).
+
+    The real parts are drawn first, then the imaginary parts, straight into
+    the one complex array, which is scaled in place.
+    """
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    z *= np.sqrt(variance / 2.0)
+    return z[()]                        # a complex scalar for shape ()
 
 
 def steering_vector(theta, num_antennas: int) -> np.ndarray:

@@ -65,7 +65,9 @@ class SensingGrid:
     def survey(cls, guard_length: int, block_length: int, symbol_duration_s: float,
                num_doppler_bins: int = 129) -> "SensingGrid":
         """All delays in [0, guard] and a coarse Doppler sweep of the full
-        unambiguous interval."""
+        unambiguous interval. The default 129 bins are 1/(128 T_s) apart, so
+        their phase rows repeat every 128 samples, and delay_doppler_map
+        sums all the blocks of the survey's map into one product."""
         half = 0.5 / symbol_duration_s
         return cls(np.arange(guard_length + 1),
                    np.linspace(-half, half, num_doppler_bins),
@@ -134,6 +136,13 @@ def matched_filter_template(bf: DamBeamformer, block: SymbolBlock, theta: float,
 
 
 _MAP_BLOCK = 4096   # samples n per matrix product in delay_doppler_map
+# An offset c_q - c_0 between two Doppler cycle values (|c| <= 1/2 cycle per
+# sample) carries at most 1.5 eps of rounding, and scaling it to a period of
+# D samples 0.5 eps D more. So (c_q - c_0) D counts as whole within
+# _FOLD_TOL D = 4 eps D cycles, twice that bound; a survey grid is off by at
+# most 1 eps D. A grid 1e-9 cycles per block off period is 2.4e-13 = 1100 eps
+# per sample off, and does not fold.
+_FOLD_TOL = 4 * np.finfo(float).eps
 
 
 def delay_doppler_map(echo: np.ndarray, bf: DamBeamformer, block: SymbolBlock,
@@ -145,11 +154,15 @@ def delay_doppler_map(echo: np.ndarray, bf: DamBeamformer, block: SymbolBlock,
     shape (..., N) gives values of shape (..., P, Q), each map the one its
     echo gives alone; a 1-D echo is a stack of one.
 
-    The sum over n runs in blocks of B = _MAP_BLOCK samples, one (T P) x B by
-    B x Q matrix product each for the T echoes, for O(T P Q N) work. The
-    waveform, the norms and the B x Q kernel are built once per call, and one
-    (T, P, B) work buffer serves every block, so the memory is O((T P + Q) B)
-    beside O(N) for the waveform and O(T P Q) for the values.
+    The sum over n runs in blocks of B = _MAP_BLOCK samples. Blocks g apart
+    are summed before their product when g is the least number of blocks
+    over which every bin's offset from the first bin, (f_q - f_0) T_s g B
+    cycles, is whole (g = S, the block count, when none below S is): their
+    phase rows then differ by one scalar. Each of the g groups takes one
+    (T P) x B by B x Q matrix product for the T echoes, for O(T P N + g T P B Q)
+    work. The waveform, the norms and the B x Q kernel are built once per
+    call, and one (T, P, B) work buffer serves every group, so the memory is
+    O((T P + Q) B) beside O(N) for the waveform and O(T P Q) for the values.
     """
     echo = np.asarray(echo, dtype=complex)
     n = grid.block_length
@@ -173,6 +186,15 @@ def delay_doppler_map(echo: np.ndarray, bf: DamBeamformer, block: SymbolBlock,
     fine = np.exp(-2j * np.pi * np.outer(np.arange(64), cycles))
     coarse = np.exp(-2j * np.pi * np.outer(np.arange(0, b, 64), cycles))
     kernel = (coarse[:, None, :] * fine).reshape(coarse.shape[0] * 64, cycles.size)[:b]
+    # the group of the block at s starts at s0 = s mod g B; its phase row is
+    # e^{-j2 pi c_q s0} times e^{-j2 pi c_0 (s - s0)}, one scalar for every q
+    num_blocks = -(-n // b)
+    c0 = cycles[:1].sum()               # 0 for an empty Doppler axis
+    offsets = cycles - c0
+    fold = next((g for g in range(1, num_blocks)
+                 if np.all(np.abs(offsets * (g * b) - np.round(offsets * (g * b)))
+                           <= _FOLD_TOL * g * b)), num_blocks)
+    period = fold * b
     # conj(base[m]) sits at m + lead, zeros before it: the row of delay p in
     # the block at s starts at s + lead - p
     conj_base = np.zeros(lead + n, dtype=complex)
@@ -180,16 +202,27 @@ def delay_doppler_map(echo: np.ndarray, bf: DamBeamformer, block: SymbolBlock,
     echoes = echo.reshape(-1, n)
     work = np.empty((echoes.shape[0], delays.size, b), dtype=complex)
     values = np.zeros(work.shape[:2] + cycles.shape, dtype=complex)
-    for s in range(0, n, b):
+    # the groups in turn; sorted is stable, so each group's blocks in order of s
+    for s in sorted(range(0, n, b), key=lambda s: s // b % fold):
         w = min(b, n - s)
-        if w < b:                       # the last block, zero-padded to B
-            work[..., w:] = 0
-        # one product per delay into its rows of the buffer: indexing or
-        # broadcasting the windows would build a second (T, P, B) array
+        first = s < period
+        if first:
+            if w < b:                   # the last block, zero-padded to B
+                work[..., w:] = 0
+            seg = echoes[:, s:s + w]
+        else:
+            # the argument reduced mod 1, so a whole c_0 (s - s0) gives exactly 1
+            seg = echoes[:, s:s + w] * np.exp(-2j * np.pi * (c0 * (s - s % period) % 1.0))
+        # one product per delay into, or added to, its rows of the buffer:
+        # indexing or broadcasting the windows would build a second (T, P, B) array
         for i, start in enumerate(s + lead - delays):
-            np.multiply(conj_base[start:start + w], echoes[:, s:s + w], out=work[:, i, :w])
-        values += ((work.reshape(-1, b) @ kernel).reshape(values.shape)
-                   * np.exp(-2j * np.pi * cycles * s))
+            if first:
+                np.multiply(conj_base[start:start + w], seg, out=work[:, i, :w])
+            else:
+                work[:, i, :w] += conj_base[start:start + w] * seg
+        if s + period >= n:             # the group's last block
+            values += ((work.reshape(-1, b) @ kernel).reshape(values.shape)
+                       * np.exp(-2j * np.pi * cycles * (s % period)))
     values /= norms[:, None]
     return DelayDopplerMap(values.reshape(echo.shape[:-1] + grid.shape), grid)
 

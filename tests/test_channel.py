@@ -324,3 +324,20 @@ def test_complex_normal_moments():
     assert np.mean(np.abs(z) ** 2) == pytest.approx(3.0, rel=0.03)
     # circular symmetry: pseudo-variance E[z^2] vanishes
     assert abs(np.mean(z ** 2)) < 0.05
+
+
+def complex_normal_expression_oracle(rng, shape, variance):
+    """The draw as one expression: real parts, then imaginary parts, scaled."""
+    scale = np.sqrt(variance / 2.0)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (16_384,), (3, 7), (2, 3, 5)])
+def test_complex_normal_matches_the_expression_bit_for_bit(shape):
+    for variance in (1.0, 0.3, 2.5e-13, 7.0):
+        got = complex_normal(np.random.default_rng(23), shape, variance)
+        want = complex_normal_expression_oracle(np.random.default_rng(23), shape, variance)
+        assert type(got) is type(want) and np.shape(got) == shape
+        # the bits of every real and imaginary part, signed zeros included
+        assert np.atleast_1d(got).view(np.uint64).tobytes() == \
+            np.atleast_1d(want).view(np.uint64).tobytes()

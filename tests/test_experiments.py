@@ -615,7 +615,14 @@ def test_ofdm_compare_result(tmp_path):
             assert got == pytest.approx(want, rel=1e-12), (scheme, regime)
     assert res.papr_ofdm > res.papr_dam
     assert res.dam_doppler_hit_rate >= 0.9
-    assert res.ofdm_doppler_hit_rate < 0.5
+    # the OFDM estimate is a bin of fftfreq(I, (K + N_p) T_s), all within
+    # 1/(2 (K + N_p) T_s) < df/2 of zero: none lies within df of the fast
+    # target at 2 df, so no trial can hit it
+    ocfg = OfdmConfig.steered(scen_mc, 256, target.direction)
+    df = ocfg.subcarrier_spacing_hz
+    axis = np.fft.fftfreq(i_sym, ocfg.total_symbol_duration_s)
+    assert np.all(np.abs(axis - 2 * df) > df)
+    assert res.ofdm_doppler_hit_rate == 0.0
     # the OFDM PAPR is measured on the transmit the run sends: the grid drawn
     # from rng(2, 2), beamformed, with its cyclic prefixes
     grid = generate_symbols(cfg.rng(2, 2), 256 * i_sym, cfg.modulation).symbols

@@ -129,7 +129,8 @@ def dense_map(echo, bf, block, theta, grid):
     return values
 
 
-# below one block, an exact multiple of it, and a partial last block
+# below one block, an exact multiple of it, and a partial last block; a
+# single bin always folds, every block into one product
 @pytest.mark.parametrize("n", [_MAP_BLOCK // 2 - 3, 2 * _MAP_BLOCK, 2 * _MAP_BLOCK + 777])
 @pytest.mark.parametrize("dopplers", ["non-uniform", "single"])
 def test_blocked_map_matches_dense_oracle(n, dopplers):
@@ -183,18 +184,56 @@ def test_stacked_map_matches_each_echo_and_the_dense_oracle(n, stack):
                           got.values[None])
 
 
-def traced_map_peak_and_bound(stack):
+def folding_grid(case, n):
+    """A grid over n samples whose bins sit a whole number of cycles per g
+    blocks from the first bin, so that the map sums blocks g apart before one
+    product: the survey's 129 bins, 32 cycles per block apart (g = 1); bins an
+    odd number of half cycles per block apart (g = 2); and bins 32 cycles per
+    block apart but for one that is 1e-9 cycles per block off (no fold)."""
+    b = _MAP_BLOCK
+    if case == "survey":
+        return SensingGrid.survey(20, n, TS)
+    steps = {"period-2": np.array([0, 1, -3, 5, 64, -201, 7]) / 2,
+             "off-period": 32.0 * np.arange(-8, 9) + 1e-9 * (np.arange(17) == 11)}[case]
+    delays = np.array([n - 1, 0, 5, n // 2, 1, 5, 200])   # with a repeat
+    return SensingGrid(delays, (0.123 + steps / b) / TS, TS, n)
+
+
+# the survey over 3 full blocks and a partial one; the half-cycle bins over
+# S = 5 blocks, 4 full and a partial one, folded into g = 2 products
+@pytest.mark.parametrize("case, n, stack", [
+    ("survey", 3 * _MAP_BLOCK + 777, 1), ("survey", 3 * _MAP_BLOCK + 777, 3),
+    ("period-2", 4 * _MAP_BLOCK + 1234, 1), ("period-2", 4 * _MAP_BLOCK + 1234, 3),
+    ("off-period", 3 * _MAP_BLOCK + 777, 1)])
+def test_folded_map_matches_dense_oracle(case, n, stack):
+    rng = np.random.default_rng(n + stack)
+    block = generate_symbols(rng, n, "qpsk")
+    bf = DamBeamformer.aligned(complex_normal(rng, (4, 3)), [0, 2, 7])
+    echoes = complex_normal(rng, (stack, n))
+    grid = folding_grid(case, n)
+    got = delay_doppler_map(echoes, bf, block, 0.3, grid).values
+    for t, echo in enumerate(echoes):
+        assert np.max(np.abs(got[t] - dense_map(echo, bf, block, 0.3, grid))) \
+            <= 1e-12 * np.linalg.norm(echo)
+
+
+def traced_map_peak_and_bound(stack, fold=True):
     """Traced peak of a survey map at N = 65 536, Q = 129, P = 201, and its
     bound: one (T, P, B) work buffer and the B x Q kernel, plus a stated
     slack of 4 N complex samples (the projected waveform, its conjugated
-    copy, and 2 N for the kernel's factor tables and small arrays) and three
-    T x P x Q maps (the values, one block's product and its phased copy)."""
+    copy, and 2 N for the kernel's factor tables, a block's scaled samples
+    and one delay's rows, and small arrays) and three T x P x Q maps (the
+    values, one product and its phased copy). Without fold, one bin sits
+    1e-9 cycles per block off the survey's period, so no blocks fold."""
     n, q = 65_536, 129
     rng = np.random.default_rng(17)
     block = generate_symbols(rng, n, "qpsk")
     bf = steered_beamformer(4, 3)
     echo = complex_normal(rng, (n,) if stack is None else (stack, n))
     grid = SensingGrid.survey(200, n, TS, q)
+    if not fold:
+        grid = SensingGrid(grid.delay_bins, grid.doppler_bins_hz
+                           + 1e-9 / (_MAP_BLOCK * TS) * (np.arange(q) == 11), TS, n)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -209,9 +248,11 @@ def traced_map_peak_and_bound(stack):
 
 def test_map_memory_stays_below_the_phase_matrix():
     # indexing or broadcasting the windows would add a second work buffer;
-    # the dense form held a Q x N phase matrix
-    peak, bound, phase_matrix = traced_map_peak_and_bound(None)
-    assert peak <= bound < 0.5 * phase_matrix
+    # the dense form held a Q x N phase matrix. The survey folds its blocks
+    # into one product; a grid just off its period takes one per block.
+    for fold in (True, False):
+        peak, bound, phase_matrix = traced_map_peak_and_bound(None, fold)
+        assert peak <= bound < 0.5 * phase_matrix
 
 
 def test_stacked_map_memory_is_o_of_tp_plus_q_times_b():
