@@ -514,9 +514,10 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
     return report
 
 
-# fast-target trials per delay_doppler_map and OFDM estimate in run_ofdm_compare,
-# whose chunk buffers are allocated once. Up to 16 the default run's peak RSS
-# stays at the transmit stage's; 32 raised it by 16 MB, and 16 ran no faster.
+# fast-target trials per delay_doppler_map in run_ofdm_compare, whose chunk
+# buffer is allocated once. Up to 16 the default run's peak RSS (61 MB with one
+# OpenBLAS thread, numpy 2.4.6) stays at the transmit stage's; 32 raised it by
+# 6 MB, and 16 ran no faster.
 _TRIAL_CHUNK = 8
 
 
@@ -576,9 +577,9 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
     fast = dataclasses.replace(target, doppler_hz=f_fast)
     unit = dataclasses.replace(target, gain=1.0 + 0j)
 
-    # One DAM symbol block and one OFDM grid serve every design and the fast
-    # target. Each scheme's full-power transmit is built once, for its PAPR and
-    # its noise-free echoes, and freed before the next is built.
+    # One DAM symbol block serves every DAM design and the fast target, one OFDM
+    # grid every OFDM design. Each scheme's full-power transmit is built once,
+    # for its PAPR and its noise-free echoes, and freed before the next is built.
     def papr_and_echoes(tx, *targets):
         return waveform.papr_empirical(tx), *(apply_radar_channel(tgt, tx, t_s)
                                                for tgt in targets)
@@ -588,9 +589,8 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
                                                  target, fast)
     tx_freq = waveform.generate_symbols(cfg.rng(2, 2), k * i_sym,
                                         cfg.modulation).symbols.reshape(k, i_sym, order="F")
-    papr_ofdm, *echoes = papr_and_echoes(ofdm.ofdm_time_domain(ocfg, tx_freq),
-                                         target, unit, fast)
-    ofdm_clean, ofdm_template, oclean = (ofdm.ofdm_demodulate(ocfg, y) for y in echoes)
+    papr_ofdm, *echoes = papr_and_echoes(ofdm.ofdm_time_domain(ocfg, tx_freq), target, unit)
+    ofdm_clean, ofdm_template = (ofdm.ofdm_demodulate(ocfg, y) for y in echoes)
 
     # (analytic, simulated-echo) output SNR of one design. A derated design
     # sends the full-power beams scaled by 1/sqrt(L) or 1/sqrt(K), and so its echo.
@@ -615,27 +615,22 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
     res = 1.0 / (n_mc * t_s)
     grid = sensing.SensingGrid.refine(target.delay_symbols, res * round(f_fast / res),
                                       n_mc, t_s, delay_half_width=3)
-    # each trial adds its own keyed noise draw to the noise-free echoes; a
-    # chunk of trials goes through one map and one OFDM estimate
+    # each trial adds its own keyed noise draw to the noise-free echo; a chunk
+    # of trials goes through one map
     echoes = np.empty((_TRIAL_CHUNK,) + clean.shape, dtype=complex)
-    oechoes = np.empty((_TRIAL_CHUNK,) + oclean.shape, dtype=complex)
     dam_hits = 0
-    ofdm_hits = 0
     for start in range(0, cfg.trials, _TRIAL_CHUNK):
         count = min(_TRIAL_CHUNK, cfg.trials - start)
         for j, t in enumerate(range(start, start + count)):
             np.add(clean, complex_normal(cfg.rng(2, 9, t), clean.shape, sigma2),
                    out=echoes[j])
-            np.add(oclean, complex_normal(cfg.rng(2, 10, t), oclean.shape, sigma2 / k),
-                   out=oechoes[j])
         ddmap = sensing.delay_doppler_map(echoes[:count], bf_full, block, theta, grid)
         _, f_hat, _ = sensing.estimate_delay_doppler(ddmap)
         dam_hits += int(np.count_nonzero(np.abs(f_hat - f_fast) <= res))
-        _, f_hat_o, _ = ofdm.ofdm_delay_doppler_estimate(oechoes[:count], ocfg, tx_freq)
-        ofdm_hits += int(np.count_nonzero(np.abs(f_hat_o - f_fast)
-                                          <= ocfg.subcarrier_spacing_hz))
 
-    dam_rate, ofdm_rate = dam_hits / cfg.trials, ofdm_hits / cfg.trials
+    dam_rate = dam_hits / cfg.trials
+    # OFDM estimates are fftfreq(I, (K + N_p) T_s) bins, < df/2 from 0: none within df of 2 df
+    ofdm_rate = 0.0
     schemes = {
         "dam": (num_paths, n_mc, sensing.dam_ambiguity_limits(scen_mc), papr_dam, dam_rate),
         "ofdm": (k, i_sym, ofdm.ofdm_ambiguity_limits(ocfg, s.wavelength_m), papr_ofdm,

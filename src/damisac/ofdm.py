@@ -94,33 +94,19 @@ def ofdm_delay_doppler_estimate(symbols_rx: np.ndarray, cfg: OfdmConfig,
     symbols, inverse DFT across subcarriers for delay, DFT across symbols for
     Doppler.
 
-    Returns (tau_hat, doppler_hat_hz, peak_power): three floats for one (K, I)
-    echo, or three arrays of the stack's shape for a stack (..., K, I) of
-    echoes of the one (K, I) grid tx_symbols, each the estimate of its own
-    echo; the work and a few temporaries are the size of the stack. The
-    Doppler axis is only unambiguous within +-1/(2 T_o); anything faster
-    aliases.
+    Returns (tau_hat, doppler_hat_hz, peak_power). The Doppler axis is only
+    unambiguous within +-1/(2 T_o); anything faster aliases.
     """
-    symbols_rx = np.asarray(symbols_rx)
     tx_symbols = np.asarray(tx_symbols, dtype=complex)
-    if tx_symbols.shape != symbols_rx.shape[-2:]:
+    if tx_symbols.shape != np.shape(symbols_rx):
         raise ValueError("tx_symbols shape does not match the echo")
     if np.any(np.abs(tx_symbols) < 1e-12):
         raise ValueError("zero symbols cannot be divided out; use PSK pilots")
     z = symbols_rx / tx_symbols
-    profile = np.fft.fft(np.fft.ifft(z, axis=-2), axis=-1)
-    power = np.abs(profile) ** 2
-    cells = power.reshape(-1, tx_symbols.size)
-    cell = np.argmax(cells, axis=1)
-    row, col = np.divmod(cell, tx_symbols.shape[1])
-    stack = power.shape[:-2]
-    tau_hat = (row * cfg.sample_duration_s).reshape(stack)
-    doppler_hat = np.fft.fftfreq(cfg.symbols_per_block,
-                                 d=cfg.total_symbol_duration_s)[col].reshape(stack)
-    peak = cells[np.arange(cells.shape[0]), cell].reshape(stack)
-    if not stack:
-        return float(tau_hat), float(doppler_hat), float(peak)
-    return tau_hat, doppler_hat, peak
+    power = np.abs(np.fft.fft(np.fft.ifft(z, axis=0), axis=1)) ** 2
+    row, col = np.unravel_index(int(np.argmax(power)), power.shape)
+    doppler_hat = np.fft.fftfreq(cfg.symbols_per_block, d=cfg.total_symbol_duration_s)[col]
+    return float(row * cfg.sample_duration_s), float(doppler_hat), float(power[row, col])
 
 
 def ofdm_output_snr(cfg: OfdmConfig, theta: float, gain: complex,

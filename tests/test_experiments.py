@@ -615,13 +615,6 @@ def test_ofdm_compare_result(tmp_path):
             assert got == pytest.approx(want, rel=1e-12), (scheme, regime)
     assert res.papr_ofdm > res.papr_dam
     assert res.dam_doppler_hit_rate >= 0.9
-    # the OFDM estimate is a bin of fftfreq(I, (K + N_p) T_s), all within
-    # 1/(2 (K + N_p) T_s) < df/2 of zero: none lies within df of the fast
-    # target at 2 df, so no trial can hit it
-    ocfg = OfdmConfig.steered(scen_mc, 256, target.direction)
-    df = ocfg.subcarrier_spacing_hz
-    axis = np.fft.fftfreq(i_sym, ocfg.total_symbol_duration_s)
-    assert np.all(np.abs(axis - 2 * df) > df)
     assert res.ofdm_doppler_hit_rate == 0.0
     # the OFDM PAPR is measured on the transmit the run sends: the grid drawn
     # from rng(2, 2), beamformed, with its cyclic prefixes
@@ -633,6 +626,52 @@ def test_ofdm_compare_result(tmp_path):
     lines = (tmp_path / "ofdm_compare.csv").read_text().splitlines()
     assert lines[2].startswith("# n_mc=2048 peak_snr_ratio=")
     assert len(lines) == 4 + 4
+
+
+@pytest.mark.parametrize("n_p", [0, 200, 2000])
+@pytest.mark.parametrize("k", [4, 64, 1024])
+def test_no_ofdm_doppler_bin_reaches_the_fast_target(tmp_path, k, n_p):
+    # why ofdm-compare reports an OFDM fast-target rate of 0 without a trial:
+    # the estimate is a bin of fftfreq(I, (K + N_p) T_s), all within
+    # 1/(2 (K + N_p) T_s) <= df/2 of zero, so none lies within df of the fast
+    # target at 2 df; N_p = 2000 puts the prefix beyond the symbol
+    cfg = load_config(write_config(tmp_path, {"scenario": {"guard_length": n_p},
+                                              "experiment": {"ofdm_subcarriers": k}}))
+    s = cfg.scenario
+    n_mc = min(s.data_length, cfg.mc_block_length)
+    scen_mc = dataclasses.replace(s, coherence_time_s=(n_mc + n_p) * s.symbol_duration_s)
+    ocfg = OfdmConfig.steered(scen_mc, k, cfg.target.direction_rad)
+    assert ocfg.guard_length == n_p and ocfg.num_subcarriers == k
+    df = ocfg.subcarrier_spacing_hz
+    axis = np.fft.fftfreq(ocfg.symbols_per_block, ocfg.total_symbol_duration_s)
+    assert np.all(np.abs(axis) <= df / 2)
+    assert np.all(np.abs(axis - 2 * df) > df)
+
+
+def test_ofdm_compare_runs_no_ofdm_fast_target_trial(monkeypatch):
+    # the OFDM rate is the constant above: no OFDM estimate and no OFDM noise
+    # stream, rng(2, 10, t); 13 trials end on a partial chunk
+    cfg = load_config(None)
+    cfg.trials = 13
+    cfg.mc_block_length = 2048
+    cfg.ofdm_subcarriers = 256
+
+    def no_estimate(*args):
+        raise AssertionError("ofdm-compare made an OFDM estimate")
+
+    keys = []
+    real_rng = ExperimentConfig.rng
+
+    def recorded_rng(self, *key):
+        keys.append(key)
+        return real_rng(self, *key)
+
+    monkeypatch.setattr(experiments.ofdm, "ofdm_delay_doppler_estimate", no_estimate)
+    monkeypatch.setattr(ExperimentConfig, "rng", recorded_rng)
+    res = run_ofdm_compare(cfg)
+    assert res.ofdm_doppler_hit_rate == 0.0
+    assert not [key for key in keys if key[:2] == (2, 10)]
+    assert sorted(keys) == [(2, 0), (2, 1), (2, 2)] + [(2, 9, t) for t in range(13)]
 
 
 def fast_target_hit_rates_oracle(cfg):
