@@ -14,6 +14,7 @@ from .beamforming import (BatchSolution, IsacProblem, IsacSolution, SolutionRepo
 from .channel import (ChannelGenConfig, MultipathChannel, RadarTarget,
                       ScenarioConfig, apply_comm_channel, apply_radar_channel,
                       complex_normal, generate_multipath_channel,
+                      generate_multipath_channels,
                       radar_round_trip_gain, steering_vector)
 from .errors import ConfigError, DamIsacError, InfeasibleError
 from .experiments import (ExperimentConfig, TargetConfig, load_config,

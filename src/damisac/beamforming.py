@@ -40,35 +40,49 @@ _BISECTION_STEPS = 60
 _GAP_TOLERANCE = 1e-12
 
 
-def _zf_project(channel: MultipathChannel, *vector_sets: np.ndarray) -> list:
-    """Q_l v_l for every path l, for each (L, M) array of rows v_l given.
+def _zf_project(h: np.ndarray, *vector_sets: np.ndarray) -> list:
+    """Q_l v_l for every path l of every channel in a stack of path vectors
+    h (B, L, M), for each (B, L, M) array of rows v_l given.
 
     Q_l projects onto the complement of the other paths' vectors. One thin
     SVD of H = [h_1 ... h_L] gives every Q_l: with P the projector onto the
     complement of span(H) and c_l = (H^+)^H e_l, the part of h_l that no other
     path spans, Q_l = P + c_l c_l^H / ||c_l||^2. When h_l lies in the span of
-    the others, column l of H's null vectors is nonzero and Q_l = P.
+    the others, column l of H's null vectors is nonzero and Q_l = P. The
+    stack takes one batched SVD; each channel keeps its own rank, as a mask
+    over its singular values.
     """
-    m, num_paths = channel.num_antennas, channel.num_paths
+    m, num_paths = h.shape[2], h.shape[1]
     if m < num_paths:
         raise InfeasibleError(
             f"per-path zero-forcing needs num_antennas >= num_paths "
             f"({m} < {num_paths})")
-    h = channel.path_vectors.T                                   # (M, L)
-    u, s, vh = np.linalg.svd(h, full_matrices=False)
-    tol = s[0] * max(h.shape) * np.finfo(float).eps
-    rank = int(np.sum(s > tol))
-    u = u[:, :rank]
+    u, s, vh = np.linalg.svd(np.swapaxes(h, 1, 2), full_matrices=False)  # H (B, M, L)
+    tol = s[:, :1] * max(m, num_paths) * np.finfo(float).eps
+    keep = s > tol                                     # (B, L), each row's first rank entries
+    u = u * keep[:, None, :]
     # a perturbation within tol moves the null vectors by at most
-    # tol / s[rank - 1] (Wedin's theorem); a column below that is zero
-    own = (rank > 0) & (np.linalg.norm(vh[rank:], axis=0) * s[rank - 1] <= tol)
-    c = u @ (vh[:rank] / s[:rank, None])                         # (M, L), columns c_l
-    weight = np.divide(own, np.sum(np.abs(c) ** 2, axis=0), out=np.zeros(num_paths),
+    # tol / s[rank - 1] (Wedin's theorem); a column below that is zero. At
+    # rank 0 that bound is infinite and no column is.
+    least = np.where(keep, s, np.inf).min(axis=1, keepdims=True)     # s[rank - 1]
+    own = np.linalg.norm(vh * ~keep[:, :, None], axis=1) * least <= tol
+    c = u @ np.divide(vh, s[:, :, None], out=np.zeros_like(vh),
+                      where=keep[:, :, None])          # (B, M, L), columns c_l
+    weight = np.divide(own, np.sum(np.abs(c) ** 2, axis=1), out=np.zeros(own.shape),
                        where=own)
     out = []
     for vs in vector_sets:
-        coef = weight * np.sum(np.conj(c.T) * vs, axis=1)       # c_l^H v_l / ||c_l||^2
-        out.append(vs - (vs @ np.conj(u)) @ u.T + coef[:, None] * c.T)
+        # c_l^H v_l / ||c_l||^2. The product is laid out as numpy lays out one
+        # channel's: by path for rows v_l of their own (each sum over m then
+        # pairwise), by antenna for one vector broadcast to every path (summed
+        # in m order). Fixed here, the sums do not change with the stack size.
+        if vs.strides[1] == 0:
+            coef = np.sum(np.conj(c) * np.swapaxes(vs, 1, 2), axis=1)
+        else:
+            coef = np.multiply(np.conj(np.swapaxes(c, 1, 2)), vs,
+                               out=np.empty(vs.shape, dtype=complex)).sum(axis=2)
+        out.append(vs - (vs @ np.conj(u)) @ np.swapaxes(u, 1, 2)
+                   + (weight * coef)[:, :, None] * np.swapaxes(c, 1, 2))
     return out
 
 
@@ -89,7 +103,8 @@ def isi_zf_mrt_beamformer(channel: MultipathChannel, power: float) -> DamBeamfor
     """
     if power <= 0:
         raise ValueError("power must be positive")
-    return _mrt(channel, _zf_project(channel, channel.path_vectors)[0], power)
+    h = channel.path_vectors[None]
+    return _mrt(channel, _zf_project(h, h)[0][0], power)
 
 
 @dataclass
@@ -229,19 +244,75 @@ def _bisect(eta: np.ndarray, r: np.ndarray, rho: np.ndarray):
     return y, bound, steps
 
 
-def _audit(beams: np.ndarray, channel: MultipathChannel, theta: float, gain: complex,
+def _audit(beams: np.ndarray, h: np.ndarray, theta: float, gain: complex,
            block_length: int, noise_power: float):
     """Every constraint of the trade-off problem, recomputed from a stack of
-    beam matrices (B, M, L) on one channel: the zero-forcing residual
-    max_{l != l'} |h_l^H f_l'|, the power, gamma_c and gamma_p, each (B,)."""
-    cross = np.conj(channel.path_vectors) @ beams        # (B, L, L), h_l^H f_l'
+    beam matrices (B, M, L), each on its own channel's path vectors h
+    (B, L, M): the zero-forcing residual max_{l != l'} |h_l^H f_l'|, the
+    power, gamma_c and gamma_p, each (B,)."""
+    cross = np.conj(h) @ beams                           # (B, L, L), h_l^H f_l'
     gamma_c = np.abs(np.trace(cross, axis1=1, axis2=2)) ** 2 / noise_power
-    diagonal = np.arange(channel.num_paths)
+    diagonal = np.arange(h.shape[1])
     cross[:, diagonal, diagonal] = 0.0
     zf_residual = np.abs(cross).max(axis=(1, 2))
     power_used = np.sum(np.abs(beams) ** 2, axis=(1, 2))
     gamma_p = _sensing.sensing_snr(beams, theta, gain, block_length, noise_power)
     return zf_residual, power_used, gamma_c, gamma_p
+
+
+def _set_up(h: np.ndarray, theta: float, gain: complex, block_length: int, power: float,
+            noise_power: float):
+    """The channel-only work of the trade-off problem for a stack of path
+    vectors h (B, L, M); see `IsacProblem`.
+
+    Returns, per channel, eta (unit norm) and r (B, L+1), the unit blocks g_l
+    / ||g_l|| and the unit part of h orthogonal to them (B, L, M), the scale
+    P ||c||^2 / sigma^2 of the bisection's dual value and gamma_zf_max (B,).
+    A channel that leaves no design raises its own InfeasibleError, the
+    first such channel in the stack first.
+    """
+    if power <= 0:
+        raise ValueError("power must be positive")
+    c, g = _zf_project(h, h, np.broadcast_to(steering_vector(theta, h.shape[2]), h.shape))
+    norms2 = np.sum(np.abs(g) ** 2, axis=2)
+    lengths = np.sqrt(norms2)
+    g_unit = np.divide(g, lengths[..., None], out=np.zeros_like(g),
+                       where=lengths[..., None] > 0)
+    beta = np.sum(np.conj(g_unit) * c, axis=2)
+    rest = c - beta[..., None] * g_unit
+    # vecdot takes each row's dot product as np.linalg.norm and np.vdot do
+    flat = rest.reshape(rest.shape[0], -1)
+    rest_norm = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    eta = np.concatenate([rest_norm[:, None], beta], axis=1)
+    norm2 = np.vecdot(eta, eta).real                 # ||c||^2
+    missed, vanished = norms2.max(axis=1) <= 0, ~(norm2 > 0)
+    if np.any(missed | vanished):
+        if missed[np.argmax(missed | vanished)]:
+            raise InfeasibleError(
+                "target direction lies in the span of every interfering path set")
+        raise InfeasibleError("all projected path responses vanish")
+    rest_unit = np.divide(rest, rest_norm[:, None, None], out=rest,
+                          where=rest_norm[:, None, None] > 0)
+    # eta to unit norm: no |y_i|^2 <= 1/delta^2 overflows, for any delta
+    eta /= np.sqrt(np.vecdot(eta.real, eta.real) + np.vecdot(eta.imag, eta.imag))[:, None]
+    a_diag = np.concatenate([np.zeros((norms2.shape[0], 1)), norms2], axis=1)
+    top = a_diag.max(axis=1)
+    # r_i = 1 - a_i / max(a): exactly 0 on the strongest target responses
+    r = 1.0 - a_diag / top[:, None]
+    ceiling = np.abs(gain) ** 2 * block_length * power / noise_power * top
+    return eta, r, g_unit, rest_unit, power / noise_power * norm2, ceiling
+
+
+def _beams(y: np.ndarray, g_unit: np.ndarray, rest_unit: np.ndarray,
+           power: float) -> np.ndarray:
+    """The beam matrices sqrt(P) b / ||b|| (B, M, L) of the b with basis
+    coordinates y (B, L+1), row i in its channel's basis g_unit[i],
+    rest_unit[i] (B, L, M). Each beam f_l is contiguous in memory, so the
+    audit's sums over a beam matrix run in one order for any stack."""
+    f = np.multiply(y[:, 1:, None], g_unit, out=np.empty(g_unit.shape, dtype=complex))
+    f += y[:, :1, None] * rest_unit
+    f *= np.sqrt(power / np.sum(y.real ** 2 + y.imag ** 2, axis=1))[:, None, None]
+    return np.swapaxes(f, 1, 2)
 
 
 class IsacProblem:
@@ -256,43 +327,18 @@ class IsacProblem:
     and the blocks e_l (x) g_l. In the orthonormal basis made of the unit
     blocks e_l (x) g_l / ||g_l|| and the part of h orthogonal to them, A is
     diag(0, ||g_1||^2, ..., ||g_L||^2) =: diag(a) and h has coordinates eta,
-    so `solve` works with (L+1)-vectors only.
+    so `solve` works with (L+1)-vectors only. The problem is the stack of one
+    channel that `solve_batch` prepares for many: its set-up keeps the
+    leading axis of length 1.
     """
 
     def __init__(self, channel: MultipathChannel, theta: float, gain: complex,
                  block_length: int, power: float, noise_power: float):
-        if power <= 0:
-            raise ValueError("power must be positive")
         self.channel, self.theta, self.gain = channel, theta, gain
         self.block_length, self.power, self.noise_power = block_length, power, noise_power
-        a = steering_vector(theta, channel.num_antennas)
-        c, g = _zf_project(channel, channel.path_vectors,
-                           np.broadcast_to(a, channel.path_vectors.shape))
-
-        norms2 = np.sum(np.abs(g) ** 2, axis=1)
-        if norms2.max() <= 0:
-            raise InfeasibleError(
-                "target direction lies in the span of every interfering path set")
-        lengths = np.sqrt(norms2)
-        g_unit = np.divide(g, lengths[:, None], out=np.zeros_like(g),
-                           where=lengths[:, None] > 0)
-        beta = np.sum(np.conj(g_unit) * c, axis=1)
-        rest = c - beta[:, None] * g_unit
-        rest_norm = np.linalg.norm(rest)
-        self._rest_unit = rest / rest_norm if rest_norm > 0 else rest
-        self._g_unit = g_unit
-        eta = np.concatenate([[rest_norm], beta])
-        norm2 = np.vdot(eta, eta).real                  # ||c||^2
-        if not norm2 > 0:
-            raise InfeasibleError("all projected path responses vanish")
-        # eta to unit norm: no |y_i|^2 <= 1/delta^2 overflows, for any delta
-        self._scale = power / noise_power * norm2
-        self._eta = eta / np.linalg.norm(eta)
-        a_diag = np.concatenate([[0.0], norms2])
-        # r_i = 1 - a_i / max(a): exactly 0 on the strongest target responses
-        self._r = 1.0 - a_diag / a_diag.max()
-        self.gamma_zf_max = float(np.abs(gain) ** 2 * block_length * power / noise_power
-                                  * a_diag.max())
+        self._eta, self._r, self._g_unit, self._rest_unit, scale, ceiling = _set_up(
+            channel.path_vectors[None], theta, gain, block_length, power, noise_power)
+        self._scale, self.gamma_zf_max = float(scale[0]), float(ceiling[0])
 
     @cached_property
     def mrt(self) -> DamBeamformer:
@@ -303,16 +349,11 @@ class IsacProblem:
     def sensing(self) -> DamBeamformer:
         """All power on the strongest projected target response: the design at
         the ceiling (rho = 0)."""
-        y, _, _ = _bisect(self._eta[None], self._r[None], np.zeros(1))
-        return DamBeamformer.aligned(self._beams(y)[0], self.channel.path_delays)
+        return self._design(_bisect(self._eta, self._r, np.zeros(1))[0])
 
-    def _beams(self, y: np.ndarray) -> np.ndarray:
-        """The beam matrices sqrt(P) b / ||b|| (B, M, L) of the b with basis
-        coordinates y (B, L+1)."""
-        f = y[:, None, 1:] * self._g_unit.T
-        f += y[:, None, :1] * self._rest_unit.T
-        f *= np.sqrt(self.power / np.sum(y.real ** 2 + y.imag ** 2, axis=1))[:, None, None]
-        return f
+    def _design(self, y: np.ndarray) -> DamBeamformer:
+        beams = _beams(y, self._g_unit, self._rest_unit, self.power)
+        return DamBeamformer.aligned(beams[0], self.channel.path_delays)
 
     def solve(self, gamma_th: float) -> IsacSolution:
         """Maximize communication SNR under the floor gamma_sensing >= gamma_th.
@@ -335,12 +376,12 @@ class IsacProblem:
         if not gamma_th >= 0:
             raise ValueError("gamma_th must be >= 0")
         rho = np.array([1.0 - gamma_th / self.gamma_zf_max])
-        y, bound, steps = _bisect(self._eta[None], self._r[None], rho)
+        y, bound, steps = _bisect(self._eta, self._r, rho)
         if rho[0] < 0:
             nan = float("nan")
             return IsacSolution(beamformer=None, gamma_c=nan, gamma_p=nan,
                                 dual_bound=nan, iterations=0, status="infeasible")
-        bf = DamBeamformer.aligned(self._beams(y)[0], self.channel.path_delays)
+        bf = self._design(y)
         report = verify_solution(bf, self.channel, self.theta, self.gain, self.block_length,
                                  gamma_th, self.power, self.noise_power)
         return IsacSolution(beamformer=bf, gamma_c=report.gamma_c,
@@ -348,34 +389,40 @@ class IsacProblem:
                             iterations=int(steps[0]), status="optimal", report=report)
 
 
-def solve_batch(problems: Sequence[IsacProblem], gamma_th) -> BatchSolution:
-    """`IsacProblem.solve` for every problem and floor, as (problems, floors) arrays.
+def solve_batch(channels: Sequence[MultipathChannel], theta: float, gain: complex,
+                block_length: int, power: float, noise_power: float,
+                gamma_th) -> BatchSolution:
+    """`IsacProblem(channel, theta, gain, block_length, power, noise_power)
+    .solve` for every channel and floor, as (channels, floors) arrays.
 
-    gamma_th is one grid of floors (G,) for all problems, or one grid per
-    problem (P, G). The problems must have the same number of paths: all
-    P G rows go through one bisection on delta, then each problem's beams
-    through one audit. No beamformer is built.
+    gamma_th is one grid of floors (G,) for all channels, or one grid per
+    channel (B, G). The channels must have the same numbers of paths and
+    antennas: their set-up is one stacked call, all B G rows go through one
+    bisection on delta, and each floor's B beams through one audit. No
+    beamformer is built.
     """
     gamma_th = np.asarray(gamma_th, dtype=float)
     if not np.all(gamma_th >= 0):
         raise ValueError("gamma_th must be >= 0")
-    if len({p.channel.num_paths for p in problems}) != 1:
-        raise ValueError("solve_batch needs one or more problems with one path count")
-    shape = (len(problems), gamma_th.shape[-1])
-    ceiling = np.array([p.gamma_zf_max for p in problems])
+    if len({c.path_vectors.shape for c in channels}) != 1:
+        raise ValueError("solve_batch needs one or more channels with one path count "
+                         "and one antenna count")
+    h = np.stack([c.path_vectors for c in channels])
+    eta, r, g_unit, rest_unit, scale, ceiling = _set_up(h, theta, gain, block_length,
+                                                        power, noise_power)
+    shape = (len(channels), gamma_th.shape[-1])
     rho = 1.0 - np.broadcast_to(gamma_th, shape) / ceiling[:, None]
-    y, bound, steps = _bisect(np.repeat(np.stack([p._eta for p in problems]), shape[1], axis=0),
-                              np.repeat(np.stack([p._r for p in problems]), shape[1], axis=0),
-                              rho.ravel())
+    y, bound, steps = _bisect(np.repeat(eta, shape[1], axis=0),
+                              np.repeat(r, shape[1], axis=0), rho.ravel())
+    # one floor at a time over the whole stack: all B G beam matrices at once
+    # would hold M L complex values each (10 kB at M = 64, L = 10) and as much
+    # again in temporaries. An infeasible row's y is nan; its audit is set to nan.
     y, feasible = y.reshape(*shape, -1), rho >= 0
-    audit = np.full((4, *shape), np.nan)
-    for i, p in enumerate(problems):
-        ok = feasible[i]
-        if ok.any():
-            audit[:, i, ok] = _audit(p._beams(y[i, ok]), p.channel, p.theta, p.gain,
-                                     p.block_length, p.noise_power)
-    scale = np.array([p._scale for p in problems])
-    zf_residual, power_used, gamma_c, gamma_p = audit
+    audit = np.empty((4, *shape))
+    for j in range(shape[1]):
+        audit[:, :, j] = _audit(_beams(y[:, j], g_unit, rest_unit, power), h, theta, gain,
+                                block_length, noise_power)
+    zf_residual, power_used, gamma_c, gamma_p = np.where(feasible, audit, np.nan)
     return BatchSolution(gamma_c=gamma_c, gamma_p=gamma_p,
                          dual_bound=scale[:, None] * bound.reshape(shape),
                          iterations=steps.reshape(shape), zf_residual=zf_residual,
@@ -387,8 +434,8 @@ def verify_solution(bf: DamBeamformer, channel: MultipathChannel, theta: float,
                     power: float, noise_power: float) -> SolutionReport:
     """Recompute every constraint of the trade-off problem from the beamformer."""
     zf_residual, power_used, gamma_c, gamma_p = (
-        float(v[0]) for v in _audit(bf.beam_matrix[None], channel, theta, gain,
-                                    block_length, noise_power))
+        float(v[0]) for v in _audit(bf.beam_matrix[None], channel.path_vectors[None],
+                                    theta, gain, block_length, noise_power))
     return SolutionReport(zf_residual=zf_residual, power_used=power_used,
                           power_slack=power - power_used,
                           gamma_c=gamma_c, gamma_p=gamma_p,

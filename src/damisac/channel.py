@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -231,7 +231,7 @@ def generate_multipath_channel(scenario: ScenarioConfig, gen: ChannelGenConfig,
     nu_li ~ CN(0, 1/mu_l) and beta_l ~ CN(0, 1/L), so the expected total
     channel energy sum_l E||h_l||^2 = M regardless of L. Delays are distinct
     integers uniform on [0, guard_length], always including 0 for the first
-    arrival.
+    arrival. This is the one-stream case of `generate_multipath_channels`.
 
     Args:
         scenario: Array size and guard length.
@@ -241,29 +241,43 @@ def generate_multipath_channel(scenario: ScenarioConfig, gen: ChannelGenConfig,
     Returns:
         MultipathChannel.
     """
-    num_paths = gen.num_paths
+    return generate_multipath_channels(scenario, gen, [rng])[0]
+
+
+def generate_multipath_channels(scenario: ScenarioConfig, gen: ChannelGenConfig,
+                                rngs: Sequence[np.random.Generator]) -> List[MultipathChannel]:
+    """One `generate_multipath_channel` draw from each generator, as a stack.
+
+    Each stream is drawn in full before the next, in its seeded order: the
+    delays, then path by path mu_l, its angles, nu_l and beta_l; a generator
+    listed twice gives its next channel. Only the steering vectors and the
+    sub-path sums wait for the whole stack: nu is zero-padded to max_subpaths
+    and added one sub-path at a time, in the order a loop rounds it, so
+    beside the O(B L max_subpaths) draws the sum holds O(B L M) values at
+    once. The channels are views of one (B, L, M) array.
+    """
+    num_paths, num_subpaths = gen.num_paths, gen.max_subpaths
     if num_paths > scenario.guard_length + 1:
         raise ConfigError(f"num_paths={num_paths} distinct delays do not fit in "
                           f"[0, guard_length={scenario.guard_length}]")
-    if num_paths == 1:
-        delays = np.array([0])
-    else:
-        rest = rng.choice(np.arange(1, scenario.guard_length + 1),
-                          size=num_paths - 1, replace=False)
-        delays = np.concatenate([[0], np.sort(rest)])
-
-    m = scenario.num_antennas
     lo, hi = gen.aod_sector
-    vectors = np.zeros((num_paths, m), dtype=complex)
-    for l in range(num_paths):
-        # the seeded draw order, path by path: mu_l, its angles, nu_l, beta_l
-        mu = int(rng.integers(1, gen.max_subpaths + 1))
-        angles = rng.uniform(lo, hi, size=mu)
-        nu = complex_normal(rng, (mu,), variance=1.0 / mu)
-        beta = complex_normal(rng, (), variance=1.0 / num_paths)
-        # summed in sub-path order, as a loop would round it, not by a BLAS product
-        vectors[l] = beta * (nu[:, None] * steering_vector(angles, m)).sum(axis=0)
-    return MultipathChannel(vectors, delays)
+    delays = np.zeros((len(rngs), num_paths), dtype=int)
+    angles = np.zeros((len(rngs), num_paths, num_subpaths))
+    nu = np.zeros((len(rngs), num_paths, num_subpaths), dtype=complex)
+    beta = np.empty((len(rngs), num_paths), dtype=complex)
+    for b, rng in enumerate(rngs):
+        if num_paths > 1:
+            delays[b, 1:] = np.sort(rng.choice(np.arange(1, scenario.guard_length + 1),
+                                               size=num_paths - 1, replace=False))
+        for l in range(num_paths):
+            mu = int(rng.integers(1, num_subpaths + 1))
+            angles[b, l, :mu] = rng.uniform(lo, hi, size=mu)
+            nu[b, l, :mu] = complex_normal(rng, (mu,), variance=1.0 / mu)
+            beta[b, l] = complex_normal(rng, (), variance=1.0 / num_paths)
+    vectors = np.zeros((len(rngs), num_paths, scenario.num_antennas), dtype=complex)
+    for i in range(num_subpaths):
+        vectors += nu[..., i, None] * steering_vector(angles[..., i], scenario.num_antennas)
+    return [MultipathChannel(v, d) for v, d in zip(beta[..., None] * vectors, delays)]
 
 
 @dataclass

@@ -24,8 +24,8 @@ import numpy as np
 from . import beamforming, ofdm, sensing, waveform
 from .channel import (ChannelGenConfig, MultipathChannel, RadarTarget,
                       ScenarioConfig, _check_guard, apply_radar_channel, complex_normal,
-                      generate_multipath_channel, radar_round_trip_gain,
-                      steering_vector)
+                      generate_multipath_channel, generate_multipath_channels,
+                      radar_round_trip_gain, steering_vector)
 from .errors import ConfigError
 from .units import dbm_to_watt, linear_to_db
 
@@ -406,11 +406,11 @@ def run_se_sweep(cfg: ExperimentConfig) -> List[dict]:
         se_sum = np.zeros(grid_lin.size)
         feasible = np.zeros(grid_lin.size, dtype=int)
         for start in range(0, cfg.trials, chunk):
-            problems = [beamforming.IsacProblem(
-                generate_multipath_channel(s, gen, cfg.rng(0, li, trial)), target.direction,
-                target.gain, n, s.transmit_power_w, s.noise_power_w)
-                for trial in range(start, min(start + chunk, cfg.trials))]
-            sol = beamforming.solve_batch(problems, grid_lin)
+            channels = generate_multipath_channels(
+                s, gen, [cfg.rng(0, li, trial)
+                         for trial in range(start, min(start + chunk, cfg.trials))])
+            sol = beamforming.solve_batch(channels, target.direction, target.gain, n,
+                                          s.transmit_power_w, s.noise_power_w, grid_lin)
             se = (n / s.block_length) * np.log2(1.0 + sol.gamma_c)
             se_sum += np.where(sol.feasible, se, 0.0).sum(axis=0)
             feasible += sol.feasible.sum(axis=0)

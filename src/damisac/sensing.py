@@ -160,9 +160,10 @@ def delay_doppler_map(echo: np.ndarray, bf: DamBeamformer, block: SymbolBlock,
     cycles, is whole (g = S, the block count, when none below S is): their
     phase rows then differ by one scalar. Each of the g groups takes one
     (T P) x B by B x Q matrix product for the T echoes, for O(T P N + g T P B Q)
-    work. The waveform, the norms and the B x Q kernel are built once per
-    call, and one (T, P, B) work buffer serves every group, so the memory is
-    O((T P + Q) B) beside O(N) for the waveform and O(T P Q) for the values.
+    work. The waveform, the norms (one running sum of |base|^2) and the B x Q
+    kernel are built once per call, and one (T, P, B) work buffer serves
+    every group, so the memory is O((T P + Q) B) beside O(N) for the waveform
+    and O(T P Q) for the values.
     """
     echo = np.asarray(echo, dtype=complex)
     n = grid.block_length
@@ -172,7 +173,9 @@ def delay_doppler_map(echo: np.ndarray, bf: DamBeamformer, block: SymbolBlock,
     if base.size != n:
         raise ValueError("grid block_length does not match the symbol block")
     delays = grid.delay_bins
-    norms = np.array([np.linalg.norm(base[:max(n - p, 0)]) for p in delays])
+    # ||base[:n-p]|| of every template from one running sum of |base|^2
+    energy = np.concatenate([[0.0], np.cumsum(base.real ** 2 + base.imag ** 2)])
+    norms = np.sqrt(energy[np.maximum(n - delays, 0)])
     if np.any(norms == 0):
         raise ValueError("zero template: probe delay pushes the waveform out of the block")
     # r(p, q) = sum_n conj(base[n-p]) e^{-j2 pi f_q Ts n} echo[n]. With n = s + k

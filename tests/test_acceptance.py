@@ -340,7 +340,7 @@ def test_07_spectral_efficiency_trend():
         grid = 10.0 ** (np.arange(0.0, 20.0 + 1e-9, 2.0) / 10.0)
         trials = 100
 
-        problems = {5: [], 10: []}
+        channels = {5: [], 10: []}
         gen10 = ChannelGenConfig(num_paths=10)
         for trial in range(trials):
             rng = np.random.default_rng(31_000 + trial)
@@ -349,15 +349,14 @@ def test_07_spectral_efficiency_trend():
             # rescaled from 1/10 to 1/5 so both draws match their own L
             ch5 = MultipathChannel(ch10.path_vectors[:5] * np.sqrt(2.0),
                                    ch10.path_delays[:5])
-            for num_paths, ch in ((5, ch5), (10, ch10)):
-                problems[num_paths].append(
-                    IsacProblem(ch, theta, target.gain, sc.data_length,
-                                sc.transmit_power_w, sc.noise_power_w))
+            channels[5].append(ch5)
+            channels[10].append(ch10)
 
         se, feasible = {}, {}
         for num_paths in (5, 10):
             # every (trial, floor) row of a path count in one stacked solve
-            sol = solve_batch(problems[num_paths], grid)
+            sol = solve_batch(channels[num_paths], theta, target.gain, sc.data_length,
+                              sc.transmit_power_w, sc.noise_power_w, grid)
             feasible[num_paths] = sol.feasible
             gap = sol.dual_bound - sol.gamma_c
             assert np.all(gap[sol.feasible] <= 1e-8 * sol.dual_bound[sol.feasible])

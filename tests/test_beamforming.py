@@ -110,22 +110,39 @@ def oracle_channels():
     yield random_channel(rng, 8, 1)
 
 
+def oracle_stacks():
+    """Each of oracle_channels() as a stack of one, then its default channels
+    as one stack per path count, with a rank-deficient member inside."""
+    channels = list(oracle_channels())
+    for ch in channels:
+        yield [ch]
+    for num_paths in (5, 10):
+        stack = [ch for ch in channels if ch.num_antennas == 64 and ch.num_paths == num_paths]
+        h = stack[50].path_vectors.copy()
+        h[-1] = h[1] + 2 * h[2]           # a path in the span of two others
+        stack.insert(50, MultipathChannel(h, stack[50].path_delays))
+        yield stack
+
+
 def test_zf_project_matches_the_oracle():
-    # every Q_l v from one SVD of the channel against one projector per path;
-    # each result still nulls the other paths
+    # every Q_l v from one SVD per channel, for a channel alone and for each
+    # member of a stack, against one projector per path; each result still
+    # nulls the other paths
     rng = np.random.default_rng(4)
-    for ch in oracle_channels():
-        h, m = ch.path_vectors, ch.num_antennas
-        vector_sets = [h, np.broadcast_to(steering_vector(THETA, m), h.shape),
+    for stack in oracle_stacks():
+        h = np.stack([ch.path_vectors for ch in stack])
+        vector_sets = [h, np.broadcast_to(steering_vector(THETA, h.shape[2]), h.shape),
                        complex_normal(rng, h.shape)]
-        qs = [nullspace_projector(ch, l) for l in range(ch.num_paths)]
-        for vs, projected in zip(vector_sets, _zf_project(ch, *vector_sets)):
-            for l, (q, v, qv) in enumerate(zip(qs, vs, projected)):
-                norm = np.linalg.norm(v)
-                assert np.linalg.norm(qv - q @ v) <= 1e-12 * norm
-                others = np.delete(h, l, axis=0)
-                scale = np.max(np.abs(h)) * norm
-                assert np.all(np.abs(np.conj(others) @ qv) <= 1e-10 * scale)
+        projected_sets = _zf_project(h, *vector_sets)
+        for b, ch in enumerate(stack):
+            qs = [nullspace_projector(ch, l) for l in range(ch.num_paths)]
+            for vs, projected in zip(vector_sets, projected_sets):
+                for l, (q, v, qv) in enumerate(zip(qs, vs[b], projected[b])):
+                    norm = np.linalg.norm(v)
+                    assert np.linalg.norm(qv - q @ v) <= 1e-12 * norm
+                    others = np.delete(h[b], l, axis=0)
+                    scale = np.max(np.abs(h[b])) * norm
+                    assert np.all(np.abs(np.conj(others) @ qv) <= 1e-10 * scale)
 
 
 # -------------------------------------------------------------- closed designs
@@ -400,13 +417,12 @@ def test_solve_batch_rows_match_one_row_solves():
     # response: the top-up, no search) and mid floors (the search on delta).
     # Each row gives exactly what a one-row call gives, and closes its gap.
     rng = np.random.default_rng(40)
-    miss = MultipathChannel(np.array([[1.0, -1.0]]), np.arange(1))
-    problems = [IsacProblem(miss, 0.0, GAIN, N_BLOCK, 1.0, SIGMA2)]
-    problems += [IsacProblem(random_channel(rng, m, 1), THETA, GAIN, N_BLOCK, 1.0, SIGMA2)
-                 for m in (2, 4, 6)]
+    miss = MultipathChannel(np.array([[1.0, -1.0, 1.0, -1.0]]), np.arange(1))  # a(0)^H h = 0
+    channels = [miss] + [random_channel(rng, 4, 1) for _ in range(3)]
+    problems = [IsacProblem(ch, 0.0, GAIN, N_BLOCK, 1.0, SIGMA2) for ch in channels]
     fracs = np.array([0.0, 0.1, 0.5, 0.9, 0.999999, 1.0, 1.0 + 1e-9, np.inf])
     floors = np.array([fracs * p.gamma_zf_max for p in problems])
-    batch = solve_batch(problems, floors)
+    batch = solve_batch(channels, 0.0, GAIN, N_BLOCK, 1.0, SIGMA2, floors)
     assert np.all(batch.feasible == (fracs <= 1.0))
     assert np.all(batch.iterations[:, [0, 5, 6, 7]] == 0)     # MRT, sensing, infeasible
     assert np.all(batch.iterations[0] == 0)                   # the top-up
@@ -422,16 +438,29 @@ def test_solve_batch_rows_match_one_row_solves():
                 assert one.dual_bound - one.gamma_c <= 1e-8 * one.dual_bound
                 assert batch.zf_residual[i, j] == one.report.zf_residual
                 assert batch.power_used[i, j] == one.report.power_used
+            else:
+                assert np.isnan(batch.zf_residual[i, j]) and np.isnan(batch.power_used[i, j])
+
+
+def test_solve_batch_raises_the_error_of_a_channel_with_no_design():
+    # a zero channel: every projected path response Q_l h_l vanishes. In a
+    # stack it raises what it raises alone.
+    rng = np.random.default_rng(42)
+    zero = MultipathChannel(np.zeros((2, 4)), np.arange(2))
+    with pytest.raises(InfeasibleError, match="all projected path responses vanish"):
+        IsacProblem(zero, THETA, GAIN, N_BLOCK, 1.0, SIGMA2)
+    stack = [random_channel(rng, 4, 2), zero, random_channel(rng, 4, 2)]
+    with pytest.raises(InfeasibleError, match="all projected path responses vanish"):
+        solve_batch(stack, THETA, GAIN, N_BLOCK, 1.0, SIGMA2, [0.0, 1.0])
 
 
 def test_solve_batch_rejects_mixed_path_counts_and_negative_floors():
     rng = np.random.default_rng(41)
-    problems = [IsacProblem(random_channel(rng, 4, l), THETA, GAIN, N_BLOCK, 1.0, SIGMA2)
-                for l in (1, 2)]
+    channels = [random_channel(rng, 4, l) for l in (1, 2)]
     with pytest.raises(ValueError, match="one path count"):
-        solve_batch(problems, [0.0])
+        solve_batch(channels, THETA, GAIN, N_BLOCK, 1.0, SIGMA2, [0.0])
     with pytest.raises(ValueError, match=">= 0"):
-        solve_batch(problems[:1], [1.0, -1.0])
+        solve_batch(channels[:1], THETA, GAIN, N_BLOCK, 1.0, SIGMA2, [1.0, -1.0])
 
 
 # ----------------------------------------------------------------------- audit

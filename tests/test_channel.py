@@ -17,6 +17,7 @@ from damisac import (
     apply_radar_channel,
     complex_normal,
     generate_multipath_channel,
+    generate_multipath_channels,
     radar_round_trip_gain,
     steering_vector,
 )
@@ -170,6 +171,26 @@ def test_generator_rejects_too_many_paths():
                                    np.random.default_rng(0))
 
 
+def test_stacked_draw_matches_one_stream_draws():
+    # bit for bit, vectors and delays, for distinct streams and for one
+    # generator listed again and again, which gives its channels in turn
+    s = ScenarioConfig.mmwave_default()
+    for num_paths in (1, 5, 10):
+        for max_subpaths in (1, 3):
+            gen = ChannelGenConfig(num_paths=num_paths, max_subpaths=max_subpaths)
+            rng, replay = np.random.default_rng(99), np.random.default_rng(99)
+            for rngs, replays in (([np.random.default_rng(seed) for seed in range(12)],
+                                   [np.random.default_rng(seed) for seed in range(12)]),
+                                  ([rng] * 6, [replay] * 6)):
+                stack = generate_multipath_channels(s, gen, rngs)
+                assert len(stack) == len(rngs)
+                for ch, one_rng in zip(stack, replays):
+                    one = generate_multipath_channel(s, gen, one_rng)
+                    assert np.array_equal(ch.path_vectors, one.path_vectors)
+                    assert np.array_equal(ch.path_delays, one.path_delays)
+            assert rng.bit_generator.state == replay.bit_generator.state
+
+
 def test_channel_energy_moment():
     # E ||h_l||^2 = M / L, so the total over paths averages to M.
     s = ScenarioConfig.mmwave_default(num_antennas=8)
@@ -177,8 +198,7 @@ def test_channel_energy_moment():
     rng = np.random.default_rng(7)
     draws = 10_000
     total = 0.0
-    for _ in range(draws):
-        ch = generate_multipath_channel(s, gen, rng)
+    for ch in generate_multipath_channels(s, gen, [rng] * draws):
         total += np.sum(np.abs(ch.path_vectors) ** 2)
     assert total / draws == pytest.approx(8.0, rel=0.05)
 
