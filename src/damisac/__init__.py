@@ -21,7 +21,7 @@ from .experiments import (ExperimentConfig, TargetConfig, load_config,
                           parse_gamma_grid, run_beampattern, run_dd_map,
                           run_ofdm_compare, run_se_sweep)
 from .ofdm import (OfdmConfig, ofdm_ambiguity_limits, ofdm_delay_doppler_estimate,
-                   ofdm_demodulate, ofdm_output_snr, ofdm_time_domain)
+                   ofdm_demodulate, ofdm_output_snr, ofdm_papr, ofdm_time_domain)
 from .sensing import (AmbiguityLimits, DelayDopplerMap, SensingGrid,
                       correlation_matrix, dam_ambiguity_limits,
                       delay_doppler_map, estimate_delay_doppler,
@@ -29,9 +29,9 @@ from .sensing import (AmbiguityLimits, DelayDopplerMap, SensingGrid,
                       sensing_snr)
 from .units import C_LIGHT, dbm_to_watt, linear_to_db
 from .waveform import (DamBeamformer, SymbolBlock, assign_delays,
-                       build_dam_block, comm_snr, decompose_received,
+                       build_dam_block, comm_snr, dam_papr, decompose_received,
                        delayed_symbol_matrix, generate_symbols, papr_empirical,
-                       transmit_power)
+                       projected_dam_block, transmit_power)
 
 __version__ = "0.1.0"
 

@@ -389,7 +389,9 @@ def apply_radar_channel(target: RadarTarget, tx_block: np.ndarray,
 
     Args:
         target: Point target (gain, direction, delay, Doppler).
-        tx_block: (M, N) transmit matrix.
+        tx_block: (M, N) transmit matrix, or the (N,) sequence a^H(theta) x[n]
+            the target sees (waveform.projected_dam_block), which gives the
+            same echo from O(N) work and memory instead of O(M N).
         symbol_duration_s: Sample period T_s of the block.
         noise_power: AWGN variance per sample.
         rng: Required when noise_power > 0.
@@ -401,14 +403,23 @@ def apply_radar_channel(target: RadarTarget, tx_block: np.ndarray,
         Complex echo sequence of length N.
     """
     tx_block = np.asarray(tx_block)
-    if tx_block.ndim != 2:
-        raise ValueError("tx_block must be 2-D (M, N)")
+    if tx_block.ndim not in (1, 2):
+        raise ValueError("tx_block must be (M, N), or the (N,) sequence the target sees")
     if guard_length is not None:
         _check_guard(target.delay_symbols, guard_length, strict)
-    n = tx_block.shape[1]
-    a = steering_vector(target.direction, tx_block.shape[0])
-    projected = np.conj(a) @ tx_block
-    delayed = _shift_zero_prefix(projected, target.delay_symbols)
+    seen = tx_block
+    if tx_block.ndim == 2:
+        seen = np.conj(steering_vector(target.direction, tx_block.shape[0])) @ tx_block
+    return _round_trip(target, seen, symbol_duration_s, noise_power, rng)
+
+
+def _round_trip(target: RadarTarget, seen: np.ndarray, symbol_duration_s: float,
+                noise_power: float = 0.0,
+                rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    """The echo of the (N,) sequence a^H(theta) x[n] the target sees: its
+    delay, Doppler ramp and gain, plus the noise (see apply_radar_channel)."""
+    n = seen.shape[-1]
+    delayed = _shift_zero_prefix(seen, target.delay_symbols)
     ramp = np.exp(2j * np.pi * target.doppler_hz * symbol_duration_s * np.arange(n))
     y = target.gain * delayed * ramp
     if noise_power > 0:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import beamforming, ofdm, sensing, waveform
 from .channel import (ChannelGenConfig, MultipathChannel, RadarTarget,
-                      ScenarioConfig, _check_guard, apply_radar_channel, complex_normal,
+                      ScenarioConfig, _check_guard, _round_trip, complex_normal,
                       generate_multipath_channel, generate_multipath_channels,
                       radar_round_trip_gain, steering_vector)
 from .errors import ConfigError
@@ -433,11 +433,13 @@ def _empirical_snr(template: np.ndarray, clean: np.ndarray, noise_power: float) 
     """Matched-filter output SNR |<u, clean>|^2 / (noise_power ||u||^2) of the
     template u on the simulated noise-free echo: exact for white noise of
     variance noise_power per sample, whose output variance is noise_power ||u||^2.
-    A template with no energy, an echo that missed the stream, has SNR 0."""
-    energy = np.vdot(template, template).real
+    A template with no energy, an echo that missed the stream, has SNR 0.
+    Both sums are numpy's pairwise ones, not np.vdot's BLAS dot product, whose
+    rounding depends on the number of threads it is split over."""
+    energy = np.sum(template.real ** 2 + template.imag ** 2)
     if energy == 0:
         return 0.0
-    return float(np.abs(np.vdot(template, clean)) ** 2 / (noise_power * energy))
+    return float(np.abs(np.sum(np.conj(template) * clean)) ** 2 / (noise_power * energy))
 
 
 @dataclass
@@ -478,10 +480,12 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
 
     n_mc = min(s.data_length, cfg.mc_block_length)
     block = waveform.generate_symbols(cfg.rng(1, 2), n_mc, cfg.modulation)
-    tx = waveform.build_dam_block(block, bf)
     t_s = s.symbol_duration_s
-    # the noise-free echo: the map adds one noise draw to it, the SNR needs none
-    clean = apply_radar_channel(target, tx, t_s)
+    # the noise-free echo of the transmit the target sees, through the round
+    # trip of apply_radar_channel, whose public entry bench/tracer.py sizes as
+    # an (M, N) block: the map adds one noise draw to it, the SNR needs none
+    clean = _round_trip(target, waveform.projected_dam_block(block, bf, target.direction),
+                        t_s)
     echo = clean + complex_normal(cfg.rng(1, 3), clean.shape, s.noise_power_w)
 
     res = 1.0 / (n_mc * t_s)
@@ -515,9 +519,10 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
 
 
 # fast-target trials per delay_doppler_map in run_ofdm_compare, whose chunk
-# buffer is allocated once. Up to 16 the default run's peak RSS (61 MB with one
-# OpenBLAS thread, numpy 2.4.6) stays at the transmit stage's; 32 raised it by
-# 6 MB, and 16 ran no faster.
+# buffer is allocated once. With no M-row transmit built, this stage sets the
+# default run's peak RSS (one OpenBLAS thread, numpy 2.4.6: 50 MB in process,
+# 3 MB above the stage before it). 16 raised it by 6 MB for 6% less CPU time,
+# 4 lowered it by 3 MB for 6% more.
 _TRIAL_CHUNK = 8
 
 
@@ -533,16 +538,16 @@ class OfdmCompareResult:
 def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
     """Aligned waveform vs. OFDM radar at matched scenario parameters.
 
-    One target, one DAM symbol block and one OFDM grid, whose transmits go
-    through the same target channel (apply_radar_channel); the OFDM receiver
-    drops each cyclic prefix and takes a K-point DFT. Each scheme steers all
-    its power at the target, in full (average-power regime) or derated by its
-    PAPR bound, L streams or K subcarriers (peak-power regime); every design
-    gets its analytic output SNR and that of its simulated echo through its
-    matched filter. Per scheme: the PAPR of the transmitted signal, the
-    ambiguity limits, and a paired fast-target demo at twice the subcarrier
-    spacing, inside the aligned waveform's unambiguous Doppler span but far
-    beyond OFDM's.
+    One target, one DAM symbol block and one OFDM grid, whose transmits, as the
+    target sees them, go through the same round trip (apply_radar_channel's);
+    the OFDM receiver drops each cyclic prefix and takes a K-point DFT. Each
+    scheme steers all its power at the target, in full (average-power regime)
+    or derated by its PAPR bound, L streams or K subcarriers (peak-power
+    regime); every design gets its analytic output SNR and that of its
+    simulated echo through its matched filter. Per scheme: the PAPR of the
+    M-row transmit, computed without building it, the ambiguity limits, and a
+    paired fast-target demo at twice the subcarrier spacing, inside the aligned
+    waveform's unambiguous Doppler span but far beyond OFDM's.
     """
     s = cfg.scenario
     n_mc = min(s.data_length, cfg.mc_block_length)
@@ -578,19 +583,22 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
     unit = dataclasses.replace(target, gain=1.0 + 0j)
 
     # One DAM symbol block serves every DAM design and the fast target, one OFDM
-    # grid every OFDM design. Each scheme's full-power transmit is built once,
-    # for its PAPR and its noise-free echoes, and freed before the next is built.
-    def papr_and_echoes(tx, *targets):
-        return waveform.papr_empirical(tx), *(apply_radar_channel(tgt, tx, t_s)
-                                               for tgt in targets)
-
+    # grid every OFDM design. Every echo is built from the transmit the target
+    # sees, a^H(theta) x[n]: the DAM block's projection (a^H F) S and the stream
+    # of the one-row OFDM beamformer a^H W. The DAM PAPR comes from min(M, L)
+    # rows and the OFDM PAPR one symbol at a time, so no M-row transmit is built.
     block = waveform.generate_symbols(cfg.rng(2, 1), n_mc, cfg.modulation)
-    papr_dam, dam_clean, clean = papr_and_echoes(waveform.build_dam_block(block, bf_full),
-                                                 target, fast)
+    dam_seen = waveform.projected_dam_block(block, bf_full, theta)
+    dam_clean, clean = (_round_trip(tgt, dam_seen, t_s) for tgt in (target, fast))
+    papr_dam = waveform.dam_papr(block, bf_full)
     tx_freq = waveform.generate_symbols(cfg.rng(2, 2), k * i_sym,
                                         cfg.modulation).symbols.reshape(k, i_sym, order="F")
-    papr_ofdm, *echoes = papr_and_echoes(ofdm.ofdm_time_domain(ocfg, tx_freq), target, unit)
-    ofdm_clean, ofdm_template = (ofdm.ofdm_demodulate(ocfg, y) for y in echoes)
+    ocfg_seen = dataclasses.replace(ocfg, beamformers=np.conj(a)[None] @ ocfg.beamformers)
+    ofdm_seen = ofdm.ofdm_time_domain(ocfg_seen, tx_freq)[0]
+    ofdm_clean, ofdm_template = (
+        ofdm.ofdm_demodulate(ocfg, _round_trip(tgt, ofdm_seen, t_s))
+        for tgt in (target, unit))
+    papr_ofdm = ofdm.ofdm_papr(ocfg, tx_freq)
 
     # (analytic, simulated-echo) output SNR of one design. A derated design
     # sends the full-power beams scaled by 1/sqrt(L) or 1/sqrt(K), and so its echo.

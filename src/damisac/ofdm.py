@@ -1,11 +1,13 @@
 """OFDM radar baseline for head-to-head comparison with the aligned waveform.
 
-The beamformed transmit with its cyclic prefixes, which goes through the
-aligned waveform's target channel (channel.apply_radar_channel), and its
-receiver: drop each prefix, then a K-point DFT. FFT delay-Doppler
-estimation, output-SNR accounting and ambiguity limits. The transmit's
-peak-to-average ratio (up to K subcarriers, against L delayed streams) sets
-the power amplifier backoff under a peak-power limit.
+The beamformed transmit with its cyclic prefixes, built one symbol at a time,
+and its receiver: drop each prefix, then a K-point DFT. The echo goes through
+the aligned waveform's target channel (channel.apply_radar_channel), either
+from the M-row stream or from the one-row stream of the beamformer a^H W that
+the target sees. FFT delay-Doppler estimation, output-SNR accounting and
+ambiguity limits. The transmit's peak-to-average ratio (up to K subcarriers,
+against L delayed streams), summed symbol by symbol by ofdm_papr, sets the
+power amplifier backoff under a peak-power limit.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from .channel import ScenarioConfig, steering_vector
 from .sensing import AmbiguityLimits, _ambiguity_limits
+from .waveform import _array_power, _peak_to_average
 
 
 # Doppler shift, as a fraction of the subcarrier spacing, up to which the FFT
@@ -129,26 +132,46 @@ def ofdm_ambiguity_limits(cfg: OfdmConfig, wavelength_m: float) -> AmbiguityLimi
                              cfg.block_length)
 
 
+def _symbol_samples(cfg: OfdmConfig, freq_symbols: np.ndarray):
+    """The (M, K + N_p) samples of ofdm_time_domain's symbols, one at a time.
+
+    The shape of freq_symbols is checked here, before the first symbol.
+    """
+    freq_symbols = np.asarray(freq_symbols, dtype=complex)
+    k, i = cfg.num_subcarriers, cfg.symbols_per_block
+    if freq_symbols.shape != (k, i):
+        raise ValueError(f"freq_symbols must be ({k}, {i}), got {freq_symbols.shape}")
+    order = np.arange(-cfg.guard_length, k) % k
+    # symbol by symbol: an (M, I, K) product and its transform would each be
+    # as large as the stream
+    return (np.fft.ifft(cfg.beamformers * freq_symbols[:, s], axis=1, norm="forward")[:, order]
+            for s in range(i))
+
+
 def ofdm_time_domain(cfg: OfdmConfig, freq_symbols: np.ndarray) -> np.ndarray:
     """Beamformed transmit (M, I (K + N_p)) of the (K, I) frequency symbols.
 
     Symbol i is x[n] = sum_k w_k X_{k,i} e^{j2 pi k n / K}, K times the inverse
     DFT, so a sample carries sum_k ||w_k||^2 = P on average for unit-power
     symbols. Each symbol is sent from n = -N_p, so its cyclic prefix repeats
-    the body's last N_p samples, cyclically when N_p > K.
+    the body's last N_p samples, cyclically when N_p > K. A config whose
+    beamformers are the one row a^H(theta) W gives the (1, I (K + N_p))
+    stream a^H(theta) x[n] that a target at theta sees.
     """
-    freq_symbols = np.asarray(freq_symbols, dtype=complex)
-    k, i = cfg.num_subcarriers, cfg.symbols_per_block
-    if freq_symbols.shape != (k, i):
-        raise ValueError(f"freq_symbols must be ({k}, {i}), got {freq_symbols.shape}")
-    # symbol by symbol: an (M, I, K) product and its transform would each be
-    # as large as the stream
-    stream = np.empty((cfg.num_antennas, i, k + cfg.guard_length), dtype=complex)
-    order = np.arange(-cfg.guard_length, k) % k
-    for s in range(i):
-        body = np.fft.ifft(cfg.beamformers * freq_symbols[:, s], axis=1, norm="forward")
-        stream[:, s] = body[:, order]
+    samples = _symbol_samples(cfg, freq_symbols)
+    stream = np.empty((cfg.num_antennas, cfg.symbols_per_block,
+                       cfg.num_subcarriers + cfg.guard_length), dtype=complex)
+    for s, symbol in enumerate(samples):
+        stream[:, s] = symbol
     return stream.reshape(cfg.num_antennas, -1)
+
+
+def ofdm_papr(cfg: OfdmConfig, freq_symbols: np.ndarray) -> float:
+    """papr_empirical(ofdm_time_domain(cfg, freq_symbols)), bit for bit, with
+    the per-sample power summed one symbol at a time: O(M K) memory beside
+    the I (K + N_p) powers, instead of the whole M-row stream."""
+    return _peak_to_average(np.concatenate(
+        [_array_power(symbol) for symbol in _symbol_samples(cfg, freq_symbols)]))
 
 
 def ofdm_demodulate(cfg: OfdmConfig, echo: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import ScenarioConfig, _shift_zero_prefix, steering_vector
 from .units import C_LIGHT
-from .waveform import DamBeamformer, SymbolBlock, delayed_symbol_matrix
+from .waveform import DamBeamformer, SymbolBlock, delayed_symbol_matrix, projected_dam_block
 
 
 @dataclass
@@ -109,27 +109,19 @@ class DelayDopplerMap:
         return np.abs(self.values) ** 2
 
 
-def _projected_waveform(bf: DamBeamformer, block: SymbolBlock, theta: float) -> np.ndarray:
-    """a^H(theta) x[n]: the transmit block seen from direction theta.
-
-    Projects the L per-path beams first, (a^H F) S, so no M x N block is built.
-    """
-    a = steering_vector(theta, bf.num_antennas)
-    return (np.conj(a) @ bf.beam_matrix) @ delayed_symbol_matrix(block.symbols,
-                                                                 bf.delay_schedule)
-
-
 def matched_filter_template(bf: DamBeamformer, block: SymbolBlock, theta: float,
                             delay_bin: int, doppler_hz: float,
                             symbol_duration_s: float) -> np.ndarray:
     """Unit-norm template for one (direction, delay, Doppler) probe cell."""
     if delay_bin < 0:
         raise ValueError("delay_bin must be >= 0")
-    base = _shift_zero_prefix(_projected_waveform(bf, block, theta), int(delay_bin))
+    base = _shift_zero_prefix(projected_dam_block(block, bf, theta), int(delay_bin))
     n = base.size
     ramp = np.exp(2j * np.pi * doppler_hz * symbol_duration_s * np.arange(n))
     t = base * ramp
-    norm = np.linalg.norm(t)
+    # numpy's pairwise sum, not np.linalg.norm: BLAS splits a long dot product
+    # over its threads, so its rounding would depend on the thread count
+    norm = np.sqrt(np.sum(t.real ** 2 + t.imag ** 2))
     if norm == 0:
         raise ValueError("zero template: probe delay pushes the waveform out of the block")
     return t / norm
@@ -169,7 +161,7 @@ def delay_doppler_map(echo: np.ndarray, bf: DamBeamformer, block: SymbolBlock,
     n = grid.block_length
     if echo.ndim == 0 or echo.shape[-1] != n:
         raise ValueError(f"echo must have shape (..., {n}), got {echo.shape}")
-    base = _projected_waveform(bf, block, theta)
+    base = projected_dam_block(block, bf, theta)
     if base.size != n:
         raise ValueError("grid block_length does not match the symbol block")
     delays = grid.delay_bins

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import MultipathChannel, _shift_zero_prefix, complex_normal
+from .channel import MultipathChannel, _shift_zero_prefix, complex_normal, steering_vector
 
 
 @dataclass
@@ -138,6 +138,16 @@ def build_dam_block(block: SymbolBlock, bf: DamBeamformer) -> np.ndarray:
     return bf.beam_matrix @ rows
 
 
+def projected_dam_block(block: SymbolBlock, bf: DamBeamformer, theta: float) -> np.ndarray:
+    """a^H(theta) x[n], the transmit seen from direction theta, shape (N,).
+
+    Projects the L per-path beams first, (a^H F) S, so no M x N block is built.
+    """
+    a = steering_vector(theta, bf.num_antennas)
+    return (np.conj(a) @ bf.beam_matrix) @ delayed_symbol_matrix(block.symbols,
+                                                                 bf.delay_schedule)
+
+
 def transmit_power(bf: DamBeamformer) -> float:
     """Average transmit power sum_l ||f_l||^2 for unit-power symbols."""
     return float(np.sum(np.abs(bf.beam_matrix) ** 2))
@@ -173,8 +183,8 @@ def decompose_received(bf: DamBeamformer, channel: MultipathChannel,
     return desired, isi
 
 
-def papr_empirical(tx_block: np.ndarray) -> float:
-    """Peak-to-average ratio of instantaneous array-aggregate power ||x[n]||^2.
+def _array_power(tx_block: np.ndarray) -> np.ndarray:
+    """Instantaneous array-aggregate power ||x[n]||^2 of each column.
 
     The power is summed one antenna row at a time, row 0 first as numpy sums
     axis 0, so no M x N temporary is built.
@@ -183,10 +193,30 @@ def papr_empirical(tx_block: np.ndarray) -> float:
     inst = np.abs(tx_block[0]) ** 2
     for row in tx_block[1:]:
         inst += np.abs(row) ** 2
+    return inst
+
+
+def _peak_to_average(inst: np.ndarray) -> float:
+    """max / mean of the per-sample powers _array_power gives."""
     mean = inst.mean()
     if mean == 0:
         raise ValueError("all-zero block has no defined peak-to-average ratio")
     return float(inst.max() / mean)
+
+
+def papr_empirical(tx_block: np.ndarray) -> float:
+    """Peak-to-average ratio of instantaneous array-aggregate power ||x[n]||^2."""
+    return _peak_to_average(_array_power(tx_block))
+
+
+def dam_papr(block: SymbolBlock, bf: DamBeamformer) -> float:
+    """papr_empirical(build_dam_block(block, bf)) from min(M, L) rows, not M.
+
+    With F = QR and Q's columns orthonormal, ||F s[n]|| = ||R s[n]||, so the
+    block of the beams R has the same instantaneous power up to rounding.
+    """
+    r = np.linalg.qr(bf.beam_matrix, mode="r")
+    return papr_empirical(build_dam_block(block, DamBeamformer(r, bf.delay_schedule, bf.n_max)))
 
 
 def _check_bound(bf: DamBeamformer, channel: MultipathChannel) -> None:

@@ -297,6 +297,30 @@ def test_radar_matches_sample_loop():
                        radar_channel_loop_oracle(tgt, tx, t_s), atol=1e-12)
 
 
+@pytest.mark.parametrize("noise_power", [0.0, 0.7])
+def test_radar_projected_sequence_matches_the_array_block(noise_power):
+    # the (N,) sequence a^H x the target sees gives the echo of the (M, N)
+    # block, noise included: both paths draw it from the rng the same way
+    rng = np.random.default_rng(3)
+    t_s, n = 1e-8, 500
+    tx = complex_normal(rng, (6, n))
+    tgt = RadarTarget(gain=0.8 - 1.1j, direction=0.45, delay_symbols=17,
+                      doppler_hz=1.0 / (7 * n * t_s))
+    seen = np.conj(steering_vector(tgt.direction, 6)) @ tx
+    full = apply_radar_channel(tgt, tx, t_s, noise_power, np.random.default_rng(4))
+    projected = apply_radar_channel(tgt, seen, t_s, noise_power, np.random.default_rng(4))
+    assert projected.shape == (n,)
+    assert np.linalg.norm(projected - full) <= 1e-12 * np.linalg.norm(full)
+
+
+def test_radar_rejects_a_three_dimensional_block():
+    tgt = RadarTarget(gain=1.0, direction=0.0, delay_symbols=0, doppler_hz=0.0)
+    with pytest.raises(ValueError):
+        apply_radar_channel(tgt, np.ones((2, 3, 16)), 1e-8)
+    with pytest.raises(ValueError):
+        apply_radar_channel(tgt, np.complex128(1.0), 1e-8)
+
+
 def test_radar_guard_violation_strict_and_sweep():
     tgt = RadarTarget(gain=1.0, direction=0.0, delay_symbols=7, doppler_hz=0.0)
     tx = np.ones((2, 16))

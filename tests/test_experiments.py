@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -623,9 +624,31 @@ def test_ofdm_compare_result(tmp_path):
     stream = ofdm_time_domain(ocfg, grid.reshape(256, i_sym, order="F"))
     assert stream.shape == (s.num_antennas, i_sym * (256 + 200))
     assert res.papr_ofdm == papr_empirical(stream)
+    # and the DAM PAPR on the full-power block, from its L-row factor
+    tx = build_dam_block(block, DamBeamformer.aligned(f_full, np.arange(l)))
+    assert res.papr_dam == pytest.approx(papr_empirical(tx), rel=1e-12)
     lines = (tmp_path / "ofdm_compare.csv").read_text().splitlines()
     assert lines[2].startswith("# n_mc=2048 peak_snr_ratio=")
     assert len(lines) == 4 + 4
+
+
+def test_ofdm_compare_builds_no_array_transmit():
+    # every echo and PAPR comes from the factored transmit, so at the default
+    # M and n_mc the run's traced peak stays below one M x n_mc complex
+    # transmit, 16 M n_mc bytes; building the DAM block or the OFDM stream
+    # alone would reach it
+    cfg = load_config(None)
+    cfg.trials = 2
+    s = cfg.scenario
+    n_mc = min(s.data_length, cfg.mc_block_length)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        run_ofdm_compare(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * s.num_antennas * n_mc
 
 
 @pytest.mark.parametrize("n_p", [0, 200, 2000])

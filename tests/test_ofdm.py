@@ -18,6 +18,7 @@ from damisac import (
     ofdm_delay_doppler_estimate,
     ofdm_demodulate,
     ofdm_output_snr,
+    ofdm_papr,
     ofdm_time_domain,
     papr_empirical,
     steering_vector,
@@ -459,3 +460,31 @@ def test_papr_adversarial_hits_bound():
     stream = ofdm_time_domain(steered_stream_config(32, 4), freq)
     inst = np.sum(np.abs(stream) ** 2, axis=0)
     assert inst.max() / inst.mean() == pytest.approx(32.0, rel=1e-9)
+
+
+# K + N_p odd, a prefix longer than the symbol, and a wide array
+@pytest.mark.parametrize("m, k, n_p, i", [(3, 16, 5, 9), (2, 4, 200, 3), (64, 256, 200, 7)])
+def test_papr_one_symbol_at_a_time_is_the_stream_papr(m, k, n_p, i):
+    rng = np.random.default_rng(15)
+    cfg = OfdmConfig(bandwidth_hz=1e8, guard_length=n_p, block_length=i * (k + n_p) + 1,
+                     beamformers=complex_normal(rng, (m, k)))
+    freq = generate_symbols(rng, k * i, "qpsk").symbols.reshape(k, i, order="F")
+    assert ofdm_papr(cfg, freq) == papr_empirical(ofdm_time_domain(cfg, freq))
+    with pytest.raises(ValueError):
+        ofdm_papr(cfg, freq[:, 1:])
+
+
+def test_one_row_beamformer_is_the_stream_the_target_sees():
+    # the config with beamformers a^H W sends a^H x[n] of the M-row stream
+    rng = np.random.default_rng(16)
+    m, k, n_p, i = 5, 32, 6, 4
+    cfg = OfdmConfig(bandwidth_hz=1e8, guard_length=n_p, block_length=i * (k + n_p),
+                     beamformers=complex_normal(rng, (m, k)))
+    freq = generate_symbols(rng, k * i, "qpsk").symbols.reshape(k, i, order="F")
+    a = steering_vector(-0.4, m)
+    one_row = OfdmConfig(cfg.bandwidth_hz, n_p, cfg.block_length,
+                         np.conj(a)[None] @ cfg.beamformers)
+    want = np.conj(a) @ ofdm_time_domain(cfg, freq)
+    got = ofdm_time_domain(one_row, freq)
+    assert got.shape == (1, i * (k + n_p))
+    assert np.linalg.norm(got[0] - want) <= 1e-12 * np.linalg.norm(want)

@@ -29,7 +29,7 @@ from damisac import (
     steering_vector,
 )
 from damisac.channel import _shift_zero_prefix
-from damisac.sensing import _MAP_BLOCK, _projected_waveform
+from damisac.sensing import _MAP_BLOCK
 from damisac.units import C_LIGHT
 
 TS = 1e-8
@@ -149,15 +149,6 @@ def test_blocked_map_matches_dense_oracle(n, dopplers):
     got = delay_doppler_map(echo, bf, block, 0.3, grid).values
     assert np.max(np.abs(got - dense_map(echo, bf, block, 0.3, grid))) \
         <= 1e-12 * np.linalg.norm(echo)
-
-
-def test_projected_waveform_matches_full_block():
-    rng = np.random.default_rng(16)
-    block = generate_symbols(rng, 3000, "qpsk")
-    bf = DamBeamformer.aligned(complex_normal(rng, (16, 4)), [0, 3, 5, 11])
-    want = np.conj(steering_vector(-0.6, 16)) @ build_dam_block(block, bf)
-    got = _projected_waveform(bf, block, -0.6)
-    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 # below one block, an exact multiple of it, and a partial last block

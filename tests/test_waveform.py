@@ -14,11 +14,14 @@ from damisac import (
     build_dam_block,
     comm_snr,
     complex_normal,
+    dam_papr,
     decompose_received,
     delayed_symbol_matrix,
     generate_symbols,
     isi_zf_mrt_beamformer,
     papr_empirical,
+    projected_dam_block,
+    steering_vector,
     transmit_power,
 )
 
@@ -265,6 +268,16 @@ def test_isi_power_union_bound():
     assert np.mean(np.abs(isi) ** 2) <= l * (l - 1) * delta ** 2
 
 
+def test_projected_dam_block_matches_full_block():
+    rng = np.random.default_rng(16)
+    block = generate_symbols(rng, 3000, "qpsk")
+    bf = DamBeamformer.aligned(complex_normal(rng, (16, 4)), [0, 3, 5, 11])
+    want = np.conj(steering_vector(-0.6, 16)) @ build_dam_block(block, bf)
+    got = projected_dam_block(block, bf, -0.6)
+    assert got.shape == (3000,)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_power_accounting_empirical():
     rng = np.random.default_rng(17)
     ch = random_channel(rng, 4, 3, [0, 1, 3])
@@ -330,6 +343,17 @@ def test_papr_row_sum_is_the_axis_0_sum_bit_for_bit():
     for tx in (dam, ofdm_tx):
         inst = np.sum(np.abs(tx) ** 2, axis=0)
         assert papr_empirical(tx) == float(inst.max() / inst.mean())
+
+
+@pytest.mark.parametrize("m, l", [(16, 5), (3, 7), (1, 4), (6, 1)])
+def test_dam_papr_from_the_l_row_factor_matches_the_full_block(m, l):
+    # ||F s[n]|| = ||R s[n]|| for F = QR, with min(M, L) rows in R, whether
+    # the array has more antennas than paths or fewer
+    rng = np.random.default_rng(22)
+    bf = DamBeamformer.aligned(complex_normal(rng, (m, l)), rng.permutation(2 * l)[:l])
+    sym = generate_symbols(rng, 4096, "gaussian")
+    want = papr_empirical(build_dam_block(sym, bf))
+    assert dam_papr(sym, bf) == pytest.approx(want, rel=1e-12)
 
 
 def test_papr_rejects_zero_block():
