@@ -10,10 +10,12 @@ and the peak carries the full block integration gain.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import ScenarioConfig, _shift_zero_prefix, steering_vector
 from .units import C_LIGHT
@@ -45,8 +47,9 @@ class SensingGrid:
         if self.block_length < 1 or self.symbol_duration_s <= 0:
             raise ValueError("block_length and symbol_duration_s must be positive")
         half = 0.5 / self.symbol_duration_s
-        if np.any(self.doppler_bins_hz <= -half - 1e-9 * half) or \
-           np.any(self.doppler_bins_hz > half + 1e-9 * half):
+        # written so that a NaN bin fails too
+        if not np.all((self.doppler_bins_hz > -half - 1e-9 * half) &
+                      (self.doppler_bins_hz <= half + 1e-9 * half)):
             raise ValueError("Doppler bins must lie within (-1/(2 T_s), 1/(2 T_s)]")
 
     @property
@@ -66,8 +69,10 @@ class SensingGrid:
                num_doppler_bins: int = 129) -> "SensingGrid":
         """All delays in [0, guard] and a coarse Doppler sweep of the full
         unambiguous interval. The default 129 bins are 1/(128 T_s) apart, so
-        their phase rows repeat every 128 samples, and delay_doppler_map
-        sums all the blocks of the survey's map into one product."""
+        their offsets from the first bin are whole cycles over every 128
+        samples, and delay_doppler_map folds the map at the least multiple
+        of 128 samples that holds the guard + 1 delays (256 at the default
+        guard of 200) instead of running it in blocks."""
         half = 0.5 / symbol_duration_s
         return cls(np.arange(guard_length + 1),
                    np.linspace(-half, half, num_doppler_bins),
@@ -127,14 +132,64 @@ def matched_filter_template(bf: DamBeamformer, block: SymbolBlock, theta: float,
     return t / norm
 
 
-_MAP_BLOCK = 4096   # samples n per matrix product in delay_doppler_map
-# An offset c_q - c_0 between two Doppler cycle values (|c| <= 1/2 cycle per
-# sample) carries at most 1.5 eps of rounding, and scaling it to a period of
-# D samples 0.5 eps D more. So (c_q - c_0) D counts as whole within
-# _FOLD_TOL D = 4 eps D cycles, twice that bound; a survey grid is off by at
-# most 1 eps D. A grid 1e-9 cycles per block off period is 2.4e-13 = 1100 eps
-# per sample off, and does not fold.
+_MAP_BLOCK = 4096   # samples n per matrix product of the blocked delay_doppler_map
+# _FOLD_TOL is per sample. An offset c_q - c_0 between two Doppler cycle
+# values (|c| <= 1/2 cycle per sample) carries at most 1.5 eps of rounding,
+# and scaling it to a period of D_0 samples 0.5 eps D_0 more. So
+# (c_q - c_0) D_0 counts as whole within _FOLD_TOL D_0 = 4 eps D_0 cycles,
+# twice that bound; a survey grid is off by at most 1 eps D_0. A grid 1e-9
+# cycles per 4 096 samples off period is 2.4e-13 = 1100 eps per sample off,
+# and does not fold.
 _FOLD_TOL = 4 * np.finfo(float).eps
+
+
+def _denominator(x: float, n: int) -> int | None:
+    """The least q <= n with x q within _FOLD_TOL q of a whole number p, or
+    None. For q below 1/sqrt(8 eps) = 2.4e7 such a p/q is within 1/(2 q^2) of
+    x, so it is a convergent of x's continued fraction (Legendre), and the
+    convergents are tried in turn."""
+    p0, q0, p1, q1, r = 0, 1, 1, 0, x
+    while True:
+        a = math.floor(r)
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        if q1 > n:
+            return None
+        if abs(x * q1 - p1) <= _FOLD_TOL * q1:
+            return q1
+        if r == a:
+            return None
+        r = 1.0 / (r - a)
+
+
+def _fold_size(grid: SensingGrid) -> int | None:
+    """The fold size D of delay_doppler_map for this grid, or None when the
+    map runs in blocks.
+
+    The period D_0 is the least number of samples over which every offset
+    c_q - c_0 (cycles per sample) is a whole number of cycles, within
+    _FOLD_TOL D_0: the lcm of each offset's least such count. D is the least
+    multiple of D_0 that is at least the delay span. The grid folds when the
+    echo holds J >= 2 periods of D samples and the D x span folded sums are
+    no larger than the P x B rows the blocked map fills, B = min(_MAP_BLOCK, N).
+    """
+    n, delays = grid.block_length, grid.delay_bins
+    if delays.size == 0 or grid.doppler_bins_hz.size == 0:
+        return None
+    # c_q - c_0 in the map's arithmetic, f_q T_s - f_0 T_s
+    ts, bins = grid.symbol_duration_s, grid.doppler_bins_hz.tolist()
+    period = 1
+    for f in bins:
+        q = _denominator(f * ts - bins[0] * ts, n)
+        if q is None:
+            return None
+        period = math.lcm(period, q)
+        if period >= n:
+            return None
+    span = int(delays.max() - delays.min()) + 1
+    d = -(-span // period) * period
+    if d >= n or d * span > delays.size * min(_MAP_BLOCK, n):
+        return None
+    return d
 
 
 def delay_doppler_map(echo: np.ndarray, bf: DamBeamformer, block: SymbolBlock,
@@ -144,18 +199,27 @@ def delay_doppler_map(echo: np.ndarray, bf: DamBeamformer, block: SymbolBlock,
     Cell (p, q) holds r = <template(p, q), echo>; with the template unit-norm
     the noise in every cell keeps the per-sample variance sigma^2. An echo of
     shape (..., N) gives values of shape (..., P, Q), each map the one its
-    echo gives alone; a 1-D echo is a stack of one.
+    echo gives alone; a 1-D echo is a stack of one. The norms come from one
+    running sum of |base|^2 in either branch below.
 
-    The sum over n runs in blocks of B = _MAP_BLOCK samples. Blocks g apart
-    are summed before their product when g is the least number of blocks
-    over which every bin's offset from the first bin, (f_q - f_0) T_s g B
-    cycles, is whole (g = S, the block count, when none below S is): their
-    phase rows then differ by one scalar. Each of the g groups takes one
-    (T P) x B by B x Q matrix product for the T echoes, for O(T P N + g T P B Q)
-    work. The waveform, the norms (one running sum of |base|^2) and the B x Q
-    kernel are built once per call, and one (T, P, B) work buffer serves
-    every group, so the memory is O((T P + Q) B) beside O(N) for the waveform
-    and O(T P Q) for the values.
+    With c_q = f_q T_s, a grid whose offsets c_q - c_0 are whole numbers of
+    cycles over D_0 samples, as the survey's are over 128, folds at its fold
+    size D (see _fold_size). With n = j D + k, r(p, q) = sum_k
+    e^{-j2 pi c_q k} sum_j conj(base[j D + k - p]) e^{-j2 pi c_0 j D} echo[n].
+    One batched matrix product takes the inner sums for every residue k < D,
+    delay p and echo, each residue's span x J windows read in place, and one
+    (T P) x D by D x Q product the outer ones: O(T N span + T P D Q) work and
+    O(T N + T D span + D Q) memory beside O(T P Q) for the values. Its
+    reductions run in BLAS, so their rounding may depend on the BLAS thread
+    count; no CLI CSV uses a folded grid (the experiments' windows are
+    1/(N T_s) apart, so D_0 = N).
+
+    Every other grid runs in blocks of B = _MAP_BLOCK samples: each block
+    takes one (T P) x B by B x Q matrix product for the T echoes and its phase
+    row e^{-j2 pi f_q T_s s} at its start s, for O(T P N Q) work. The B x Q
+    kernel is built once per call and one (T, P, B) work buffer serves every
+    block, so the memory is O((T P + Q) B) beside O(N) for the waveform and
+    O(T P Q) for the values.
     """
     echo = np.asarray(echo, dtype=complex)
     n = grid.block_length
@@ -170,56 +234,73 @@ def delay_doppler_map(echo: np.ndarray, bf: DamBeamformer, block: SymbolBlock,
     norms = np.sqrt(energy[np.maximum(n - delays, 0)])
     if np.any(norms == 0):
         raise ValueError("zero template: probe delay pushes the waveform out of the block")
+    cycles = grid.doppler_bins_hz * grid.symbol_duration_s
+    echoes = echo.reshape(-1, n)
+    fold = _fold_size(grid)
+    if fold is None:
+        values = _blocked_map(echoes, base, delays, cycles)
+    else:
+        values = _folded_map(echoes, base, delays, cycles, fold)
+    values /= norms[:, None]
+    return DelayDopplerMap(values.reshape(echo.shape[:-1] + grid.shape), grid)
+
+
+def _folded_map(echoes, base, delays, cycles, d):
+    """The (T, P, Q) sums of delay_doppler_map at fold size d."""
+    t, n = echoes.shape
+    lo, hi = int(delays.min()), int(delays.max())
+    span, periods = hi - lo + 1, -(-n // d)
+    # conj(base[m]) sits at m + hi, zeros before it; base beyond n - lo meets
+    # no echo sample. Window row s, entry i is conj(base[s + i - hi]): delay
+    # hi - i at sample s. As (d, periods, span) each residue's rows are d apart,
+    # and d >= span lets BLAS read them in place.
+    padded = np.zeros(periods * d + span - 1, dtype=complex)
+    padded[hi:hi + n - lo] = np.conj(base[:n - lo])
+    windows = sliding_window_view(padded, span).reshape(periods, d, span).transpose(1, 0, 2)
+    # for n = j d + k, e^{-j2 pi c_q n} = e^{-j2 pi c_0 j d} e^{-j2 pi c_q k}, as
+    # (c_q - c_0) j d is whole: the first factor, its argument reduced mod 1,
+    # scales period j of the echo (zero-padded and laid out as (periods, d, T)),
+    # the second is the d x Q kernel
+    shifted = np.zeros((periods, d, t), dtype=complex)
+    shifted.reshape(-1, t)[:n] = echoes.T
+    steps = np.exp(-2j * np.pi * (cycles[0] * np.arange(0, periods * d, d) % 1.0))
+    shifted *= steps[:, None, None]
+    sums = np.matmul(shifted.transpose(1, 2, 0), windows)
+    rows = np.take(sums, hi - delays, axis=2).reshape(d, t * delays.size)
+    kernel = np.exp(-2j * np.pi * (np.outer(np.arange(d), cycles) % 1.0))
+    return (rows.T @ kernel).reshape(t, delays.size, cycles.size)
+
+
+def _blocked_map(echoes, base, delays, cycles):
+    """The (T, P, Q) sums of delay_doppler_map, in blocks of _MAP_BLOCK samples."""
+    n = echoes.shape[1]
     # r(p, q) = sum_n conj(base[n-p]) e^{-j2 pi f_q Ts n} echo[n]. With n = s + k
     # the phase splits into e^{-j2 pi f_q Ts s} per block start s and a B x Q
     # kernel over k < B shared by every block.
     b = min(_MAP_BLOCK, n)
     lead = delays.max(initial=0)
-    cycles = grid.doppler_bins_hz * grid.symbol_duration_s
     # kernel[k, q] = e^{-j2 pi f_q Ts k} as the product of its factors at
     # 64 (k // 64) and k % 64: 2 b/64 rows of exponentials instead of b
     fine = np.exp(-2j * np.pi * np.outer(np.arange(64), cycles))
     coarse = np.exp(-2j * np.pi * np.outer(np.arange(0, b, 64), cycles))
     kernel = (coarse[:, None, :] * fine).reshape(coarse.shape[0] * 64, cycles.size)[:b]
-    # the group of the block at s starts at s0 = s mod g B; its phase row is
-    # e^{-j2 pi c_q s0} times e^{-j2 pi c_0 (s - s0)}, one scalar for every q
-    num_blocks = -(-n // b)
-    c0 = cycles[:1].sum()               # 0 for an empty Doppler axis
-    offsets = cycles - c0
-    fold = next((g for g in range(1, num_blocks)
-                 if np.all(np.abs(offsets * (g * b) - np.round(offsets * (g * b)))
-                           <= _FOLD_TOL * g * b)), num_blocks)
-    period = fold * b
     # conj(base[m]) sits at m + lead, zeros before it: the row of delay p in
     # the block at s starts at s + lead - p
     conj_base = np.zeros(lead + n, dtype=complex)
     conj_base[lead:] = np.conj(base)
-    echoes = echo.reshape(-1, n)
     work = np.empty((echoes.shape[0], delays.size, b), dtype=complex)
     values = np.zeros(work.shape[:2] + cycles.shape, dtype=complex)
-    # the groups in turn; sorted is stable, so each group's blocks in order of s
-    for s in sorted(range(0, n, b), key=lambda s: s // b % fold):
+    for s in range(0, n, b):
         w = min(b, n - s)
-        first = s < period
-        if first:
-            if w < b:                   # the last block, zero-padded to B
-                work[..., w:] = 0
-            seg = echoes[:, s:s + w]
-        else:
-            # the argument reduced mod 1, so a whole c_0 (s - s0) gives exactly 1
-            seg = echoes[:, s:s + w] * np.exp(-2j * np.pi * (c0 * (s - s % period) % 1.0))
-        # one product per delay into, or added to, its rows of the buffer:
-        # indexing or broadcasting the windows would build a second (T, P, B) array
+        if w < b:                       # the last block, zero-padded to B
+            work[..., w:] = 0
+        # one product per delay into its rows of the buffer: indexing or
+        # broadcasting the windows would build a second (T, P, B) array
         for i, start in enumerate(s + lead - delays):
-            if first:
-                np.multiply(conj_base[start:start + w], seg, out=work[:, i, :w])
-            else:
-                work[:, i, :w] += conj_base[start:start + w] * seg
-        if s + period >= n:             # the group's last block
-            values += ((work.reshape(-1, b) @ kernel).reshape(values.shape)
-                       * np.exp(-2j * np.pi * cycles * (s % period)))
-    values /= norms[:, None]
-    return DelayDopplerMap(values.reshape(echo.shape[:-1] + grid.shape), grid)
+            np.multiply(conj_base[start:start + w], echoes[:, s:s + w], out=work[:, i, :w])
+        values += ((work.reshape(-1, b) @ kernel).reshape(values.shape)
+                   * np.exp(-2j * np.pi * cycles * s))
+    return values
 
 
 def correlation_matrix(block: SymbolBlock, kappa, probe_delay: int,

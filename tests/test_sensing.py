@@ -3,6 +3,7 @@ decorrelation, output-SNR formulas, peak estimation, ambiguity limits."""
 
 import csv
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from damisac import (
     steering_vector,
 )
 from damisac.channel import _shift_zero_prefix
-from damisac.sensing import _MAP_BLOCK
+from damisac.sensing import _MAP_BLOCK, _denominator, _fold_size
 from damisac.units import C_LIGHT
 
 TS = 1e-8
@@ -129,8 +130,8 @@ def dense_map(echo, bf, block, theta, grid):
     return values
 
 
-# below one block, an exact multiple of it, and a partial last block; a
-# single bin always folds, every block into one product
+# below one block, an exact multiple of it, and a partial last block; the
+# delays span the block, so neither grid folds
 @pytest.mark.parametrize("n", [_MAP_BLOCK // 2 - 3, 2 * _MAP_BLOCK, 2 * _MAP_BLOCK + 777])
 @pytest.mark.parametrize("dopplers", ["non-uniform", "single"])
 def test_blocked_map_matches_dense_oracle(n, dopplers):
@@ -146,6 +147,7 @@ def test_blocked_map_matches_dense_oracle(n, dopplers):
     # unsorted, repeated and up to the last sample
     delays = np.array([n - 1, 0, 5, n // 2, 1, 5, n - 2])
     grid = SensingGrid(delays, dops, TS, n)
+    assert _fold_size(grid) is None
     got = delay_doppler_map(echo, bf, block, 0.3, grid).values
     assert np.max(np.abs(got - dense_map(echo, bf, block, 0.3, grid))) \
         <= 1e-12 * np.linalg.norm(echo)
@@ -175,33 +177,66 @@ def test_stacked_map_matches_each_echo_and_the_dense_oracle(n, stack):
                           got.values[None])
 
 
+def test_denominator_is_the_least_whole_count():
+    # every a/b below 20 000 in lowest terms, within 1e-9 of no such fraction
+    rng = np.random.default_rng(23)
+    for b in rng.integers(1, 20_000, 300).tolist():
+        a = int(rng.integers(-(b // 2), b // 2 + 1))
+        q = Fraction(a, b).denominator
+        assert _denominator(a / b, 20_000) == q
+        assert _denominator(a / b, q - 1) is None
+        assert _denominator(a / b + 1e-9, 20_000) is None
+
+
 def folding_grid(case, n):
-    """A grid over n samples whose bins sit a whole number of cycles per g
-    blocks from the first bin, so that the map sums blocks g apart before one
-    product: the survey's 129 bins, 32 cycles per block apart (g = 1); bins an
-    odd number of half cycles per block apart (g = 2); and bins 32 cycles per
-    block apart but for one that is 1e-9 cycles per block off (no fold)."""
-    b = _MAP_BLOCK
-    if case == "survey":
-        return SensingGrid.survey(20, n, TS)
-    steps = {"period-2": np.array([0, 1, -3, 5, 64, -201, 7]) / 2,
-             "off-period": 32.0 * np.arange(-8, 9) + 1e-9 * (np.arange(17) == 11)}[case]
-    delays = np.array([n - 1, 0, 5, n // 2, 1, 5, 200])   # with a repeat
-    return SensingGrid(delays, (0.123 + steps / b) / TS, TS, n)
+    """A grid over n samples and the fold size the map takes for it (None:
+    it runs in blocks). The offsets from the first bin repeat every D_0
+    samples, and D is the least multiple of D_0 at least the delay span:
+    - survey: 129 bins 1/128 cycle apart (D_0 = 128) over delays 0..20;
+    - commensurate: seven non-uniform bins m/96 cycle from the first, whose
+      reduced denominators 96, 32 and 48 give D_0 = 96, over unsorted
+      delays spanning 88;
+    - delay-range: the survey's bins over a permutation of the delays
+      140..179, with 147 repeated (span 40, D = 128);
+    - single: one cell, whose one offset is 0 (D = 1);
+    - wide-span: the survey's bins over delays 3 000 apart, whose D = 3 072
+      sums would outgrow the P x B rows of the blocked map;
+    - off-period: the survey's bins over delays 0..20 but for one bin
+      1e-9 cycles per 4 096 samples off, which folds only without it."""
+    half = 0.5 / TS
+    survey = SensingGrid.survey(20, n, TS).doppler_bins_hz
+    near = np.array([0, 5, 20, 5, 1])
+    grid, fold = {
+        "survey": (SensingGrid.survey(20, n, TS), 128),
+        "commensurate": (SensingGrid(
+            [3, 40, 7, 7, 90, 12],
+            (0.0123 + np.array([0, 1, -3, 5, 38, -41, 7]) / 96) / TS, TS, n), 96),
+        "delay-range": (SensingGrid(np.r_[140 + 7 * np.arange(40) % 40, 147],
+                                    survey, TS, n), 128),
+        "single": (SensingGrid([5], [0.37 * half], TS, n), 1),
+        "wide-span": (SensingGrid([2, 3000, 5], survey, TS, n), None),
+        "off-period": (SensingGrid(near, survey + 1e-9 / (_MAP_BLOCK * TS)
+                                   * (np.arange(survey.size) == 11), TS, n), None),
+    }[case]
+    if case == "off-period":
+        assert _fold_size(SensingGrid(near, survey, TS, n)) == 128
+    return grid, fold
 
 
-# the survey over 3 full blocks and a partial one; the half-cycle bins over
-# S = 5 blocks, 4 full and a partial one, folded into g = 2 products
+# each n ends in a partial period of its D, but for the single cell's D = 1
 @pytest.mark.parametrize("case, n, stack", [
     ("survey", 3 * _MAP_BLOCK + 777, 1), ("survey", 3 * _MAP_BLOCK + 777, 3),
-    ("period-2", 4 * _MAP_BLOCK + 1234, 1), ("period-2", 4 * _MAP_BLOCK + 1234, 3),
-    ("off-period", 3 * _MAP_BLOCK + 777, 1)])
+    ("commensurate", 2 * _MAP_BLOCK + 1234, 1), ("commensurate", 2 * _MAP_BLOCK + 1234, 3),
+    ("delay-range", 3 * _MAP_BLOCK + 777, 1), ("single", 2 * _MAP_BLOCK + 777, 1),
+    ("wide-span", 3 * _MAP_BLOCK + 777, 1), ("off-period", 3 * _MAP_BLOCK + 777, 1)])
 def test_folded_map_matches_dense_oracle(case, n, stack):
     rng = np.random.default_rng(n + stack)
     block = generate_symbols(rng, n, "qpsk")
     bf = DamBeamformer.aligned(complex_normal(rng, (4, 3)), [0, 2, 7])
     echoes = complex_normal(rng, (stack, n))
-    grid = folding_grid(case, n)
+    grid, fold = folding_grid(case, n)
+    assert _fold_size(grid) == fold
+    assert fold in (None, 1) or n % fold
     got = delay_doppler_map(echoes, bf, block, 0.3, grid).values
     for t, echo in enumerate(echoes):
         assert np.max(np.abs(got[t] - dense_map(echo, bf, block, 0.3, grid))) \
@@ -210,12 +245,17 @@ def test_folded_map_matches_dense_oracle(case, n, stack):
 
 def traced_map_peak_and_bound(stack, fold=True):
     """Traced peak of a survey map at N = 65 536, Q = 129, P = 201, and its
-    bound: one (T, P, B) work buffer and the B x Q kernel, plus a stated
-    slack of 4 N complex samples (the projected waveform, its conjugated
-    copy, and 2 N for the kernel's factor tables, a block's scaled samples
-    and one delay's rows, and small arrays) and three T x P x Q maps (the
-    values, one product and its phased copy). Without fold, one bin sits
-    1e-9 cycles per block off the survey's period, so no blocks fold."""
+    bound. The survey folds at D = 256: its bound is the (T, J, D) padded
+    echo, the D x T x span sums and their rows gathered by delay, and the
+    D x Q kernel with its arguments, plus a stated slack of 3 N complex
+    samples (the projected waveform, its zero-led conjugate, and N for the
+    running sum of |base|^2 and small arrays) and one T x P x Q map. Without
+    fold, one bin sits 1e-9 cycles per 4 096 samples off the survey's
+    period, so the map runs in blocks: one (T, P, B) work buffer and the
+    B x Q kernel, plus a slack of 4 N complex samples (the projected
+    waveform, its conjugated copy, and 2 N for the kernel's factor tables,
+    a block's samples and one delay's rows, and small arrays) and three
+    T x P x Q maps (the values, one product and its phased copy)."""
     n, q = 65_536, 129
     rng = np.random.default_rng(17)
     block = generate_symbols(rng, n, "qpsk")
@@ -225,6 +265,8 @@ def traced_map_peak_and_bound(stack, fold=True):
     if not fold:
         grid = SensingGrid(grid.delay_bins, grid.doppler_bins_hz
                            + 1e-9 / (_MAP_BLOCK * TS) * (np.arange(q) == 11), TS, n)
+    d = _fold_size(grid)
+    assert d == (256 if fold else None)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -233,20 +275,24 @@ def traced_map_peak_and_bound(stack, fold=True):
     finally:
         tracemalloc.stop()
     t, p = stack or 1, grid.shape[0]
-    bound = 16 * (t * p * _MAP_BLOCK + _MAP_BLOCK * q) + 16 * (4 * n + 3 * t * p * q)
+    if fold:
+        padded = -(-n // d) * d
+        bound = 16 * (t * padded + 2 * d * t * p + 2 * d * q) + 16 * (3 * n + t * p * q)
+    else:
+        bound = 16 * (t * p * _MAP_BLOCK + _MAP_BLOCK * q) + 16 * (4 * n + 3 * t * p * q)
     return peak, bound, 16 * q * n
 
 
 def test_map_memory_stays_below_the_phase_matrix():
-    # indexing or broadcasting the windows would add a second work buffer;
-    # the dense form held a Q x N phase matrix. The survey folds its blocks
-    # into one product; a grid just off its period takes one per block.
+    # indexing or broadcasting the windows would copy them span times over;
+    # the dense form held a Q x N phase matrix. The survey folds; a grid just
+    # off its period runs in blocks.
     for fold in (True, False):
         peak, bound, phase_matrix = traced_map_peak_and_bound(None, fold)
         assert peak <= bound < 0.5 * phase_matrix
 
 
-def test_stacked_map_memory_is_o_of_tp_plus_q_times_b():
+def test_stacked_folded_map_memory_is_o_of_tn_plus_d_span_t():
     peak, bound, _ = traced_map_peak_and_bound(3)
     assert peak <= bound
 
@@ -497,8 +543,9 @@ def test_stacked_estimate_matches_each_map():
 def test_grid_validation():
     with pytest.raises(ValueError):
         SensingGrid(np.array([-1, 0]), np.array([0.0]), TS, 64)
-    with pytest.raises(ValueError):
-        SensingGrid(np.array([0]), np.array([1.0 / TS]), TS, 64)
+    for bad in (1.0 / TS, np.nan):
+        with pytest.raises(ValueError, match="Doppler bins"):
+            SensingGrid(np.array([0]), np.array([bad]), TS, 64)
     with pytest.raises(ValueError):
         SensingGrid(np.zeros((2, 2)), np.array([0.0]), TS, 64)
     with pytest.raises(ValueError):
