@@ -169,6 +169,17 @@ class ChannelGenConfig:
                 "channel.aod_sector must be an increasing pair within [-pi/2, pi/2]")
 
 
+def _distinct(values: np.ndarray) -> bool:
+    """Whether the entries of a 1-D integer array are pairwise distinct.
+
+    A set over the Python ints, not numpy's unique(): in numpy 2.4 that calls
+    numpy.ma.is_masked, so its first call imports numpy.ma (16-19 ms and about
+    1 MB in a fresh process), which nothing else in a run needs.
+    """
+    items = values.tolist()
+    return len(set(items)) == len(items)
+
+
 @dataclass
 class MultipathChannel:
     """Frequency-selective MISO channel: L path vectors with integer delays.
@@ -193,7 +204,7 @@ class MultipathChannel:
             raise ValueError("at least one path is required")
         if np.any(self.path_delays < 0):
             raise ValueError("path delays must be non-negative")
-        if len(np.unique(self.path_delays)) != len(self.path_delays):
+        if not _distinct(self.path_delays):
             raise ValueError("path delays must be pairwise distinct (merge equal-delay paths)")
 
     @property

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import MultipathChannel, _shift_zero_prefix, complex_normal, steering_vector
+from .channel import (MultipathChannel, _distinct, _shift_zero_prefix, complex_normal,
+                      steering_vector)
 
 
 @dataclass
@@ -75,7 +76,7 @@ def assign_delays(path_delays) -> np.ndarray:
         raise ValueError("path_delays must be a non-empty 1-D array")
     if np.any(delays < 0):
         raise ValueError("path delays must be non-negative")
-    if len(np.unique(delays)) != len(delays):
+    if not _distinct(delays):
         raise ValueError("path delays must be pairwise distinct")
     return delays.max() - delays
 
@@ -101,7 +102,7 @@ class DamBeamformer:
             raise ValueError("delay_schedule length must match beam count")
         if np.any(self.delay_schedule < 0):
             raise ValueError("delay schedule entries must be non-negative")
-        if len(np.unique(self.delay_schedule)) != len(self.delay_schedule):
+        if not _distinct(self.delay_schedule):
             raise ValueError("delay schedule entries must be pairwise distinct")
         if self.n_max < self.delay_schedule.max():
             raise ValueError("n_max must be at least the largest schedule entry")
@@ -116,10 +117,14 @@ class DamBeamformer:
 
     @classmethod
     def aligned(cls, beam_matrix, path_delays) -> "DamBeamformer":
-        """Bind beams to a channel's delays via kappa_l = n_max - n_l."""
+        """Bind beams to a channel's delays via kappa_l = n_max - n_l.
+
+        __post_init__ checks the schedule, once: kappa is distinct exactly
+        when the delays are, and a negative delay puts some kappa_l above n_max.
+        """
         delays = np.asarray(path_delays, dtype=int)
-        return cls(np.asarray(beam_matrix, dtype=complex),
-                   assign_delays(delays), int(delays.max()))
+        n_max = int(delays.max())
+        return cls(beam_matrix, n_max - delays, n_max)
 
 
 def delayed_symbol_matrix(symbols: np.ndarray, kappa, extra_delay: int = 0) -> np.ndarray:

@@ -133,8 +133,12 @@ def test_single_boresight_path_is_all_ones():
 
 
 def test_duplicate_delays_rejected():
-    with pytest.raises(ValueError):
-        MultipathChannel.from_directions([0.0, 0.1], [3, 3], num_antennas=4)
+    # adjacent, unsorted and non-adjacent repeats
+    for delays in ([3, 3], [5, 2, 5], [0, 3, 7, 3]):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            MultipathChannel.from_directions(np.zeros(len(delays)), delays, num_antennas=4)
+    one = MultipathChannel.from_directions([0.1], [4], num_antennas=4)
+    assert one.num_paths == 1 and one.max_delay == 4
 
 
 def test_generator_contract_fixed_seed():

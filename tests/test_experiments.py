@@ -933,20 +933,58 @@ print(json.dumps({"codes": codes, "scipy": loaded}))
 """
 
 
-def test_experiments_run_without_scipy(tmp_path):
+def _run_experiments_in_fresh_interpreter(script, tmp_path):
     config = write_config(tmp_path, {"experiment": {"mc_block_length": 1024}})
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(README.parent / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, str(config),
+    proc = subprocess.run([sys.executable, "-c", script, str(config),
                            str(tmp_path / "out"), *EXPERIMENTS],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_experiments_run_without_scipy(tmp_path):
+    proc = _run_experiments_in_fresh_interpreter(WITHOUT_SCIPY, tmp_path)
     assert json.loads(proc.stdout.splitlines()[-1]) == {
         "codes": dict.fromkeys(EXPERIMENTS, 0), "scipy": []}
     assert sorted(os.listdir(tmp_path / "out")) == [
         "beampattern.csv", "dd_map.csv", "dd_report.csv", "ofdm_compare.csv",
         "se_sweep.csv"]
+
+
+WITHOUT_NUMPY_MA = """
+import sys
+sys.modules["numpy.ma"] = None
+import numpy as np
+from damisac import channel, cli, load_config, sensing, waveform
+config, out, *experiments = sys.argv[1:]
+codes = {e: cli.main([e, "--config", config, "--out", out, "--trials", "2",
+                      "--gamma-th-grid", "0:4:2"]) for e in experiments}
+# the dd-survey library chain, at a small size
+cfg = load_config(config)
+sc, n = cfg.scenario, 2048
+target = channel.RadarTarget.from_geometry(sc, cfg.target.range_m, cfg.target.rcs_m2,
+                                           cfg.target.direction_rad,
+                                           cfg.target.radial_velocity_m_s, rng=cfg.rng(3, 0))
+a = channel.steering_vector(target.direction, sc.num_antennas)
+bf = waveform.DamBeamformer.aligned(np.tile(a[:, None], (1, 3)), np.arange(3))
+block = waveform.generate_symbols(cfg.rng(3, 1), n, cfg.modulation)
+echo = channel.apply_radar_channel(target, waveform.build_dam_block(block, bf),
+                                   sc.symbol_duration_s, sc.noise_power_w, cfg.rng(3, 2),
+                                   guard_length=sc.guard_length)
+grid = sensing.SensingGrid.survey(sc.guard_length, n, sc.symbol_duration_s)
+ddmap = sensing.delay_doppler_map(echo, bf, block, target.direction, grid)
+print(codes, ddmap.power().shape == grid.shape)
+"""
+
+
+def test_runs_never_import_numpy_ma(tmp_path):
+    # numpy.ma costs 16-19 ms of import inside every run; no experiment and no
+    # step of the survey pipeline may need it
+    proc = _run_experiments_in_fresh_interpreter(WITHOUT_NUMPY_MA, tmp_path)
+    assert proc.stdout.splitlines()[-1] == f"{dict.fromkeys(EXPERIMENTS, 0)} True"
 
 
 def test_cli_infeasible_target_exits_2(tmp_path, capsys):

@@ -50,8 +50,10 @@ def test_assign_delays_examples():
 
 
 def test_assign_delays_rejects_duplicates():
-    with pytest.raises(ValueError):
-        assign_delays([2, 2, 5])
+    for delays in ([2, 2, 5], [5, 2, 5], [0, 3, 7, 3]):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            assign_delays(delays)
+    assert np.array_equal(assign_delays([6]), [0])
 
 
 @given(st.lists(st.integers(0, 50), min_size=1, max_size=8, unique=True))
@@ -64,13 +66,25 @@ def test_assign_delays_property(delays):
 
 def test_beamformer_validates_schedule():
     f = np.ones((4, 2), dtype=complex)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pairwise distinct"):
         DamBeamformer(f, np.array([1, 1]), 1)
     with pytest.raises(ValueError):
         DamBeamformer(f, np.array([0, 3]), 2)
+    # unsorted and non-adjacent repeats, given as a schedule or as delays
+    for delays in ([5, 2, 5], [0, 3, 7, 3]):
+        g = np.ones((4, len(delays)), dtype=complex)
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            DamBeamformer(g, np.array(delays), 7)
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            DamBeamformer.aligned(g, delays)
+    with pytest.raises(ValueError):
+        DamBeamformer.aligned(f, [-1, 3])
     bf = DamBeamformer.aligned(f, [2, 7])
     assert bf.n_max == 7
     assert np.array_equal(bf.delay_schedule, [5, 0])
+    one = DamBeamformer(f[:, :1], np.array([0]), 0)
+    assert one.num_paths == 1
+    assert np.array_equal(DamBeamformer.aligned(f[:, :1], [3]).delay_schedule, [0])
 
 
 # ------------------------------------------------------------------- symbols
