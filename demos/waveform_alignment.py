@@ -13,17 +13,9 @@ import sys
 
 import numpy as np
 
-from damisac.beamforming import isi_zf_mrt_beamformer
+from damisac.beamforming import IsacProblem
 from damisac.channel import MultipathChannel, apply_comm_channel, complex_normal
-from damisac.waveform import (
-    assign_delays,
-    build_dam_block,
-    comm_snr,
-    decompose_received,
-    generate_symbols,
-    papr_empirical,
-    transmit_power,
-)
+from damisac.waveform import build_dam_block, generate_symbols, papr_empirical
 
 NUM_ANTENNAS = 32
 NUM_PATHS = 4
@@ -42,13 +34,15 @@ def make_channel(rng: np.random.Generator) -> MultipathChannel:
 def main(seed: int) -> None:
     rng = np.random.default_rng(seed)
     channel = make_channel(rng)
-    kappa = assign_delays(channel.path_delays)
+    # the MRT design does not depend on the radar target, so any direction
+    # and gain will do
+    bf = IsacProblem(channel, 0.0, 1.0, BLOCK_LEN, POWER_W, NOISE_W).mrt
     print(f"channel delays n_l = {channel.path_delays.tolist()}")
-    print(f"schedule   kappa_l = {kappa.tolist()}  (all arrivals at lag "
-          f"{channel.max_delay})")
+    print(f"schedule   kappa_l = {bf.delay_schedule.tolist()}  (all arrivals at lag "
+          f"{bf.n_max})")
 
-    bf = isi_zf_mrt_beamformer(channel, POWER_W)
-    print(f"\ntransmit power: {transmit_power(bf):.6f} W (budget {POWER_W} W)")
+    power = np.sum(np.abs(bf.beam_matrix) ** 2)      # sum_l ||f_l||^2
+    print(f"\ntransmit power: {power:.6f} W (budget {POWER_W} W)")
 
     block = generate_symbols(rng, BLOCK_LEN, "qpsk")
     tx = build_dam_block(block, bf)
@@ -67,18 +61,22 @@ def main(seed: int) -> None:
         marker = "  <- aligned tap" if n == channel.max_delay else ""
         print(f"  lag {n:2d}: {v:.3e}{marker}")
 
-    desired, isi = decompose_received(bf, channel, block)
+    # the aligned term (sum_l h_l^H f_l) s[n - n_max]; the ISI is whatever
+    # else the noiseless received signal holds
+    gain = np.sum(np.conj(channel.path_vectors) * bf.beam_matrix.T)
+    n_max = bf.n_max
+    desired = np.zeros(BLOCK_LEN, dtype=complex)
+    desired[n_max:] = gain * block.symbols[:BLOCK_LEN - n_max]
+    isi = apply_comm_channel(channel, tx) - desired
     print(f"\nper-sample desired power: {np.mean(np.abs(desired) ** 2):.6f}")
     print(f"per-sample ISI power:     {np.mean(np.abs(isi) ** 2):.3e} "
           f"(zero-forced)")
 
     # SNR check: propagate with noise and compare to the closed form
     y = apply_comm_channel(channel, tx, NOISE_W, rng)
-    gain = np.sum(np.conj(channel.path_vectors) * bf.beam_matrix.T)
-    n_max = channel.max_delay
-    err = y[n_max:] - gain * block.symbols[:BLOCK_LEN - n_max]
+    err = y[n_max:] - desired[n_max:]
     measured = np.abs(gain) ** 2 / np.mean(np.abs(err) ** 2)
-    analytic = comm_snr(bf, channel, NOISE_W)
+    analytic = np.abs(gain) ** 2 / NOISE_W
     print(f"\nanalytic SNR: {10 * np.log10(analytic):.2f} dB")
     print(f"measured SNR: {10 * np.log10(measured):.2f} dB "
           f"({BLOCK_LEN} symbols, one noise draw)")

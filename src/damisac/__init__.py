@@ -9,8 +9,7 @@ an exact communication-sensing trade-off solver, an OFDM radar baseline, and
 a batch experiment CLI.
 """
 
-from .beamforming import (BatchSolution, IsacProblem, IsacSolution, SolutionReport,
-                          isi_zf_mrt_beamformer, solve_batch, verify_solution)
+from .beamforming import BatchSolution, IsacProblem, IsacSolution, solve_batch
 from .channel import (ChannelGenConfig, MultipathChannel, RadarTarget,
                       ScenarioConfig, apply_comm_channel, apply_radar_channel,
                       complex_normal, generate_multipath_channel,
@@ -23,15 +22,13 @@ from .experiments import (ExperimentConfig, TargetConfig, load_config,
 from .ofdm import (OfdmConfig, ofdm_ambiguity_limits, ofdm_delay_doppler_estimate,
                    ofdm_demodulate, ofdm_output_snr, ofdm_papr, ofdm_time_domain)
 from .sensing import (AmbiguityLimits, DelayDopplerMap, SensingGrid,
-                      correlation_matrix, dam_ambiguity_limits,
-                      delay_doppler_map, estimate_delay_doppler,
+                      dam_ambiguity_limits, delay_doppler_map, estimate_delay_doppler,
                       export_map_csv, matched_filter_template, max_sensing_snr,
                       sensing_snr)
 from .units import C_LIGHT, dbm_to_watt, linear_to_db
-from .waveform import (DamBeamformer, SymbolBlock, assign_delays,
-                       build_dam_block, comm_snr, dam_papr, decompose_received,
+from .waveform import (DamBeamformer, SymbolBlock, build_dam_block, dam_papr,
                        delayed_symbol_matrix, generate_symbols, papr_empirical,
-                       projected_dam_block, transmit_power)
+                       projected_dam_block)
 
 __version__ = "0.1.0"
 

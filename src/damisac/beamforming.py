@@ -22,7 +22,7 @@ Review 1973), and the search for lambda is a bisection on one scalar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -86,39 +86,6 @@ def _zf_project(h: np.ndarray, *vector_sets: np.ndarray) -> list:
     return out
 
 
-def _mrt(channel: MultipathChannel, projected: np.ndarray, power: float) -> DamBeamformer:
-    total = np.sum(np.abs(projected) ** 2)
-    if total <= 0:
-        raise InfeasibleError("all projected path responses vanish")
-    return DamBeamformer.aligned(np.sqrt(power / total) * projected.T, channel.path_delays)
-
-
-def isi_zf_mrt_beamformer(channel: MultipathChannel, power: float) -> DamBeamformer:
-    """Communication-optimal design under zero-forcing and a sum-power budget.
-
-    f_l = sqrt(P) Q_l h_l / sqrt(sum_l' ||Q_l' h_l'||^2): matched to each
-    path's projected response, which maximizes the aligned gain
-    |sum_l h_l^H f_l| among all interference-free beamformers. The resulting
-    SNR is P * sum_l ||Q_l h_l||^2 / sigma^2.
-    """
-    if power <= 0:
-        raise ValueError("power must be positive")
-    h = channel.path_vectors[None]
-    return _mrt(channel, _zf_project(h, h)[0][0], power)
-
-
-@dataclass
-class SolutionReport:
-    """Constraint audit of a beamformer, recomputed from first principles."""
-
-    zf_residual: float
-    power_used: float
-    power_slack: float
-    gamma_c: float
-    gamma_p: float
-    sensing_slack: float
-
-
 @dataclass
 class IsacSolution:
     """Result of the trade-off solve.
@@ -127,7 +94,9 @@ class IsacSolution:
     at the final lambda, in communication-SNR units: an upper bound on every
     feasible gamma_c, so dual_bound - gamma_c bounds the optimality gap.
     iterations counts the bisection steps on delta (see IsacProblem.solve);
-    it is 0 when a closed form gives the design.
+    it is 0 when a closed form gives the design. gamma_c, gamma_p,
+    zf_residual and power_used are the audit of the beamformer, as in
+    `BatchSolution`; an infeasible solve holds nan and no beamformer.
     """
 
     beamformer: Optional[DamBeamformer]
@@ -135,8 +104,9 @@ class IsacSolution:
     gamma_p: float
     dual_bound: float
     iterations: int
+    zf_residual: float
+    power_used: float
     status: str                      # "optimal" | "infeasible"
-    report: Optional[SolutionReport] = None
 
 
 @dataclass
@@ -144,9 +114,8 @@ class BatchSolution:
     """The trade-off solve of every (problem, floor) row of `solve_batch`.
 
     Each field is a (problems, floors) array. A feasible row holds what
-    `IsacProblem.solve` gives for it, and its audit, without a beamformer; an
-    infeasible row (a floor above the problem's ceiling) holds nan and 0
-    iterations.
+    `IsacProblem.solve` gives for it, without a beamformer; an infeasible row
+    (a floor above the problem's ceiling) holds nan and 0 iterations.
     """
 
     gamma_c: np.ndarray
@@ -265,9 +234,11 @@ def _set_up(h: np.ndarray, theta: float, gain: complex, block_length: int, power
     """The channel-only work of the trade-off problem for a stack of path
     vectors h (B, L, M); see `IsacProblem`.
 
-    Returns, per channel, eta (unit norm) and r (B, L+1), the unit blocks g_l
-    / ||g_l|| and the unit part of h orthogonal to them (B, L, M), the scale
-    P ||c||^2 / sigma^2 of the bisection's dual value and gamma_zf_max (B,).
+    Returns, per channel, the projected path responses c_l = Q_l h_l (B, L, M)
+    and the set-up of the rows: eta (unit norm) and r (B, L+1), the unit
+    blocks g_l / ||g_l|| and the unit part of h orthogonal to them (B, L, M),
+    the scale P ||c||^2 / sigma^2 of the bisection's dual value and
+    gamma_zf_max (B,).
     A channel that leaves no design raises its own InfeasibleError, the
     first such channel in the stack first.
     """
@@ -300,7 +271,7 @@ def _set_up(h: np.ndarray, theta: float, gain: complex, block_length: int, power
     # r_i = 1 - a_i / max(a): exactly 0 on the strongest target responses
     r = 1.0 - a_diag / top[:, None]
     ceiling = np.abs(gain) ** 2 * block_length * power / noise_power * top
-    return eta, r, g_unit, rest_unit, power / noise_power * norm2, ceiling
+    return c, (eta, r, g_unit, rest_unit, power / noise_power * norm2, ceiling)
 
 
 def _beams(y: np.ndarray, g_unit: np.ndarray, rest_unit: np.ndarray,
@@ -313,6 +284,40 @@ def _beams(y: np.ndarray, g_unit: np.ndarray, rest_unit: np.ndarray,
     f += y[:, :1, None] * rest_unit
     f *= np.sqrt(power / np.sum(y.real ** 2 + y.imag ** 2, axis=1))[:, None, None]
     return np.swapaxes(f, 1, 2)
+
+
+def _solve_rows(h: np.ndarray, setup: tuple, theta: float, gain: complex,
+                block_length: int, power: float, noise_power: float,
+                gamma_th) -> tuple:
+    """The trade-off solve of every (channel, floor) row of a stack of path
+    vectors h (B, L, M), given its `_set_up`, at the floors gamma_th: one
+    grid (G,) for all channels or one grid per channel (B, G).
+
+    All B G rows go through one bisection on delta, and each floor's B beams
+    through one audit. Returns the `BatchSolution` and the rows' basis
+    coordinates y (B, G, L+1), nan on an infeasible row.
+    """
+    gamma_th = np.asarray(gamma_th, dtype=float)
+    if not np.all(gamma_th >= 0):
+        raise ValueError("gamma_th must be >= 0")
+    eta, r, g_unit, rest_unit, scale, ceiling = setup
+    shape = (h.shape[0], gamma_th.shape[-1])
+    rho = 1.0 - np.broadcast_to(gamma_th, shape) / ceiling[:, None]
+    y, bound, steps = _bisect(np.repeat(eta, shape[1], axis=0),
+                              np.repeat(r, shape[1], axis=0), rho.ravel())
+    # one floor at a time over the whole stack: all B G beam matrices at once
+    # would hold M L complex values each (10 kB at M = 64, L = 10) and as much
+    # again in temporaries. An infeasible row's y is nan; its audit is set to nan.
+    y, feasible = y.reshape(*shape, -1), rho >= 0
+    audit = np.empty((4, *shape))
+    for j in range(shape[1]):
+        audit[:, :, j] = _audit(_beams(y[:, j], g_unit, rest_unit, power), h, theta, gain,
+                                block_length, noise_power)
+    zf_residual, power_used, gamma_c, gamma_p = np.where(feasible, audit, np.nan)
+    return BatchSolution(gamma_c=gamma_c, gamma_p=gamma_p,
+                         dual_bound=scale[:, None] * bound.reshape(shape),
+                         iterations=steps.reshape(shape), zf_residual=zf_residual,
+                         power_used=power_used, feasible=feasible), y
 
 
 class IsacProblem:
@@ -336,24 +341,27 @@ class IsacProblem:
                  block_length: int, power: float, noise_power: float):
         self.channel, self.theta, self.gain = channel, theta, gain
         self.block_length, self.power, self.noise_power = block_length, power, noise_power
-        self._eta, self._r, self._g_unit, self._rest_unit, scale, ceiling = _set_up(
-            channel.path_vectors[None], theta, gain, block_length, power, noise_power)
-        self._scale, self.gamma_zf_max = float(scale[0]), float(ceiling[0])
+        self._h = channel.path_vectors[None]
+        c, self._setup = _set_up(self._h, theta, gain, block_length, power, noise_power)
+        self._c = c[0]
+        self.gamma_zf_max = float(self._setup[-1][0])
 
     @cached_property
     def mrt(self) -> DamBeamformer:
-        """The communication-optimal design, `isi_zf_mrt_beamformer`."""
-        return isi_zf_mrt_beamformer(self.channel, self.power)
+        """The communication-optimal design under zero-forcing and the power
+        budget: f_l = sqrt(P) c_l / sqrt(sum_l' ||c_l'||^2). Matched to each
+        path's projected response, it maximizes the aligned gain
+        |sum_l h_l^H f_l| among all interference-free beamformers, at the SNR
+        P sum_l ||c_l||^2 / sigma^2."""
+        c = self._c
+        return DamBeamformer.aligned(np.sqrt(self.power / np.sum(np.abs(c) ** 2)) * c.T,
+                                     self.channel.path_delays)
 
     @cached_property
     def sensing(self) -> DamBeamformer:
         """All power on the strongest projected target response: the design at
         the ceiling (rho = 0)."""
-        return self._design(_bisect(self._eta, self._r, np.zeros(1))[0])
-
-    def _design(self, y: np.ndarray) -> DamBeamformer:
-        beams = _beams(y, self._g_unit, self._rest_unit, self.power)
-        return DamBeamformer.aligned(beams[0], self.channel.path_delays)
+        return self.solve(self.gamma_zf_max).beamformer
 
     def solve(self, gamma_th: float) -> IsacSolution:
         """Maximize communication SNR under the floor gamma_sensing >= gamma_th.
@@ -373,20 +381,14 @@ class IsacProblem:
         topped up along the strongest response is optimal without a search.
         This is the one-row case of `solve_batch`, with the beamformer built.
         """
-        if not gamma_th >= 0:
-            raise ValueError("gamma_th must be >= 0")
-        rho = np.array([1.0 - gamma_th / self.gamma_zf_max])
-        y, bound, steps = _bisect(self._eta, self._r, rho)
-        if rho[0] < 0:
-            nan = float("nan")
-            return IsacSolution(beamformer=None, gamma_c=nan, gamma_p=nan,
-                                dual_bound=nan, iterations=0, status="infeasible")
-        bf = self._design(y)
-        report = verify_solution(bf, self.channel, self.theta, self.gain, self.block_length,
-                                 gamma_th, self.power, self.noise_power)
-        return IsacSolution(beamformer=bf, gamma_c=report.gamma_c,
-                            gamma_p=report.gamma_p, dual_bound=float(self._scale * bound[0]),
-                            iterations=int(steps[0]), status="optimal", report=report)
+        rows, y = _solve_rows(self._h, self._setup, self.theta, self.gain,
+                              self.block_length, self.power, self.noise_power, [gamma_th])
+        row = {f.name: getattr(rows, f.name)[0, 0].item() for f in fields(rows)}
+        if not row.pop("feasible"):
+            return IsacSolution(beamformer=None, status="infeasible", **row)
+        beams = _beams(y[0], *self._setup[2:4], self.power)
+        return IsacSolution(beamformer=DamBeamformer.aligned(beams[0], self.channel.path_delays),
+                            status="optimal", **row)
 
 
 def solve_batch(channels: Sequence[MultipathChannel], theta: float, gain: complex,
@@ -401,42 +403,9 @@ def solve_batch(channels: Sequence[MultipathChannel], theta: float, gain: comple
     bisection on delta, and each floor's B beams through one audit. No
     beamformer is built.
     """
-    gamma_th = np.asarray(gamma_th, dtype=float)
-    if not np.all(gamma_th >= 0):
-        raise ValueError("gamma_th must be >= 0")
     if len({c.path_vectors.shape for c in channels}) != 1:
         raise ValueError("solve_batch needs one or more channels with one path count "
                          "and one antenna count")
     h = np.stack([c.path_vectors for c in channels])
-    eta, r, g_unit, rest_unit, scale, ceiling = _set_up(h, theta, gain, block_length,
-                                                        power, noise_power)
-    shape = (len(channels), gamma_th.shape[-1])
-    rho = 1.0 - np.broadcast_to(gamma_th, shape) / ceiling[:, None]
-    y, bound, steps = _bisect(np.repeat(eta, shape[1], axis=0),
-                              np.repeat(r, shape[1], axis=0), rho.ravel())
-    # one floor at a time over the whole stack: all B G beam matrices at once
-    # would hold M L complex values each (10 kB at M = 64, L = 10) and as much
-    # again in temporaries. An infeasible row's y is nan; its audit is set to nan.
-    y, feasible = y.reshape(*shape, -1), rho >= 0
-    audit = np.empty((4, *shape))
-    for j in range(shape[1]):
-        audit[:, :, j] = _audit(_beams(y[:, j], g_unit, rest_unit, power), h, theta, gain,
-                                block_length, noise_power)
-    zf_residual, power_used, gamma_c, gamma_p = np.where(feasible, audit, np.nan)
-    return BatchSolution(gamma_c=gamma_c, gamma_p=gamma_p,
-                         dual_bound=scale[:, None] * bound.reshape(shape),
-                         iterations=steps.reshape(shape), zf_residual=zf_residual,
-                         power_used=power_used, feasible=feasible)
-
-
-def verify_solution(bf: DamBeamformer, channel: MultipathChannel, theta: float,
-                    gain: complex, block_length: int, gamma_th: float,
-                    power: float, noise_power: float) -> SolutionReport:
-    """Recompute every constraint of the trade-off problem from the beamformer."""
-    zf_residual, power_used, gamma_c, gamma_p = (
-        float(v[0]) for v in _audit(bf.beam_matrix[None], channel.path_vectors[None],
-                                    theta, gain, block_length, noise_power))
-    return SolutionReport(zf_residual=zf_residual, power_used=power_used,
-                          power_slack=power - power_used,
-                          gamma_c=gamma_c, gamma_p=gamma_p,
-                          sensing_slack=gamma_p - gamma_th)
+    _, setup = _set_up(h, theta, gain, block_length, power, noise_power)
+    return _solve_rows(h, setup, theta, gain, block_length, power, noise_power, gamma_th)[0]

@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import ScenarioConfig, _shift_zero_prefix, steering_vector
 from .units import C_LIGHT
-from .waveform import DamBeamformer, SymbolBlock, delayed_symbol_matrix, projected_dam_block
+from .waveform import DamBeamformer, SymbolBlock, projected_dam_block
 
 
 @dataclass
@@ -301,19 +301,6 @@ def _blocked_map(echoes, base, delays, cycles):
         values += ((work.reshape(-1, b) @ kernel).reshape(values.shape)
                    * np.exp(-2j * np.pi * cycles * s))
     return values
-
-
-def correlation_matrix(block: SymbolBlock, kappa, probe_delay: int,
-                       true_delay: int) -> np.ndarray:
-    """Cross-correlation of the delayed-stream matrices at two block delays.
-
-    Entry (i, j) is the inner product of stream i delayed by true_delay with
-    stream j delayed by probe_delay; it concentrates near the block length N
-    when kappa_i + true_delay = kappa_j + probe_delay and near zero otherwise.
-    """
-    s_true = delayed_symbol_matrix(block.symbols, kappa, int(true_delay))
-    s_probe = delayed_symbol_matrix(block.symbols, kappa, int(probe_delay))
-    return s_true @ np.conj(s_probe.T)
 
 
 def sensing_snr(beam_matrix: np.ndarray, theta: float, gain: complex,

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (MultipathChannel, _distinct, _shift_zero_prefix, complex_normal,
-                      steering_vector)
+from .channel import _distinct, _shift_zero_prefix, complex_normal, steering_vector
 
 
 @dataclass
@@ -65,22 +64,6 @@ def generate_symbols(rng: np.random.Generator, length: int,
     return SymbolBlock(np.exp(2j * np.pi * phases / order), mod)
 
 
-def assign_delays(path_delays) -> np.ndarray:
-    """Per-path pre-compensation delays kappa_l = max(n) - n_l.
-
-    Distinct channel delays give pairwise distinct kappa, which is what makes
-    the aligned streams mutually uncorrelated for sensing.
-    """
-    delays = np.asarray(path_delays, dtype=int)
-    if delays.ndim != 1 or delays.size < 1:
-        raise ValueError("path_delays must be a non-empty 1-D array")
-    if np.any(delays < 0):
-        raise ValueError("path delays must be non-negative")
-    if not _distinct(delays):
-        raise ValueError("path delays must be pairwise distinct")
-    return delays.max() - delays
-
-
 @dataclass
 class DamBeamformer:
     """Per-path beamformers with their delay pre-compensation schedule.
@@ -119,10 +102,14 @@ class DamBeamformer:
     def aligned(cls, beam_matrix, path_delays) -> "DamBeamformer":
         """Bind beams to a channel's delays via kappa_l = n_max - n_l.
 
-        __post_init__ checks the schedule, once: kappa is distinct exactly
-        when the delays are, and a negative delay puts some kappa_l above n_max.
+        This is the one place the schedule is computed. Distinct delays give
+        pairwise distinct kappa, which makes the aligned streams mutually
+        uncorrelated for sensing; __post_init__ checks that, once, since kappa
+        is distinct exactly when the delays are.
         """
         delays = np.asarray(path_delays, dtype=int)
+        if np.any(delays < 0):
+            raise ValueError("path delays must be non-negative")
         n_max = int(delays.max())
         return cls(beam_matrix, n_max - delays, n_max)
 
@@ -151,41 +138,6 @@ def projected_dam_block(block: SymbolBlock, bf: DamBeamformer, theta: float) -> 
     a = steering_vector(theta, bf.num_antennas)
     return (np.conj(a) @ bf.beam_matrix) @ delayed_symbol_matrix(block.symbols,
                                                                  bf.delay_schedule)
-
-
-def transmit_power(bf: DamBeamformer) -> float:
-    """Average transmit power sum_l ||f_l||^2 for unit-power symbols."""
-    return float(np.sum(np.abs(bf.beam_matrix) ** 2))
-
-
-def comm_snr(bf: DamBeamformer, channel: MultipathChannel, noise_power: float) -> float:
-    """Post-alignment receive SNR |sum_l h_l^H f_l|^2 / sigma^2."""
-    _check_bound(bf, channel)
-    gain = np.sum(np.conj(channel.path_vectors) * bf.beam_matrix.T)
-    return float(np.abs(gain) ** 2 / noise_power)
-
-
-def decompose_received(bf: DamBeamformer, channel: MultipathChannel,
-                       block: SymbolBlock):
-    """Split the noiseless received sequence into aligned term and residual ISI.
-
-    Returns (desired, isi): desired[n] = (sum_l h_l^H f_l) s[n - n_max]; the
-    residual collects every cross pairing h_l^H f_l' at lag kappa_l' + n_l.
-    Their sum reproduces apply_comm_channel at zero noise exactly.
-    """
-    _check_bound(bf, channel)
-    s = block.symbols
-    gain = np.sum(np.conj(channel.path_vectors) * bf.beam_matrix.T)
-    desired = gain * _shift_zero_prefix(s, bf.n_max)
-    isi = np.zeros_like(desired)
-    cross = np.conj(channel.path_vectors) @ bf.beam_matrix  # (L, L): [l, l'] = h_l^H f_l'
-    for l in range(channel.num_paths):
-        for lp in range(channel.num_paths):
-            if lp == l:
-                continue
-            lag = int(bf.delay_schedule[lp] + channel.path_delays[l])
-            isi += cross[l, lp] * _shift_zero_prefix(s, lag)
-    return desired, isi
 
 
 def _array_power(tx_block: np.ndarray) -> np.ndarray:
@@ -222,11 +174,3 @@ def dam_papr(block: SymbolBlock, bf: DamBeamformer) -> float:
     """
     r = np.linalg.qr(bf.beam_matrix, mode="r")
     return papr_empirical(build_dam_block(block, DamBeamformer(r, bf.delay_schedule, bf.n_max)))
-
-
-def _check_bound(bf: DamBeamformer, channel: MultipathChannel) -> None:
-    if bf.num_antennas != channel.num_antennas or bf.num_paths != channel.num_paths:
-        raise ValueError("beamformer shape does not match the channel")
-    expected = assign_delays(channel.path_delays)
-    if not np.array_equal(expected, bf.delay_schedule):
-        raise ValueError("beamformer delay schedule is not aligned to this channel")

@@ -16,7 +16,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 from scipy.signal import find_peaks
 
-from damisac.beamforming import IsacProblem, isi_zf_mrt_beamformer, solve_batch
+from damisac.beamforming import IsacProblem, solve_batch
 from damisac.channel import (
     ChannelGenConfig,
     MultipathChannel,
@@ -39,7 +39,6 @@ from damisac.ofdm import (
 )
 from damisac.sensing import (
     SensingGrid,
-    correlation_matrix,
     dam_ambiguity_limits,
     delay_doppler_map,
     estimate_delay_doppler,
@@ -49,15 +48,13 @@ from damisac.sensing import (
 )
 from damisac.waveform import (
     DamBeamformer,
-    assign_delays,
     build_dam_block,
-    comm_snr,
     generate_symbols,
     papr_empirical,
-    transmit_power,
 )
 
 from beam_peaks import find_beam_peaks
+from dam_oracle import correlation_matrix
 from zf_oracle import nullspace_projector
 
 
@@ -111,7 +108,8 @@ def test_01_scenario_constants_chain():
 
 def test_02_stream_correlation_decay():
     with _gate(2, "aligned-stream correlation decay"):
-        kappa = assign_delays(np.array([0, 3, 7, 12, 20]))
+        kappa = DamBeamformer.aligned(np.ones((1, 5)),
+                                      np.array([0, 3, 7, 12, 20])).delay_schedule
         mask = ~np.eye(kappa.size, dtype=bool)
 
         def averaged_peak_offdiag(n: int) -> float:
@@ -157,7 +155,7 @@ def test_03_sensing_snr_monte_carlo():
             noise = np.mean(np.abs(draws @ np.conj(tmpl)) ** 2)
             return float(signal / noise)
 
-        bf = isi_zf_mrt_beamformer(channel, power)
+        bf = IsacProblem(channel, theta, alpha, n, power, sigma2).mrt
         predicted = sensing_snr(bf.beam_matrix, theta, alpha, n, sigma2)
         gap_db = 10.0 * np.log10(measured_peak_snr(bf) / predicted)
         assert abs(gap_db) < 0.5
@@ -187,8 +185,7 @@ def test_04_zero_forcing_residuals():
                 problem = IsacProblem(channel, theta, 1.0, sc.data_length,
                                       sc.transmit_power_w, 1.0)
                 sol = problem.solve(0.5 * problem.gamma_zf_max)
-                designs = [isi_zf_mrt_beamformer(channel, sc.transmit_power_w),
-                           problem.sensing, sol.beamformer]
+                designs = [problem.mrt, problem.sensing, sol.beamformer]
                 h = channel.path_vectors
                 h_norms = np.linalg.norm(h, axis=1)
                 for bf in designs:
@@ -280,9 +277,9 @@ def test_05_trade_off_solver_quality():
             problem = IsacProblem(channel, theta, gain, n_block, power, noise)
 
             # zero floor reproduces the interference-free closed form
+            # P sum_l ||Q_l h_l||^2 / sigma^2, from the nullspace projectors
             sol0 = problem.solve(0.0)
-            closed = comm_snr(isi_zf_mrt_beamformer(channel, power), channel,
-                              noise)
+            closed = power * np.linalg.norm(_problem_matrices(channel, theta)[0]) ** 2 / noise
             assert sol0.gamma_c == pytest.approx(closed, rel=1e-12)
 
             # mid floor: within 1e-8 of an independently computed dual
@@ -485,11 +482,12 @@ def test_08_aligned_vs_ofdm():
             ch = MultipathChannel(
                 complex_normal(rng_c, (num_paths_c, 64), 1.0 / num_paths_c),
                 np.arange(num_paths_c) * 3)
-            bf_c = isi_zf_mrt_beamformer(ch, 1.0)
+            bf_c = IsacProblem(ch, 0.3, 1.0, 8192, 1.0, 1.0).mrt
             tx_c = build_dam_block(generate_symbols(rng_c, 8192, "qpsk"), bf_c)
             papr_dam = papr_empirical(tx_c)
             peak_inst = np.max(np.sum(np.abs(tx_c) ** 2, axis=0))
-            assert peak_inst <= num_paths_c * transmit_power(bf_c) * (1 + 1e-12)
+            budget = np.sum(np.abs(bf_c.beam_matrix) ** 2)       # sum_l ||f_l||^2
+            assert peak_inst <= num_paths_c * budget * (1 + 1e-12)
             for k_c in (64, 256, 1024):
                 i_c = max(8, 8192 // k_c)
                 grid_c = generate_symbols(rng_c, k_c * i_c, "qpsk").symbols.reshape(
@@ -505,7 +503,7 @@ def test_08_aligned_vs_ofdm():
         bf_adv = DamBeamformer.aligned(f_adv, np.arange(5))
         tx_adv = build_dam_block(generate_symbols(rng_c, 8192, "qpsk"), bf_adv)
         peak_adv = np.max(np.sum(np.abs(tx_adv) ** 2, axis=0))
-        assert peak_adv <= 5 * transmit_power(bf_adv) * (1 + 1e-12)
+        assert peak_adv <= 5 * np.sum(np.abs(f_adv) ** 2) * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------

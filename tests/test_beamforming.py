@@ -11,18 +11,16 @@ from damisac import (
     IsacProblem,
     MultipathChannel,
     ScenarioConfig,
-    comm_snr,
     complex_normal,
     generate_multipath_channel,
-    isi_zf_mrt_beamformer,
     sensing_snr,
     max_sensing_snr,
     solve_batch,
     steering_vector,
-    verify_solution,
 )
 from damisac.beamforming import _zf_project
-from zf_oracle import nullspace_projector
+from dam_oracle import aligned_gain
+from zf_oracle import nullspace_projector, zf_mrt
 
 N_BLOCK = 1024
 SIGMA2 = 0.5
@@ -32,6 +30,11 @@ THETA = 0.4
 
 def random_channel(rng, m, l):
     return MultipathChannel(complex_normal(rng, (l, m)), np.arange(l))
+
+
+def comm_snr(bf, ch):
+    """|sum_l h_l^H f_l|^2 / sigma^2, from the beams alone."""
+    return np.abs(aligned_gain(bf, ch)) ** 2 / SIGMA2
 
 
 # ------------------------------------------------------------------ projectors
@@ -87,8 +90,6 @@ def test_projector_needs_enough_antennas():
 def test_designs_need_enough_antennas():
     ch = random_channel(np.random.default_rng(3), 2, 3)
     message = r"needs num_antennas >= num_paths \(2 < 3\)"
-    with pytest.raises(InfeasibleError, match=message):
-        isi_zf_mrt_beamformer(ch, 1.0)
     with pytest.raises(InfeasibleError, match=message):
         IsacProblem(ch, THETA, GAIN, N_BLOCK, 1.0, SIGMA2)
 
@@ -152,21 +153,25 @@ def test_mrt_single_path_closed_form():
     ch = random_channel(rng, 6, 1)
     h = ch.path_vectors[0]
     p = 2.0
-    bf = isi_zf_mrt_beamformer(ch, p)
-    assert np.allclose(bf.beam_matrix[:, 0], np.sqrt(p) * h / np.linalg.norm(h))
-    assert comm_snr(bf, ch, SIGMA2) == pytest.approx(
-        p * np.linalg.norm(h) ** 2 / SIGMA2)
+    problem = IsacProblem(ch, THETA, GAIN, N_BLOCK, p, SIGMA2)
+    assert np.allclose(problem.mrt.beam_matrix[:, 0], np.sqrt(p) * h / np.linalg.norm(h))
+    assert problem.solve(0.0).gamma_c == pytest.approx(p * np.linalg.norm(h) ** 2 / SIGMA2)
 
 
 def test_mrt_zero_forcing_and_power_exact():
+    # the package's MRT, from the projection the set-up computes, is the
+    # oracle's, built one projector per path
     rng = np.random.default_rng(6)
     ch = random_channel(rng, 8, 4)
     p = 3.0
-    bf = isi_zf_mrt_beamformer(ch, p)
+    bf = IsacProblem(ch, THETA, GAIN, N_BLOCK, p, SIGMA2).mrt
     cross = np.conj(ch.path_vectors) @ bf.beam_matrix
     off = cross - np.diag(np.diag(cross))
     assert np.max(np.abs(off)) < 1e-10 * np.max(np.abs(cross))
     assert np.sum(np.abs(bf.beam_matrix) ** 2) == pytest.approx(p, rel=1e-12)
+    want = zf_mrt(ch, p)
+    assert np.linalg.norm(bf.beam_matrix - want.beam_matrix) <= 1e-12 * np.sqrt(p)
+    assert np.array_equal(bf.delay_schedule, want.delay_schedule) and bf.n_max == want.n_max
 
 
 def test_mrt_snr_formula():
@@ -176,8 +181,34 @@ def test_mrt_snr_formula():
     expected = p * sum(
         np.linalg.norm(nullspace_projector(ch, l) @ ch.path_vectors[l]) ** 2
         for l in range(3)) / SIGMA2
-    bf = isi_zf_mrt_beamformer(ch, p)
-    assert comm_snr(bf, ch, SIGMA2) == pytest.approx(expected, rel=1e-10)
+    problem = IsacProblem(ch, THETA, GAIN, N_BLOCK, p, SIGMA2)
+    assert comm_snr(problem.mrt, ch) == pytest.approx(expected, rel=1e-10)
+    assert comm_snr(zf_mrt(ch, p), ch) == pytest.approx(expected, rel=1e-10)
+
+
+def test_mrt_matches_the_oracle_on_every_oracle_channel():
+    # the default channels at L = 5 and 10 and the rank-deficient edge cases
+    for ch in oracle_channels():
+        bf = IsacProblem(ch, THETA, GAIN, N_BLOCK, 1.0, SIGMA2).mrt
+        want = zf_mrt(ch, 1.0)
+        assert np.linalg.norm(bf.beam_matrix - want.beam_matrix) <= 1e-12
+        assert np.array_equal(bf.delay_schedule, want.delay_schedule)
+
+
+def test_mrt_takes_the_set_up_projection_and_no_svd(monkeypatch):
+    # the set-up's one SVD gives c_l = Q_l h_l; the MRT scales it and runs no
+    # SVD of its own, and projecting a(theta) beside h leaves c bit for bit
+    rng = np.random.default_rng(11)
+    ch = random_channel(rng, 8, 4)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    problem = IsacProblem(ch, THETA, GAIN, N_BLOCK, 2.0, SIGMA2)
+    assert len(calls) == 1
+    bf = problem.mrt
+    assert len(calls) == 1
+    c = _zf_project(ch.path_vectors[None], ch.path_vectors[None])[0][0]
+    np.testing.assert_array_equal(bf.beam_matrix, np.sqrt(2.0 / np.sum(np.abs(c) ** 2)) * c.T)
 
 
 def test_mrt_dominates_random_zero_forcing_designs():
@@ -187,7 +218,7 @@ def test_mrt_dominates_random_zero_forcing_designs():
     for seed in range(50):
         rng = np.random.default_rng(seed)
         ch = random_channel(rng, m, l)
-        best = comm_snr(isi_zf_mrt_beamformer(ch, p), ch, SIGMA2)
+        best = solve(ch, 0.0, p).gamma_c
         g = complex_normal(rng, (draws, l, m))
         q_stack = np.stack([nullspace_projector(ch, i) for i in range(l)])
         f = np.einsum("lmn,sln->slm", q_stack, g)
@@ -200,8 +231,8 @@ def test_mrt_dominates_random_zero_forcing_designs():
 
 def test_mrt_rejects_bad_power():
     rng = np.random.default_rng(8)
-    with pytest.raises(ValueError):
-        isi_zf_mrt_beamformer(random_channel(rng, 4, 2), 0.0)
+    with pytest.raises(ValueError, match="power must be positive"):
+        IsacProblem(random_channel(rng, 4, 2), THETA, GAIN, N_BLOCK, 0.0, SIGMA2)
 
 
 def test_sensing_zf_below_ceiling_many_seeds():
@@ -267,6 +298,25 @@ def test_sensing_zf_ceiling_is_exact():
         assert problem.solve(gamma_zf * (1 + 1e-6)).status == "infeasible"
 
 
+def test_sensing_design_puts_all_power_on_the_strongest_response():
+    # the design at the ceiling is one column sqrt(P) g_l / ||g_l|| at the
+    # strongest projected target response g_l = Q_l a, and the other columns 0
+    a = steering_vector(THETA, 6)
+    for seed in range(5):
+        ch = random_channel(np.random.default_rng(60 + seed), 6, 3)
+        problem = IsacProblem(ch, THETA, GAIN, N_BLOCK, 1.5, SIGMA2)
+        g = np.stack([nullspace_projector(ch, l) @ a for l in range(3)])
+        top = np.argmax(np.linalg.norm(g, axis=1))
+        want = np.zeros((6, 3), dtype=complex)
+        want[:, top] = np.sqrt(1.5) * g[top] / np.linalg.norm(g[top])
+        f = problem.sensing.beam_matrix
+        assert np.linalg.norm(f - want) <= 1e-12
+        at = problem.solve(problem.gamma_zf_max)
+        np.testing.assert_array_equal(f, at.beamformer.beam_matrix)
+        assert at.iterations == 0
+        assert at.gamma_p == pytest.approx(problem.gamma_zf_max, rel=1e-12)
+
+
 # ------------------------------------------------------------------- trade-off
 
 def zf_ceiling(ch):
@@ -281,11 +331,13 @@ def test_solve_zero_threshold_recovers_mrt():
     rng = np.random.default_rng(20)
     ch = random_channel(rng, 6, 3)
     sol = solve(ch, 0.0)
-    mrt = comm_snr(isi_zf_mrt_beamformer(ch, 1.0), ch, SIGMA2)
+    mrt = comm_snr(zf_mrt(ch, 1.0), ch)
     assert sol.status == "optimal"
     assert sol.iterations == 0        # MRT meets the floor: lambda = 0
     assert sol.gamma_c == pytest.approx(mrt, rel=1e-12)
     assert sol.dual_bound == pytest.approx(mrt, rel=1e-12)
+    assert np.allclose(sol.beamformer.beam_matrix, zf_mrt(ch, 1.0).beam_matrix,
+                       rtol=0, atol=1e-12)
 
 
 def test_solve_boundary_threshold_is_sensing_limited():
@@ -293,12 +345,12 @@ def test_solve_boundary_threshold_is_sensing_limited():
     ch = random_channel(rng, 6, 3)
     gamma_zf = zf_ceiling(ch)
     sol = solve(ch, gamma_zf)
-    mrt = comm_snr(isi_zf_mrt_beamformer(ch, 1.0), ch, SIGMA2)
+    mrt = comm_snr(zf_mrt(ch, 1.0), ch)
     bf_sens = IsacProblem(ch, THETA, GAIN, N_BLOCK, 1.0, SIGMA2).sensing
     assert sol.status == "optimal"
     assert sol.gamma_c <= mrt * (1 + 1e-9)
     assert sol.gamma_p == pytest.approx(gamma_zf, rel=1e-12)
-    assert sol.gamma_c == pytest.approx(comm_snr(bf_sens, ch, SIGMA2), rel=1e-12)
+    assert sol.gamma_c == pytest.approx(comm_snr(bf_sens, ch), rel=1e-12)
 
 
 def test_solution_gap_to_dual_bound():
@@ -318,10 +370,9 @@ def test_solution_gap_to_dual_bound():
             assert sol.status == "optimal"
             assert sol.dual_bound - sol.gamma_c <= 1e-8 * sol.dual_bound
             assert sol.gamma_c <= sol.dual_bound * (1 + 1e-14)
-            rep = sol.report
-            assert rep.power_used <= 1.0 * (1 + 1e-12)
-            assert rep.gamma_p >= gamma_th * (1 - 1e-12)
-            assert rep.zf_residual < 1e-10 * np.max(np.abs(h))
+            assert sol.power_used <= 1.0 * (1 + 1e-12)
+            assert sol.gamma_p >= gamma_th * (1 - 1e-12)
+            assert sol.zf_residual < 1e-10 * np.max(np.abs(h))
 
 
 def test_solution_when_the_channel_misses_the_target():
@@ -333,7 +384,7 @@ def test_solution_when_the_channel_misses_the_target():
     # recomputed gamma_c by about 1e-16 / sqrt(rho) relative.
     ch = MultipathChannel(np.array([[1.0, -1.0]]), np.arange(1))
     problem = IsacProblem(ch, 0.0, GAIN, N_BLOCK, 1.0, SIGMA2)
-    mrt = comm_snr(isi_zf_mrt_beamformer(ch, 1.0), ch, SIGMA2)
+    mrt = comm_snr(zf_mrt(ch, 1.0), ch)
     for frac in (0.25, 0.5, 0.9, 0.999999):
         gamma_th = frac * problem.gamma_zf_max
         sol = problem.solve(gamma_th)
@@ -383,8 +434,9 @@ def test_solve_matches_random_search():
 def test_solve_rejects_negative_threshold():
     rng = np.random.default_rng(23)
     ch = random_channel(rng, 4, 2)
-    with pytest.raises(ValueError):
-        solve(ch, -1.0)
+    for gamma_th in (-1.0, np.nan):
+        with pytest.raises(ValueError, match=">= 0"):
+            solve(ch, gamma_th)
 
 
 def test_solve_above_ceiling_is_infeasible():
@@ -395,6 +447,8 @@ def test_solve_above_ceiling_is_infeasible():
     assert sol.beamformer is None
     assert np.isnan(sol.gamma_c) and np.isnan(sol.gamma_p)
     assert np.isnan(sol.dual_bound)
+    assert np.isnan(sol.zf_residual) and np.isnan(sol.power_used)
+    assert sol.iterations == 0
 
 
 def test_solve_tradeoff_monotone_in_threshold():
@@ -432,14 +486,40 @@ def test_solve_batch_rows_match_one_row_solves():
             one = problem.solve(gamma_th)
             assert batch.feasible[i, j] == (one.status == "optimal")
             assert batch.iterations[i, j] == one.iterations
-            for name in ("gamma_c", "gamma_p", "dual_bound"):
+            for name in ("gamma_c", "gamma_p", "dual_bound", "zf_residual", "power_used"):
                 np.testing.assert_array_equal(getattr(batch, name)[i, j], getattr(one, name))
             if one.status == "optimal":
                 assert one.dual_bound - one.gamma_c <= 1e-8 * one.dual_bound
-                assert batch.zf_residual[i, j] == one.report.zf_residual
-                assert batch.power_used[i, j] == one.report.power_used
             else:
                 assert np.isnan(batch.zf_residual[i, j]) and np.isnan(batch.power_used[i, j])
+
+
+def test_solve_equals_its_batch_row_on_default_channels():
+    # a one-row solve is the stack-of-one case of solve_batch: every field
+    # is the row's bit for bit, at L = 5 and 10, at every exit, in a stack of
+    # eight, and its beamformer has the audit it reports
+    sc = ScenarioConfig.mmwave_default()
+    fracs = np.array([0.0, 0.3, 0.9, 0.999999, 1.0, 1.0 + 1e-9])
+    for num_paths in (5, 10):
+        gen = ChannelGenConfig(num_paths=num_paths)
+        channels = [generate_multipath_channel(sc, gen, np.random.default_rng(70 + seed))
+                    for seed in range(8)]
+        problems = [IsacProblem(ch, THETA, GAIN, N_BLOCK, 1.0, SIGMA2) for ch in channels]
+        floors = np.array([fracs * p.gamma_zf_max for p in problems])
+        batch = solve_batch(channels, THETA, GAIN, N_BLOCK, 1.0, SIGMA2, floors)
+        for i, (ch, problem) in enumerate(zip(channels, problems)):
+            for j, gamma_th in enumerate(floors[i]):
+                one = problem.solve(gamma_th)
+                assert batch.feasible[i, j] == (one.status == "optimal")
+                for name in ("gamma_c", "gamma_p", "dual_bound", "iterations",
+                             "zf_residual", "power_used"):
+                    np.testing.assert_array_equal(getattr(batch, name)[i, j],
+                                                  getattr(one, name))
+                if one.status == "optimal":
+                    residual, power, gamma_c, gamma_p = audit_oracle(one.beamformer, ch)
+                    assert one.power_used == pytest.approx(power, rel=1e-12)
+                    assert one.gamma_c == pytest.approx(gamma_c, rel=1e-12)
+                    assert one.gamma_p == pytest.approx(gamma_p, rel=1e-12)
 
 
 def test_solve_batch_raises_the_error_of_a_channel_with_no_design():
@@ -459,34 +539,52 @@ def test_solve_batch_rejects_mixed_path_counts_and_negative_floors():
     channels = [random_channel(rng, 4, l) for l in (1, 2)]
     with pytest.raises(ValueError, match="one path count"):
         solve_batch(channels, THETA, GAIN, N_BLOCK, 1.0, SIGMA2, [0.0])
-    with pytest.raises(ValueError, match=">= 0"):
-        solve_batch(channels[:1], THETA, GAIN, N_BLOCK, 1.0, SIGMA2, [1.0, -1.0])
+    for floors in ([1.0, -1.0], [np.nan]):
+        with pytest.raises(ValueError, match=">= 0"):
+            solve_batch(channels[:1], THETA, GAIN, N_BLOCK, 1.0, SIGMA2, floors)
 
 
 # ----------------------------------------------------------------------- audit
 
-def test_verify_solution_on_mrt():
+def audit_oracle(bf, ch):
+    """Each constraint recomputed from the beams, one path pair at a time:
+    the zero-forcing residual max_{l != l'} |h_l^H f_l'|, the power, gamma_c
+    and gamma_p."""
+    h, f = ch.path_vectors, bf.beam_matrix
+    pairs = [(l, k) for l in range(ch.num_paths) for k in range(ch.num_paths) if l != k]
+    residual = max((abs(np.vdot(h[l], f[:, k])) for l, k in pairs), default=0.0)
+    power = sum(np.linalg.norm(f[:, k]) ** 2 for k in range(ch.num_paths))
+    return (residual, power, comm_snr(bf, ch),
+            sensing_snr(f, THETA, GAIN, N_BLOCK, SIGMA2))
+
+
+def test_solution_audit_on_mrt():
+    # floor 0: the design is MRT, and the audit reads its power, zero
+    # leakage and SNRs
     rng = np.random.default_rng(26)
     ch = random_channel(rng, 6, 3)
     p = 2.0
-    bf = isi_zf_mrt_beamformer(ch, p)
-    rep = verify_solution(bf, ch, THETA, GAIN, N_BLOCK, 0.0, p, SIGMA2)
-    assert rep.zf_residual < 1e-10 * np.max(np.abs(ch.path_vectors))
-    assert rep.power_used == pytest.approx(p, rel=1e-12)
-    assert abs(rep.power_slack) < 1e-9 * p
-    assert rep.gamma_c == pytest.approx(comm_snr(bf, ch, SIGMA2), rel=1e-12)
-    assert rep.gamma_p == pytest.approx(
-        sensing_snr(bf.beam_matrix, THETA, GAIN, N_BLOCK, SIGMA2), rel=1e-12)
-    assert rep.sensing_slack == pytest.approx(rep.gamma_p)
+    sol = solve(ch, 0.0, p)
+    residual, power, gamma_c, gamma_p = audit_oracle(sol.beamformer, ch)
+    assert sol.zf_residual < 1e-10 * np.max(np.abs(ch.path_vectors))
+    assert residual < 1e-10 * np.max(np.abs(ch.path_vectors))
+    assert sol.power_used == pytest.approx(p, rel=1e-12)
+    assert sol.power_used == pytest.approx(power, rel=1e-12)
+    assert sol.gamma_c == pytest.approx(gamma_c, rel=1e-12)
+    assert sol.gamma_c == pytest.approx(comm_snr(zf_mrt(ch, p), ch), rel=1e-12)
+    assert sol.gamma_p == pytest.approx(gamma_p, rel=1e-12)
 
 
-def test_verify_solution_audits_sca_result():
+def test_solution_audit_recomputes_the_constraints():
     rng = np.random.default_rng(27)
     ch = random_channel(rng, 6, 3)
     gamma_th = 0.7 * zf_ceiling(ch)
     sol = solve(ch, gamma_th)
-    rep = sol.report
-    assert rep.zf_residual < 1e-10 * np.max(np.abs(ch.path_vectors))
-    assert rep.power_used <= 1.0 * (1 + 1e-12)
-    assert rep.gamma_p >= gamma_th * (1 - 1e-12)
-    assert sol.gamma_c == rep.gamma_c and sol.gamma_p == rep.gamma_p
+    residual, power, gamma_c, gamma_p = audit_oracle(sol.beamformer, ch)
+    assert sol.zf_residual < 1e-10 * np.max(np.abs(ch.path_vectors))
+    assert residual < 1e-10 * np.max(np.abs(ch.path_vectors))
+    assert sol.power_used <= 1.0 * (1 + 1e-12)
+    assert sol.power_used == pytest.approx(power, rel=1e-12)
+    assert sol.gamma_p >= gamma_th * (1 - 1e-12)
+    assert sol.gamma_c == pytest.approx(gamma_c, rel=1e-12)
+    assert sol.gamma_p == pytest.approx(gamma_p, rel=1e-12)

@@ -3,7 +3,7 @@ oracles, and the round-trip radar gain."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from damisac import (

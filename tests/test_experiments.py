@@ -20,7 +20,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from damisac import (
-    ChannelGenConfig,
     ConfigError,
     DamBeamformer,
     ExperimentConfig,
@@ -31,14 +30,11 @@ from damisac import (
     SensingGrid,
     apply_radar_channel,
     build_dam_block,
-    comm_snr,
     complex_normal,
-    correlation_matrix,
     delay_doppler_map,
     estimate_delay_doppler,
     generate_multipath_channel,
     generate_symbols,
-    isi_zf_mrt_beamformer,
     load_config,
     matched_filter_template,
     ofdm_delay_doppler_estimate,
@@ -59,7 +55,9 @@ from damisac.experiments import _SCHEMA, _pattern_db
 from scipy.signal import find_peaks
 
 from beam_peaks import find_beam_peaks
+from dam_oracle import aligned_gain, correlation_matrix
 from se_sweep_oracle import se_sweep_rows
+from zf_oracle import zf_mrt
 
 EXPERIMENTS = ("beampattern", "se-sweep", "dd-map", "ofdm-compare")
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -396,8 +394,8 @@ def test_se_sweep_zero_threshold_equals_mrt(tmp_path):
     se = []
     for trial in range(cfg.trials):
         channel = generate_multipath_channel(s, gen, cfg.rng(0, 0, trial))
-        bf = isi_zf_mrt_beamformer(channel, s.transmit_power_w)
-        gamma = comm_snr(bf, channel, s.noise_power_w)
+        bf = zf_mrt(channel, s.transmit_power_w)
+        gamma = np.abs(aligned_gain(bf, channel)) ** 2 / s.noise_power_w
         se.append(s.data_length / s.block_length * np.log2(1.0 + gamma))
     assert row["mean_se_bps_hz"] == pytest.approx(np.mean(se), rel=1e-9)
 
@@ -933,13 +931,13 @@ print(json.dumps({"codes": codes, "scipy": loaded}))
 """
 
 
-def _run_experiments_in_fresh_interpreter(script, tmp_path):
+def _run_experiments_in_fresh_interpreter(script, tmp_path, out="out", **env_vars):
     config = write_config(tmp_path, {"experiment": {"mc_block_length": 1024}})
-    env = dict(os.environ)
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(README.parent / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", script, str(config),
-                           str(tmp_path / "out"), *EXPERIMENTS],
+                           str(tmp_path / out), *EXPERIMENTS],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc
@@ -985,6 +983,18 @@ def test_runs_never_import_numpy_ma(tmp_path):
     # step of the survey pipeline may need it
     proc = _run_experiments_in_fresh_interpreter(WITHOUT_NUMPY_MA, tmp_path)
     assert proc.stdout.splitlines()[-1] == f"{dict.fromkeys(EXPERIMENTS, 0)} True"
+
+
+def test_csvs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # every CSV, the solver's included, is byte-identical at one and at two
+    # OpenBLAS threads; the variable must be set before numpy loads
+    for threads in ("1", "2"):
+        _run_experiments_in_fresh_interpreter(WITHOUT_SCIPY, tmp_path, f"out{threads}",
+                                              OPENBLAS_NUM_THREADS=threads)
+    names = sorted(os.listdir(tmp_path / "out1"))
+    assert len(names) == 5 and names == sorted(os.listdir(tmp_path / "out2"))
+    for name in names:
+        assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
 
 
 def test_cli_infeasible_target_exits_2(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Transmit block construction tests: delay schedules, block assembly oracle,
-power/SNR bookkeeping, ISI decomposition, and PAPR."""
+communication SNR, ISI decomposition, and PAPR."""
 
 import numpy as np
 import pytest
@@ -8,26 +8,30 @@ from hypothesis import strategies as st
 
 from damisac import (
     DamBeamformer,
+    IsacProblem,
     MultipathChannel,
     apply_comm_channel,
-    assign_delays,
     build_dam_block,
-    comm_snr,
     complex_normal,
     dam_papr,
-    decompose_received,
     delayed_symbol_matrix,
     generate_symbols,
-    isi_zf_mrt_beamformer,
     papr_empirical,
     projected_dam_block,
     steering_vector,
-    transmit_power,
 )
+
+from dam_oracle import aligned_gain, decompose_received
 
 
 def random_channel(rng, m, l, delays):
     return MultipathChannel(complex_normal(rng, (l, m)), np.asarray(delays))
+
+
+def mrt_problem(ch, power, noise_power=1.0):
+    """The trade-off problem whose `mrt` and floor-0 solve are the package's
+    leakage-free MRT; the target direction and gain do not enter them."""
+    return IsacProblem(ch, 0.3, 1.0, 1024, power, noise_power)
 
 
 def dam_block_loop_oracle(symbols, beam_matrix, kappa):
@@ -43,22 +47,20 @@ def dam_block_loop_oracle(symbols, beam_matrix, kappa):
 
 # -------------------------------------------------------------- delay schedule
 
-def test_assign_delays_examples():
-    assert np.array_equal(assign_delays([3, 7, 10]), [7, 3, 0])
-    assert np.array_equal(assign_delays([0]), [0])
-    assert np.array_equal(assign_delays([0, 5]), [5, 0])
+def aligned_schedule(delays):
+    return DamBeamformer.aligned(np.ones((2, len(delays))), delays).delay_schedule
 
 
-def test_assign_delays_rejects_duplicates():
-    for delays in ([2, 2, 5], [5, 2, 5], [0, 3, 7, 3]):
-        with pytest.raises(ValueError, match="pairwise distinct"):
-            assign_delays(delays)
-    assert np.array_equal(assign_delays([6]), [0])
+def test_aligned_schedule_examples():
+    assert np.array_equal(aligned_schedule([3, 7, 10]), [7, 3, 0])
+    assert np.array_equal(aligned_schedule([0]), [0])
+    assert np.array_equal(aligned_schedule([0, 5]), [5, 0])
+    assert np.array_equal(aligned_schedule([6]), [0])
 
 
 @given(st.lists(st.integers(0, 50), min_size=1, max_size=8, unique=True))
-def test_assign_delays_property(delays):
-    kappa = assign_delays(delays)
+def test_aligned_schedule_property(delays):
+    kappa = aligned_schedule(delays)
     assert np.array_equal(kappa, max(delays) - np.asarray(delays))
     assert len(np.unique(kappa)) == len(kappa)
     assert kappa.min() == 0
@@ -71,14 +73,15 @@ def test_beamformer_validates_schedule():
     with pytest.raises(ValueError):
         DamBeamformer(f, np.array([0, 3]), 2)
     # unsorted and non-adjacent repeats, given as a schedule or as delays
-    for delays in ([5, 2, 5], [0, 3, 7, 3]):
+    for delays in ([2, 2, 5], [5, 2, 5], [0, 3, 7, 3]):
         g = np.ones((4, len(delays)), dtype=complex)
         with pytest.raises(ValueError, match="pairwise distinct"):
             DamBeamformer(g, np.array(delays), 7)
         with pytest.raises(ValueError, match="pairwise distinct"):
             DamBeamformer.aligned(g, delays)
-    with pytest.raises(ValueError):
-        DamBeamformer.aligned(f, [-1, 3])
+    for delays in ([-1, 3], [-1, 0]):
+        with pytest.raises(ValueError, match="path delays must be non-negative"):
+            DamBeamformer.aligned(f, delays)
     bf = DamBeamformer.aligned(f, [2, 7])
     assert bf.n_max == 7
     assert np.array_equal(bf.delay_schedule, [5, 0])
@@ -153,53 +156,18 @@ def test_block_equals_matrix_product():
     assert np.allclose(build_dam_block(sym, bf), f @ stacked)
 
 
-# ----------------------------------------------------------------- power / SNR
-
-def test_transmit_power_steered_split():
-    from damisac import steering_vector
-    m, l, p = 8, 4, 2.5
-    a = steering_vector(0.4, m)
-    f = np.sqrt(p / (m * l)) * np.tile(a[:, None], (1, l))
-    bf = DamBeamformer.aligned(f, np.arange(l))
-    assert transmit_power(bf) == pytest.approx(p)
-
-
-def test_transmit_power_scalar_loop():
-    rng = np.random.default_rng(7)
-    f = complex_normal(rng, (5, 3))
-    bf = DamBeamformer.aligned(f, [0, 1, 2])
-    acc = 0.0
-    for col in range(3):
-        for row in range(5):
-            acc += abs(f[row, col]) ** 2
-    assert transmit_power(bf) == pytest.approx(acc)
-    zero = DamBeamformer.aligned(np.zeros((5, 3)), [0, 1, 2])
-    assert transmit_power(zero) == 0.0
-
+# ----------------------------------------------------------------------- SNR
 
 def test_comm_snr_single_path_matched_filter():
+    # one path leaves nothing to null: the floor-0 design is h / ||h|| at full
+    # power, and its audited SNR is P ||h||^2 / sigma^2
     rng = np.random.default_rng(8)
     h = complex_normal(rng, (1, 6))
     ch = MultipathChannel(h, np.array([0]))
     p, sigma2 = 2.0, 0.01
-    f = np.sqrt(p) * h.T / np.linalg.norm(h)
-    bf = DamBeamformer.aligned(f, [0])
-    assert comm_snr(bf, ch, sigma2) == pytest.approx(
-        p * np.linalg.norm(h) ** 2 / sigma2)
-
-
-def test_comm_snr_zero_beamformer():
-    ch = random_channel(np.random.default_rng(9), 4, 2, [0, 3])
-    bf = DamBeamformer.aligned(np.zeros((4, 2)), ch.path_delays)
-    assert comm_snr(bf, ch, 1.0) == 0.0
-
-
-def test_comm_snr_requires_aligned_schedule():
-    rng = np.random.default_rng(10)
-    ch = random_channel(rng, 4, 2, [0, 3])
-    bf = DamBeamformer(complex_normal(rng, (4, 2)), np.array([0, 1]), 3)
-    with pytest.raises(ValueError):
-        comm_snr(bf, ch, 1.0)
+    sol = mrt_problem(ch, p, sigma2).solve(0.0)
+    assert np.allclose(sol.beamformer.beam_matrix, np.sqrt(p) * h.T / np.linalg.norm(h))
+    assert sol.gamma_c == pytest.approx(p * np.linalg.norm(h) ** 2 / sigma2)
 
 
 def test_comm_snr_matches_empirical():
@@ -207,18 +175,18 @@ def test_comm_snr_matches_empirical():
     # same deterministic gain; 2e4 noisy samples pin the SNR to ~0.05 dB.
     rng = np.random.default_rng(11)
     ch = random_channel(rng, 8, 3, [0, 2, 5])
-    bf = isi_zf_mrt_beamformer(ch, power=4.0)
     sigma2 = 0.5
+    sol = mrt_problem(ch, 4.0, sigma2).solve(0.0)
+    bf = sol.beamformer
     sym = generate_symbols(rng, 20_000, "qpsk")
     tx = build_dam_block(sym, bf)
     y = apply_comm_channel(ch, tx, sigma2, rng)
-    gain = np.sum(np.conj(ch.path_vectors) * bf.beam_matrix.T)
+    gain = aligned_gain(bf, ch)
     shifted = np.zeros_like(sym.symbols)
     shifted[bf.n_max:] = sym.symbols[:sym.length - bf.n_max]
     noise = y - gain * shifted
     measured = np.abs(gain) ** 2 / np.mean(np.abs(noise[bf.n_max:]) ** 2)
-    analytic = comm_snr(bf, ch, sigma2)
-    assert abs(10 * np.log10(measured / analytic)) < 0.2
+    assert abs(10 * np.log10(measured / sol.gamma_c)) < 0.2
 
 
 # --------------------------------------------------------------- decomposition
@@ -237,7 +205,7 @@ def test_decomposition_additivity():
 def test_zf_beamformer_has_no_isi():
     rng = np.random.default_rng(13)
     ch = random_channel(rng, 6, 3, [0, 1, 4])
-    bf = isi_zf_mrt_beamformer(ch, power=1.0)
+    bf = mrt_problem(ch, 1.0).mrt
     sym = generate_symbols(rng, 128, "qpsk")
     _, isi = decompose_received(bf, ch, sym)
     assert np.max(np.abs(isi)) < 1e-12
@@ -256,12 +224,12 @@ def test_alignment_impulse_peaks_at_common_lag():
     # a lone symbol at n=0 must arrive coherently at n_max from every path
     rng = np.random.default_rng(15)
     ch = random_channel(rng, 6, 3, [1, 3, 8])
-    bf = isi_zf_mrt_beamformer(ch, power=1.0)
+    bf = mrt_problem(ch, 1.0).mrt
     impulse = generate_symbols(rng, 20, "qpsk")
     impulse.symbols = np.zeros(20, dtype=complex)
     impulse.symbols[0] = 1.0
     y = apply_comm_channel(ch, build_dam_block(impulse, bf))
-    gain = np.sum(np.conj(ch.path_vectors) * bf.beam_matrix.T)
+    gain = aligned_gain(bf, ch)
     assert y[ch.max_delay] == pytest.approx(gain)
     others = np.delete(y, ch.max_delay)
     assert np.max(np.abs(others)) < 1e-12 * abs(gain)
@@ -271,7 +239,7 @@ def test_isi_power_union_bound():
     # perturbed ZF: residual power stays under L(L-1) * delta^2
     rng = np.random.default_rng(16)
     ch = random_channel(rng, 6, 3, [0, 2, 5])
-    bf = isi_zf_mrt_beamformer(ch, power=1.0)
+    bf = mrt_problem(ch, 1.0).mrt
     f = bf.beam_matrix + 1e-3 * complex_normal(rng, bf.beam_matrix.shape)
     bf2 = DamBeamformer.aligned(f, ch.path_delays)
     cross = np.conj(ch.path_vectors) @ f
@@ -299,7 +267,7 @@ def test_power_accounting_empirical():
     sym = generate_symbols(rng, 10_000, "qpsk")
     tx = build_dam_block(sym, bf)
     mean_power = np.mean(np.sum(np.abs(tx) ** 2, axis=0))
-    assert mean_power == pytest.approx(transmit_power(bf), rel=0.02)
+    assert mean_power == pytest.approx(np.sum(np.abs(bf.beam_matrix) ** 2), rel=0.02)
 
 
 # ----------------------------------------------------------------------- PAPR
@@ -316,7 +284,7 @@ def test_papr_generic_beams_below_path_count():
     rng = np.random.default_rng(19)
     l = 5
     ch = random_channel(rng, 16, l, np.arange(l))
-    bf = isi_zf_mrt_beamformer(ch, power=1.0)
+    bf = mrt_problem(ch, 1.0).mrt
     sym = generate_symbols(rng, 8192, "qpsk")
     assert papr_empirical(build_dam_block(sym, bf)) <= l
 
@@ -324,7 +292,6 @@ def test_papr_generic_beams_below_path_count():
 def test_papr_peak_power_exact_bound():
     # the deterministic content of the <= L claim: instantaneous power never
     # exceeds (sum_l ||f_l||)^2, reached only under full coherent alignment
-    from damisac import steering_vector
     rng = np.random.default_rng(20)
     l, m = 4, 8
     a = steering_vector(0.2, m)
@@ -335,7 +302,7 @@ def test_papr_peak_power_exact_bound():
     peak = np.max(np.sum(np.abs(tx) ** 2, axis=0))
     cap = np.sum(np.linalg.norm(f, axis=0)) ** 2
     assert peak <= cap * (1 + 1e-12)
-    assert cap == pytest.approx(l * transmit_power(bf))
+    assert cap == pytest.approx(l * np.sum(np.abs(f) ** 2))
 
 
 def test_papr_row_sum_is_the_axis_0_sum_bit_for_bit():
@@ -345,7 +312,7 @@ def test_papr_row_sum_is_the_axis_0_sum_bit_for_bit():
     rng = np.random.default_rng(21)
     ch = random_channel(rng, 16, 5, [0, 3, 4, 9, 11])
     dam = build_dam_block(generate_symbols(rng, 4096, "gaussian"),
-                          isi_zf_mrt_beamformer(ch, power=1.0))
+                          mrt_problem(ch, 1.0).mrt)
     scen = ScenarioConfig.from_timing(bandwidth_hz=1e8, carrier_frequency_hz=28e9,
                                       coherence_time_s=2560e-8, guard_time_s=16e-8,
                                       num_antennas=16, transmit_power_w=1.0,

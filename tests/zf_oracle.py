@@ -1,12 +1,13 @@
 """Per-path zero-forcing projectors built one SVD at a time, as a test oracle.
 
 The package computes every Q_l v from one SVD of the whole channel; the
-tests check it, and the projector identities, against this direct form.
+tests check it, the projector identities and the package's MRT design
+against this direct form.
 """
 
 import numpy as np
 
-from damisac import InfeasibleError, MultipathChannel
+from damisac import DamBeamformer, InfeasibleError, MultipathChannel
 
 
 def nullspace_projector(channel: MultipathChannel, path_index: int) -> np.ndarray:
@@ -32,3 +33,12 @@ def nullspace_projector(channel: MultipathChannel, path_index: int) -> np.ndarra
     basis = u[:, :rank]
     q = np.eye(m, dtype=complex) - basis @ np.conj(basis.T)
     return (q + np.conj(q.T)) / 2.0
+
+
+def zf_mrt(channel: MultipathChannel, power: float) -> DamBeamformer:
+    """The leakage-free MRT f_l = sqrt(P) Q_l h_l / sqrt(sum_l' ||Q_l' h_l'||^2),
+    each Q_l its own projector, bound to the channel's delays."""
+    c = np.stack([nullspace_projector(channel, l) @ h
+                  for l, h in enumerate(channel.path_vectors)])
+    return DamBeamformer.aligned(np.sqrt(power / np.sum(np.abs(c) ** 2)) * c.T,
+                                 channel.path_delays)
