@@ -17,7 +17,8 @@ variable lambda, and the dual value P lambda_max(h h^H + lambda A) - lambda
 gamma~ certifies it. In the basis of `IsacProblem` that matrix is rank-one
 plus diagonal, so its principal eigenvector has a closed form given by the
 secular equation (Golub, "Some modified matrix eigenvalue problems", SIAM
-Review 1973), and the search for lambda is a bisection on one scalar.
+Review 1973), and lambda takes a few Newton steps on one scalar (Li, LAPACK
+Working Note 89, 1994).
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ from .errors import InfeasibleError
 from .waveform import DamBeamformer
 from . import sensing as _sensing
 
-# Bisection steps on delta (see IsacProblem.solve); 60 halvings of the 2^62
-# doubles in [0, 1] leave a bracket 4 doubles wide.
-_BISECTION_STEPS = 60
+# Most steps on delta (IsacProblem.solve): 60 midpoints leave 4 of [0, 1]'s 2^62 doubles.
+_DELTA_STEPS = 60
 # Relative duality gap at which the search on delta stops early.
 _GAP_TOLERANCE = 1e-12
 
@@ -93,7 +93,7 @@ class IsacSolution:
     dual_bound is the dual value P lambda_max(h h^H + lambda A) - lambda gamma~
     at the final lambda, in communication-SNR units: an upper bound on every
     feasible gamma_c, so dual_bound - gamma_c bounds the optimality gap.
-    iterations counts the bisection steps on delta (see IsacProblem.solve);
+    iterations counts the Newton or midpoint steps on delta (IsacProblem.solve);
     it is 0 when a closed form gives the design. gamma_c, gamma_p,
     zf_residual and power_used are the audit of the beamformer, as in
     `BatchSolution`; an infeasible solve holds nan and no beamformer.
@@ -127,7 +127,7 @@ class BatchSolution:
     feasible: np.ndarray
 
 
-def _bisect(eta: np.ndarray, r: np.ndarray, rho: np.ndarray):
+def _search(eta: np.ndarray, r: np.ndarray, rho: np.ndarray):
     """The optimum's basis coordinates y for each row (eta, r, rho) at once.
 
     eta (unit-norm rows) and r are (R, L+1) arrays and rho has R entries; see
@@ -136,75 +136,74 @@ def _bisect(eta: np.ndarray, r: np.ndarray, rho: np.ndarray):
     dual value in units of P ||eta||^2 / sigma^2 and the delta steps, per row;
     y and the dual value are nan where rho < 0 (the floor is infeasible).
     """
-    y = np.full(eta.shape, np.nan, dtype=complex)
-    bound = np.full(rho.size, np.nan)
+    y, bound = np.full(eta.shape, np.nan, dtype=complex), np.full(rho.size, np.nan)
     steps = np.zeros(rho.size, dtype=int)
-    strongest = r == 0.0
+    strongest, mag = r == 0.0, np.abs(eta)
     top = np.argmax(strongest, axis=1)           # the sensing beam's response
-    mag = np.abs(eta)
 
     # rho = 0: the sensing beam, at the dual value as delta -> 0
     at = np.flatnonzero(rho == 0.0)
-    y[at] = 0.0
+    y[at], bound[at] = 0.0, mag[at, top[at]] ** 2
     y[at, top[at]] = 1.0
-    bound[at] = mag[at, top[at]] ** 2
-    # rho > 0: the floor reads slope . |y|^2 <= 0; MRT, y(1) = eta, if it meets it
+    # rho > 0: the floor reads excess = slope . |y|^2 <= 0; MRT, y(1) = eta, if it meets it
     rows = np.flatnonzero(rho > 0.0)
     eta, r, rho, mag, strongest, top = (v[rows] for v in (eta, r, rho, mag, strongest, top))
     slope = r - rho[:, None]
-    mrt = np.sum(slope * mag ** 2, axis=1) <= 0
+    excess = np.sum(slope * mag ** 2, axis=1)
+    mrt = excess <= 0
     y[rows[mrt]], bound[rows[mrt]] = eta[mrt], 1.0
-    rows, eta, r, rho, mag, slope, strongest, top = (
-        v[~mrt] for v in (rows, eta, r, rho, mag, slope, strongest, top))
+    rows, eta, r, rho, mag, slope, strongest, top, excess = (
+        v[~mrt] for v in (rows, eta, r, rho, mag, slope, strongest, top, excess))
     # delta = 0: y(0) off the strongest responses, topped up by c e_k, which
     # lowers the floor's left side by rho c^2. Where eta is 0 on all of them
     # its dual value rho eta^H y(0) is finite (and exact if c > 0).
     y_lo = np.divide(eta, r, out=np.zeros_like(eta), where=~strongest)
-    excess = np.sum(slope * np.abs(y_lo) ** 2, axis=1)
-    y_lo[np.arange(rows.size), top] += np.sqrt(np.maximum(excess, 0.0) / rho)
-    objective = np.zeros(rows.size)
-    row_bound = np.full(rows.size, np.inf)
-    gap = np.full(rows.size, np.inf)
+    excess0 = np.sum(slope * np.abs(y_lo) ** 2, axis=1)
+    y_lo[np.arange(rows.size), top] += np.sqrt(np.maximum(excess0, 0.0) / rho)
+    row_bound, gap = np.full((2, rows.size), np.inf)      # gap relative to the objective
     at = np.flatnonzero(~np.any(strongest & (eta != 0), axis=1))
     eta_y = (np.conj(eta[at]) * y_lo[at]).real.sum(axis=1)
-    norm2 = (np.abs(y_lo[at]) ** 2).sum(axis=1)
-    objective[at], row_bound[at] = eta_y ** 2 / norm2, rho[at] * eta_y
-    gap[at] = -eta_y * np.minimum(excess[at], 0.0) / norm2
+    row_bound[at], gap[at] = rho[at] * eta_y, -np.minimum(excess0[at], 0.0) / eta_y
 
-    # bisection over the doubles in [0, 1] ordered as their bit patterns:
-    # the first steps halve the exponent range, so a delta of any scale
-    # (1e-16 where eta is 0 on the strongest responses but for rounding)
-    # ends in a bracket a few doubles wide. A row leaves the search when its
-    # gap closes or its steps run out; the rows still in it step together.
-    lo = np.zeros(rows.size, dtype=np.int64)
-    row_steps = np.zeros(rows.size, dtype=int)
-    # the rows still in the search (at) and their state (a_*)
-    at, a_lo = np.arange(rows.size), lo.copy()
-    a_hi = np.full(rows.size, np.float64(1.0).view(np.int64))
-    a_r, a_mag, a_slope, a_objective, a_gap = r, mag, slope, objective, gap
-    step = 0
+    # Newton's steps on h(u) (IsacProblem.solve) from delta = 1. A point outside
+    # the bracket (lo feasible, hi not) gives way to its bit patterns' midpoint,
+    # which reaches a delta of any scale (1e-16 where eta is 0 on the strongest
+    # responses but for rounding). From the infeasible side a step goes past
+    # the root by itself, or less, to half the gap tolerance, by a double at least.
+    lo, row_steps, step = np.zeros(rows.size), np.zeros(rows.size, dtype=int), 0
+    at, per_row = np.arange(rows.size), np.stack([r, mag, slope])
+    state = np.stack([lo, *np.ones((2, rows.size)), excess,
+                      np.sum(slope * r * mag ** 2, axis=1), lo, gap])
     while at.size:
-        done = ~(a_gap > _GAP_TOLERANCE * a_objective) | (step == _BISECTION_STEPS)
+        a_lo, a_hi, delta, excess, dh, half_gap, gap = state
+        done = ~(gap > _GAP_TOLERANCE) | (step == _DELTA_STEPS)
         if done.any():
             lo[at[done]], row_steps[at[done]] = a_lo[done], step
-            at, a_r, a_mag, a_slope, a_lo, a_hi, a_objective, a_gap = (
-                v[~done] for v in (at, a_r, a_mag, a_slope, a_lo, a_hi, a_objective, a_gap))
+            at, per_row, state = at[~done], per_row[:, ~done], state[:, ~done]
             continue
         step += 1
-        mid = (a_lo + a_hi) // 2
-        delta = mid.view(np.float64)
-        y_mag = a_mag / (delta[:, None] + (1.0 - delta[:, None]) * a_r)
+        with np.errstate(all="ignore"):
+            q = excess / dh
+            shift = delta * q / (1.0 + np.sqrt(1.0 - q))        # delta - delta sqrt(1 - q)
+            past = np.minimum(delta - (1.0 + np.minimum(1.0, half_gap / excess)) * shift,
+                              np.nextafter(delta, 0.0))
+        delta = np.where(excess > 0, past, delta - shift)
+        mid = ((a_lo.view(np.int64) + a_hi.view(np.int64)) // 2).view(np.float64)
+        delta = np.where((delta > a_lo) & (delta < a_hi), delta, mid)
+        a_r, a_mag, a_slope = per_row
+        d = delta[:, None] + (1.0 - delta[:, None]) * a_r
+        y_mag = a_mag / d
         y2 = y_mag * y_mag
-        norm2, excess = y2.sum(axis=1), (a_slope * y2).sum(axis=1)
-        eta_y = (a_mag * y_mag).sum(axis=1)
+        excess, eta_y = (a_slope * y2).sum(axis=1), (a_mag * y_mag).sum(axis=1)
         met = excess <= 0
-        a_lo, a_hi = np.where(met, mid, a_lo), np.where(met, a_hi, mid)
-        a_objective = np.where(met, eta_y ** 2 / norm2, a_objective)
-        a_gap = np.where(met, -eta_y * (1.0 - delta) * (excess / norm2), a_gap)
+        state = np.stack([np.where(met, delta, a_lo), np.where(met, a_hi, delta), delta,
+                          excess, (a_slope * a_r * y2 / d).sum(axis=1),
+                          _GAP_TOLERANCE / 2 * eta_y / (1.0 - delta),
+                          np.where(met, (delta - 1.0) * excess / eta_y, gap)])
 
     # each row's design and dual value at the feasible end lo of its bracket
     at = np.flatnonzero(lo)
-    delta = lo[at].view(np.float64)
+    delta = lo[at]
     d = delta[:, None] + (1.0 - delta[:, None]) * r[at]
     y_lo[at] = eta[at] / d
     eta_y = (mag[at] * (mag[at] / d)).sum(axis=1)
@@ -237,8 +236,7 @@ def _set_up(h: np.ndarray, theta: float, gain: complex, block_length: int, power
     Returns, per channel, the projected path responses c_l = Q_l h_l (B, L, M)
     and the set-up of the rows: eta (unit norm) and r (B, L+1), the unit
     blocks g_l / ||g_l|| and the unit part of h orthogonal to them (B, L, M),
-    the scale P ||c||^2 / sigma^2 of the bisection's dual value and
-    gamma_zf_max (B,).
+    the scale P ||c||^2 / sigma^2 of the search's dual value and gamma_zf_max (B,).
     A channel that leaves no design raises its own InfeasibleError, the
     first such channel in the stack first.
     """
@@ -293,7 +291,7 @@ def _solve_rows(h: np.ndarray, setup: tuple, theta: float, gain: complex,
     vectors h (B, L, M), given its `_set_up`, at the floors gamma_th: one
     grid (G,) for all channels or one grid per channel (B, G).
 
-    All B G rows go through one bisection on delta, and each floor's B beams
+    All B G rows go through one search on delta, and each floor's B beams
     through one audit. Returns the `BatchSolution` and the rows' basis
     coordinates y (B, G, L+1), nan on an infeasible row.
     """
@@ -303,7 +301,7 @@ def _solve_rows(h: np.ndarray, setup: tuple, theta: float, gain: complex,
     eta, r, g_unit, rest_unit, scale, ceiling = setup
     shape = (h.shape[0], gamma_th.shape[-1])
     rho = 1.0 - np.broadcast_to(gamma_th, shape) / ceiling[:, None]
-    y, bound, steps = _bisect(np.repeat(eta, shape[1], axis=0),
+    y, bound, steps = _search(np.repeat(eta, shape[1], axis=0),
                               np.repeat(r, shape[1], axis=0), rho.ravel())
     # one floor at a time over the whole stack: all B G beam matrices at once
     # would hold M L complex values each (10 kB at M = 64, L = 10) and as much
@@ -374,11 +372,13 @@ class IsacProblem:
         is y_i = eta_i / d_i, d_i = delta + (1 - delta) r_i, for one delta in
         (0, 1] per lambda, at the dual value (eta^H y) (delta + (1 - delta) rho);
         neither cancels as rho -> 0. delta = 1 is MRT, optimal when it meets
-        the floor. Otherwise the floor's left side falls with delta, and
-        bisection on delta lands on the floor from the feasible side, where
-        the dual value is never below the objective. When eta is 0 on every
-        strongest response (r_i = 0) and y(0) still misses the floor, y(0)
-        topped up along the strongest response is optimal without a search.
+        the floor. Otherwise gamma_p falls as delta grows, and Newton's steps
+        on h(u) = u sum_i (r_i - rho) |y_i|^2, u = delta^2, whose factor u
+        cancels the 1/u pole of the strongest responses, land on its root from
+        the feasible side, where the dual value is never below the objective.
+        When eta is 0 on every strongest response (r_i = 0) and y(0) still
+        misses the floor, y(0) topped up along one of them is optimal without
+        a search.
         This is the one-row case of `solve_batch`, with the beamformer built.
         """
         rows, y = _solve_rows(self._h, self._setup, self.theta, self.gain,
@@ -400,7 +400,7 @@ def solve_batch(channels: Sequence[MultipathChannel], theta: float, gain: comple
     gamma_th is one grid of floors (G,) for all channels, or one grid per
     channel (B, G). The channels must have the same numbers of paths and
     antennas: their set-up is one stacked call, all B G rows go through one
-    bisection on delta, and each floor's B beams through one audit. No
+    search on delta, and each floor's B beams through one audit. No
     beamformer is built.
     """
     if len({c.path_vectors.shape for c in channels}) != 1:

@@ -26,24 +26,28 @@ _RUNNERS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # each runner's summary: the first paragraph of its docstring
+    summaries = "\n".join(f"  {name:<14}" + " ".join(runner.__doc__.split("\n\n")[0].split())
+                          for name, runner in _RUNNERS.items())
     parser = argparse.ArgumentParser(
-        prog="damisac",
+        prog="damisac", usage="%(prog)s <experiment> [options]",
         description="Batch experiments for delay-aligned multipath sensing "
-                    "and communication.")
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, runner in _RUNNERS.items():
-        p = sub.add_parser(name, help=runner.__doc__.splitlines()[0].rstrip("."))
-        p.add_argument("--config", type=Path, default=None,
-                       help="JSON config file; omit for the default scenario")
-        p.add_argument("--seed", type=int, default=None,
-                       help="master RNG seed (unsigned 64-bit)")
-        p.add_argument("--out", type=Path, default=None,
-                       help="output directory for CSV files")
-        p.add_argument("--trials", type=int, default=None,
-                       help="override the number of Monte Carlo trials; only se-sweep "
-                            "and ofdm-compare read it")
-        p.add_argument("--gamma-th-grid", type=str, default=None, metavar="A:B:STEP",
-                       help="sensing threshold grid in dB, inclusive")
+                    "and communication.",
+        epilog=f"experiments:\n{summaries}",
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("experiment", choices=list(_RUNNERS), metavar="experiment",
+                        help="the experiment to run, from the list below")
+    parser.add_argument("--config", type=Path, default=None,
+                        help="JSON config file; omit for the default scenario")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="master RNG seed (unsigned 64-bit)")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="output directory for CSV files")
+    parser.add_argument("--trials", type=int, default=None,
+                        help="override the number of Monte Carlo trials; only se-sweep "
+                             "and ofdm-compare read it")
+    parser.add_argument("--gamma-th-grid", type=str, default=None, metavar="A:B:STEP",
+                        help="sensing threshold grid in dB, inclusive")
     return parser
 
 

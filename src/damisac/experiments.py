@@ -462,11 +462,11 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
     A trade-off beamformer is designed at isac_gamma_fraction of the ZF
     ceiling, a block of mc_block_length symbols is transmitted, the target
     echo is matched-filtered over the delays up to the guard (or up to the
-    target, when it lies beyond the guard) inside the block and a Doppler
-    window of +-8 resolution bins around the true shift (clipped to
+    target, when it lies beyond the guard) whose templates hold energy and a
+    Doppler window of +-8 resolution bins around the true shift (clipped to
     (-B/2, B/2]). The peak-cell SNR of the simulated echo through the true
-    cell's template is reported beside the closed-form value; `trials` is not
-    read.
+    cell's template is reported beside the closed-form value, 0 when that
+    template holds no energy; `trials` is not read.
     """
     s = cfg.scenario
     target = cfg.radar_target(cfg.rng(1, 1))
@@ -484,21 +484,25 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
     # the noise-free echo of the transmit the target sees, through the round
     # trip of apply_radar_channel, whose public entry bench/tracer.py sizes as
     # an (M, N) block: the map adds one noise draw to it, the SNR needs none
-    clean = _round_trip(target, waveform.projected_dam_block(block, bf, target.direction),
-                        t_s)
+    seen = waveform.projected_dam_block(block, bf, target.direction)
+    clean = _round_trip(target, seen, t_s)
     echo = clean + complex_normal(cfg.rng(1, 3), clean.shape, s.noise_power_w)
 
     res = 1.0 / (n_mc * t_s)
-    # every delay in [0, max(guard, true delay)] inside the block
+    # every delay in [0, max(guard, true delay)] whose template holds energy:
+    # up to the one that leaves seen's first nonzero sample in the block
+    last = n_mc - 1 - int(np.argmax(seen != 0))
     grid = sensing.SensingGrid.refine(0, res * round(target.doppler_hz / res), n_mc, t_s,
-                                      delay_half_width=max(s.guard_length,
-                                                           target.delay_symbols))
+                                      delay_half_width=min(max(s.guard_length,
+                                                               target.delay_symbols), last))
     ddmap = sensing.delay_doppler_map(echo, bf, block, target.direction, grid)
     est_delay, est_doppler, _ = sensing.estimate_delay_doppler(ddmap)
 
-    template = sensing.matched_filter_template(
-        bf, block, target.direction, target.delay_symbols, target.doppler_hz, t_s)
-    gamma_emp = _empirical_snr(template, clean, s.noise_power_w)
+    gamma_emp = 0.0        # past the last delay the truth's template has no energy
+    if target.delay_symbols <= last:
+        template = sensing.matched_filter_template(
+            bf, block, target.direction, target.delay_symbols, target.doppler_hz, t_s)
+        gamma_emp = _empirical_snr(template, clean, s.noise_power_w)
 
     report = DdMapReport(
         true_delay_bin=target.delay_symbols, est_delay_bin=est_delay,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _distinct, _shift_zero_prefix, complex_normal, steering_vector
+from .channel import _distinct, complex_normal, steering_vector
 
 
 @dataclass
@@ -118,9 +118,11 @@ def delayed_symbol_matrix(symbols: np.ndarray, kappa, extra_delay: int = 0) -> n
     """Rows are the symbol stream delayed by kappa_l + extra_delay (zero-prefix)."""
     symbols = np.asarray(symbols)
     kappa = np.asarray(kappa, dtype=int)
-    out = np.zeros((kappa.size, symbols.size), dtype=complex)
-    for i, k in enumerate(kappa):
-        out[i] = _shift_zero_prefix(symbols, int(k) + extra_delay)
+    n = symbols.size
+    out = np.zeros((kappa.size, n), dtype=complex)
+    for i, k in enumerate((kappa + extra_delay).tolist()):
+        if k < n:
+            out[i, k:] = symbols[:n - k]
     return out
 
 

@@ -13,11 +13,14 @@ from damisac import (
     ScenarioConfig,
     complex_normal,
     generate_multipath_channel,
+    load_config,
+    run_se_sweep,
     sensing_snr,
     max_sensing_snr,
     solve_batch,
     steering_vector,
 )
+from damisac import beamforming
 from damisac.beamforming import _zf_project
 from dam_oracle import aligned_gain
 from zf_oracle import nullspace_projector, zf_mrt
@@ -520,6 +523,29 @@ def test_solve_equals_its_batch_row_on_default_channels():
                     assert one.power_used == pytest.approx(power, rel=1e-12)
                     assert one.gamma_c == pytest.approx(gamma_c, rel=1e-12)
                     assert one.gamma_p == pytest.approx(gamma_p, rel=1e-12)
+
+
+
+def test_delta_steps_on_the_default_se_sweep(monkeypatch):
+    # the default se-sweep at seed 1 searches 1 920 (channel, floor) rows.
+    # Newton's steps take 3.3 on average and 7 at most there; the bounds
+    # leave a margin. Midpoints of the bracket alone take 45 and 50.
+    steps = []
+
+    def record(*args, **kwargs):
+        sol = solve_batch(*args, **kwargs)
+        steps.append(sol.iterations.ravel())
+        return sol
+
+    monkeypatch.setattr(beamforming, "solve_batch", record)
+    cfg = load_config(None)
+    cfg.seed = 1
+    run_se_sweep(cfg)
+    steps = np.concatenate(steps)
+    searched = steps[steps > 0]
+    assert searched.size > 1000
+    assert searched.mean() <= 5.0
+    assert searched.max() <= 10
 
 
 def test_solve_batch_raises_the_error_of_a_channel_with_no_design():

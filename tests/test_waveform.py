@@ -20,6 +20,7 @@ from damisac import (
     projected_dam_block,
     steering_vector,
 )
+from damisac.channel import _shift_zero_prefix
 
 from dam_oracle import aligned_gain, decompose_received
 
@@ -154,6 +155,21 @@ def test_block_equals_matrix_product():
     bf = DamBeamformer.aligned(f, [0, 3])
     stacked = delayed_symbol_matrix(sym.symbols, bf.delay_schedule)
     assert np.allclose(build_dam_block(sym, bf), f @ stacked)
+
+
+def test_delayed_symbol_matrix_equals_the_per_row_shift():
+    # each row is the stream shifted by kappa_l + extra_delay, bit for bit,
+    # and a row shifted by N or more is all zero
+    rng = np.random.default_rng(7)
+    sym = generate_symbols(rng, 40, "qpsk").symbols
+    kappa = np.array([0, 3, 17, 38])
+    for extra in (0, 1, 2, 25):
+        rows = delayed_symbol_matrix(sym, kappa, extra)
+        want = np.stack([_shift_zero_prefix(sym, int(k) + extra) for k in kappa])
+        assert rows.dtype == complex and rows.shape == (4, 40)
+        np.testing.assert_array_equal(rows, want)
+    assert not np.any(delayed_symbol_matrix(sym, kappa, 2)[3])       # 38 + 2 = N
+    assert not np.any(delayed_symbol_matrix(sym, kappa, 25)[2:])     # 42, 63 > N
 
 
 # ----------------------------------------------------------------------- SNR
