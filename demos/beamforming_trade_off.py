@@ -16,7 +16,6 @@ from damisac.channel import (
     ScenarioConfig,
     generate_multipath_channel,
 )
-from damisac.sensing import max_sensing_snr
 
 SEED = 3
 NUM_PATHS = 5
@@ -39,8 +38,9 @@ def main() -> None:
                           sc.transmit_power_w, sc.noise_power_w)
     gamma_c_best = problem.solve(0.0).gamma_c          # the MRT design
     gamma_zf = problem.gamma_zf_max
-    ceiling = max_sensing_snr(sc.num_antennas, n, sc.transmit_power_w,
-                              target.gain, sc.noise_power_w)
+    # |alpha|^2 N M P / sigma^2: all power on the target direction
+    ceiling = (abs(target.gain) ** 2 * n * sc.num_antennas * sc.transmit_power_w
+               / sc.noise_power_w)
     print(f"{sc.num_antennas} antennas, {NUM_PATHS} paths, N = {n}")
     print(f"MRT endpoint:     gamma_c = {db(gamma_c_best):6.2f} dB")
     print(f"sensing ceiling:  gamma_p = {db(ceiling):6.2f} dB unconstrained, "

@@ -32,7 +32,6 @@ from damisac.sensing import (
     dam_ambiguity_limits,
     delay_doppler_map,
     estimate_delay_doppler,
-    max_sensing_snr,
 )
 from damisac.waveform import (
     DamBeamformer,
@@ -53,9 +52,10 @@ def main() -> None:
     print("peak-power-constrained output SNR, full-length blocks (N = "
           f"{sc.data_length}, L = {NUM_PATHS}):")
     print("    K  |   I  |  1/(2 T_o)  | SNR ratio DAM/OFDM")
-    # each scheme derates its average power by its PAPR bound: P/L, P/K
-    gamma_dam = max_sensing_snr(sc.num_antennas, sc.data_length,
-                                sc.transmit_power_w / NUM_PATHS, alpha, sc.noise_power_w)
+    # each scheme derates its average power by its PAPR bound: P/L, P/K; the
+    # DAM SNR is the ceiling |alpha|^2 N M (P/L) / sigma^2, all power on the target
+    gamma_dam = (alpha ** 2 * sc.data_length * sc.num_antennas
+                 * (sc.transmit_power_w / NUM_PATHS) / sc.noise_power_w)
     for k in (256, 1024, 4096):
         cfg = OfdmConfig.steered(sc, k, np.pi / 6, total_power=sc.transmit_power_w / k)
         gamma_ofdm = ofdm_output_snr(cfg, np.pi / 6, alpha, sc.noise_power_w)

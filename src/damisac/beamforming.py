@@ -55,7 +55,7 @@ def _zf_project(h: np.ndarray, *vector_sets: np.ndarray) -> list:
     m, num_paths = h.shape[2], h.shape[1]
     if m < num_paths:
         raise InfeasibleError(
-            f"per-path zero-forcing needs num_antennas >= num_paths "
+            f"scenario.num_antennas: per-path zero-forcing needs num_antennas >= num_paths "
             f"({m} < {num_paths})")
     u, s, vh = np.linalg.svd(np.swapaxes(h, 1, 2), full_matrices=False)  # H (B, M, L)
     tol = s[:, :1] * max(m, num_paths) * np.finfo(float).eps

@@ -165,8 +165,8 @@ class ChannelGenConfig:
             raise ConfigError("channel.max_subpaths must be >= 1")
         lo, hi = self.aod_sector
         if not (-np.pi / 2 <= lo < hi <= np.pi / 2):
-            raise ConfigError(
-                "channel.aod_sector must be an increasing pair within [-pi/2, pi/2]")
+            raise ConfigError("channel.aod_sector_deg must be an increasing pair within "
+                              "[-90, 90] (aod_sector: [-pi/2, pi/2] rad)")
 
 
 def _distinct(values: np.ndarray) -> bool:
@@ -269,8 +269,8 @@ def generate_multipath_channels(scenario: ScenarioConfig, gen: ChannelGenConfig,
     """
     num_paths, num_subpaths = gen.num_paths, gen.max_subpaths
     if num_paths > scenario.guard_length + 1:
-        raise ConfigError(f"num_paths={num_paths} distinct delays do not fit in "
-                          f"[0, guard_length={scenario.guard_length}]")
+        raise ConfigError(f"scenario.guard_length={scenario.guard_length}: num_paths="
+                          f"{num_paths} distinct delays do not fit in [0, guard_length]")
     lo, hi = gen.aod_sector
     delays = np.zeros((len(rngs), num_paths), dtype=int)
     angles = np.zeros((len(rngs), num_paths, num_subpaths))

@@ -350,6 +350,10 @@ def run_beampattern(cfg: ExperimentConfig) -> BeampatternResult:
     directions = np.deg2rad(np.asarray(cfg.beampattern_aods_deg, dtype=float))
     channel = MultipathChannel.from_directions(
         directions, np.arange(directions.size), s.num_antennas)
+    # zero-forcing's rank rule: below full rank a design is rounding over rounding
+    if np.linalg.matrix_rank(channel.path_vectors) < directions.size:
+        raise ConfigError(f"experiment.beampattern_aods_deg={list(cfg.beampattern_aods_deg)}"
+                          " has linearly dependent steering vectors (a repeat, or -90 and 90)")
     problem = beamforming.IsacProblem(channel, target.direction, target.gain,
                                       s.data_length, s.transmit_power_w,
                                       s.noise_power_w)
@@ -429,17 +433,13 @@ def run_se_sweep(cfg: ExperimentConfig) -> List[dict]:
     return rows
 
 
-def _empirical_snr(template: np.ndarray, clean: np.ndarray, noise_power: float) -> float:
-    """Matched-filter output SNR |<u, clean>|^2 / (noise_power ||u||^2) of the
-    template u on the simulated noise-free echo: exact for white noise of
-    variance noise_power per sample, whose output variance is noise_power ||u||^2.
-    A template with no energy, an echo that missed the stream, has SNR 0.
-    Both sums are numpy's pairwise ones, not np.vdot's BLAS dot product, whose
-    rounding depends on the number of threads it is split over."""
-    energy = np.sum(template.real ** 2 + template.imag ** 2)
-    if energy == 0:
-        return 0.0
-    return float(np.abs(np.sum(np.conj(template) * clean)) ** 2 / (noise_power * energy))
+def _echo_snr(clean: np.ndarray, noise_power: float) -> float:
+    """||clean||^2 / noise_power: the output SNR of the filter matched to the
+    noise-free echo in white noise of that variance per sample (Turin 1960), by
+    Cauchy-Schwarz the template form |<u, clean>|^2 / (noise_power ||u||^2) for
+    any u proportional to clean. The sum is numpy's pairwise one, not a BLAS dot
+    product, whose rounding depends on the number of threads it is split over."""
+    return float(np.sum(clean.real ** 2 + clean.imag ** 2) / noise_power)
 
 
 @dataclass
@@ -464,9 +464,9 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
     echo is matched-filtered over the delays up to the guard (or up to the
     target, when it lies beyond the guard) whose templates hold energy and a
     Doppler window of +-8 resolution bins around the true shift (clipped to
-    (-B/2, B/2]). The peak-cell SNR of the simulated echo through the true
-    cell's template is reported beside the closed-form value, 0 when that
-    template holds no energy; `trials` is not read.
+    (-B/2, B/2]). The SNR ||s||^2 / sigma^2 of the simulated noise-free echo s
+    is reported beside the closed-form value, 0 for a truth past every delay
+    that keeps energy in the block; `trials` is not read.
     """
     s = cfg.scenario
     target = cfg.radar_target(cfg.rng(1, 1))
@@ -485,6 +485,9 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
     # trip of apply_radar_channel, whose public entry bench/tracer.py sizes as
     # an (M, N) block: the map adds one noise draw to it, the SNR needs none
     seen = waveform.projected_dam_block(block, bf, target.direction)
+    if not seen.any():
+        raise ConfigError(f"experiment.mc_block_length={cfg.mc_block_length}: the design's "
+                          "streams toward the target all start past the block's end")
     clean = _round_trip(target, seen, t_s)
     echo = clean + complex_normal(cfg.rng(1, 3), clean.shape, s.noise_power_w)
 
@@ -498,18 +501,12 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
     ddmap = sensing.delay_doppler_map(echo, bf, block, target.direction, grid)
     est_delay, est_doppler, _ = sensing.estimate_delay_doppler(ddmap)
 
-    gamma_emp = 0.0        # past the last delay the truth's template has no energy
-    if target.delay_symbols <= last:
-        template = sensing.matched_filter_template(
-            bf, block, target.direction, target.delay_symbols, target.doppler_hz, t_s)
-        gamma_emp = _empirical_snr(template, clean, s.noise_power_w)
-
     report = DdMapReport(
         true_delay_bin=target.delay_symbols, est_delay_bin=est_delay,
         true_doppler_hz=target.doppler_hz, est_doppler_hz=est_doppler,
         gamma_p_analytic_mc=sensing.sensing_snr(bf.beam_matrix, target.direction,
                                                 target.gain, n_mc, s.noise_power_w),
-        gamma_p_empirical=gamma_emp,
+        gamma_p_empirical=_echo_snr(clean, s.noise_power_w),
         gamma_p_analytic_full=sol.gamma_p,
         gamma_th=gamma_th, solver_status=sol.status, mc_block_length=n_mc)
     if cfg.output_dir is not None:
@@ -548,10 +545,11 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
     scheme steers all its power at the target, in full (average-power regime)
     or derated by its PAPR bound, L streams or K subcarriers (peak-power
     regime); every design gets its analytic output SNR and that of its
-    simulated echo through its matched filter. Per scheme: the PAPR of the
-    M-row transmit, computed without building it, the ambiguity limits, and a
-    paired fast-target demo at twice the subcarrier spacing, inside the aligned
-    waveform's unambiguous Doppler span but far beyond OFDM's.
+    simulated echo s through its matched filter, ||s||^2 over the noise per
+    sample or per OFDM cell. Per scheme: the PAPR of the M-row transmit,
+    computed without building it, the ambiguity limits, and a paired fast-target
+    demo at twice the subcarrier spacing, inside the aligned waveform's
+    unambiguous Doppler span but far beyond OFDM's.
     """
     s = cfg.scenario
     n_mc = min(s.data_length, cfg.mc_block_length)
@@ -584,7 +582,6 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
     # Fast-target demo: Doppler at twice the subcarrier spacing.
     f_fast = 2.0 * ocfg.subcarrier_spacing_hz
     fast = dataclasses.replace(target, doppler_hz=f_fast)
-    unit = dataclasses.replace(target, gain=1.0 + 0j)
 
     # One DAM symbol block serves every DAM design and the fast target, one OFDM
     # grid every OFDM design. Every echo is built from the transmit the target
@@ -599,28 +596,22 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
                                         cfg.modulation).symbols.reshape(k, i_sym, order="F")
     ocfg_seen = dataclasses.replace(ocfg, beamformers=np.conj(a)[None] @ ocfg.beamformers)
     ofdm_seen = ofdm.ofdm_time_domain(ocfg_seen, tx_freq)[0]
-    ofdm_clean, ofdm_template = (
-        ofdm.ofdm_demodulate(ocfg, _round_trip(tgt, ofdm_seen, t_s))
-        for tgt in (target, unit))
+    ofdm_clean = ofdm.ofdm_demodulate(ocfg, _round_trip(target, ofdm_seen, t_s))
     papr_ofdm = ofdm.ofdm_papr(ocfg, tx_freq)
 
-    # (analytic, simulated-echo) output SNR of one design. A derated design
-    # sends the full-power beams scaled by 1/sqrt(L) or 1/sqrt(K), and so its echo.
-    def dam_snr(bf, scale):
-        template = sensing.matched_filter_template(
-            bf, block, theta, target.delay_symbols, target.doppler_hz, t_s)
-        return (sensing.sensing_snr(bf.beam_matrix, theta, target.gain, n_mc, sigma2),
-                _empirical_snr(template, scale * dam_clean, sigma2))
+    # (analytic, simulated-echo) output SNR of each design. A derated design
+    # sends the full-power beams scaled by 1/sqrt(L) or 1/sqrt(K), and so its
+    # echo; the OFDM noise is sigma^2 / K per cell.
+    def dam_snr(bf):
+        return sensing.sensing_snr(bf.beam_matrix, theta, target.gain, n_mc, sigma2)
 
-    def ofdm_snr(config, scale):
-        # the unit-gain echo is the matched filter; noise is sigma^2 / K per cell
-        return (ofdm.ofdm_output_snr(config, theta, target.gain, sigma2),
-                _empirical_snr(ofdm_template, scale * ofdm_clean, sigma2 / k))
+    def ofdm_snr(config):
+        return ofdm.ofdm_output_snr(config, theta, target.gain, sigma2)
 
-    designs = {"dam": (dam_snr, bf_full, bf_derated, num_paths),
-               "ofdm": (ofdm_snr, ocfg, ocfg_derated, k)}
-    snrs = {(scheme, regime): snr(design, scale)
-            for scheme, (snr, full, derated, bound) in designs.items()
+    designs = {"dam": (dam_snr, bf_full, bf_derated, num_paths, dam_clean, sigma2),
+               "ofdm": (ofdm_snr, ocfg, ocfg_derated, k, ofdm_clean, sigma2 / k)}
+    snrs = {(scheme, regime): (snr(design), _echo_snr(scale * noise_free, noise))
+            for scheme, (snr, full, derated, bound, noise_free, noise) in designs.items()
             for regime, design, scale in (("average_power", full, 1.0),
                                           ("peak_power", derated, bound ** -0.5))}
 

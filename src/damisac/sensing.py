@@ -316,13 +316,6 @@ def sensing_snr(beam_matrix: np.ndarray, theta: float, gain: complex,
     return float(snr) if snr.ndim == 0 else snr
 
 
-def max_sensing_snr(num_antennas: int, block_length: int, power: float,
-                    gain: complex, noise_power: float) -> float:
-    """Sensing SNR ceiling |alpha|^2 N M P / sigma^2 (all power on the target
-    direction, reached by f_l = sqrt(P/(M L)) a(theta))."""
-    return float(np.abs(gain) ** 2 * block_length * num_antennas * power / noise_power)
-
-
 def estimate_delay_doppler(ddmap: DelayDopplerMap):
     """Peak pick: returns (delay_bin, doppler_hz, peak_power).
 

@@ -4,7 +4,8 @@ term, as test oracles.
 `decompose_received` splits the noiseless received sequence into the aligned
 term and every cross-path pairing; `correlation_matrix` correlates the
 delayed symbol streams directly. The tests check zero-forcing, the ISI bound
-and the decorrelation of the aligned streams against them.
+and the decorrelation of the aligned streams against them. `max_sensing_snr`
+is the sensing-SNR ceiling the steered designs are checked against.
 """
 
 import numpy as np
@@ -40,6 +41,13 @@ def decompose_received(bf: DamBeamformer, channel: MultipathChannel,
             lag = int(bf.delay_schedule[lp] + channel.path_delays[l])
             isi += cross[l, lp] * _shift_zero_prefix(s, lag)
     return desired, isi
+
+
+def max_sensing_snr(num_antennas: int, block_length: int, power: float,
+                    gain: complex, noise_power: float) -> float:
+    """Sensing SNR ceiling |alpha|^2 N M P / sigma^2: all power on the target
+    direction, reached by f_l = sqrt(P/(M L)) a(theta)."""
+    return float(np.abs(gain) ** 2 * block_length * num_antennas * power / noise_power)
 
 
 def correlation_matrix(block: SymbolBlock, kappa, probe_delay: int,

@@ -43,7 +43,6 @@ from damisac.sensing import (
     delay_doppler_map,
     estimate_delay_doppler,
     matched_filter_template,
-    max_sensing_snr,
     sensing_snr,
 )
 from damisac.waveform import (
@@ -54,7 +53,7 @@ from damisac.waveform import (
 )
 
 from beam_peaks import find_beam_peaks
-from dam_oracle import correlation_matrix
+from dam_oracle import correlation_matrix, max_sensing_snr
 from zf_oracle import nullspace_projector
 
 

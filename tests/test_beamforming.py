@@ -16,13 +16,12 @@ from damisac import (
     load_config,
     run_se_sweep,
     sensing_snr,
-    max_sensing_snr,
     solve_batch,
     steering_vector,
 )
 from damisac import beamforming
 from damisac.beamforming import _zf_project
-from dam_oracle import aligned_gain
+from dam_oracle import aligned_gain, max_sensing_snr
 from zf_oracle import nullspace_projector, zf_mrt
 
 N_BLOCK = 1024

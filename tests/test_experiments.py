@@ -2,8 +2,10 @@
 conversions, RNG keying, peak finding, runner outputs, CSV determinism,
 exit codes, and runs without scipy."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -12,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +287,77 @@ def test_any_json_object_loads_or_raises_config_error(tmp_path_factory, doc, ove
         assert len(cfg.config_hash()) == 16
 
 
+# Small configs that pass every per-field check; the checks across fields (the
+# guard, the block, the Doppler span, the sector order, the OFDM size) may
+# still reject one with exit code 2.
+RUN_CONFIGS = st.fixed_dictionaries({
+    "scenario": st.fixed_dictionaries({
+        "num_antennas": st.integers(1, 16), "guard_length": st.integers(0, 300),
+        "transmit_power_dbm": st.floats(-30.0, 60.0)}),
+    "channel": st.fixed_dictionaries({
+        "num_paths": st.integers(1, 8), "max_subpaths": st.integers(1, 4),
+        "aod_sector_deg": st.lists(st.floats(-90.0, 90.0), min_size=2, max_size=2)
+                          .filter(lambda pair: pair[0] < pair[1])}),
+    "target": st.fixed_dictionaries({
+        "range_m": st.floats(1.0, 400.0), "rcs_m2": st.floats(1e-3, 1e3),
+        "direction_deg": st.floats(-90.0, 90.0),
+        "radial_velocity_m_s": st.floats(-3e5, 3e5)}),
+    "experiment": st.fixed_dictionaries({
+        "trials": st.integers(1, 3), "seed": st.integers(0, 2 ** 64 - 1),
+        "gamma_th_grid_db": st.lists(st.floats(-20.0, 60.0), min_size=1, max_size=3),
+        "mc_block_length": st.integers(100, 1024),
+        "isac_gamma_fraction": st.floats(0.0, 1.0),
+        "sweep_num_paths": st.lists(st.integers(1, 8), min_size=1, max_size=2),
+        "ofdm_subcarriers": st.integers(4, 100),
+        "beampattern_aods_deg": st.lists(st.floats(-90.0, 90.0), min_size=1, max_size=5),
+        "modulation": st.sampled_from(["bpsk", "qpsk", "psk8", "gaussian"]),
+        "strict_ambiguity": st.booleans()}),
+})
+
+
+def _nonfinite_allowed(name, column, value, row):
+    """The documented non-finite CSV values: se_sweep's mean SE with no feasible
+    trial (nan) and the SNR in dB of an echo that misses the stream (-inf)."""
+    if name == "se_sweep.csv":
+        return column == "mean_se_bps_hz" and math.isnan(value) and row["feasible"] == "0"
+    return name == "ofdm_compare.csv" and column == "empirical_snr_db" and value == -math.inf
+
+
+@settings(max_examples=50, derandomize=True, database=None,
+          deadline=timedelta(seconds=5), suppress_health_check=[HealthCheck.too_slow])
+@given(doc=RUN_CONFIGS)
+def test_any_small_valid_config_runs_or_exits_2(tmp_path_factory, doc):
+    # every experiment through the CLI: exit 0, or 2 with a message that names
+    # a field; no warning but the guard's; every CSV number finite or documented
+    root = tmp_path_factory.mktemp("run")
+    cfgfile = write_config(root, doc)
+    for experiment in EXPERIMENTS:
+        out, stderr = root / experiment, io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main([experiment, "--config", str(cfgfile), "--out", str(out)])
+        err = stderr.getvalue()
+        assert code in (0, 2), (experiment, err)
+        for w in caught:
+            assert w.category is UserWarning and "exceeds guard length" in str(w.message), \
+                (experiment, w)
+        if code == 2:
+            field_name = re.match(r"error: (\w+)\.(\w+)", err)
+            assert field_name and field_name[2] in _SCHEMA.get(field_name[1], ()), err
+            continue
+        for path in out.glob("*.csv"):
+            lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+            for row in csv.DictReader(lines):
+                for column, cell in row.items():
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue            # a label or the solver status
+                    assert math.isfinite(value) or _nonfinite_allowed(
+                        path.name, column, value, row), (experiment, path.name, column, row)
+
+
 def test_rng_streams_keyed_and_reproducible():
     cfg = ExperimentConfig()
     a = cfg.rng(1, 2).standard_normal(8)
@@ -509,17 +583,17 @@ def test_dd_map_at_the_ceiling_on_a_short_block_never_exits_1(tmp_path, capsys):
     # kappa can leave the delays near the guard with no template energy in a
     # 300-sample block. These seeds exited 1 with "zero template". The window
     # ends at the last delay that holds energy, and a truth past it (seeds 2
-    # and 5; at seed 6 the truth is that delay) reports an empirical SNR of 0:
-    # exit 0 or 2, never 1, and only finite numbers in the CSVs.
+    # and 5; at seed 6 the truth is that delay) leaves no echo energy in the
+    # block, so its empirical SNR is exactly 0: exit 0, never 1, and only
+    # finite numbers in the CSVs.
     cfgfile = write_config(tmp_path, {"experiment": {"mc_block_length": 300,
                                                      "isac_gamma_fraction": 1.0}})
+    empirical = {}
     for seed in (1, 2, 4, 5, 6):
         out = tmp_path / f"seed{seed}"
         code = main(["dd-map", "--config", str(cfgfile), "--seed", str(seed),
                      "--out", str(out)])
-        assert code in (0, 2), capsys.readouterr().err
-        if code:
-            continue
+        assert code == 0, capsys.readouterr().err
         for name in ("dd_map.csv", "dd_report.csv"):
             rows = list(csv.reader(line for line in (out / name).read_text().splitlines()
                                    if not line.startswith("#")))
@@ -530,6 +604,24 @@ def test_dd_map_at_the_ceiling_on_a_short_block_never_exits_1(tmp_path, capsys):
                     except ValueError:
                         continue            # the solver status
                     assert math.isfinite(value), (name, row)
+        empirical[seed] = float(dict(zip(*rows))["gamma_p_empirical"])
+    assert {seed for seed, value in empirical.items() if value == 0.0} == {2, 5}
+    assert all(empirical[seed] > 0 for seed in (1, 4, 6)), empirical
+
+
+def test_dd_map_with_every_stream_past_the_block_exits_2(tmp_path, capsys):
+    # at the ceiling all power goes to one stream; at these seeds its delay
+    # kappa lies past a 150-sample block, so the target sees none of it. These
+    # runs exited 1 with "zero template"; seed 0 keeps a stream inside.
+    cfgfile = write_config(tmp_path, {"scenario": {"guard_length": 265},
+                                      "experiment": {"mc_block_length": 150,
+                                                     "isac_gamma_fraction": 1.0}})
+    for seed, expected in ((0, 0), (1, 2), (2, 2)):
+        code = main(["dd-map", "--config", str(cfgfile), "--seed", str(seed)])
+        err = capsys.readouterr().err
+        assert code == expected, err
+        if code:
+            assert err.startswith("error: experiment.mc_block_length=150: "), err
 
 
 def test_dd_map_default_window_is_every_delay_up_to_the_guard(tmp_path):
@@ -1045,7 +1137,37 @@ def test_cli_infeasible_target_exits_2(tmp_path, capsys):
     # too few antennas to null the other paths
     antennas = write_config(tmp_path, {"scenario": {"num_antennas": 4}}, "m4.json")
     assert main(["se-sweep", "--config", str(antennas)]) == 2
-    assert "num_antennas >= num_paths (4 < 5)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario.num_antennas: ")
+    assert "num_antennas >= num_paths (4 < 5)" in err
+
+
+@pytest.mark.parametrize("experiment,doc,field_name", [
+    # repeated directions: zero-forcing leaves no design, only rounding. The
+    # near-repeats overflowed the MRT scale and wrote nan patterns
+    ("beampattern", {"experiment": {"beampattern_aods_deg": [0.0, 0.0]}},
+     "experiment.beampattern_aods_deg"),
+    ("beampattern", {"experiment": {"beampattern_aods_deg": [90.0, -90.0]}},
+     "experiment.beampattern_aods_deg"),
+    ("beampattern", {"scenario": {"num_antennas": 4},
+                     "experiment": {"beampattern_aods_deg": [0.0, 1.6e-157, 0.0]}},
+     "experiment.beampattern_aods_deg"),
+    # more paths than distinct delays in [0, guard]
+    ("dd-map", {"scenario": {"guard_length": 2}, "target": {"range_m": 1.0}},
+     "scenario.guard_length"),
+    ("se-sweep", {"scenario": {"guard_length": 2}, "target": {"range_m": 1.0}},
+     "scenario.guard_length"),
+    ("dd-map", {"channel": {"aod_sector_deg": [10.0, -10.0]}}, "channel.aod_sector_deg"),
+])
+def test_cross_field_errors_name_the_json_field(tmp_path, capsys, experiment, doc, field_name):
+    assert main([experiment, "--config", str(write_config(tmp_path, doc))]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field_name}")
+
+
+def test_beampattern_distinct_directions_still_run(tmp_path):
+    doc = {"scenario": {"num_antennas": 4},
+           "experiment": {"beampattern_aods_deg": [-90.0, 0.0, 1e-3, 89.0]}}
+    assert main(["beampattern", "--config", str(write_config(tmp_path, doc))]) == 0
 
 
 def test_cli_help_names_every_experiment(capsys):

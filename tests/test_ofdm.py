@@ -13,7 +13,6 @@ from damisac import (
     complex_normal,
     dam_ambiguity_limits,
     generate_symbols,
-    max_sensing_snr,
     ofdm_ambiguity_limits,
     ofdm_delay_doppler_estimate,
     ofdm_demodulate,
@@ -25,6 +24,8 @@ from damisac import (
 )
 from damisac import ofdm
 from damisac.units import C_LIGHT
+
+from dam_oracle import max_sensing_snr
 
 
 def small_scenario(**over):

@@ -22,7 +22,6 @@ from damisac import (
     export_map_csv,
     generate_symbols,
     matched_filter_template,
-    max_sensing_snr,
     ScenarioConfig,
     sensing_snr,
     steering_vector,
@@ -31,7 +30,7 @@ from damisac.channel import _shift_zero_prefix
 from damisac.sensing import _MAP_BLOCK, _denominator, _fold_size
 from damisac.units import C_LIGHT
 
-from dam_oracle import correlation_matrix
+from dam_oracle import correlation_matrix, max_sensing_snr
 
 TS = 1e-8
 
@@ -430,6 +429,7 @@ def test_sensing_snr_quadratic_form():
 
 
 def test_max_sensing_snr_scalings():
+    # the oracle's ceiling |alpha|^2 N M P / sigma^2, one factor at a time
     base = max_sensing_snr(8, 1000, 1.0, 1.0, 1.0)
     assert max_sensing_snr(16, 1000, 1.0, 1.0, 1.0) == pytest.approx(2 * base)
     assert max_sensing_snr(8, 2000, 1.0, 1.0, 1.0) == pytest.approx(2 * base)
