@@ -430,9 +430,15 @@ def _round_trip(target: RadarTarget, seen: np.ndarray, symbol_duration_s: float,
     """The echo of the (N,) sequence a^H(theta) x[n] the target sees: its
     delay, Doppler ramp and gain, plus the noise (see apply_radar_channel)."""
     n = seen.shape[-1]
-    delayed = _shift_zero_prefix(seen, target.delay_symbols)
-    ramp = np.exp(2j * np.pi * target.doppler_hz * symbol_duration_s * np.arange(n))
-    y = target.gain * delayed * ramp
+    # gain * delayed * ramp, scaled in place in that operand order: a complex
+    # product is not commutative in its last bit under FMA
+    y = _shift_zero_prefix(seen, target.delay_symbols)
+    ramp = np.arange(n, dtype=complex)
+    np.multiply(2j * np.pi * target.doppler_hz * symbol_duration_s, ramp, out=ramp)
+    np.exp(ramp, out=ramp)
+    np.multiply(target.gain, y, out=y)
+    np.multiply(y, ramp, out=y)
+    del ramp
     if noise_power > 0:
         if rng is None:
             raise ValueError("rng is required when noise_power > 0")

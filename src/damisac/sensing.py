@@ -200,7 +200,10 @@ def delay_doppler_map(echo: np.ndarray, bf: DamBeamformer, block: SymbolBlock,
     the noise in every cell keeps the per-sample variance sigma^2. An echo of
     shape (..., N) gives values of shape (..., P, Q), each map the one its
     echo gives alone; a 1-D echo is a stack of one. The norms come from one
-    running sum of |base|^2 in either branch below.
+    running sum of |base|^2 in either branch below. Beside the echo, one
+    N-length copy of the waveform enters either branch: base is dropped once
+    its energies are summed and its zero-led conjugate, which both read, is
+    written.
 
     With c_q = f_q T_s, a grid whose offsets c_q - c_0 are whole numbers of
     cycles over D_0 samples, as the survey's are over 128, folds at its fold
@@ -218,8 +221,8 @@ def delay_doppler_map(echo: np.ndarray, bf: DamBeamformer, block: SymbolBlock,
     takes one (T P) x B by B x Q matrix product for the T echoes and its phase
     row e^{-j2 pi f_q T_s s} at its start s, for O(T P N Q) work. The B x Q
     kernel is built once per call and one (T, P, B) work buffer serves every
-    block, so the memory is O((T P + Q) B) beside O(N) for the waveform and
-    O(T P Q) for the values.
+    block, so the memory is O((T P + Q) B) beside O(N + span) for the
+    waveform and O(T P Q) for the values.
     """
     echo = np.asarray(echo, dtype=complex)
     n = grid.block_length
@@ -230,33 +233,41 @@ def delay_doppler_map(echo: np.ndarray, bf: DamBeamformer, block: SymbolBlock,
         raise ValueError("grid block_length does not match the symbol block")
     delays = grid.delay_bins
     # ||base[:n-p]|| of every template from one running sum of |base|^2
-    energy = np.concatenate([[0.0], np.cumsum(base.real ** 2 + base.imag ** 2)])
+    energy = np.zeros(n + 1)
+    np.cumsum(base.real ** 2 + base.imag ** 2, out=energy[1:])
     norms = np.sqrt(energy[np.maximum(n - delays, 0)])
+    del energy
     if np.any(norms == 0):
         raise ValueError("zero template: probe delay pushes the waveform out of the block")
+    fold = _fold_size(grid)
+    # conj(base[m]) sits at m + hi, zeros before it. A delay p >= lo meets the
+    # echo only through base[:n - lo]; the zeros after it run to the last
+    # sample a window reads, n + hi - lo, or the folded map's periods of d.
+    lo, hi = int(delays.min(initial=n)), int(delays.max(initial=0))   # n, 0 with no delays
+    length = n if fold is None else -(-n // fold) * fold
+    conj_base = np.zeros(length + hi - lo, dtype=complex)
+    np.conjugate(base[:n - lo], out=conj_base[hi:hi + n - lo])
+    del base
     cycles = grid.doppler_bins_hz * grid.symbol_duration_s
     echoes = echo.reshape(-1, n)
-    fold = _fold_size(grid)
     if fold is None:
-        values = _blocked_map(echoes, base, delays, cycles)
+        values = _blocked_map(echoes, conj_base, delays, cycles)
     else:
-        values = _folded_map(echoes, base, delays, cycles, fold)
+        values = _folded_map(echoes, conj_base, delays, cycles, fold)
     values /= norms[:, None]
     return DelayDopplerMap(values.reshape(echo.shape[:-1] + grid.shape), grid)
 
 
-def _folded_map(echoes, base, delays, cycles, d):
-    """The (T, P, Q) sums of delay_doppler_map at fold size d."""
+def _folded_map(echoes, conj_base, delays, cycles, d):
+    """The (T, P, Q) sums of delay_doppler_map at fold size d, from its
+    zero-led conjugate waveform."""
     t, n = echoes.shape
-    lo, hi = int(delays.min()), int(delays.max())
-    span, periods = hi - lo + 1, -(-n // d)
-    # conj(base[m]) sits at m + hi, zeros before it; base beyond n - lo meets
-    # no echo sample. Window row s, entry i is conj(base[s + i - hi]): delay
-    # hi - i at sample s. As (d, periods, span) each residue's rows are d apart,
-    # and d >= span lets BLAS read them in place.
-    padded = np.zeros(periods * d + span - 1, dtype=complex)
-    padded[hi:hi + n - lo] = np.conj(base[:n - lo])
-    windows = sliding_window_view(padded, span).reshape(periods, d, span).transpose(1, 0, 2)
+    hi = int(delays.max())
+    span, periods = hi - int(delays.min()) + 1, -(-n // d)
+    # Window row s, entry i is conj(base[s + i - hi]): delay hi - i at sample
+    # s. As (d, periods, span) each residue's rows are d apart, and d >= span
+    # lets BLAS read them in place.
+    windows = sliding_window_view(conj_base, span).reshape(periods, d, span).transpose(1, 0, 2)
     # for n = j d + k, e^{-j2 pi c_q n} = e^{-j2 pi c_0 j d} e^{-j2 pi c_q k}, as
     # (c_q - c_0) j d is whole: the first factor, its argument reduced mod 1,
     # scales period j of the echo (zero-padded and laid out as (periods, d, T)),
@@ -266,13 +277,16 @@ def _folded_map(echoes, base, delays, cycles, d):
     steps = np.exp(-2j * np.pi * (cycles[0] * np.arange(0, periods * d, d) % 1.0))
     shifted *= steps[:, None, None]
     sums = np.matmul(shifted.transpose(1, 2, 0), windows)
+    del shifted, windows
     rows = np.take(sums, hi - delays, axis=2).reshape(d, t * delays.size)
+    del sums
     kernel = np.exp(-2j * np.pi * (np.outer(np.arange(d), cycles) % 1.0))
     return (rows.T @ kernel).reshape(t, delays.size, cycles.size)
 
 
-def _blocked_map(echoes, base, delays, cycles):
-    """The (T, P, Q) sums of delay_doppler_map, in blocks of _MAP_BLOCK samples."""
+def _blocked_map(echoes, conj_base, delays, cycles):
+    """The (T, P, Q) sums of delay_doppler_map in blocks of _MAP_BLOCK
+    samples, from its zero-led conjugate waveform."""
     n = echoes.shape[1]
     # r(p, q) = sum_n conj(base[n-p]) e^{-j2 pi f_q Ts n} echo[n]. With n = s + k
     # the phase splits into e^{-j2 pi f_q Ts s} per block start s and a B x Q
@@ -284,17 +298,14 @@ def _blocked_map(echoes, base, delays, cycles):
     fine = np.exp(-2j * np.pi * np.outer(np.arange(64), cycles))
     coarse = np.exp(-2j * np.pi * np.outer(np.arange(0, b, 64), cycles))
     kernel = (coarse[:, None, :] * fine).reshape(coarse.shape[0] * 64, cycles.size)[:b]
-    # conj(base[m]) sits at m + lead, zeros before it: the row of delay p in
-    # the block at s starts at s + lead - p
-    conj_base = np.zeros(lead + n, dtype=complex)
-    conj_base[lead:] = np.conj(base)
     work = np.empty((echoes.shape[0], delays.size, b), dtype=complex)
     values = np.zeros(work.shape[:2] + cycles.shape, dtype=complex)
     for s in range(0, n, b):
         w = min(b, n - s)
         if w < b:                       # the last block, zero-padded to B
             work[..., w:] = 0
-        # one product per delay into its rows of the buffer: indexing or
+        # one product per delay into its rows of the buffer, the row of delay
+        # p in the block at s starting at s + lead - p: indexing or
         # broadcasting the windows would build a second (T, P, B) array
         for i, start in enumerate(s + lead - delays):
             np.multiply(conj_base[start:start + w], echoes[:, s:s + w], out=work[:, i, :w])

@@ -132,14 +132,30 @@ def build_dam_block(block: SymbolBlock, bf: DamBeamformer) -> np.ndarray:
     return bf.beam_matrix @ rows
 
 
+_TERM_CHUNK = 8192   # samples per product in projected_dam_block: 128 KiB, cache-resident
+
+
 def projected_dam_block(block: SymbolBlock, bf: DamBeamformer, theta: float) -> np.ndarray:
     """a^H(theta) x[n], the transmit seen from direction theta, shape (N,).
 
-    Projects the L per-path beams first, (a^H F) S, so no M x N block is built.
+    Projects the L per-path beams first, g = a^H F, so no M x N block is
+    built, and then adds g_l s[n - kappa_l] one stream at a time in schedule
+    order, _TERM_CHUNK samples at a time through one reused product buffer:
+    no L x N matrix of delayed streams and no BLAS call over the N samples.
+    The sum is elementwise, so its rounding does not depend on the BLAS
+    thread count, nor on the chunk size.
     """
     a = steering_vector(theta, bf.num_antennas)
-    return (np.conj(a) @ bf.beam_matrix) @ delayed_symbol_matrix(block.symbols,
-                                                                 bf.delay_schedule)
+    s = block.symbols
+    n = s.size
+    out = np.zeros(n, dtype=complex)
+    term = np.empty(min(n, _TERM_CHUNK), dtype=complex)
+    for g, k in zip((np.conj(a) @ bf.beam_matrix).tolist(), bf.delay_schedule.tolist()):
+        for c in range(k, n, _TERM_CHUNK):
+            w = min(_TERM_CHUNK, n - c)
+            np.multiply(g, s[c - k:c - k + w], out=term[:w])
+            out[c:c + w] += term[:w]
+    return out
 
 
 def _array_power(tx_block: np.ndarray) -> np.ndarray:

@@ -4,14 +4,16 @@ term, as test oracles.
 `decompose_received` splits the noiseless received sequence into the aligned
 term and every cross-path pairing; `correlation_matrix` correlates the
 delayed symbol streams directly. The tests check zero-forcing, the ISI bound
-and the decorrelation of the aligned streams against them. `max_sensing_snr`
-is the sensing-SNR ceiling the steered designs are checked against.
+and the decorrelation of the aligned streams against them. `projected_block`
+is the transmit seen from one direction as one matrix product over the
+delayed streams. `max_sensing_snr` is the sensing-SNR ceiling the steered
+designs are checked against.
 """
 
 import numpy as np
 
 from damisac import DamBeamformer, MultipathChannel, SymbolBlock, delayed_symbol_matrix
-from damisac.channel import _shift_zero_prefix
+from damisac.channel import _shift_zero_prefix, steering_vector
 
 
 def aligned_gain(bf: DamBeamformer, channel: MultipathChannel) -> complex:
@@ -41,6 +43,14 @@ def decompose_received(bf: DamBeamformer, channel: MultipathChannel,
             lag = int(bf.delay_schedule[lp] + channel.path_delays[l])
             isi += cross[l, lp] * _shift_zero_prefix(s, lag)
     return desired, isi
+
+
+def projected_block(block: SymbolBlock, bf: DamBeamformer, theta: float) -> np.ndarray:
+    """a^H(theta) x[n] as (a^H F) S: the projected beams times the L x N
+    matrix S of delayed symbol streams."""
+    a = steering_vector(theta, bf.num_antennas)
+    return (np.conj(a) @ bf.beam_matrix) @ delayed_symbol_matrix(block.symbols,
+                                                                 bf.delay_schedule)
 
 
 def max_sensing_snr(num_antennas: int, block_length: int, power: float,

@@ -1,6 +1,8 @@
 """Channel model tests: steering geometry, generator statistics, propagation
 oracles, and the round-trip radar gain."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -315,6 +317,26 @@ def test_radar_projected_sequence_matches_the_array_block(noise_power):
     projected = apply_radar_channel(tgt, seen, t_s, noise_power, np.random.default_rng(4))
     assert projected.shape == (n,)
     assert np.linalg.norm(projected - full) <= 1e-12 * np.linalg.norm(full)
+
+
+def test_radar_echo_of_a_sequence_holds_at_most_three_sequences():
+    # the delayed copy, scaled in place, holds the echo (16 N bytes) beside the
+    # Doppler ramp (16 N); the ramp is dropped before the noise, whose draw
+    # holds one complex array (16 N) and one real part at a time (8 N). So the
+    # peak is 40 N bytes plus small objects, within 3 x 16 N.
+    n = 99_800
+    rng = np.random.default_rng(12)
+    seen = complex_normal(rng, (n,))
+    tgt = RadarTarget(gain=0.8 - 1.1j, direction=0.45, delay_symbols=17,
+                      doppler_hz=1.0 / (7 * n * 1e-8))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        apply_radar_channel(tgt, seen, 1e-8, 0.7, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * n
 
 
 def test_radar_rejects_a_three_dimensional_block():

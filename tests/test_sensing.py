@@ -246,14 +246,14 @@ def traced_map_peak_and_bound(stack, fold=True):
     """Traced peak of a survey map at N = 65 536, Q = 129, P = 201, and its
     bound. The survey folds at D = 256: its bound is the (T, J, D) padded
     echo, the D x T x span sums and their rows gathered by delay, and the
-    D x Q kernel with its arguments, plus a stated slack of 3 N complex
-    samples (the projected waveform, its zero-led conjugate, and N for the
-    running sum of |base|^2 and small arrays) and one T x P x Q map. Without
-    fold, one bin sits 1e-9 cycles per 4 096 samples off the survey's
-    period, so the map runs in blocks: one (T, P, B) work buffer and the
-    B x Q kernel, plus a slack of 4 N complex samples (the projected
-    waveform, its conjugated copy, and 2 N for the kernel's factor tables,
-    a block's samples and one delay's rows, and small arrays) and three
+    D x Q kernel with its arguments, plus a stated slack of 2 N complex
+    samples (the zero-led conjugate waveform, which replaces the projected
+    one, and N for the running sum of |base|^2 and small arrays) and one
+    T x P x Q map. Without fold, one bin sits 1e-9 cycles per 4 096 samples
+    off the survey's period, so the map runs in blocks: one (T, P, B) work
+    buffer and the B x Q kernel, plus a slack of 3 N complex samples (the
+    zero-led conjugate waveform, and 2 N for the kernel's factor tables, a
+    block's samples and one delay's rows, and small arrays) and three
     T x P x Q maps (the values, one product and its phased copy)."""
     n, q = 65_536, 129
     rng = np.random.default_rng(17)
@@ -276,9 +276,9 @@ def traced_map_peak_and_bound(stack, fold=True):
     t, p = stack or 1, grid.shape[0]
     if fold:
         padded = -(-n // d) * d
-        bound = 16 * (t * padded + 2 * d * t * p + 2 * d * q) + 16 * (3 * n + t * p * q)
+        bound = 16 * (t * padded + 2 * d * t * p + 2 * d * q) + 16 * (2 * n + t * p * q)
     else:
-        bound = 16 * (t * p * _MAP_BLOCK + _MAP_BLOCK * q) + 16 * (4 * n + 3 * t * p * q)
+        bound = 16 * (t * p * _MAP_BLOCK + _MAP_BLOCK * q) + 16 * (3 * n + 3 * t * p * q)
     return peak, bound, 16 * q * n
 
 

@@ -1,9 +1,11 @@
 """Transmit block construction tests: delay schedules, block assembly oracle,
 communication SNR, ISI decomposition, and PAPR."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from damisac import (
@@ -21,8 +23,9 @@ from damisac import (
     steering_vector,
 )
 from damisac.channel import _shift_zero_prefix
+from damisac.waveform import _TERM_CHUNK
 
-from dam_oracle import aligned_gain, decompose_received
+from dam_oracle import aligned_gain, decompose_received, projected_block
 
 
 def random_channel(rng, m, l, delays):
@@ -274,6 +277,43 @@ def test_projected_dam_block_matches_full_block():
     got = projected_dam_block(block, bf, -0.6)
     assert got.shape == (3000,)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_projected_dam_block_matches_the_matrix_oracle(data):
+    # any M, L, N (up to one and a half product chunks) and distinct schedule,
+    # some streams starting past the block
+    m, l = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 10))
+    n = data.draw(st.integers(1, 3 * 4096))
+    kappa = data.draw(st.lists(st.integers(0, n - 1) | st.integers(n, n + 10),
+                               min_size=l, max_size=l, unique=True))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    block = generate_symbols(rng, n, data.draw(st.sampled_from(["qpsk", "gaussian"])))
+    bf = DamBeamformer(complex_normal(rng, (m, l)), kappa, max(kappa))
+    theta = data.draw(st.floats(-np.pi / 2, np.pi / 2))
+    got = projected_dam_block(block, bf, theta)
+    want = projected_block(block, bf, theta)
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want), initial=0.0)
+
+
+def test_projected_dam_block_memory_is_one_sequence_and_a_chunk():
+    # the sum (16 N bytes) and one reused product buffer of _TERM_CHUNK
+    # samples; 64 KiB covers the steering vector, a^H F and the interpreter's
+    # small objects. An L x N matrix of delayed streams alone would take 16 L N.
+    n = 99_800
+    rng = np.random.default_rng(23)
+    block = generate_symbols(rng, n, "qpsk")
+    bf = DamBeamformer.aligned(complex_normal(rng, (64, 5)), [0, 3, 9, 17, 40])
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        projected_dam_block(block, bf, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * (n + _TERM_CHUNK) + 64 * 1024
 
 
 def test_power_accounting_empirical():
