@@ -23,8 +23,8 @@ import numpy as np
 
 from . import beamforming, ofdm, sensing, waveform
 from .channel import (ChannelGenConfig, MultipathChannel, RadarTarget,
-                      ScenarioConfig, _check_guard, _round_trip, complex_normal,
-                      generate_multipath_channel, generate_multipath_channels,
+                      ScenarioConfig, _check_guard, _round_trip, _shift_zero_prefix,
+                      complex_normal, generate_multipath_channel, generate_multipath_channels,
                       radar_round_trip_gain, steering_vector)
 from .errors import ConfigError
 from .units import dbm_to_watt, linear_to_db
@@ -519,12 +519,46 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
     return report
 
 
-# fast-target trials per delay_doppler_map in run_ofdm_compare, whose chunk
-# buffer is allocated once. With no M-row transmit built, this stage sets the
-# default run's peak RSS (one OpenBLAS thread, numpy 2.4.6: 50 MB in process,
-# 3 MB above the stage before it). 16 raised it by 6 MB for 6% less CPU time,
-# 4 lowered it by 3 MB for 6% more.
-_TRIAL_CHUNK = 8
+# fast-target trials per peak pick in run_ofdm_compare: a chunk holds its
+# trials' P x Q cells, so the run's memory does not grow with `trials`
+_CELL_CHUNK = 256
+
+
+def _template_gram(seen: np.ndarray, bf: waveform.DamBeamformer, block: waveform.SymbolBlock,
+                   theta: float, grid: sensing.SensingGrid) -> np.ndarray:
+    """G = T^H T, the (P Q, P Q) Gram matrix of delay_doppler_map's unit-norm
+    templates T over a window whose Doppler bins are f_0 + q / (N T_s), q < Q,
+    in the map's delay-major cell order. seen is projected_dam_block(block,
+    bf, theta), which the caller holds: a second copy would stay alive beside
+    the map's buffers.
+
+    With t_pq[n] = seen[n - p] e^{j2 pi f_q T_s n} / ||seen[:N - p]||, the entry
+    <t_pq, t_p'q'> is cell (p, f_q - f_q') of the map of the unit-norm copy of
+    seen delayed by p'. So G takes one map per delay p', over the window's
+    delays and the 2Q - 1 Doppler differences k / (N T_s), each wrapped into
+    (-1/(2 T_s), 1/(2 T_s)]: the map's kernel is 1/T_s-periodic in f.
+    """
+    n, (num_p, num_q) = grid.block_length, grid.shape
+    k = np.arange(1 - num_q, num_q)
+    k += n * ((n - 2 * k) // (2 * n))
+    diffs = sensing.SensingGrid(grid.delay_bins, k * grid.doppler_resolution_hz,
+                                grid.symbol_duration_s, n)
+    lag = np.subtract.outer(np.arange(num_q), np.arange(num_q)) + num_q - 1   # [q, q']
+    gram = np.empty((num_p, num_q, num_p, num_q), dtype=complex)
+    for j, delay in enumerate(grid.delay_bins):
+        copy = _shift_zero_prefix(seen, int(delay))
+        copy /= np.sqrt(np.sum(copy.real ** 2 + copy.imag ** 2))
+        gram[:, :, j] = sensing.delay_doppler_map(copy, bf, block, theta, diffs).values[:, lag]
+    return gram.reshape(num_p * num_q, num_p * num_q)
+
+
+def _gram_root(gram: np.ndarray) -> np.ndarray:
+    """The Hermitian square root C = V sqrt(max(Lambda, 0)) V^H of a Gram
+    matrix G = V Lambda V^H, so that C z is CN(0, s G) for z ~ CN(0, s I).
+    Unlike the factor V sqrt(Lambda), it is continuous in G: a rounding change
+    in G cannot turn the draws within a cluster of near-equal eigenvalues."""
+    lam, v = np.linalg.eigh(gram)
+    return (v * np.sqrt(np.maximum(lam, 0.0))) @ v.conj().T
 
 
 @dataclass
@@ -550,6 +584,14 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
     computed without building it, the ambiguity limits, and a paired fast-target
     demo at twice the subcarrier spacing, inside the aligned waveform's
     unambiguous Doppler span but far beyond OFDM's.
+
+    Each DAM fast-target trial is drawn in the P x Q cells of the matched
+    filter's window, not in the N echo samples: white noise through the unit-norm
+    templates T makes the cells CN(T^H clean, sigma^2 T^H T), so a trial is the
+    noise-free map plus C z for the trial's own keyed P Q normals z, with C the
+    Hermitian root of the Gram matrix (see _template_gram). The trials go
+    through the peak pick _CELL_CHUNK at a time. The OFDM rate is 0 without a
+    trial.
     """
     s = cfg.scenario
     n_mc = min(s.data_length, cfg.mc_block_length)
@@ -618,16 +660,15 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
     res = 1.0 / (n_mc * t_s)
     grid = sensing.SensingGrid.refine(target.delay_symbols, res * round(f_fast / res),
                                       n_mc, t_s, delay_half_width=3)
-    # each trial adds its own keyed noise draw to the noise-free echo; a chunk
-    # of trials goes through one map
-    echoes = np.empty((_TRIAL_CHUNK,) + clean.shape, dtype=complex)
+    # trial t's cells: the noise-free map plus C z_t, z_t the P Q normals of its
+    # keyed stream (see the docstring)
+    mean = sensing.delay_doppler_map(clean, bf_full, block, theta, grid).values.ravel()
+    root_t = _gram_root(_template_gram(dam_seen, bf_full, block, theta, grid)).T
     dam_hits = 0
-    for start in range(0, cfg.trials, _TRIAL_CHUNK):
-        count = min(_TRIAL_CHUNK, cfg.trials - start)
-        for j, t in enumerate(range(start, start + count)):
-            np.add(clean, complex_normal(cfg.rng(2, 9, t), clean.shape, sigma2),
-                   out=echoes[j])
-        ddmap = sensing.delay_doppler_map(echoes[:count], bf_full, block, theta, grid)
+    for start in range(0, cfg.trials, _CELL_CHUNK):
+        z = np.stack([complex_normal(cfg.rng(2, 9, t), mean.size, sigma2)
+                      for t in range(start, min(start + _CELL_CHUNK, cfg.trials))])
+        ddmap = sensing.DelayDopplerMap((mean + z @ root_t).reshape((-1,) + grid.shape), grid)
         _, f_hat, _ = sensing.estimate_delay_doppler(ddmap)
         dam_hits += int(np.count_nonzero(np.abs(f_hat - f_fast) <= res))
 

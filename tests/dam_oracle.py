@@ -6,7 +6,8 @@ term and every cross-path pairing; `correlation_matrix` correlates the
 delayed symbol streams directly. The tests check zero-forcing, the ISI bound
 and the decorrelation of the aligned streams against them. `projected_block`
 is the transmit seen from one direction as one matrix product over the
-delayed streams. `max_sensing_snr` is the sensing-SNR ceiling the steered
+delayed streams, and `dense_templates` every matched-filter template of a map
+grid, built from it. `max_sensing_snr` is the sensing-SNR ceiling the steered
 designs are checked against.
 """
 
@@ -51,6 +52,20 @@ def projected_block(block: SymbolBlock, bf: DamBeamformer, theta: float) -> np.n
     a = steering_vector(theta, bf.num_antennas)
     return (np.conj(a) @ bf.beam_matrix) @ delayed_symbol_matrix(block.symbols,
                                                                  bf.delay_schedule)
+
+
+def dense_templates(block: SymbolBlock, bf: DamBeamformer, theta: float, grid) -> np.ndarray:
+    """The unit-norm template of every cell of a delay-Doppler grid as the
+    columns of an (N, P Q) matrix, in the map's delay-major cell order:
+    projected_block delayed by p, over its norm, times e^{j2 pi f_q T_s n}."""
+    seen = projected_block(block, bf, theta)
+    ramps = np.exp(2j * np.pi * grid.symbol_duration_s
+                   * np.outer(np.arange(seen.size), grid.doppler_bins_hz))
+    columns = []
+    for p in grid.delay_bins:
+        base = _shift_zero_prefix(seen, int(p))
+        columns.append(ramps * (base / np.linalg.norm(base))[:, None])
+    return np.concatenate(columns, axis=1)
 
 
 def max_sensing_snr(num_antennas: int, block_length: int, power: float,

@@ -16,6 +16,7 @@ import tracemalloc
 import warnings
 from datetime import timedelta
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from damisac import (
     ConfigError,
     DamBeamformer,
+    DelayDopplerMap,
     ExperimentConfig,
     InfeasibleError,
     IsacProblem,
@@ -46,6 +48,7 @@ from damisac import (
     ofdm_time_domain,
     papr_empirical,
     parse_gamma_grid,
+    projected_dam_block,
     run_beampattern,
     run_dd_map,
     run_ofdm_compare,
@@ -58,7 +61,7 @@ from damisac.experiments import _SCHEMA, _pattern_db
 from scipy.signal import find_peaks
 
 from beam_peaks import find_beam_peaks
-from dam_oracle import aligned_gain, correlation_matrix
+from dam_oracle import aligned_gain, correlation_matrix, dense_templates
 from se_sweep_oracle import se_sweep_rows
 from zf_oracle import zf_mrt
 
@@ -802,7 +805,7 @@ def test_no_ofdm_doppler_bin_reaches_the_fast_target(tmp_path, k, n_p):
 
 def test_ofdm_compare_runs_no_ofdm_fast_target_trial(monkeypatch):
     # the OFDM rate is the constant above: no OFDM estimate and no OFDM noise
-    # stream, rng(2, 10, t); 13 trials end on a partial chunk
+    # stream, rng(2, 10, t); each DAM trial draws from its own stream
     cfg = load_config(None)
     cfg.trials = 13
     cfg.mc_block_length = 2048
@@ -826,12 +829,15 @@ def test_ofdm_compare_runs_no_ofdm_fast_target_trial(monkeypatch):
     assert sorted(keys) == [(2, 0), (2, 1), (2, 2)] + [(2, 9, t) for t in range(13)]
 
 
-def fast_target_hit_rates_oracle(cfg):
-    """The ofdm-compare fast-target trials one at a time: each trial draws its
-    keyed noise for each scheme, then makes one map and one OFDM estimate."""
+def fast_target_window(cfg):
+    """run_ofdm_compare's DAM fast-target set-up, rebuilt by hand: the
+    full-power aligned beamformer, the symbol block, the OFDM grid's
+    configuration, the fast target at twice its subcarrier spacing with the
+    resolution-spaced window around it, and its noise-free echo through the
+    M-row transmit."""
     s = cfg.scenario
     n_mc = min(s.data_length, cfg.mc_block_length)
-    t_s, sigma2 = s.symbol_duration_s, s.noise_power_w
+    t_s = s.symbol_duration_s
     k, l, m = cfg.ofdm_subcarriers, cfg.channel_gen.num_paths, s.num_antennas
     scen_mc = dataclasses.replace(s, coherence_time_s=(n_mc + s.guard_length) * t_s)
     target = cfg.radar_target(cfg.rng(2, 0))
@@ -839,51 +845,125 @@ def fast_target_hit_rates_oracle(cfg):
     bf = DamBeamformer.aligned(np.sqrt(s.transmit_power_w / (m * l)) * np.tile(a[:, None], (1, l)),
                                np.arange(l))
     ocfg = OfdmConfig.steered(scen_mc, k, target.direction)
-    i_sym = ocfg.symbols_per_block
     f_fast = 2.0 * ocfg.subcarrier_spacing_hz
     fast = dataclasses.replace(target, doppler_hz=f_fast)
     block = generate_symbols(cfg.rng(2, 1), n_mc, cfg.modulation)
-    clean = apply_radar_channel(fast, build_dam_block(block, bf), t_s)
-    tx_freq = generate_symbols(cfg.rng(2, 2), k * i_sym,
-                               cfg.modulation).symbols.reshape(k, i_sym, order="F")
-    oclean = ofdm_demodulate(ocfg, apply_radar_channel(fast, ofdm_time_domain(ocfg, tx_freq),
-                                                       t_s))
     res = 1.0 / (n_mc * t_s)
     grid = SensingGrid.refine(target.delay_symbols, res * round(f_fast / res), n_mc, t_s,
                               delay_half_width=3)
+    return SimpleNamespace(
+        bf=bf, block=block, ocfg=ocfg, theta=target.direction, fast=fast, f_fast=f_fast,
+        res=res, grid=grid, t_s=t_s, sigma2=s.noise_power_w,
+        clean=apply_radar_channel(fast, build_dam_block(block, bf), t_s))
+
+
+def fast_target_hit_rates_oracle(cfg):
+    """The ofdm-compare fast-target trials one at a time in the sample domain:
+    each trial draws its keyed noise over the whole echo for each scheme, then
+    makes one map and one OFDM estimate."""
+    w = fast_target_window(cfg)
+    k, ocfg = cfg.ofdm_subcarriers, w.ocfg
+    tx_freq = generate_symbols(cfg.rng(2, 2), k * ocfg.symbols_per_block,
+                               cfg.modulation).symbols.reshape(k, -1, order="F")
+    oclean = ofdm_demodulate(ocfg, apply_radar_channel(w.fast, ofdm_time_domain(ocfg, tx_freq),
+                                                       w.t_s))
     dam_hits = ofdm_hits = 0
     for t in range(cfg.trials):
-        echo = clean + complex_normal(cfg.rng(2, 9, t), clean.shape, sigma2)
+        echo = w.clean + complex_normal(cfg.rng(2, 9, t), w.clean.shape, w.sigma2)
         _, f_hat, _ = estimate_delay_doppler(
-            delay_doppler_map(echo, bf, block, target.direction, grid))
-        dam_hits += abs(f_hat - f_fast) <= res
-        oecho = oclean + complex_normal(cfg.rng(2, 10, t), oclean.shape, sigma2 / k)
+            delay_doppler_map(echo, w.bf, w.block, w.theta, w.grid))
+        dam_hits += abs(f_hat - w.f_fast) <= w.res
+        oecho = oclean + complex_normal(cfg.rng(2, 10, t), oclean.shape, w.sigma2 / k)
         _, f_hat_o, _ = ofdm_delay_doppler_estimate(oecho, ocfg, tx_freq)
-        ofdm_hits += abs(f_hat_o - f_fast) <= ocfg.subcarrier_spacing_hz
+        ofdm_hits += abs(f_hat_o - w.f_fast) <= ocfg.subcarrier_spacing_hz
     return dam_hits / cfg.trials, ofdm_hits / cfg.trials
 
 
-def test_ofdm_compare_chunked_trials_match_the_per_trial_oracle(monkeypatch):
-    # 13 trials, not a multiple of the chunk, and a reflector weak enough that
-    # the DAM rate is neither 0 nor 1
+# every Doppler bin of an N = 8 block in the fast target's window, which ends
+# at B/2: the differences of its bins reach 7B/8 and must wrap into (-B/2, B/2]
+EVERY_DOPPLER_BIN = {"experiment": {"mc_block_length": 8, "ofdm_subcarriers": 4, "trials": 5},
+                     "scenario": {"guard_length": 2}, "target": {"range_m": 3}}
+# a window clipped at B/2 to 9 of its 17 bins
+CLIPPED_AT_HALF_BAND = {"experiment": {"mc_block_length": 64, "ofdm_subcarriers": 4},
+                        "scenario": {"guard_length": 2}, "target": {"range_m": 3}}
+
+
+@pytest.mark.parametrize("doc, num_doppler", [({}, 17), (CLIPPED_AT_HALF_BAND, 9),
+                                              (EVERY_DOPPLER_BIN, 8)])
+def test_fast_target_cell_gram_is_the_dense_templates_gram(tmp_path, doc, num_doppler):
+    # G from one map per delay equals T^H T of the dense templates, and the
+    # draws' factor C has C C^H = G, each to 1e-12
+    w = fast_target_window(load_config(write_config(tmp_path, doc)))
+    assert w.grid.shape[1] == num_doppler
+    if doc:
+        assert w.grid.doppler_bins_hz[-1] == 0.5 / w.t_s
+    seen = projected_dam_block(w.block, w.bf, w.theta)
+    gram = experiments._template_gram(seen, w.bf, w.block, w.theta, w.grid)
+    t = dense_templates(w.block, w.bf, w.theta, w.grid)
+    assert np.max(np.abs(gram - t.conj().T @ t)) <= 1e-12
+    root = experiments._gram_root(gram)
+    assert np.max(np.abs(root @ root.conj().T - gram)) <= 1e-12
+
+
+def test_fast_target_hits_match_the_dense_cell_oracle():
+    # 13 trials at a reflector weak enough that the DAM rate is neither 0 nor
+    # 1; the oracle builds each trial's cells from the dense templates T and
+    # the trial's keyed P Q normals z: T^H clean + (T^H T)^(1/2) z
     cfg = load_config(None)
     cfg.trials = 13
     cfg.target = dataclasses.replace(cfg.target, rcs_m2=0.2)
-    stacks = []
-    real_map = experiments.sensing.delay_doppler_map
+    w = fast_target_window(cfg)
+    t = dense_templates(w.block, w.bf, w.theta, w.grid)
+    lam, v = np.linalg.eigh(t.conj().T @ t)
+    root = v @ np.diag(np.sqrt(np.clip(lam, 0.0, None))) @ v.conj().T
+    mean = t.conj().T @ w.clean
+    hits = 0
+    for trial in range(cfg.trials):
+        z = complex_normal(cfg.rng(2, 9, trial), mean.size, w.sigma2)
+        _, f_hat, _ = estimate_delay_doppler(
+            DelayDopplerMap((mean + root @ z).reshape(w.grid.shape), w.grid))
+        hits += abs(f_hat - w.f_fast) <= w.res
+    assert 0 < hits < cfg.trials
+    assert run_ofdm_compare(cfg).dam_doppler_hit_rate == hits / cfg.trials
 
-    def counted_map(echo, *args):
-        stacks.append(np.shape(echo))
-        return real_map(echo, *args)
 
-    monkeypatch.setattr(experiments.sensing, "delay_doppler_map", counted_map)
-    res = run_ofdm_compare(cfg)
-    dam_rate, ofdm_rate = fast_target_hit_rates_oracle(cfg)
-    assert 0 < dam_rate < 1
-    assert (res.dam_doppler_hit_rate, res.ofdm_doppler_hit_rate) == (dam_rate, ofdm_rate)
-    chunk = experiments._TRIAL_CHUNK
-    n_mc = min(cfg.scenario.data_length, cfg.mc_block_length)
-    assert 13 % chunk and stacks == [(chunk, n_mc)] * (13 // chunk) + [(13 % chunk, n_mc)]
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fast_target_rate_is_the_sample_domain_rate(seed):
+    # the cell-domain draws are exact in distribution: over 4 000 trials their
+    # DAM rate is within 4 standard deviations of the difference of two
+    # independent binomial rates, sqrt(p (1 - p) (1/4000 + 1/400)) at the
+    # pooled p, of the sample-domain oracle's over 400 trials. At N = 2048
+    # the rate is about 0.53, and the bound about 0.105; white cells read
+    # 0.65-0.71, and noise 1.5 dB too strong 0.41-0.45.
+    def config(trials):
+        cfg = load_config(None)
+        cfg.seed, cfg.trials = seed, trials
+        cfg.mc_block_length, cfg.ofdm_subcarriers = 2048, 256
+        return cfg
+
+    rate = run_ofdm_compare(config(4000)).dam_doppler_hit_rate
+    oracle_rate, ofdm_rate = fast_target_hit_rates_oracle(config(400))
+    assert ofdm_rate == 0.0
+    pooled = (4000 * rate + 400 * oracle_rate) / 4400
+    assert 0.2 < pooled < 0.8
+    assert abs(rate - oracle_rate) <= 4 * math.sqrt(pooled * (1 - pooled) * (1 / 4000 + 1 / 400))
+
+
+def test_fast_target_memory_does_not_grow_with_trials():
+    # the trials' cells are drawn and picked in chunks: the traced peak at
+    # 20 000 trials stays within 4 chunks' cells, 16 P Q bytes per trial, of
+    # the peak at one trial; one (trials, P Q) array of draws would be 38 MB
+    def peak(trials):
+        cfg = load_config(None)
+        cfg.trials, cfg.mc_block_length, cfg.ofdm_subcarriers = trials, 2048, 256
+        tracemalloc.start()
+        try:
+            run_ofdm_compare(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(20_000) < peak(1) + 4 * experiments._CELL_CHUNK * 16 * 7 * 17
 
 
 # ------------------------------------------------------------------------ CLI
@@ -1013,6 +1093,20 @@ def test_doppler_windows_near_the_interval_edge(tmp_path, capsys):
         "trials": 2, "mc_block_length": 1024, "ofdm_subcarriers": 3}}, "k3.json")
     assert main(["ofdm-compare", "--config", str(three)]) == 2
     assert capsys.readouterr().err.startswith("error: experiment.ofdm_subcarriers")
+
+
+def test_ofdm_compare_with_every_doppler_bin_in_its_window_exits_0(tmp_path, capsys):
+    # the window's Doppler differences wrap into (-B/2, B/2]; unwrapped, the
+    # run exited 1 on a grid bin beyond B/2
+    cfgfile = write_config(tmp_path, EVERY_DOPPLER_BIN)
+    assert main(["ofdm-compare", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "ofdm_compare.csv").read_text().splitlines()
+    rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
+    assert len(rows) == 4
+    for row in rows:
+        for column, cell in row.items():
+            if column not in ("scheme", "regime"):
+                assert math.isfinite(float(cell)), (column, row)
 
 
 def test_delay_windows_near_the_block_end(tmp_path):
