@@ -23,7 +23,7 @@ import numpy as np
 
 from . import beamforming, ofdm, sensing, waveform
 from .channel import (ChannelGenConfig, MultipathChannel, RadarTarget,
-                      ScenarioConfig, _check_guard, _round_trip, _shift_zero_prefix,
+                      ScenarioConfig, _check_guard, _round_trip,
                       complex_normal, generate_multipath_channel, generate_multipath_channels,
                       radar_round_trip_gain, steering_vector)
 from .errors import ConfigError
@@ -524,34 +524,6 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
 _CELL_CHUNK = 256
 
 
-def _template_gram(seen: np.ndarray, bf: waveform.DamBeamformer, block: waveform.SymbolBlock,
-                   theta: float, grid: sensing.SensingGrid) -> np.ndarray:
-    """G = T^H T, the (P Q, P Q) Gram matrix of delay_doppler_map's unit-norm
-    templates T over a window whose Doppler bins are f_0 + q / (N T_s), q < Q,
-    in the map's delay-major cell order. seen is projected_dam_block(block,
-    bf, theta), which the caller holds: a second copy would stay alive beside
-    the map's buffers.
-
-    With t_pq[n] = seen[n - p] e^{j2 pi f_q T_s n} / ||seen[:N - p]||, the entry
-    <t_pq, t_p'q'> is cell (p, f_q - f_q') of the map of the unit-norm copy of
-    seen delayed by p'. So G takes one map per delay p', over the window's
-    delays and the 2Q - 1 Doppler differences k / (N T_s), each wrapped into
-    (-1/(2 T_s), 1/(2 T_s)]: the map's kernel is 1/T_s-periodic in f.
-    """
-    n, (num_p, num_q) = grid.block_length, grid.shape
-    k = np.arange(1 - num_q, num_q)
-    k += n * ((n - 2 * k) // (2 * n))
-    diffs = sensing.SensingGrid(grid.delay_bins, k * grid.doppler_resolution_hz,
-                                grid.symbol_duration_s, n)
-    lag = np.subtract.outer(np.arange(num_q), np.arange(num_q)) + num_q - 1   # [q, q']
-    gram = np.empty((num_p, num_q, num_p, num_q), dtype=complex)
-    for j, delay in enumerate(grid.delay_bins):
-        copy = _shift_zero_prefix(seen, int(delay))
-        copy /= np.sqrt(np.sum(copy.real ** 2 + copy.imag ** 2))
-        gram[:, :, j] = sensing.delay_doppler_map(copy, bf, block, theta, diffs).values[:, lag]
-    return gram.reshape(num_p * num_q, num_p * num_q)
-
-
 def _gram_root(gram: np.ndarray) -> np.ndarray:
     """The Hermitian square root C = V sqrt(max(Lambda, 0)) V^H of a Gram
     matrix G = V Lambda V^H, so that C z is CN(0, s G) for z ~ CN(0, s I).
@@ -589,7 +561,8 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
     filter's window, not in the N echo samples: white noise through the unit-norm
     templates T makes the cells CN(T^H clean, sigma^2 T^H T), so a trial is the
     noise-free map plus C z for the trial's own keyed P Q normals z, with C the
-    Hermitian root of the Gram matrix (see _template_gram). The trials go
+    Hermitian root of the Gram matrix, which sensing.template_gram takes from
+    one lag product of the waveform with itself. The trials go
     through the peak pick _CELL_CHUNK at a time. The OFDM rate is 0 without a
     trial.
     """
@@ -663,7 +636,7 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
     # trial t's cells: the noise-free map plus C z_t, z_t the P Q normals of its
     # keyed stream (see the docstring)
     mean = sensing.delay_doppler_map(clean, bf_full, block, theta, grid).values.ravel()
-    root_t = _gram_root(_template_gram(dam_seen, bf_full, block, theta, grid)).T
+    root_t = _gram_root(sensing.template_gram(dam_seen, grid)).T
     dam_hits = 0
     for start in range(0, cfg.trials, _CELL_CHUNK):
         z = np.stack([complex_normal(cfg.rng(2, 9, t), mean.size, sigma2)

@@ -133,7 +133,9 @@ def ofdm_ambiguity_limits(cfg: OfdmConfig, wavelength_m: float) -> AmbiguityLimi
 
 
 def _symbol_samples(cfg: OfdmConfig, freq_symbols: np.ndarray):
-    """The (M, K + N_p) samples of ofdm_time_domain's symbols, one at a time.
+    """The sample order of one symbol, each cyclic prefix from the end of
+    the body first, and the (M, K) bodies of ofdm_time_domain's symbols, one
+    at a time: symbol s is bodies[s][:, order].
 
     The shape of freq_symbols is checked here, before the first symbol.
     """
@@ -144,8 +146,8 @@ def _symbol_samples(cfg: OfdmConfig, freq_symbols: np.ndarray):
     order = np.arange(-cfg.guard_length, k) % k
     # symbol by symbol: an (M, I, K) product and its transform would each be
     # as large as the stream
-    return (np.fft.ifft(cfg.beamformers * freq_symbols[:, s], axis=1, norm="forward")[:, order]
-            for s in range(i))
+    return order, (np.fft.ifft(cfg.beamformers * freq_symbols[:, s], axis=1, norm="forward")
+                   for s in range(i))
 
 
 def ofdm_time_domain(cfg: OfdmConfig, freq_symbols: np.ndarray) -> np.ndarray:
@@ -158,20 +160,22 @@ def ofdm_time_domain(cfg: OfdmConfig, freq_symbols: np.ndarray) -> np.ndarray:
     beamformers are the one row a^H(theta) W gives the (1, I (K + N_p))
     stream a^H(theta) x[n] that a target at theta sees.
     """
-    samples = _symbol_samples(cfg, freq_symbols)
+    order, bodies = _symbol_samples(cfg, freq_symbols)
     stream = np.empty((cfg.num_antennas, cfg.symbols_per_block,
                        cfg.num_subcarriers + cfg.guard_length), dtype=complex)
-    for s, symbol in enumerate(samples):
-        stream[:, s] = symbol
+    for s, body in enumerate(bodies):
+        stream[:, s] = body[:, order]
     return stream.reshape(cfg.num_antennas, -1)
 
 
 def ofdm_papr(cfg: OfdmConfig, freq_symbols: np.ndarray) -> float:
     """papr_empirical(ofdm_time_domain(cfg, freq_symbols)), bit for bit, with
-    the per-sample power summed one symbol at a time: O(M K) memory beside
-    the I (K + N_p) powers, instead of the whole M-row stream."""
-    return _peak_to_average(np.concatenate(
-        [_array_power(symbol) for symbol in _symbol_samples(cfg, freq_symbols)]))
+    the per-sample power summed one symbol at a time: each symbol's K body
+    powers, taken from its (M, K) body, are then read in the prefix's sample
+    order. O(M K) memory beside the I (K + N_p) powers, instead of the whole
+    M-row stream, and no (M, K + N_p) copy of a symbol."""
+    order, bodies = _symbol_samples(cfg, freq_symbols)
+    return _peak_to_average(np.concatenate([_array_power(body)[order] for body in bodies]))
 
 
 def ofdm_demodulate(cfg: OfdmConfig, echo: np.ndarray) -> np.ndarray:

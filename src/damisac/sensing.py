@@ -232,13 +232,7 @@ def delay_doppler_map(echo: np.ndarray, bf: DamBeamformer, block: SymbolBlock,
     if base.size != n:
         raise ValueError("grid block_length does not match the symbol block")
     delays = grid.delay_bins
-    # ||base[:n-p]|| of every template from one running sum of |base|^2
-    energy = np.zeros(n + 1)
-    np.cumsum(base.real ** 2 + base.imag ** 2, out=energy[1:])
-    norms = np.sqrt(energy[np.maximum(n - delays, 0)])
-    del energy
-    if np.any(norms == 0):
-        raise ValueError("zero template: probe delay pushes the waveform out of the block")
+    norms = _template_norms(base, delays)
     fold = _fold_size(grid)
     # conj(base[m]) sits at m + hi, zeros before it. A delay p >= lo meets the
     # echo only through base[:n - lo]; the zeros after it run to the last
@@ -256,6 +250,68 @@ def delay_doppler_map(echo: np.ndarray, bf: DamBeamformer, block: SymbolBlock,
         values = _folded_map(echoes, conj_base, delays, cycles, fold)
     values /= norms[:, None]
     return DelayDopplerMap(values.reshape(echo.shape[:-1] + grid.shape), grid)
+
+
+def _template_norms(base, delays):
+    """||base[:N - p]|| of each delay's template, from one running sum of
+    |base|^2; a template with no energy raises."""
+    n = base.size
+    energy = np.zeros(n + 1)
+    np.cumsum(base.real ** 2 + base.imag ** 2, out=energy[1:])
+    norms = np.sqrt(energy[np.maximum(n - delays, 0)])
+    if np.any(norms == 0):
+        raise ValueError("zero template: probe delay pushes the waveform out of the block")
+    return norms
+
+
+def template_gram(seen: np.ndarray, grid: SensingGrid) -> np.ndarray:
+    """G = T^H T, the (P Q, P Q) Gram matrix of delay_doppler_map's unit-norm
+    templates T over a grid whose Doppler bins are f_0 + q / (N T_s), q < Q,
+    in its delay-major cell order, for seen = projected_dam_block(block, bf,
+    theta).
+
+    For p >= p', d = p - p' and c = (q - q') / N, entry (p q, p' q') is
+    e^{-j2 pi c p'} (R_d(c) - tail) / (||seen[:N - p]|| ||seen[:N - p']||),
+    where R_d(c) = sum_{m=d}^{N-lo-1} conj(seen[m - d]) seen[m] e^{-j2 pi c m},
+    lo is the least delay, and the tail is R_d's terms at m >= N - p', at most
+    hi - lo of them. One lag product, the blocked map of seen[:N - lo] at lags
+    0..hi - lo, gives every R_d(c), and one table e^{j2 pi c t}, t = lo..hi,
+    the tails' phases and the factors e^{-j2 pi c p'}. The p < p' entries are
+    conjugate transposes, so G is exactly Hermitian.
+    """
+    seen = np.asarray(seen, dtype=complex)
+    n, delays, (num_p, num_q) = grid.block_length, grid.delay_bins, grid.shape
+    if seen.shape != (n,):
+        raise ValueError(f"seen must have shape ({n},), got {seen.shape}")
+    steps = (grid.doppler_bins_hz - grid.doppler_bins_hz[:1]) / grid.doppler_resolution_hz
+    if np.any(np.abs(steps - np.arange(num_q)) > 1e-6):
+        raise ValueError("template_gram needs the Doppler bins f_0 + q / (N T_s), q = 0..Q-1")
+    norms = _template_norms(seen, delays)
+    lo, hi = int(delays.min()), int(delays.max())
+    span, k = hi - lo, np.arange(1 - num_q, num_q)
+    conj_seen = np.zeros(n - lo + span, dtype=complex)   # zero-led as the map's
+    np.conjugate(seen[:n - lo], out=conj_seen[span:])
+    lags = _blocked_map(seen[None, :n - lo], conj_seen, np.arange(span + 1), k / n)[0]
+    # table[t - lo, k] = e^{j2 pi k t / N}, its argument reduced mod N in integers
+    table = np.exp(2j * np.pi * (np.outer(np.arange(lo, hi + 1), k) % n) / n)
+    # R_d's terms at m = N - lo - 1 - r, r < span, from the end of the block
+    # back, each with its phase e^{-j2 pi c m} = table[1 + r]; tails[d, r]
+    # sums the last r of them, the tail of p' = lo + r
+    m = np.arange(n - lo - 1, n - hi - 1, -1)
+    terms = conj_seen[span + m - np.arange(span + 1)[:, None]] * seen[m]
+    tails = np.zeros((span + 1, span + 1, k.size), dtype=complex)
+    np.cumsum(terms[:, :, None] * table[1:], axis=1, out=tails[:, 1:])
+    i, j = np.nonzero(delays[:, None] >= delays)
+    d, t = delays[i] - delays[j], delays[j] - lo
+    sums = (lags[d] - tails[d, t]) * np.conj(table[t]) / (norms[i] * norms[j])[:, None]
+    blocks = sums[:, np.subtract.outer(np.arange(num_q), np.arange(num_q)) + num_q - 1]
+    gram = np.empty((num_p, num_q, num_p, num_q), dtype=complex)
+    gram[j, :, i] = np.conj(blocks.transpose(0, 2, 1))
+    gram[i, :, j] = blocks
+    # the lower triangle, its conjugate transpose and the real diagonal
+    gram = gram.reshape(num_p * num_q, -1)
+    low = np.tril(gram, -1)
+    return low + low.conj().T + np.diag(gram.diagonal().real)
 
 
 def _folded_map(echoes, conj_base, delays, cycles, d):

@@ -158,16 +158,27 @@ def projected_dam_block(block: SymbolBlock, bf: DamBeamformer, theta: float) -> 
     return out
 
 
+_POWER_CHUNK = 65536   # elements of |x|^2 per chunk of columns in _array_power: 512 KiB
+
+
 def _array_power(tx_block: np.ndarray) -> np.ndarray:
     """Instantaneous array-aggregate power ||x[n]||^2 of each column.
 
-    The power is summed one antenna row at a time, row 0 first as numpy sums
-    axis 0, so no M x N temporary is built.
+    |x|^2 is taken for a chunk of columns at a time, _POWER_CHUNK elements at
+    most, and its rows are added one at a time, row 0 first, so no M x N
+    temporary is built and the sum is a loop over the rows', bit for bit,
+    whatever the chunk.
     """
     tx_block = np.atleast_2d(np.asarray(tx_block))
-    inst = np.abs(tx_block[0]) ** 2
-    for row in tx_block[1:]:
-        inst += np.abs(row) ** 2
+    m, n = tx_block.shape
+    inst = np.empty(n)
+    width = max(1, _POWER_CHUNK // m)
+    for c in range(0, n, width):
+        power = np.abs(tx_block[:, c:c + width]) ** 2
+        out = inst[c:c + width]
+        out[:] = power[0]
+        for row in power[1:]:
+            out += row
     return inst
 
 

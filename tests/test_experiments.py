@@ -54,8 +54,9 @@ from damisac import (
     run_ofdm_compare,
     run_se_sweep,
     steering_vector,
+    template_gram,
 )
-from damisac import experiments
+from damisac import experiments, sensing
 from damisac.cli import main
 from damisac.experiments import _SCHEMA, _pattern_db
 from scipy.signal import find_peaks
@@ -891,18 +892,70 @@ CLIPPED_AT_HALF_BAND = {"experiment": {"mc_block_length": 64, "ofdm_subcarriers"
 @pytest.mark.parametrize("doc, num_doppler", [({}, 17), (CLIPPED_AT_HALF_BAND, 9),
                                               (EVERY_DOPPLER_BIN, 8)])
 def test_fast_target_cell_gram_is_the_dense_templates_gram(tmp_path, doc, num_doppler):
-    # G from one map per delay equals T^H T of the dense templates, and the
+    # G from one lag product equals T^H T of the dense templates, and the
     # draws' factor C has C C^H = G, each to 1e-12
     w = fast_target_window(load_config(write_config(tmp_path, doc)))
     assert w.grid.shape[1] == num_doppler
     if doc:
         assert w.grid.doppler_bins_hz[-1] == 0.5 / w.t_s
-    seen = projected_dam_block(w.block, w.bf, w.theta)
-    gram = experiments._template_gram(seen, w.bf, w.block, w.theta, w.grid)
+    gram = template_gram(projected_dam_block(w.block, w.bf, w.theta), w.grid)
     t = dense_templates(w.block, w.bf, w.theta, w.grid)
     assert np.max(np.abs(gram - t.conj().T @ t)) <= 1e-12
+    assert np.array_equal(gram, gram.conj().T)
     root = experiments._gram_root(gram)
     assert np.max(np.abs(root @ root.conj().T - gram)) <= 1e-12
+
+
+def small_fast_target_window():
+    cfg = load_config(None)
+    cfg.mc_block_length, cfg.ofdm_subcarriers = 2048, 256
+    return fast_target_window(cfg)
+
+
+# a window from delay 0, whose lag product runs over the whole block; one
+# delay (P = 1), whose tails are all empty; one at the last delay with a
+# template, 2047 = N - 1; and unsorted delays with a repeat, whose entries
+# past the diagonal come from the lag product as well
+@pytest.mark.parametrize("delays", [range(7), [133], [2047], [9, 2, 5, 2]])
+def test_template_gram_of_any_delay_window_is_the_dense_templates_gram(delays):
+    w = small_fast_target_window()
+    grid = SensingGrid(list(delays), w.grid.doppler_bins_hz, w.t_s, w.grid.block_length)
+    gram = template_gram(projected_dam_block(w.block, w.bf, w.theta), grid)
+    t = dense_templates(w.block, w.bf, w.theta, grid)
+    assert np.max(np.abs(gram - t.conj().T @ t)) <= 1e-12
+    assert np.array_equal(gram, gram.conj().T)
+
+
+def test_template_gram_needs_doppler_bins_one_resolution_apart():
+    # G is built from the Doppler differences (q - q') / (N T_s): a survey
+    # grid, 1/(128 T_s) apart, or a window with a bin left out is refused
+    w = small_fast_target_window()
+    seen = projected_dam_block(w.block, w.bf, w.theta)
+    n, bins = w.grid.block_length, w.grid.doppler_bins_hz
+    for grid in (SensingGrid.survey(140, n, w.t_s),
+                 SensingGrid(w.grid.delay_bins, np.delete(bins, 4), w.t_s, n)):
+        with pytest.raises(ValueError, match=re.escape("f_0 + q / (N T_s)")):
+            template_gram(seen, grid)
+
+
+def test_ofdm_compare_makes_one_map_and_one_lag_product(monkeypatch):
+    # the fast target's noise-free map and the Gram's one lag product are the
+    # run's only blocked map products: a map per window delay for G would
+    # add seven
+    calls = []
+
+    def counted(name):
+        real = getattr(sensing, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(sensing, name, call)
+
+    for name in ("delay_doppler_map", "template_gram", "_blocked_map"):
+        counted(name)
+    run_ofdm_compare(load_config(None))
+    assert sorted(calls) == ["_blocked_map"] * 2 + ["delay_doppler_map", "template_gram"]
 
 
 def test_fast_target_hits_match_the_dense_cell_oracle():

@@ -23,7 +23,7 @@ from damisac import (
     steering_vector,
 )
 from damisac.channel import _shift_zero_prefix
-from damisac.waveform import _TERM_CHUNK
+from damisac.waveform import _POWER_CHUNK, _TERM_CHUNK, _array_power
 
 from dam_oracle import aligned_gain, decompose_received, projected_block
 
@@ -380,6 +380,19 @@ def test_papr_row_sum_is_the_axis_0_sum_bit_for_bit():
     for tx in (dam, ofdm_tx):
         inst = np.sum(np.abs(tx) ** 2, axis=0)
         assert papr_empirical(tx) == float(inst.max() / inst.mean())
+
+
+@pytest.mark.parametrize("shape", [(3, 70_001), (64, 1_025), (1, 5)])
+def test_array_power_in_column_chunks_is_the_row_loop_bit_for_bit(shape):
+    # chunks of _POWER_CHUNK // M columns: 3 rows cross the chunk edge four
+    # times, 64 rows once, one column short of two whole chunks; 5 samples
+    # are one part chunk
+    assert _POWER_CHUNK == 65_536
+    x = complex_normal(np.random.default_rng(23), shape)
+    want = np.abs(x[0]) ** 2
+    for row in x[1:]:
+        want += np.abs(row) ** 2
+    assert np.array_equal(_array_power(x), want)
 
 
 @pytest.mark.parametrize("m, l", [(16, 5), (3, 7), (1, 4), (6, 1)])
