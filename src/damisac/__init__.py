@@ -20,15 +20,14 @@ from .experiments import (ExperimentConfig, TargetConfig, load_config,
                           parse_gamma_grid, run_beampattern, run_dd_map,
                           run_ofdm_compare, run_se_sweep)
 from .ofdm import (OfdmConfig, ofdm_ambiguity_limits, ofdm_delay_doppler_estimate,
-                   ofdm_demodulate, ofdm_output_snr, ofdm_papr, ofdm_time_domain)
+                   ofdm_demodulate, ofdm_output_snr, ofdm_time_domain)
 from .sensing import (AmbiguityLimits, DelayDopplerMap, SensingGrid,
                       dam_ambiguity_limits, delay_doppler_map, estimate_delay_doppler,
                       export_map_csv, matched_filter_template, sensing_snr,
                       template_gram)
 from .units import C_LIGHT, dbm_to_watt, linear_to_db
-from .waveform import (DamBeamformer, SymbolBlock, build_dam_block, dam_papr,
-                       delayed_symbol_matrix, generate_symbols, papr_empirical,
-                       projected_dam_block)
+from .waveform import (DamBeamformer, SymbolBlock, build_dam_block, delayed_symbol_matrix,
+                       generate_symbols, papr_empirical, projected_dam_block)
 
 __version__ = "0.1.0"
 

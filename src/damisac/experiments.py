@@ -85,8 +85,8 @@ class ExperimentConfig:
 
     def radar_target(self, rng: Optional[np.random.Generator] = None) -> RadarTarget:
         """The target on the symbol grid, its gain's phase drawn from rng (0
-        without one). ConfigError for a round-trip gain that is not a positive
-        finite number, a delay outside the Monte-Carlo block or a Doppler shift
+        without one). ConfigError for a round-trip gain outside [1e-100,
+        1e100], a delay outside the Monte-Carlo block or a Doppler shift
         outside (-B/2, B/2]; a delay beyond the guard raises InfeasibleError
         under strict_ambiguity and warns otherwise."""
         tg, s = self.target, self.scenario
@@ -96,10 +96,9 @@ class ExperimentConfig:
             gain = 0.0
         except ZeroDivisionError:        # R^4 below it
             gain = math.inf
-        if not 0 < gain < math.inf:
+        if not 1e-100 <= gain <= 1e100:    # see _SCHEMA
             raise ConfigError(f"target.range_m={tg.range_m!r} with rcs_m2={tg.rcs_m2!r} "
-                              f"gives a round-trip gain of {gain!r}, not a positive finite "
-                              "number")
+                              f"gives a round-trip gain of {gain!r}, not in [1e-100, 1e100]")
         try:
             target = RadarTarget.from_geometry(s, tg.range_m, tg.rcs_m2, tg.direction_rad,
                                                tg.radial_velocity_m_s, rng)
@@ -156,13 +155,19 @@ class _Rule:
 
 
 _POSITIVE = _Rule(float, 0, lo_open=True)
+# P, sigma^2 = PSD B and the round-trip gain |alpha|^2 meet in the solver's SNR
+# scales P ||c||^2 / sigma^2 and |alpha|^2 N P max||g_l||^2 / sigma^2, the first
+# values to leave the normal float range 10^+-307 (at the other defaults above
+# about 2970 dBm and below -2920 dBm). +-500 dB(m) keeps P / PSD within 10^+-100
+# and, with the gain in 10^+-100 (radar_target), leaves 10^+-107 for N M / B.
+_DB = _Rule(float, -500, 500)
 # Every JSON field by section. The defaults are the dataclasses'; the checks
 # that span fields are the dataclasses' and load_config's.
 _SCHEMA = {
     "scenario": {"num_antennas": _Rule(int, 1), "bandwidth_hz": _POSITIVE,
                  "carrier_frequency_hz": _POSITIVE, "coherence_time_s": _POSITIVE,
                  "guard_time_s": _Rule(float, 0), "guard_length": _Rule(int, 0),
-                 "transmit_power_dbm": _Rule(float), "noise_psd_dbm_hz": _Rule(float)},
+                 "transmit_power_dbm": _DB, "noise_psd_dbm_hz": _DB},
     # max_subpaths sizes per-path draws: the cap bounds the memory, as the
     # gamma grid's step count is bounded
     "channel": {"num_paths": _Rule(int, 1), "max_subpaths": _Rule(int, 1, 10_000),
@@ -552,10 +557,11 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
     or derated by its PAPR bound, L streams or K subcarriers (peak-power
     regime); every design gets its analytic output SNR and that of its
     simulated echo s through its matched filter, ||s||^2 over the noise per
-    sample or per OFDM cell. Per scheme: the PAPR of the M-row transmit,
-    computed without building it, the ambiguity limits, and a paired fast-target
-    demo at twice the subcarrier spacing, inside the aligned waveform's
-    unambiguous Doppler span but far beyond OFDM's.
+    sample or per OFDM cell. Per scheme: the PAPR of the M-row transmit, the
+    ambiguity limits, and a paired fast-target demo at twice the subcarrier
+    spacing, inside the aligned waveform's unambiguous Doppler span but far
+    beyond OFDM's. Every design is steered, x[n] = a(theta) u[n], so the
+    M-row PAPR is that of the sequence a^H x[n] = M u[n] the target sees.
 
     Each DAM fast-target trial is drawn in the P x Q cells of the matched
     filter's window, not in the N echo samples: white noise through the unit-norm
@@ -601,18 +607,18 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
     # One DAM symbol block serves every DAM design and the fast target, one OFDM
     # grid every OFDM design. Every echo is built from the transmit the target
     # sees, a^H(theta) x[n]: the DAM block's projection (a^H F) S and the stream
-    # of the one-row OFDM beamformer a^H W. The DAM PAPR comes from min(M, L)
-    # rows and the OFDM PAPR one symbol at a time, so no M-row transmit is built.
+    # of the one-row OFDM beamformer a^H W. No M-row transmit is built: with
+    # x[n] = a(theta) u[n], each PAPR is that of the sequence the target sees.
     block = waveform.generate_symbols(cfg.rng(2, 1), n_mc, cfg.modulation)
     dam_seen = waveform.projected_dam_block(block, bf_full, theta)
     dam_clean, clean = (_round_trip(tgt, dam_seen, t_s) for tgt in (target, fast))
-    papr_dam = waveform.dam_papr(block, bf_full)
+    papr_dam = waveform.papr_empirical(dam_seen)
     tx_freq = waveform.generate_symbols(cfg.rng(2, 2), k * i_sym,
                                         cfg.modulation).symbols.reshape(k, i_sym, order="F")
     ocfg_seen = dataclasses.replace(ocfg, beamformers=np.conj(a)[None] @ ocfg.beamformers)
     ofdm_seen = ofdm.ofdm_time_domain(ocfg_seen, tx_freq)[0]
     ofdm_clean = ofdm.ofdm_demodulate(ocfg, _round_trip(target, ofdm_seen, t_s))
-    papr_ofdm = ofdm.ofdm_papr(ocfg, tx_freq)
+    papr_ofdm = waveform.papr_empirical(ofdm_seen)
 
     # (analytic, simulated-echo) output SNR of each design. A derated design
     # sends the full-power beams scaled by 1/sqrt(L) or 1/sqrt(K), and so its

@@ -6,8 +6,8 @@ the aligned waveform's target channel (channel.apply_radar_channel), either
 from the M-row stream or from the one-row stream of the beamformer a^H W that
 the target sees. FFT delay-Doppler estimation, output-SNR accounting and
 ambiguity limits. The transmit's peak-to-average ratio (up to K subcarriers,
-against L delayed streams), summed symbol by symbol by ofdm_papr, sets the
-power amplifier backoff under a peak-power limit.
+against L delayed streams; waveform.papr_empirical) sets the power amplifier
+backoff under a peak-power limit.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from .channel import ScenarioConfig, steering_vector
 from .sensing import AmbiguityLimits, _ambiguity_limits
-from .waveform import _array_power, _peak_to_average
 
 
 # Doppler shift, as a fraction of the subcarrier spacing, up to which the FFT
@@ -132,24 +131,6 @@ def ofdm_ambiguity_limits(cfg: OfdmConfig, wavelength_m: float) -> AmbiguityLimi
                              cfg.block_length)
 
 
-def _symbol_samples(cfg: OfdmConfig, freq_symbols: np.ndarray):
-    """The sample order of one symbol, each cyclic prefix from the end of
-    the body first, and the (M, K) bodies of ofdm_time_domain's symbols, one
-    at a time: symbol s is bodies[s][:, order].
-
-    The shape of freq_symbols is checked here, before the first symbol.
-    """
-    freq_symbols = np.asarray(freq_symbols, dtype=complex)
-    k, i = cfg.num_subcarriers, cfg.symbols_per_block
-    if freq_symbols.shape != (k, i):
-        raise ValueError(f"freq_symbols must be ({k}, {i}), got {freq_symbols.shape}")
-    order = np.arange(-cfg.guard_length, k) % k
-    # symbol by symbol: an (M, I, K) product and its transform would each be
-    # as large as the stream
-    return order, (np.fft.ifft(cfg.beamformers * freq_symbols[:, s], axis=1, norm="forward")
-                   for s in range(i))
-
-
 def ofdm_time_domain(cfg: OfdmConfig, freq_symbols: np.ndarray) -> np.ndarray:
     """Beamformed transmit (M, I (K + N_p)) of the (K, I) frequency symbols.
 
@@ -160,22 +141,18 @@ def ofdm_time_domain(cfg: OfdmConfig, freq_symbols: np.ndarray) -> np.ndarray:
     beamformers are the one row a^H(theta) W gives the (1, I (K + N_p))
     stream a^H(theta) x[n] that a target at theta sees.
     """
-    order, bodies = _symbol_samples(cfg, freq_symbols)
-    stream = np.empty((cfg.num_antennas, cfg.symbols_per_block,
-                       cfg.num_subcarriers + cfg.guard_length), dtype=complex)
-    for s, body in enumerate(bodies):
+    freq_symbols = np.asarray(freq_symbols, dtype=complex)
+    k, i = cfg.num_subcarriers, cfg.symbols_per_block
+    if freq_symbols.shape != (k, i):
+        raise ValueError(f"freq_symbols must be ({k}, {i}), got {freq_symbols.shape}")
+    order = np.arange(-cfg.guard_length, k) % k
+    stream = np.empty((cfg.num_antennas, i, k + cfg.guard_length), dtype=complex)
+    # symbol by symbol: an (M, I, K) product and its transform would each be
+    # as large as the stream
+    for s in range(i):
+        body = np.fft.ifft(cfg.beamformers * freq_symbols[:, s], axis=1, norm="forward")
         stream[:, s] = body[:, order]
     return stream.reshape(cfg.num_antennas, -1)
-
-
-def ofdm_papr(cfg: OfdmConfig, freq_symbols: np.ndarray) -> float:
-    """papr_empirical(ofdm_time_domain(cfg, freq_symbols)), bit for bit, with
-    the per-sample power summed one symbol at a time: each symbol's K body
-    powers, taken from its (M, K) body, are then read in the prefix's sample
-    order. O(M K) memory beside the I (K + N_p) powers, instead of the whole
-    M-row stream, and no (M, K + N_p) copy of a symbol."""
-    order, bodies = _symbol_samples(cfg, freq_symbols)
-    return _peak_to_average(np.concatenate([_array_power(body)[order] for body in bodies]))
 
 
 def ofdm_demodulate(cfg: OfdmConfig, echo: np.ndarray) -> np.ndarray:

@@ -158,48 +158,11 @@ def projected_dam_block(block: SymbolBlock, bf: DamBeamformer, theta: float) -> 
     return out
 
 
-_POWER_CHUNK = 65536   # elements of |x|^2 per chunk of columns in _array_power: 512 KiB
-
-
-def _array_power(tx_block: np.ndarray) -> np.ndarray:
-    """Instantaneous array-aggregate power ||x[n]||^2 of each column.
-
-    |x|^2 is taken for a chunk of columns at a time, _POWER_CHUNK elements at
-    most, and its rows are added one at a time, row 0 first, so no M x N
-    temporary is built and the sum is a loop over the rows', bit for bit,
-    whatever the chunk.
-    """
-    tx_block = np.atleast_2d(np.asarray(tx_block))
-    m, n = tx_block.shape
-    inst = np.empty(n)
-    width = max(1, _POWER_CHUNK // m)
-    for c in range(0, n, width):
-        power = np.abs(tx_block[:, c:c + width]) ** 2
-        out = inst[c:c + width]
-        out[:] = power[0]
-        for row in power[1:]:
-            out += row
-    return inst
-
-
-def _peak_to_average(inst: np.ndarray) -> float:
-    """max / mean of the per-sample powers _array_power gives."""
+def papr_empirical(tx_block: np.ndarray) -> float:
+    """Peak-to-average ratio of the instantaneous power: ||x[n]||^2, the sum
+    over axis 0 of an (M, N) block, or |x[n]|^2 of an (N,) sequence."""
+    inst = np.sum(np.abs(np.atleast_2d(tx_block)) ** 2, axis=0)
     mean = inst.mean()
     if mean == 0:
         raise ValueError("all-zero block has no defined peak-to-average ratio")
     return float(inst.max() / mean)
-
-
-def papr_empirical(tx_block: np.ndarray) -> float:
-    """Peak-to-average ratio of instantaneous array-aggregate power ||x[n]||^2."""
-    return _peak_to_average(_array_power(tx_block))
-
-
-def dam_papr(block: SymbolBlock, bf: DamBeamformer) -> float:
-    """papr_empirical(build_dam_block(block, bf)) from min(M, L) rows, not M.
-
-    With F = QR and Q's columns orthonormal, ||F s[n]|| = ||R s[n]||, so the
-    block of the beams R has the same instantaneous power up to rounding.
-    """
-    r = np.linalg.qr(bf.beam_matrix, mode="r")
-    return papr_empirical(build_dam_block(block, DamBeamformer(r, bf.delay_schedule, bf.n_max)))

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from damisac import (
@@ -291,19 +291,32 @@ def test_any_json_object_loads_or_raises_config_error(tmp_path_factory, doc, ove
         assert len(cfg.config_hash()) == 16
 
 
-# Small configs that pass every per-field check; the checks across fields (the
-# guard, the block, the Doppler span, the sector order, the OFDM size) may
-# still reject one with exit code 2.
+@st.composite
+def run_scenarios(draw):
+    """A scenario whose coherence time is a whole number n_c > N_p of symbol
+    periods, so that the loader takes it, with powers on both sides of their
+    +-500 dB(m) bounds."""
+    guard, bandwidth = draw(st.integers(0, 300)), draw(st.floats(1e6, 1e9))
+    n_c = draw(st.integers(guard + 1, guard + 200_000))
+    return {"num_antennas": draw(st.integers(1, 16)), "guard_length": guard,
+            "bandwidth_hz": bandwidth, "carrier_frequency_hz": draw(st.floats(1e8, 1e12)),
+            "coherence_time_s": n_c / bandwidth,
+            "transmit_power_dbm": draw(st.floats(-550.0, 550.0)),
+            "noise_psd_dbm_hz": draw(st.floats(-550.0, 550.0))}
+
+
+# Small configs that pass every per-field check but the powers' bounds; the
+# checks across fields (the guard, the block, the round-trip gain, the Doppler
+# span, the sector order, the OFDM size) may still reject one with exit code 2.
 RUN_CONFIGS = st.fixed_dictionaries({
-    "scenario": st.fixed_dictionaries({
-        "num_antennas": st.integers(1, 16), "guard_length": st.integers(0, 300),
-        "transmit_power_dbm": st.floats(-30.0, 60.0)}),
+    "scenario": run_scenarios(),
     "channel": st.fixed_dictionaries({
         "num_paths": st.integers(1, 8), "max_subpaths": st.integers(1, 4),
         "aod_sector_deg": st.lists(st.floats(-90.0, 90.0), min_size=2, max_size=2)
                           .filter(lambda pair: pair[0] < pair[1])}),
     "target": st.fixed_dictionaries({
-        "range_m": st.floats(1.0, 400.0), "rcs_m2": st.floats(1e-3, 1e3),
+        "range_m": st.one_of(st.floats(1.0, 400.0), st.floats(1e-40, 1e40)),
+        "rcs_m2": st.one_of(st.floats(1e-3, 1e3), st.floats(1e-300, 1e300)),
         "direction_deg": st.floats(-90.0, 90.0),
         "radial_velocity_m_s": st.floats(-3e5, 3e5)}),
     "experiment": st.fixed_dictionaries({
@@ -327,9 +340,24 @@ def _nonfinite_allowed(name, column, value, row):
     return name == "ofdm_compare.csv" and column == "empirical_snr_db" and value == -math.inf
 
 
+def _small_run(dbm, psd):
+    """A small run at transmit power dbm and noise PSD psd."""
+    return {"scenario": {"transmit_power_dbm": dbm, "noise_psd_dbm_hz": psd},
+            "channel": {"num_paths": 2},
+            "experiment": {"trials": 1, "mc_block_length": 512, "ofdm_subcarriers": 64,
+                           "sweep_num_paths": [2]}}
+
+
 @settings(max_examples=50, derandomize=True, database=None,
           deadline=timedelta(seconds=5), suppress_health_check=[HealthCheck.too_slow])
 @given(doc=RUN_CONFIGS)
+# powers whose SNR scales leave the float range, each of which must exit 2, and
+# the bounds' corners, where P / sigma^2 is largest and smallest
+@example(doc=_small_run(-3100.0, -169.0))
+@example(doc=_small_run(-3180.0, -169.0))
+@example(doc=_small_run(3000.0, -169.0))
+@example(doc=_small_run(500.0, -500.0))
+@example(doc=_small_run(-500.0, 500.0))
 def test_any_small_valid_config_runs_or_exits_2(tmp_path_factory, doc):
     # every experiment through the CLI: exit 0, or 2 with a message that names
     # a field; no warning but the guard's; every CSV number finite or documented
@@ -750,19 +778,53 @@ def test_ofdm_compare_result(tmp_path):
     assert res.papr_ofdm > res.papr_dam
     assert res.dam_doppler_hit_rate >= 0.9
     assert res.ofdm_doppler_hit_rate == 0.0
-    # the OFDM PAPR is measured on the transmit the run sends: the grid drawn
-    # from rng(2, 2), beamformed, with its cyclic prefixes
-    grid = generate_symbols(cfg.rng(2, 2), 256 * i_sym, cfg.modulation).symbols
-    ocfg = OfdmConfig.steered(scen_mc, 256, target.direction)
-    stream = ofdm_time_domain(ocfg, grid.reshape(256, i_sym, order="F"))
-    assert stream.shape == (s.num_antennas, i_sym * (256 + 200))
-    assert res.papr_ofdm == papr_empirical(stream)
-    # and the DAM PAPR on the full-power block, from its L-row factor
-    tx = build_dam_block(block, DamBeamformer.aligned(f_full, np.arange(l)))
-    assert res.papr_dam == pytest.approx(papr_empirical(tx), rel=1e-12)
     lines = (tmp_path / "ofdm_compare.csv").read_text().splitlines()
     assert lines[2].startswith("# n_mc=2048 peak_snr_ratio=")
     assert len(lines) == 4 + 4
+
+
+# the default config at two seeds; one antenna and one path with a prefix
+# longer than the symbol and K + N_p = 207 odd; a wide array; many paths on
+# one antenna with Gaussian symbols and a short guard
+@pytest.mark.parametrize("doc, seed", [
+    ({}, 0), ({}, 5),
+    ({"scenario": {"num_antennas": 1}, "channel": {"num_paths": 1},
+      "experiment": {"mc_block_length": 600, "ofdm_subcarriers": 7}}, 0),
+    ({"scenario": {"num_antennas": 17}, "channel": {"num_paths": 3},
+      "experiment": {"mc_block_length": 999, "ofdm_subcarriers": 5, "modulation": "psk8"}}, 3),
+    ({"scenario": {"num_antennas": 1, "guard_length": 10}, "target": {"range_m": 12.0},
+      "channel": {"num_paths": 4},
+      "experiment": {"mc_block_length": 700, "ofdm_subcarriers": 8,
+                     "modulation": "gaussian"}}, 2),
+])
+def test_ofdm_compare_papr_is_that_of_the_m_row_transmits(tmp_path, doc, seed):
+    # the run takes each PAPR from the sequence the target sees, a^H x[n]; its
+    # designs are steered, x[n] = a(theta) u[n], so that is the PAPR of the
+    # M-row transmit, built here. A per-sample power differs from the oracle's
+    # by the rounding of M-term sums (a^H f_l or a^H w_k in the run, the axis-0
+    # power sum here) and of the L-stream sum or the K-point inverse DFT (of
+    # order log2 K): a relative (M + L + log2 K) eps in the peak and in the
+    # mean, so twice that in their ratio
+    cfg = load_config(write_config(tmp_path, doc), {"seed": seed, "trials": 1})
+    res = run_ofdm_compare(cfg)
+    s = cfg.scenario
+    m, l, k = s.num_antennas, cfg.channel_gen.num_paths, cfg.ofdm_subcarriers
+    n_mc = min(s.data_length, cfg.mc_block_length)
+    theta = cfg.radar_target(cfg.rng(2, 0)).direction
+    a = steering_vector(theta, m)
+    f = np.sqrt(s.transmit_power_w / (m * l)) * np.tile(a[:, None], (1, l))
+    dam = build_dam_block(generate_symbols(cfg.rng(2, 1), n_mc, cfg.modulation),
+                          DamBeamformer.aligned(f, np.arange(l)))
+    scen_mc = dataclasses.replace(s, coherence_time_s=(n_mc + s.guard_length)
+                                  * s.symbol_duration_s)
+    ocfg = OfdmConfig.steered(scen_mc, k, theta)
+    grid = generate_symbols(cfg.rng(2, 2), k * ocfg.symbols_per_block, cfg.modulation)
+    stream = ofdm_time_domain(ocfg, grid.symbols.reshape(k, -1, order="F"))
+    tol = 2 * (m + l + math.log2(k)) * np.finfo(float).eps
+    assert res.papr_dam == pytest.approx(papr_empirical(dam), rel=tol, abs=0)
+    assert res.papr_ofdm == pytest.approx(papr_empirical(stream), rel=tol, abs=0)
+    assert ({(r["scheme"], r["papr_empirical"]) for r in res.rows}
+            == {("dam", res.papr_dam), ("ofdm", res.papr_ofdm)})
 
 
 def test_ofdm_compare_builds_no_array_transmit():

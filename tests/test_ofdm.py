@@ -17,7 +17,6 @@ from damisac import (
     ofdm_delay_doppler_estimate,
     ofdm_demodulate,
     ofdm_output_snr,
-    ofdm_papr,
     ofdm_time_domain,
     papr_empirical,
     steering_vector,
@@ -466,13 +465,20 @@ def test_papr_adversarial_hits_bound():
 # K + N_p odd, a prefix longer than the symbol, and a wide array
 @pytest.mark.parametrize("m, k, n_p, i", [(3, 16, 5, 9), (2, 4, 200, 3), (64, 256, 200, 7)])
 def test_papr_one_symbol_at_a_time_is_the_stream_papr(m, k, n_p, i):
+    # the stream built one symbol at a time is, bit for bit, the (M, I, K)
+    # inverse DFT of the whole grid at once with each prefix taken cyclically
+    # from the end of its body, and so has its PAPR
     rng = np.random.default_rng(15)
     cfg = OfdmConfig(bandwidth_hz=1e8, guard_length=n_p, block_length=i * (k + n_p) + 1,
                      beamformers=complex_normal(rng, (m, k)))
     freq = generate_symbols(rng, k * i, "qpsk").symbols.reshape(k, i, order="F")
-    assert ofdm_papr(cfg, freq) == papr_empirical(ofdm_time_domain(cfg, freq))
-    with pytest.raises(ValueError):
-        ofdm_papr(cfg, freq[:, 1:])
+    bodies = np.fft.ifft(cfg.beamformers[:, None, :] * freq.T, axis=2, norm="forward")
+    want = np.take(bodies, np.arange(-n_p, k), axis=2, mode="wrap").reshape(m, -1)
+    stream = ofdm_time_domain(cfg, freq)
+    assert np.array_equal(stream, want)
+    assert papr_empirical(stream) == papr_empirical(want)
+    with pytest.raises(ValueError, match="freq_symbols must be"):
+        ofdm_time_domain(cfg, freq[:, 1:])
 
 
 def test_one_row_beamformer_is_the_stream_the_target_sees():

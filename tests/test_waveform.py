@@ -15,7 +15,6 @@ from damisac import (
     apply_comm_channel,
     build_dam_block,
     complex_normal,
-    dam_papr,
     delayed_symbol_matrix,
     generate_symbols,
     papr_empirical,
@@ -23,7 +22,7 @@ from damisac import (
     steering_vector,
 )
 from damisac.channel import _shift_zero_prefix
-from damisac.waveform import _POWER_CHUNK, _TERM_CHUNK, _array_power
+from damisac.waveform import _TERM_CHUNK
 
 from dam_oracle import aligned_gain, decompose_received, projected_block
 
@@ -362,8 +361,8 @@ def test_papr_peak_power_exact_bound():
 
 
 def test_papr_row_sum_is_the_axis_0_sum_bit_for_bit():
-    # the power summed row by row equals numpy's axis-0 sum exactly, on a DAM
-    # transmit and on a beamformed OFDM transmit with its cyclic prefixes
+    # the power is numpy's axis-0 sum of |x|^2, on a DAM transmit, on a
+    # beamformed OFDM transmit with its cyclic prefixes, and on one row of each
     from damisac import OfdmConfig, ScenarioConfig, ofdm_time_domain
     rng = np.random.default_rng(21)
     ch = random_channel(rng, 16, 5, [0, 3, 4, 9, 11])
@@ -377,35 +376,31 @@ def test_papr_row_sum_is_the_axis_0_sum_bit_for_bit():
                      complex_normal(rng, (16, 64)))
     grid = generate_symbols(rng, 64 * cfg.symbols_per_block, "qpsk").symbols
     ofdm_tx = ofdm_time_domain(cfg, grid.reshape(64, -1))
-    for tx in (dam, ofdm_tx):
-        inst = np.sum(np.abs(tx) ** 2, axis=0)
+    for tx in (dam, ofdm_tx, dam[3], ofdm_tx[0]):
+        inst = np.sum(np.abs(tx) ** 2, axis=0) if tx.ndim == 2 else np.abs(tx) ** 2
         assert papr_empirical(tx) == float(inst.max() / inst.mean())
 
 
-@pytest.mark.parametrize("shape", [(3, 70_001), (64, 1_025), (1, 5)])
-def test_array_power_in_column_chunks_is_the_row_loop_bit_for_bit(shape):
-    # chunks of _POWER_CHUNK // M columns: 3 rows cross the chunk edge four
-    # times, 64 rows once, one column short of two whole chunks; 5 samples
-    # are one part chunk
-    assert _POWER_CHUNK == 65_536
-    x = complex_normal(np.random.default_rng(23), shape)
-    want = np.abs(x[0]) ** 2
-    for row in x[1:]:
-        want += np.abs(row) ** 2
-    assert np.array_equal(_array_power(x), want)
-
-
 @pytest.mark.parametrize("m, l", [(16, 5), (3, 7), (1, 4), (6, 1)])
-def test_dam_papr_from_the_l_row_factor_matches_the_full_block(m, l):
-    # ||F s[n]|| = ||R s[n]|| for F = QR, with min(M, L) rows in R, whether
-    # the array has more antennas than paths or fewer
+def test_steered_dam_papr_from_the_seen_sequence_matches_the_full_block(m, l):
+    # with every beam c_l a(theta), x[n] = a(theta) u[n] and a^H x[n] = M u[n],
+    # so the one sequence the target sees has the M-row block's PAPR, whether
+    # the array has more antennas than paths or fewer. A per-sample power
+    # differs by the rounding of the M-term sums (a^H f_l, the axis-0 power
+    # sum) and of the L-stream sum: a relative (M + L) eps in the peak and in
+    # the mean, so twice that in their ratio
     rng = np.random.default_rng(22)
-    bf = DamBeamformer.aligned(complex_normal(rng, (m, l)), rng.permutation(2 * l)[:l])
+    theta = rng.uniform(-np.pi / 2, np.pi / 2)
+    beams = steering_vector(theta, m)[:, None] * complex_normal(rng, (1, l))
+    bf = DamBeamformer.aligned(beams, rng.permutation(2 * l)[:l])
     sym = generate_symbols(rng, 4096, "gaussian")
     want = papr_empirical(build_dam_block(sym, bf))
-    assert dam_papr(sym, bf) == pytest.approx(want, rel=1e-12)
+    got = papr_empirical(projected_dam_block(sym, bf, theta))
+    assert got == pytest.approx(want, rel=2 * (m + l) * np.finfo(float).eps, abs=0)
 
 
 def test_papr_rejects_zero_block():
     with pytest.raises(ValueError):
         papr_empirical(np.zeros((2, 8)))
+    with pytest.raises(ValueError):
+        papr_empirical(np.zeros(8, dtype=complex))
