@@ -14,7 +14,7 @@ from damisac.channel import (
     ChannelGenConfig,
     RadarTarget,
     ScenarioConfig,
-    generate_multipath_channel,
+    generate_multipath_channels,
 )
 
 SEED = 3
@@ -28,7 +28,7 @@ def db(x: float) -> float:
 def main() -> None:
     sc = ScenarioConfig.mmwave_default()
     rng = np.random.default_rng(SEED)
-    channel = generate_multipath_channel(sc, ChannelGenConfig(NUM_PATHS), rng)
+    channel = generate_multipath_channels(sc, ChannelGenConfig(NUM_PATHS), [rng])[0]
     target = RadarTarget.from_geometry(sc, range_m=200.0, rcs_m2=1.0,
                                        direction=np.pi / 6,
                                        radial_velocity_m_s=15.0)

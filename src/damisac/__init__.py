@@ -12,8 +12,7 @@ a batch experiment CLI.
 from .beamforming import BatchSolution, IsacProblem, IsacSolution, solve_batch
 from .channel import (ChannelGenConfig, MultipathChannel, RadarTarget,
                       ScenarioConfig, apply_comm_channel, apply_radar_channel,
-                      complex_normal, generate_multipath_channel,
-                      generate_multipath_channels,
+                      complex_normal, generate_multipath_channels,
                       radar_round_trip_gain, steering_vector)
 from .errors import ConfigError, DamIsacError, InfeasibleError
 from .experiments import (ExperimentConfig, TargetConfig, load_config,
@@ -23,8 +22,7 @@ from .ofdm import (OfdmConfig, ofdm_ambiguity_limits, ofdm_delay_doppler_estimat
                    ofdm_demodulate, ofdm_output_snr, ofdm_time_domain)
 from .sensing import (AmbiguityLimits, DelayDopplerMap, SensingGrid,
                       dam_ambiguity_limits, delay_doppler_map, estimate_delay_doppler,
-                      export_map_csv, matched_filter_template, sensing_snr,
-                      template_gram)
+                      matched_filter_template, sensing_snr, template_gram)
 from .units import C_LIGHT, dbm_to_watt, linear_to_db
 from .waveform import (DamBeamformer, SymbolBlock, build_dam_block, delayed_symbol_matrix,
                        generate_symbols, papr_empirical, projected_dam_block)

@@ -220,44 +220,23 @@ class MultipathChannel:
         return int(self.path_delays.max())
 
     @classmethod
-    def from_directions(cls, directions, delays, num_antennas: int,
-                        coefficients=None) -> "MultipathChannel":
-        """Deterministic channel with one plane wave per path.
-
-        Used for fixed-geometry studies; coefficients default to 1.
-        """
+    def from_directions(cls, directions, delays, num_antennas: int) -> "MultipathChannel":
+        """Deterministic channel with one unit plane wave per path, for
+        fixed-geometry studies."""
         directions = np.atleast_1d(np.asarray(directions, dtype=float))
-        if coefficients is None:
-            coefficients = np.ones(directions.shape[0], dtype=complex)
-        vecs = np.asarray(coefficients)[:, None] * steering_vector(directions, num_antennas)
-        return cls(vecs, np.asarray(delays, dtype=int))
+        return cls(steering_vector(directions, num_antennas), np.asarray(delays, dtype=int))
 
 
-def generate_multipath_channel(scenario: ScenarioConfig, gen: ChannelGenConfig,
-                               rng: np.random.Generator) -> MultipathChannel:
-    """Draw a random clustered multipath channel.
+def generate_multipath_channels(scenario: ScenarioConfig, gen: ChannelGenConfig,
+                                rngs: Sequence[np.random.Generator]) -> List[MultipathChannel]:
+    """Draw one random clustered multipath channel from each generator.
 
     Path l is h_l = beta_l * sum_i nu_li * a(theta_li) with mu_l sub-paths,
     mu_l uniform on {1..max_subpaths}, AoDs uniform on the configured sector,
     nu_li ~ CN(0, 1/mu_l) and beta_l ~ CN(0, 1/L), so the expected total
     channel energy sum_l E||h_l||^2 = M regardless of L. Delays are distinct
     integers uniform on [0, guard_length], always including 0 for the first
-    arrival. This is the one-stream case of `generate_multipath_channels`.
-
-    Args:
-        scenario: Array size and guard length.
-        gen: Path/sub-path counts and AoD sector.
-        rng: Random generator; the draw is fully determined by its state.
-
-    Returns:
-        MultipathChannel.
-    """
-    return generate_multipath_channels(scenario, gen, [rng])[0]
-
-
-def generate_multipath_channels(scenario: ScenarioConfig, gen: ChannelGenConfig,
-                                rngs: Sequence[np.random.Generator]) -> List[MultipathChannel]:
-    """One `generate_multipath_channel` draw from each generator, as a stack.
+    arrival. A channel is fully determined by its generator's state.
 
     Each stream is drawn in full before the next, in its seeded order: the
     delays, then path by path mu_l, its angles, nu_l and beta_l; a generator

@@ -1,7 +1,8 @@
 """Command line front end for the batch experiments.
 
-Exit codes: 0 on success, 2 for configuration or feasibility errors, 1 for
-internal errors only. --seed, --trials and --gamma-th-grid override the
+Exit codes: 0 on success, 2 for configuration or feasibility errors (an
+--out that names a file or a path under one among them, caught before the
+run), 1 for internal errors only. --seed, --trials and --gamma-th-grid override the
 experiment fields of the same names and pass the same checks.
 """
 
@@ -56,6 +57,11 @@ def main(argv=None) -> int:
     flags = {"seed": args.seed, "trials": args.trials, "gamma_th_grid_db": args.gamma_th_grid}
     try:
         cfg = load_config(args.config, {k: v for k, v in flags.items() if v is not None})
+        if args.out is not None:
+            # checked before the run, which makes --out only when it writes
+            near = next(p for p in (args.out, *args.out.parents) if p.exists())
+            if not near.is_dir():
+                raise ConfigError(f"--out {args.out}: {near} is not a directory")
         cfg.output_dir = args.out
         result = _RUNNERS[args.experiment](cfg)
     except (ConfigError, InfeasibleError) as e:
@@ -87,7 +93,7 @@ def _summarize(name: str, result, cfg) -> None:
         print(f"peak SNR: empirical {r['gamma_p_empirical']:.1f}, "
               f"analytic {r['gamma_p_analytic_mc']:.1f} at N={r['mc_block_length']}")
     elif name == "ofdm-compare":
-        for row in result.rows:
+        for row in result:
             print(f"{row['scheme']:>4} {row['regime']:<13} analytic "
                   f"{row['analytic_snr_db']:7.2f} dB, empirical "
                   f"{row['empirical_snr_db']:7.2f} dB, PAPR "

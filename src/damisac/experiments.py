@@ -24,7 +24,7 @@ import numpy as np
 from . import beamforming, ofdm, sensing, waveform
 from .channel import (ChannelGenConfig, MultipathChannel, RadarTarget,
                       ScenarioConfig, _check_guard, _round_trip,
-                      complex_normal, generate_multipath_channel, generate_multipath_channels,
+                      complex_normal, generate_multipath_channels,
                       radar_round_trip_gain, steering_vector)
 from .errors import ConfigError
 from .units import dbm_to_watt, linear_to_db
@@ -298,15 +298,14 @@ def _header_lines(cfg: ExperimentConfig, extra=()) -> List[str]:
     return lines
 
 
-def _write_csv(path: Path, cfg: ExperimentConfig, fieldnames, rows, extra=()):
+def _write_csv(path: Path, cfg: ExperimentConfig, header, rows, extra=()):
+    """The '#' header lines, then the column names and each row of values,
+    every cell through _fmt."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         for line in _header_lines(cfg, extra):
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_fmt(row[name]) for name in fieldnames])
+        csv.writer(fh).writerows([_fmt(v) for v in row] for row in [header, *rows])
 
 
 def _fmt(v):
@@ -376,14 +375,10 @@ def run_beampattern(cfg: ExperimentConfig) -> BeampatternResult:
                                        columns=[0]),
         gamma_zf_max=gamma_zf, gamma_th=gamma_th, solver_status=sol.status)
     if cfg.output_dir is not None:
-        rows = [{"angle_deg": a, "comm_db": c, "sensing_db": v, "isac_db": i,
-                 "isac_first_path_db": f}
-                for a, c, v, i, f in zip(result.angles_deg, result.comm_db,
-                                         result.sensing_db, result.isac_db,
-                                         result.isac_first_path_db)]
         _write_csv(Path(cfg.output_dir) / "beampattern.csv", cfg,
-                   ["angle_deg", "comm_db", "sensing_db", "isac_db",
-                    "isac_first_path_db"], rows,
+                   ["angle_deg", "comm_db", "sensing_db", "isac_db", "isac_first_path_db"],
+                   zip(result.angles_deg, result.comm_db, result.sensing_db,
+                       result.isac_db, result.isac_first_path_db),
                    extra=[f"gamma_zf_max_db={linear_to_db(gamma_zf):.6f} "
                           f"gamma_th_db={linear_to_db(max(gamma_th, 1e-300)):.6f} "
                           f"solver_status={sol.status}"])
@@ -431,10 +426,8 @@ def run_se_sweep(cfg: ExperimentConfig) -> List[dict]:
                          "feasible": int(feasible[gi]),
                          "infeasible": int(cfg.trials - feasible[gi])})
     if cfg.output_dir is not None:
-        _write_csv(Path(cfg.output_dir) / "se_sweep.csv", cfg,
-                   ["gamma_th_db", "num_paths", "mean_se_bps_hz", "feasible",
-                    "infeasible"], rows,
-                   extra=[f"trials={cfg.trials}"])
+        _write_csv(Path(cfg.output_dir) / "se_sweep.csv", cfg, list(rows[0]),
+                   map(dict.values, rows), extra=[f"trials={cfg.trials}"])
     return rows
 
 
@@ -475,7 +468,7 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
     """
     s = cfg.scenario
     target = cfg.radar_target(cfg.rng(1, 1))
-    channel = generate_multipath_channel(s, cfg.channel_gen, cfg.rng(1, 0))
+    channel, = generate_multipath_channels(s, cfg.channel_gen, [cfg.rng(1, 0)])
     problem = beamforming.IsacProblem(channel, target.direction, target.gain,
                                       s.data_length, s.transmit_power_w,
                                       s.noise_power_w)
@@ -515,12 +508,15 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
         gamma_p_analytic_full=sol.gamma_p,
         gamma_th=gamma_th, solver_status=sol.status, mc_block_length=n_mc)
     if cfg.output_dir is not None:
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        sensing.export_map_csv(out / "dd_map.csv", ddmap,
-                               comments=_header_lines(cfg, [f"n_mc={n_mc}"]))
-        _write_csv(out / "dd_report.csv", cfg,
-                   list(dataclasses.asdict(report)), [dataclasses.asdict(report)])
+        # the map's cells as |r|^2 in dB, one row per delay bin
+        p_db = 10.0 * np.log10(np.maximum(ddmap.power(), 1e-300))
+        _write_csv(Path(cfg.output_dir) / "dd_map.csv", cfg,
+                   ["delay_bin", *grid.doppler_bins_hz],
+                   ([d, *row] for d, row in zip(grid.delay_bins, p_db)),
+                   extra=[f"n_mc={n_mc}"])
+        fields = dataclasses.asdict(report)
+        _write_csv(Path(cfg.output_dir) / "dd_report.csv", cfg, list(fields),
+                   [fields.values()])
     return report
 
 
@@ -538,16 +534,7 @@ def _gram_root(gram: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.maximum(lam, 0.0))) @ v.conj().T
 
 
-@dataclass
-class OfdmCompareResult:
-    rows: List[dict]
-    dam_doppler_hit_rate: float
-    ofdm_doppler_hit_rate: float
-    papr_dam: float
-    papr_ofdm: float
-
-
-def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
+def run_ofdm_compare(cfg: ExperimentConfig) -> List[dict]:
     """Aligned waveform vs. OFDM radar at matched scenario parameters.
 
     One target, one DAM symbol block and one OFDM grid, whose transmits, as the
@@ -571,6 +558,10 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
     one lag product of the waveform with itself. The trials go
     through the peak pick _CELL_CHUNK at a time. The OFDM rate is 0 without a
     trial.
+
+    Returns the rows of ofdm_compare.csv, one dict per (scheme, regime), whose
+    papr_empirical and doppler_recovery_rate cells carry each scheme's PAPR
+    and fast-target hit rate.
     """
     s = cfg.scenario
     n_mc = min(s.data_length, cfg.mc_block_length)
@@ -651,13 +642,12 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
         _, f_hat, _ = sensing.estimate_delay_doppler(ddmap)
         dam_hits += int(np.count_nonzero(np.abs(f_hat - f_fast) <= res))
 
-    dam_rate = dam_hits / cfg.trials
-    # OFDM estimates are fftfreq(I, (K + N_p) T_s) bins, < df/2 from 0: none within df of 2 df
-    ofdm_rate = 0.0
     schemes = {
-        "dam": (num_paths, n_mc, sensing.dam_ambiguity_limits(scen_mc), papr_dam, dam_rate),
-        "ofdm": (k, i_sym, ofdm.ofdm_ambiguity_limits(ocfg, s.wavelength_m), papr_ofdm,
-                 ofdm_rate),
+        "dam": (num_paths, n_mc, sensing.dam_ambiguity_limits(scen_mc), papr_dam,
+                dam_hits / cfg.trials),
+        # OFDM estimates are fftfreq(I, (K + N_p) T_s) bins, < df/2 from 0: none
+        # within df of 2 df
+        "ofdm": (k, i_sym, ofdm.ofdm_ambiguity_limits(ocfg, s.wavelength_m), papr_ofdm, 0.0),
     }
     rows = []
     for (scheme, regime), (analytic, empirical) in snrs.items():
@@ -672,9 +662,7 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> OfdmCompareResult:
                      "papr_empirical": papr, "doppler_recovery_rate": rate})
     if cfg.output_dir is not None:
         _write_csv(Path(cfg.output_dir) / "ofdm_compare.csv", cfg,
-                   list(rows[0]), rows,
+                   list(rows[0]), map(dict.values, rows),
                    extra=[f"n_mc={n_mc} peak_snr_ratio={n_mc / (num_paths * i_sym)!r} "
                           f"fast_doppler_hz={f_fast!r}"])
-    return OfdmCompareResult(rows=rows, dam_doppler_hit_rate=dam_rate,
-                             ofdm_doppler_hit_rate=ofdm_rate,
-                             papr_dam=papr_dam, papr_ofdm=papr_ofdm)
+    return rows

@@ -9,10 +9,8 @@ and the peak carries the full block integration gain.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -53,10 +51,6 @@ class SensingGrid:
             raise ValueError("Doppler bins must lie within (-1/(2 T_s), 1/(2 T_s)]")
 
     @property
-    def delay_resolution_s(self) -> float:
-        return self.symbol_duration_s
-
-    @property
     def doppler_resolution_hz(self) -> float:
         return 1.0 / (self.block_length * self.symbol_duration_s)
 
@@ -65,17 +59,17 @@ class SensingGrid:
         return (self.delay_bins.size, self.doppler_bins_hz.size)
 
     @classmethod
-    def survey(cls, guard_length: int, block_length: int, symbol_duration_s: float,
-               num_doppler_bins: int = 129) -> "SensingGrid":
+    def survey(cls, guard_length: int, block_length: int,
+               symbol_duration_s: float) -> "SensingGrid":
         """All delays in [0, guard] and a coarse Doppler sweep of the full
-        unambiguous interval. The default 129 bins are 1/(128 T_s) apart, so
-        their offsets from the first bin are whole cycles over every 128
-        samples, and delay_doppler_map folds the map at the least multiple
-        of 128 samples that holds the guard + 1 delays (256 at the default
-        guard of 200) instead of running it in blocks."""
+        unambiguous interval. Its 129 bins are 1/(128 T_s) apart, so their
+        offsets from the first bin are whole cycles over every 128 samples,
+        and delay_doppler_map folds the map at the least multiple of 128
+        samples that holds the guard + 1 delays (256 at the default guard of
+        200) instead of running it in blocks."""
         half = 0.5 / symbol_duration_s
         return cls(np.arange(guard_length + 1),
-                   np.linspace(-half, half, num_doppler_bins),
+                   np.linspace(-half, half, 129),
                    symbol_duration_s, block_length)
 
     @classmethod
@@ -98,8 +92,8 @@ class SensingGrid:
 class DelayDopplerMap:
     """Matched-filter outputs r over a SensingGrid (complex, delay-major).
 
-    values is (P, Q) for one echo, or (..., P, Q) for a stack of echoes: one
-    P x Q map per echo, 16 P Q bytes each.
+    values is one (P, Q) map, or a (..., P, Q) stack of maps, 16 P Q bytes
+    each, that estimate_delay_doppler picks one by one.
     """
 
     values: np.ndarray
@@ -194,40 +188,38 @@ def _fold_size(grid: SensingGrid) -> int | None:
 
 def delay_doppler_map(echo: np.ndarray, bf: DamBeamformer, block: SymbolBlock,
                       theta: float, grid: SensingGrid) -> DelayDopplerMap:
-    """Correlate an echo, or a stack of echoes, against templates over the grid.
+    """Correlate an (N,) echo against templates over the grid.
 
     Cell (p, q) holds r = <template(p, q), echo>; with the template unit-norm
-    the noise in every cell keeps the per-sample variance sigma^2. An echo of
-    shape (..., N) gives values of shape (..., P, Q), each map the one its
-    echo gives alone; a 1-D echo is a stack of one. The norms come from one
-    running sum of |base|^2 in either branch below. Beside the echo, one
-    N-length copy of the waveform enters either branch: base is dropped once
-    its energies are summed and its zero-led conjugate, which both read, is
-    written.
+    the noise in every cell keeps the per-sample variance sigma^2. The norms
+    come from one running sum of |base|^2 in either branch below. Beside the
+    echo, one N-length copy of the waveform enters either branch: base is
+    dropped once its energies are summed and its zero-led conjugate, which
+    both read, is written.
 
     With c_q = f_q T_s, a grid whose offsets c_q - c_0 are whole numbers of
     cycles over D_0 samples, as the survey's are over 128, folds at its fold
     size D (see _fold_size). With n = j D + k, r(p, q) = sum_k
     e^{-j2 pi c_q k} sum_j conj(base[j D + k - p]) e^{-j2 pi c_0 j D} echo[n].
-    One batched matrix product takes the inner sums for every residue k < D,
-    delay p and echo, each residue's span x J windows read in place, and one
-    (T P) x D by D x Q product the outer ones: O(T N span + T P D Q) work and
-    O(T N + T D span + D Q) memory beside O(T P Q) for the values. Its
+    One batched matrix product takes the inner sums for every residue k < D
+    and delay p, each residue's span x J windows read in place, and one
+    P x D by D x Q product the outer ones: O(N span + P D Q) work and
+    O(N + D span + D Q) memory beside O(P Q) for the values. Its
     reductions run in BLAS, so their rounding may depend on the BLAS thread
     count; no CLI CSV uses a folded grid (the experiments' windows are
     1/(N T_s) apart, so D_0 = N).
 
     Every other grid runs in blocks of B = _MAP_BLOCK samples: each block
-    takes one (T P) x B by B x Q matrix product for the T echoes and its phase
-    row e^{-j2 pi f_q T_s s} at its start s, for O(T P N Q) work. The B x Q
-    kernel is built once per call and one (T, P, B) work buffer serves every
-    block, so the memory is O((T P + Q) B) beside O(N + span) for the
-    waveform and O(T P Q) for the values.
+    takes one P x B by B x Q matrix product and its phase row
+    e^{-j2 pi f_q T_s s} at its start s, for O(P N Q) work. The B x Q kernel
+    is built once per call and one P x B work buffer serves every block, so
+    the memory is O((P + Q) B) beside O(N + span) for the waveform and
+    O(P Q) for the values.
     """
     echo = np.asarray(echo, dtype=complex)
     n = grid.block_length
-    if echo.ndim == 0 or echo.shape[-1] != n:
-        raise ValueError(f"echo must have shape (..., {n}), got {echo.shape}")
+    if echo.shape != (n,):
+        raise ValueError(f"echo must have shape ({n},), got {echo.shape}")
     base = projected_dam_block(block, bf, theta)
     if base.size != n:
         raise ValueError("grid block_length does not match the symbol block")
@@ -243,13 +235,12 @@ def delay_doppler_map(echo: np.ndarray, bf: DamBeamformer, block: SymbolBlock,
     np.conjugate(base[:n - lo], out=conj_base[hi:hi + n - lo])
     del base
     cycles = grid.doppler_bins_hz * grid.symbol_duration_s
-    echoes = echo.reshape(-1, n)
     if fold is None:
-        values = _blocked_map(echoes, conj_base, delays, cycles)
+        values = _blocked_map(echo, conj_base, delays, cycles)
     else:
-        values = _folded_map(echoes, conj_base, delays, cycles, fold)
+        values = _folded_map(echo, conj_base, delays, cycles, fold)
     values /= norms[:, None]
-    return DelayDopplerMap(values.reshape(echo.shape[:-1] + grid.shape), grid)
+    return DelayDopplerMap(values, grid)
 
 
 def _template_norms(base, delays):
@@ -291,7 +282,7 @@ def template_gram(seen: np.ndarray, grid: SensingGrid) -> np.ndarray:
     span, k = hi - lo, np.arange(1 - num_q, num_q)
     conj_seen = np.zeros(n - lo + span, dtype=complex)   # zero-led as the map's
     np.conjugate(seen[:n - lo], out=conj_seen[span:])
-    lags = _blocked_map(seen[None, :n - lo], conj_seen, np.arange(span + 1), k / n)[0]
+    lags = _blocked_map(seen[:n - lo], conj_seen, np.arange(span + 1), k / n)
     # table[t - lo, k] = e^{j2 pi k t / N}, its argument reduced mod N in integers
     table = np.exp(2j * np.pi * (np.outer(np.arange(lo, hi + 1), k) % n) / n)
     # R_d's terms at m = N - lo - 1 - r, r < span, from the end of the block
@@ -314,10 +305,10 @@ def template_gram(seen: np.ndarray, grid: SensingGrid) -> np.ndarray:
     return low + low.conj().T + np.diag(gram.diagonal().real)
 
 
-def _folded_map(echoes, conj_base, delays, cycles, d):
-    """The (T, P, Q) sums of delay_doppler_map at fold size d, from its
+def _folded_map(echo, conj_base, delays, cycles, d):
+    """The (P, Q) sums of delay_doppler_map at fold size d, from its
     zero-led conjugate waveform."""
-    t, n = echoes.shape
+    n = echo.size
     hi = int(delays.max())
     span, periods = hi - int(delays.min()) + 1, -(-n // d)
     # Window row s, entry i is conj(base[s + i - hi]): delay hi - i at sample
@@ -326,24 +317,24 @@ def _folded_map(echoes, conj_base, delays, cycles, d):
     windows = sliding_window_view(conj_base, span).reshape(periods, d, span).transpose(1, 0, 2)
     # for n = j d + k, e^{-j2 pi c_q n} = e^{-j2 pi c_0 j d} e^{-j2 pi c_q k}, as
     # (c_q - c_0) j d is whole: the first factor, its argument reduced mod 1,
-    # scales period j of the echo (zero-padded and laid out as (periods, d, T)),
+    # scales period j of the echo (zero-padded and laid out as (periods, d)),
     # the second is the d x Q kernel
-    shifted = np.zeros((periods, d, t), dtype=complex)
-    shifted.reshape(-1, t)[:n] = echoes.T
-    steps = np.exp(-2j * np.pi * (cycles[0] * np.arange(0, periods * d, d) % 1.0))
-    shifted *= steps[:, None, None]
-    sums = np.matmul(shifted.transpose(1, 2, 0), windows)
+    shifted = np.zeros((periods, d), dtype=complex)
+    shifted.reshape(-1)[:n] = echo
+    shifted *= np.exp(-2j * np.pi * (cycles[0] * np.arange(0, periods * d, d) % 1.0))[:, None]
+    # one 1 x periods by periods x span product per residue
+    sums = np.matmul(shifted.T[:, None], windows)[:, 0]
     del shifted, windows
-    rows = np.take(sums, hi - delays, axis=2).reshape(d, t * delays.size)
+    rows = np.take(sums, hi - delays, axis=1)
     del sums
     kernel = np.exp(-2j * np.pi * (np.outer(np.arange(d), cycles) % 1.0))
-    return (rows.T @ kernel).reshape(t, delays.size, cycles.size)
+    return rows.T @ kernel
 
 
-def _blocked_map(echoes, conj_base, delays, cycles):
-    """The (T, P, Q) sums of delay_doppler_map in blocks of _MAP_BLOCK
+def _blocked_map(echo, conj_base, delays, cycles):
+    """The (P, Q) sums of delay_doppler_map in blocks of _MAP_BLOCK
     samples, from its zero-led conjugate waveform."""
-    n = echoes.shape[1]
+    n = echo.size
     # r(p, q) = sum_n conj(base[n-p]) e^{-j2 pi f_q Ts n} echo[n]. With n = s + k
     # the phase splits into e^{-j2 pi f_q Ts s} per block start s and a B x Q
     # kernel over k < B shared by every block.
@@ -354,19 +345,18 @@ def _blocked_map(echoes, conj_base, delays, cycles):
     fine = np.exp(-2j * np.pi * np.outer(np.arange(64), cycles))
     coarse = np.exp(-2j * np.pi * np.outer(np.arange(0, b, 64), cycles))
     kernel = (coarse[:, None, :] * fine).reshape(coarse.shape[0] * 64, cycles.size)[:b]
-    work = np.empty((echoes.shape[0], delays.size, b), dtype=complex)
-    values = np.zeros(work.shape[:2] + cycles.shape, dtype=complex)
+    work = np.empty((delays.size, b), dtype=complex)
+    values = np.zeros((delays.size, cycles.size), dtype=complex)
     for s in range(0, n, b):
         w = min(b, n - s)
         if w < b:                       # the last block, zero-padded to B
-            work[..., w:] = 0
-        # one product per delay into its rows of the buffer, the row of delay
+            work[:, w:] = 0
+        # one product per delay into its row of the buffer, the row of delay
         # p in the block at s starting at s + lead - p: indexing or
-        # broadcasting the windows would build a second (T, P, B) array
+        # broadcasting the windows would build a second P x B array
         for i, start in enumerate(s + lead - delays):
-            np.multiply(conj_base[start:start + w], echoes[:, s:s + w], out=work[:, i, :w])
-        values += ((work.reshape(-1, b) @ kernel).reshape(values.shape)
-                   * np.exp(-2j * np.pi * cycles * s))
+            np.multiply(conj_base[start:start + w], echo[s:s + w], out=work[i, :w])
+        values += (work @ kernel) * np.exp(-2j * np.pi * cycles * s)
     return values
 
 
@@ -447,17 +437,3 @@ def dam_ambiguity_limits(scenario: ScenarioConfig) -> AmbiguityLimits:
     return _ambiguity_limits(scenario.guard_length, scenario.bandwidth_hz,
                              scenario.wavelength_m, 0.5 / scenario.symbol_duration_s,
                              scenario.data_length)
-
-
-def export_map_csv(path, ddmap: DelayDopplerMap, comments=()) -> None:
-    """Write a map as CSV: Doppler frequencies across the header row, delay
-    bins down the first column, cells as |r|^2 in dB."""
-    p_db = 10.0 * np.log10(np.maximum(ddmap.power(), 1e-300))
-    with open(Path(path), "w", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["delay_bin"] + [repr(float(f))
-                                         for f in ddmap.grid.doppler_bins_hz])
-        for i, d in enumerate(ddmap.grid.delay_bins):
-            writer.writerow([int(d)] + [repr(float(v)) for v in p_db[i]])

@@ -9,7 +9,7 @@ import dataclasses
 
 import numpy as np
 
-from damisac import ExperimentConfig, IsacProblem, generate_multipath_channel
+from damisac import ExperimentConfig, IsacProblem, generate_multipath_channels
 
 
 def se_sweep_rows(cfg: ExperimentConfig) -> list:
@@ -25,7 +25,7 @@ def se_sweep_rows(cfg: ExperimentConfig) -> list:
         feasible = np.zeros(grid_lin.size, dtype=int)
         infeasible = np.zeros(grid_lin.size, dtype=int)
         for trial in range(cfg.trials):
-            channel = generate_multipath_channel(s, gen, cfg.rng(0, li, trial))
+            channel = generate_multipath_channels(s, gen, [cfg.rng(0, li, trial)])[0]
             problem = IsacProblem(channel, target.direction, target.gain, n,
                                   s.transmit_power_w, s.noise_power_w)
             for gi, gamma_th in enumerate(grid_lin):

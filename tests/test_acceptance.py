@@ -24,7 +24,7 @@ from damisac.channel import (
     ScenarioConfig,
     apply_radar_channel,
     complex_normal,
-    generate_multipath_channel,
+    generate_multipath_channels,
     radar_round_trip_gain,
     steering_vector,
 )
@@ -180,7 +180,7 @@ def test_04_zero_forcing_residuals():
             off = ~np.eye(num_paths, dtype=bool)
             for seed in range(100):
                 rng = np.random.default_rng(seed)
-                channel = generate_multipath_channel(sc, gen, rng)
+                channel = generate_multipath_channels(sc, gen, [rng])[0]
                 problem = IsacProblem(channel, theta, 1.0, sc.data_length,
                                       sc.transmit_power_w, 1.0)
                 sol = problem.solve(0.5 * problem.gamma_zf_max)
@@ -340,7 +340,7 @@ def test_07_spectral_efficiency_trend():
         gen10 = ChannelGenConfig(num_paths=10)
         for trial in range(trials):
             rng = np.random.default_rng(31_000 + trial)
-            ch10 = generate_multipath_channel(sc, gen10, rng)
+            ch10 = generate_multipath_channels(sc, gen10, [rng])[0]
             # paired 5-path channel: first five paths, per-path gain variance
             # rescaled from 1/10 to 1/5 so both draws match their own L
             ch5 = MultipathChannel(ch10.path_vectors[:5] * np.sqrt(2.0),

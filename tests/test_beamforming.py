@@ -12,7 +12,7 @@ from damisac import (
     MultipathChannel,
     ScenarioConfig,
     complex_normal,
-    generate_multipath_channel,
+    generate_multipath_channels,
     load_config,
     run_se_sweep,
     sensing_snr,
@@ -102,7 +102,7 @@ def oracle_channels():
     for num_paths in (5, 10):
         gen = ChannelGenConfig(num_paths=num_paths)
         for seed in range(100):
-            yield generate_multipath_channel(sc, gen, np.random.default_rng(seed))
+            yield generate_multipath_channels(sc, gen, [np.random.default_rng(seed)])[0]
     rng = np.random.default_rng(2)
     h = complex_normal(rng, (3, 6))
     h[2] = h[1]                       # a repeated interferer
@@ -504,7 +504,7 @@ def test_solve_equals_its_batch_row_on_default_channels():
     fracs = np.array([0.0, 0.3, 0.9, 0.999999, 1.0, 1.0 + 1e-9])
     for num_paths in (5, 10):
         gen = ChannelGenConfig(num_paths=num_paths)
-        channels = [generate_multipath_channel(sc, gen, np.random.default_rng(70 + seed))
+        channels = [generate_multipath_channels(sc, gen, [np.random.default_rng(70 + seed)])[0]
                     for seed in range(8)]
         problems = [IsacProblem(ch, THETA, GAIN, N_BLOCK, 1.0, SIGMA2) for ch in channels]
         floors = np.array([fracs * p.gamma_zf_max for p in problems])

@@ -18,7 +18,6 @@ from damisac import (
     apply_comm_channel,
     apply_radar_channel,
     complex_normal,
-    generate_multipath_channel,
     generate_multipath_channels,
     radar_round_trip_gain,
     steering_vector,
@@ -150,7 +149,7 @@ def test_generator_contract_fixed_seed():
     gen = ChannelGenConfig(num_paths=5, max_subpaths=3)
     rng, replay = np.random.default_rng(123), np.random.default_rng(123)
     for _ in range(20):
-        ch = generate_multipath_channel(s, gen, rng)
+        ch = generate_multipath_channels(s, gen, [rng])[0]
         assert ch.num_paths == 5
         assert ch.path_delays[0] == 0
         assert ch.max_delay <= s.guard_length
@@ -173,8 +172,8 @@ def test_generator_contract_fixed_seed():
 def test_generator_rejects_too_many_paths():
     s = ScenarioConfig.mmwave_default(guard_length=3, coherence_time_s=1e-6)
     with pytest.raises(ValueError):
-        generate_multipath_channel(s, ChannelGenConfig(num_paths=9),
-                                   np.random.default_rng(0))
+        generate_multipath_channels(s, ChannelGenConfig(num_paths=9),
+                                    [np.random.default_rng(0)])
 
 
 def test_stacked_draw_matches_one_stream_draws():
@@ -191,7 +190,7 @@ def test_stacked_draw_matches_one_stream_draws():
                 stack = generate_multipath_channels(s, gen, rngs)
                 assert len(stack) == len(rngs)
                 for ch, one_rng in zip(stack, replays):
-                    one = generate_multipath_channel(s, gen, one_rng)
+                    one = generate_multipath_channels(s, gen, [one_rng])[0]
                     assert np.array_equal(ch.path_vectors, one.path_vectors)
                     assert np.array_equal(ch.path_delays, one.path_delays)
             assert rng.bit_generator.state == replay.bit_generator.state
@@ -212,8 +211,8 @@ def test_channel_energy_moment():
 def test_channel_determinism():
     s = ScenarioConfig.mmwave_default()
     gen = ChannelGenConfig(num_paths=3)
-    a = generate_multipath_channel(s, gen, np.random.default_rng(42))
-    b = generate_multipath_channel(s, gen, np.random.default_rng(42))
+    a = generate_multipath_channels(s, gen, [np.random.default_rng(42)])[0]
+    b = generate_multipath_channels(s, gen, [np.random.default_rng(42)])[0]
     assert np.array_equal(a.path_vectors, b.path_vectors)
     assert np.array_equal(a.path_delays, b.path_delays)
 

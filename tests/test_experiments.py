@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from damisac import (
+    C_LIGHT,
     ConfigError,
     DamBeamformer,
     DelayDopplerMap,
@@ -38,7 +39,7 @@ from damisac import (
     complex_normal,
     delay_doppler_map,
     estimate_delay_doppler,
-    generate_multipath_channel,
+    generate_multipath_channels,
     generate_symbols,
     load_config,
     matched_filter_template,
@@ -56,7 +57,7 @@ from damisac import (
     steering_vector,
     template_gram,
 )
-from damisac import experiments, sensing
+from damisac import cli, experiments, sensing
 from damisac.cli import main
 from damisac.experiments import _SCHEMA, _pattern_db
 from scipy.signal import find_peaks
@@ -294,9 +295,9 @@ def test_any_json_object_loads_or_raises_config_error(tmp_path_factory, doc, ove
 @st.composite
 def run_scenarios(draw):
     """A scenario whose coherence time is a whole number n_c > N_p of symbol
-    periods, so that the loader takes it, with powers on both sides of their
-    +-500 dB(m) bounds."""
-    guard, bandwidth = draw(st.integers(0, 300)), draw(st.floats(1e6, 1e9))
+    periods, so that the loader takes it, with a bandwidth log-uniform over
+    [1e3, 1e12] Hz and powers on both sides of their +-500 dB(m) bounds."""
+    guard, bandwidth = draw(st.integers(0, 300)), 10.0 ** draw(st.floats(3.0, 12.0))
     n_c = draw(st.integers(guard + 1, guard + 200_000))
     return {"num_antennas": draw(st.integers(1, 16)), "guard_length": guard,
             "bandwidth_hz": bandwidth, "carrier_frequency_hz": draw(st.floats(1e8, 1e12)),
@@ -305,20 +306,38 @@ def run_scenarios(draw):
             "noise_psd_dbm_hz": draw(st.floats(-550.0, 550.0))}
 
 
+@st.composite
+def run_targets(draw, scenario):
+    """Three times in four a target whose delay lies inside the scenario's
+    guard, whose Doppler lies inside (-B/2, B/2] and whose round-trip gain
+    lies inside [1e-100, 1e100]; else any range, RCS and velocity, most of
+    them past the guard, the gain's bounds or the Doppler span."""
+    bandwidth = scenario["bandwidth_hz"]
+    wavelength = C_LIGHT / scenario["carrier_frequency_hz"]
+    if draw(st.integers(0, 3)):
+        # the delay 2 R B / c and f_d / B, drawn inside their bounds
+        delay = draw(st.floats(0.01, scenario["guard_length"] + 0.49))
+        range_m = delay * C_LIGHT / (2 * bandwidth)
+        rcs = draw(st.floats(1e-3, 1e3))
+        velocity = draw(st.floats(-0.49, 0.49)) * bandwidth * wavelength / 2
+    else:
+        range_m = draw(st.one_of(st.floats(1.0, 400.0), st.floats(1e-40, 1e40)))
+        rcs = draw(st.one_of(st.floats(1e-3, 1e3), st.floats(1e-300, 1e300)))
+        velocity = draw(st.floats(-3e5, 3e5))
+    return {"range_m": range_m, "rcs_m2": rcs, "direction_deg": draw(st.floats(-90.0, 90.0)),
+            "radial_velocity_m_s": velocity}
+
+
 # Small configs that pass every per-field check but the powers' bounds; the
 # checks across fields (the guard, the block, the round-trip gain, the Doppler
 # span, the sector order, the OFDM size) may still reject one with exit code 2.
-RUN_CONFIGS = st.fixed_dictionaries({
-    "scenario": run_scenarios(),
+RUN_CONFIGS = run_scenarios().flatmap(lambda scenario: st.fixed_dictionaries({
+    "scenario": st.just(scenario),
     "channel": st.fixed_dictionaries({
         "num_paths": st.integers(1, 8), "max_subpaths": st.integers(1, 4),
         "aod_sector_deg": st.lists(st.floats(-90.0, 90.0), min_size=2, max_size=2)
                           .filter(lambda pair: pair[0] < pair[1])}),
-    "target": st.fixed_dictionaries({
-        "range_m": st.one_of(st.floats(1.0, 400.0), st.floats(1e-40, 1e40)),
-        "rcs_m2": st.one_of(st.floats(1e-3, 1e3), st.floats(1e-300, 1e300)),
-        "direction_deg": st.floats(-90.0, 90.0),
-        "radial_velocity_m_s": st.floats(-3e5, 3e5)}),
+    "target": run_targets(scenario),
     "experiment": st.fixed_dictionaries({
         "trials": st.integers(1, 3), "seed": st.integers(0, 2 ** 64 - 1),
         "gamma_th_grid_db": st.lists(st.floats(-20.0, 60.0), min_size=1, max_size=3),
@@ -329,7 +348,7 @@ RUN_CONFIGS = st.fixed_dictionaries({
         "beampattern_aods_deg": st.lists(st.floats(-90.0, 90.0), min_size=1, max_size=5),
         "modulation": st.sampled_from(["bpsk", "qpsk", "psk8", "gaussian"]),
         "strict_ambiguity": st.booleans()}),
-})
+}))
 
 
 def _nonfinite_allowed(name, column, value, row):
@@ -499,7 +518,7 @@ def test_se_sweep_zero_threshold_equals_mrt(tmp_path):
     gen = dataclasses.replace(cfg.channel_gen, num_paths=3)
     se = []
     for trial in range(cfg.trials):
-        channel = generate_multipath_channel(s, gen, cfg.rng(0, 0, trial))
+        channel = generate_multipath_channels(s, gen, [cfg.rng(0, 0, trial)])[0]
         bf = zf_mrt(channel, s.transmit_power_w)
         gamma = np.abs(aligned_gain(bf, channel)) ** 2 / s.noise_power_w
         se.append(s.data_length / s.block_length * np.log2(1.0 + gamma))
@@ -541,7 +560,7 @@ def test_se_sweep_matches_the_one_solve_oracle(monkeypatch):
 def dd_map_scene(cfg):
     """The dd-map design, symbol block and target, rebuilt from its keyed streams."""
     s = cfg.scenario
-    channel = generate_multipath_channel(s, cfg.channel_gen, cfg.rng(1, 0))
+    channel = generate_multipath_channels(s, cfg.channel_gen, [cfg.rng(1, 0)])[0]
     target = cfg.radar_target(cfg.rng(1, 1))
     problem = IsacProblem(channel, target.direction, target.gain, s.data_length,
                           s.transmit_power_w, s.noise_power_w)
@@ -666,6 +685,32 @@ def test_dd_map_default_window_is_every_delay_up_to_the_guard(tmp_path):
     assert delays == list(range(cfg.scenario.guard_length + 1))
 
 
+def test_dd_map_csv_layout(tmp_path, monkeypatch):
+    # the header is delay_bin, then the repr of each Doppler bin of the grid;
+    # one row per delay, each cell 10 log10(max(|r|^2, 1e-300)) of the map
+    maps = []
+
+    def kept(*args):
+        maps.append(delay_doppler_map(*args))
+        return maps[-1]
+
+    monkeypatch.setattr(sensing, "delay_doppler_map", kept)
+    cfg = load_config(None)
+    cfg.mc_block_length = 1024
+    cfg.output_dir = tmp_path
+    run_dd_map(cfg)
+    ddmap, = maps
+    lines = (tmp_path / "dd_map.csv").read_text().splitlines()
+    assert lines[:3] == [f"# config_hash={cfg.config_hash()} seed=0",
+                         "# n_c=100000 n_p=200 n=99800", "# n_mc=1024"]
+    rows = list(csv.reader(lines[3:]))
+    grid = ddmap.grid
+    assert rows[0] == ["delay_bin"] + [repr(float(f)) for f in grid.doppler_bins_hz]
+    power_db = 10 * np.log10(np.maximum(np.abs(ddmap.values) ** 2, 1e-300))
+    assert rows[1:] == [[str(d)] + [repr(float(v)) for v in row]
+                        for d, row in zip(grid.delay_bins, power_db)]
+
+
 def test_unit_template_noise_variance():
     """The exact SNRs divide by sigma^2 ||u||^2; this checks that noise drawn
     the way the runs draw it has that variance through a unit template:
@@ -737,6 +782,13 @@ def test_dd_map_searches_up_to_a_target_beyond_the_guard(tmp_path):
     assert rep.est_delay_bin == rep.true_delay_bin
 
 
+def scheme_cells(rows, column):
+    """{scheme: its cell in column}, the one value both of its regimes' rows hold."""
+    cells = {(r["scheme"], r[column]) for r in rows}
+    assert len(cells) == 2, cells
+    return dict(cells)
+
+
 def test_ofdm_compare_result(tmp_path):
     cfg = load_config(None)
     cfg.trials = 50
@@ -746,12 +798,12 @@ def test_ofdm_compare_result(tmp_path):
     # comfortably detectable SNR
     cfg.target = dataclasses.replace(cfg.target, rcs_m2=25.0)
     cfg.output_dir = tmp_path
-    res = run_ofdm_compare(cfg)
-    assert len(res.rows) == 4
-    schemes = {(r["scheme"], r["regime"]) for r in res.rows}
+    rows = run_ofdm_compare(cfg)
+    assert len(rows) == 4
+    schemes = {(r["scheme"], r["regime"]) for r in rows}
     assert schemes == {("dam", "average_power"), ("dam", "peak_power"),
                        ("ofdm", "average_power"), ("ofdm", "peak_power")}
-    by = {(r["scheme"], r["regime"]): r for r in res.rows}
+    by = {(r["scheme"], r["regime"]): r for r in rows}
     # peak-power gap collapses to N / (L I)
     n_mc, l = 2048, cfg.channel_gen.num_paths
     i_sym = (n_mc + 200) // (256 + 200)
@@ -775,9 +827,11 @@ def test_ofdm_compare_result(tmp_path):
                                                       sigma2))):
             got = 10 ** (by[(scheme, regime)]["empirical_snr_db"] / 10)
             assert got == pytest.approx(want, rel=1e-12), (scheme, regime)
-    assert res.papr_ofdm > res.papr_dam
-    assert res.dam_doppler_hit_rate >= 0.9
-    assert res.ofdm_doppler_hit_rate == 0.0
+    papr = scheme_cells(rows, "papr_empirical")
+    rate = scheme_cells(rows, "doppler_recovery_rate")
+    assert papr["ofdm"] > papr["dam"]
+    assert rate["dam"] >= 0.9
+    assert rate["ofdm"] == 0.0
     lines = (tmp_path / "ofdm_compare.csv").read_text().splitlines()
     assert lines[2].startswith("# n_mc=2048 peak_snr_ratio=")
     assert len(lines) == 4 + 4
@@ -806,7 +860,7 @@ def test_ofdm_compare_papr_is_that_of_the_m_row_transmits(tmp_path, doc, seed):
     # order log2 K): a relative (M + L + log2 K) eps in the peak and in the
     # mean, so twice that in their ratio
     cfg = load_config(write_config(tmp_path, doc), {"seed": seed, "trials": 1})
-    res = run_ofdm_compare(cfg)
+    papr = scheme_cells(run_ofdm_compare(cfg), "papr_empirical")
     s = cfg.scenario
     m, l, k = s.num_antennas, cfg.channel_gen.num_paths, cfg.ofdm_subcarriers
     n_mc = min(s.data_length, cfg.mc_block_length)
@@ -821,10 +875,8 @@ def test_ofdm_compare_papr_is_that_of_the_m_row_transmits(tmp_path, doc, seed):
     grid = generate_symbols(cfg.rng(2, 2), k * ocfg.symbols_per_block, cfg.modulation)
     stream = ofdm_time_domain(ocfg, grid.symbols.reshape(k, -1, order="F"))
     tol = 2 * (m + l + math.log2(k)) * np.finfo(float).eps
-    assert res.papr_dam == pytest.approx(papr_empirical(dam), rel=tol, abs=0)
-    assert res.papr_ofdm == pytest.approx(papr_empirical(stream), rel=tol, abs=0)
-    assert ({(r["scheme"], r["papr_empirical"]) for r in res.rows}
-            == {("dam", res.papr_dam), ("ofdm", res.papr_ofdm)})
+    assert papr["dam"] == pytest.approx(papr_empirical(dam), rel=tol, abs=0)
+    assert papr["ofdm"] == pytest.approx(papr_empirical(stream), rel=tol, abs=0)
 
 
 def test_ofdm_compare_builds_no_array_transmit():
@@ -886,8 +938,7 @@ def test_ofdm_compare_runs_no_ofdm_fast_target_trial(monkeypatch):
 
     monkeypatch.setattr(experiments.ofdm, "ofdm_delay_doppler_estimate", no_estimate)
     monkeypatch.setattr(ExperimentConfig, "rng", recorded_rng)
-    res = run_ofdm_compare(cfg)
-    assert res.ofdm_doppler_hit_rate == 0.0
+    assert scheme_cells(run_ofdm_compare(cfg), "doppler_recovery_rate")["ofdm"] == 0.0
     assert not [key for key in keys if key[:2] == (2, 10)]
     assert sorted(keys) == [(2, 0), (2, 1), (2, 2)] + [(2, 9, t) for t in range(13)]
 
@@ -1039,7 +1090,8 @@ def test_fast_target_hits_match_the_dense_cell_oracle():
             DelayDopplerMap((mean + root @ z).reshape(w.grid.shape), w.grid))
         hits += abs(f_hat - w.f_fast) <= w.res
     assert 0 < hits < cfg.trials
-    assert run_ofdm_compare(cfg).dam_doppler_hit_rate == hits / cfg.trials
+    assert scheme_cells(run_ofdm_compare(cfg), "doppler_recovery_rate")["dam"] \
+        == hits / cfg.trials
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -1056,7 +1108,7 @@ def test_fast_target_rate_is_the_sample_domain_rate(seed):
         cfg.mc_block_length, cfg.ofdm_subcarriers = 2048, 256
         return cfg
 
-    rate = run_ofdm_compare(config(4000)).dam_doppler_hit_rate
+    rate = scheme_cells(run_ofdm_compare(config(4000)), "doppler_recovery_rate")["dam"]
     oracle_rate, ofdm_rate = fast_target_hit_rates_oracle(config(400))
     assert ofdm_rate == 0.0
     pooled = (4000 * rate + 400 * oracle_rate) / 4400
@@ -1102,6 +1154,19 @@ def test_cli_se_sweep_with_overrides(tmp_path, capsys):
     assert len(lines) == 4 + 2          # two grid points, one path count
     stdout = capsys.readouterr().out
     assert "mean SE" in stdout and "wrote CSV output" in stdout
+
+
+@pytest.mark.parametrize("experiment", ["se-sweep", "ofdm-compare"])
+def test_returned_rows_are_the_csv_rows(tmp_path, experiment):
+    # the header holds each row's keys, and each line one row's values
+    cfg = load_config(write_config(tmp_path, {"experiment": SMALL}))
+    cfg.output_dir = tmp_path
+    rows = cli._RUNNERS[experiment](cfg)
+    name = experiment.replace("-", "_") + ".csv"
+    lines = [l for l in (tmp_path / name).read_text().splitlines() if not l.startswith("#")]
+    table = list(csv.reader(lines))
+    assert table[0] == list(rows[0])
+    assert table[1:] == [[str(experiments._fmt(v)) for v in row.values()] for row in rows]
 
 
 def test_cli_se_sweep_above_every_ceiling(tmp_path, capsys):
@@ -1157,6 +1222,28 @@ def test_target_beyond_the_guard_follows_strict_ambiguity(tmp_path, capsys, expe
     assert [(w.category, str(w.message)) for w in caught] == [
         (UserWarning, "target.range_m=450.0: target delay 300 exceeds guard length 200: "
                       "echo spills into the next block")]
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_out_under_a_file_exits_2_before_the_run(tmp_path, capsys, monkeypatch, experiment):
+    # a run that exits 2 leaves no --out directory behind
+    far = write_config(tmp_path, FAR_TARGET)
+    assert main([experiment, "--config", str(far), "--out", str(tmp_path / "new")]) == 2
+    capsys.readouterr()
+    assert not (tmp_path / "new").exists()
+
+    def no_run(cfg):
+        """A runner that must not start."""
+        raise AssertionError("the experiment ran")
+
+    # --out naming a file, or a path under one, exits 2 before the run
+    monkeypatch.setitem(cli._RUNNERS, experiment, no_run)
+    (tmp_path / "file").write_text("kept")
+    for out in (tmp_path / "file", tmp_path / "file" / "sub"):
+        assert main([experiment, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --out {out}: "
+                                                  f"{tmp_path / 'file'} is not a directory")
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 def test_cli_config_errors_exit_2(tmp_path, capsys):
@@ -1251,8 +1338,8 @@ def test_ofdm_echo_past_the_prefix_loses_snr(tmp_path):
     # silence: the echo through the radar channel reads below the analytic SNR
     cfg = load_config(write_config(tmp_path, {**FAR_TARGET, "experiment": SMALL}))
     with pytest.warns(UserWarning, match="target delay 300 exceeds guard length 200"):
-        res = run_ofdm_compare(cfg)
-    for r in res.rows:
+        rows = run_ofdm_compare(cfg)
+    for r in rows:
         assert r["empirical_snr_db"] < r["analytic_snr_db"] - 1.0, r
 
 

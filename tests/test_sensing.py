@@ -1,7 +1,7 @@
 """Matched-filter sensing tests: template algebra, map oracle, stream
 decorrelation, output-SNR formulas, peak estimation, ambiguity limits."""
 
-import csv
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -19,7 +19,6 @@ from damisac import (
     dam_ambiguity_limits,
     delay_doppler_map,
     estimate_delay_doppler,
-    export_map_csv,
     generate_symbols,
     matched_filter_template,
     ScenarioConfig,
@@ -148,32 +147,9 @@ def test_blocked_map_matches_dense_oracle(n, dopplers):
     grid = SensingGrid(delays, dops, TS, n)
     assert _fold_size(grid) is None
     got = delay_doppler_map(echo, bf, block, 0.3, grid).values
+    assert got.shape == grid.shape
     assert np.max(np.abs(got - dense_map(echo, bf, block, 0.3, grid))) \
         <= 1e-12 * np.linalg.norm(echo)
-
-
-# below one block, an exact multiple of it, and a partial last block
-@pytest.mark.parametrize("n", [_MAP_BLOCK // 2 - 3, 2 * _MAP_BLOCK + 777])
-@pytest.mark.parametrize("stack", [1, 3])
-def test_stacked_map_matches_each_echo_and_the_dense_oracle(n, stack):
-    rng = np.random.default_rng(n + stack)
-    block = generate_symbols(rng, n, "qpsk")
-    bf = DamBeamformer.aligned(complex_normal(rng, (4, 3)), [0, 2, 7])
-    echoes = complex_normal(rng, (stack, n))
-    half = 0.5 / TS
-    dops = np.concatenate([np.sort(rng.uniform(-half, half, 5)), [half]])
-    delays = np.array([n - 1, 0, 5, n // 2, 1, 5, n - 2])   # with a repeat
-    grid = SensingGrid(delays, dops, TS, n)
-    got = delay_doppler_map(echoes, bf, block, 0.3, grid)
-    assert got.values.shape == (stack,) + grid.shape
-    for t, echo in enumerate(echoes):
-        bound = 1e-12 * np.linalg.norm(echo)
-        alone = delay_doppler_map(echo, bf, block, 0.3, grid).values
-        assert np.max(np.abs(got.values[t] - alone)) <= bound
-        assert np.max(np.abs(got.values[t] - dense_map(echo, bf, block, 0.3, grid))) <= bound
-    # any stack shape: (1, stack) echoes give (1, stack, P, Q) maps
-    assert np.array_equal(delay_doppler_map(echoes[None], bf, block, 0.3, grid).values,
-                          got.values[None])
 
 
 def test_denominator_is_the_least_whole_count():
@@ -223,44 +199,42 @@ def folding_grid(case, n):
 
 
 # each n ends in a partial period of its D, but for the single cell's D = 1
-@pytest.mark.parametrize("case, n, stack", [
-    ("survey", 3 * _MAP_BLOCK + 777, 1), ("survey", 3 * _MAP_BLOCK + 777, 3),
-    ("commensurate", 2 * _MAP_BLOCK + 1234, 1), ("commensurate", 2 * _MAP_BLOCK + 1234, 3),
-    ("delay-range", 3 * _MAP_BLOCK + 777, 1), ("single", 2 * _MAP_BLOCK + 777, 1),
-    ("wide-span", 3 * _MAP_BLOCK + 777, 1), ("off-period", 3 * _MAP_BLOCK + 777, 1)])
-def test_folded_map_matches_dense_oracle(case, n, stack):
-    rng = np.random.default_rng(n + stack)
+@pytest.mark.parametrize("case, n", [
+    ("survey", 3 * _MAP_BLOCK + 777), ("commensurate", 2 * _MAP_BLOCK + 1234),
+    ("delay-range", 3 * _MAP_BLOCK + 777), ("single", 2 * _MAP_BLOCK + 777),
+    ("wide-span", 3 * _MAP_BLOCK + 777), ("off-period", 3 * _MAP_BLOCK + 777)])
+def test_folded_map_matches_dense_oracle(case, n):
+    rng = np.random.default_rng(n + 1)
     block = generate_symbols(rng, n, "qpsk")
     bf = DamBeamformer.aligned(complex_normal(rng, (4, 3)), [0, 2, 7])
-    echoes = complex_normal(rng, (stack, n))
+    echo = complex_normal(rng, (n,))
     grid, fold = folding_grid(case, n)
     assert _fold_size(grid) == fold
     assert fold in (None, 1) or n % fold
-    got = delay_doppler_map(echoes, bf, block, 0.3, grid).values
-    for t, echo in enumerate(echoes):
-        assert np.max(np.abs(got[t] - dense_map(echo, bf, block, 0.3, grid))) \
-            <= 1e-12 * np.linalg.norm(echo)
+    got = delay_doppler_map(echo, bf, block, 0.3, grid).values
+    assert np.max(np.abs(got - dense_map(echo, bf, block, 0.3, grid))) \
+        <= 1e-12 * np.linalg.norm(echo)
 
 
-def traced_map_peak_and_bound(stack, fold=True):
+def traced_map_peak_and_bound(fold):
     """Traced peak of a survey map at N = 65 536, Q = 129, P = 201, and its
-    bound. The survey folds at D = 256: its bound is the (T, J, D) padded
-    echo, the D x T x span sums and their rows gathered by delay, and the
-    D x Q kernel with its arguments, plus a stated slack of 2 N complex
-    samples (the zero-led conjugate waveform, which replaces the projected
-    one, and N for the running sum of |base|^2 and small arrays) and one
-    T x P x Q map. Without fold, one bin sits 1e-9 cycles per 4 096 samples
-    off the survey's period, so the map runs in blocks: one (T, P, B) work
-    buffer and the B x Q kernel, plus a slack of 3 N complex samples (the
-    zero-led conjugate waveform, and 2 N for the kernel's factor tables, a
-    block's samples and one delay's rows, and small arrays) and three
-    T x P x Q maps (the values, one product and its phased copy)."""
+    bound. The survey folds at D = 256: its bound is the (J, D) padded echo,
+    the D x span sums and their rows gathered by delay, and the D x Q kernel
+    with its arguments, plus a stated slack of 2 N complex samples (the
+    zero-led conjugate waveform, which replaces the projected one, and N for
+    the running sum of |base|^2 and small arrays) and one P x Q map. Without
+    fold, one bin sits 1e-9 cycles per 4 096 samples off the survey's
+    period, so the map runs in blocks: one P x B work buffer and the B x Q
+    kernel, plus a slack of 3 N complex samples (the zero-led conjugate
+    waveform, and 2 N for the kernel's factor tables, a block's samples and
+    one delay's rows, and small arrays) and three P x Q maps (the values,
+    one product and its phased copy)."""
     n, q = 65_536, 129
     rng = np.random.default_rng(17)
     block = generate_symbols(rng, n, "qpsk")
     bf = steered_beamformer(4, 3)
-    echo = complex_normal(rng, (n,) if stack is None else (stack, n))
-    grid = SensingGrid.survey(200, n, TS, q)
+    echo = complex_normal(rng, (n,))
+    grid = SensingGrid.survey(200, n, TS)
     if not fold:
         grid = SensingGrid(grid.delay_bins, grid.doppler_bins_hz
                            + 1e-9 / (_MAP_BLOCK * TS) * (np.arange(q) == 11), TS, n)
@@ -273,12 +247,12 @@ def traced_map_peak_and_bound(stack, fold=True):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    t, p = stack or 1, grid.shape[0]
+    p = grid.shape[0]
     if fold:
         padded = -(-n // d) * d
-        bound = 16 * (t * padded + 2 * d * t * p + 2 * d * q) + 16 * (2 * n + t * p * q)
+        bound = 16 * (padded + 2 * d * p + 2 * d * q) + 16 * (2 * n + p * q)
     else:
-        bound = 16 * (t * p * _MAP_BLOCK + _MAP_BLOCK * q) + 16 * (3 * n + 3 * t * p * q)
+        bound = 16 * (p * _MAP_BLOCK + _MAP_BLOCK * q) + 16 * (3 * n + 3 * p * q)
     return peak, bound, 16 * q * n
 
 
@@ -287,13 +261,8 @@ def test_map_memory_stays_below_the_phase_matrix():
     # the dense form held a Q x N phase matrix. The survey folds; a grid just
     # off its period runs in blocks.
     for fold in (True, False):
-        peak, bound, phase_matrix = traced_map_peak_and_bound(None, fold)
+        peak, bound, phase_matrix = traced_map_peak_and_bound(fold)
         assert peak <= bound < 0.5 * phase_matrix
-
-
-def test_stacked_folded_map_memory_is_o_of_tn_plus_d_span_t():
-    peak, bound, _ = traced_map_peak_and_bound(3)
-    assert peak <= bound
 
 
 def test_map_shape_and_validation():
@@ -309,6 +278,17 @@ def test_map_shape_and_validation():
         beyond = SensingGrid(np.array([0, delay]), np.array([0.0]), TS, 64)
         with pytest.raises(ValueError, match="zero template"):
             delay_doppler_map(complex_normal(rng, (64,)), bf, block, 0.0, beyond)
+
+
+# a stack of echoes, which the map once read as one map per echo
+@pytest.mark.parametrize("stack", [(1,), (3,), (1, 3)])
+def test_stacked_echo_is_rejected(stack):
+    rng = np.random.default_rng(5)
+    block = generate_symbols(rng, 64, "qpsk")
+    bf = DamBeamformer.aligned(complex_normal(rng, (2, 1)), [0])
+    grid = SensingGrid(np.arange(4), np.array([0.0]), TS, 64)
+    with pytest.raises(ValueError, match=re.escape(f"got {stack + (64,)}")):
+        delay_doppler_map(complex_normal(rng, stack + (64,)), bf, block, 0.0, grid)
 
 
 def test_noise_only_cells_average_noise_power():
@@ -553,11 +533,11 @@ def test_grid_validation():
 
 
 def test_grid_resolutions_and_survey():
-    grid = SensingGrid.survey(guard_length=20, block_length=400,
-                              symbol_duration_s=TS, num_doppler_bins=11)
+    grid = SensingGrid.survey(guard_length=20, block_length=400, symbol_duration_s=TS)
     assert grid.delay_bins[0] == 0 and grid.delay_bins[-1] == 20
+    assert grid.doppler_bins_hz.size == 129
+    assert grid.doppler_bins_hz[0] == pytest.approx(-0.5 / TS)
     assert grid.doppler_bins_hz[-1] == pytest.approx(0.5 / TS)
-    assert grid.delay_resolution_s == TS
     assert grid.doppler_resolution_hz == pytest.approx(1.0 / (400 * TS))
 
 
@@ -588,20 +568,3 @@ def test_ambiguity_limits_defaults():
         1.0 / (99_800 * scen.symbol_duration_s))
     assert lim.velocity_resolution_m_s == pytest.approx(
         lim.doppler_resolution_hz * lam / 2)
-
-
-# ------------------------------------------------------------------- export
-
-def test_export_map_csv_layout(tmp_path):
-    grid = SensingGrid(np.array([0, 3]), np.array([-50.0, 0.0, 50.0]), 1e-3, 16)
-    values = np.arange(6, dtype=float).reshape(2, 3) + 1.0
-    ddmap = DelayDopplerMap(values.astype(complex), grid)
-    path = tmp_path / "map.csv"
-    export_map_csv(path, ddmap, comments=("demo run",))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# demo run"
-    rows = list(csv.reader(lines[1:]))
-    assert rows[0][0] == "delay_bin"
-    assert [float(c) for c in rows[0][1:]] == [-50.0, 0.0, 50.0]
-    assert int(rows[1][0]) == 0 and int(rows[2][0]) == 3
-    assert float(rows[2][3]) == pytest.approx(10 * np.log10(36.0))
