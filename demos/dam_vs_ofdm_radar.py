@@ -10,6 +10,8 @@ each OFDM subcarrier's echo lands two subcarriers over, and the estimate is
 lost, while the symbol-rate matched filter tracks the target.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from damisac.channel import (
@@ -57,7 +59,8 @@ def main() -> None:
     gamma_dam = (alpha ** 2 * sc.data_length * sc.num_antennas
                  * (sc.transmit_power_w / NUM_PATHS) / sc.noise_power_w)
     for k in (256, 1024, 4096):
-        cfg = OfdmConfig.steered(sc, k, np.pi / 6, total_power=sc.transmit_power_w / k)
+        cfg = OfdmConfig.steered(replace(sc, transmit_power_w=sc.transmit_power_w / k), k,
+                                 np.pi / 6)
         gamma_ofdm = ofdm_output_snr(cfg, np.pi / 6, alpha, sc.noise_power_w)
         half = 0.5 / cfg.total_symbol_duration_s
         print(f"  {k:4d} | {cfg.symbols_per_block:4d} | {half / 1e3:8.2f} kHz "

@@ -34,9 +34,9 @@ def make_channel(rng: np.random.Generator) -> MultipathChannel:
 def main(seed: int) -> None:
     rng = np.random.default_rng(seed)
     channel = make_channel(rng)
-    # the MRT design does not depend on the radar target, so any direction
-    # and gain will do
-    bf = IsacProblem(channel, 0.0, 1.0, BLOCK_LEN, POWER_W, NOISE_W).mrt
+    # the MRT design, the solve at a zero sensing floor, does not depend on
+    # the radar target, so any direction and gain will do
+    bf = IsacProblem(channel, 0.0, 1.0, BLOCK_LEN, POWER_W, NOISE_W).solve(0.0).beamformer
     print(f"channel delays n_l = {channel.path_delays.tolist()}")
     print(f"schedule   kappa_l = {bf.delay_schedule.tolist()}  (all arrivals at lag "
           f"{bf.n_max})")

@@ -24,7 +24,6 @@ Working Note 89, 1994).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -233,10 +232,10 @@ def _set_up(h: np.ndarray, theta: float, gain: complex, block_length: int, power
     """The channel-only work of the trade-off problem for a stack of path
     vectors h (B, L, M); see `IsacProblem`.
 
-    Returns, per channel, the projected path responses c_l = Q_l h_l (B, L, M)
-    and the set-up of the rows: eta (unit norm) and r (B, L+1), the unit
-    blocks g_l / ||g_l|| and the unit part of h orthogonal to them (B, L, M),
-    the scale P ||c||^2 / sigma^2 of the search's dual value and gamma_zf_max (B,).
+    Returns, per channel, the set-up of the rows: eta (unit norm) and r
+    (B, L+1), the unit blocks g_l / ||g_l|| and the unit part of h orthogonal
+    to them (B, L, M), with c_l = Q_l h_l the projected path responses, the
+    scale P ||c||^2 / sigma^2 of the search's dual value and gamma_zf_max (B,).
     A channel that leaves no design raises its own InfeasibleError, the
     first such channel in the stack first.
     """
@@ -269,7 +268,7 @@ def _set_up(h: np.ndarray, theta: float, gain: complex, block_length: int, power
     # r_i = 1 - a_i / max(a): exactly 0 on the strongest target responses
     r = 1.0 - a_diag / top[:, None]
     ceiling = np.abs(gain) ** 2 * block_length * power / noise_power * top
-    return c, (eta, r, g_unit, rest_unit, power / noise_power * norm2, ceiling)
+    return eta, r, g_unit, rest_unit, power / noise_power * norm2, ceiling
 
 
 def _beams(y: np.ndarray, g_unit: np.ndarray, rest_unit: np.ndarray,
@@ -324,10 +323,11 @@ class IsacProblem:
     Construction does the channel-only work: the projected responses
     c_l = Q_l h_l and g_l = Q_l a and the ceiling `gamma_zf_max` =
     |alpha|^2 N P max_l ||g_l||^2 / sigma^2. That is at most the unconstrained
-    |alpha|^2 N M P / sigma^2, with equality when L = 1. The MRT design
-    (`mrt`) and the sensing-optimal design (`sensing`, all power on the
-    strongest g_l) are built on first use. The optimum lies in the span of h
-    and the blocks e_l (x) g_l. In the orthonormal basis made of the unit
+    |alpha|^2 N M P / sigma^2, with equality when L = 1. The endpoints are
+    solves: `solve(0)` is MRT, f_l = sqrt(P) c_l / ||c||, and
+    `solve(gamma_zf_max)` the sensing-optimal design, all power on the
+    strongest g_l. The optimum lies in the span of h and the blocks
+    e_l (x) g_l. In the orthonormal basis made of the unit
     blocks e_l (x) g_l / ||g_l|| and the part of h orthogonal to them, A is
     diag(0, ||g_1||^2, ..., ||g_L||^2) =: diag(a) and h has coordinates eta,
     so `solve` works with (L+1)-vectors only. The problem is the stack of one
@@ -340,26 +340,8 @@ class IsacProblem:
         self.channel, self.theta, self.gain = channel, theta, gain
         self.block_length, self.power, self.noise_power = block_length, power, noise_power
         self._h = channel.path_vectors[None]
-        c, self._setup = _set_up(self._h, theta, gain, block_length, power, noise_power)
-        self._c = c[0]
+        self._setup = _set_up(self._h, theta, gain, block_length, power, noise_power)
         self.gamma_zf_max = float(self._setup[-1][0])
-
-    @cached_property
-    def mrt(self) -> DamBeamformer:
-        """The communication-optimal design under zero-forcing and the power
-        budget: f_l = sqrt(P) c_l / sqrt(sum_l' ||c_l'||^2). Matched to each
-        path's projected response, it maximizes the aligned gain
-        |sum_l h_l^H f_l| among all interference-free beamformers, at the SNR
-        P sum_l ||c_l||^2 / sigma^2."""
-        c = self._c
-        return DamBeamformer.aligned(np.sqrt(self.power / np.sum(np.abs(c) ** 2)) * c.T,
-                                     self.channel.path_delays)
-
-    @cached_property
-    def sensing(self) -> DamBeamformer:
-        """All power on the strongest projected target response: the design at
-        the ceiling (rho = 0)."""
-        return self.solve(self.gamma_zf_max).beamformer
 
     def solve(self, gamma_th: float) -> IsacSolution:
         """Maximize communication SNR under the floor gamma_sensing >= gamma_th.
@@ -407,5 +389,5 @@ def solve_batch(channels: Sequence[MultipathChannel], theta: float, gain: comple
         raise ValueError("solve_batch needs one or more channels with one path count "
                          "and one antenna count")
     h = np.stack([c.path_vectors for c in channels])
-    _, setup = _set_up(h, theta, gain, block_length, power, noise_power)
+    setup = _set_up(h, theta, gain, block_length, power, noise_power)
     return _solve_rows(h, setup, theta, gain, block_length, power, noise_power, gamma_th)[0]

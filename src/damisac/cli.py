@@ -9,7 +9,6 @@ experiment fields of the same names and pass the same checks.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -87,11 +86,11 @@ def _summarize(name: str, result, cfg) -> None:
                   f"mean SE {'n/a' if math.isnan(se) else f'{se:.3f} bps/Hz'} "
                   f"({row['feasible']} feasible, {row['infeasible']} infeasible)")
     elif name == "dd-map":
-        r = dataclasses.asdict(result)
-        print(f"delay bin {r['est_delay_bin']} (true {r['true_delay_bin']}), "
-              f"Doppler {r['est_doppler_hz']:.1f} Hz (true {r['true_doppler_hz']:.1f} Hz)")
-        print(f"peak SNR: empirical {r['gamma_p_empirical']:.1f}, "
-              f"analytic {r['gamma_p_analytic_mc']:.1f} at N={r['mc_block_length']}")
+        print(f"delay bin {result['est_delay_bin']} (true {result['true_delay_bin']}), "
+              f"Doppler {result['est_doppler_hz']:.1f} Hz "
+              f"(true {result['true_doppler_hz']:.1f} Hz)")
+        print(f"peak SNR: empirical {result['gamma_p_empirical']:.1f}, analytic "
+              f"{result['gamma_p_analytic_mc']:.1f} at N={result['mc_block_length']}")
     elif name == "ofdm-compare":
         for row in result:
             print(f"{row['scheme']:>4} {row['regime']:<13} analytic "

@@ -368,8 +368,8 @@ def run_beampattern(cfg: ExperimentConfig) -> BeampatternResult:
     angles_rad = np.deg2rad(angles_deg)
     result = BeampatternResult(
         angles_deg=angles_deg,
-        comm_db=_pattern_db(problem.mrt.beam_matrix, angles_rad),
-        sensing_db=_pattern_db(problem.sensing.beam_matrix, angles_rad),
+        comm_db=_pattern_db(problem.solve(0.0).beamformer.beam_matrix, angles_rad),
+        sensing_db=_pattern_db(problem.solve(gamma_zf).beamformer.beam_matrix, angles_rad),
         isac_db=_pattern_db(sol.beamformer.beam_matrix, angles_rad),
         isac_first_path_db=_pattern_db(sol.beamformer.beam_matrix, angles_rad,
                                        columns=[0]),
@@ -440,21 +440,7 @@ def _echo_snr(clean: np.ndarray, noise_power: float) -> float:
     return float(np.sum(clean.real ** 2 + clean.imag ** 2) / noise_power)
 
 
-@dataclass
-class DdMapReport:
-    true_delay_bin: int
-    est_delay_bin: int
-    true_doppler_hz: float
-    est_doppler_hz: float
-    gamma_p_analytic_mc: float
-    gamma_p_empirical: float
-    gamma_p_analytic_full: float
-    gamma_th: float
-    solver_status: str
-    mc_block_length: int
-
-
-def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
+def run_dd_map(cfg: ExperimentConfig) -> dict:
     """Full sensing pipeline on one random channel realization.
 
     A trade-off beamformer is designed at isac_gamma_fraction of the ZF
@@ -464,7 +450,8 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
     Doppler window of +-8 resolution bins around the true shift (clipped to
     (-B/2, B/2]). The SNR ||s||^2 / sigma^2 of the simulated noise-free echo s
     is reported beside the closed-form value, 0 for a truth past every delay
-    that keeps energy in the block; `trials` is not read.
+    that keeps energy in the block; `trials` is not read. Returns the row of
+    dd_report.csv as a dict.
     """
     s = cfg.scenario
     target = cfg.radar_target(cfg.rng(1, 1))
@@ -499,14 +486,14 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
     ddmap = sensing.delay_doppler_map(echo, bf, block, target.direction, grid)
     est_delay, est_doppler, _ = sensing.estimate_delay_doppler(ddmap)
 
-    report = DdMapReport(
-        true_delay_bin=target.delay_symbols, est_delay_bin=est_delay,
-        true_doppler_hz=target.doppler_hz, est_doppler_hz=est_doppler,
-        gamma_p_analytic_mc=sensing.sensing_snr(bf.beam_matrix, target.direction,
-                                                target.gain, n_mc, s.noise_power_w),
-        gamma_p_empirical=_echo_snr(clean, s.noise_power_w),
-        gamma_p_analytic_full=sol.gamma_p,
-        gamma_th=gamma_th, solver_status=sol.status, mc_block_length=n_mc)
+    report = {
+        "true_delay_bin": target.delay_symbols, "est_delay_bin": est_delay,
+        "true_doppler_hz": target.doppler_hz, "est_doppler_hz": est_doppler,
+        "gamma_p_analytic_mc": sensing.sensing_snr(bf.beam_matrix, target.direction,
+                                                   target.gain, n_mc, s.noise_power_w),
+        "gamma_p_empirical": _echo_snr(clean, s.noise_power_w),
+        "gamma_p_analytic_full": sol.gamma_p,
+        "gamma_th": gamma_th, "solver_status": sol.status, "mc_block_length": n_mc}
     if cfg.output_dir is not None:
         # the map's cells as |r|^2 in dB, one row per delay bin
         p_db = 10.0 * np.log10(np.maximum(ddmap.power(), 1e-300))
@@ -514,9 +501,8 @@ def run_dd_map(cfg: ExperimentConfig) -> DdMapReport:
                    ["delay_bin", *grid.doppler_bins_hz],
                    ([d, *row] for d, row in zip(grid.delay_bins, p_db)),
                    extra=[f"n_mc={n_mc}"])
-        fields = dataclasses.asdict(report)
-        _write_csv(Path(cfg.output_dir) / "dd_report.csv", cfg, list(fields),
-                   [fields.values()])
+        _write_csv(Path(cfg.output_dir) / "dd_report.csv", cfg, list(report),
+                   [report.values()])
     return report
 
 
@@ -540,15 +526,17 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> List[dict]:
     One target, one DAM symbol block and one OFDM grid, whose transmits, as the
     target sees them, go through the same round trip (apply_radar_channel's);
     the OFDM receiver drops each cyclic prefix and takes a K-point DFT. Each
-    scheme steers all its power at the target, in full (average-power regime)
-    or derated by its PAPR bound, L streams or K subcarriers (peak-power
-    regime); every design gets its analytic output SNR and that of its
-    simulated echo s through its matched filter, ||s||^2 over the noise per
-    sample or per OFDM cell. Per scheme: the PAPR of the M-row transmit, the
-    ambiguity limits, and a paired fast-target demo at twice the subcarrier
-    spacing, inside the aligned waveform's unambiguous Doppler span but far
-    beyond OFDM's. Every design is steered, x[n] = a(theta) u[n], so the
-    M-row PAPR is that of the sequence a^H x[n] = M u[n] the target sees.
+    scheme steers all its power at the target (average-power regime) and gets
+    its analytic output SNR and that of its simulated echo s through its
+    matched filter, ||s||^2 over the noise per sample or per OFDM cell. Under
+    a peak-power limit that design is derated by its PAPR bound, L streams or
+    K subcarriers: its beams are scaled by 1/sqrt(L) or 1/sqrt(K), so both of
+    its SNRs are the full-power ones over L or K (peak-power regime). Per
+    scheme: the PAPR of the M-row transmit, the ambiguity limits, and a
+    paired fast-target demo at twice the subcarrier spacing, inside the
+    aligned waveform's unambiguous Doppler span but far beyond OFDM's. Every
+    design is steered, x[n] = a(theta) u[n], so the M-row PAPR is that of the
+    sequence a^H x[n] = M u[n] the target sees.
 
     Each DAM fast-target trial is drawn in the P x Q cells of the matched
     filter's window, not in the N echo samples: white noise through the unit-norm
@@ -573,7 +561,6 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> List[dict]:
     theta = target.direction
     num_paths = cfg.channel_gen.num_paths
     m = s.num_antennas
-    power = s.transmit_power_w
     sigma2 = s.noise_power_w
 
     if k > n_mc:
@@ -583,12 +570,9 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> List[dict]:
         raise ConfigError(f"experiment.ofdm_subcarriers must be >= 4, so that the fast "
                           f"target's Doppler 2B/K lies within (-B/2, B/2], got {k}")
     a = steering_vector(theta, m)
-    f_full = np.sqrt(power / (m * num_paths)) * np.tile(a[:, None], (1, num_paths))
+    f_full = np.sqrt(s.transmit_power_w / (m * num_paths)) * np.tile(a[:, None], (1, num_paths))
     bf_full = waveform.DamBeamformer.aligned(f_full, np.arange(num_paths))
-    bf_derated = waveform.DamBeamformer.aligned(f_full / np.sqrt(num_paths),
-                                                np.arange(num_paths))
     ocfg = ofdm.OfdmConfig.steered(scen_mc, k, theta)
-    ocfg_derated = ofdm.OfdmConfig.steered(scen_mc, k, theta, total_power=power / k)
     i_sym = ocfg.symbols_per_block
 
     # Fast-target demo: Doppler at twice the subcarrier spacing.
@@ -611,22 +595,6 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> List[dict]:
     ofdm_clean = ofdm.ofdm_demodulate(ocfg, _round_trip(target, ofdm_seen, t_s))
     papr_ofdm = waveform.papr_empirical(ofdm_seen)
 
-    # (analytic, simulated-echo) output SNR of each design. A derated design
-    # sends the full-power beams scaled by 1/sqrt(L) or 1/sqrt(K), and so its
-    # echo; the OFDM noise is sigma^2 / K per cell.
-    def dam_snr(bf):
-        return sensing.sensing_snr(bf.beam_matrix, theta, target.gain, n_mc, sigma2)
-
-    def ofdm_snr(config):
-        return ofdm.ofdm_output_snr(config, theta, target.gain, sigma2)
-
-    designs = {"dam": (dam_snr, bf_full, bf_derated, num_paths, dam_clean, sigma2),
-               "ofdm": (ofdm_snr, ocfg, ocfg_derated, k, ofdm_clean, sigma2 / k)}
-    snrs = {(scheme, regime): (snr(design), _echo_snr(scale * noise_free, noise))
-            for scheme, (snr, full, derated, bound, noise_free, noise) in designs.items()
-            for regime, design, scale in (("average_power", full, 1.0),
-                                          ("peak_power", derated, bound ** -0.5))}
-
     res = 1.0 / (n_mc * t_s)
     grid = sensing.SensingGrid.refine(target.delay_symbols, res * round(f_fast / res),
                                       n_mc, t_s, delay_half_width=3)
@@ -642,24 +610,30 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> List[dict]:
         _, f_hat, _ = sensing.estimate_delay_doppler(ddmap)
         dam_hits += int(np.count_nonzero(np.abs(f_hat - f_fast) <= res))
 
+    # per scheme, with the analytic and simulated-echo output SNRs of its
+    # full-power design; the OFDM noise is sigma^2 / K per cell
     schemes = {
         "dam": (num_paths, n_mc, sensing.dam_ambiguity_limits(scen_mc), papr_dam,
-                dam_hits / cfg.trials),
+                dam_hits / cfg.trials,
+                sensing.sensing_snr(f_full, theta, target.gain, n_mc, sigma2),
+                _echo_snr(dam_clean, sigma2)),
         # OFDM estimates are fftfreq(I, (K + N_p) T_s) bins, < df/2 from 0: none
         # within df of 2 df
-        "ofdm": (k, i_sym, ofdm.ofdm_ambiguity_limits(ocfg, s.wavelength_m), papr_ofdm, 0.0),
+        "ofdm": (k, i_sym, ofdm.ofdm_ambiguity_limits(ocfg, s.wavelength_m), papr_ofdm, 0.0,
+                 ofdm.ofdm_output_snr(ocfg, theta, target.gain, sigma2),
+                 _echo_snr(ofdm_clean, sigma2 / k)),
     }
     rows = []
-    for (scheme, regime), (analytic, empirical) in snrs.items():
-        k_or_l, i_or_n, lim, papr, rate = schemes[scheme]
-        rows.append({"scheme": scheme, "regime": regime, "k_or_l": k_or_l, "i_or_n": i_or_n,
-                     "analytic_snr_db": linear_to_db(analytic),
-                     "empirical_snr_db": linear_to_db(empirical),
-                     "max_range_m": lim.max_range_m,
-                     "max_velocity_m_s": lim.max_velocity_m_s,
-                     "range_resolution_m": lim.range_resolution_m,
-                     "velocity_resolution_m_s": lim.velocity_resolution_m_s,
-                     "papr_empirical": papr, "doppler_recovery_rate": rate})
+    for scheme, (k_or_l, i_or_n, lim, papr, rate, analytic, empirical) in schemes.items():
+        for regime, derate in (("average_power", 1), ("peak_power", k_or_l)):
+            rows.append({"scheme": scheme, "regime": regime, "k_or_l": k_or_l,
+                         "i_or_n": i_or_n, "analytic_snr_db": linear_to_db(analytic / derate),
+                         "empirical_snr_db": linear_to_db(empirical / derate),
+                         "max_range_m": lim.max_range_m,
+                         "max_velocity_m_s": lim.max_velocity_m_s,
+                         "range_resolution_m": lim.range_resolution_m,
+                         "velocity_resolution_m_s": lim.velocity_resolution_m_s,
+                         "papr_empirical": papr, "doppler_recovery_rate": rate})
     if cfg.output_dir is not None:
         _write_csv(Path(cfg.output_dir) / "ofdm_compare.csv", cfg,
                    list(rows[0]), map(dict.values, rows),

@@ -13,7 +13,6 @@ backoff under a peak-power limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -78,13 +77,13 @@ class OfdmConfig:
         return self.block_length // (self.num_subcarriers + self.guard_length)
 
     @classmethod
-    def steered(cls, scenario: ScenarioConfig, num_subcarriers: int, theta: float,
-                total_power: Optional[float] = None) -> "OfdmConfig":
-        """Equal power split with every subcarrier beamformed at theta,
-        w_k = sqrt(P_k / M) a(theta) — the sensing-optimal configuration."""
-        p = scenario.transmit_power_w if total_power is None else total_power
+    def steered(cls, scenario: ScenarioConfig, num_subcarriers: int,
+                theta: float) -> "OfdmConfig":
+        """The scenario's transmit power P split equally over the K subcarriers,
+        each beamformed at theta, w_k = sqrt(P / (K M)) a(theta) — the
+        sensing-optimal configuration."""
         k, m = num_subcarriers, scenario.num_antennas
-        w = np.sqrt(p / k / m) * steering_vector(theta, m)
+        w = np.sqrt(scenario.transmit_power_w / k / m) * steering_vector(theta, m)
         return cls(bandwidth_hz=scenario.bandwidth_hz, guard_length=scenario.guard_length,
                    block_length=scenario.block_length,
                    beamformers=np.tile(w[:, None], (1, k)))

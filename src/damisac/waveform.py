@@ -17,19 +17,14 @@ from .channel import _distinct, complex_normal, steering_vector
 
 @dataclass
 class SymbolBlock:
-    """A length-N unit-average-power symbol sequence plus its modulation tag."""
+    """A length-N unit-average-power symbol sequence."""
 
     symbols: np.ndarray
-    modulation: str = "qpsk"
 
     def __post_init__(self):
         self.symbols = np.asarray(self.symbols, dtype=complex)
         if self.symbols.ndim != 1 or self.symbols.size < 1:
             raise ValueError("symbols must be a non-empty 1-D array")
-
-    @property
-    def length(self) -> int:
-        return self.symbols.size
 
 
 def _psk_order(modulation: str) -> int:
@@ -57,11 +52,10 @@ def generate_symbols(rng: np.random.Generator, length: int,
     if length < 1:
         raise ValueError("length must be >= 1")
     order = _psk_order(modulation)
-    mod = modulation.lower()
     if order == 0:
-        return SymbolBlock(complex_normal(rng, (length,), 1.0), mod)
+        return SymbolBlock(complex_normal(rng, (length,), 1.0))
     phases = rng.integers(0, order, size=length)
-    return SymbolBlock(np.exp(2j * np.pi * phases / order), mod)
+    return SymbolBlock(np.exp(2j * np.pi * phases / order))
 
 
 @dataclass

@@ -11,6 +11,8 @@ searches, a dual bound computed on the full matrices) over re-derivations of
 library formulas.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -154,7 +156,7 @@ def test_03_sensing_snr_monte_carlo():
             noise = np.mean(np.abs(draws @ np.conj(tmpl)) ** 2)
             return float(signal / noise)
 
-        bf = IsacProblem(channel, theta, alpha, n, power, sigma2).mrt
+        bf = IsacProblem(channel, theta, alpha, n, power, sigma2).solve(0.0).beamformer
         predicted = sensing_snr(bf.beam_matrix, theta, alpha, n, sigma2)
         gap_db = 10.0 * np.log10(measured_peak_snr(bf) / predicted)
         assert abs(gap_db) < 0.5
@@ -184,7 +186,8 @@ def test_04_zero_forcing_residuals():
                 problem = IsacProblem(channel, theta, 1.0, sc.data_length,
                                       sc.transmit_power_w, 1.0)
                 sol = problem.solve(0.5 * problem.gamma_zf_max)
-                designs = [problem.mrt, problem.sensing, sol.beamformer]
+                designs = [problem.solve(g).beamformer
+                           for g in (0.0, problem.gamma_zf_max)] + [sol.beamformer]
                 h = channel.path_vectors
                 h_norms = np.linalg.norm(h, axis=1)
                 for bf in designs:
@@ -242,7 +245,8 @@ def _random_search_gamma_c(channel, theta, gain, n_block, gamma_th, power,
     h, big_a, qs = _problem_matrices(channel, theta)
     num_paths, m = channel.num_paths, channel.num_antennas
     dim = num_paths * m
-    bf_sens = IsacProblem(channel, theta, gain, n_block, power, noise).sensing
+    problem = IsacProblem(channel, theta, gain, n_block, power, noise)
+    bf_sens = problem.solve(problem.gamma_zf_max).beamformer
     u_sens = bf_sens.beam_matrix.T.ravel() / np.sqrt(power)
 
     draws = complex_normal(rng, (20_000, dim), 1.0).reshape(-1, num_paths, m)
@@ -401,8 +405,7 @@ def test_08_aligned_vs_ofdm():
         n, num_paths, k, theta = 2048, 5, 256, 0.5
         peak_power, sigma2, alpha = 1.0, 1.0, 1.0 + 0.0j
         # each scheme's average power derated by its PAPR bound, L or K
-        cfg = OfdmConfig.steered(sc_small, k, theta,
-                                 total_power=peak_power / k)
+        cfg = OfdmConfig.steered(replace(sc_small, transmit_power_w=peak_power / k), k, theta)
         i = cfg.symbols_per_block
         assert i == 2048 // (256 + 200)
         ratio = n / (num_paths * i)
@@ -481,7 +484,7 @@ def test_08_aligned_vs_ofdm():
             ch = MultipathChannel(
                 complex_normal(rng_c, (num_paths_c, 64), 1.0 / num_paths_c),
                 np.arange(num_paths_c) * 3)
-            bf_c = IsacProblem(ch, 0.3, 1.0, 8192, 1.0, 1.0).mrt
+            bf_c = IsacProblem(ch, 0.3, 1.0, 8192, 1.0, 1.0).solve(0.0).beamformer
             tx_c = build_dam_block(generate_symbols(rng_c, 8192, "qpsk"), bf_c)
             papr_dam = papr_empirical(tx_c)
             peak_inst = np.max(np.sum(np.abs(tx_c) ** 2, axis=0))

@@ -155,9 +155,9 @@ def test_mrt_single_path_closed_form():
     ch = random_channel(rng, 6, 1)
     h = ch.path_vectors[0]
     p = 2.0
-    problem = IsacProblem(ch, THETA, GAIN, N_BLOCK, p, SIGMA2)
-    assert np.allclose(problem.mrt.beam_matrix[:, 0], np.sqrt(p) * h / np.linalg.norm(h))
-    assert problem.solve(0.0).gamma_c == pytest.approx(p * np.linalg.norm(h) ** 2 / SIGMA2)
+    sol = IsacProblem(ch, THETA, GAIN, N_BLOCK, p, SIGMA2).solve(0.0)
+    assert np.allclose(sol.beamformer.beam_matrix[:, 0], np.sqrt(p) * h / np.linalg.norm(h))
+    assert sol.gamma_c == pytest.approx(p * np.linalg.norm(h) ** 2 / SIGMA2)
 
 
 def test_mrt_zero_forcing_and_power_exact():
@@ -166,7 +166,7 @@ def test_mrt_zero_forcing_and_power_exact():
     rng = np.random.default_rng(6)
     ch = random_channel(rng, 8, 4)
     p = 3.0
-    bf = IsacProblem(ch, THETA, GAIN, N_BLOCK, p, SIGMA2).mrt
+    bf = IsacProblem(ch, THETA, GAIN, N_BLOCK, p, SIGMA2).solve(0.0).beamformer
     cross = np.conj(ch.path_vectors) @ bf.beam_matrix
     off = cross - np.diag(np.diag(cross))
     assert np.max(np.abs(off)) < 1e-10 * np.max(np.abs(cross))
@@ -184,22 +184,24 @@ def test_mrt_snr_formula():
         np.linalg.norm(nullspace_projector(ch, l) @ ch.path_vectors[l]) ** 2
         for l in range(3)) / SIGMA2
     problem = IsacProblem(ch, THETA, GAIN, N_BLOCK, p, SIGMA2)
-    assert comm_snr(problem.mrt, ch) == pytest.approx(expected, rel=1e-10)
+    assert comm_snr(problem.solve(0.0).beamformer, ch) == pytest.approx(expected, rel=1e-10)
     assert comm_snr(zf_mrt(ch, p), ch) == pytest.approx(expected, rel=1e-10)
 
 
 def test_mrt_matches_the_oracle_on_every_oracle_channel():
     # the default channels at L = 5 and 10 and the rank-deficient edge cases
     for ch in oracle_channels():
-        bf = IsacProblem(ch, THETA, GAIN, N_BLOCK, 1.0, SIGMA2).mrt
+        bf = IsacProblem(ch, THETA, GAIN, N_BLOCK, 1.0, SIGMA2).solve(0.0).beamformer
         want = zf_mrt(ch, 1.0)
         assert np.linalg.norm(bf.beam_matrix - want.beam_matrix) <= 1e-12
         assert np.array_equal(bf.delay_schedule, want.delay_schedule)
 
 
 def test_mrt_takes_the_set_up_projection_and_no_svd(monkeypatch):
-    # the set-up's one SVD gives c_l = Q_l h_l; the MRT scales it and runs no
-    # SVD of its own, and projecting a(theta) beside h leaves c bit for bit
+    # the set-up's one SVD gives c_l = Q_l h_l; the solve at a zero floor runs
+    # no SVD of its own and returns sqrt(P) c / ||c||, rebuilt from its basis
+    # coordinates: within 8 eps sqrt(P) in Frobenius norm (at most 2.1 eps
+    # measured over 1 500 channels up to M = 64, L = 10)
     rng = np.random.default_rng(11)
     ch = random_channel(rng, 8, 4)
     calls = []
@@ -207,10 +209,11 @@ def test_mrt_takes_the_set_up_projection_and_no_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
     problem = IsacProblem(ch, THETA, GAIN, N_BLOCK, 2.0, SIGMA2)
     assert len(calls) == 1
-    bf = problem.mrt
+    bf = problem.solve(0.0).beamformer
     assert len(calls) == 1
     c = _zf_project(ch.path_vectors[None], ch.path_vectors[None])[0][0]
-    np.testing.assert_array_equal(bf.beam_matrix, np.sqrt(2.0 / np.sum(np.abs(c) ** 2)) * c.T)
+    want = np.sqrt(2.0 / np.sum(np.abs(c) ** 2)) * c.T
+    assert np.linalg.norm(bf.beam_matrix - want) <= 8 * np.finfo(float).eps * np.sqrt(2.0)
 
 
 def test_mrt_dominates_random_zero_forcing_designs():
@@ -250,7 +253,8 @@ def test_sensing_zf_single_path_reaches_ceiling():
     rng = np.random.default_rng(9)
     ch = random_channel(rng, 8, 1)
     problem = IsacProblem(ch, THETA, GAIN, N_BLOCK, 2.0, SIGMA2)
-    bf, gamma_zf = problem.sensing, problem.gamma_zf_max
+    gamma_zf = problem.gamma_zf_max
+    bf = problem.solve(gamma_zf).beamformer
     assert gamma_zf == pytest.approx(
         max_sensing_snr(8, N_BLOCK, 2.0, GAIN, SIGMA2), rel=1e-9)
     a = steering_vector(THETA, 8)
@@ -262,7 +266,8 @@ def test_sensing_zf_structure_and_consistency():
     ch = random_channel(rng, 8, 3)
     p = 1.7
     problem = IsacProblem(ch, THETA, GAIN, N_BLOCK, p, SIGMA2)
-    bf, gamma_zf = problem.sensing, problem.gamma_zf_max
+    gamma_zf = problem.gamma_zf_max
+    bf = problem.solve(gamma_zf).beamformer
     cross = np.conj(ch.path_vectors) @ bf.beam_matrix
     off = cross - np.diag(np.diag(cross))
     assert np.max(np.abs(off)) < 1e-10 * np.max(np.abs(ch.path_vectors))
@@ -284,9 +289,10 @@ def test_sensing_zf_ceiling_is_exact():
         qs = np.stack([nullspace_projector(ch, i) for i in range(l)])
         expected = scale * p * max(np.linalg.norm(q @ a) ** 2 for q in qs)
         problem = IsacProblem(ch, THETA, GAIN, N_BLOCK, p, SIGMA2)
-        bf, gamma_zf = problem.sensing, problem.gamma_zf_max
+        gamma_zf = problem.gamma_zf_max
+        at = problem.solve(gamma_zf)
         assert gamma_zf == pytest.approx(expected, rel=1e-12)
-        assert sensing_snr(bf.beam_matrix, THETA, GAIN, N_BLOCK,
+        assert sensing_snr(at.beamformer.beam_matrix, THETA, GAIN, N_BLOCK,
                            SIGMA2) == pytest.approx(gamma_zf, rel=1e-12)
 
         f = np.einsum("lmn,sln->slm", qs, complex_normal(rng, (draws, l, m)))
@@ -294,7 +300,6 @@ def test_sensing_zf_ceiling_is_exact():
         competitors = scale * np.sum(np.abs(f @ np.conj(a)) ** 2, axis=1)
         assert competitors.max() <= gamma_zf * (1 + 1e-12)
 
-        at = problem.solve(gamma_zf)
         assert at.status == "optimal"
         assert at.gamma_p >= gamma_zf * (1 - 1e-12)
         assert problem.solve(gamma_zf * (1 + 1e-6)).status == "infeasible"
@@ -311,10 +316,8 @@ def test_sensing_design_puts_all_power_on_the_strongest_response():
         top = np.argmax(np.linalg.norm(g, axis=1))
         want = np.zeros((6, 3), dtype=complex)
         want[:, top] = np.sqrt(1.5) * g[top] / np.linalg.norm(g[top])
-        f = problem.sensing.beam_matrix
-        assert np.linalg.norm(f - want) <= 1e-12
         at = problem.solve(problem.gamma_zf_max)
-        np.testing.assert_array_equal(f, at.beamformer.beam_matrix)
+        assert np.linalg.norm(at.beamformer.beam_matrix - want) <= 1e-12
         assert at.iterations == 0
         assert at.gamma_p == pytest.approx(problem.gamma_zf_max, rel=1e-12)
 
@@ -348,11 +351,10 @@ def test_solve_boundary_threshold_is_sensing_limited():
     gamma_zf = zf_ceiling(ch)
     sol = solve(ch, gamma_zf)
     mrt = comm_snr(zf_mrt(ch, 1.0), ch)
-    bf_sens = IsacProblem(ch, THETA, GAIN, N_BLOCK, 1.0, SIGMA2).sensing
     assert sol.status == "optimal"
     assert sol.gamma_c <= mrt * (1 + 1e-9)
     assert sol.gamma_p == pytest.approx(gamma_zf, rel=1e-12)
-    assert sol.gamma_c == pytest.approx(comm_snr(bf_sens, ch), rel=1e-12)
+    assert sol.gamma_c == pytest.approx(comm_snr(sol.beamformer, ch), rel=1e-12)
 
 
 def test_solution_gap_to_dual_bound():

@@ -296,14 +296,15 @@ def test_any_json_object_loads_or_raises_config_error(tmp_path_factory, doc, ove
 def run_scenarios(draw):
     """A scenario whose coherence time is a whole number n_c > N_p of symbol
     periods, so that the loader takes it, with a bandwidth log-uniform over
-    [1e3, 1e12] Hz and powers on both sides of their +-500 dB(m) bounds."""
+    [1e3, 1e12] Hz and powers within their +-500 dB(m) bounds; the @examples
+    of the test pin both sides of the bounds."""
     guard, bandwidth = draw(st.integers(0, 300)), 10.0 ** draw(st.floats(3.0, 12.0))
     n_c = draw(st.integers(guard + 1, guard + 200_000))
     return {"num_antennas": draw(st.integers(1, 16)), "guard_length": guard,
             "bandwidth_hz": bandwidth, "carrier_frequency_hz": draw(st.floats(1e8, 1e12)),
             "coherence_time_s": n_c / bandwidth,
-            "transmit_power_dbm": draw(st.floats(-550.0, 550.0)),
-            "noise_psd_dbm_hz": draw(st.floats(-550.0, 550.0))}
+            "transmit_power_dbm": draw(st.floats(-500.0, 500.0)),
+            "noise_psd_dbm_hz": draw(st.floats(-500.0, 500.0))}
 
 
 @st.composite
@@ -328,9 +329,9 @@ def run_targets(draw, scenario):
             "radial_velocity_m_s": velocity}
 
 
-# Small configs that pass every per-field check but the powers' bounds; the
-# checks across fields (the guard, the block, the round-trip gain, the Doppler
-# span, the sector order, the OFDM size) may still reject one with exit code 2.
+# Small configs that pass every per-field check; the checks across fields (the
+# guard, the block, the round-trip gain, the Doppler span, the sector order, the
+# OFDM size) may still reject one with exit code 2.
 RUN_CONFIGS = run_scenarios().flatmap(lambda scenario: st.fixed_dictionaries({
     "scenario": st.just(scenario),
     "channel": st.fixed_dictionaries({
@@ -497,7 +498,8 @@ def test_pattern_ignores_per_path_phases():
     isac = problem.solve(cfg.isac_gamma_fraction * problem.gamma_zf_max).beamformer
     angles = np.deg2rad(np.arange(-90.0, 90.0 + 0.25, 0.5))
     rng = np.random.default_rng(0)
-    for f in (problem.mrt.beam_matrix, problem.sensing.beam_matrix, isac.beam_matrix):
+    for f in (problem.solve(0.0).beamformer.beam_matrix,
+              problem.solve(problem.gamma_zf_max).beamformer.beam_matrix, isac.beam_matrix):
         for _ in range(5):
             turned = f * np.exp(2j * np.pi * rng.uniform(size=f.shape[1]))
             for columns in (None, [0]):
@@ -585,14 +587,14 @@ def test_dd_map_report(tmp_path):
     cfg.mc_block_length = 8192
     cfg.output_dir = tmp_path
     rep = run_dd_map(cfg)
-    assert rep.true_delay_bin == 133
-    assert rep.est_delay_bin == 133
-    assert rep.true_doppler_hz == pytest.approx(2 * 15.0 / cfg.scenario.wavelength_m)
-    res = 1.0 / (rep.mc_block_length * cfg.scenario.symbol_duration_s)
-    assert abs(rep.est_doppler_hz - rep.true_doppler_hz) <= res
-    assert rep.gamma_p_empirical == pytest.approx(
+    assert rep["true_delay_bin"] == 133
+    assert rep["est_delay_bin"] == 133
+    assert rep["true_doppler_hz"] == pytest.approx(2 * 15.0 / cfg.scenario.wavelength_m)
+    res = 1.0 / (rep["mc_block_length"] * cfg.scenario.symbol_duration_s)
+    assert abs(rep["est_doppler_hz"] - rep["true_doppler_hz"]) <= res
+    assert rep["gamma_p_empirical"] == pytest.approx(
         finite_block_snr(*dd_map_scene(cfg), cfg.scenario.noise_power_w), rel=1e-12)
-    assert rep.gamma_p_analytic_full >= rep.gamma_th * (1 - 1e-6)
+    assert rep["gamma_p_analytic_full"] >= rep["gamma_th"] * (1 - 1e-6)
     assert (tmp_path / "dd_map.csv").exists()
     report_lines = (tmp_path / "dd_report.csv").read_text().splitlines()
     assert report_lines[0].startswith("# config_hash=")
@@ -609,8 +611,8 @@ def test_dd_map_empirical_snr_is_the_finite_block_form(modulation):
     cfg.modulation = modulation
     rep = run_dd_map(cfg)
     exact = finite_block_snr(*dd_map_scene(cfg), cfg.scenario.noise_power_w)
-    assert rep.gamma_p_empirical == pytest.approx(exact, rel=1e-12)
-    assert abs(exact / rep.gamma_p_analytic_mc - 1) > 1e-4
+    assert rep["gamma_p_empirical"] == pytest.approx(exact, rel=1e-12)
+    assert abs(exact / rep["gamma_p_analytic_mc"] - 1) > 1e-4
 
 
 def test_dd_map_does_not_read_trials(tmp_path):
@@ -778,8 +780,8 @@ def test_dd_map_searches_up_to_a_target_beyond_the_guard(tmp_path):
         "experiment": {"strict_ambiguity": False}}))
     with pytest.warns(UserWarning, match="target delay 300 exceeds guard length 200"):
         rep = run_dd_map(cfg)
-    assert rep.true_delay_bin == 300
-    assert rep.est_delay_bin == rep.true_delay_bin
+    assert rep["true_delay_bin"] == 300
+    assert rep["est_delay_bin"] == rep["true_delay_bin"]
 
 
 def scheme_cells(rows, column):
@@ -821,7 +823,8 @@ def test_ofdm_compare_result(tmp_path):
     for regime, dam_scale, ofdm_power in (("average_power", 1.0, s.transmit_power_w),
                                           ("peak_power", l ** -0.5, s.transmit_power_w / 256)):
         bf = DamBeamformer.aligned(dam_scale * f_full, np.arange(l))
-        ocfg = OfdmConfig.steered(scen_mc, 256, target.direction, total_power=ofdm_power)
+        ocfg = OfdmConfig.steered(dataclasses.replace(scen_mc, transmit_power_w=ofdm_power),
+                                  256, target.direction)
         for scheme, want in (("dam", finite_block_snr(bf, block, target, sigma2)),
                              ("ofdm", ofdm_output_snr(ocfg, target.direction, target.gain,
                                                       sigma2))):
@@ -835,6 +838,29 @@ def test_ofdm_compare_result(tmp_path):
     lines = (tmp_path / "ofdm_compare.csv").read_text().splitlines()
     assert lines[2].startswith("# n_mc=2048 peak_snr_ratio=")
     assert len(lines) == 4 + 4
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_ofdm_compare_peak_power_rows_are_the_derated_average_power_rows(tmp_path, seed):
+    # the peak-power design is the full-power one scaled by 1/sqrt(L) or
+    # 1/sqrt(K), so both its SNRs are the average-power ones less 10 log10(L)
+    # or 10 log10(K) dB. The CSV takes 10 log10(x / L), this test
+    # 10 log10(x) - 10 log10(L): they differ by the rounding of one quotient
+    # and three logarithms of values below 1e3 dB, under 1e-12 dB
+    cfg = load_config(None, {"seed": seed, "trials": 1})
+    cfg.output_dir = tmp_path
+    run_ofdm_compare(cfg)
+    lines = (tmp_path / "ofdm_compare.csv").read_text().splitlines()
+    rows = {(r["scheme"], r["regime"]): r
+            for r in csv.DictReader(line for line in lines if not line.startswith("#"))}
+    derate = {"dam": cfg.channel_gen.num_paths, "ofdm": cfg.ofdm_subcarriers}
+    for scheme, bound in derate.items():
+        average, peak = rows[(scheme, "average_power")], rows[(scheme, "peak_power")]
+        assert int(peak["k_or_l"]) == bound
+        for column in ("analytic_snr_db", "empirical_snr_db"):
+            assert float(peak[column]) == pytest.approx(
+                float(average[column]) - 10 * math.log10(bound), rel=0, abs=1e-12), \
+                (scheme, column)
 
 
 # the default config at two seeds; one antenna and one path with a prefix
@@ -1156,13 +1182,17 @@ def test_cli_se_sweep_with_overrides(tmp_path, capsys):
     assert "mean SE" in stdout and "wrote CSV output" in stdout
 
 
-@pytest.mark.parametrize("experiment", ["se-sweep", "ofdm-compare"])
+@pytest.mark.parametrize("experiment", ["se-sweep", "ofdm-compare", "dd-map"])
 def test_returned_rows_are_the_csv_rows(tmp_path, experiment):
-    # the header holds each row's keys, and each line one row's values
+    # the header holds each row's keys, and each line one row's values;
+    # dd-map returns the one row of dd_report.csv
     cfg = load_config(write_config(tmp_path, {"experiment": SMALL}))
     cfg.output_dir = tmp_path
     rows = cli._RUNNERS[experiment](cfg)
-    name = experiment.replace("-", "_") + ".csv"
+    if experiment == "dd-map":
+        rows, name = [rows], "dd_report.csv"
+    else:
+        name = experiment.replace("-", "_") + ".csv"
     lines = [l for l in (tmp_path / name).read_text().splitlines() if not l.startswith("#")]
     table = list(csv.reader(lines))
     assert table[0] == list(rows[0])

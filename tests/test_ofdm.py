@@ -2,6 +2,8 @@
 against exact loop oracles, FFT estimator, output-SNR accounting, ambiguity
 limits, the peak-power comparison and the time-domain transmit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -298,7 +300,7 @@ def max_ofdm_output_snr(num_antennas, symbols_per_block, num_subcarriers, total_
 
 
 def test_output_snr_steered_hits_ceiling():
-    cfg = OfdmConfig.steered(small_scenario(), 64, theta=0.4, total_power=2.0)
+    cfg = OfdmConfig.steered(small_scenario(transmit_power_w=2.0), 64, theta=0.4)
     gain = 0.5 + 0.2j
     got = ofdm_output_snr(cfg, 0.4, gain, 0.7)
     want = max_ofdm_output_snr(4, cfg.symbols_per_block, 64, 2.0, gain, 0.7)
@@ -386,7 +388,7 @@ def peak_snr_ratio(cfg, block_length, num_paths, peak_power, gain, noise_power):
 
 def test_peak_comparison_ratio():
     scen = ScenarioConfig.mmwave_default()
-    cfg = OfdmConfig.steered(scen, 1024, theta=0.0, total_power=1.0 / 1024)
+    cfg = OfdmConfig.steered(replace(scen, transmit_power_w=1.0 / 1024), 1024, theta=0.0)
     l, i = 5, cfg.symbols_per_block
     assert peak_snr_ratio(cfg, scen.data_length, l, 1.0, 0.3, 1e-9) == \
         pytest.approx(scen.data_length / (l * i), rel=1e-12)
@@ -397,7 +399,7 @@ def test_peak_comparison_break_even():
     scen = ScenarioConfig(num_antennas=2, bandwidth_hz=1e6, carrier_frequency_hz=28e9,
                           coherence_time_s=64e-6, guard_length=0, transmit_power_w=1.0,
                           noise_power_w=1.0)
-    cfg = OfdmConfig.steered(scen, 8, theta=0.0, total_power=1.0 / 8)
+    cfg = OfdmConfig.steered(replace(scen, transmit_power_w=1.0 / 8), 8, theta=0.0)
     assert cfg.symbols_per_block == 8
     assert peak_snr_ratio(cfg, 64, 8, 1.0, 1.0, 1.0) == pytest.approx(1.0)
 

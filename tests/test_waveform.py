@@ -32,8 +32,8 @@ def random_channel(rng, m, l, delays):
 
 
 def mrt_problem(ch, power, noise_power=1.0):
-    """The trade-off problem whose `mrt` and floor-0 solve are the package's
-    leakage-free MRT; the target direction and gain do not enter them."""
+    """The trade-off problem whose floor-0 solve is the package's leakage-free
+    MRT; the target direction and gain do not enter it."""
     return IsacProblem(ch, 0.3, 1.0, 1024, power, noise_power)
 
 
@@ -110,7 +110,7 @@ def test_bpsk_symbols_real():
 def test_gaussian_symbols_unit_power():
     block = generate_symbols(np.random.default_rng(2), 100_000, "gaussian")
     power = np.mean(np.abs(block.symbols) ** 2)
-    assert abs(power - 1.0) <= 3.0 / np.sqrt(block.length)
+    assert abs(power - 1.0) <= 3.0 / np.sqrt(block.symbols.size)
 
 
 def test_symbols_deterministic():
@@ -201,7 +201,7 @@ def test_comm_snr_matches_empirical():
     y = apply_comm_channel(ch, tx, sigma2, rng)
     gain = aligned_gain(bf, ch)
     shifted = np.zeros_like(sym.symbols)
-    shifted[bf.n_max:] = sym.symbols[:sym.length - bf.n_max]
+    shifted[bf.n_max:] = sym.symbols[:sym.symbols.size - bf.n_max]
     noise = y - gain * shifted
     measured = np.abs(gain) ** 2 / np.mean(np.abs(noise[bf.n_max:]) ** 2)
     assert abs(10 * np.log10(measured / sol.gamma_c)) < 0.2
@@ -223,7 +223,7 @@ def test_decomposition_additivity():
 def test_zf_beamformer_has_no_isi():
     rng = np.random.default_rng(13)
     ch = random_channel(rng, 6, 3, [0, 1, 4])
-    bf = mrt_problem(ch, 1.0).mrt
+    bf = mrt_problem(ch, 1.0).solve(0.0).beamformer
     sym = generate_symbols(rng, 128, "qpsk")
     _, isi = decompose_received(bf, ch, sym)
     assert np.max(np.abs(isi)) < 1e-12
@@ -242,7 +242,7 @@ def test_alignment_impulse_peaks_at_common_lag():
     # a lone symbol at n=0 must arrive coherently at n_max from every path
     rng = np.random.default_rng(15)
     ch = random_channel(rng, 6, 3, [1, 3, 8])
-    bf = mrt_problem(ch, 1.0).mrt
+    bf = mrt_problem(ch, 1.0).solve(0.0).beamformer
     impulse = generate_symbols(rng, 20, "qpsk")
     impulse.symbols = np.zeros(20, dtype=complex)
     impulse.symbols[0] = 1.0
@@ -257,7 +257,7 @@ def test_isi_power_union_bound():
     # perturbed ZF: residual power stays under L(L-1) * delta^2
     rng = np.random.default_rng(16)
     ch = random_channel(rng, 6, 3, [0, 2, 5])
-    bf = mrt_problem(ch, 1.0).mrt
+    bf = mrt_problem(ch, 1.0).solve(0.0).beamformer
     f = bf.beam_matrix + 1e-3 * complex_normal(rng, bf.beam_matrix.shape)
     bf2 = DamBeamformer.aligned(f, ch.path_delays)
     cross = np.conj(ch.path_vectors) @ f
@@ -339,7 +339,7 @@ def test_papr_generic_beams_below_path_count():
     rng = np.random.default_rng(19)
     l = 5
     ch = random_channel(rng, 16, l, np.arange(l))
-    bf = mrt_problem(ch, 1.0).mrt
+    bf = mrt_problem(ch, 1.0).solve(0.0).beamformer
     sym = generate_symbols(rng, 8192, "qpsk")
     assert papr_empirical(build_dam_block(sym, bf)) <= l
 
@@ -367,7 +367,7 @@ def test_papr_row_sum_is_the_axis_0_sum_bit_for_bit():
     rng = np.random.default_rng(21)
     ch = random_channel(rng, 16, 5, [0, 3, 4, 9, 11])
     dam = build_dam_block(generate_symbols(rng, 4096, "gaussian"),
-                          mrt_problem(ch, 1.0).mrt)
+                          mrt_problem(ch, 1.0).solve(0.0).beamformer)
     scen = ScenarioConfig.from_timing(bandwidth_hz=1e8, carrier_frequency_hz=28e9,
                                       coherence_time_s=2560e-8, guard_time_s=16e-8,
                                       num_antennas=16, transmit_power_w=1.0,
