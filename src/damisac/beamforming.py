@@ -164,17 +164,28 @@ def _search(eta: np.ndarray, r: np.ndarray, rho: np.ndarray):
     eta_y = (np.conj(eta[at]) * y_lo[at]).real.sum(axis=1)
     row_bound[at], gap[at] = rho[at] * eta_y, -np.minimum(excess0[at], 0.0) / eta_y
 
+    # Near delta = 0, h(u) = -rho S + u excess0 + ..., S the weight of eta on the
+    # strongest responses, while delta is well below every r_i > 0. Where
+    # excess0 > 0 the model's root is a point near the root of h; elsewhere h
+    # has no root that far down, and the least r_i > 0 marks where its terms turn.
+    with np.errstate(all="ignore"):
+        near = np.where(excess0 > 0,
+                        np.sqrt(rho * np.sum(mag ** 2 * strongest, axis=1) / excess0),
+                        np.where(strongest, 1.0, r).min(axis=1))
+
     # Newton's steps on h(u) (IsacProblem.solve) from delta = 1. A point outside
-    # the bracket (lo feasible, hi not) gives way to its bit patterns' midpoint,
-    # which reaches a delta of any scale (1e-16 where eta is 0 on the strongest
-    # responses but for rounding). From the infeasible side a step goes past
-    # the root by itself, or less, to half the gap tolerance, by a double at least.
+    # the bracket (lo feasible, hi not) gives way to the point near from the
+    # delta = 0 side while that lies inside, else to the bracket's bit
+    # patterns' midpoint, which reaches a delta of any scale (1e-16 where eta
+    # is 0 on the strongest responses but for rounding). From the infeasible
+    # side a step goes past the root by itself, or less, to half the gap
+    # tolerance, by a double at least.
     lo, row_steps, step = np.zeros(rows.size), np.zeros(rows.size, dtype=int), 0
     at, per_row = np.arange(rows.size), np.stack([r, mag, slope])
     state = np.stack([lo, *np.ones((2, rows.size)), excess,
-                      np.sum(slope * r * mag ** 2, axis=1), lo, gap])
+                      np.sum(slope * r * mag ** 2, axis=1), lo, gap, near])
     while at.size:
-        a_lo, a_hi, delta, excess, dh, half_gap, gap = state
+        a_lo, a_hi, delta, excess, dh, half_gap, gap, near = state
         done = ~(gap > _GAP_TOLERANCE) | (step == _DELTA_STEPS)
         if done.any():
             lo[at[done]], row_steps[at[done]] = a_lo[done], step
@@ -188,6 +199,7 @@ def _search(eta: np.ndarray, r: np.ndarray, rho: np.ndarray):
                               np.nextafter(delta, 0.0))
         delta = np.where(excess > 0, past, delta - shift)
         mid = ((a_lo.view(np.int64) + a_hi.view(np.int64)) // 2).view(np.float64)
+        mid = np.where((near > a_lo) & (near < a_hi), near, mid)
         delta = np.where((delta > a_lo) & (delta < a_hi), delta, mid)
         a_r, a_mag, a_slope = per_row
         d = delta[:, None] + (1.0 - delta[:, None]) * a_r
@@ -195,10 +207,10 @@ def _search(eta: np.ndarray, r: np.ndarray, rho: np.ndarray):
         y2 = y_mag * y_mag
         excess, eta_y = (a_slope * y2).sum(axis=1), (a_mag * y_mag).sum(axis=1)
         met = excess <= 0
-        state = np.stack([np.where(met, delta, a_lo), np.where(met, a_hi, delta), delta,
+        state = np.array([np.where(met, delta, a_lo), np.where(met, a_hi, delta), delta,
                           excess, (a_slope * a_r * y2 / d).sum(axis=1),
                           _GAP_TOLERANCE / 2 * eta_y / (1.0 - delta),
-                          np.where(met, (delta - 1.0) * excess / eta_y, gap)])
+                          np.where(met, (delta - 1.0) * excess / eta_y, gap), near])
 
     # each row's design and dual value at the feasible end lo of its bracket
     at = np.flatnonzero(lo)

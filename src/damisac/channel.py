@@ -227,6 +227,15 @@ class MultipathChannel:
         return cls(steering_vector(directions, num_antennas), np.asarray(delays, dtype=int))
 
 
+def _scaled(re: np.ndarray, im: np.ndarray, variance) -> np.ndarray:
+    """re + j im from standard normal parts, each scaled by sqrt(variance / 2)
+    as `complex_normal` scales its draws."""
+    z = np.empty(re.shape, dtype=complex)
+    scale = np.sqrt(variance / 2.0)
+    z.real, z.imag = re * scale, im * scale
+    return z
+
+
 def generate_multipath_channels(scenario: ScenarioConfig, gen: ChannelGenConfig,
                                 rngs: Sequence[np.random.Generator]) -> List[MultipathChannel]:
     """Draw one random clustered multipath channel from each generator.
@@ -239,35 +248,53 @@ def generate_multipath_channels(scenario: ScenarioConfig, gen: ChannelGenConfig,
     arrival. A channel is fully determined by its generator's state.
 
     Each stream is drawn in full before the next, in its seeded order: the
-    delays, then path by path mu_l, its angles, nu_l and beta_l; a generator
-    listed twice gives its next channel. Only the steering vectors and the
-    sub-path sums wait for the whole stack: nu is zero-padded to max_subpaths
-    and added one sub-path at a time, in the order a loop rounds it, so
-    beside the O(B L max_subpaths) draws the sum holds O(B L M) values at
-    once. The channels are views of one (B, L, M) array.
+    delays, then path by path mu_l, its angles and one standard normal draw
+    of 2 mu_l + 2 values: the real parts of nu_l, their imaginary parts, then
+    beta_l's real and imaginary part, each scaled by sqrt(variance / 2), the
+    values `complex_normal` draws of nu_l and then of beta_l would give; a
+    generator listed twice gives its next channel.
+    Only the scaling, the steering vectors and the sub-path sums wait for
+    the whole stack: sub-path i is added to the paths that drew it, one
+    sub-path at a time, in the order a loop rounds it, so beside the
+    O(B L max_subpaths) draws, held in two flat buffers, the sum holds
+    O(B L M) values at once. The channels are views of one (B, L, M) array.
     """
-    num_paths, num_subpaths = gen.num_paths, gen.max_subpaths
+    num_paths, num_subpaths, m = gen.num_paths, gen.max_subpaths, scenario.num_antennas
     if num_paths > scenario.guard_length + 1:
         raise ConfigError(f"scenario.guard_length={scenario.guard_length}: num_paths="
                           f"{num_paths} distinct delays do not fit in [0, guard_length]")
+    if not rngs:
+        return []
     lo, hi = gen.aod_sector
     delays = np.zeros((len(rngs), num_paths), dtype=int)
-    angles = np.zeros((len(rngs), num_paths, num_subpaths))
-    nu = np.zeros((len(rngs), num_paths, num_subpaths), dtype=complex)
-    beta = np.empty((len(rngs), num_paths), dtype=complex)
+    # the stack's B L paths in a row, each drawn straight after the one before:
+    # path p's sub-paths are theta[first[p]:][:mu[p]], its normals
+    # z[2 first[p] + 2 p:][:2 mu[p] + 2]
+    mus, theta = [], np.empty(len(rngs) * num_paths * num_subpaths)
+    z, k, j = np.empty(len(rngs) * num_paths * (2 * num_subpaths + 2)), 0, 0
     for b, rng in enumerate(rngs):
         if num_paths > 1:
             delays[b, 1:] = np.sort(rng.choice(np.arange(1, scenario.guard_length + 1),
                                                size=num_paths - 1, replace=False))
-        for l in range(num_paths):
+        for _ in range(num_paths):
             mu = int(rng.integers(1, num_subpaths + 1))
-            angles[b, l, :mu] = rng.uniform(lo, hi, size=mu)
-            nu[b, l, :mu] = complex_normal(rng, (mu,), variance=1.0 / mu)
-            beta[b, l] = complex_normal(rng, (), variance=1.0 / num_paths)
-    vectors = np.zeros((len(rngs), num_paths, scenario.num_antennas), dtype=complex)
-    for i in range(num_subpaths):
-        vectors += nu[..., i, None] * steering_vector(angles[..., i], scenario.num_antennas)
-    return [MultipathChannel(v, d) for v, d in zip(beta[..., None] * vectors, delays)]
+            mus.append(mu)
+            theta[k:k + mu] = rng.uniform(lo, hi, size=mu)
+            rng.standard_normal(out=z[j:j + 2 * mu + 2])
+            k, j = k + mu, j + 2 * mu + 2
+    mu, theta = np.array(mus), theta[:k]
+    first, path = np.cumsum(mu) - mu, np.arange(mu.size)
+    nu_re = np.arange(theta.size) + np.repeat(first + 2 * path, mu)
+    nu = _scaled(z[nu_re], z[nu_re + np.repeat(mu, mu)], np.repeat(1.0 / mu, mu))
+    beta_re = 2 * (first + mu + path)
+    beta = _scaled(z[beta_re], z[beta_re + 1], 1.0 / num_paths)
+    vectors = nu[first, None] * steering_vector(theta[first], m)
+    for i in range(1, num_subpaths):
+        drew = np.flatnonzero(mu > i)
+        at = first[drew] + i
+        vectors[drew] += nu[at, None] * steering_vector(theta[at], m)
+    vectors = (beta[:, None] * vectors).reshape(len(rngs), num_paths, m)
+    return [MultipathChannel(v, d) for v, d in zip(vectors, delays)]
 
 
 @dataclass

@@ -549,6 +549,34 @@ def test_delta_steps_on_the_default_se_sweep(monkeypatch):
     assert searched.max() <= 10
 
 
+def test_delta_steps_near_the_ceiling():
+    # floors up to 1 - 1e-12 of the ceiling, on default channels and on
+    # channels all but orthogonal to a(theta). Where the first Newton point
+    # leaves (0, 1), the search goes on from a point near the root from the
+    # delta = 0 side and takes 8 steps at most here, not the bit midpoint
+    # 1.1e-154, from which rows climb back by exponent halvings (13 steps).
+    sc = ScenarioConfig.mmwave_default()
+    a = steering_vector(THETA, sc.num_antennas)
+    fracs = 1.0 - np.concatenate([np.logspace(-12, -1, 45), np.linspace(0.15, 0.9, 6)])
+    steps = []
+    for num_paths in (2, 5, 10):
+        gen = ChannelGenConfig(num_paths=num_paths)
+        channels = generate_multipath_channels(
+            sc, gen, [np.random.default_rng(1000 + seed) for seed in range(40)])
+        across = [MultipathChannel(h - np.outer(h @ a, np.conj(a)) / sc.num_antennas + 1e-6 * h,
+                                   ch.path_delays)
+                  for ch in channels[:10] for h in [ch.path_vectors]]
+        for stack in (channels, across):
+            ceiling = np.array([IsacProblem(ch, THETA, GAIN, N_BLOCK, 1.0, SIGMA2).gamma_zf_max
+                                for ch in stack])
+            sol = solve_batch(stack, THETA, GAIN, N_BLOCK, 1.0, SIGMA2, ceiling[:, None] * fracs)
+            assert sol.feasible.all()
+            assert np.all(sol.dual_bound - sol.gamma_c <= 1e-11 * sol.dual_bound)
+            steps.append(sol.iterations.ravel())
+    steps = np.concatenate(steps)
+    assert steps.max() <= 9
+
+
 def test_solve_batch_raises_the_error_of_a_channel_with_no_design():
     # a zero channel: every projected path response Q_l h_l vanishes. In a
     # stack it raises what it raises alone.

@@ -196,6 +196,55 @@ def test_stacked_draw_matches_one_stream_draws():
             assert rng.bit_generator.state == replay.bit_generator.state
 
 
+def two_call_draw_oracle(scenario, gen, rngs):
+    """The draw with two complex_normal calls per path, nu zero-padded to
+    max_subpaths and the sub-path sum over every padded sub-path."""
+    num_paths, num_subpaths = gen.num_paths, gen.max_subpaths
+    lo, hi = gen.aod_sector
+    delays = np.zeros((len(rngs), num_paths), dtype=int)
+    angles = np.zeros((len(rngs), num_paths, num_subpaths))
+    nu = np.zeros((len(rngs), num_paths, num_subpaths), dtype=complex)
+    beta = np.empty((len(rngs), num_paths), dtype=complex)
+    for b, rng in enumerate(rngs):
+        if num_paths > 1:
+            delays[b, 1:] = np.sort(rng.choice(np.arange(1, scenario.guard_length + 1),
+                                               size=num_paths - 1, replace=False))
+        for l in range(num_paths):
+            mu = int(rng.integers(1, num_subpaths + 1))
+            angles[b, l, :mu] = rng.uniform(lo, hi, size=mu)
+            nu[b, l, :mu] = complex_normal(rng, (mu,), variance=1.0 / mu)
+            beta[b, l] = complex_normal(rng, (), variance=1.0 / num_paths)
+    vectors = np.zeros((len(rngs), num_paths, scenario.num_antennas), dtype=complex)
+    for i in range(num_subpaths):
+        vectors += nu[..., i, None] * steering_vector(angles[..., i], scenario.num_antennas)
+    return beta[..., None] * vectors, delays
+
+
+@pytest.mark.parametrize("num_paths", [1, 5, 10])
+@pytest.mark.parametrize("max_subpaths", [1, 3, 7])
+def test_draw_matches_the_two_call_oracle_bit_for_bit(num_paths, max_subpaths):
+    # vectors, delays and the generators' final states, for distinct streams
+    # and for one generator listed again and again
+    s = ScenarioConfig.mmwave_default()
+    gen = ChannelGenConfig(num_paths=num_paths, max_subpaths=max_subpaths)
+    for seed in range(5):
+        streams = [[np.random.default_rng(seed * 100 + t) for t in range(23)]
+                   for _ in range(2)]
+        one = [[np.random.default_rng(seed)] * 6 for _ in range(2)]
+        for rngs, replays in (streams, one):
+            stack = generate_multipath_channels(s, gen, rngs)
+            vectors, delays = two_call_draw_oracle(s, gen, replays)
+            assert np.array_equal(np.stack([ch.path_vectors for ch in stack]), vectors)
+            assert np.array_equal(np.stack([ch.path_delays for ch in stack]), delays)
+            for rng, replay in zip(rngs, replays):
+                assert rng.bit_generator.state == replay.bit_generator.state
+
+
+def test_draw_of_no_streams_is_empty():
+    assert generate_multipath_channels(ScenarioConfig.mmwave_default(), ChannelGenConfig(),
+                                       []) == []
+
+
 def test_channel_energy_moment():
     # E ||h_l||^2 = M / L, so the total over paths averages to M.
     s = ScenarioConfig.mmwave_default(num_antennas=8)
