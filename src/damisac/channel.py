@@ -24,13 +24,21 @@ def complex_normal(rng: np.random.Generator, shape=(), variance: float = 1.0):
     """Circularly symmetric complex Gaussian samples CN(0, variance).
 
     The real parts are drawn first, then the imaginary parts, straight into
-    the one complex array, which is scaled in place.
+    the one complex array, so the draw holds one real part at a time.
     """
     z = np.empty(shape, dtype=complex)
     z.real = rng.standard_normal(shape)
     z.imag = rng.standard_normal(shape)
+    return _scaled(z, variance)[()]     # a complex scalar for shape ()
+
+
+def _scaled(z: np.ndarray, variance) -> np.ndarray:
+    """z, with standard normal real and imaginary parts, scaled in place to
+    CN(0, variance): each part times sqrt(variance / 2). The complex product
+    by the real scale gives each part's real product, up to the sign of a
+    zero."""
     z *= np.sqrt(variance / 2.0)
-    return z[()]                        # a complex scalar for shape ()
+    return z
 
 
 def steering_vector(theta, num_antennas: int) -> np.ndarray:
@@ -227,15 +235,6 @@ class MultipathChannel:
         return cls(steering_vector(directions, num_antennas), np.asarray(delays, dtype=int))
 
 
-def _scaled(re: np.ndarray, im: np.ndarray, variance) -> np.ndarray:
-    """re + j im from standard normal parts, each scaled by sqrt(variance / 2)
-    as `complex_normal` scales its draws."""
-    z = np.empty(re.shape, dtype=complex)
-    scale = np.sqrt(variance / 2.0)
-    z.real, z.imag = re * scale, im * scale
-    return z
-
-
 def generate_multipath_channels(scenario: ScenarioConfig, gen: ChannelGenConfig,
                                 rngs: Sequence[np.random.Generator]) -> List[MultipathChannel]:
     """Draw one random clustered multipath channel from each generator.
@@ -285,9 +284,9 @@ def generate_multipath_channels(scenario: ScenarioConfig, gen: ChannelGenConfig,
     mu, theta = np.array(mus), theta[:k]
     first, path = np.cumsum(mu) - mu, np.arange(mu.size)
     nu_re = np.arange(theta.size) + np.repeat(first + 2 * path, mu)
-    nu = _scaled(z[nu_re], z[nu_re + np.repeat(mu, mu)], np.repeat(1.0 / mu, mu))
+    nu = _scaled(z[nu_re] + 1j * z[nu_re + np.repeat(mu, mu)], np.repeat(1.0 / mu, mu))
     beta_re = 2 * (first + mu + path)
-    beta = _scaled(z[beta_re], z[beta_re + 1], 1.0 / num_paths)
+    beta = _scaled(z[beta_re] + 1j * z[beta_re + 1], 1.0 / num_paths)
     vectors = nu[first, None] * steering_vector(theta[first], m)
     for i in range(1, num_subpaths):
         drew = np.flatnonzero(mu > i)

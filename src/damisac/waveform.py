@@ -48,6 +48,12 @@ def generate_symbols(rng: np.random.Generator, length: int,
 
     modulation: "bpsk", "qpsk", "psk<order>" (order a power of two in
     [2, 2^63]), or "gaussian" for CN(0, 1).
+
+    A PSK symbol is exp(2j pi p / order) for a drawn phase index p. When the
+    order is at most the length, the order symbols are evaluated once and the
+    drawn indices pick from that table; larger orders evaluate each symbol.
+    Both paths evaluate the same expression of the same integer, so they give
+    the same bits.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
@@ -55,6 +61,8 @@ def generate_symbols(rng: np.random.Generator, length: int,
     if order == 0:
         return SymbolBlock(complex_normal(rng, (length,), 1.0))
     phases = rng.integers(0, order, size=length)
+    if order <= length:
+        return SymbolBlock(np.exp(2j * np.pi * np.arange(order) / order)[phases])
     return SymbolBlock(np.exp(2j * np.pi * phases / order))
 
 

@@ -119,6 +119,32 @@ def test_symbols_deterministic():
     assert np.array_equal(a.symbols, b.symbols)
 
 
+def _direct_psk(seed, length, order):
+    """The per-symbol formula: one complex exponential per drawn phase."""
+    phases = np.random.default_rng(seed).integers(0, order, size=length)
+    return np.exp(2j * np.pi * phases / order)
+
+
+@pytest.mark.parametrize("order", [2, 4, 8, 64, 1024, 2 ** 16])
+def test_psk_table_matches_the_direct_formula(order):
+    # order <= length: the symbols are picked from the order-entry table
+    for length in (order, order + 1, 3 * order + 5, 99_800):
+        block = generate_symbols(np.random.default_rng(order + length), length, f"psk{order}")
+        expected = _direct_psk(order + length, length, order)
+        assert np.array_equal(block.symbols.view(float), expected.view(float)), length
+
+
+@pytest.mark.parametrize("order", [2 ** 20, 2 ** 63])
+def test_psk_order_above_length_evaluates_each_symbol(order):
+    tracemalloc.start()
+    block = generate_symbols(np.random.default_rng(6), 16, f"psk{order}")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 64 * 1024                     # no order-entry table was built
+    assert np.array_equal(block.symbols.view(float), _direct_psk(6, 16, order).view(float))
+    assert np.allclose(np.abs(block.symbols), 1.0)
+
+
 def test_symbols_invalid_modulation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
