@@ -24,7 +24,7 @@ Working Note 89, 1994).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -338,17 +338,18 @@ class IsacProblem:
     |alpha|^2 N M P / sigma^2, with equality when L = 1. The endpoints are
     solves: `solve(0)` is MRT, f_l = sqrt(P) c_l / ||c||, and
     `solve(gamma_zf_max)` the sensing-optimal design, all power on the
-    strongest g_l. The optimum lies in the span of h and the blocks
-    e_l (x) g_l. In the orthonormal basis made of the unit
-    blocks e_l (x) g_l / ||g_l|| and the part of h orthogonal to them, A is
-    diag(0, ||g_1||^2, ..., ||g_L||^2) =: diag(a) and h has coordinates eta,
-    so `solve` works with (L+1)-vectors only. The problem is the stack of one
-    channel that `solve_batch` prepares for many: its set-up keeps the
-    leading axis of length 1.
+    strongest g_l. The optimum lies in the span of h and the blocks e_l (x) g_l.
+    In the orthonormal basis made of the unit blocks e_l (x) g_l / ||g_l|| and
+    the part of h orthogonal to them, A is diag(0, ||g_1||^2, ..., ||g_L||^2)
+    =: diag(a) and h has coordinates eta, so `solve` works with (L+1)-vectors
+    only. It takes one channel, not a stack; its set-up is `solve_batch`'s
+    for the stack of that one channel, with a leading axis of length 1.
     """
 
     def __init__(self, channel: MultipathChannel, theta: float, gain: complex,
                  block_length: int, power: float, noise_power: float):
+        if channel.path_vectors.ndim != 2:
+            raise ValueError("IsacProblem takes one channel; solve_batch takes a stack")
         self.channel, self.theta, self.gain = channel, theta, gain
         self.block_length, self.power, self.noise_power = block_length, power, noise_power
         self._h = channel.path_vectors[None]
@@ -385,21 +386,19 @@ class IsacProblem:
                             status="optimal", **row)
 
 
-def solve_batch(channels: Sequence[MultipathChannel], theta: float, gain: complex,
+def solve_batch(channels: MultipathChannel, theta: float, gain: complex,
                 block_length: int, power: float, noise_power: float,
                 gamma_th) -> BatchSolution:
-    """`IsacProblem(channel, theta, gain, block_length, power, noise_power)
-    .solve` for every channel and floor, as (channels, floors) arrays.
+    """`IsacProblem(channels[b], theta, gain, block_length, power, noise_power)
+    .solve` for every channel b of a stack and every floor, as (B, G) arrays.
 
-    gamma_th is one grid of floors (G,) for all channels, or one grid per
-    channel (B, G). The channels must have the same numbers of paths and
-    antennas: their set-up is one stacked call, all B G rows go through one
-    search on delta, and each floor's B beams through one audit. No
-    beamformer is built.
+    The stack's (B, L, M) path vectors are read in place. gamma_th is one
+    grid of floors (G,) for all channels, or one per channel (B, G). The
+    set-up is one stacked call, all B G rows go through one search on delta,
+    and each floor's B beams through one audit. No beamformer is built.
     """
-    if len({c.path_vectors.shape for c in channels}) != 1:
-        raise ValueError("solve_batch needs one or more channels with one path count "
-                         "and one antenna count")
-    h = np.stack([c.path_vectors for c in channels])
+    h = channels.path_vectors
+    if h.ndim != 3 or not h.shape[0]:
+        raise ValueError("solve_batch needs a stack of one or more channels")
     setup = _set_up(h, theta, gain, block_length, power, noise_power)
     return _solve_rows(h, setup, theta, gain, block_length, power, noise_power, gamma_th)[0]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -178,50 +178,58 @@ class ChannelGenConfig:
 
 
 def _distinct(values: np.ndarray) -> bool:
-    """Whether the entries of a 1-D integer array are pairwise distinct.
-
-    A set over the Python ints, not numpy's unique(): in numpy 2.4 that calls
-    numpy.ma.is_masked, so its first call imports numpy.ma (16-19 ms and about
-    1 MB in a fresh process), which nothing else in a run needs.
-    """
-    items = values.tolist()
-    return len(set(items)) == len(items)
+    """Whether each row (the last axis) of an integer array has pairwise
+    distinct entries: each equals only itself. Not numpy's unique(), whose
+    first call in numpy 2.4 imports numpy.ma (16-19 ms, about 1 MB), nor a
+    sort, whose first call pages in 0.3 MB of code in ofdm-compare."""
+    return np.count_nonzero(values[..., :, None] == values[..., None, :]) == values.size
 
 
 @dataclass
 class MultipathChannel:
-    """Frequency-selective MISO channel: L path vectors with integer delays.
+    """Frequency-selective MISO channel: L path vectors with integer delays,
+    or a stack of B such channels.
 
-    path_vectors has shape (L, M) with row l the spatial response h_l of the
-    path delayed by path_delays[l] symbols. Delays are pairwise distinct and
-    non-negative; paths generated with equal binned delay must be merged by
-    summing their vectors before construction.
+    path_vectors has shape (L, M), row l the spatial response h_l of the path
+    delayed by path_delays[l] symbols; a stack has (B, L, M) vectors and
+    (B, L) delays, validated once, and stack[b] is its channel b. Each
+    channel's delays are distinct and non-negative: merge paths of equal
+    binned delay by summing their vectors.
     """
 
     path_vectors: np.ndarray
     path_delays: np.ndarray
 
     def __post_init__(self):
-        self.path_vectors = np.asarray(self.path_vectors, dtype=complex)
+        self.path_vectors = np.ascontiguousarray(self.path_vectors, dtype=complex)
         self.path_delays = np.asarray(self.path_delays, dtype=int)
-        if self.path_vectors.ndim != 2:
-            raise ValueError("path_vectors must be a 2-D (L, M) array")
-        if self.path_delays.shape != (self.path_vectors.shape[0],):
-            raise ValueError("path_delays length must match the number of path vectors")
-        if self.path_vectors.shape[0] < 1:
+        if self.path_vectors.ndim not in (2, 3):
+            raise ValueError("path_vectors must be a 2-D (L, M) or 3-D (B, L, M) array")
+        if self.path_delays.shape != self.path_vectors.shape[:-1]:
+            raise ValueError("path_delays must have one entry per path vector")
+        if self.path_vectors.shape[-2] < 1:
             raise ValueError("at least one path is required")
         if np.any(self.path_delays < 0):
             raise ValueError("path delays must be non-negative")
         if not _distinct(self.path_delays):
             raise ValueError("path delays must be pairwise distinct (merge equal-delay paths)")
 
+    def __len__(self) -> int:
+        if self.path_vectors.ndim == 2:
+            raise TypeError("a single channel is not a stack of channels")
+        return self.path_vectors.shape[0]
+
+    def __getitem__(self, b) -> "MultipathChannel":
+        len(self)                       # a single channel raises TypeError
+        return MultipathChannel(self.path_vectors[b], self.path_delays[b])
+
     @property
     def num_paths(self) -> int:
-        return self.path_vectors.shape[0]
+        return self.path_vectors.shape[-2]
 
     @property
     def num_antennas(self) -> int:
-        return self.path_vectors.shape[1]
+        return self.path_vectors.shape[-1]
 
     @property
     def max_delay(self) -> int:
@@ -231,39 +239,35 @@ class MultipathChannel:
     def from_directions(cls, directions, delays, num_antennas: int) -> "MultipathChannel":
         """Deterministic channel with one unit plane wave per path, for
         fixed-geometry studies."""
-        directions = np.atleast_1d(np.asarray(directions, dtype=float))
-        return cls(steering_vector(directions, num_antennas), np.asarray(delays, dtype=int))
+        return cls(steering_vector(np.atleast_1d(directions), num_antennas), delays)
 
 
 def generate_multipath_channels(scenario: ScenarioConfig, gen: ChannelGenConfig,
-                                rngs: Sequence[np.random.Generator]) -> List[MultipathChannel]:
-    """Draw one random clustered multipath channel from each generator.
+                                rngs: Sequence[np.random.Generator]) -> MultipathChannel:
+    """Draw one random clustered multipath channel from each generator, as one
+    stack of B = len(rngs) channels, validated once: (B, L, M) C-contiguous
+    vectors and (B, L) delays, stack[b] the channel of generator b.
 
     Path l is h_l = beta_l * sum_i nu_li * a(theta_li) with mu_l sub-paths,
     mu_l uniform on {1..max_subpaths}, AoDs uniform on the configured sector,
-    nu_li ~ CN(0, 1/mu_l) and beta_l ~ CN(0, 1/L), so the expected total
-    channel energy sum_l E||h_l||^2 = M regardless of L. Delays are distinct
-    integers uniform on [0, guard_length], always including 0 for the first
-    arrival. A channel is fully determined by its generator's state.
+    nu_li ~ CN(0, 1/mu_l) and beta_l ~ CN(0, 1/L), so sum_l E||h_l||^2 = M
+    for any L. Delays are distinct integers uniform on [0, guard_length], the
+    first 0. A channel is fully determined by its generator's state.
 
     Each stream is drawn in full before the next, in its seeded order: the
     delays, then path by path mu_l, its angles and one standard normal draw
-    of 2 mu_l + 2 values: the real parts of nu_l, their imaginary parts, then
-    beta_l's real and imaginary part, each scaled by sqrt(variance / 2), the
-    values `complex_normal` draws of nu_l and then of beta_l would give; a
-    generator listed twice gives its next channel.
-    Only the scaling, the steering vectors and the sub-path sums wait for
-    the whole stack: sub-path i is added to the paths that drew it, one
-    sub-path at a time, in the order a loop rounds it, so beside the
-    O(B L max_subpaths) draws, held in two flat buffers, the sum holds
-    O(B L M) values at once. The channels are views of one (B, L, M) array.
+    of 2 mu_l + 2 values (nu_l's real parts, their imaginary parts, beta_l's
+    real and imaginary part), each scaled by sqrt(variance / 2) as
+    `complex_normal` would; a generator listed twice gives its next channel.
+    The scaling, the steering vectors and the sub-path sums wait for the
+    whole stack: sub-path i is added to the paths that drew it, one sub-path
+    at a time, in the order a loop rounds it, so beside the O(B L
+    max_subpaths) draws, in two flat buffers, the sum holds O(B L M) values.
     """
     num_paths, num_subpaths, m = gen.num_paths, gen.max_subpaths, scenario.num_antennas
     if num_paths > scenario.guard_length + 1:
         raise ConfigError(f"scenario.guard_length={scenario.guard_length}: num_paths="
                           f"{num_paths} distinct delays do not fit in [0, guard_length]")
-    if not rngs:
-        return []
     lo, hi = gen.aod_sector
     delays = np.zeros((len(rngs), num_paths), dtype=int)
     # the stack's B L paths in a row, each drawn straight after the one before:
@@ -281,7 +285,7 @@ def generate_multipath_channels(scenario: ScenarioConfig, gen: ChannelGenConfig,
             theta[k:k + mu] = rng.uniform(lo, hi, size=mu)
             rng.standard_normal(out=z[j:j + 2 * mu + 2])
             k, j = k + mu, j + 2 * mu + 2
-    mu, theta = np.array(mus), theta[:k]
+    mu, theta = np.array(mus, dtype=int), theta[:k]
     first, path = np.cumsum(mu) - mu, np.arange(mu.size)
     nu_re = np.arange(theta.size) + np.repeat(first + 2 * path, mu)
     nu = _scaled(z[nu_re] + 1j * z[nu_re + np.repeat(mu, mu)], np.repeat(1.0 / mu, mu))
@@ -292,8 +296,7 @@ def generate_multipath_channels(scenario: ScenarioConfig, gen: ChannelGenConfig,
         drew = np.flatnonzero(mu > i)
         at = first[drew] + i
         vectors[drew] += nu[at, None] * steering_vector(theta[at], m)
-    vectors = (beta[:, None] * vectors).reshape(len(rngs), num_paths, m)
-    return [MultipathChannel(v, d) for v, d in zip(vectors, delays)]
+    return MultipathChannel((beta[:, None] * vectors).reshape(len(rngs), num_paths, m), delays)
 
 
 @dataclass
@@ -351,12 +354,9 @@ def radar_round_trip_gain(range_m: float, wavelength_m: float, rcs_m2: float) ->
 
 
 def _shift_zero_prefix(x: np.ndarray, k: int) -> np.ndarray:
-    """Delay a sequence by k samples, filling the front with zeros."""
-    if k == 0:
-        return x.copy()
+    """Delay a sequence by k >= 0 samples, filling the front with zeros."""
     out = np.zeros_like(x)
-    if k < x.shape[-1]:
-        out[..., k:] = x[..., :x.shape[-1] - k]
+    out[..., k:] = x[..., :max(x.shape[-1] - k, 0)]
     return out
 
 

@@ -332,6 +332,7 @@ def test_06_beampattern_structure():
 # 7. Mean spectral efficiency: monotone in the floor, ordered in path count.
 # ---------------------------------------------------------------------------
 
+@pytest.mark.blas
 def test_07_spectral_efficiency_trend():
     with _gate(7, "mean SE trend over the sensing floor"):
         sc = ScenarioConfig.mmwave_default()
@@ -340,17 +341,13 @@ def test_07_spectral_efficiency_trend():
         grid = 10.0 ** (np.arange(0.0, 20.0 + 1e-9, 2.0) / 10.0)
         trials = 100
 
-        channels = {5: [], 10: []}
-        gen10 = ChannelGenConfig(num_paths=10)
-        for trial in range(trials):
-            rng = np.random.default_rng(31_000 + trial)
-            ch10 = generate_multipath_channels(sc, gen10, [rng])[0]
-            # paired 5-path channel: first five paths, per-path gain variance
-            # rescaled from 1/10 to 1/5 so both draws match their own L
-            ch5 = MultipathChannel(ch10.path_vectors[:5] * np.sqrt(2.0),
-                                   ch10.path_delays[:5])
-            channels[5].append(ch5)
-            channels[10].append(ch10)
+        ch10 = generate_multipath_channels(
+            sc, ChannelGenConfig(num_paths=10),
+            [np.random.default_rng(31_000 + trial) for trial in range(trials)])
+        # paired 5-path channels: the first five paths, per-path gain variance
+        # rescaled from 1/10 to 1/5 so both draws match their own L
+        ch5 = MultipathChannel(ch10.path_vectors[:, :5] * np.sqrt(2.0), ch10.path_delays[:, :5])
+        channels = {5: ch5, 10: ch10}
 
         se, feasible = {}, {}
         for num_paths in (5, 10):

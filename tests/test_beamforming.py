@@ -34,6 +34,12 @@ def random_channel(rng, m, l):
     return MultipathChannel(complex_normal(rng, (l, m)), np.arange(l))
 
 
+def stacked(channels):
+    """Channels of one path count as one stack of them."""
+    return MultipathChannel(np.stack([ch.path_vectors for ch in channels]),
+                            np.stack([ch.path_delays for ch in channels]))
+
+
 def comm_snr(bf, ch):
     """|sum_l h_l^H f_l|^2 / sigma^2, from the beams alone."""
     return np.abs(aligned_gain(bf, ch)) ** 2 / SIGMA2
@@ -150,6 +156,7 @@ def test_zf_project_matches_the_oracle():
 
 # -------------------------------------------------------------- closed designs
 
+@pytest.mark.blas
 def test_mrt_single_path_closed_form():
     rng = np.random.default_rng(5)
     ch = random_channel(rng, 6, 1)
@@ -160,6 +167,7 @@ def test_mrt_single_path_closed_form():
     assert sol.gamma_c == pytest.approx(p * np.linalg.norm(h) ** 2 / SIGMA2)
 
 
+@pytest.mark.blas
 def test_mrt_zero_forcing_and_power_exact():
     # the package's MRT, from the projection the set-up computes, is the
     # oracle's, built one projector per path
@@ -176,6 +184,7 @@ def test_mrt_zero_forcing_and_power_exact():
     assert np.array_equal(bf.delay_schedule, want.delay_schedule) and bf.n_max == want.n_max
 
 
+@pytest.mark.blas
 def test_mrt_snr_formula():
     rng = np.random.default_rng(7)
     ch = random_channel(rng, 8, 3)
@@ -188,6 +197,7 @@ def test_mrt_snr_formula():
     assert comm_snr(zf_mrt(ch, p), ch) == pytest.approx(expected, rel=1e-10)
 
 
+@pytest.mark.blas
 def test_mrt_matches_the_oracle_on_every_oracle_channel():
     # the default channels at L = 5 and 10 and the rank-deficient edge cases
     for ch in oracle_channels():
@@ -197,6 +207,7 @@ def test_mrt_matches_the_oracle_on_every_oracle_channel():
         assert np.array_equal(bf.delay_schedule, want.delay_schedule)
 
 
+@pytest.mark.blas
 def test_mrt_takes_the_set_up_projection_and_no_svd(monkeypatch):
     # the set-up's one SVD gives c_l = Q_l h_l; the solve at a zero floor runs
     # no SVD of its own and returns sqrt(P) c / ||c||, rebuilt from its basis
@@ -216,6 +227,7 @@ def test_mrt_takes_the_set_up_projection_and_no_svd(monkeypatch):
     assert np.linalg.norm(bf.beam_matrix - want) <= 8 * np.finfo(float).eps * np.sqrt(2.0)
 
 
+@pytest.mark.blas
 def test_mrt_dominates_random_zero_forcing_designs():
     # MRT on the projected responses is the best interference-free design;
     # no random competitor at the same power may beat it.
@@ -234,12 +246,14 @@ def test_mrt_dominates_random_zero_forcing_designs():
         assert competitors.max() <= best * (1 + 1e-9)
 
 
+@pytest.mark.blas
 def test_mrt_rejects_bad_power():
     rng = np.random.default_rng(8)
     with pytest.raises(ValueError, match="power must be positive"):
         IsacProblem(random_channel(rng, 4, 2), THETA, GAIN, N_BLOCK, 0.0, SIGMA2)
 
 
+@pytest.mark.blas
 def test_sensing_zf_below_ceiling_many_seeds():
     p, m, l = 1.0, 8, 3
     ceiling = max_sensing_snr(m, N_BLOCK, p, GAIN, SIGMA2)
@@ -249,6 +263,7 @@ def test_sensing_zf_below_ceiling_many_seeds():
         assert gamma_zf <= ceiling * (1 + 1e-9)
 
 
+@pytest.mark.blas
 def test_sensing_zf_single_path_reaches_ceiling():
     rng = np.random.default_rng(9)
     ch = random_channel(rng, 8, 1)
@@ -261,6 +276,7 @@ def test_sensing_zf_single_path_reaches_ceiling():
     assert np.allclose(bf.beam_matrix[:, 0], np.sqrt(2.0 / 8) * a)
 
 
+@pytest.mark.blas
 def test_sensing_zf_structure_and_consistency():
     rng = np.random.default_rng(10)
     ch = random_channel(rng, 8, 3)
@@ -276,6 +292,7 @@ def test_sensing_zf_structure_and_consistency():
         sensing_snr(bf.beam_matrix, THETA, GAIN, N_BLOCK, SIGMA2), rel=1e-9)
 
 
+@pytest.mark.blas
 def test_sensing_zf_ceiling_is_exact():
     # the ceiling is all power on the strongest projected target response:
     # P max_l ||Q_l a||^2 in the b-domain. A solve at it is feasible, just
@@ -305,6 +322,7 @@ def test_sensing_zf_ceiling_is_exact():
         assert problem.solve(gamma_zf * (1 + 1e-6)).status == "infeasible"
 
 
+@pytest.mark.blas
 def test_sensing_design_puts_all_power_on_the_strongest_response():
     # the design at the ceiling is one column sqrt(P) g_l / ||g_l|| at the
     # strongest projected target response g_l = Q_l a, and the other columns 0
@@ -332,6 +350,7 @@ def solve(ch, gamma_th, p=1.0):
     return IsacProblem(ch, THETA, GAIN, N_BLOCK, p, SIGMA2).solve(gamma_th)
 
 
+@pytest.mark.blas
 def test_solve_zero_threshold_recovers_mrt():
     rng = np.random.default_rng(20)
     ch = random_channel(rng, 6, 3)
@@ -468,6 +487,7 @@ def test_solve_tradeoff_monotone_in_threshold():
     assert np.all(gammas[1:] <= gammas[:-1] * (1 + 1e-9))
 
 
+@pytest.mark.blas
 def test_solve_batch_rows_match_one_row_solves():
     # one stacked call over one-path channels whose rows reach every exit:
     # floor 0 (MRT), the ceiling itself (rho = 0, the sensing beam), above it
@@ -480,7 +500,7 @@ def test_solve_batch_rows_match_one_row_solves():
     problems = [IsacProblem(ch, 0.0, GAIN, N_BLOCK, 1.0, SIGMA2) for ch in channels]
     fracs = np.array([0.0, 0.1, 0.5, 0.9, 0.999999, 1.0, 1.0 + 1e-9, np.inf])
     floors = np.array([fracs * p.gamma_zf_max for p in problems])
-    batch = solve_batch(channels, 0.0, GAIN, N_BLOCK, 1.0, SIGMA2, floors)
+    batch = solve_batch(stacked(channels), 0.0, GAIN, N_BLOCK, 1.0, SIGMA2, floors)
     assert np.all(batch.feasible == (fracs <= 1.0))
     assert np.all(batch.iterations[:, [0, 5, 6, 7]] == 0)     # MRT, sensing, infeasible
     assert np.all(batch.iterations[0] == 0)                   # the top-up
@@ -498,16 +518,18 @@ def test_solve_batch_rows_match_one_row_solves():
                 assert np.isnan(batch.zf_residual[i, j]) and np.isnan(batch.power_used[i, j])
 
 
+@pytest.mark.blas
 def test_solve_equals_its_batch_row_on_default_channels():
     # a one-row solve is the stack-of-one case of solve_batch: every field
     # is the row's bit for bit, at L = 5 and 10, at every exit, in a stack of
-    # eight, and its beamformer has the audit it reports
+    # eight drawn as one stack, which solve_batch reads in place, and its
+    # beamformer has the audit it reports
     sc = ScenarioConfig.mmwave_default()
     fracs = np.array([0.0, 0.3, 0.9, 0.999999, 1.0, 1.0 + 1e-9])
     for num_paths in (5, 10):
         gen = ChannelGenConfig(num_paths=num_paths)
-        channels = [generate_multipath_channels(sc, gen, [np.random.default_rng(70 + seed)])[0]
-                    for seed in range(8)]
+        channels = generate_multipath_channels(
+            sc, gen, [np.random.default_rng(70 + seed) for seed in range(8)])
         problems = [IsacProblem(ch, THETA, GAIN, N_BLOCK, 1.0, SIGMA2) for ch in channels]
         floors = np.array([fracs * p.gamma_zf_max for p in problems])
         batch = solve_batch(channels, THETA, GAIN, N_BLOCK, 1.0, SIGMA2, floors)
@@ -527,6 +549,7 @@ def test_solve_equals_its_batch_row_on_default_channels():
 
 
 
+@pytest.mark.blas
 def test_delta_steps_on_the_default_se_sweep(monkeypatch):
     # the default se-sweep at seed 1 searches 1 920 (channel, floor) rows.
     # Newton's steps take 3.3 on average and 7 at most there; the bounds
@@ -549,6 +572,7 @@ def test_delta_steps_on_the_default_se_sweep(monkeypatch):
     assert searched.max() <= 10
 
 
+@pytest.mark.blas
 def test_delta_steps_near_the_ceiling():
     # floors up to 1 - 1e-12 of the ceiling, on default channels and on
     # channels all but orthogonal to a(theta). Where the first Newton point
@@ -563,9 +587,9 @@ def test_delta_steps_near_the_ceiling():
         gen = ChannelGenConfig(num_paths=num_paths)
         channels = generate_multipath_channels(
             sc, gen, [np.random.default_rng(1000 + seed) for seed in range(40)])
-        across = [MultipathChannel(h - np.outer(h @ a, np.conj(a)) / sc.num_antennas + 1e-6 * h,
-                                   ch.path_delays)
-                  for ch in channels[:10] for h in [ch.path_vectors]]
+        across = stacked([MultipathChannel(
+            h - np.outer(h @ a, np.conj(a)) / sc.num_antennas + 1e-6 * h, ch.path_delays)
+            for ch in channels[:10] for h in [ch.path_vectors]])
         for stack in (channels, across):
             ceiling = np.array([IsacProblem(ch, THETA, GAIN, N_BLOCK, 1.0, SIGMA2).gamma_zf_max
                                 for ch in stack])
@@ -577,6 +601,7 @@ def test_delta_steps_near_the_ceiling():
     assert steps.max() <= 9
 
 
+@pytest.mark.blas
 def test_solve_batch_raises_the_error_of_a_channel_with_no_design():
     # a zero channel: every projected path response Q_l h_l vanishes. In a
     # stack it raises what it raises alone.
@@ -584,19 +609,49 @@ def test_solve_batch_raises_the_error_of_a_channel_with_no_design():
     zero = MultipathChannel(np.zeros((2, 4)), np.arange(2))
     with pytest.raises(InfeasibleError, match="all projected path responses vanish"):
         IsacProblem(zero, THETA, GAIN, N_BLOCK, 1.0, SIGMA2)
-    stack = [random_channel(rng, 4, 2), zero, random_channel(rng, 4, 2)]
+    stack = stacked([random_channel(rng, 4, 2), zero, random_channel(rng, 4, 2)])
     with pytest.raises(InfeasibleError, match="all projected path responses vanish"):
         solve_batch(stack, THETA, GAIN, N_BLOCK, 1.0, SIGMA2, [0.0, 1.0])
 
 
+@pytest.mark.blas
 def test_solve_batch_rejects_mixed_path_counts_and_negative_floors():
+    # a stack of mixed path counts cannot be built, as one array or as
+    # vectors and delays that disagree; solve_batch takes a stack of one or
+    # more channels, not one channel alone and not an empty stack
     rng = np.random.default_rng(41)
     channels = [random_channel(rng, 4, l) for l in (1, 2)]
-    with pytest.raises(ValueError, match="one path count"):
-        solve_batch(channels, THETA, GAIN, N_BLOCK, 1.0, SIGMA2, [0.0])
+    with pytest.raises(ValueError):
+        stacked(channels)
+    with pytest.raises(ValueError, match="one entry per path vector"):
+        MultipathChannel(np.zeros((2, 2, 4)), [[0], [0]])
+    for not_a_stack in (channels[0], stacked(channels[:1])[:0]):
+        with pytest.raises(ValueError, match="a stack of one or more channels"):
+            solve_batch(not_a_stack, THETA, GAIN, N_BLOCK, 1.0, SIGMA2, [0.0])
     for floors in ([1.0, -1.0], [np.nan]):
         with pytest.raises(ValueError, match=">= 0"):
-            solve_batch(channels[:1], THETA, GAIN, N_BLOCK, 1.0, SIGMA2, floors)
+            solve_batch(stacked(channels[:1]), THETA, GAIN, N_BLOCK, 1.0, SIGMA2, floors)
+
+
+def test_isac_problem_takes_one_channel_and_a_channel_is_no_stack():
+    # IsacProblem raises on a stack, of three or of one; a stack's channel b
+    # is stack[b], and a single channel has no length and no channel b
+    rng = np.random.default_rng(43)
+    channels = [random_channel(rng, 4, 2) for _ in range(3)]
+    stack = stacked(channels)
+    for not_one in (stack, stack[1:2]):
+        with pytest.raises(ValueError, match="takes one channel"):
+            IsacProblem(not_one, THETA, GAIN, N_BLOCK, 1.0, SIGMA2)
+    assert len(stack) == 3 and len(stack[1:2]) == 1
+    for ch, alone in zip(stack, channels, strict=True):
+        assert np.array_equal(ch.path_vectors, alone.path_vectors)
+        assert np.array_equal(ch.path_delays, alone.path_delays)
+    one, = stack[1:2]
+    assert IsacProblem(one, THETA, GAIN, N_BLOCK, 1.0, SIGMA2).gamma_zf_max == \
+        IsacProblem(channels[1], THETA, GAIN, N_BLOCK, 1.0, SIGMA2).gamma_zf_max
+    for use in (lambda ch: ch[0], len, list):
+        with pytest.raises(TypeError, match="not a stack"):
+            use(one)
 
 
 # ----------------------------------------------------------------------- audit
@@ -613,6 +668,7 @@ def audit_oracle(bf, ch):
             sensing_snr(f, THETA, GAIN, N_BLOCK, SIGMA2))
 
 
+@pytest.mark.blas
 def test_solution_audit_on_mrt():
     # floor 0: the design is MRT, and the audit reads its power, zero
     # leakage and SNRs

@@ -142,6 +142,28 @@ def test_duplicate_delays_rejected():
     assert one.num_paths == 1 and one.max_delay == 4
 
 
+def test_stack_validates_every_row():
+    # a repeat or a negative delay in any one row of a stack raises; rows
+    # that share delays, or hold them in another order, are distinct channels
+    vectors = np.ones((3, 2, 4), dtype=complex)
+    for row in range(3):
+        for bad, message in (([5, 5], "pairwise distinct"), ([1, -1], "non-negative")):
+            delays = np.array([[0, 1], [1, 0], [0, 7]])
+            delays[row] = bad
+            with pytest.raises(ValueError, match=message):
+                MultipathChannel(vectors, delays)
+    stack = MultipathChannel(vectors, [[0, 1], [1, 0], [0, 7]])
+    assert (len(stack), stack.num_paths, stack.num_antennas) == (3, 2, 4)
+    assert np.array_equal(stack[1].path_delays, [1, 0])
+    for shape, delays, message in (((3, 0, 4), np.zeros((3, 0)), "at least one path"),
+                                   ((3, 2, 4), np.zeros((2, 2)), "one entry per path vector"),
+                                   ((3, 2, 4), np.zeros(2), "one entry per path vector"),
+                                   ((1, 3, 2, 4), np.zeros((1, 3, 2)), "2-D"),
+                                   ((4,), np.zeros(()), "2-D")):
+        with pytest.raises(ValueError, match=message):
+            MultipathChannel(np.ones(shape), delays)
+
+
 def test_generator_contract_fixed_seed():
     # replays the generator's draws: the delays, then path by path mu_l, its
     # angles, nu_l and beta_l, and sums each cluster sub-path by sub-path
@@ -189,10 +211,10 @@ def test_stacked_draw_matches_one_stream_draws():
                                   ([rng] * 6, [replay] * 6)):
                 stack = generate_multipath_channels(s, gen, rngs)
                 assert len(stack) == len(rngs)
-                for ch, one_rng in zip(stack, replays):
+                for b, one_rng in enumerate(replays):
                     one = generate_multipath_channels(s, gen, [one_rng])[0]
-                    assert np.array_equal(ch.path_vectors, one.path_vectors)
-                    assert np.array_equal(ch.path_delays, one.path_delays)
+                    assert np.array_equal(stack.path_vectors[b], one.path_vectors)
+                    assert np.array_equal(stack.path_delays[b], one.path_delays)
             assert rng.bit_generator.state == replay.bit_generator.state
 
 
@@ -234,15 +256,35 @@ def test_draw_matches_the_two_call_oracle_bit_for_bit(num_paths, max_subpaths):
         for rngs, replays in (streams, one):
             stack = generate_multipath_channels(s, gen, rngs)
             vectors, delays = two_call_draw_oracle(s, gen, replays)
-            assert np.array_equal(np.stack([ch.path_vectors for ch in stack]), vectors)
-            assert np.array_equal(np.stack([ch.path_delays for ch in stack]), delays)
+            assert stack.path_vectors.flags.c_contiguous
+            assert np.array_equal(stack.path_vectors, vectors)
+            assert np.array_equal(stack.path_delays, delays)
             for rng, replay in zip(rngs, replays):
                 assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_draw_of_no_streams_is_empty():
-    assert generate_multipath_channels(ScenarioConfig.mmwave_default(), ChannelGenConfig(),
-                                       []) == []
+    stack = generate_multipath_channels(ScenarioConfig.mmwave_default(), ChannelGenConfig(),
+                                        [])
+    assert stack.path_vectors.shape == (0, 5, 64) and stack.path_delays.shape == (0, 5)
+    assert len(stack) == 0 and list(stack) == []
+
+
+@pytest.mark.parametrize("streams", [0, 1, 7, 23])
+def test_draw_checks_its_delays_once_for_the_whole_stack(monkeypatch, streams):
+    # one distinct-delay check of the (B, L) delays per draw, whatever B is
+    from damisac import channel
+    distinct, calls = channel._distinct, []
+
+    def counted(values):
+        calls.append(values.shape)
+        return distinct(values)
+
+    monkeypatch.setattr(channel, "_distinct", counted)
+    stack = generate_multipath_channels(
+        ScenarioConfig.mmwave_default(), ChannelGenConfig(),
+        [np.random.default_rng(seed) for seed in range(streams)])
+    assert calls == [(streams, 5)] and len(stack) == streams
 
 
 def test_channel_energy_moment():
@@ -251,9 +293,7 @@ def test_channel_energy_moment():
     gen = ChannelGenConfig(num_paths=4, max_subpaths=3)
     rng = np.random.default_rng(7)
     draws = 10_000
-    total = 0.0
-    for ch in generate_multipath_channels(s, gen, [rng] * draws):
-        total += np.sum(np.abs(ch.path_vectors) ** 2)
+    total = np.sum(np.abs(generate_multipath_channels(s, gen, [rng] * draws).path_vectors) ** 2)
     assert total / draws == pytest.approx(8.0, rel=0.05)
 
 

@@ -507,6 +507,7 @@ def test_pattern_ignores_per_path_phases():
                                      - _pattern_db(turned, angles, columns))) <= 1e-9
 
 
+@pytest.mark.blas
 def test_se_sweep_zero_threshold_equals_mrt(tmp_path):
     cfg = load_config(None)
     cfg.trials = 4
@@ -841,6 +842,7 @@ def test_ofdm_compare_result(tmp_path):
 
 
 @pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.blas
 def test_ofdm_compare_peak_power_rows_are_the_derated_average_power_rows(tmp_path, seed):
     # the peak-power design is the full-power one scaled by 1/sqrt(L) or
     # 1/sqrt(K), so both its SNRs are the average-power ones less 10 log10(L)
@@ -877,6 +879,7 @@ def test_ofdm_compare_peak_power_rows_are_the_derated_average_power_rows(tmp_pat
       "experiment": {"mc_block_length": 700, "ofdm_subcarriers": 8,
                      "modulation": "gaussian"}}, 2),
 ])
+@pytest.mark.blas
 def test_ofdm_compare_papr_is_that_of_the_m_row_transmits(tmp_path, doc, seed):
     # the run takes each PAPR from the sequence the target sees, a^H x[n]; its
     # designs are steered, x[n] = a(theta) u[n], so that is the PAPR of the
@@ -926,6 +929,7 @@ def test_ofdm_compare_builds_no_array_transmit():
 
 @pytest.mark.parametrize("n_p", [0, 200, 2000])
 @pytest.mark.parametrize("k", [4, 64, 1024])
+@pytest.mark.blas
 def test_no_ofdm_doppler_bin_reaches_the_fast_target(tmp_path, k, n_p):
     # why ofdm-compare reports an OFDM fast-target rate of 0 without a trial:
     # the estimate is a bin of fftfreq(I, (K + N_p) T_s), all within
@@ -944,6 +948,7 @@ def test_no_ofdm_doppler_bin_reaches_the_fast_target(tmp_path, k, n_p):
     assert np.all(np.abs(axis - 2 * df) > df)
 
 
+@pytest.mark.blas
 def test_ofdm_compare_runs_no_ofdm_fast_target_trial(monkeypatch):
     # the OFDM rate is the constant above: no OFDM estimate and no OFDM noise
     # stream, rng(2, 10, t); each DAM trial draws from its own stream
@@ -1030,6 +1035,7 @@ CLIPPED_AT_HALF_BAND = {"experiment": {"mc_block_length": 64, "ofdm_subcarriers"
 
 @pytest.mark.parametrize("doc, num_doppler", [({}, 17), (CLIPPED_AT_HALF_BAND, 9),
                                               (EVERY_DOPPLER_BIN, 8)])
+@pytest.mark.blas
 def test_fast_target_cell_gram_is_the_dense_templates_gram(tmp_path, doc, num_doppler):
     # G from one lag product equals T^H T of the dense templates, and the
     # draws' factor C has C C^H = G, each to 1e-12
@@ -1056,6 +1062,7 @@ def small_fast_target_window():
 # template, 2047 = N - 1; and unsorted delays with a repeat, whose entries
 # past the diagonal come from the lag product as well
 @pytest.mark.parametrize("delays", [range(7), [133], [2047], [9, 2, 5, 2]])
+@pytest.mark.blas
 def test_template_gram_of_any_delay_window_is_the_dense_templates_gram(delays):
     w = small_fast_target_window()
     grid = SensingGrid(list(delays), w.grid.doppler_bins_hz, w.t_s, w.grid.block_length)
@@ -1065,6 +1072,7 @@ def test_template_gram_of_any_delay_window_is_the_dense_templates_gram(delays):
     assert np.array_equal(gram, gram.conj().T)
 
 
+@pytest.mark.blas
 def test_template_gram_needs_doppler_bins_one_resolution_apart():
     # G is built from the Doppler differences (q - q') / (N T_s): a survey
     # grid, 1/(128 T_s) apart, or a window with a bin left out is refused
@@ -1077,6 +1085,7 @@ def test_template_gram_needs_doppler_bins_one_resolution_apart():
             template_gram(seen, grid)
 
 
+@pytest.mark.blas
 def test_ofdm_compare_makes_one_map_and_one_lag_product(monkeypatch):
     # the fast target's noise-free map and the Gram's one lag product are the
     # run's only blocked map products: a map per window delay for G would
@@ -1097,6 +1106,7 @@ def test_ofdm_compare_makes_one_map_and_one_lag_product(monkeypatch):
     assert sorted(calls) == ["_blocked_map"] * 2 + ["delay_doppler_map", "template_gram"]
 
 
+@pytest.mark.blas
 def test_fast_target_hits_match_the_dense_cell_oracle():
     # 13 trials at a reflector weak enough that the DAM rate is neither 0 nor
     # 1; the oracle builds each trial's cells from the dense templates T and
@@ -1121,6 +1131,7 @@ def test_fast_target_hits_match_the_dense_cell_oracle():
 
 
 @pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.blas
 def test_fast_target_rate_is_the_sample_domain_rate(seed):
     # the cell-domain draws are exact in distribution: over 4 000 trials their
     # DAM rate is within 4 standard deviations of the difference of two
@@ -1142,6 +1153,7 @@ def test_fast_target_rate_is_the_sample_domain_rate(seed):
     assert abs(rate - oracle_rate) <= 4 * math.sqrt(pooled * (1 - pooled) * (1 / 4000 + 1 / 400))
 
 
+@pytest.mark.blas
 def test_fast_target_memory_does_not_grow_with_trials():
     # the trials' cells are drawn and picked in chunks: the traced peak at
     # 20 000 trials stays within 4 chunks' cells, 16 P Q bytes per trial, of
@@ -1442,16 +1454,58 @@ def test_runs_never_import_numpy_ma(tmp_path):
     assert proc.stdout.splitlines()[-1] == f"{dict.fromkeys(EXPERIMENTS, 0)} True"
 
 
+RUN_MATRIX = """
+import json, sys
+sys.modules["scipy"] = None
+from damisac import cli
+out, runs = sys.argv[1], json.loads(sys.argv[2])
+for name, argvs in runs.items():
+    for argv in argvs:
+        assert cli.main([*argv, "--out", f"{out}/{name}"]) == 0, argv
+"""
+
+# a block length whose projected waveform once took a thread-dependent BLAS
+# path, a reflector weak enough that the fast-target DAM rate is neither 0
+# nor 1, channels of up to 7 sub-paths a path, and symbols from the PSK table
+# (psk8) and from CN(0, 1) (gaussian)
+THREAD_MATRIX_CONFIGS = [{"experiment": {"mc_block_length": 11053}}, {"target": {"rcs_m2": 0.2}},
+                         {"channel": {"max_subpaths": 7}}, {"experiment": {"modulation": "psk8"}},
+                         {"experiment": {"modulation": "gaussian"}}]
+
+
 def test_csvs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # every CSV, the solver's included, is byte-identical at one and at two
-    # OpenBLAS threads; the variable must be set before numpy loads
+    # OpenBLAS threads: the four experiments at seeds 0 and 5 and at seed 0
+    # with each config above, and the benchmark's se-sweep run (20 trials,
+    # seed 5). Each thread count runs in its own fresh interpreter, since the
+    # variable must be set before numpy loads, so the pair is also a rerun:
+    # ofdm-compare's 13 fast-target trials are drawn in the map's cells, and
+    # 47 se-sweep trials over the 11-point default grid are stacks of 23, 23
+    # and 1 channels
+    runs = {f"seed{seed}": [[e, "--seed", str(seed)] for e in EXPERIMENTS] for seed in (0, 5)}
+    for i, doc in enumerate(THREAD_MATRIX_CONFIGS):
+        config = str(write_config(tmp_path, doc, f"config{i}.json"))
+        runs[f"config{i}"] = [[e, "--seed", "0", "--config", config] for e in EXPERIMENTS]
+    runs.update(se20=[["se-sweep", "--trials", "20", "--seed", "5"]],
+                se47=[["se-sweep", "--trials", "47"]], ofdm13=[["ofdm-compare", "--trials", "13"]])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(README.parent / "src"), env.get("PYTHONPATH")) if p)
+    procs = {}
     for threads in ("1", "2"):
-        _run_experiments_in_fresh_interpreter(WITHOUT_SCIPY, tmp_path, f"out{threads}",
-                                              OPENBLAS_NUM_THREADS=threads)
-    names = sorted(os.listdir(tmp_path / "out1"))
-    assert len(names) == 5 and names == sorted(os.listdir(tmp_path / "out2"))
-    for name in names:
-        assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
+        with open(tmp_path / f"err{threads}.txt", "w") as err:
+            procs[threads] = subprocess.Popen(
+                [sys.executable, "-c", RUN_MATRIX, str(tmp_path / f"out{threads}"),
+                 json.dumps(runs)], env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                stdout=subprocess.DEVNULL, stderr=err)
+    for threads, proc in procs.items():
+        assert proc.wait(timeout=300) == 0, (tmp_path / f"err{threads}.txt").read_text()
+    for name, argvs in runs.items():
+        one, two = tmp_path / "out1" / name, tmp_path / "out2" / name
+        names = sorted(os.listdir(one))
+        assert len(names) == (5 if len(argvs) == 4 else 1) and names == sorted(os.listdir(two))
+        for csv_name in names:
+            assert (one / csv_name).read_bytes() == (two / csv_name).read_bytes(), (name, csv_name)
 
 
 def test_cli_infeasible_target_exits_2(tmp_path, capsys):

@@ -262,6 +262,7 @@ def test_estimate_slow_target_within_one_bin():
     assert hits >= 95
 
 
+@pytest.mark.blas
 def test_estimate_fast_target_aliases():
     rng = np.random.default_rng(8)
     cfg = OfdmConfig.steered(small_scenario(), 32, theta=0.0)
@@ -450,6 +451,7 @@ def steered_stream_config(k, i, cp=0):
     return OfdmConfig.steered(scen, k, theta=0.3)
 
 
+@pytest.mark.blas
 def test_papr_bounded_by_subcarriers():
     rng = np.random.default_rng(12)
     freq = generate_symbols(rng, 64 * 200, "qpsk").symbols.reshape(64, 200, order="F")
@@ -457,6 +459,7 @@ def test_papr_bounded_by_subcarriers():
     assert 4.0 < papr <= 64.0
 
 
+@pytest.mark.blas
 def test_papr_adversarial_hits_bound():
     freq = np.ones((32, 4), dtype=complex)
     stream = ofdm_time_domain(steered_stream_config(32, 4), freq)
@@ -466,6 +469,7 @@ def test_papr_adversarial_hits_bound():
 
 # K + N_p odd, a prefix longer than the symbol, and a wide array
 @pytest.mark.parametrize("m, k, n_p, i", [(3, 16, 5, 9), (2, 4, 200, 3), (64, 256, 200, 7)])
+@pytest.mark.blas
 def test_papr_one_symbol_at_a_time_is_the_stream_papr(m, k, n_p, i):
     # the stream built one symbol at a time is, bit for bit, the (M, I, K)
     # inverse DFT of the whole grid at once with each prefix taken cyclically

@@ -353,6 +353,7 @@ def test_power_accounting_empirical():
 
 # ----------------------------------------------------------------------- PAPR
 
+@pytest.mark.blas
 def test_papr_single_path_psk_is_flat():
     rng = np.random.default_rng(18)
     sym = generate_symbols(rng, 512, "qpsk")
@@ -361,6 +362,7 @@ def test_papr_single_path_psk_is_flat():
     assert papr_empirical(build_dam_block(sym, bf)) == pytest.approx(1.0)
 
 
+@pytest.mark.blas
 def test_papr_generic_beams_below_path_count():
     rng = np.random.default_rng(19)
     l = 5
@@ -370,6 +372,7 @@ def test_papr_generic_beams_below_path_count():
     assert papr_empirical(build_dam_block(sym, bf)) <= l
 
 
+@pytest.mark.blas
 def test_papr_peak_power_exact_bound():
     # the deterministic content of the <= L claim: instantaneous power never
     # exceeds (sum_l ||f_l||)^2, reached only under full coherent alignment
@@ -386,6 +389,7 @@ def test_papr_peak_power_exact_bound():
     assert cap == pytest.approx(l * np.sum(np.abs(f) ** 2))
 
 
+@pytest.mark.blas
 def test_papr_row_sum_is_the_axis_0_sum_bit_for_bit():
     # the power is numpy's axis-0 sum of |x|^2, on a DAM transmit, on a
     # beamformed OFDM transmit with its cyclic prefixes, and on one row of each
@@ -408,6 +412,7 @@ def test_papr_row_sum_is_the_axis_0_sum_bit_for_bit():
 
 
 @pytest.mark.parametrize("m, l", [(16, 5), (3, 7), (1, 4), (6, 1)])
+@pytest.mark.blas
 def test_steered_dam_papr_from_the_seen_sequence_matches_the_full_block(m, l):
     # with every beam c_l a(theta), x[n] = a(theta) u[n] and a^H x[n] = M u[n],
     # so the one sequence the target sees has the M-row block's PAPR, whether
@@ -425,6 +430,7 @@ def test_steered_dam_papr_from_the_seen_sequence_matches_the_full_block(m, l):
     assert got == pytest.approx(want, rel=2 * (m + l) * np.finfo(float).eps, abs=0)
 
 
+@pytest.mark.blas
 def test_papr_rejects_zero_block():
     with pytest.raises(ValueError):
         papr_empirical(np.zeros((2, 8)))
