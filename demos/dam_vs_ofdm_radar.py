@@ -26,7 +26,6 @@ from damisac.ofdm import (
     ofdm_ambiguity_limits,
     ofdm_delay_doppler_estimate,
     ofdm_demodulate,
-    ofdm_output_snr,
     ofdm_time_domain,
 )
 from damisac.sensing import (
@@ -34,6 +33,7 @@ from damisac.sensing import (
     dam_ambiguity_limits,
     delay_doppler_map,
     estimate_delay_doppler,
+    sensing_snr,
 )
 from damisac.waveform import (
     DamBeamformer,
@@ -61,7 +61,9 @@ def main() -> None:
     for k in (256, 1024, 4096):
         cfg = OfdmConfig.steered(replace(sc, transmit_power_w=sc.transmit_power_w / k), k,
                                  np.pi / 6)
-        gamma_ofdm = ofdm_output_snr(cfg, np.pi / 6, alpha, sc.noise_power_w)
+        # OFDM integrates its I symbols, with noise sigma^2 / K per cell
+        gamma_ofdm = sensing_snr(cfg.beamformers, np.pi / 6, alpha, cfg.symbols_per_block,
+                                 sc.noise_power_w / k)
         half = 0.5 / cfg.total_symbol_duration_s
         print(f"  {k:4d} | {cfg.symbols_per_block:4d} | {half / 1e3:8.2f} kHz "
               f"| {10 * np.log10(gamma_dam / gamma_ofdm):6.2f} dB")

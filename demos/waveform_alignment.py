@@ -52,13 +52,13 @@ def main(seed: int) -> None:
     # an impulse probe shows the single-tap effective channel directly
     probe = generate_symbols(rng, 1, "qpsk")
     impulse = build_dam_block(probe, bf)
-    pad = np.zeros((NUM_ANTENNAS, channel.max_delay + 4), dtype=complex)
+    pad = np.zeros((NUM_ANTENNAS, bf.n_max + 4), dtype=complex)
     pad[:, :1] = impulse
     response = apply_comm_channel(channel, pad)
     mags = np.abs(response)
     print("\nimpulse response magnitude by lag:")
     for n, v in enumerate(mags):
-        marker = "  <- aligned tap" if n == channel.max_delay else ""
+        marker = "  <- aligned tap" if n == bf.n_max else ""
         print(f"  lag {n:2d}: {v:.3e}{marker}")
 
     # the aligned term (sum_l h_l^H f_l) s[n - n_max]; the ISI is whatever

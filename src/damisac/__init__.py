@@ -19,7 +19,7 @@ from .experiments import (ExperimentConfig, TargetConfig, load_config,
                           parse_gamma_grid, run_beampattern, run_dd_map,
                           run_ofdm_compare, run_se_sweep)
 from .ofdm import (OfdmConfig, ofdm_ambiguity_limits, ofdm_delay_doppler_estimate,
-                   ofdm_demodulate, ofdm_output_snr, ofdm_time_domain)
+                   ofdm_demodulate, ofdm_time_domain)
 from .sensing import (AmbiguityLimits, DelayDopplerMap, SensingGrid,
                       dam_ambiguity_limits, delay_doppler_map, estimate_delay_doppler,
                       matched_filter_template, sensing_snr, template_gram)

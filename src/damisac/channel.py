@@ -64,15 +64,6 @@ def steering_vector(theta, num_antennas: int) -> np.ndarray:
     return np.exp(2j * np.pi * 0.5 * m * np.sin(theta)[..., None])
 
 
-def _whole_symbols(name: str, duration_s: float, bandwidth_hz: float) -> int:
-    """A duration as a count of symbol periods; anything but a whole number of
-    them (to 1e-6 relative) is rejected rather than silently rounded."""
-    n = duration_s * bandwidth_hz
-    if not np.isfinite(n) or abs(n - round(n)) > 1e-6 * max(1.0, n):
-        raise ConfigError(f"{name} is not an integer number of symbol periods")
-    return int(round(n))
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Physical-layer scenario: array size, timing and power budget.
@@ -100,9 +91,13 @@ class ScenarioConfig:
                 raise ConfigError(f"scenario.{name} must be positive and finite")
         if self.guard_length < 0:
             raise ConfigError("scenario.guard_length must be >= 0")
-        n_c = _whole_symbols("scenario.coherence_time_s", self.coherence_time_s,
-                             self.bandwidth_hz)
-        if n_c - self.guard_length < 1:
+        # anything but a whole number of symbol periods (to 1e-6 relative) is
+        # rejected rather than silently rounded
+        n_c = self.coherence_time_s * self.bandwidth_hz
+        if not np.isfinite(n_c) or abs(n_c - round(n_c)) > 1e-6 * max(1.0, n_c):
+            raise ConfigError("scenario.coherence_time_s is not an integer number of "
+                              "symbol periods")
+        if self.data_length < 1:
             raise ConfigError("scenario.guard_length leaves no data symbols in the block")
 
     @property
@@ -122,21 +117,6 @@ class ScenarioConfig:
     @property
     def wavelength_m(self) -> float:
         return C_LIGHT / self.carrier_frequency_hz
-
-    @property
-    def guard_time_s(self) -> float:
-        return self.guard_length * self.symbol_duration_s
-
-    @classmethod
-    def from_timing(cls, bandwidth_hz: float, carrier_frequency_hz: float,
-                    coherence_time_s: float, guard_time_s: float,
-                    num_antennas: int, transmit_power_w: float,
-                    noise_power_w: float) -> "ScenarioConfig":
-        """Build a scenario with the guard given as a whole number of symbol
-        periods' duration."""
-        guard_length = _whole_symbols("scenario.guard_time_s", guard_time_s, bandwidth_hz)
-        return cls(num_antennas, bandwidth_hz, carrier_frequency_hz, coherence_time_s,
-                   guard_length, transmit_power_w, noise_power_w)
 
     @classmethod
     def mmwave_default(cls, **overrides) -> "ScenarioConfig":
@@ -230,10 +210,6 @@ class MultipathChannel:
     @property
     def num_antennas(self) -> int:
         return self.path_vectors.shape[-1]
-
-    @property
-    def max_delay(self) -> int:
-        return int(self.path_delays.max())
 
     @classmethod
     def from_directions(cls, directions, delays, num_antennas: int) -> "MultipathChannel":
@@ -369,7 +345,7 @@ def apply_comm_channel(channel: MultipathChannel, tx_block: np.ndarray,
     convention for samples before the block start.
 
     Args:
-        channel: Multipath channel bound to the same array size.
+        channel: One channel, not a stack, bound to the same array size.
         tx_block: (M, N) transmit matrix, one column per symbol instant.
         noise_power: AWGN variance per sample; 0 disables noise.
         rng: Required when noise_power > 0.
@@ -377,6 +353,8 @@ def apply_comm_channel(channel: MultipathChannel, tx_block: np.ndarray,
     Returns:
         Complex received sequence of length N.
     """
+    if channel.path_vectors.ndim != 2:
+        raise ValueError("apply_comm_channel takes one channel, not a stack")
     tx_block = np.asarray(tx_block)
     if tx_block.ndim != 2 or tx_block.shape[0] != channel.num_antennas:
         raise ValueError(

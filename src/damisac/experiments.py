@@ -166,8 +166,8 @@ _DB = _Rule(float, -500, 500)
 _SCHEMA = {
     "scenario": {"num_antennas": _Rule(int, 1), "bandwidth_hz": _POSITIVE,
                  "carrier_frequency_hz": _POSITIVE, "coherence_time_s": _POSITIVE,
-                 "guard_time_s": _Rule(float, 0), "guard_length": _Rule(int, 0),
-                 "transmit_power_dbm": _DB, "noise_psd_dbm_hz": _DB},
+                 "guard_length": _Rule(int, 0), "transmit_power_dbm": _DB,
+                 "noise_psd_dbm_hz": _DB},
     # max_subpaths sizes per-path draws: the cap bounds the memory, as the
     # gamma grid's step count is bounded
     "channel": {"num_paths": _Rule(int, 1), "max_subpaths": _Rule(int, 1, 10_000),
@@ -259,17 +259,9 @@ def load_config(path=None, overrides: Optional[dict] = None) -> ExperimentConfig
            else default.noise_power_w / default.bandwidth_hz)
     if "transmit_power_dbm" in sc:
         sc["transmit_power_w"] = float(dbm_to_watt(sc.pop("transmit_power_dbm")))
-    guard_time = sc.pop("guard_time_s", None if "guard_length" in sc else default.guard_time_s)
     fields = {**dataclasses.asdict(default), **sc}
     fields["noise_power_w"] = psd * fields["bandwidth_hz"]
-    if guard_time is None:
-        scenario = ScenarioConfig(**fields)
-    else:
-        del fields["guard_length"]
-        scenario = ScenarioConfig.from_timing(guard_time_s=guard_time, **fields)
-        if sc.get("guard_length", scenario.guard_length) != scenario.guard_length:
-            raise ConfigError(f"scenario.guard_length={sc['guard_length']} inconsistent "
-                              f"with guard_time_s*bandwidth_hz={scenario.guard_length}")
+    scenario = ScenarioConfig(**fields)
     if "aod_sector_deg" in ch:
         ch["aod_sector"] = tuple(np.deg2rad(ch.pop("aod_sector_deg")).tolist())
     if "direction_deg" in tg:
@@ -620,7 +612,7 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> List[dict]:
         # OFDM estimates are fftfreq(I, (K + N_p) T_s) bins, < df/2 from 0: none
         # within df of 2 df
         "ofdm": (k, i_sym, ofdm.ofdm_ambiguity_limits(ocfg, s.wavelength_m), papr_ofdm, 0.0,
-                 ofdm.ofdm_output_snr(ocfg, theta, target.gain, sigma2),
+                 sensing.sensing_snr(ocfg.beamformers, theta, target.gain, i_sym, sigma2 / k),
                  _echo_snr(ofdm_clean, sigma2 / k)),
     }
     rows = []

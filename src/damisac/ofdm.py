@@ -4,10 +4,11 @@ The beamformed transmit with its cyclic prefixes, built one symbol at a time,
 and its receiver: drop each prefix, then a K-point DFT. The echo goes through
 the aligned waveform's target channel (channel.apply_radar_channel), either
 from the M-row stream or from the one-row stream of the beamformer a^H W that
-the target sees. FFT delay-Doppler estimation, output-SNR accounting and
-ambiguity limits. The transmit's peak-to-average ratio (up to K subcarriers,
-against L delayed streams; waveform.papr_empirical) sets the power amplifier
-backoff under a peak-power limit.
+the target sees. FFT delay-Doppler estimation and ambiguity limits; the
+analytic output SNR is sensing.sensing_snr with (I, sigma^2 / K). The
+transmit's peak-to-average ratio (up to K subcarriers, against L delayed
+streams; waveform.papr_empirical) sets the power amplifier backoff under a
+peak-power limit.
 """
 
 from __future__ import annotations
@@ -108,15 +109,6 @@ def ofdm_delay_doppler_estimate(symbols_rx: np.ndarray, cfg: OfdmConfig,
     row, col = np.unravel_index(int(np.argmax(power)), power.shape)
     doppler_hat = np.fft.fftfreq(cfg.symbols_per_block, d=cfg.total_symbol_duration_s)[col]
     return float(row * cfg.sample_duration_s), float(doppler_hat), float(power[row, col])
-
-
-def ofdm_output_snr(cfg: OfdmConfig, theta: float, gain: complex,
-                    noise_power: float) -> float:
-    """Post-processing SNR |alpha|^2 I sum_k |a^H w_k|^2 / (sigma^2 / K)."""
-    a = steering_vector(theta, cfg.num_antennas)
-    agg = np.sum(np.abs(np.conj(a) @ cfg.beamformers) ** 2)
-    return float(np.abs(gain) ** 2 * cfg.symbols_per_block * agg /
-                 (noise_power / cfg.num_subcarriers))
 
 
 def ofdm_ambiguity_limits(cfg: OfdmConfig, wavelength_m: float) -> AmbiguityLimits:

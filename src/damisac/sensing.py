@@ -74,15 +74,15 @@ class SensingGrid:
 
     @classmethod
     def refine(cls, delay_center: int, doppler_center_hz: float, block_length: int,
-               symbol_duration_s: float, delay_half_width: int = 8,
-               doppler_half_width_bins: int = 8) -> "SensingGrid":
-        """Resolution-spaced window around a coarse (delay, Doppler) estimate,
-        clipped to the delays inside the block and to (-1/(2 T_s), 1/(2 T_s)]."""
+               symbol_duration_s: float, delay_half_width: int = 8) -> "SensingGrid":
+        """Resolution-spaced window around a coarse (delay, Doppler) estimate:
+        the delays within delay_half_width and the 8 Doppler bins of 1/(N T_s)
+        each side, clipped to the delays inside the block and to
+        (-1/(2 T_s), 1/(2 T_s)]."""
         lo = max(0, delay_center - delay_half_width)
         delays = np.arange(lo, min(delay_center + delay_half_width + 1, block_length))
         step = 1.0 / (block_length * symbol_duration_s)
-        dops = doppler_center_hz + step * np.arange(-doppler_half_width_bins,
-                                                    doppler_half_width_bins + 1)
+        dops = doppler_center_hz + step * np.arange(-8, 9)
         half = 0.5 / symbol_duration_s
         dops = dops[(dops > -half) & (dops <= half)]
         return cls(delays, dops, symbol_duration_s, block_length)
@@ -365,6 +365,8 @@ def sensing_snr(beam_matrix: np.ndarray, theta: float, gain: complex,
     """Matched-filter output SNR |alpha|^2 N a^H F F^H a / sigma^2.
 
     A float for one beam matrix F (M, L); an array (B,) for a stack (B, M, L).
+    It serves OFDM too: its (M, K) beamformers integrate over its I symbols,
+    with noise sigma^2 / K per cell, so N = I and noise_power = sigma^2 / K.
     """
     beam_matrix = np.asarray(beam_matrix, dtype=complex)
     a = steering_vector(theta, beam_matrix.shape[-2])

@@ -116,13 +116,13 @@ class DamBeamformer:
         return cls(beam_matrix, n_max - delays, n_max)
 
 
-def delayed_symbol_matrix(symbols: np.ndarray, kappa, extra_delay: int = 0) -> np.ndarray:
-    """Rows are the symbol stream delayed by kappa_l + extra_delay (zero-prefix)."""
+def delayed_symbol_matrix(symbols: np.ndarray, kappa) -> np.ndarray:
+    """Rows are the symbol stream delayed by kappa_l (zero-prefix)."""
     symbols = np.asarray(symbols)
     kappa = np.asarray(kappa, dtype=int)
     n = symbols.size
     out = np.zeros((kappa.size, n), dtype=complex)
-    for i, k in enumerate((kappa + extra_delay).tolist()):
+    for i, k in enumerate(kappa.tolist()):
         if k < n:
             out[i, k:] = symbols[:n - k]
     return out

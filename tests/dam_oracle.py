@@ -31,7 +31,8 @@ def decompose_received(bf: DamBeamformer, channel: MultipathChannel,
     Their sum reproduces apply_comm_channel at zero noise. bf must be bound to
     the channel's delays (`DamBeamformer.aligned`).
     """
-    if not np.array_equal(bf.delay_schedule, channel.max_delay - channel.path_delays):
+    if not np.array_equal(bf.delay_schedule,
+                          int(channel.path_delays.max()) - channel.path_delays):
         raise ValueError("beamformer delay schedule is not aligned to this channel")
     s = block.symbols
     desired = aligned_gain(bf, channel) * _shift_zero_prefix(s, bf.n_max)
@@ -83,6 +84,7 @@ def correlation_matrix(block: SymbolBlock, kappa, probe_delay: int,
     stream j delayed by probe_delay; it concentrates near the block length N
     when kappa_i + true_delay = kappa_j + probe_delay and near zero otherwise.
     """
-    s_true = delayed_symbol_matrix(block.symbols, kappa, int(true_delay))
-    s_probe = delayed_symbol_matrix(block.symbols, kappa, int(probe_delay))
+    kappa = np.asarray(kappa, dtype=int)
+    s_true = delayed_symbol_matrix(block.symbols, kappa + int(true_delay))
+    s_probe = delayed_symbol_matrix(block.symbols, kappa + int(probe_delay))
     return s_true @ np.conj(s_probe.T)

@@ -110,15 +110,18 @@ def test_default_scenario_block_accounting():
     assert s.block_length == 100_000
     assert s.guard_length == 200
     assert s.data_length == 99_800
-    assert s.guard_time_s == pytest.approx(2e-6)
+    assert s.guard_length * s.symbol_duration_s == 2e-6
 
 
-def test_from_timing_rejects_fractional_guard():
-    with pytest.raises(ConfigError):
-        ScenarioConfig.from_timing(bandwidth_hz=100e6, carrier_frequency_hz=28e9,
-                                   coherence_time_s=1e-3, guard_time_s=2.5e-8,
-                                   num_antennas=4, transmit_power_w=1.0,
-                                   noise_power_w=1e-12)
+def test_scenario_rejects_fractional_coherence_time():
+    # 100 000.5 or 202.5 symbol periods is rejected, not rounded; within 1e-6
+    # relative of a whole number is accepted
+    for t_c in (1.000005e-3, 2.5e-8 + 2e-6):
+        with pytest.raises(ConfigError, match=r"^scenario\.coherence_time_s is not an "
+                                              r"integer number of symbol periods"):
+            ScenarioConfig.mmwave_default(coherence_time_s=t_c)
+    assert ScenarioConfig.mmwave_default(coherence_time_s=1e-3 * (1 + 5e-7)).block_length \
+        == 100_000
 
 
 def test_scenario_rejects_nonpositive_power():
@@ -139,7 +142,7 @@ def test_duplicate_delays_rejected():
         with pytest.raises(ValueError, match="pairwise distinct"):
             MultipathChannel.from_directions(np.zeros(len(delays)), delays, num_antennas=4)
     one = MultipathChannel.from_directions([0.1], [4], num_antennas=4)
-    assert one.num_paths == 1 and one.max_delay == 4
+    assert one.num_paths == 1 and int(one.path_delays.max()) == 4
 
 
 def test_stack_validates_every_row():
@@ -174,7 +177,7 @@ def test_generator_contract_fixed_seed():
         ch = generate_multipath_channels(s, gen, [rng])[0]
         assert ch.num_paths == 5
         assert ch.path_delays[0] == 0
-        assert ch.max_delay <= s.guard_length
+        assert ch.path_delays.max() <= s.guard_length
         assert len(np.unique(ch.path_delays)) == 5
         rest = replay.choice(np.arange(1, s.guard_length + 1), size=4, replace=False)
         assert np.array_equal(ch.path_delays, np.concatenate([[0], np.sort(rest)]))
@@ -349,6 +352,17 @@ def test_comm_dimension_mismatch():
     ch = MultipathChannel(np.ones((1, 3), dtype=complex), np.array([0]))
     with pytest.raises(ValueError):
         apply_comm_channel(ch, np.ones((2, 10)))
+
+
+def test_comm_rejects_a_stack():
+    # one channel at a time, as IsacProblem; a stack's rows of delays are not
+    # one channel's
+    s = ScenarioConfig.mmwave_default(num_antennas=4)
+    stack = generate_multipath_channels(s, ChannelGenConfig(),
+                                        [np.random.default_rng(b) for b in range(2)])
+    with pytest.raises(ValueError, match="takes one channel, not a stack"):
+        apply_comm_channel(stack, np.ones((4, 10)))
+    assert apply_comm_channel(stack[1], np.ones((4, 10))).shape == (10,)
 
 
 def test_comm_noise_variance():

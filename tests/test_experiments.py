@@ -45,7 +45,6 @@ from damisac import (
     matched_filter_template,
     ofdm_delay_doppler_estimate,
     ofdm_demodulate,
-    ofdm_output_snr,
     ofdm_time_domain,
     papr_empirical,
     parse_gamma_grid,
@@ -54,6 +53,7 @@ from damisac import (
     run_dd_map,
     run_ofdm_compare,
     run_se_sweep,
+    sensing_snr,
     steering_vector,
     template_gram,
 )
@@ -128,16 +128,17 @@ def test_parse_error_reports_position(tmp_path):
         load_config(path)
 
 
-def test_guard_consistency(tmp_path):
-    cfg = load_config(write_config(tmp_path, {
-        "scenario": {"guard_length": 200, "guard_time_s": 2e-6}}))
-    assert cfg.scenario.guard_length == 200
-    with pytest.raises(ConfigError, match="inconsistent"):
-        load_config(write_config(tmp_path, {
-            "scenario": {"guard_length": 150, "guard_time_s": 2e-6}}))
-    with pytest.raises(ConfigError, match="integer number"):
-        load_config(write_config(tmp_path, {
-            "scenario": {"guard_time_s": 1.55e-8}}))
+def test_guard_is_given_only_as_guard_length(tmp_path, capsys):
+    # the guard is a count of symbols; a guard time is not a field, alone or
+    # beside guard_length
+    cfg = load_config(write_config(tmp_path, {"scenario": {"guard_length": 150}}))
+    assert cfg.scenario.guard_length == 150
+    for scenario in ({"guard_time_s": 2e-6}, {"guard_length": 200, "guard_time_s": 2e-6}):
+        path = write_config(tmp_path, {"scenario": scenario})
+        with pytest.raises(ConfigError, match=r"^scenario\.guard_time_s: unknown field$"):
+            load_config(path)
+        assert main(["beampattern", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: scenario.guard_time_s: unknown field\n"
 
 
 def test_experiment_validation(tmp_path):
@@ -247,6 +248,7 @@ PROBES = [
     ("channel.max_subpaths", 10_001),
     ("target.range_m", 1e6),         # a round-trip delay beyond the 1024-symbol block
     ("experiment.gamma_th_grid_db", [1e308]),   # a linear floor beyond the range of a float
+    ("scenario.coherence_time_s", 1.000005e-3),  # 100 000.5 symbol periods
 ]
 
 
@@ -813,8 +815,9 @@ def test_ofdm_compare_result(tmp_path):
     gap_db = (by[("dam", "peak_power")]["analytic_snr_db"]
               - by[("ofdm", "peak_power")]["analytic_snr_db"])
     assert gap_db == pytest.approx(10 * np.log10(n_mc / (l * i_sym)), abs=1e-9)
-    # the empirical SNRs are exact: OFDM's equals ofdm_output_snr, and each
-    # DAM row is the finite-block form of the run's symbol block
+    # the empirical SNRs are exact: OFDM's equals sensing_snr at its I symbols
+    # and its noise sigma^2 / K, and each DAM row is the finite-block form of
+    # the run's symbol block
     s, sigma2 = cfg.scenario, cfg.scenario.noise_power_w
     target = cfg.radar_target(cfg.rng(2, 0))
     block = generate_symbols(cfg.rng(2, 1), n_mc, cfg.modulation)
@@ -827,8 +830,9 @@ def test_ofdm_compare_result(tmp_path):
         ocfg = OfdmConfig.steered(dataclasses.replace(scen_mc, transmit_power_w=ofdm_power),
                                   256, target.direction)
         for scheme, want in (("dam", finite_block_snr(bf, block, target, sigma2)),
-                             ("ofdm", ofdm_output_snr(ocfg, target.direction, target.gain,
-                                                      sigma2))):
+                             ("ofdm", sensing_snr(ocfg.beamformers, target.direction,
+                                                  target.gain, ocfg.symbols_per_block,
+                                                  sigma2 / 256))):
             got = 10 ** (by[(scheme, regime)]["empirical_snr_db"] / 10)
             assert got == pytest.approx(want, rel=1e-12), (scheme, regime)
     papr = scheme_cells(rows, "papr_empirical")

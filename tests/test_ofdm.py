@@ -18,9 +18,9 @@ from damisac import (
     ofdm_ambiguity_limits,
     ofdm_delay_doppler_estimate,
     ofdm_demodulate,
-    ofdm_output_snr,
     ofdm_time_domain,
     papr_empirical,
+    sensing_snr,
     steering_vector,
 )
 from damisac import ofdm
@@ -31,10 +31,10 @@ from dam_oracle import max_sensing_snr
 
 def small_scenario(**over):
     base = dict(bandwidth_hz=1e8, carrier_frequency_hz=28e9,
-                coherence_time_s=1280e-8, guard_time_s=8e-8,
+                coherence_time_s=1280e-8, guard_length=8,
                 num_antennas=4, transmit_power_w=1.0, noise_power_w=1.0)
     base.update(over)
-    return ScenarioConfig.from_timing(**base)
+    return ScenarioConfig(**base)
 
 
 def qpsk_grid(rng, cfg):
@@ -221,8 +221,7 @@ def test_config_rejects_beams_without_subcarriers():
 
 def test_config_rejects_short_block():
     with pytest.raises(ValueError):
-        OfdmConfig.steered(small_scenario(coherence_time_s=30e-8,
-                                          guard_time_s=8e-8), 64, theta=0.0)
+        OfdmConfig.steered(small_scenario(coherence_time_s=30e-8), 64, theta=0.0)
 
 
 # ------------------------------------------------------------------ estimator
@@ -250,7 +249,9 @@ def test_estimate_slow_target_within_one_bin():
     doppler = cfg.subcarrier_spacing_hz / 20.0          # inside the limit
     target = RadarTarget(gain=1.0, direction=0.0, delay_symbols=3,
                          doppler_hz=doppler)
-    sigma2 = ofdm_output_snr(cfg, 0.0, 1.0, 1.0) / 316.0   # ~25 dB output SNR
+    # ~25 dB output SNR
+    sigma2 = sensing_snr(cfg.beamformers, 0.0, 1.0, cfg.symbols_per_block,
+                         1.0 / cfg.num_subcarriers) / 316.0
     bin_hz = 1.0 / (cfg.symbols_per_block * cfg.total_symbol_duration_s)
     hits = 0
     for _ in range(100):
@@ -291,11 +292,12 @@ def test_estimate_rejects_zero_symbols():
 
 
 # ----------------------------------------------------------------- output SNR
+# sensing_snr serves OFDM with its I symbols and its noise sigma^2 / K per cell
 
-def max_ofdm_output_snr(num_antennas, symbols_per_block, num_subcarriers, total_power,
-                        gain, noise_power):
+def max_ofdm_snr(num_antennas, symbols_per_block, num_subcarriers, total_power, gain,
+                 noise_power):
     """The SNR ceiling |alpha|^2 M I K P / sigma^2, met by steering every
-    subcarrier at the target: the oracle for ofdm_output_snr."""
+    subcarrier at the target: the oracle for sensing_snr on an OFDM config."""
     return float(np.abs(gain) ** 2 * num_antennas * symbols_per_block *
                  num_subcarriers * total_power / noise_power)
 
@@ -303,15 +305,15 @@ def max_ofdm_output_snr(num_antennas, symbols_per_block, num_subcarriers, total_
 def test_output_snr_steered_hits_ceiling():
     cfg = OfdmConfig.steered(small_scenario(transmit_power_w=2.0), 64, theta=0.4)
     gain = 0.5 + 0.2j
-    got = ofdm_output_snr(cfg, 0.4, gain, 0.7)
-    want = max_ofdm_output_snr(4, cfg.symbols_per_block, 64, 2.0, gain, 0.7)
+    got = sensing_snr(cfg.beamformers, 0.4, gain, cfg.symbols_per_block, 0.7 / 64)
+    want = max_ofdm_snr(4, cfg.symbols_per_block, 64, 2.0, gain, 0.7)
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_output_snr_zero_beams():
     cfg = OfdmConfig(bandwidth_hz=1e8, guard_length=4, block_length=512,
                      beamformers=np.zeros((4, 8)))
-    assert ofdm_output_snr(cfg, 0.0, 1.0, 1.0) == 0.0
+    assert sensing_snr(cfg.beamformers, 0.0, 1.0, cfg.symbols_per_block, 1.0 / 8) == 0.0
 
 
 def test_output_snr_matches_monte_carlo():
@@ -333,7 +335,7 @@ def test_output_snr_matches_monte_carlo():
         profile = np.fft.fft(np.fft.ifft(echo / tx, axis=0), axis=1)
         noise_cells.append(np.abs(profile - clean_profile) ** 2)
     measured = peak / np.mean(noise_cells)
-    analytic = ofdm_output_snr(cfg, 0.3, gain, sigma2)
+    analytic = sensing_snr(cfg.beamformers, 0.3, gain, i, sigma2 / cfg.num_subcarriers)
     assert abs(10 * np.log10(measured / analytic)) < 0.5
 
 
@@ -384,7 +386,8 @@ def peak_snr_ratio(cfg, block_length, num_paths, peak_power, gain, noise_power):
     subcarriers (cfg already carries P/K)."""
     gamma_dam = max_sensing_snr(cfg.num_antennas, block_length, peak_power / num_paths,
                                 gain, noise_power)
-    return gamma_dam / ofdm_output_snr(cfg, 0.0, gain, noise_power)
+    return gamma_dam / sensing_snr(cfg.beamformers, 0.0, gain, cfg.symbols_per_block,
+                                   noise_power / cfg.num_subcarriers)
 
 
 def test_peak_comparison_ratio():

@@ -31,6 +31,10 @@ from damisac.units import C_LIGHT
 
 from dam_oracle import correlation_matrix, max_sensing_snr
 
+# the folded map's BLAS reductions must meet the dense oracle at any thread
+# count: every test here also runs at two OpenBLAS threads
+pytestmark = pytest.mark.blas
+
 TS = 1e-8
 
 
@@ -544,11 +548,14 @@ def test_grid_resolutions_and_survey():
 def test_grid_refine_clamps_and_filters():
     grid = SensingGrid.refine(delay_center=2, doppler_center_hz=0.0,
                               block_length=16, symbol_duration_s=TS,
-                              delay_half_width=5, doppler_half_width_bins=3)
+                              delay_half_width=5)
     assert grid.delay_bins[0] == 0
     assert grid.delay_bins[-1] == 7
+    # 8 bins of 1/(16 T_s) each side: the one at -1/(2 T_s) is dropped
     assert np.all(grid.doppler_bins_hz <= 0.5 / TS)
     assert np.all(grid.doppler_bins_hz > -0.5 / TS)
+    assert grid.doppler_bins_hz.size == 16
+    assert grid.doppler_bins_hz[-1] == pytest.approx(0.5 / TS)
     # a window past the end of the block stops at its last delay
     edge = SensingGrid.refine(delay_center=14, doppler_center_hz=0.0,
                               block_length=16, symbol_duration_s=TS, delay_half_width=5)

@@ -186,18 +186,18 @@ def test_block_equals_matrix_product():
 
 
 def test_delayed_symbol_matrix_equals_the_per_row_shift():
-    # each row is the stream shifted by kappa_l + extra_delay, bit for bit,
-    # and a row shifted by N or more is all zero
+    # each row is the stream shifted by kappa_l, bit for bit, and a row
+    # shifted by N or more is all zero
     rng = np.random.default_rng(7)
     sym = generate_symbols(rng, 40, "qpsk").symbols
     kappa = np.array([0, 3, 17, 38])
     for extra in (0, 1, 2, 25):
-        rows = delayed_symbol_matrix(sym, kappa, extra)
+        rows = delayed_symbol_matrix(sym, kappa + extra)
         want = np.stack([_shift_zero_prefix(sym, int(k) + extra) for k in kappa])
         assert rows.dtype == complex and rows.shape == (4, 40)
         np.testing.assert_array_equal(rows, want)
-    assert not np.any(delayed_symbol_matrix(sym, kappa, 2)[3])       # 38 + 2 = N
-    assert not np.any(delayed_symbol_matrix(sym, kappa, 25)[2:])     # 42, 63 > N
+    assert not np.any(delayed_symbol_matrix(sym, kappa + 2)[3])       # 38 + 2 = N
+    assert not np.any(delayed_symbol_matrix(sym, kappa + 25)[2:])     # 42, 63 > N
 
 
 # ----------------------------------------------------------------------- SNR
@@ -274,8 +274,9 @@ def test_alignment_impulse_peaks_at_common_lag():
     impulse.symbols[0] = 1.0
     y = apply_comm_channel(ch, build_dam_block(impulse, bf))
     gain = aligned_gain(bf, ch)
-    assert y[ch.max_delay] == pytest.approx(gain)
-    others = np.delete(y, ch.max_delay)
+    n_max = int(ch.path_delays.max())
+    assert y[n_max] == pytest.approx(gain)
+    others = np.delete(y, n_max)
     assert np.max(np.abs(others)) < 1e-12 * abs(gain)
 
 
@@ -398,10 +399,9 @@ def test_papr_row_sum_is_the_axis_0_sum_bit_for_bit():
     ch = random_channel(rng, 16, 5, [0, 3, 4, 9, 11])
     dam = build_dam_block(generate_symbols(rng, 4096, "gaussian"),
                           mrt_problem(ch, 1.0).solve(0.0).beamformer)
-    scen = ScenarioConfig.from_timing(bandwidth_hz=1e8, carrier_frequency_hz=28e9,
-                                      coherence_time_s=2560e-8, guard_time_s=16e-8,
-                                      num_antennas=16, transmit_power_w=1.0,
-                                      noise_power_w=1.0)
+    scen = ScenarioConfig(bandwidth_hz=1e8, carrier_frequency_hz=28e9,
+                          coherence_time_s=2560e-8, guard_length=16, num_antennas=16,
+                          transmit_power_w=1.0, noise_power_w=1.0)
     cfg = OfdmConfig(scen.bandwidth_hz, scen.guard_length, scen.block_length,
                      complex_normal(rng, (16, 64)))
     grid = generate_symbols(rng, 64 * cfg.symbols_per_block, "qpsk").symbols
