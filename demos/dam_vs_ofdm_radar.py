@@ -19,7 +19,6 @@ from damisac.channel import (
     ScenarioConfig,
     apply_radar_channel,
     radar_round_trip_gain,
-    steering_vector,
 )
 from damisac.ofdm import (
     OfdmConfig,
@@ -70,16 +69,14 @@ def main() -> None:
 
     print("\nmeasured PAPR (8192-sample QPSK streams):")
     for paths in (2, 5, 8):
-        a = steering_vector(0.4, sc.num_antennas)
-        f = np.sqrt(sc.transmit_power_w / (sc.num_antennas * paths)) \
-            * np.tile(a[:, None], (1, paths))
-        bf = DamBeamformer.aligned(f, np.arange(paths) * 3)
+        bf = DamBeamformer.steered(0.4, sc.num_antennas, sc.transmit_power_w,
+                                   np.arange(paths) * 3)
         tx = build_dam_block(generate_symbols(rng, 8192, "qpsk"), bf)
         inst = np.sum(np.abs(tx) ** 2, axis=0)
         # peak over the power budget obeys the hard L-fold bound; max/mean
         # can sit slightly above it because the schedule ramp-in lowers the
         # block mean
-        peak_ratio = inst.max() / np.sum(np.abs(f) ** 2)      # sum_l ||f_l||^2
+        peak_ratio = inst.max() / np.sum(np.abs(bf.beam_matrix) ** 2)   # sum_l ||f_l||^2
         print(f"  aligned, L = {paths}: peak/budget {peak_ratio:5.2f} "
               f"(bound {paths}), max/mean {papr_empirical(tx):5.2f}")
     # the OFDM transmit without its prefixes, steered like the aligned streams
@@ -105,10 +102,8 @@ def main() -> None:
           f"(aligned-waveform limit {lim_dam.max_doppler_hz / 1e6:.1f} MHz, "
           f"OFDM tolerance {lim_ofdm.max_doppler_hz / 1e3:.1f} kHz)")
 
-    a = steering_vector(np.pi / 6, sc_fast.num_antennas)
-    f = np.sqrt(sc_fast.transmit_power_w / (sc_fast.num_antennas * NUM_PATHS)) \
-        * np.tile(a[:, None], (1, NUM_PATHS))
-    bf = DamBeamformer.aligned(f, np.array([0, 3, 7, 12, 20]))
+    bf = DamBeamformer.steered(np.pi / 6, sc_fast.num_antennas, sc_fast.transmit_power_w,
+                               np.array([0, 3, 7, 12, 20]))
     block = generate_symbols(rng, n, "qpsk")
     tx = build_dam_block(block, bf)
     echo = apply_radar_channel(target, tx, 1e-8, sc_fast.noise_power_w, rng)

@@ -10,7 +10,7 @@ scales linearly with it.
 
 import numpy as np
 
-from damisac.channel import RadarTarget, ScenarioConfig, apply_radar_channel, steering_vector
+from damisac.channel import RadarTarget, ScenarioConfig, apply_radar_channel
 from damisac.sensing import (
     SensingGrid,
     dam_ambiguity_limits,
@@ -22,7 +22,6 @@ from damisac.waveform import DamBeamformer, build_dam_block, generate_symbols
 
 SEED = 7
 BLOCK_LEN = 32768   # reduced N for the demo
-NUM_PATHS = 3
 RANGE_M = 200.0
 VELOCITY_M_S = 30.0
 
@@ -44,11 +43,8 @@ def main() -> None:
           f"velocity resolution {lim.velocity_resolution_m_s:.3f} m/s")
 
     # all power on the target direction, split over aligned streams
-    m = sc.num_antennas
-    a = steering_vector(target.direction, m)
-    f = np.sqrt(sc.transmit_power_w / (m * NUM_PATHS)) \
-        * np.tile(a[:, None], (1, NUM_PATHS))
-    bf = DamBeamformer.aligned(f, np.array([0, 4, 11]))
+    bf = DamBeamformer.steered(target.direction, sc.num_antennas, sc.transmit_power_w,
+                               np.array([0, 4, 11]))
 
     block = generate_symbols(rng, BLOCK_LEN, "qpsk")
     tx = build_dam_block(block, bf)

@@ -37,9 +37,10 @@ def main(seed: int) -> None:
     # the MRT design, the solve at a zero sensing floor, does not depend on
     # the radar target, so any direction and gain will do
     bf = IsacProblem(channel, 0.0, 1.0, BLOCK_LEN, POWER_W, NOISE_W).solve(0.0).beamformer
+    n_max = int(channel.path_delays.max())
     print(f"channel delays n_l = {channel.path_delays.tolist()}")
     print(f"schedule   kappa_l = {bf.delay_schedule.tolist()}  (all arrivals at lag "
-          f"{bf.n_max})")
+          f"{n_max})")
 
     power = np.sum(np.abs(bf.beam_matrix) ** 2)      # sum_l ||f_l||^2
     print(f"\ntransmit power: {power:.6f} W (budget {POWER_W} W)")
@@ -52,19 +53,18 @@ def main(seed: int) -> None:
     # an impulse probe shows the single-tap effective channel directly
     probe = generate_symbols(rng, 1, "qpsk")
     impulse = build_dam_block(probe, bf)
-    pad = np.zeros((NUM_ANTENNAS, bf.n_max + 4), dtype=complex)
+    pad = np.zeros((NUM_ANTENNAS, n_max + 4), dtype=complex)
     pad[:, :1] = impulse
     response = apply_comm_channel(channel, pad)
     mags = np.abs(response)
     print("\nimpulse response magnitude by lag:")
     for n, v in enumerate(mags):
-        marker = "  <- aligned tap" if n == bf.n_max else ""
+        marker = "  <- aligned tap" if n == n_max else ""
         print(f"  lag {n:2d}: {v:.3e}{marker}")
 
     # the aligned term (sum_l h_l^H f_l) s[n - n_max]; the ISI is whatever
     # else the noiseless received signal holds
     gain = np.sum(np.conj(channel.path_vectors) * bf.beam_matrix.T)
-    n_max = bf.n_max
     desired = np.zeros(BLOCK_LEN, dtype=complex)
     desired[n_max:] = gain * block.symbols[:BLOCK_LEN - n_max]
     isi = apply_comm_channel(channel, tx) - desired

@@ -562,8 +562,7 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> List[dict]:
         raise ConfigError(f"experiment.ofdm_subcarriers must be >= 4, so that the fast "
                           f"target's Doppler 2B/K lies within (-B/2, B/2], got {k}")
     a = steering_vector(theta, m)
-    f_full = np.sqrt(s.transmit_power_w / (m * num_paths)) * np.tile(a[:, None], (1, num_paths))
-    bf_full = waveform.DamBeamformer.aligned(f_full, np.arange(num_paths))
+    bf_full = waveform.DamBeamformer.steered(theta, m, s.transmit_power_w, np.arange(num_paths))
     ocfg = ofdm.OfdmConfig.steered(scen_mc, k, theta)
     i_sym = ocfg.symbols_per_block
 
@@ -607,7 +606,7 @@ def run_ofdm_compare(cfg: ExperimentConfig) -> List[dict]:
     schemes = {
         "dam": (num_paths, n_mc, sensing.dam_ambiguity_limits(scen_mc), papr_dam,
                 dam_hits / cfg.trials,
-                sensing.sensing_snr(f_full, theta, target.gain, n_mc, sigma2),
+                sensing.sensing_snr(bf_full.beam_matrix, theta, target.gain, n_mc, sigma2),
                 _echo_snr(dam_clean, sigma2)),
         # OFDM estimates are fftfreq(I, (K + N_p) T_s) bins, < df/2 from 0: none
         # within df of 2 df

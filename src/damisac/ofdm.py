@@ -60,11 +60,6 @@ class OfdmConfig:
         return self.bandwidth_hz / self.num_subcarriers
 
     @property
-    def symbol_duration_s(self) -> float:
-        """Core symbol duration K * T_s = 1 / subcarrier spacing."""
-        return self.num_subcarriers / self.bandwidth_hz
-
-    @property
     def sample_duration_s(self) -> float:
         return 1.0 / self.bandwidth_hz
 

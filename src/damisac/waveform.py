@@ -1,9 +1,9 @@
 """Delay alignment modulation: per-path delay pre-compensation and beamforming.
 
-Each symbol stream copy l is advanced-by-construction with kappa_l =
-n_max - n_l symbols and sent through its own beamformer f_l, so all L
-multipath arrivals line up at a single lag n_max at the receiver. With
-per-path zero-forcing the channel collapses to a single-tap link.
+Each symbol stream copy l is delayed by kappa_l = n_max - n_l symbols, with
+n_max the channel's largest delay, and sent through its own beamformer f_l,
+so all L multipath arrivals line up at the single lag n_max at the receiver.
+With per-path zero-forcing the channel collapses to a single-tap link.
 """
 
 from __future__ import annotations
@@ -71,12 +71,11 @@ class DamBeamformer:
     """Per-path beamformers with their delay pre-compensation schedule.
 
     beam_matrix holds f_l as column l (shape (M, L)); delay_schedule holds
-    kappa_l; n_max is the common alignment lag of the bound channel.
+    kappa_l. The common alignment lag n_max is the bound channel's largest delay.
     """
 
     beam_matrix: np.ndarray
     delay_schedule: np.ndarray
-    n_max: int
 
     def __post_init__(self):
         self.beam_matrix = np.asarray(self.beam_matrix, dtype=complex)
@@ -89,8 +88,6 @@ class DamBeamformer:
             raise ValueError("delay schedule entries must be non-negative")
         if not _distinct(self.delay_schedule):
             raise ValueError("delay schedule entries must be pairwise distinct")
-        if self.n_max < self.delay_schedule.max():
-            raise ValueError("n_max must be at least the largest schedule entry")
 
     @property
     def num_antennas(self) -> int:
@@ -112,8 +109,16 @@ class DamBeamformer:
         delays = np.asarray(path_delays, dtype=int)
         if np.any(delays < 0):
             raise ValueError("path delays must be non-negative")
-        n_max = int(delays.max())
-        return cls(beam_matrix, n_max - delays, n_max)
+        return cls(beam_matrix, delays.max() - delays)
+
+    @classmethod
+    def steered(cls, theta: float, num_antennas: int, power: float,
+                path_delays) -> "DamBeamformer":
+        """Radar mode: power P split equally over the L = len(path_delays)
+        streams, each steered at theta, f_l = sqrt(P / (M L)) a(theta)."""
+        l, a_theta = len(path_delays), steering_vector(theta, num_antennas)
+        beams = np.sqrt(power / (num_antennas * l)) * np.tile(a_theta[:, None], (1, l))
+        return cls.aligned(beams, path_delays)
 
 
 def delayed_symbol_matrix(symbols: np.ndarray, kappa) -> np.ndarray:

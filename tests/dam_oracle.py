@@ -31,11 +31,11 @@ def decompose_received(bf: DamBeamformer, channel: MultipathChannel,
     Their sum reproduces apply_comm_channel at zero noise. bf must be bound to
     the channel's delays (`DamBeamformer.aligned`).
     """
-    if not np.array_equal(bf.delay_schedule,
-                          int(channel.path_delays.max()) - channel.path_delays):
+    n_max = int(channel.path_delays.max())
+    if not np.array_equal(bf.delay_schedule, n_max - channel.path_delays):
         raise ValueError("beamformer delay schedule is not aligned to this channel")
     s = block.symbols
-    desired = aligned_gain(bf, channel) * _shift_zero_prefix(s, bf.n_max)
+    desired = aligned_gain(bf, channel) * _shift_zero_prefix(s, n_max)
     isi = np.zeros_like(desired)
     cross = np.conj(channel.path_vectors) @ bf.beam_matrix  # (L, L): [l, l'] = h_l^H f_l'
     for l in range(channel.num_paths):

@@ -151,9 +151,7 @@ def test_03_sensing_snr_monte_carlo():
         gap_db = 10.0 * np.log10(measured_peak_snr(bf) / predicted)
         assert abs(gap_db) < 0.5
 
-        a = steering_vector(theta, m)
-        f = np.sqrt(power / (m * 3)) * np.tile(a[:, None], (1, 3))
-        bf_steered = DamBeamformer.aligned(f, delays)
+        bf_steered = DamBeamformer.steered(theta, m, power, delays)
         ceiling = max_sensing_snr(m, n, power, alpha, sigma2)
         gap_db = 10.0 * np.log10(measured_peak_snr(bf_steered) / ceiling)
         assert abs(gap_db) < 0.5
@@ -402,11 +400,8 @@ def test_08_aligned_vs_ofdm():
         assert gamma_dam / gamma_ofdm == pytest.approx(ratio, rel=1e-12)
 
         rng = np.random.default_rng(880)
-        a = steering_vector(theta, m)
         delays = np.array([0, 3, 7, 12, 20])
-        f = np.sqrt(peak_power / num_paths / (m * num_paths)) \
-            * np.tile(a[:, None], (1, num_paths))
-        bf = DamBeamformer.aligned(f, delays)
+        bf = DamBeamformer.steered(theta, m, peak_power / num_paths, delays)
         block = generate_symbols(rng, n, "qpsk")
         tx = build_dam_block(block, bf)
         target = RadarTarget(gain=alpha, direction=theta, delay_symbols=12,
@@ -434,10 +429,7 @@ def test_08_aligned_vs_ofdm():
         gain = np.sqrt(radar_round_trip_gain(200.0, sc8.wavelength_m, 20.0))
         target8 = RadarTarget(gain=gain, direction=np.pi / 6,
                               delay_symbols=133, doppler_hz=f_fast)
-        a8 = steering_vector(np.pi / 6, m8)
-        f8 = np.sqrt(sc8.transmit_power_w / (m8 * num_paths)) \
-            * np.tile(a8[:, None], (1, num_paths))
-        bf8 = DamBeamformer.aligned(f8, delays)
+        bf8 = DamBeamformer.steered(np.pi / 6, m8, sc8.transmit_power_w, delays)
         gamma_p = sensing_snr(bf8.beam_matrix, np.pi / 6, gain, n8,
                               sc8.noise_power_w)
         assert gamma_p >= 100.0  # at least 20 dB at the probe cell
@@ -487,12 +479,10 @@ def test_08_aligned_vs_ofdm():
                 papr_ofdm = papr_empirical(ofdm_time_domain(cfg_c, grid_c))
                 assert papr_ofdm > papr_dam
         # adversarial identical-beam design still respects the peak bound
-        a_c = steering_vector(0.3, 16)
-        f_adv = np.sqrt(1.0 / (16 * 5)) * np.tile(a_c[:, None], (1, 5))
-        bf_adv = DamBeamformer.aligned(f_adv, np.arange(5))
+        bf_adv = DamBeamformer.steered(0.3, 16, 1.0, np.arange(5))
         tx_adv = build_dam_block(generate_symbols(rng_c, 8192, "qpsk"), bf_adv)
         peak_adv = np.max(np.sum(np.abs(tx_adv) ** 2, axis=0))
-        assert peak_adv <= 5 * np.sum(np.abs(f_adv) ** 2) * (1 + 1e-12)
+        assert peak_adv <= 5 * np.sum(np.abs(bf_adv.beam_matrix) ** 2) * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------

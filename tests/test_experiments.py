@@ -740,8 +740,7 @@ def test_unit_template_noise_variance():
     theta = target.direction
     rng = np.random.default_rng(11)
 
-    a = steering_vector(theta, s.num_antennas)
-    bf = DamBeamformer.aligned(np.tile(a[:, None], (1, num_paths)), np.arange(num_paths))
+    bf = DamBeamformer.steered(theta, s.num_antennas, s.transmit_power_w, np.arange(num_paths))
     block = generate_symbols(rng, n_mc, "qpsk")
     tx = build_dam_block(block, bf)
     u = matched_filter_template(bf, block, theta, target.delay_symbols, target.doppler_hz,
@@ -1391,6 +1390,8 @@ def test_ofdm_echo_past_the_prefix_loses_snr(tmp_path):
 
 # Runs the four experiments in a fresh interpreter in which any scipy import
 # raises, then reports the exit codes and every scipy module that got loaded.
+# Every fresh interpreter below runs with warnings as errors, so a warning in a
+# default run or in the thread matrix fails the suite.
 WITHOUT_SCIPY = """
 import json, sys
 sys.modules["scipy"] = None
@@ -1409,7 +1410,7 @@ def _run_experiments_in_fresh_interpreter(script, tmp_path, out="out", **env_var
     env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(README.parent / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script, str(config),
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script, str(config),
                            str(tmp_path / out), *EXPERIMENTS],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -1439,8 +1440,8 @@ sc, n = cfg.scenario, 2048
 target = channel.RadarTarget.from_geometry(sc, cfg.target.range_m, cfg.target.rcs_m2,
                                            cfg.target.direction_rad,
                                            cfg.target.radial_velocity_m_s, rng=cfg.rng(3, 0))
-a = channel.steering_vector(target.direction, sc.num_antennas)
-bf = waveform.DamBeamformer.aligned(np.tile(a[:, None], (1, 3)), np.arange(3))
+bf = waveform.DamBeamformer.steered(target.direction, sc.num_antennas, sc.transmit_power_w,
+                                    np.arange(3))
 block = waveform.generate_symbols(cfg.rng(3, 1), n, cfg.modulation)
 echo = channel.apply_radar_channel(target, waveform.build_dam_block(block, bf),
                                    sc.symbol_duration_s, sc.noise_power_w, cfg.rng(3, 2),
@@ -1499,7 +1500,7 @@ def test_csvs_do_not_depend_on_the_blas_thread_count(tmp_path):
     for threads in ("1", "2"):
         with open(tmp_path / f"err{threads}.txt", "w") as err:
             procs[threads] = subprocess.Popen(
-                [sys.executable, "-c", RUN_MATRIX, str(tmp_path / f"out{threads}"),
+                [sys.executable, "-W", "error", "-c", RUN_MATRIX, str(tmp_path / f"out{threads}"),
                  json.dumps(runs)], env=dict(env, OPENBLAS_NUM_THREADS=threads),
                 stdout=subprocess.DEVNULL, stderr=err)
     for threads, proc in procs.items():

@@ -206,7 +206,9 @@ def test_rx_shape_validation():
 def test_config_accounting():
     cfg = OfdmConfig.steered(small_scenario(), 32, theta=0.1)
     assert (cfg.num_antennas, cfg.num_subcarriers) == (4, 32)
-    assert cfg.subcarrier_spacing_hz * cfg.symbol_duration_s == pytest.approx(1.0)
+    # K subcarriers spaced B / K apart span the bandwidth B = 1 / T_s
+    assert (cfg.subcarrier_spacing_hz * cfg.num_subcarriers * cfg.sample_duration_s
+            == pytest.approx(1.0))
     assert cfg.symbols_per_block == 1280 // (32 + 8)
     # the budget splits equally: subcarrier k carries ||w_k||^2 = P / K
     norms = np.sum(np.abs(cfg.beamformers) ** 2, axis=0)

@@ -38,12 +38,6 @@ pytestmark = pytest.mark.blas
 TS = 1e-8
 
 
-def steered_beamformer(m, l, power=1.0, theta=0.3):
-    a = steering_vector(theta, m)
-    f = np.sqrt(power / (m * l)) * np.tile(a[:, None], (1, l))
-    return DamBeamformer.aligned(f, np.arange(l))
-
-
 def make_echo(bf, block, theta, delay, doppler_hz, gain=1.0, noise=0.0, rng=None):
     tx = build_dam_block(block, bf)
     target = RadarTarget(gain=gain, direction=theta, delay_symbols=delay,
@@ -89,7 +83,7 @@ def test_noiseless_peak_value():
     # at the true cell the correlation is exactly gain * ||shifted waveform||
     rng = np.random.default_rng(3)
     block = generate_symbols(rng, 256, "qpsk")
-    bf = steered_beamformer(4, 2)
+    bf = DamBeamformer.steered(0.3, 4, 1.0, np.arange(2))
     theta, delay = 0.3, 7
     res = 1.0 / (256 * TS)
     doppler = 3 * res
@@ -236,7 +230,7 @@ def traced_map_peak_and_bound(fold):
     n, q = 65_536, 129
     rng = np.random.default_rng(17)
     block = generate_symbols(rng, n, "qpsk")
-    bf = steered_beamformer(4, 3)
+    bf = DamBeamformer.steered(0.3, 4, 1.0, np.arange(3))
     echo = complex_normal(rng, (n,))
     grid = SensingGrid.survey(200, n, TS)
     if not fold:
@@ -392,7 +386,7 @@ def test_correlation_leakage_scales_inverse_sqrt_n():
 def test_sensing_snr_steered_hits_ceiling():
     m, l, n, p, sigma2 = 8, 3, 2048, 2.0, 0.5
     gain = 0.3 + 0.1j
-    bf = steered_beamformer(m, l, p, theta=0.3)
+    bf = DamBeamformer.steered(0.3, m, p, np.arange(l))
     got = sensing_snr(bf.beam_matrix, 0.3, gain, n, sigma2)
     assert got == pytest.approx(max_sensing_snr(m, n, p, gain, sigma2), rel=1e-12)
 
@@ -428,7 +422,7 @@ def test_estimate_on_grid_noiseless_exact():
     rng = np.random.default_rng(12)
     n = 512
     block = generate_symbols(rng, n, "qpsk")
-    bf = steered_beamformer(4, 2)
+    bf = DamBeamformer.steered(0.3, 4, 1.0, np.arange(2))
     res = 1.0 / (n * TS)
     delay, doppler = 6, -2 * res
     echo = make_echo(bf, block, 0.3, delay, doppler)
@@ -444,7 +438,7 @@ def test_estimate_at_20db_peak_snr():
     rng = np.random.default_rng(13)
     n, m, l = 1024, 8, 2
     block = generate_symbols(rng, n, "qpsk")
-    bf = steered_beamformer(m, l, 1.0, theta=0.3)
+    bf = DamBeamformer.steered(0.3, m, 1.0, np.arange(l))
     sigma2 = max_sensing_snr(m, n, 1.0, 1.0, 1.0) / 100.0   # gamma_p = 20 dB
     res = 1.0 / (n * TS)
     delay, doppler = 9, 2 * res
@@ -462,7 +456,7 @@ def test_estimate_off_grid_doppler_within_one_bin():
     rng = np.random.default_rng(14)
     n = 512
     block = generate_symbols(rng, n, "qpsk")
-    bf = steered_beamformer(4, 2)
+    bf = DamBeamformer.steered(0.3, 4, 1.0, np.arange(2))
     res = 1.0 / (n * TS)
     doppler = 2.4 * res
     echo = make_echo(bf, block, 0.3, 5, doppler)

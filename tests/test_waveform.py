@@ -72,25 +72,43 @@ def test_aligned_schedule_property(delays):
 def test_beamformer_validates_schedule():
     f = np.ones((4, 2), dtype=complex)
     with pytest.raises(ValueError, match="pairwise distinct"):
-        DamBeamformer(f, np.array([1, 1]), 1)
-    with pytest.raises(ValueError):
-        DamBeamformer(f, np.array([0, 3]), 2)
+        DamBeamformer(f, np.array([1, 1]))
     # unsorted and non-adjacent repeats, given as a schedule or as delays
     for delays in ([2, 2, 5], [5, 2, 5], [0, 3, 7, 3]):
         g = np.ones((4, len(delays)), dtype=complex)
         with pytest.raises(ValueError, match="pairwise distinct"):
-            DamBeamformer(g, np.array(delays), 7)
+            DamBeamformer(g, np.array(delays))
         with pytest.raises(ValueError, match="pairwise distinct"):
             DamBeamformer.aligned(g, delays)
     for delays in ([-1, 3], [-1, 0]):
         with pytest.raises(ValueError, match="path delays must be non-negative"):
             DamBeamformer.aligned(f, delays)
-    bf = DamBeamformer.aligned(f, [2, 7])
-    assert bf.n_max == 7
+    delays = np.array([2, 7])
+    bf = DamBeamformer.aligned(f, delays)
+    assert np.array_equal(bf.delay_schedule, delays.max() - delays)
     assert np.array_equal(bf.delay_schedule, [5, 0])
-    one = DamBeamformer(f[:, :1], np.array([0]), 0)
+    one = DamBeamformer(f[:, :1], np.array([0]))
     assert one.num_paths == 1
     assert np.array_equal(DamBeamformer.aligned(f[:, :1], [3]).delay_schedule, [0])
+
+
+def test_steered_is_the_aligned_all_power_design():
+    # f_l = sqrt(P / (M L)) a(theta) for every stream, bit for bit, at total
+    # power P, bound by the schedule max(d) - d
+    m, p, theta = 64, 1.0, np.pi / 6
+    a = steering_vector(theta, m)
+    for delays in (np.arange(5), np.array([0, 4, 11])):
+        l = delays.size
+        bf = DamBeamformer.steered(theta, m, p, delays)
+        assert bf.beam_matrix.shape == (m, l)
+        for col in bf.beam_matrix.T:
+            np.testing.assert_array_equal(col, np.sqrt(p / (m * l)) * a)
+        assert np.sum(np.abs(bf.beam_matrix) ** 2) == pytest.approx(p, rel=1e-12, abs=0)
+        np.testing.assert_array_equal(bf.delay_schedule, delays.max() - delays)
+    with pytest.raises(ValueError, match="path delays must be non-negative"):
+        DamBeamformer.steered(theta, m, p, [-1, 3])
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        DamBeamformer.steered(theta, m, p, [0, 3, 3])
 
 
 # ------------------------------------------------------------------- symbols
@@ -159,7 +177,7 @@ def test_single_path_passthrough():
     sym = generate_symbols(np.random.default_rng(4), 16, "qpsk")
     f = np.zeros((3, 1), dtype=complex)
     f[0, 0] = 1.0
-    bf = DamBeamformer(f, np.array([0]), 0)
+    bf = DamBeamformer(f, np.array([0]))
     block = build_dam_block(sym, bf)
     assert np.allclose(block[0], sym.symbols)
     assert np.allclose(block[1:], 0.0)
@@ -226,10 +244,11 @@ def test_comm_snr_matches_empirical():
     tx = build_dam_block(sym, bf)
     y = apply_comm_channel(ch, tx, sigma2, rng)
     gain = aligned_gain(bf, ch)
+    n_max = int(ch.path_delays.max())
     shifted = np.zeros_like(sym.symbols)
-    shifted[bf.n_max:] = sym.symbols[:sym.symbols.size - bf.n_max]
+    shifted[n_max:] = sym.symbols[:sym.symbols.size - n_max]
     noise = y - gain * shifted
-    measured = np.abs(gain) ** 2 / np.mean(np.abs(noise[bf.n_max:]) ** 2)
+    measured = np.abs(gain) ** 2 / np.mean(np.abs(noise[n_max:]) ** 2)
     assert abs(10 * np.log10(measured / sol.gamma_c)) < 0.2
 
 
@@ -316,7 +335,7 @@ def test_projected_dam_block_matches_the_matrix_oracle(data):
                                min_size=l, max_size=l, unique=True))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     block = generate_symbols(rng, n, data.draw(st.sampled_from(["qpsk", "gaussian"])))
-    bf = DamBeamformer(complex_normal(rng, (m, l)), kappa, max(kappa))
+    bf = DamBeamformer(complex_normal(rng, (m, l)), kappa)
     theta = data.draw(st.floats(-np.pi / 2, np.pi / 2))
     got = projected_dam_block(block, bf, theta)
     want = projected_block(block, bf, theta)
@@ -359,7 +378,7 @@ def test_papr_single_path_psk_is_flat():
     rng = np.random.default_rng(18)
     sym = generate_symbols(rng, 512, "qpsk")
     f = complex_normal(rng, (4, 1))
-    bf = DamBeamformer(f, np.array([0]), 0)
+    bf = DamBeamformer(f, np.array([0]))
     assert papr_empirical(build_dam_block(sym, bf)) == pytest.approx(1.0)
 
 
@@ -379,9 +398,8 @@ def test_papr_peak_power_exact_bound():
     # exceeds (sum_l ||f_l||)^2, reached only under full coherent alignment
     rng = np.random.default_rng(20)
     l, m = 4, 8
-    a = steering_vector(0.2, m)
-    f = np.sqrt(1.0 / (m * l)) * np.tile(a[:, None], (1, l))
-    bf = DamBeamformer.aligned(f, np.arange(l))
+    bf = DamBeamformer.steered(0.2, m, 1.0, np.arange(l))
+    f = bf.beam_matrix
     sym = generate_symbols(rng, 4096, "qpsk")
     tx = build_dam_block(sym, bf)
     peak = np.max(np.sum(np.abs(tx) ** 2, axis=0))
