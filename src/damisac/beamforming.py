@@ -31,7 +31,6 @@ import numpy as np
 from .channel import MultipathChannel, steering_vector
 from .errors import InfeasibleError
 from .waveform import DamBeamformer
-from . import sensing as _sensing
 
 # Most steps on delta (IsacProblem.solve): 60 midpoints leave 4 of [0, 1]'s 2^62 doubles.
 _DELTA_STEPS = 60
@@ -94,8 +93,9 @@ class IsacSolution:
     feasible gamma_c, so dual_bound - gamma_c bounds the optimality gap.
     iterations counts the Newton or midpoint steps on delta (IsacProblem.solve);
     it is 0 when a closed form gives the design. gamma_c, gamma_p,
-    zf_residual and power_used are the audit of the beamformer, as in
-    `BatchSolution`; an infeasible solve holds nan and no beamformer.
+    zf_residual and power_used audit the beamformer from its basis
+    coordinates, as in `BatchSolution`; an infeasible solve holds nan and no
+    beamformer.
     """
 
     beamformer: Optional[DamBeamformer]
@@ -223,22 +223,6 @@ def _search(eta: np.ndarray, r: np.ndarray, rho: np.ndarray):
     return y, bound, steps
 
 
-def _audit(beams: np.ndarray, h: np.ndarray, theta: float, gain: complex,
-           block_length: int, noise_power: float):
-    """Every constraint of the trade-off problem, recomputed from a stack of
-    beam matrices (B, M, L), each on its own channel's path vectors h
-    (B, L, M): the zero-forcing residual max_{l != l'} |h_l^H f_l'|, the
-    power, gamma_c and gamma_p, each (B,)."""
-    cross = np.conj(h) @ beams                           # (B, L, L), h_l^H f_l'
-    gamma_c = np.abs(np.trace(cross, axis1=1, axis2=2)) ** 2 / noise_power
-    diagonal = np.arange(h.shape[1])
-    cross[:, diagonal, diagonal] = 0.0
-    zf_residual = np.abs(cross).max(axis=(1, 2))
-    power_used = np.sum(np.abs(beams) ** 2, axis=(1, 2))
-    gamma_p = _sensing.sensing_snr(beams, theta, gain, block_length, noise_power)
-    return zf_residual, power_used, gamma_c, gamma_p
-
-
 def _set_up(h: np.ndarray, theta: float, gain: complex, block_length: int, power: float,
             noise_power: float):
     """The channel-only work of the trade-off problem for a stack of path
@@ -247,13 +231,17 @@ def _set_up(h: np.ndarray, theta: float, gain: complex, block_length: int, power
     Returns, per channel, the set-up of the rows: eta (unit norm) and r
     (B, L+1), the unit blocks g_l / ||g_l|| and the unit part of h orthogonal
     to them (B, L, M), with c_l = Q_l h_l the projected path responses, the
-    scale P ||c||^2 / sigma^2 of the search's dual value and gamma_zf_max (B,).
+    inner products of h_1 ... h_L and a with those L + L basis rows g_l, r_l
+    (B, L+1, 2L), the rows' Gram entries ||g_l||^2, ||r_l||^2 and g_l^H r_l
+    (B, 3, L), the scale P ||c||^2 / sigma^2 of the search's dual value and
+    gamma_zf_max (B,).
     A channel that leaves no design raises its own InfeasibleError, the
     first such channel in the stack first.
     """
     if power <= 0:
         raise ValueError("power must be positive")
-    c, g = _zf_project(h, h, np.broadcast_to(steering_vector(theta, h.shape[2]), h.shape))
+    a = np.broadcast_to(steering_vector(theta, h.shape[2]), h.shape)
+    c, g = _zf_project(h, h, a)
     norms2 = np.sum(np.abs(g) ** 2, axis=2)
     lengths = np.sqrt(norms2)
     g_unit = np.divide(g, lengths[..., None], out=np.zeros_like(g),
@@ -280,53 +268,69 @@ def _set_up(h: np.ndarray, theta: float, gain: complex, block_length: int, power
     # r_i = 1 - a_i / max(a): exactly 0 on the strongest target responses
     r = 1.0 - a_diag / top[:, None]
     ceiling = np.abs(gain) ** 2 * block_length * power / noise_power * top
-    return eta, r, g_unit, rest_unit, power / noise_power * norm2, ceiling
+    # what every row's audit is read from (_solve_rows); no product is
+    # assumed to be 0, so the audit measures what the projection left
+    basis = np.concatenate([g_unit, rest_unit], axis=1)                    # (B, 2L, M)
+    seen = np.conj(np.concatenate([h, a[:, :1]], axis=1)) @ np.swapaxes(basis, 1, 2)
+    pairs = basis.reshape(h.shape[0], 2, *h.shape[1:])
+    gram = np.sum(np.conj(pairs[:, [0, 1, 0]]) * pairs[:, [0, 1, 1]], axis=3)
+    return eta, r, g_unit, rest_unit, seen, gram, power / noise_power * norm2, ceiling
 
 
 def _beams(y: np.ndarray, g_unit: np.ndarray, rest_unit: np.ndarray,
            power: float) -> np.ndarray:
     """The beam matrices sqrt(P) b / ||b|| (B, M, L) of the b with basis
     coordinates y (B, L+1), row i in its channel's basis g_unit[i],
-    rest_unit[i] (B, L, M). Each beam f_l is contiguous in memory, so the
-    audit's sums over a beam matrix run in one order for any stack."""
+    rest_unit[i] (B, L, M): the beamformer `IsacProblem.solve` returns."""
     f = np.multiply(y[:, 1:, None], g_unit, out=np.empty(g_unit.shape, dtype=complex))
     f += y[:, :1, None] * rest_unit
     f *= np.sqrt(power / np.sum(y.real ** 2 + y.imag ** 2, axis=1))[:, None, None]
     return np.swapaxes(f, 1, 2)
 
 
-def _solve_rows(h: np.ndarray, setup: tuple, theta: float, gain: complex,
-                block_length: int, power: float, noise_power: float,
-                gamma_th) -> tuple:
-    """The trade-off solve of every (channel, floor) row of a stack of path
-    vectors h (B, L, M), given its `_set_up`, at the floors gamma_th: one
-    grid (G,) for all channels or one grid per channel (B, G).
+def _solve_rows(setup: tuple, gain: complex, block_length: int, power: float,
+                noise_power: float, gamma_th) -> tuple:
+    """The trade-off solve of every (channel, floor) row of a stack of
+    channels, given its `_set_up`, at the floors gamma_th: one grid (G,) for
+    all channels or one grid per channel (B, G).
 
-    All B G rows go through one search on delta, and each floor's B beams
-    through one audit. Returns the `BatchSolution` and the rows' basis
-    coordinates y (B, G, L+1), nan on an infeasible row.
+    All B G rows go through one search on delta. Each row's beams
+    f_l = s (y_{l+1} g_l + y_0 r_l), s = sqrt(P / ||y||^2), are audited from
+    the set-up's inner products in O(L^2), with no beam matrix built. Returns
+    the `BatchSolution` and the rows' basis coordinates y (B, G, L+1), nan on
+    an infeasible row.
     """
     gamma_th = np.asarray(gamma_th, dtype=float)
     if not np.all(gamma_th >= 0):
         raise ValueError("gamma_th must be >= 0")
-    eta, r, g_unit, rest_unit, scale, ceiling = setup
-    shape = (h.shape[0], gamma_th.shape[-1])
+    eta, r, _, _, seen, gram, scale, ceiling = setup
+    shape = (eta.shape[0], gamma_th.shape[-1])
     rho = 1.0 - np.broadcast_to(gamma_th, shape) / ceiling[:, None]
     y, bound, steps = _search(np.repeat(eta, shape[1], axis=0),
                               np.repeat(r, shape[1], axis=0), rho.ravel())
-    # one floor at a time over the whole stack: all B G beam matrices at once
-    # would hold M L complex values each (10 kB at M = 64, L = 10) and as much
-    # again in temporaries. An infeasible row's y is nan; its audit is set to nan.
+    # an infeasible row's y is nan, and so is its audit
     y, feasible = y.reshape(*shape, -1), rho >= 0
-    audit = np.empty((4, *shape))
-    for j in range(shape[1]):
-        audit[:, :, j] = _audit(_beams(y[:, j], g_unit, rest_unit, power), h, theta, gain,
-                                block_length, noise_power)
-    zf_residual, power_used, gamma_c, gamma_p = np.where(feasible, audit, np.nan)
-    return BatchSolution(gamma_c=gamma_c, gamma_p=gamma_p,
+    num_paths = y.shape[2] - 1
+    s2 = power / np.sum(y.real ** 2 + y.imag ** 2, axis=2)
+    y_g, y_0 = y[:, :, 1:], y[:, :, :1]
+    # (B, G, L+1, L): h_l^H f_l' in rows l < L, a^H f_l' in row L
+    seen_f = np.sqrt(s2)[..., None, None] * (y_g[:, :, None] * seen[:, None, :, :num_paths]
+                                             + y_0[:, :, None] * seen[:, None, :, num_paths:])
+    cross = seen_f[:, :, :num_paths]
+    gamma_c = np.abs(np.trace(cross, axis1=2, axis2=3)) ** 2 / noise_power
+    diagonal = np.arange(num_paths)
+    cross[:, :, diagonal, diagonal] = 0.0
+    zf_residual = np.abs(cross).max(axis=(2, 3))
+    gamma_p = (np.abs(gain) ** 2 * block_length
+               * np.sum(np.abs(seen_f[:, :, num_paths]) ** 2, axis=2) / noise_power)
+    g_g, r_r, g_r = gram[:, None, 0].real, gram[:, None, 1].real, gram[:, None, 2]
+    power_used = s2 * np.sum(np.abs(y_g) ** 2 * g_g + np.abs(y_0) ** 2 * r_r
+                             + 2.0 * (np.conj(y_g) * y_0 * g_r).real, axis=2)
+    audit = np.where(feasible, [zf_residual, power_used, gamma_c, gamma_p], np.nan)
+    return BatchSolution(gamma_c=audit[2], gamma_p=audit[3],
                          dual_bound=scale[:, None] * bound.reshape(shape),
-                         iterations=steps.reshape(shape), zf_residual=zf_residual,
-                         power_used=power_used, feasible=feasible), y
+                         iterations=steps.reshape(shape), zf_residual=audit[0],
+                         power_used=audit[1], feasible=feasible), y
 
 
 class IsacProblem:
@@ -352,8 +356,7 @@ class IsacProblem:
             raise ValueError("IsacProblem takes one channel; solve_batch takes a stack")
         self.channel, self.theta, self.gain = channel, theta, gain
         self.block_length, self.power, self.noise_power = block_length, power, noise_power
-        self._h = channel.path_vectors[None]
-        self._setup = _set_up(self._h, theta, gain, block_length, power, noise_power)
+        self._setup = _set_up(channel.path_vectors[None], theta, gain, block_length, power, noise_power)
         self.gamma_zf_max = float(self._setup[-1][0])
 
     def solve(self, gamma_th: float) -> IsacSolution:
@@ -376,8 +379,8 @@ class IsacProblem:
         a search.
         This is the one-row case of `solve_batch`, with the beamformer built.
         """
-        rows, y = _solve_rows(self._h, self._setup, self.theta, self.gain,
-                              self.block_length, self.power, self.noise_power, [gamma_th])
+        rows, y = _solve_rows(self._setup, self.gain, self.block_length, self.power,
+                              self.noise_power, [gamma_th])
         row = {f.name: getattr(rows, f.name)[0, 0].item() for f in fields(rows)}
         if not row.pop("feasible"):
             return IsacSolution(beamformer=None, status="infeasible", **row)
@@ -395,10 +398,11 @@ def solve_batch(channels: MultipathChannel, theta: float, gain: complex,
     The stack's (B, L, M) path vectors are read in place. gamma_th is one
     grid of floors (G,) for all channels, or one per channel (B, G). The
     set-up is one stacked call, all B G rows go through one search on delta,
-    and each floor's B beams through one audit. No beamformer is built.
+    and each row is audited from its basis coordinates. No beamformer and no
+    beam matrix is built.
     """
     h = channels.path_vectors
     if h.ndim != 3 or not h.shape[0]:
         raise ValueError("solve_batch needs a stack of one or more channels")
     setup = _set_up(h, theta, gain, block_length, power, noise_power)
-    return _solve_rows(h, setup, theta, gain, block_length, power, noise_power, gamma_th)[0]
+    return _solve_rows(setup, gain, block_length, power, noise_power, gamma_th)[0]

@@ -386,10 +386,10 @@ def run_se_sweep(cfg: ExperimentConfig) -> List[dict]:
     """Mean spectral efficiency of the trade-off design over random channels,
     per sensing threshold and per path count.
 
-    SE per realization is (N / N_c) log2(1 + gamma_c) with gamma_c recomputed
-    by the constraint audit; realizations whose zero-forcing ceiling falls
-    below the threshold are counted as infeasible and excluded from the mean,
-    which is nan where no realization is feasible.
+    SE per realization is (N / N_c) log2(1 + gamma_c), with gamma_c from the
+    audit `solve_batch` reports for each design; realizations whose
+    zero-forcing ceiling falls below the threshold are counted as infeasible
+    and excluded from the mean, which is nan where no realization is feasible.
     """
     s = cfg.scenario
     n = s.data_length

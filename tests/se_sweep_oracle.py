@@ -2,7 +2,8 @@
 
 run_se_sweep solves every (trial, floor) row of a path count in stacked
 calls; the tests pin it to this loop over IsacProblem.solve, on the same
-channel streams.
+channel streams. Each gamma_c is read off the beamformer the solve returns,
+|sum_l h_l^H f_l|^2 / sigma^2, not off the audit the solve reports.
 """
 
 import dataclasses
@@ -33,7 +34,10 @@ def se_sweep_rows(cfg: ExperimentConfig) -> list:
                 if sol.status == "infeasible":
                     infeasible[gi] += 1
                     continue
-                se_sum[gi] += (n / s.block_length) * np.log2(1.0 + sol.gamma_c)
+                f = sol.beamformer.beam_matrix
+                gain = sum(np.vdot(h_l, f[:, l]) for l, h_l in enumerate(channel.path_vectors))
+                gamma_c = np.abs(gain) ** 2 / s.noise_power_w
+                se_sum[gi] += (n / s.block_length) * np.log2(1.0 + gamma_c)
                 feasible[gi] += 1
         for gi, g_db in enumerate(cfg.gamma_th_grid_db):
             rows.append({"gamma_th_db": float(g_db), "num_paths": num_paths,

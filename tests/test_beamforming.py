@@ -493,7 +493,8 @@ def test_solve_batch_rows_match_one_row_solves():
     # floor 0 (MRT), the ceiling itself (rho = 0, the sensing beam), above it
     # (infeasible), a channel that misses the target (eta 0 on the strongest
     # response: the top-up, no search) and mid floors (the search on delta).
-    # Each row gives exactly what a one-row call gives, and closes its gap.
+    # Each row gives exactly what a one-row call gives, closes its gap, and
+    # reports the audit of the beamformer the one-row call builds.
     rng = np.random.default_rng(40)
     miss = MultipathChannel(np.array([[1.0, -1.0, 1.0, -1.0]]), np.arange(1))  # a(0)^H h = 0
     channels = [miss] + [random_channel(rng, 4, 1) for _ in range(3)]
@@ -505,7 +506,7 @@ def test_solve_batch_rows_match_one_row_solves():
     assert np.all(batch.iterations[:, [0, 5, 6, 7]] == 0)     # MRT, sensing, infeasible
     assert np.all(batch.iterations[0] == 0)                   # the top-up
     assert np.all(batch.iterations[1:, 3:5] > 0)              # the search
-    for i, problem in enumerate(problems):
+    for i, (ch, problem) in enumerate(zip(channels, problems)):
         for j, gamma_th in enumerate(floors[i]):
             one = problem.solve(gamma_th)
             assert batch.feasible[i, j] == (one.status == "optimal")
@@ -514,6 +515,7 @@ def test_solve_batch_rows_match_one_row_solves():
                 np.testing.assert_array_equal(getattr(batch, name)[i, j], getattr(one, name))
             if one.status == "optimal":
                 assert one.dual_bound - one.gamma_c <= 1e-8 * one.dual_bound
+                assert_audit(one, ch, theta=0.0)
             else:
                 assert np.isnan(batch.zf_residual[i, j]) and np.isnan(batch.power_used[i, j])
 
@@ -542,10 +544,7 @@ def test_solve_equals_its_batch_row_on_default_channels():
                     np.testing.assert_array_equal(getattr(batch, name)[i, j],
                                                   getattr(one, name))
                 if one.status == "optimal":
-                    residual, power, gamma_c, gamma_p = audit_oracle(one.beamformer, ch)
-                    assert one.power_used == pytest.approx(power, rel=1e-12)
-                    assert one.gamma_c == pytest.approx(gamma_c, rel=1e-12)
-                    assert one.gamma_p == pytest.approx(gamma_p, rel=1e-12)
+                    assert_audit(one, ch)
 
 
 
@@ -656,7 +655,7 @@ def test_isac_problem_takes_one_channel_and_a_channel_is_no_stack():
 
 # ----------------------------------------------------------------------- audit
 
-def audit_oracle(bf, ch):
+def audit_oracle(bf, ch, theta=THETA):
     """Each constraint recomputed from the beams, one path pair at a time:
     the zero-forcing residual max_{l != l'} |h_l^H f_l'|, the power, gamma_c
     and gamma_p."""
@@ -665,7 +664,17 @@ def audit_oracle(bf, ch):
     residual = max((abs(np.vdot(h[l], f[:, k])) for l, k in pairs), default=0.0)
     power = sum(np.linalg.norm(f[:, k]) ** 2 for k in range(ch.num_paths))
     return (residual, power, comm_snr(bf, ch),
-            sensing_snr(f, THETA, GAIN, N_BLOCK, SIGMA2))
+            sensing_snr(f, theta, GAIN, N_BLOCK, SIGMA2))
+
+
+def assert_audit(sol, ch, theta=THETA):
+    """The audit a solve reports, computed from the basis coordinates of its
+    design, is its beamformer's, recomputed from the beams."""
+    residual, power, gamma_c, gamma_p = audit_oracle(sol.beamformer, ch, theta)
+    assert sol.power_used == pytest.approx(power, rel=1e-12)
+    assert sol.gamma_c == pytest.approx(gamma_c, rel=1e-12)
+    assert sol.gamma_p == pytest.approx(gamma_p, rel=1e-12)
+    assert max(sol.zf_residual, residual) <= 1e-10 * np.max(np.abs(ch.path_vectors))
 
 
 @pytest.mark.blas
