@@ -58,7 +58,7 @@ def _zf_project(h: np.ndarray, *vector_sets: np.ndarray) -> list:
     u, s, vh = np.linalg.svd(np.swapaxes(h, 1, 2), full_matrices=False)  # H (B, M, L)
     tol = s[:, :1] * max(m, num_paths) * np.finfo(float).eps
     keep = s > tol                                     # (B, L), each row's first rank entries
-    u = u * keep[:, None, :]
+    u *= keep[:, None, :]
     # a perturbation within tol moves the null vectors by at most
     # tol / s[rank - 1] (Wedin's theorem); a column below that is zero. At
     # rank 0 that bound is infinite and no column is.
@@ -68,19 +68,31 @@ def _zf_project(h: np.ndarray, *vector_sets: np.ndarray) -> list:
                       where=keep[:, :, None])          # (B, M, L), columns c_l
     weight = np.divide(own, np.sum(np.abs(c) ** 2, axis=1), out=np.zeros(own.shape),
                        where=own)
-    out = []
-    for vs in vector_sets:
+    # U U^H v_l for every set first, so that u is freed before the products'
+    # buffer is made: beside the results and c, only one of the two is live
+    u_conj = np.conj(u)
+    coords = [vs @ u_conj for vs in vector_sets]               # rows (U^H v_l)^T
+    del u_conj
+    out = [coord @ np.swapaxes(u, 1, 2) for coord in coords]
+    del u
+    work = np.empty(c.size, dtype=complex)
+    for vs, projected in zip(vector_sets, out):
         # c_l^H v_l / ||c_l||^2. The product is laid out as numpy lays out one
         # channel's: by path for rows v_l of their own (each sum over m then
         # pairwise), by antenna for one vector broadcast to every path (summed
         # in m order). Fixed here, the sums do not change with the stack size.
         if vs.strides[1] == 0:
-            coef = np.sum(np.conj(c) * np.swapaxes(vs, 1, 2), axis=1)
+            prod = np.conj(c, out=work.reshape(c.shape))
+            prod *= np.swapaxes(vs, 1, 2)
+            coef = prod.sum(axis=1)
         else:
-            coef = np.multiply(np.conj(np.swapaxes(c, 1, 2)), vs,
-                               out=np.empty(vs.shape, dtype=complex)).sum(axis=2)
-        out.append(vs - (vs @ np.conj(u)) @ np.swapaxes(u, 1, 2)
-                   + (weight * coef)[:, :, None] * np.swapaxes(c, 1, 2))
+            prod = np.conj(np.swapaxes(c, 1, 2), out=work.reshape(vs.shape))
+            prod *= vs
+            coef = prod.sum(axis=2)
+        # v_l - U U^H v_l + weight_l coef_l c_l, summed in that order
+        np.subtract(vs, projected, out=projected)
+        projected += np.multiply((weight * coef)[:, :, None], np.swapaxes(c, 1, 2),
+                                 out=work.reshape(vs.shape))
     return out
 
 
@@ -228,28 +240,39 @@ def _set_up(h: np.ndarray, theta: float, gain: complex, block_length: int, power
     """The channel-only work of the trade-off problem for a stack of path
     vectors h (B, L, M); see `IsacProblem`.
 
-    Returns, per channel, the set-up of the rows: eta (unit norm) and r
-    (B, L+1), the unit blocks g_l / ||g_l|| and the unit part of h orthogonal
-    to them (B, L, M), with c_l = Q_l h_l the projected path responses, the
-    inner products of h_1 ... h_L and a with those L + L basis rows g_l, r_l
-    (B, L+1, 2L), the rows' Gram entries ||g_l||^2, ||r_l||^2 and g_l^H r_l
-    (B, 3, L), the scale P ||c||^2 / sigma^2 of the search's dual value and
-    gamma_zf_max (B,).
+    Returns, per channel, the set-up of the rows that `_solve_rows` reads:
+    eta (unit norm) and r (B, L+1), the inner products of h_1 ... h_L and a
+    with the L + L basis rows g_l, r_l (B, L+1, 2L), the rows' Gram entries
+    ||g_l||^2, ||r_l||^2 and g_l^H r_l (B, 3, L), the scale P ||c||^2 / sigma^2
+    of the search's dual value and gamma_zf_max (B,); and apart, the basis
+    rows a beamformer is built from: the unit blocks g_l / ||g_l|| and the
+    unit part of h orthogonal to them (B, L, M), with c_l = Q_l h_l the
+    projected path responses.
+    Its working memory beside h peaks at four (B, L, M) stacks: in
+    `_zf_project`, Q_l h_l and Q_l a beside c_l and u or the products'
+    buffer; then Q_l h_l and Q_l a beside the two basis stacks. The rest are
+    (B, L, L) and (B, L+1, 2L) arrays and numpy's ufunc buffers.
     A channel that leaves no design raises its own InfeasibleError, the
     first such channel in the stack first.
     """
     if power <= 0:
         raise ValueError("power must be positive")
-    a = np.broadcast_to(steering_vector(theta, h.shape[2]), h.shape)
+    num_channels, num_paths, m = h.shape
+    a = np.broadcast_to(steering_vector(theta, m), h.shape)
     c, g = _zf_project(h, h, a)
     norms2 = np.sum(np.abs(g) ** 2, axis=2)
     lengths = np.sqrt(norms2)
-    g_unit = np.divide(g, lengths[..., None], out=np.zeros_like(g),
-                       where=lengths[..., None] > 0)
-    beta = np.sum(np.conj(g_unit) * c, axis=2)
-    rest = c - beta[..., None] * g_unit
+    # the rows g_l / ||g_l|| and r_l side by side, (B, 2, L, M), for one
+    # product with h_1 ... h_L and a
+    basis = np.zeros((num_channels, 2, num_paths, m), dtype=complex)
+    g_unit, rest_unit = basis[:, 0], basis[:, 1]
+    np.divide(g, lengths[..., None], out=g_unit, where=lengths[..., None] > 0)
+    # g is not read again: its buffer holds the elementwise products
+    beta = np.multiply(np.conj(g_unit, out=g), c, out=g).sum(axis=2)
+    np.subtract(c, np.multiply(beta[..., None], g_unit, out=g), out=rest_unit)
+    del c, g
     # vecdot takes each row's dot product as np.linalg.norm and np.vdot do
-    flat = rest.reshape(rest.shape[0], -1)
+    flat = rest_unit.reshape(num_channels, -1)
     rest_norm = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
     eta = np.concatenate([rest_norm[:, None], beta], axis=1)
     norm2 = np.vecdot(eta, eta).real                 # ||c||^2
@@ -259,8 +282,8 @@ def _set_up(h: np.ndarray, theta: float, gain: complex, block_length: int, power
             raise InfeasibleError(
                 "target direction lies in the span of every interfering path set")
         raise InfeasibleError("all projected path responses vanish")
-    rest_unit = np.divide(rest, rest_norm[:, None, None], out=rest,
-                          where=rest_norm[:, None, None] > 0)
+    np.divide(rest_unit, rest_norm[:, None, None], out=rest_unit,
+              where=rest_norm[:, None, None] > 0)
     # eta to unit norm: no |y_i|^2 <= 1/delta^2 overflows, for any delta
     eta /= np.sqrt(np.vecdot(eta.real, eta.real) + np.vecdot(eta.imag, eta.imag))[:, None]
     a_diag = np.concatenate([np.zeros((norms2.shape[0], 1)), norms2], axis=1)
@@ -270,11 +293,12 @@ def _set_up(h: np.ndarray, theta: float, gain: complex, block_length: int, power
     ceiling = np.abs(gain) ** 2 * block_length * power / noise_power * top
     # what every row's audit is read from (_solve_rows); no product is
     # assumed to be 0, so the audit measures what the projection left
-    basis = np.concatenate([g_unit, rest_unit], axis=1)                    # (B, 2L, M)
-    seen = np.conj(np.concatenate([h, a[:, :1]], axis=1)) @ np.swapaxes(basis, 1, 2)
-    pairs = basis.reshape(h.shape[0], 2, *h.shape[1:])
-    gram = np.sum(np.conj(pairs[:, [0, 1, 0]]) * pairs[:, [0, 1, 1]], axis=3)
-    return eta, r, g_unit, rest_unit, seen, gram, power / noise_power * norm2, ceiling
+    responses = np.concatenate([h, a[:, :1]], axis=1)                      # (B, L+1, M)
+    seen = (np.conj(responses, out=responses)
+            @ np.swapaxes(basis.reshape(num_channels, -1, m), 1, 2))
+    gram = np.stack([np.vecdot(g_unit, g_unit), np.vecdot(rest_unit, rest_unit),
+                     np.vecdot(g_unit, rest_unit)], axis=1)
+    return (eta, r, seen, gram, power / noise_power * norm2, ceiling), (g_unit, rest_unit)
 
 
 def _beams(y: np.ndarray, g_unit: np.ndarray, rest_unit: np.ndarray,
@@ -291,8 +315,8 @@ def _beams(y: np.ndarray, g_unit: np.ndarray, rest_unit: np.ndarray,
 def _solve_rows(setup: tuple, gain: complex, block_length: int, power: float,
                 noise_power: float, gamma_th) -> tuple:
     """The trade-off solve of every (channel, floor) row of a stack of
-    channels, given its `_set_up`, at the floors gamma_th: one grid (G,) for
-    all channels or one grid per channel (B, G).
+    channels, given the rows' set-up from `_set_up`, at the floors gamma_th:
+    one grid (G,) for all channels or one grid per channel (B, G).
 
     All B G rows go through one search on delta. Each row's beams
     f_l = s (y_{l+1} g_l + y_0 r_l), s = sqrt(P / ||y||^2), are audited from
@@ -303,7 +327,7 @@ def _solve_rows(setup: tuple, gain: complex, block_length: int, power: float,
     gamma_th = np.asarray(gamma_th, dtype=float)
     if not np.all(gamma_th >= 0):
         raise ValueError("gamma_th must be >= 0")
-    eta, r, _, _, seen, gram, scale, ceiling = setup
+    eta, r, seen, gram, scale, ceiling = setup
     shape = (eta.shape[0], gamma_th.shape[-1])
     rho = 1.0 - np.broadcast_to(gamma_th, shape) / ceiling[:, None]
     y, bound, steps = _search(np.repeat(eta, shape[1], axis=0),
@@ -314,8 +338,9 @@ def _solve_rows(setup: tuple, gain: complex, block_length: int, power: float,
     s2 = power / np.sum(y.real ** 2 + y.imag ** 2, axis=2)
     y_g, y_0 = y[:, :, 1:], y[:, :, :1]
     # (B, G, L+1, L): h_l^H f_l' in rows l < L, a^H f_l' in row L
-    seen_f = np.sqrt(s2)[..., None, None] * (y_g[:, :, None] * seen[:, None, :, :num_paths]
-                                             + y_0[:, :, None] * seen[:, None, :, num_paths:])
+    seen_f = y_g[:, :, None] * seen[:, None, :, :num_paths]
+    seen_f += y_0[:, :, None] * seen[:, None, :, num_paths:]
+    np.multiply(np.sqrt(s2)[..., None, None], seen_f, out=seen_f)
     cross = seen_f[:, :, :num_paths]
     gamma_c = np.abs(np.trace(cross, axis1=2, axis2=3)) ** 2 / noise_power
     diagonal = np.arange(num_paths)
@@ -356,7 +381,8 @@ class IsacProblem:
             raise ValueError("IsacProblem takes one channel; solve_batch takes a stack")
         self.channel, self.theta, self.gain = channel, theta, gain
         self.block_length, self.power, self.noise_power = block_length, power, noise_power
-        self._setup = _set_up(channel.path_vectors[None], theta, gain, block_length, power, noise_power)
+        self._setup, self._basis = _set_up(channel.path_vectors[None], theta, gain,
+                                           block_length, power, noise_power)
         self.gamma_zf_max = float(self._setup[-1][0])
 
     def solve(self, gamma_th: float) -> IsacSolution:
@@ -384,7 +410,7 @@ class IsacProblem:
         row = {f.name: getattr(rows, f.name)[0, 0].item() for f in fields(rows)}
         if not row.pop("feasible"):
             return IsacSolution(beamformer=None, status="infeasible", **row)
-        beams = _beams(y[0], *self._setup[2:4], self.power)
+        beams = _beams(y[0], *self._basis, self.power)
         return IsacSolution(beamformer=DamBeamformer.aligned(beams[0], self.channel.path_delays),
                             status="optimal", **row)
 
@@ -399,10 +425,10 @@ def solve_batch(channels: MultipathChannel, theta: float, gain: complex,
     grid of floors (G,) for all channels, or one per channel (B, G). The
     set-up is one stacked call, all B G rows go through one search on delta,
     and each row is audited from its basis coordinates. No beamformer and no
-    beam matrix is built.
+    beam matrix is built, and the basis rows are freed before the search.
     """
     h = channels.path_vectors
     if h.ndim != 3 or not h.shape[0]:
         raise ValueError("solve_batch needs a stack of one or more channels")
-    setup = _set_up(h, theta, gain, block_length, power, noise_power)
+    setup = _set_up(h, theta, gain, block_length, power, noise_power)[0]
     return _solve_rows(setup, gain, block_length, power, noise_power, gamma_th)[0]

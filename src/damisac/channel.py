@@ -61,7 +61,8 @@ def steering_vector(theta, num_antennas: int) -> np.ndarray:
     if num_antennas < 1:
         raise ValueError("num_antennas must be >= 1")
     m = np.arange(num_antennas)
-    return np.exp(2j * np.pi * 0.5 * m * np.sin(theta)[..., None])
+    exponent = 2j * np.pi * 0.5 * m * np.sin(theta)[..., None]
+    return np.exp(exponent, out=exponent)
 
 
 @dataclass(frozen=True)
@@ -238,7 +239,9 @@ def generate_multipath_channels(scenario: ScenarioConfig, gen: ChannelGenConfig,
     The scaling, the steering vectors and the sub-path sums wait for the
     whole stack: sub-path i is added to the paths that drew it, one sub-path
     at a time, in the order a loop rounds it, so beside the O(B L
-    max_subpaths) draws, in two flat buffers, the sum holds O(B L M) values.
+    max_subpaths) draws, in two flat buffers, and the stack it returns, the
+    sum holds two (B, L, M) arrays at most: one sub-path's steering vectors,
+    scaled in place, and the rows of the stack that drew it.
     """
     num_paths, num_subpaths, m = gen.num_paths, gen.max_subpaths, scenario.num_antennas
     if num_paths > scenario.guard_length + 1:
@@ -267,12 +270,15 @@ def generate_multipath_channels(scenario: ScenarioConfig, gen: ChannelGenConfig,
     nu = _scaled(z[nu_re] + 1j * z[nu_re + np.repeat(mu, mu)], np.repeat(1.0 / mu, mu))
     beta_re = 2 * (first + mu + path)
     beta = _scaled(z[beta_re] + 1j * z[beta_re + 1], 1.0 / num_paths)
-    vectors = nu[first, None] * steering_vector(theta[first], m)
+    vectors = steering_vector(theta[first], m)
+    np.multiply(nu[first, None], vectors, out=vectors)
     for i in range(1, num_subpaths):
         drew = np.flatnonzero(mu > i)
         at = first[drew] + i
-        vectors[drew] += nu[at, None] * steering_vector(theta[at], m)
-    return MultipathChannel((beta[:, None] * vectors).reshape(len(rngs), num_paths, m), delays)
+        term = steering_vector(theta[at], m)
+        vectors[drew] += np.multiply(nu[at, None], term, out=term)
+    np.multiply(beta[:, None], vectors, out=vectors)
+    return MultipathChannel(vectors.reshape(len(rngs), num_paths, m), delays)
 
 
 @dataclass

@@ -47,7 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override the number of Monte Carlo trials; only se-sweep "
                              "and ofdm-compare read it")
     parser.add_argument("--gamma-th-grid", type=str, default=None, metavar="A:B:STEP",
-                        help="sensing threshold grid in dB, inclusive")
+                        help="sensing threshold grid in dB, inclusive; a grid that starts "
+                             "below 0 dB takes the = form, --gamma-th-grid=-10:0:5")
     return parser
 
 

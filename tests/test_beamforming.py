@@ -2,6 +2,8 @@
 zero-forcing sensing ceiling, and the trade-off solver against random search
 and its own dual bound."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -546,6 +548,60 @@ def test_solve_equals_its_batch_row_on_default_channels():
                 if one.status == "optimal":
                     assert_audit(one, ch)
 
+
+
+def test_solve_batch_memory_at_the_se_sweep_stack():
+    # se-sweep's stack: B = 20 channels of L = 10 paths, M = 64, G = 11
+    # floors. In stacks of h.nbytes, the traced peak above the input is the
+    # set-up's: 4 (B, L, M) stacks (in _zf_project, Q_l h_l and Q_l a beside
+    # c_l and the products' buffer), numpy's iterator buffers for two ufunc
+    # operands of np.getbufsize() complex entries each (1.28 here), and three
+    # (B, L, L) arrays, vh and the two sets' U^H v_l, with (B, L) vectors,
+    # within four (B, L, L) arrays (0.63): k = 5.9. The rows' audit peaks
+    # lower, at seen_f and its y_0 term (2 x 1.89) beside the set-up's
+    # inner products and the rows' y.
+    cfg = load_config(None)
+    sc, target = cfg.scenario, cfg.radar_target()
+    gen = ChannelGenConfig(num_paths=10)
+    channels = generate_multipath_channels(sc, gen, [cfg.rng(0, 1, trial) for trial in range(20)])
+    floors = 10.0 ** (np.asarray(cfg.gamma_th_grid_db) / 10.0)
+    h = channels.path_vectors
+    num_channels, num_paths, m = h.shape
+    assert (num_channels, num_paths, m, floors.size) == (20, 10, 64, 11)
+
+    def solve():
+        solve_batch(channels, target.direction, target.gain, sc.data_length,
+                    sc.transmit_power_w, sc.noise_power_w, floors)
+
+    solve()                             # numpy's and BLAS's first-call allocations
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffers = 2 * 16 * np.getbufsize()
+    small = 4 * num_channels * num_paths * num_paths * 16
+    k = 4 + (buffers + small) / h.nbytes
+    assert peak <= k * h.nbytes
+
+
+@pytest.mark.blas
+def test_set_up_gram_entries_are_the_basis_rows_inner_products():
+    # ||g_l||^2, ||r_l||^2 and g_l^H r_l (B, 3, L) of each channel's unit
+    # basis rows are np.vdot of the rows, to 1e-15 of ||g_l|| ||r_l||, which
+    # is 1, or 0 where the projection left a row 0
+    for stack in oracle_stacks():
+        h = np.stack([ch.path_vectors for ch in stack])
+        rows, (g_unit, rest_unit) = beamforming._set_up(h, THETA, GAIN, N_BLOCK, 1.0, SIGMA2)
+        gram = rows[3]
+        assert gram.shape == (h.shape[0], 3, h.shape[1])
+        for b in range(h.shape[0]):
+            for l, (g, r) in enumerate(zip(g_unit[b], rest_unit[b])):
+                for got, (x, y) in zip(gram[b, :, l], [(g, g), (r, r), (g, r)]):
+                    scale = np.linalg.norm(x) * np.linalg.norm(y)
+                    assert abs(got - np.vdot(x, y)) <= 1e-15 * scale
 
 
 @pytest.mark.blas

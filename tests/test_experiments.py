@@ -1197,6 +1197,28 @@ def test_cli_se_sweep_with_overrides(tmp_path, capsys):
     assert "mean SE" in stdout and "wrote CSV output" in stdout
 
 
+def test_cli_se_sweep_takes_a_negative_grid_after_an_equals_sign(tmp_path, capsys):
+    # after a space argparse reads "-10:0:5" as an option and exits 2; after
+    # "=" it is the grid, and the -10.0 dB rows, one per path count, are the
+    # run's at that grid, every trial feasible, the SE no lower than at 0 dB
+    with pytest.raises(SystemExit) as exited:
+        main(["se-sweep", "--gamma-th-grid", "-10:0:5"])
+    assert exited.value.code == 2
+    assert "--gamma-th-grid: expected one argument" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["se-sweep", "--trials", "3", "--gamma-th-grid=-10:0:5", "--out", str(out)]) == 0
+    lines = [l for l in (out / "se_sweep.csv").read_text().splitlines() if not l.startswith("#")]
+    table = list(csv.DictReader(lines))
+    assert [row["gamma_th_db"] for row in table] == ["-10.0", "-5.0", "0.0"] * 2
+    cfg = load_config(None)
+    cfg.trials, cfg.gamma_th_grid_db = 3, np.array([-10.0, -5.0, 0.0])
+    want = [{k: str(experiments._fmt(v)) for k, v in row.items()} for row in run_se_sweep(cfg)]
+    assert table == want
+    for low, zero in ((table[0], table[2]), (table[3], table[5])):
+        assert low["gamma_th_db"] == "-10.0" and (low["feasible"], low["infeasible"]) == ("3", "0")
+        assert float(low["mean_se_bps_hz"]) >= float(zero["mean_se_bps_hz"]) > 0
+
+
 @pytest.mark.parametrize("experiment", ["se-sweep", "ofdm-compare", "dd-map"])
 def test_returned_rows_are_the_csv_rows(tmp_path, experiment):
     # the header holds each row's keys, and each line one row's values;
