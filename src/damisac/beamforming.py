@@ -38,17 +38,20 @@ _DELTA_STEPS = 60
 _GAP_TOLERANCE = 1e-12
 
 
-def _zf_project(h: np.ndarray, *vector_sets: np.ndarray) -> list:
-    """Q_l v_l for every path l of every channel in a stack of path vectors
-    h (B, L, M), for each (B, L, M) array of rows v_l given.
+def _zf_project(h: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Q_l a and Q_l h_l for every path l of every channel in a stack of path
+    vectors h (B, L, M), for one vector a (M,): a (2, B, L, M) array, the
+    rows Q_l a in [0] and Q_l h_l in [1].
 
     Q_l projects onto the complement of the other paths' vectors. One thin
-    SVD of H = [h_1 ... h_L] gives every Q_l: with P the projector onto the
-    complement of span(H) and c_l = (H^+)^H e_l, the part of h_l that no other
-    path spans, Q_l = P + c_l c_l^H / ||c_l||^2. When h_l lies in the span of
-    the others, column l of H's null vectors is nonzero and Q_l = P. The
-    stack takes one batched SVD; each channel keeps its own rank, as a mask
-    over its singular values.
+    SVD H = [h_1 ... h_L] = U S V^H gives every Q_l: with c_l = (H^+)^H e_l
+    = U x_l, x_l = S^-1 V^H e_l, the part of h_l that no other path spans,
+    Q_l = I - U U^H + c_l c_l^H / ||c_l||^2, or I - U U^H where h_l lies in
+    the span of the others (column l of H's null vectors is nonzero). So
+    Q_l v = v - U z_l, z_l = U^H v - w_l x_l x_l^H U^H v, w_l = 1 / ||x_l||^2
+    or 0: one product with U for a and every h_l, whose coordinates
+    U^H h_l = S V^H e_l the SVD holds. The stack takes one batched SVD; each
+    channel keeps its own rank, as a mask over its singular values.
     """
     m, num_paths = h.shape[2], h.shape[1]
     if m < num_paths:
@@ -63,36 +66,21 @@ def _zf_project(h: np.ndarray, *vector_sets: np.ndarray) -> list:
     # tol / s[rank - 1] (Wedin's theorem); a column below that is zero. At
     # rank 0 that bound is infinite and no column is.
     least = np.where(keep, s, np.inf).min(axis=1, keepdims=True)     # s[rank - 1]
-    own = np.linalg.norm(vh * ~keep[:, :, None], axis=1) * least <= tol
-    c = u @ np.divide(vh, s[:, :, None], out=np.zeros_like(vh),
-                      where=keep[:, :, None])          # (B, M, L), columns c_l
-    weight = np.divide(own, np.sum(np.abs(c) ** 2, axis=1), out=np.zeros(own.shape),
-                       where=own)
-    # U U^H v_l for every set first, so that u is freed before the products'
-    # buffer is made: beside the results and c, only one of the two is live
-    u_conj = np.conj(u)
-    coords = [vs @ u_conj for vs in vector_sets]               # rows (U^H v_l)^T
-    del u_conj
-    out = [coord @ np.swapaxes(u, 1, 2) for coord in coords]
-    del u
-    work = np.empty(c.size, dtype=complex)
-    for vs, projected in zip(vector_sets, out):
-        # c_l^H v_l / ||c_l||^2. The product is laid out as numpy lays out one
-        # channel's: by path for rows v_l of their own (each sum over m then
-        # pairwise), by antenna for one vector broadcast to every path (summed
-        # in m order). Fixed here, the sums do not change with the stack size.
-        if vs.strides[1] == 0:
-            prod = np.conj(c, out=work.reshape(c.shape))
-            prod *= np.swapaxes(vs, 1, 2)
-            coef = prod.sum(axis=1)
-        else:
-            prod = np.conj(np.swapaxes(c, 1, 2), out=work.reshape(vs.shape))
-            prod *= vs
-            coef = prod.sum(axis=2)
-        # v_l - U U^H v_l + weight_l coef_l c_l, summed in that order
-        np.subtract(vs, projected, out=projected)
-        projected += np.multiply((weight * coef)[:, :, None], np.swapaxes(c, 1, 2),
-                                 out=work.reshape(vs.shape))
+    v_rows = np.swapaxes(vh, 1, 2)                      # row l: V^H e_l
+    own = np.sqrt(np.vecdot(v_rows, v_rows * ~keep[:, None, :]).real) * least <= tol
+    x = np.divide(v_rows, s[:, None, :], out=np.zeros_like(vh), where=keep[:, None, :])
+    weight = np.divide(own, np.vecdot(x, x).real, out=np.zeros(own.shape), where=own)
+    # -z_l in row l, (2, B, L, L): for a, then for h_l
+    u_rows = np.swapaxes(u, 1, 2)
+    coords = np.empty((2, *vh.shape), dtype=complex)
+    coords[0] = np.vecdot(u_rows, -a)[:, None]
+    np.multiply(v_rows, -np.where(keep, s, 0.0)[:, None, :], out=coords[1])
+    coords -= (weight * np.vecdot(x, coords))[..., None] * x
+    del vh, v_rows, x
+    out = np.matmul(coords, u_rows)      # -U z_l; v_l added last keeps a v_l the others miss
+    del u, u_rows
+    out[0] += a
+    out[1] += h
     return out
 
 
@@ -158,13 +146,12 @@ def _search(eta: np.ndarray, r: np.ndarray, rho: np.ndarray):
     y[at, top[at]] = 1.0
     # rho > 0: the floor reads excess = slope . |y|^2 <= 0; MRT, y(1) = eta, if it meets it
     rows = np.flatnonzero(rho > 0.0)
-    eta, r, rho, mag, strongest, top = (v[rows] for v in (eta, r, rho, mag, strongest, top))
-    slope = r - rho[:, None]
-    excess = np.sum(slope * mag ** 2, axis=1)
+    slope = r[rows] - rho[rows, None]
+    excess = np.sum(slope * mag[rows] ** 2, axis=1)
     mrt = excess <= 0
-    y[rows[mrt]], bound[rows[mrt]] = eta[mrt], 1.0
-    rows, eta, r, rho, mag, slope, strongest, top, excess = (
-        v[~mrt] for v in (rows, eta, r, rho, mag, slope, strongest, top, excess))
+    y[rows[mrt]], bound[rows[mrt]] = eta[rows[mrt]], 1.0
+    rows, slope, excess = rows[~mrt], slope[~mrt], excess[~mrt]
+    eta, r, rho, mag, strongest, top = (v[rows] for v in (eta, r, rho, mag, strongest, top))
     # delta = 0: y(0) off the strongest responses, topped up by c e_k, which
     # lowers the floor's left side by rho c^2. Where eta is 0 on all of them
     # its dual value rho eta^H y(0) is finite (and exact if c > 0).
@@ -194,6 +181,7 @@ def _search(eta: np.ndarray, r: np.ndarray, rho: np.ndarray):
     # tolerance, by a double at least.
     lo, row_steps, step = np.zeros(rows.size), np.zeros(rows.size, dtype=int), 0
     at, per_row = np.arange(rows.size), np.stack([r, mag, slope])
+    r, mag, slope = per_row                  # held once, as the stack's rows
     state = np.stack([lo, *np.ones((2, rows.size)), excess,
                       np.sum(slope * r * mag ** 2, axis=1), lo, gap, near])
     while at.size:
@@ -202,7 +190,9 @@ def _search(eta: np.ndarray, r: np.ndarray, rho: np.ndarray):
         if done.any():
             lo[at[done]], row_steps[at[done]] = a_lo[done], step
             at, per_row, state = at[~done], per_row[:, ~done], state[:, ~done]
-            continue
+            if not at.size:
+                break
+            a_lo, a_hi, delta, excess, dh, half_gap, gap, near = state
         step += 1
         with np.errstate(all="ignore"):
             q = excess / dh
@@ -242,35 +232,34 @@ def _set_up(h: np.ndarray, theta: float, gain: complex, block_length: int, power
 
     Returns, per channel, the set-up of the rows that `_solve_rows` reads:
     eta (unit norm) and r (B, L+1), the inner products of h_1 ... h_L and a
-    with the L + L basis rows g_l, r_l (B, L+1, 2L), the rows' Gram entries
+    with the basis rows g_l and r_l (2, B, L+1, L), the rows' Gram entries
     ||g_l||^2, ||r_l||^2 and g_l^H r_l (B, 3, L), the scale P ||c||^2 / sigma^2
     of the search's dual value and gamma_zf_max (B,); and apart, the basis
     rows a beamformer is built from: the unit blocks g_l / ||g_l|| and the
     unit part of h orthogonal to them (B, L, M), with c_l = Q_l h_l the
     projected path responses.
-    Its working memory beside h peaks at four (B, L, M) stacks: in
-    `_zf_project`, Q_l h_l and Q_l a beside c_l and u or the products'
-    buffer; then Q_l h_l and Q_l a beside the two basis stacks. The rest are
-    (B, L, L) and (B, L+1, 2L) arrays and numpy's ufunc buffers.
+    Its working memory beside h peaks at three (B, L, M) stacks, one ufunc
+    buffer of np.getbufsize() complex entries and a few (B, L, L) arrays: u
+    beside Q_l a and Q_l h_l in `_zf_project`, then the basis stacks, which
+    overwrite them, beside the products beta_l g_l / ||g_l|| or the (B, L+1,
+    M) responses h_1 ... h_L, a.
     A channel that leaves no design raises its own InfeasibleError, the
     first such channel in the stack first.
     """
     if power <= 0:
         raise ValueError("power must be positive")
     num_channels, num_paths, m = h.shape
-    a = np.broadcast_to(steering_vector(theta, m), h.shape)
-    c, g = _zf_project(h, h, a)
-    norms2 = np.sum(np.abs(g) ** 2, axis=2)
-    lengths = np.sqrt(norms2)
-    # the rows g_l / ||g_l|| and r_l side by side, (B, 2, L, M), for one
-    # product with h_1 ... h_L and a
-    basis = np.zeros((num_channels, 2, num_paths, m), dtype=complex)
-    g_unit, rest_unit = basis[:, 0], basis[:, 1]
-    np.divide(g, lengths[..., None], out=g_unit, where=lengths[..., None] > 0)
-    # g is not read again: its buffer holds the elementwise products
-    beta = np.multiply(np.conj(g_unit, out=g), c, out=g).sum(axis=2)
-    np.subtract(c, np.multiply(beta[..., None], g_unit, out=g), out=rest_unit)
-    del c, g
+    a = steering_vector(theta, m)
+    # the rows g_l / ||g_l|| and r_l, (2, B, L, M), for one product with
+    # h_1 ... h_L and a; each overwrites its projection
+    basis = _zf_project(h, a)
+    g_unit, rest_unit = basis
+    norms2 = np.vecdot(g_unit, g_unit).real
+    # numpy divides a complex by a real as a product with its reciprocal
+    g_unit *= np.divide(1.0, np.sqrt(norms2), out=np.zeros_like(norms2),
+                        where=norms2 > 0)[..., None]
+    beta = np.vecdot(g_unit, rest_unit)
+    rest_unit -= beta[..., None] * g_unit
     # vecdot takes each row's dot product as np.linalg.norm and np.vdot do
     flat = rest_unit.reshape(num_channels, -1)
     rest_norm = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
@@ -282,8 +271,8 @@ def _set_up(h: np.ndarray, theta: float, gain: complex, block_length: int, power
             raise InfeasibleError(
                 "target direction lies in the span of every interfering path set")
         raise InfeasibleError("all projected path responses vanish")
-    np.divide(rest_unit, rest_norm[:, None, None], out=rest_unit,
-              where=rest_norm[:, None, None] > 0)
+    rest_unit *= np.divide(1.0, rest_norm, out=np.zeros_like(rest_norm),
+                           where=rest_norm > 0)[:, None, None]
     # eta to unit norm: no |y_i|^2 <= 1/delta^2 overflows, for any delta
     eta /= np.sqrt(np.vecdot(eta.real, eta.real) + np.vecdot(eta.imag, eta.imag))[:, None]
     a_diag = np.concatenate([np.zeros((norms2.shape[0], 1)), norms2], axis=1)
@@ -293,9 +282,8 @@ def _set_up(h: np.ndarray, theta: float, gain: complex, block_length: int, power
     ceiling = np.abs(gain) ** 2 * block_length * power / noise_power * top
     # what every row's audit is read from (_solve_rows); no product is
     # assumed to be 0, so the audit measures what the projection left
-    responses = np.concatenate([h, a[:, :1]], axis=1)                      # (B, L+1, M)
-    seen = (np.conj(responses, out=responses)
-            @ np.swapaxes(basis.reshape(num_channels, -1, m), 1, 2))
+    responses = np.concatenate([h, np.broadcast_to(a, (num_channels, 1, m))], axis=1)
+    seen = np.conj(responses, out=responses) @ np.swapaxes(basis, 2, 3)
     gram = np.stack([np.vecdot(g_unit, g_unit), np.vecdot(rest_unit, rest_unit),
                      np.vecdot(g_unit, rest_unit)], axis=1)
     return (eta, r, seen, gram, power / noise_power * norm2, ceiling), (g_unit, rest_unit)
@@ -336,18 +324,30 @@ def _solve_rows(setup: tuple, gain: complex, block_length: int, power: float,
     y, feasible = y.reshape(*shape, -1), rho >= 0
     num_paths = y.shape[2] - 1
     s2 = power / np.sum(y.real ** 2 + y.imag ** 2, axis=2)
-    y_g, y_0 = y[:, :, 1:], y[:, :, :1]
-    # (B, G, L+1, L): h_l^H f_l' in rows l < L, a^H f_l' in row L
-    seen_f = y_g[:, :, None] * seen[:, None, :, :num_paths]
-    seen_f += y_0[:, :, None] * seen[:, None, :, num_paths:]
-    np.multiply(np.sqrt(s2)[..., None, None], seen_f, out=seen_f)
-    cross = seen_f[:, :, :num_paths]
-    gamma_c = np.abs(np.trace(cross, axis1=2, axis2=3)) ** 2 / noise_power
-    diagonal = np.arange(num_paths)
-    cross[:, :, diagonal, diagonal] = 0.0
-    zf_residual = np.abs(cross).max(axis=(2, 3))
+    y_g, y_0, scale_f = y[:, :, 1:], y[:, :, :1], np.sqrt(s2)[..., None]
+    paths = np.arange(num_paths)
+    # v^H f_l' = s (y_{l'+1} v^H g_l' + y_0 v^H r_l'), (B, G, L), for v = h_l'
+    # (gamma_c) and for v = a (gamma_p)
+    products = []
+    for ends in (seen[:, :, paths, paths], seen[:, :, num_paths]):
+        f = y_g * ends[0, :, None]
+        f += y_0 * ends[1, :, None]
+        f *= scale_f
+        products.append(f)
+    gamma_c = np.abs(products[0].sum(axis=2)) ** 2 / noise_power
     gamma_p = (np.abs(gain) ** 2 * block_length
-               * np.sum(np.abs(seen_f[:, :, num_paths]) ** 2, axis=2) / noise_power)
+               * np.sum(np.abs(products[1]) ** 2, axis=2) / noise_power)
+    del products
+    # the zero-forcing residual max |h_l^H f_l'| over l != l', one l at a
+    # time: no (B, G, L, L) array is made
+    cross = seen[:, :, :num_paths].copy()
+    cross[:, :, paths, paths] = 0.0
+    largest = np.empty(y_g.shape)
+    for l in paths:
+        row = y_g * cross[0, :, None, l]
+        row += y_0 * cross[1, :, None, l]
+        np.abs(row).max(axis=2, out=largest[..., l])
+    zf_residual = scale_f[..., 0] * largest.max(axis=2)
     g_g, r_r, g_r = gram[:, None, 0].real, gram[:, None, 1].real, gram[:, None, 2]
     power_used = s2 * np.sum(np.abs(y_g) ** 2 * g_g + np.abs(y_0) ** 2 * r_r
                              + 2.0 * (np.conj(y_g) * y_0 * g_r).real, axis=2)

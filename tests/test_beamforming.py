@@ -105,7 +105,7 @@ def test_designs_need_enough_antennas():
 
 
 def oracle_channels():
-    """The default channels at L = 5 and 10, then three edge channels."""
+    """The default channels at L = 5 and 10, then four edge channels."""
     sc = ScenarioConfig.mmwave_default()
     for num_paths in (5, 10):
         gen = ChannelGenConfig(num_paths=num_paths)
@@ -119,6 +119,9 @@ def oracle_channels():
     h[3] = h[1] + 2 * h[2]            # h_4 = h_2 + 2 h_3
     yield MultipathChannel(h, np.arange(4))
     yield random_channel(rng, 8, 1)
+    h = complex_normal(rng, (3, 8))
+    h[1] = (0.8 - 0.6j) * steering_vector(THETA, 8)    # a path along a(theta)
+    yield MultipathChannel(h, np.arange(3))
 
 
 def oracle_stacks():
@@ -136,22 +139,21 @@ def oracle_stacks():
 
 
 def test_zf_project_matches_the_oracle():
-    # every Q_l v from one SVD per channel, for a channel alone and for each
-    # member of a stack, against one projector per path; each result still
-    # nulls the other paths
-    rng = np.random.default_rng(4)
+    # Q_l a and Q_l h_l from one SVD per channel, for a channel alone and for
+    # each member of a stack, against one projector per path; each result
+    # still nulls the other paths
     for stack in oracle_stacks():
         h = np.stack([ch.path_vectors for ch in stack])
-        vector_sets = [h, np.broadcast_to(steering_vector(THETA, h.shape[2]), h.shape),
-                       complex_normal(rng, h.shape)]
-        projected_sets = _zf_project(h, *vector_sets)
+        a = steering_vector(THETA, h.shape[2])
+        projected = _zf_project(h, a)
+        assert projected.shape == (2, *h.shape)
         for b, ch in enumerate(stack):
-            qs = [nullspace_projector(ch, l) for l in range(ch.num_paths)]
-            for vs, projected in zip(vector_sets, projected_sets):
-                for l, (q, v, qv) in enumerate(zip(qs, vs[b], projected[b])):
+            for l in range(ch.num_paths):
+                q = nullspace_projector(ch, l)
+                others = np.delete(h[b], l, axis=0)
+                for v, qv in ((a, projected[0, b, l]), (h[b, l], projected[1, b, l])):
                     norm = np.linalg.norm(v)
                     assert np.linalg.norm(qv - q @ v) <= 1e-12 * norm
-                    others = np.delete(h[b], l, axis=0)
                     scale = np.max(np.abs(h[b])) * norm
                     assert np.all(np.abs(np.conj(others) @ qv) <= 1e-10 * scale)
 
@@ -224,7 +226,7 @@ def test_mrt_takes_the_set_up_projection_and_no_svd(monkeypatch):
     assert len(calls) == 1
     bf = problem.solve(0.0).beamformer
     assert len(calls) == 1
-    c = _zf_project(ch.path_vectors[None], ch.path_vectors[None])[0][0]
+    c = _zf_project(ch.path_vectors[None], steering_vector(THETA, 8))[1, 0]
     want = np.sqrt(2.0 / np.sum(np.abs(c) ** 2)) * c.T
     assert np.linalg.norm(bf.beam_matrix - want) <= 8 * np.finfo(float).eps * np.sqrt(2.0)
 
@@ -550,24 +552,14 @@ def test_solve_equals_its_batch_row_on_default_channels():
 
 
 
-def test_solve_batch_memory_at_the_se_sweep_stack():
-    # se-sweep's stack: B = 20 channels of L = 10 paths, M = 64, G = 11
-    # floors. In stacks of h.nbytes, the traced peak above the input is the
-    # set-up's: 4 (B, L, M) stacks (in _zf_project, Q_l h_l and Q_l a beside
-    # c_l and the products' buffer), numpy's iterator buffers for two ufunc
-    # operands of np.getbufsize() complex entries each (1.28 here), and three
-    # (B, L, L) arrays, vh and the two sets' U^H v_l, with (B, L) vectors,
-    # within four (B, L, L) arrays (0.63): k = 5.9. The rows' audit peaks
-    # lower, at seen_f and its y_0 term (2 x 1.89) beside the set-up's
-    # inner products and the rows' y.
-    cfg = load_config(None)
+def traced_peak_of_solve_batch(grid_db: str):
+    """se-sweep's L = 10 stack of 20 channels, M = 64, at the floors of
+    grid_db, and the traced peak of solve_batch above its input."""
+    cfg = load_config(None, {"gamma_th_grid_db": grid_db})
     sc, target = cfg.scenario, cfg.radar_target()
     gen = ChannelGenConfig(num_paths=10)
     channels = generate_multipath_channels(sc, gen, [cfg.rng(0, 1, trial) for trial in range(20)])
     floors = 10.0 ** (np.asarray(cfg.gamma_th_grid_db) / 10.0)
-    h = channels.path_vectors
-    num_channels, num_paths, m = h.shape
-    assert (num_channels, num_paths, m, floors.size) == (20, 10, 64, 11)
 
     def solve():
         solve_batch(channels, target.direction, target.gain, sc.data_length,
@@ -581,10 +573,49 @@ def test_solve_batch_memory_at_the_se_sweep_stack():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    buffers = 2 * 16 * np.getbufsize()
+    return channels.path_vectors, floors.size, peak
+
+
+def test_solve_batch_memory_at_the_se_sweep_stack():
+    # se-sweep's stack: B = 20 channels of L = 10 paths, M = 64, G = 11
+    # floors. In stacks of h.nbytes, the traced peak above the input is the
+    # set-up's: 3 (B, L, M) stacks (u beside Q_l a and Q_l h_l in
+    # _zf_project; then the two basis stacks beside the products
+    # beta_l g_l / ||g_l||, or beside the (B, L+1, M) responses, 1 + 1/L),
+    # numpy's iterator buffer for one ufunc operand of np.getbufsize()
+    # complex entries (0.64 here), and (B, L, L) arrays, the coordinates z_l
+    # of both sets among them, with (B, L) vectors, within four (0.63):
+    # k = 4.27. The rows' search and audit peak lower: their arrays are
+    # (B G, L+1) and (B, G, L), and no (B, G, L+1, L) array is made.
+    h, num_floors, peak = traced_peak_of_solve_batch("0:20:2")
+    num_channels, num_paths, m = h.shape
+    assert (num_channels, num_paths, m, num_floors) == (20, 10, 64, 11)
+    buffer = 16 * np.getbufsize()
     small = 4 * num_channels * num_paths * num_paths * 16
-    k = 4 + (buffers + small) / h.nbytes
+    k = 3 + (buffer + small) / h.nbytes
     assert peak <= k * h.nbytes
+
+
+def test_solve_batch_memory_at_a_fine_floor_grid():
+    # the same stack at G = 41 floors (-10:30:1): the B G = 820 (channel,
+    # floor) rows outgrow the set-up, which stays within its bound at G = 11.
+    # Per row, in doubles, the rows hold at most 17 (L+1)-vectors: y and the
+    # searched rows' eta and y(0), complex (6); their r, |eta| and slope,
+    # stacked, and a filtered copy of the stack (6); one step's d, |y|,
+    # |y|^2 and two products (5); and 40 scalars: the step's state and the
+    # next, 16, and the bracket, bounds, steps and exits. Beside them stand
+    # the set-up's products (2, B, L+1, L) and Gram entries (B, 3, L),
+    # complex, eta and r, and one ufunc buffer. A (B, G, L+1, L) complex
+    # array of the audit alone would be 7.05 h.nbytes.
+    h, num_floors, peak = traced_peak_of_solve_batch("-10:30:1")
+    num_channels, num_paths, m = h.shape
+    assert num_floors == 41
+    n = num_paths + 1
+    rows = num_channels * num_floors * (17 * n + 40) * 8
+    kept = (2 * n * num_paths + 3 * num_paths + n) * num_channels * 16 + n * num_channels * 8
+    small = 4 * num_channels * num_paths * num_paths * 16
+    buffer = 16 * np.getbufsize()
+    assert peak <= max(3 * h.nbytes + buffer + small, rows + kept + buffer)
 
 
 @pytest.mark.blas
